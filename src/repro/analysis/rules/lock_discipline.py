@@ -2,7 +2,7 @@
 
 :class:`~repro.cluster.ShardedGIREngine` answers reads by fanning out
 over a ``ThreadPoolExecutor`` — so every method reachable from
-``_fan_out`` / ``_fan_out_batch`` / an executor-submitted callable can
+``_fan_out`` / an executor-submitted callable can
 run on a pool thread, concurrently with whatever the caller's thread
 does next. This rule enforces the discipline that makes that safe:
 
@@ -53,7 +53,7 @@ CONCURRENCY_SCOPE = (
 )
 
 #: Method names that start a pool-thread fan-out in this codebase.
-FAN_OUT_ROOTS = ("_fan_out", "_fan_out_batch")
+FAN_OUT_ROOTS = ("_fan_out",)
 
 
 def collect_thread_owned(
@@ -162,8 +162,8 @@ class LockDisciplineRule(Rule):
     id = "lock-discipline"
     name = "fan-out-reachable mutations hold a declared lock"
     doc = (
-        "Any attribute mutated from a method reachable from _fan_out/"
-        "_fan_out_batch or an executor-submitted callable must run with "
+        "Any attribute mutated from a method reachable from _fan_out "
+        "or an executor-submitted callable must run with "
         "a declared lock held (lexically or up the call chain) or be "
         "declared '# repro: thread-owned[name] -- why'; lock "
         "acquisition order must be acyclic across all paths (no ABBA)."

@@ -2,7 +2,7 @@
 
 The router serves reads by fanning out on pool threads while routed
 writes mutate shard state — so anything reachable from **both** the
-read path (``topk``/``topk_batch``/``_fan_out``/``_fan_out_batch`` and
+read path (``topk``/``topk_batch``/``_fan_out`` and
 executor-submitted callables) and the write path (``insert``/``delete``)
 of the ``cluster/`` tier is shared across threads. This rule generalizes
 ``fork-safety`` from picklability to *mutation*: a shared structure is a
@@ -51,7 +51,7 @@ from repro.analysis.rules.lock_discipline import (
 __all__ = ["SharedStateRule"]
 
 #: Method names that begin the concurrent read path.
-READ_ROOTS = ("topk", "topk_batch", "_fan_out", "_fan_out_batch")
+READ_ROOTS = ("topk", "topk_batch", "_fan_out")
 #: Method names that begin the routed write path.
 WRITE_ROOTS = ("insert", "delete")
 

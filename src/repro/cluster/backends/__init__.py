@@ -29,6 +29,7 @@ from repro.cluster.backends.base import (
     engine_shard_stats,
     guarded_engine_write,
     reply_from_response,
+    serve_shard_reads,
     update_from_response,
 )
 from repro.cluster.backends.inproc import InProcBackend
@@ -48,6 +49,7 @@ __all__ = [
     "guarded_engine_write",
     "engine_shard_stats",
     "reply_from_response",
+    "serve_shard_reads",
     "update_from_response",
 ]
 

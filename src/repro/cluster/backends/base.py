@@ -9,8 +9,8 @@ contract is deliberately narrow and fully serializable:
 
 * :meth:`ShardBackend.build` — construct the shard from a
   :class:`ShardSpec` (initial rows + engine config + scorer);
-* :meth:`ShardBackend.topk` / :meth:`ShardBackend.topk_batch` — answer
-  local reads, returning :class:`ShardReply` — the
+* :meth:`ShardBackend.topk_batch` — answer a batch of local reads (a
+  single read is a batch of one), returning :class:`ShardReply`\\ s — the
   ``(ids, scores, tie_sums, points_g, region)`` tuple the merge layer
   consumes, in **local** rid terms (the router lifts rids to global);
 * :meth:`ShardBackend.insert` / :meth:`ShardBackend.delete` — apply a
@@ -41,6 +41,7 @@ import numpy.typing as npt
 
 from repro.data.dataset import Dataset
 from repro.engine.engine import EngineResponse, GIREngine, UpdateResponse
+from repro.engine.workload import Request
 from repro.index.bulkload import bulk_load_str
 from repro.index.storage import PageStore
 
@@ -57,6 +58,7 @@ __all__ = [
     "build_shard_engine",
     "guarded_engine_write",
     "reply_from_response",
+    "serve_shard_reads",
     "update_from_response",
     "engine_shard_stats",
 ]
@@ -215,14 +217,11 @@ class ShardBackend(ABC):
         """Construct the shard from its spec. Called exactly once."""
 
     @abstractmethod
-    def topk(self, weights: npt.NDArray[np.float64], k: int) -> ShardReply:
-        """Answer one local read (``k`` already clamped by the router)."""
-
-    @abstractmethod
     def topk_batch(
         self, requests: Sequence[tuple[npt.NDArray[np.float64], int]]
     ) -> list[ShardReply]:
-        """Answer a batch of local reads in one round trip."""
+        """Answer a batch of ``(weights, k)`` local reads in one round
+        trip (each ``k`` already clamped by the router)."""
 
     @abstractmethod
     def insert(self, point: npt.NDArray[np.float64]) -> ShardUpdate:
@@ -295,6 +294,18 @@ def reply_from_response(engine: GIREngine, resp: EngineResponse) -> ShardReply:
         latency_ms=resp.latency_ms,
         cache_entries=len(engine.cache),
     )
+
+
+def serve_shard_reads(
+    engine: GIREngine,
+    requests: Sequence[tuple[npt.NDArray[np.float64], int]],
+) -> list[ShardReply]:
+    """Answer a batch of ``(weights, k)`` local reads on a shard engine:
+    one ``topk_batch`` call, each response flattened for the merge."""
+    responses = engine.topk_batch(
+        [Request(weights=w, k=k) for w, k in requests]
+    )
+    return [reply_from_response(engine, resp) for resp in responses]
 
 
 def update_from_response(sub: UpdateResponse) -> ShardUpdate:

@@ -22,11 +22,10 @@ from repro.cluster.backends.base import (
     build_shard_engine,
     engine_shard_stats,
     guarded_engine_write,
-    reply_from_response,
+    serve_shard_reads,
     update_from_response,
 )
 from repro.engine.engine import GIREngine
-from repro.engine.workload import Request
 
 __all__ = ["InProcBackend"]
 
@@ -56,18 +55,10 @@ class InProcBackend(ShardBackend):
             raise RuntimeError("backend already built")
         self._engine = build_shard_engine(spec)
 
-    def topk(self, weights: np.ndarray, k: int) -> ShardReply:
-        engine = self.engine
-        return reply_from_response(engine, engine.topk(weights, k))
-
     def topk_batch(
         self, requests: Sequence[tuple[np.ndarray, int]]
     ) -> list[ShardReply]:
-        engine = self.engine
-        responses = engine.topk_batch(
-            [Request(weights=w, k=k) for w, k in requests]
-        )
-        return [reply_from_response(engine, resp) for resp in responses]
+        return serve_shard_reads(self.engine, requests)
 
     def insert(self, point: np.ndarray) -> ShardUpdate:
         return update_from_response(

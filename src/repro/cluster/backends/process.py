@@ -47,7 +47,7 @@ from repro.cluster.backends.base import (
     build_shard_engine,
     engine_shard_stats,
     guarded_engine_write,
-    reply_from_response,
+    serve_shard_reads,
     update_from_response,
 )
 
@@ -159,25 +159,11 @@ def _handle_frame(
         raise RuntimeError(
             f"message type {msg} before MSG_BUILD"
         )
-    elif msg == wire.MSG_TOPK:
-        weights, k = wire.decode_topk(reader)
-        resp = engine.topk(weights, k)
-        reply = wire.encode_frame(
-            wire.MSG_REPLY_TOPK,
-            wire.encode_reply(reply_from_response(engine, resp)),
-        )
     elif msg == wire.MSG_TOPK_BATCH:
-        requests = wire.decode_topk_batch(reader)
-        from repro.engine.workload import Request
-
-        responses = engine.topk_batch(
-            [Request(weights=w, k=k) for w, k in requests]
-        )
         reply = wire.encode_frame(
             wire.MSG_REPLY_BATCH,
             wire.encode_batch_reply(
-                reply_from_response(engine, resp)
-                for resp in responses
+                serve_shard_reads(engine, wire.decode_topk_batch(reader))
             ),
         )
     elif msg == wire.MSG_INSERT:
@@ -283,15 +269,6 @@ class ProcessBackend(ShardBackend):
         return reader
 
     # -- the shard contract ----------------------------------------------------
-
-    def topk(self, weights: np.ndarray, k: int) -> ShardReply:
-        reader = self._request(
-            wire.MSG_TOPK,
-            wire.encode_topk(weights, k),
-            wire.MSG_REPLY_TOPK,
-            trace=obs.current(),
-        )
-        return wire.decode_reply(reader)
 
     def topk_batch(
         self, requests: Sequence[tuple[np.ndarray, int]]

@@ -10,7 +10,7 @@ serves the *global* top-k on top:
 * **shards execute behind a pluggable backend**
   (:mod:`repro.cluster.backends`): the router speaks only the narrow
   :class:`~repro.cluster.backends.ShardBackend` contract —
-  ``build / topk / topk_batch / insert / delete / stats / close`` over
+  ``build / topk_batch / insert / delete / stats / close`` over
   plain serializable data — so the same cluster runs its shards in-process
   (``backend="inproc"``, the default) or in one long-lived worker process
   per shard (``backend="process"``, speaking the versioned wire format of
@@ -86,29 +86,15 @@ from repro.engine.engine import (
     SOURCE_CACHE,
     UpdateResponse,
     WorkloadReport,
+    run_workload,
+    validate_k,
     validate_point,
     validate_weights,
 )
-from repro.engine.workload import (
-    DeleteOp,
-    InsertOp,
-    Request,
-    Workload,
-    op_batches,
-)
+from repro.engine.workload import Request, Workload
 from repro.scoring import LinearScoring, ScoringFunction
 
 __all__ = ["ShardedGIREngine"]
-
-
-def _traced_shard_topk(
-    backend: ShardBackend, shard: int, weights: np.ndarray, k: int
-) -> ShardReply:
-    """One per-shard read under a ``shard.call`` span. Module-level (not a
-    method) so the fan-out can submit it through :func:`obs.pool_submit`,
-    which carries the router's ambient trace context into pool threads."""
-    with obs.span("shard.call", shard=shard, method="topk"):
-        return backend.topk(weights, k)
 
 
 def _traced_shard_topk_batch(
@@ -116,7 +102,10 @@ def _traced_shard_topk_batch(
     shard: int,
     requests: "list[tuple[np.ndarray, int]]",
 ) -> list[ShardReply]:
-    """Batched sibling of :func:`_traced_shard_topk`."""
+    """One per-shard batched read under a ``shard.call`` span.
+    Module-level (not a method) so the fan-out can submit it through
+    :func:`obs.pool_submit`, which carries the router's ambient trace
+    context into pool threads."""
     with obs.span("shard.call", shard=shard, method="topk_batch"):
         return backend.topk_batch(requests)
 
@@ -374,47 +363,20 @@ class ShardedGIREngine:
     # -- serving --------------------------------------------------------------
 
     def topk(self, weights: np.ndarray, k: int) -> EngineResponse:
-        """Answer one global top-k request.
-
-        Cluster-cache first (full-only; zero fan-out and zero page reads
-        on a hit), then fan-out + merge. The response's rid sequence and
-        scores are identical to a single :class:`GIREngine` over the
-        unpartitioned data; ``region`` carries the merged stability
-        region the answer is valid in.
-        """
-        with obs.span("cluster.topk", k=k), self._serve_lock:
-            self._ensure_serving()
-            weights = validate_weights(weights, self.d)
-            self._validate_k(k)
-            t0 = time.perf_counter()
-            hit = (
-                self.cache.lookup(weights, k, full_only=True)
-                if self.cache is not None
-                else None
-            )
-            if hit is not None:
-                return self._serve_cluster_hit(weights, k, hit, t0)
-            merged = self._fan_out(weights, k)
-            self._cache_merged(merged)
-            self.requests_served += 1
-            return EngineResponse(
-                ids=merged.gir.topk.ids,
-                scores=merged.gir.topk.scores,
-                weights=weights,
-                k=k,
-                source=merged.source,
-                latency_ms=(time.perf_counter() - t0) * 1e3,
-                pages_read=merged.pages_read,
-                gir_stats=None,
-                region=merged.gir.polytope,
-            )
+        """Answer one global top-k request: a batch of one through
+        :meth:`topk_batch`."""
+        return self.topk_batch([Request(weights=weights, k=k)])[0]
 
     def topk_batch(self, requests: "list[Request] | list[Any]") -> list[EngineResponse]:
-        """Serve a batch of read requests.
+        """Serve a batch of read requests — the cluster's one read path.
 
-        The cluster cache is probed in one batched membership pass; the
-        remaining requests fan out with **one** batched
-        backend ``topk_batch`` call per shard, then merge per request.
+        The cluster cache is probed in one batched membership pass
+        (full-only; zero fan-out and zero page reads on a hit); the
+        remaining requests fan out with **one** batched backend
+        ``topk_batch`` call per shard, then merge per request. Each
+        response's rid sequence and scores are identical to a single
+        :class:`GIREngine` over the unpartitioned data; ``region``
+        carries the merged stability region the answer is valid in.
         Answers are identical to issuing the requests through
         :meth:`topk` one-by-one; cluster-cache *hit accounting* may
         differ (a request in this batch does not see merged entries
@@ -428,9 +390,8 @@ class ShardedGIREngine:
             if not reqs:
                 return []
             W = np.stack([validate_weights(r.weights, self.d) for r in reqs])
-            ks = [r.k for r in reqs]
-            for k in ks:
-                self._validate_k(k)
+            n_live = self.n_live
+            ks = [validate_k(r.k, n_live) for r in reqs]
             t_lookup = time.perf_counter()
             hits = (
                 self.cache.lookup_batch(W, ks, full_only=True)
@@ -451,7 +412,7 @@ class ShardedGIREngine:
                     pending.append(i)
             if pending:
                 t_fan = time.perf_counter()
-                per_shard = self._fan_out_batch(
+                per_shard = self._fan_out(
                     [W[i] for i in pending], [ks[i] for i in pending]
                 )
                 fan_share_ms = (time.perf_counter() - t_fan) * 1e3 / len(pending)
@@ -482,14 +443,6 @@ class ShardedGIREngine:
             out = [r for r in responses if r is not None]
             assert len(out) == len(reqs)
             return out
-
-    def _validate_k(self, k: int) -> None:
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if k > self.n_live:
-            raise ValueError(
-                f"k={k} exceeds live record count {self.n_live}"
-            )
 
     def _ensure_serving(self) -> None:
         if self._broken is not None:
@@ -535,69 +488,23 @@ class ShardedGIREngine:
 
     # -- fan-out --------------------------------------------------------------
 
-    def _fan_targets(self, k: int) -> list[tuple[int, int]]:
-        """(shard, local k) pairs of the non-empty shards; the local k is
-        clamped to the shard's live count (a shard holding fewer than
-        ``k`` records contributes its whole live set — the pool still
-        dominates every unseen record)."""
-        return [
-            (s, min(k, live))
-            for s, live in enumerate(self._shard_live)
-            if live > 0
-        ]
-
-    def _fan_out(self, weights: np.ndarray, k: int) -> MergedAnswer:
-        """One read fan-out: every non-empty shard answers locally
-        (cache-first), concurrently in parallel mode; answers are merged
-        under the global tie-break. Re-enters the serve lock so the
-        targeting maps and lift counters cannot move under it even when
-        a subclass (or test harness) calls it directly."""
-        with obs.span("cluster.fanout", k=k) as fsp, self._serve_lock:
-            targets = self._fan_targets(k)
-            if obs.tracing_enabled():
-                fsp.set("shards", len(targets))
-            if self._pool is not None and len(targets) > 1:
-                futures = [
-                    obs.pool_submit(
-                        self._pool,
-                        _traced_shard_topk,
-                        self.backends[s],
-                        s,
-                        weights,
-                        ks,
-                    )
-                    for s, ks in targets
-                ]
-                replies = [f.result() for f in futures]
-            else:
-                replies = [
-                    _traced_shard_topk(self.backends[s], s, weights, ks)
-                    for s, ks in targets
-                ]
-            self.fanouts += 1
-            with obs.span("cluster.merge", shards=len(replies)):
-                answers = [
-                    self._lift(s, reply)
-                    for (s, _), reply in zip(targets, replies)
-                ]
-                return merge_shard_answers(answers, weights, k)
-
-    def _fan_out_batch(
+    def _fan_out(
         self, weights_list: list[np.ndarray], ks: list[int]
     ) -> list[tuple[int, list[ShardReply]]]:
-        """Batched fan-out: one backend ``topk_batch`` per shard over the
-        whole pending request list. Returns ``(shard, replies)`` pairs,
-        replies aligned with the request list."""
+        """One read fan-out: a single backend ``topk_batch`` per non-empty
+        shard over the whole pending request list (each answered locally,
+        cache-first), concurrently in parallel mode. Each request's local
+        ``k`` is clamped to the shard's live count (a shard holding fewer
+        than ``k`` records contributes its whole live set — the pool still
+        dominates every unseen record). Returns ``(shard, replies)``
+        pairs, replies aligned with the request list. Re-enters the serve
+        lock so the targeting maps cannot move under it even when a
+        subclass (or test harness) calls it directly."""
         with obs.span("cluster.fanout", n=len(weights_list)), self._serve_lock:
             targets = [
-                (
-                    s,
-                    [
-                        (w, min(k, self._shard_live[s]))
-                        for w, k in zip(weights_list, ks)
-                    ],
-                )
-                for s, _ in self._fan_targets(max(ks))
+                (s, [(w, min(k, live)) for w, k in zip(weights_list, ks)])
+                for s, live in enumerate(self._shard_live)
+                if live > 0
             ]
             if self._pool is not None and len(targets) > 1:
                 futures = [
@@ -825,12 +732,11 @@ class ShardedGIREngine:
         "cluster_misses",
     )
 
-    def run(
-        self, workload: "Workload | list[Any]", batch: bool = False
-    ) -> WorkloadReport:
+    def run(self, workload: "Workload | list[Any]") -> WorkloadReport:
         """Serve a whole workload (reads and updates) through the cluster.
 
-        Identical in shape to :meth:`GIREngine.run`; the returned report
+        The same runner as :meth:`GIREngine.run`
+        (:func:`~repro.engine.engine.run_workload`); the returned report
         additionally carries the per-shard breakdown
         (:attr:`WorkloadReport.shard_stats`) and the cluster-tier counters
         (:attr:`WorkloadReport.cluster_stats`). Counter fields in both are
@@ -838,34 +744,11 @@ class ShardedGIREngine:
         at entry), so per-shard page reads sum to the run's
         ``pages_read_total`` even when the same cluster serves several
         workloads; state fields (cache entries, live records) are the
-        end-of-run snapshot. With ``batch=True``, maximal runs of
-        consecutive reads go through :meth:`topk_batch` (one cluster-cache
-        membership pass, one batched per-shard call).
+        end-of-run snapshot.
         """
         shard_base = self.shard_stats()
         cluster_base = self.cluster_stats()
-        ops = list(workload)
-        kind = workload.kind if isinstance(workload, Workload) else "custom"
-        responses: list[EngineResponse] = []
-        updates: list[UpdateResponse] = []
-        update_ms = 0.0
-        t0 = time.perf_counter()
-        for op in op_batches(ops) if batch else ops:
-            if isinstance(op, list):
-                responses.extend(self.topk_batch(op))
-            elif isinstance(op, Request):
-                responses.append(self.topk(op.weights, op.k))
-            elif isinstance(op, InsertOp):
-                tu = time.perf_counter()
-                updates.append(self.insert(op.point))
-                update_ms += (time.perf_counter() - tu) * 1e3
-            elif isinstance(op, DeleteOp):
-                tu = time.perf_counter()
-                updates.append(self.delete(op.rid))
-                update_ms += (time.perf_counter() - tu) * 1e3
-            else:
-                raise TypeError(f"unknown workload operation {op!r}")
-        wall_ms = (time.perf_counter() - t0) * 1e3
+        report = run_workload(self, workload)
 
         def deltas(
             now: dict[str, Any], before: dict[str, Any], keys: tuple[str, ...]
@@ -875,20 +758,14 @@ class ShardedGIREngine:
                 **{key: now[key] - before[key] for key in keys},
             }
 
-        return WorkloadReport(
-            responses=responses,
-            wall_ms=wall_ms,
-            workload_kind=kind,
-            updates=updates,
-            update_wall_ms=update_ms,
-            shard_stats=[
-                deltas(now, before, self._SHARD_COUNTER_KEYS)
-                for now, before in zip(self.shard_stats(), shard_base)
-            ],
-            cluster_stats=deltas(
-                self.cluster_stats(), cluster_base, self._CLUSTER_COUNTER_KEYS
-            ),
+        report.shard_stats = [
+            deltas(now, before, self._SHARD_COUNTER_KEYS)
+            for now, before in zip(self.shard_stats(), shard_base)
+        ]
+        report.cluster_stats = deltas(
+            self.cluster_stats(), cluster_base, self._CLUSTER_COUNTER_KEYS
         )
+        return report
 
     # -- introspection --------------------------------------------------------
 

@@ -15,7 +15,7 @@ front of raw ``<f8``/``<q`` array payloads. Every frame is::
     frame := magic b"GIRW" | version u16 | msg_type u16 | flags u16
              | [trace block if FLAG_TRACE] | payload
 
-``flags`` (version 2) carries optional per-frame context; unknown flag
+``flags`` (since version 2) carries optional per-frame context; unknown flag
 bits are rejected, so older peers can never silently misparse a frame
 that carries context they don't understand. The only flag today is
 ``FLAG_TRACE``: a request-tracing context — two length-prefixed UTF-8
@@ -34,15 +34,14 @@ Message catalogue (requests flow router → worker, replies worker → router):
 ===================  =======================================================
 ``MSG_BUILD``        shard spec: config JSON + initial rows + pickled scorer
 ``MSG_READY``        worker acknowledgement (build / shutdown)
-``MSG_TOPK``         one read: weights vector + k
-``MSG_TOPK_BATCH``   a batch of reads (one frame, one reply frame)
+``MSG_TOPK_BATCH``   a batch of reads (one frame, one reply frame; a single
+                     read is a batch of one)
 ``MSG_INSERT``       routed write: the record row
 ``MSG_DELETE``       routed write: the local rid
 ``MSG_STATS``        request the shard's counter snapshot
 ``MSG_SHUTDOWN``     orderly worker exit (acknowledged with ``MSG_READY``)
 ``MSG_TRACE``        drain the worker's span collector (empty payload)
-``MSG_REPLY_TOPK``   one :class:`~repro.cluster.backends.ShardReply`
-``MSG_REPLY_BATCH``  a list of shard replies
+``MSG_REPLY_BATCH``  a list of :class:`~repro.cluster.backends.ShardReply`
 ``MSG_REPLY_UPDATE`` one :class:`~repro.cluster.backends.ShardUpdate`
 ``MSG_REPLY_STATS``  stat-counter dict (JSON payload)
 ``MSG_REPLY_ERROR``  exception surrogate, re-raised router-side
@@ -88,14 +87,12 @@ __all__ = [
     "Reader",
     "MSG_BUILD",
     "MSG_READY",
-    "MSG_TOPK",
     "MSG_TOPK_BATCH",
     "MSG_INSERT",
     "MSG_DELETE",
     "MSG_STATS",
     "MSG_SHUTDOWN",
     "MSG_TRACE",
-    "MSG_REPLY_TOPK",
     "MSG_REPLY_BATCH",
     "MSG_REPLY_UPDATE",
     "MSG_REPLY_STATS",
@@ -106,16 +103,12 @@ __all__ = [
     "decode_trace_payload",
     "encode_build",
     "decode_build",
-    "encode_topk",
-    "decode_topk",
     "encode_topk_batch",
     "decode_topk_batch",
     "encode_insert",
     "decode_insert",
     "encode_delete",
     "decode_delete",
-    "encode_reply",
-    "decode_reply",
     "encode_batch_reply",
     "decode_batch_reply",
     "encode_update",
@@ -127,7 +120,7 @@ __all__ = [
 ]
 
 MAGIC = b"GIRW"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 _FRAME = struct.Struct("<4sHHH")  # magic, version, msg_type, flags
 
 #: Frame flag: a trace-context block precedes the payload.
@@ -137,21 +130,17 @@ _KNOWN_FLAGS = FLAG_TRACE
 
 MSG_BUILD = 1
 MSG_READY = 2
-MSG_TOPK = 3
-MSG_TOPK_BATCH = 4
-MSG_INSERT = 5
-MSG_DELETE = 6
-MSG_STATS = 7
-MSG_SHUTDOWN = 8
-MSG_REPLY_TOPK = 9
-MSG_REPLY_BATCH = 10
-MSG_REPLY_UPDATE = 11
-MSG_REPLY_STATS = 12
-MSG_REPLY_ERROR = 13
-MSG_TRACE = 14
-MSG_REPLY_TRACE = 15
-
-_KNOWN_MESSAGES = frozenset(range(MSG_BUILD, MSG_REPLY_TRACE + 1))
+MSG_TOPK_BATCH = 3
+MSG_INSERT = 4
+MSG_DELETE = 5
+MSG_STATS = 6
+MSG_SHUTDOWN = 7
+MSG_REPLY_BATCH = 8
+MSG_REPLY_UPDATE = 9
+MSG_REPLY_STATS = 10
+MSG_REPLY_ERROR = 11
+MSG_TRACE = 12
+MSG_REPLY_TRACE = 13
 
 #: Human-readable message-type names (for decode-error context and
 #: worker span attributes).
@@ -159,13 +148,11 @@ MSG_NAMES = MappingProxyType(
     {
         MSG_BUILD: "BUILD",
         MSG_READY: "READY",
-        MSG_TOPK: "TOPK",
         MSG_TOPK_BATCH: "TOPK_BATCH",
         MSG_INSERT: "INSERT",
         MSG_DELETE: "DELETE",
         MSG_STATS: "STATS",
         MSG_SHUTDOWN: "SHUTDOWN",
-        MSG_REPLY_TOPK: "REPLY_TOPK",
         MSG_REPLY_BATCH: "REPLY_BATCH",
         MSG_REPLY_UPDATE: "REPLY_UPDATE",
         MSG_REPLY_STATS: "REPLY_STATS",
@@ -240,7 +227,7 @@ def decode_frame(frame: bytes) -> tuple[int, "Reader"]:
         raise WireError(
             f"unsupported wire version {version} (speaking {WIRE_VERSION})"
         )
-    if msg_type not in _KNOWN_MESSAGES:
+    if msg_type not in MSG_NAMES:
         raise WireError(f"unknown message type {msg_type}")
     if flags & ~_KNOWN_FLAGS:
         raise WireError(
@@ -414,20 +401,6 @@ def decode_build(reader: Reader) -> "ShardSpec":
 # -- reads --------------------------------------------------------------------
 
 
-def encode_topk(weights: npt.NDArray[np.float64], k: int) -> bytes:
-    out = bytearray()
-    _put_array(out, np.asarray(weights, dtype=np.float64))
-    out += struct.pack("<q", k)
-    return bytes(out)
-
-
-def decode_topk(reader: Reader) -> tuple[npt.NDArray[np.float64], int]:
-    weights = _get_array(reader)
-    (k,) = reader.unpack("<q")
-    reader.done()
-    return weights, int(k)
-
-
 def encode_topk_batch(
     requests: Sequence[tuple[npt.NDArray[np.float64], int]]
 ) -> bytes:
@@ -512,18 +485,6 @@ def _get_reply(reader: Reader) -> "ShardReply":
         latency_ms=float(latency_ms),
         cache_entries=int(cache_entries),
     )
-
-
-def encode_reply(reply: "ShardReply") -> bytes:
-    out = bytearray()
-    _put_reply(out, reply)
-    return bytes(out)
-
-
-def decode_reply(reader: Reader) -> "ShardReply":
-    reply = _get_reply(reader)
-    reader.done()
-    return reply
 
 
 def encode_batch_reply(replies: Iterable["ShardReply"]) -> bytes:

@@ -181,7 +181,7 @@ class PointTable:
         Label used in reports.
     """
 
-    __slots__ = ("_buf", "_live", "_n", "name")
+    __slots__ = ("_buf", "_live", "_n", "_n_live", "name")
 
     def __init__(self, points: np.ndarray, name: str = "table") -> None:
         points = np.array(points, dtype=np.float64, copy=True)
@@ -191,6 +191,9 @@ class PointTable:
         self._buf = points
         self._live = np.ones(points.shape[0], dtype=bool)
         self._n = points.shape[0]
+        #: Live-row count, kept in step with ``_live`` so the serving
+        #: path's per-batch ``k <= n_live`` check is O(1), not a mask sum.
+        self._n_live = self._n
         self.name = str(name)
 
     @classmethod
@@ -210,7 +213,7 @@ class PointTable:
 
     @property
     def n_live(self) -> int:
-        return int(self._live[: self._n].sum())
+        return self._n_live
 
     def __len__(self) -> int:
         return self.n_live
@@ -262,6 +265,7 @@ class PointTable:
         self._buf[rid] = np.clip(point, 0.0, 1.0)
         self._live[rid] = True
         self._n += 1
+        self._n_live += 1
         return rid
 
     def delete(self, rid: int) -> np.ndarray:
@@ -270,6 +274,7 @@ class PointTable:
         if not self.is_live(rid):
             raise KeyError(f"rid {rid} is not a live record")
         self._live[rid] = False
+        self._n_live -= 1
         return self._buf[rid].copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -18,6 +18,8 @@ from repro.engine.engine import (
     UpdateResponse,
     WorkloadReport,
     percentile,
+    run_workload,
+    validate_k,
     validate_point,
     validate_weights,
 )
@@ -30,7 +32,6 @@ from repro.engine.workload import (
     drifting_zipf_workload,
     flash_crowd_workload,
     mixed_workload,
-    op_batches,
     uniform_workload,
     zipf_clustered_workload,
 )
@@ -43,12 +44,13 @@ __all__ = [
     "INVALIDATION_POLICIES",
     "percentile",
     "validate_weights",
+    "validate_k",
     "validate_point",
+    "run_workload",
     "Request",
     "InsertOp",
     "DeleteOp",
     "Workload",
-    "op_batches",
     "as_generator",
     "uniform_workload",
     "zipf_clustered_workload",

@@ -68,7 +68,6 @@ from repro.engine.workload import (
     Request,
     Workload,
     frozen_array,
-    op_batches,
 )
 from repro.geometry.polytope import Polytope
 from repro.index.bulkload import bulk_load_str
@@ -84,7 +83,9 @@ __all__ = [
     "INVALIDATION_POLICIES",
     "percentile",
     "validate_weights",
+    "validate_k",
     "validate_point",
+    "run_workload",
 ]
 
 #: Response provenance markers.
@@ -136,6 +137,22 @@ def validate_weights(weights: np.ndarray, d: int) -> np.ndarray:
             "(an all-zero preference cannot rank records)"
         )
     return arr
+
+
+def validate_k(k: int, n_live: int) -> int:
+    """Check a request's ``k`` at the serving boundary; returns it as int.
+
+    A cache hit serves ``ids[:k]`` of the cached entry, so an unchecked
+    ``k = 0`` would come back as an empty "full hit" and a negative ``k``
+    as a truncated prefix; only a cold cache would fail, deep inside BRS.
+    Rejected: non-integers (bools included), ``k < 1`` and ``k`` above
+    the live record count.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
+        raise ValueError(f"k must be positive (an int >= 1), got {k!r}")
+    if k > n_live:
+        raise ValueError(f"k={k} exceeds live record count {n_live}")
+    return int(k)
 
 
 def validate_point(point: np.ndarray, d: int) -> np.ndarray:
@@ -403,6 +420,40 @@ class WorkloadReport:
         return "\n".join(lines)
 
 
+def run_workload(engine, workload: Workload | list) -> WorkloadReport:
+    """Serve an operation stream through ``engine`` one operation at a
+    time — each read a batch of one, each update at its stream position —
+    and return the aggregate accounting. The shared body of
+    :meth:`GIREngine.run` and
+    :meth:`~repro.cluster.ShardedGIREngine.run`; ``engine`` is anything
+    with ``topk`` / ``insert`` / ``delete``."""
+    kind = workload.kind if isinstance(workload, Workload) else "custom"
+    responses: list[EngineResponse] = []
+    updates: list[UpdateResponse] = []
+    update_ms = 0.0
+    t0 = time.perf_counter()
+    for op in workload:
+        if isinstance(op, Request):
+            responses.append(engine.topk(op.weights, op.k))
+        elif isinstance(op, InsertOp):
+            tu = time.perf_counter()
+            updates.append(engine.insert(op.point))
+            update_ms += (time.perf_counter() - tu) * 1e3
+        elif isinstance(op, DeleteOp):
+            tu = time.perf_counter()
+            updates.append(engine.delete(op.rid))
+            update_ms += (time.perf_counter() - tu) * 1e3
+        else:
+            raise TypeError(f"unknown workload operation {op!r}")
+    return WorkloadReport(
+        responses=responses,
+        wall_ms=(time.perf_counter() - t0) * 1e3,
+        workload_kind=kind,
+        updates=updates,
+        update_wall_ms=update_ms,
+    )
+
+
 # repro: thread-owned[GIREngine] -- one engine serves one shard; the router's serve lock (or the worker process) serializes all access
 class GIREngine:
     """A cache-first top-k serving engine over a *dynamic* dataset
@@ -520,79 +571,58 @@ class GIREngine:
 
     @sanitize.mutates  # cache-first serving touches recency and counters
     def topk(self, weights: np.ndarray, k: int) -> EngineResponse:
-        """Answer one top-k request, cache-first.
-
-        A full cache hit performs zero metered page reads; a partial hit is
-        completed by resuming computation at the requested ``k``; a miss
-        runs the full pipeline. Either way the response carries a complete
-        ordered top-k and exact latency / page-read accounting.
-
-        Malformed query vectors (wrong dimension, NaN/inf, all-nonpositive)
-        are rejected with a :class:`ValueError` up front — see
-        :func:`validate_weights`.
-        """
-        weights = validate_weights(weights, self.d)
-        with obs.span("engine.topk", k=k):
-            io_before = self.tree.store.stats.page_reads
-            t0 = time.perf_counter()
-            hit = self._lookup_traced(weights, k)
-            return self._serve(weights, k, hit, t0, io_before)
-
-    def _lookup_traced(self, weights: np.ndarray, k: int):
-        """Cache lookup under a span recording the hit classification
-        and the grid prescreen's contribution (counter deltas — the
-        extra reads only happen while tracing is armed)."""
-        traced = obs.tracing_enabled()
-        with obs.span("engine.cache_lookup") as sp:
-            if traced:
-                probes0, negatives0 = self.cache.grid_counters()
-            hit = self.cache.lookup(weights, k)
-            if traced:
-                probes1, negatives1 = self.cache.grid_counters()
-                sp.set("grid_probes", probes1 - probes0)
-                sp.set("grid_negatives", negatives1 - negatives0)
-                if hit is None:
-                    sp.set("outcome", "miss")
-                else:
-                    sp.set("outcome", "partial" if hit.partial else "full")
-        return hit
+        """Answer one top-k request, cache-first: a batch of one through
+        :meth:`topk_batch`, which documents the serving and validation
+        rules."""
+        return self.topk_batch([Request(weights=weights, k=k)])[0]
 
     @sanitize.mutates
     def topk_batch(self, requests: list) -> list[EngineResponse]:
-        """Serve a batch of :class:`~repro.engine.workload.Request`\\ s.
+        """Serve a batch of :class:`~repro.engine.workload.Request`\\ s,
+        cache-first — the engine's one read path.
+
+        A full cache hit performs zero metered page reads; a partial hit is
+        completed by resuming computation at the requested ``k``; a miss
+        runs the full pipeline. Either way each response carries a complete
+        ordered top-k and exact latency / page-read accounting.
 
         Answers, provenance and all cache/hit accounting are identical to
-        issuing the requests one-by-one through :meth:`topk`; the cache
-        membership work, however, is batched — one matmul of the pending
-        request matrix against every cached region's stacked half-spaces
+        issuing the requests one-by-one; the cache membership work,
+        however, is batched — one matmul of the pending request matrix
+        against every cached region's stacked half-spaces
         (:meth:`~repro.core.caching.GIRCache.lookup_batch`). A request
         that triggers the pipeline (partial hit or miss) mutates the
         cache, so batched evaluation restarts from the following request —
         exactly the state a sequential run would see. Lookups are stacked
         at most :data:`LOOKUP_WINDOW` at a time, bounding the membership
         work a mid-batch pipeline run can invalidate.
+
+        Malformed requests (query vector of the wrong dimension, NaN/inf,
+        all-nonpositive; ``k`` not a positive int or above the live
+        count) are rejected with a :class:`ValueError` up front — see
+        :func:`validate_weights` / :func:`validate_k`.
         """
         reqs = list(requests)
         # Validate the whole batch before serving anything: a malformed
         # request must fail the call up front, not abort mid-batch after
         # earlier windows already mutated the cache and the counters.
         validated = [validate_weights(r.weights, self.d) for r in reqs]
+        n_live = self.n_live
+        all_ks = [validate_k(r.k, n_live) for r in reqs]
         responses: list[EngineResponse] = []
         with obs.span("engine.topk_batch", n=len(reqs)):
             i = 0
             while i < len(reqs):
-                rest = reqs[i : i + LOOKUP_WINDOW]
                 W = np.stack(validated[i : i + LOOKUP_WINDOW])
-                ks = [r.k for r in rest]
+                ks = all_ks[i : i + LOOKUP_WINDOW]
                 t_lookup = time.perf_counter()
-                with obs.span("engine.cache_lookup_batch", n=len(rest)):
+                with obs.span("engine.cache_lookup_batch", n=len(ks)):
                     hits = self.cache.lookup_batch(
                         W, ks, stop_after_non_full=True
                     )
                 # Attribute the shared membership matmul evenly to the
-                # requests it resolved, keeping batch-mode latency_ms
-                # comparable to the sequential path (whose clock includes
-                # its own lookup).
+                # requests it resolved, so a request's latency_ms
+                # includes its share of the lookup.
                 lookup_share_ms = (
                     (time.perf_counter() - t_lookup) * 1e3 / max(len(hits), 1)
                 )
@@ -849,47 +879,12 @@ class GIREngine:
             prescreen_lps=lps,
         )
 
-    # -- batch serving --------------------------------------------------------
+    # -- workload runner ------------------------------------------------------
 
-    def run(self, workload: Workload | list, batch: bool = False) -> WorkloadReport:
-        """Serve a whole workload — reads and updates — and return batched
-        accounting.
-
-        With ``batch=True`` every maximal run of consecutive read requests
-        is served through :meth:`topk_batch` (one membership matmul per
-        run instead of per request); updates still apply one at a time, at
-        their stream positions. Answers and hit/miss accounting are
-        identical either way.
-        """
-        ops = list(workload)
-        kind = workload.kind if isinstance(workload, Workload) else "custom"
-        responses: list[EngineResponse] = []
-        updates: list[UpdateResponse] = []
-        update_ms = 0.0
-        t0 = time.perf_counter()
-        for op in op_batches(ops) if batch else ops:
-            if isinstance(op, list):  # a maximal run of consecutive reads
-                responses.extend(self.topk_batch(op))
-            elif isinstance(op, Request):
-                responses.append(self.topk(op.weights, op.k))
-            elif isinstance(op, InsertOp):
-                tu = time.perf_counter()
-                updates.append(self.insert(op.point))
-                update_ms += (time.perf_counter() - tu) * 1e3
-            elif isinstance(op, DeleteOp):
-                tu = time.perf_counter()
-                updates.append(self.delete(op.rid))
-                update_ms += (time.perf_counter() - tu) * 1e3
-            else:
-                raise TypeError(f"unknown workload operation {op!r}")
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        return WorkloadReport(
-            responses=responses,
-            wall_ms=wall_ms,
-            workload_kind=kind,
-            updates=updates,
-            update_wall_ms=update_ms,
-        )
+    def run(self, workload: Workload | list) -> WorkloadReport:
+        """Serve a whole workload — reads and updates — and return
+        aggregate accounting (see :func:`run_workload`)."""
+        return run_workload(self, workload)
 
     # -- introspection --------------------------------------------------------
 

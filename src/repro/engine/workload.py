@@ -47,7 +47,6 @@ __all__ = [
     "InsertOp",
     "DeleteOp",
     "Workload",
-    "op_batches",
     "uniform_workload",
     "zipf_clustered_workload",
     "drifting_zipf_workload",
@@ -144,28 +143,6 @@ class Workload:
     @property
     def updates(self) -> int:
         return sum(isinstance(op, (InsertOp, DeleteOp)) for op in self.requests)
-
-
-def op_batches(ops: list):
-    """Group an operation stream for batched serving.
-
-    Yields maximal runs of consecutive :class:`Request`\\ s as lists (one
-    batched membership evaluation each) and every update operation on its
-    own — preserving stream order, so updates apply at exactly the
-    positions a sequential run would. The engine's batch-aware runner
-    (``GIREngine.run(workload, batch=True)``) is built on this.
-    """
-    i = 0
-    while i < len(ops):
-        if isinstance(ops[i], Request):
-            j = i
-            while j < len(ops) and isinstance(ops[j], Request):
-                j += 1
-            yield ops[i:j]
-            i = j
-        else:
-            yield ops[i]
-            i += 1
 
 
 def _interior(q: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ One :class:`ServeFront` wraps one engine (a
 :class:`~repro.engine.GIREngine` or a
 :class:`~repro.cluster.ShardedGIREngine` — anything with the engine
 serving surface: ``topk_batch`` / ``insert`` / ``delete`` /
-``result_rows`` / ``scorer`` / ``d``). The engine stays strictly
+``result_rows`` / ``scorer`` / ``d`` / ``n_live``). The engine stays strictly
 single-owner: every engine call runs on the front door's one-thread
 executor (the *executor bridge*), which is exactly the ownership shape
 the runtime sanitizer's tokens accept, and the event loop itself only
@@ -46,6 +46,7 @@ import numpy as np
 from repro import obs
 from repro.engine.engine import (
     UpdateResponse,
+    validate_k,
     validate_point,
     validate_weights,
 )
@@ -406,7 +407,6 @@ class ServeFront:
         )
         self._jobs.append(task)
         self.stats.engine_batch_calls += 1
-        self.stats.engine_requests += len(leaders)
         live = sum(not t.done() for t in self._jobs)
         self.stats.inflight_batches_peak = max(
             self.stats.inflight_batches_peak, live
@@ -445,13 +445,31 @@ class ServeFront:
         return self._serve_batch_inner(reqs)
 
     def _serve_batch_inner(self, reqs: list) -> list:
-        requests = [Request(weights=w, k=k) for w, k in reqs]
-        responses = self.engine.topk_batch(requests)
-        out = []
-        for resp in responses:
-            rows = self.engine.result_rows(resp.ids)
-            scores = canonical_scores(self.engine.scorer, rows, resp.weights)
-            out.append((resp, rows, scores))
+        """One result per request: ``(response, rows, scores)``, or the
+        :class:`Rejected` error of a request whose ``k`` exceeds the live
+        record count. That bound moves with every write, so it can only
+        be judged here, on the engine thread; the offender is set aside
+        so it cannot fail the reads it happens to share a batch with."""
+        n_live = self.engine.n_live
+        out: list = []
+        requests = []
+        for w, k in reqs:
+            try:
+                validate_k(k, n_live)
+            except ValueError as exc:
+                out.append(Rejected(str(exc), k=k, n_live=n_live))
+            else:
+                out.append(None)
+                requests.append(Request(weights=w, k=k))
+        responses = iter(self.engine.topk_batch(requests))
+        for i, slot in enumerate(out):
+            if slot is None:
+                resp = next(responses)
+                rows = self.engine.result_rows(resp.ids)
+                scores = canonical_scores(
+                    self.engine.scorer, rows, resp.weights
+                )
+                out[i] = (resp, rows, scores)
         return out
 
     def _apply_write_sync(self, op: _WriteOp, trace_ctx=None) -> UpdateResponse:
@@ -485,7 +503,15 @@ class ServeFront:
         # this point must not attach to an already-resolved computation.
         for entry in leaders:
             self._inflight.discard(entry)
-        for entry, (resp, rows, scores) in zip(leaders, results):
+        for entry, result in zip(leaders, results):
+            if isinstance(result, ServeError):
+                # Only the offender fails; its followers asked for no
+                # more than it did and may well be servable.
+                self._resolve_error(entry.leader, result)
+                for follower in entry.followers:
+                    self._requeue(follower)
+                continue
+            resp, rows, scores = result
             self._resolve_leader(entry.leader, resp, scores, t_dispatch)
             for follower in entry.followers:
                 self._resolve_follower(follower, resp, rows)
@@ -515,6 +541,7 @@ class ServeFront:
             )
         )
         self.stats.reads_served += 1
+        self.stats.engine_requests += 1
         self.stats.wait_ms.observe(wait_ms)
         self.stats.service_ms.observe(resp.latency_ms)
         if not op.future.done():
@@ -563,10 +590,15 @@ class ServeFront:
             if not op.future.done():
                 op.future.set_result(response)
         else:
-            op.no_coalesce = True
-            self.stats.coalesce_fallbacks += 1
-            assert self._queue is not None
-            self._queue.put_nowait(op)
+            self._requeue(op)
+
+    def _requeue(self, op: _ReadOp) -> None:
+        """Send an attached read back through the queue to lead its own
+        engine request."""
+        op.no_coalesce = True
+        self.stats.coalesce_fallbacks += 1
+        assert self._queue is not None
+        self._queue.put_nowait(op)
 
     def _resolve_error(self, op, exc: Exception) -> None:
         self.stats.errors += 1

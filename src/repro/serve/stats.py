@@ -49,7 +49,9 @@ class ServeStats:
     errors: int = 0
     #: ``topk_batch`` calls issued to the engine.
     engine_batch_calls: int = 0
-    #: Requests inside those calls (the coalescing denominator).
+    #: Reads answered by a request inside those calls (the coalescing
+    #: denominator); charged when the answer resolves, so a request the
+    #: engine failed lands in ``errors`` and nowhere else.
     engine_requests: int = 0
     #: Reads that attached to an in-flight leader at dispatch.
     coalesce_attached: int = 0

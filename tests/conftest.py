@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core.tolerances import CONTAINMENT_TOL
 from repro.data.synthetic import anticorrelated, correlated, independent
+from repro.engine import InsertOp, Request, WorkloadReport
 from repro.index.bulkload import bulk_load_str
 
 
@@ -42,3 +46,47 @@ def small_cor_3d():
 def random_query(rng: np.random.Generator, d: int) -> np.ndarray:
     """A strictly positive query vector away from the space boundary."""
     return rng.random(d) * 0.8 + 0.1
+
+
+def assert_same_region(a, b, msg=""):
+    """Region equality of two GIR results by vertex sets.
+
+    Both regions are bounded (they sit inside the unit query box), so
+    ``a ⊇ b`` iff every vertex of ``b`` lies in ``a`` — one matmul per
+    direction, where :func:`assert_same_region_lp` pays one LP per
+    constraint (the exhaustive GIR* oracle has thousands)."""
+    va, vb = a.polytope.vertices(), b.polytope.vertices()
+    assert len(va) and len(vb), f"{msg}: a region has no vertices"
+    assert a.polytope.contains_batch(vb, tol=CONTAINMENT_TOL).all(), (
+        f"{msg}: first ⊉ second"
+    )
+    assert b.polytope.contains_batch(va, tol=CONTAINMENT_TOL).all(), (
+        f"{msg}: second ⊉ first"
+    )
+
+
+def assert_same_region_lp(a, b, msg=""):
+    """Region equality by mutual LP containment — keep to small cases."""
+    assert a.polytope.contains_polytope(b.polytope), f"{msg}: first ⊉ second"
+    assert b.polytope.contains_polytope(a.polytope), f"{msg}: second ⊉ first"
+
+
+def run_batched(engine, workload) -> WorkloadReport:
+    """Replay a workload with every maximal run of consecutive reads as
+    *one* ``topk_batch`` call (updates one at a time, at their stream
+    positions) — the multi-request counterpart of ``engine.run``, whose
+    reads are batches of one."""
+    responses, updates = [], []
+    for is_read, ops in itertools.groupby(
+        workload, key=lambda op: isinstance(op, Request)
+    ):
+        if is_read:
+            responses.extend(engine.topk_batch(list(ops)))
+            continue
+        for op in ops:
+            updates.append(
+                engine.insert(op.point)
+                if isinstance(op, InsertOp)
+                else engine.delete(op.rid)
+            )
+    return WorkloadReport(responses=responses, wall_ms=0.0, updates=updates)

@@ -4,8 +4,8 @@ The headline property extends PR 4's: a process-backed cluster — one
 worker process per shard, every request and reply crossing the versioned
 wire format — is *byte-identical* to the in-process cluster (exact float
 equality, not just tolerance) and observably identical to a single
-:class:`GIREngine`, across shard counts × partitioners × per-request /
-batched serving × mixed read/write workloads.
+:class:`GIREngine`, across shard counts × partitioners × batch sizes
+(singleton / multi-request) × mixed read/write workloads.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.engine import (
 )
 from repro.index.bulkload import bulk_load_str
 from repro.scoring import LinearScoring
+from tests.conftest import run_batched
 
 N, D, K = 500, 3, 5
 
@@ -103,7 +104,7 @@ class TestBackendContract:
 
         backend = make_backend(MyBackend, spec)
         assert isinstance(backend, MyBackend)
-        assert backend.topk(np.array([0.5, 0.5, 0.5]), 3).ids
+        assert backend.topk_batch([(np.array([0.5, 0.5, 0.5]), 3)])[0].ids
 
     def test_double_build_rejected(self, spec):
         backend = make_backend("inproc", spec)
@@ -115,7 +116,7 @@ class TestBackendContract:
         b = make_backend("process", spec)
         try:
             w = np.array([0.6, 0.3, 0.8])
-            ra, rb = a.topk(w, K), b.topk(w, K)
+            (ra,), (rb,) = a.topk_batch([(w, K)]), b.topk_batch([(w, K)])
             assert ra.ids == rb.ids
             assert ra.scores == rb.scores
             assert ra.tie_sums == rb.tie_sums
@@ -136,7 +137,7 @@ class TestBackendContract:
             # A clean failure (the engine never mutated): the worker
             # caught the error and keeps serving.
             assert not info.value.dirty
-            assert backend.topk(np.array([0.5, 0.5, 0.5]), 3).ids
+            assert backend.topk_batch([(np.array([0.5, 0.5, 0.5]), 3)])[0].ids
         finally:
             backend.close()
 
@@ -158,7 +159,7 @@ class TestBackendContract:
                 backend.insert(np.array([0.9, 0.9, 0.9]))
             assert info.value.dirty
             with pytest.raises(WorkerFailure, match="refuses further"):
-                backend.topk(np.array([0.5, 0.5, 0.5]), 3)
+                backend.topk_batch([(np.array([0.5, 0.5, 0.5]), 3)])
             # Stats stay reachable for post-mortem inspection.
             assert backend.stats()["live_records"] == N + 1
         finally:
@@ -166,11 +167,11 @@ class TestBackendContract:
 
     def test_close_is_idempotent_and_terminal(self, spec):
         backend = make_backend("process", spec)
-        assert backend.topk(np.array([0.5, 0.5, 0.5]), 3).ids
+        assert backend.topk_batch([(np.array([0.5, 0.5, 0.5]), 3)])[0].ids
         backend.close()
         backend.close()
         with pytest.raises(RuntimeError, match="not running"):
-            backend.topk(np.array([0.5, 0.5, 0.5]), 3)
+            backend.topk_batch([(np.array([0.5, 0.5, 0.5]), 3)])
 
 
 class TestProcessClusterEquivalence:
@@ -210,14 +211,20 @@ class TestProcessClusterEquivalence:
 
     @pytest.mark.parametrize("workload_name", ["zipf", "mixed"])
     def test_batched_process_matches_inproc_exactly(
-        self, data, workloads, workload_name
+        self, data, workloads, reference_reports, workload_name
     ):
+        """Multi-request ``topk_batch`` calls: process ≡ inproc bit for
+        bit, and both answer as the batches of one of ``run`` do."""
         wl = workloads[workload_name]
         with ShardedGIREngine(data, shards=2, backend="inproc") as inproc:
-            inproc_report = inproc.run(wl, batch=True)
+            inproc_report = run_batched(inproc, wl)
         with ShardedGIREngine(data, shards=2, backend="process") as proc:
-            proc_report = proc.run(wl, batch=True)
+            proc_report = run_batched(proc, wl)
         exact_match(proc_report, inproc_report)
+        singles = reference_reports[workload_name].responses
+        assert [r.ids for r in proc_report.responses] == [
+            r.ids for r in singles
+        ]
 
     def test_shard_stats_parity_and_sums(self, data, workloads):
         """Per-shard accounting (cache counters, page reads) is identical

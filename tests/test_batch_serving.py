@@ -1,11 +1,15 @@
-"""Batch-vs-scalar serving equivalence for the GIREngine.
+"""Batch-size independence of the GIREngine's one read path.
 
-The batched paths (`GIRCache.lookup_batch`, `GIREngine.topk_batch`, the
-batch-aware workload runner) promise *byte-identical* responses and
-hit/miss accounting to the per-request path — batching may only change how
-the membership arithmetic is grouped, never what is served. These property
-tests replay the same workload through both paths on twin engines and
-compare everything observable.
+`GIREngine.topk` is a batch of one through `topk_batch`, so "batched vs
+per-request" is no longer two code paths — but `topk_batch(N requests)`
+≡ `N` singleton calls is still a real property: a multi-request batch
+resolves its cache membership in one stacked `GIRCache.lookup_batch`
+pass and must *restart* that pass after every request that runs the
+pipeline (`stop_after_non_full`), or later requests would be judged
+against a stale cache. Batching may only change how the membership
+arithmetic is grouped, never what is served. These property tests replay
+the same workload at both batch sizes on twin engines and compare
+everything observable.
 """
 
 import numpy as np
@@ -13,17 +17,14 @@ import pytest
 
 from repro.data.synthetic import independent
 from repro.engine import (
-    DeleteOp,
     GIREngine,
-    InsertOp,
     Request,
     mixed_workload,
-    op_batches,
     uniform_workload,
     zipf_clustered_workload,
 )
 from repro.index.bulkload import bulk_load_str
-from tests.conftest import random_query
+from tests.conftest import random_query, run_batched
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +58,10 @@ def assert_responses_identical(r1, r2):
 
 
 def stats_without_grid_instrumentation(engine):
-    """Engine counters minus the grid probe instrumentation: the batch
-    runner re-probes the unserved suffix after each miss insert, so the
-    grid legitimately sees more (identical-answer) probes than the
-    per-request path."""
+    """Engine counters minus the grid probe instrumentation: a
+    multi-request batch re-probes its unserved suffix after each miss
+    insert, so the grid legitimately sees more (identical-answer) probes
+    than singleton batches do."""
     stats = dict(engine.stats())
     stats.pop("grid_probes", None)
     stats.pop("grid_negatives", None)
@@ -71,14 +72,16 @@ class TestBatchEquivalence:
     @pytest.mark.parametrize("kind", ["uniform", "zipf", "mixed"])
     def test_batch_run_matches_sequential_run(self, batch_setup, kind):
         """Property: for uniform, Zipf-clustered and mixed read/write
-        workloads, the batch-aware runner returns byte-identical responses
-        and identical engine/cache counters to the per-request path."""
+        workloads, serving every maximal run of reads as one
+        ``topk_batch`` call returns byte-identical responses (answers,
+        provenance, page reads) and identical engine/cache counters to
+        ``run``'s batches of one."""
         data = batch_setup
         workload = make_workload(kind, seed=101)
         sequential = GIREngine(data, bulk_load_str(data))
         batched = GIREngine(data, bulk_load_str(data))
         r_seq = sequential.run(workload)
-        r_bat = batched.run(workload, batch=True)
+        r_bat = run_batched(batched, workload)
         assert_responses_identical(r_seq, r_bat)
         assert stats_without_grid_instrumentation(
             sequential
@@ -106,6 +109,9 @@ class TestBatchEquivalence:
         assert [r.ids for r in individual] == [r.ids for r in batch]
         assert [r.scores for r in individual] == [r.scores for r in batch]
         assert [r.source for r in individual] == [r.source for r in batch]
+        assert [r.pages_read for r in individual] == [
+            r.pages_read for r in batch
+        ]
         assert stats_without_grid_instrumentation(
             reference
         ) == stats_without_grid_instrumentation(batched)
@@ -140,15 +146,6 @@ class TestBatchEquivalence:
     def test_empty_batch(self, batch_setup):
         engine = GIREngine(batch_setup, bulk_load_str(batch_setup))
         assert engine.topk_batch([]) == []
-
-    def test_op_batches_groups_reads_and_isolates_updates(self):
-        r = Request(weights=np.array([0.5, 0.5, 0.5]), k=5)
-        ops = [r, r, InsertOp(point=np.array([0.1, 0.2, 0.3])), r,
-               DeleteOp(rid=0), DeleteOp(rid=1)]
-        groups = list(op_batches(ops))
-        assert [g if not isinstance(g, list) else len(g) for g in groups] == [
-            2, ops[2], 1, ops[4], ops[5],
-        ]
 
 
 class TestPrescreenReporting:

@@ -1,7 +1,7 @@
 """Tests for the sharded serving tier (`repro.cluster`).
 
 The headline property: a :class:`ShardedGIREngine` — any shard count, any
-partitioner, sequential or parallel fan-out, per-request or batched — is
+partitioner, sequential or parallel fan-out, any read batch size — is
 *observably identical* to a single :class:`GIREngine` over the
 unpartitioned data: same rid sequences, same scores, on read-only and
 mixed read/write workloads alike. On top of that, every cluster-level
@@ -27,6 +27,7 @@ from repro.data.synthetic import independent
 from repro.engine import GIREngine, mixed_workload, uniform_workload, zipf_clustered_workload
 from repro.index.bulkload import bulk_load_str
 from repro.query.linear_scan import scan_topk
+from tests.conftest import run_batched
 
 N, D, K = 700, 3, 6
 
@@ -96,7 +97,7 @@ class TestEquivalence:
         self, data, workloads, reference_reports, workload_name
     ):
         with ShardedGIREngine(data, shards=2) as engine:
-            report = engine.run(workloads[workload_name], batch=True)
+            report = run_batched(engine, workloads[workload_name])
         assert_equivalent(report, reference_reports[workload_name])
 
     def test_cluster_cache_disabled_matches(

@@ -3,9 +3,9 @@
 The serve lock makes every router operation atomic, so a concurrent
 history must be *linearizable*: each read observes exactly the state
 after some prefix of the write sequence. The test races reader threads
-(``topk`` / ``topk_batch``) against a writer applying routed
-``insert`` / ``delete`` ops, tags every read with the write-epoch it
-observed, then replays the same write sequence sequentially on a fresh
+(``topk_batch`` calls of one or several requests) against a writer
+applying routed ``insert`` / ``delete`` ops, tags every read with the
+write-epoch it observed, then replays the same write sequence sequentially on a fresh
 cluster and checks each recorded answer against the sequential engine's
 answer at that epoch: the rid sequence must be **bit-identical**, the
 scores within the tier-wide serving-path bound (``rtol=0, atol=1e-12``
@@ -70,7 +70,7 @@ def apply_op(engine, op):
 
 
 class TestRacingReadsVsRoutedWrites:
-    def _race(self, data, write_ops, queries, batch: bool):
+    def _race(self, data, write_ops, queries, batch_size: int):
         observations = []  # (epoch, query_index, ids, scores)
         obs_lock = threading.Lock()
         started = 0
@@ -102,26 +102,15 @@ class TestRacingReadsVsRoutedWrites:
                     stop.set()
 
             def read_once(i: int) -> None:
-                if batch:
-                    idxs = [(i + j) % len(queries) for j in range(3)]
-                    a = done
-                    resps = engine.topk_batch(
-                        [Request(weights=queries[q], k=K) for q in idxs]
-                    )
-                    b = started
-                    if a == b:
-                        with obs_lock:
-                            for q, r in zip(idxs, resps):
-                                observations.append(
-                                    (a, q, r.ids, r.scores)
-                                )
-                else:
-                    q = i % len(queries)
-                    a = done
-                    r = engine.topk(queries[q], K)
-                    b = started
-                    if a == b:
-                        with obs_lock:
+                idxs = [(i + j) % len(queries) for j in range(batch_size)]
+                a = done
+                resps = engine.topk_batch(
+                    [Request(weights=queries[q], k=K) for q in idxs]
+                )
+                b = started
+                if a == b:
+                    with obs_lock:
+                        for q, r in zip(idxs, resps):
                             observations.append((a, q, r.ids, r.scores))
 
             def reader(offset: int):
@@ -183,20 +172,17 @@ class TestRacingReadsVsRoutedWrites:
                         atol=1e-12,
                     )
 
-    def test_topk_matches_sequential_replay(self, data, write_ops, queries):
-        obs = self._race(data, write_ops, queries, batch=False)
-        self._replay_and_check(data, write_ops, queries, obs)
-
-    def test_topk_batch_matches_sequential_replay(
-        self, data, write_ops, queries
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_reads_match_sequential_replay(
+        self, data, write_ops, queries, batch_size
     ):
-        obs = self._race(data, write_ops, queries, batch=True)
+        obs = self._race(data, write_ops, queries, batch_size)
         self._replay_and_check(data, write_ops, queries, obs)
 
     def test_reads_observe_intermediate_epochs(self, data, write_ops, queries):
         # The race is only meaningful if reads actually interleave with
         # the write sequence rather than all landing before or after it.
-        obs = self._race(data, write_ops, queries, batch=False)
+        obs = self._race(data, write_ops, queries, batch_size=1)
         epochs = {epoch for epoch, *_ in obs}
         assert any(0 < e < WRITES for e in epochs) or len(epochs) > 1, (
             f"reads never interleaved with writes (epochs seen: "

@@ -347,6 +347,29 @@ class TestInputValidation:
         assert engine.requests_served == served_before
         assert engine.cache.stats() == stats_before
 
+    @pytest.mark.parametrize("k", [0, -1, 301, 2.5, True])
+    def test_bad_k_rejected_even_on_a_warm_cache(self, engine, k):
+        """``k`` used to be checked only by BRS, i.e. only on a cold
+        cache: with the vector's GIR cached, ``k=0`` came back as an empty
+        "full hit" and ``k=-1`` as the prefix ``cached_ids[:-1]``."""
+        w = np.array([0.5, 0.4, 0.6])
+        engine.topk(w, 5)  # warm: the next lookup of w is a full hit
+        with pytest.raises(ValueError, match="k must be positive|exceeds"):
+            engine.topk(w, k)
+
+    def test_bad_k_mid_batch_fails_before_serving_anything(self, engine):
+        reqs = [
+            Request(weights=np.array([0.5, 0.4, 0.6]), k=3),
+            Request(weights=np.array([0.5, 0.4, 0.6]), k=0),
+            Request(weights=np.array([0.3, 0.4, 0.6]), k=3),
+        ]
+        served_before = engine.requests_served
+        stats_before = engine.cache.stats()
+        with pytest.raises(ValueError, match="k must be positive"):
+            engine.topk_batch(reqs)
+        assert engine.requests_served == served_before
+        assert engine.cache.stats() == stats_before
+
     def test_insert_wrong_dimension_rejected(self, engine):
         with pytest.raises(ValueError, match=r"shape \(3,\)"):
             engine.insert(np.array([0.5, 0.5, 0.5, 0.5]))

@@ -10,14 +10,13 @@ from repro.data.synthetic import independent
 from repro.index.bulkload import bulk_load_str
 from repro.query.linear_scan import scan_topk
 from repro.scoring import LinearScoring
-from tests.conftest import random_query
+from tests.conftest import (
+    assert_same_region,
+    assert_same_region_lp,
+    random_query,
+)
 
 METHODS = ["sp", "cp", "fp"]
-
-
-def assert_same_region(a, b, msg=""):
-    assert a.polytope.contains_polytope(b.polytope), f"{msg}: first ⊉ second"
-    assert b.polytope.contains_polytope(a.polytope), f"{msg}: second ⊉ first"
 
 
 class TestResultPruning:
@@ -50,6 +49,16 @@ class TestAgainstOracle:
             star = compute_gir_star(tree, data, q, 5, method=method)
             oracle = exhaustive_gir(data, q, 5, order_sensitive=False)
             assert_same_region(star, oracle, f"star-{method}")
+
+    def test_matches_exhaustive_by_lp_containment(self, rng, method):
+        """One small case through the LP containment predicate (the
+        larger ones compare vertex sets)."""
+        data = independent(80, 2, seed=43)
+        tree = bulk_load_str(data)
+        q = random_query(rng, 2)
+        star = compute_gir_star(tree, data, q, 4, method=method)
+        oracle = exhaustive_gir(data, q, 4, order_sensitive=False)
+        assert_same_region_lp(star, oracle, f"star-{method}-lp")
 
     def test_matches_exhaustive_4d(self, small_ind_4d, rng, method):
         data, tree = small_ind_4d

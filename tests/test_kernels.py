@@ -7,6 +7,7 @@ the environment the jit half is skipped and the selection tests assert the
 fallback wiring instead.
 """
 
+import importlib
 import subprocess
 import sys
 
@@ -49,10 +50,14 @@ class TestBackendSelection:
         assert info["jit_disabled_by_env"] == kernels.JIT_DISABLED_BY_ENV
 
     def test_repro_kernels_shim(self):
-        import repro.kernels as shim
-
-        assert shim.segmented_membership is kernels.segmented_membership
-        assert shim.backend_info()["active"] == kernels.ACTIVE_BACKEND
+        """``repro.core.kernels`` is the one import path — the top-level
+        ``repro.kernels`` re-export is gone — and every name it
+        advertises resolves to the selected backend's callable."""
+        for name in kernels.__all__:
+            assert hasattr(kernels, name), name
+        assert callable(kernels.segmented_membership)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.kernels")
 
     def test_no_jit_env_forces_numpy(self):
         """REPRO_NO_JIT=1 must select the numpy fallbacks in a fresh

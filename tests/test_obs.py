@@ -290,7 +290,7 @@ class TestExporters:
         obs.reset_collector()
         obs.enable()
         with obs.trace("serve.request", k=5):
-            with obs.span("engine.topk"):
+            with obs.span("engine.topk_batch"):
                 pass
         with obs.trace("serve.request"):
             pass

@@ -246,6 +246,88 @@ class TestAdmission:
         assert stats.reads_served == 1
         assert stats.accounting_ok()
 
+    def test_oversized_k_fails_alone_in_its_micro_batch(self):
+        """``k`` above the live count passes admission (the count moves
+        with writes, so only the engine thread can judge it). It used to
+        raise out of the shared ``topk_batch`` call — failing all six
+        co-batched reads and leaving ``engine_requests`` charged for a
+        batch that served nothing."""
+        small = make_synthetic("IND", 50, D, seed=3)
+        rng = np.random.default_rng(5)
+        ks = [5, 5, 60, 5, 5, 5]
+
+        async def go():
+            config = ServeConfig(batch_window_ms=50.0, coalesce=False)
+            async with ServeFront(fresh_engine(small), config) as front:
+                results = await asyncio.gather(
+                    *(front.topk(rng.random(D) + 0.1, k) for k in ks),
+                    return_exceptions=True,
+                )
+            return front, results
+
+        front, results = asyncio.run(go())
+        assert front.stats.engine_batch_calls == 1  # they did share a batch
+        bad = results.pop(2)
+        assert isinstance(bad, Rejected)
+        assert bad.to_dict() == {
+            "error": "rejected",
+            "message": "k=60 exceeds live record count 50",
+            "k": 60,
+            "n_live": 50,
+        }
+        assert all(isinstance(r, ServeResponse) for r in results)
+        assert [len(r.ids) for r in results] == [5] * 5
+        stats = front.stats
+        assert (stats.errors, stats.reads_served) == (1, 5)
+        assert stats.engine_requests == 5
+        assert stats.accounting_ok()
+
+    def test_follower_of_an_oversized_leader_is_still_served(self):
+        """A valid read may attach to an in-flight leader that asks for
+        more than the engine holds; when the leader fails, the follower
+        re-enters the queue instead of inheriting the error."""
+        small = make_synthetic("IND", 50, D, seed=3)
+        w = np.full(D, 1.0 / D)
+
+        async def go():
+            config = ServeConfig(batch_window_ms=50.0)
+            async with ServeFront(fresh_engine(small), config) as front:
+                results = await asyncio.gather(
+                    front.topk(w, 60), front.topk(w, 5),
+                    return_exceptions=True,
+                )
+            return front, results
+
+        front, (leader, follower) = asyncio.run(go())
+        assert isinstance(leader, Rejected)
+        assert isinstance(follower, ServeResponse) and len(follower.ids) == 5
+        assert front.stats.coalesce_fallbacks == 1
+        assert front.stats.accounting_ok()
+
+    def test_whole_batch_engine_failure_keeps_the_identities(self, data):
+        """An exception out of ``topk_batch`` itself errors every read of
+        the batch — and none of them may stay charged as an engine
+        request."""
+        engine = fresh_engine(data)
+
+        def boom(requests):
+            raise RuntimeError("engine fell over")
+
+        engine.topk_batch = boom
+
+        async def go():
+            async with ServeFront(engine) as front:
+                results = await asyncio.gather(
+                    *(front.topk(np.full(D, 0.2 + 0.1 * i), 5) for i in range(4)),
+                    return_exceptions=True,
+                )
+            return front, results
+
+        front, results = asyncio.run(go())
+        assert all(isinstance(r, RuntimeError) for r in results)
+        assert (front.stats.errors, front.stats.engine_requests) == (4, 0)
+        assert front.stats.accounting_ok()
+
     def test_structured_error_shape(self):
         err = Rejected("bad weights", d=3).to_dict()
         assert err == {"error": "rejected", "message": "bad weights", "d": 3}

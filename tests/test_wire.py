@@ -41,10 +41,12 @@ class TestPolytopeBytes:
 class TestFraming:
     def test_frame_round_trip(self):
         msg, reader = wire.decode_frame(
-            wire.encode_frame(wire.MSG_TOPK, wire.encode_topk(np.ones(3), 5))
+            wire.encode_frame(
+                wire.MSG_TOPK_BATCH, wire.encode_topk_batch([(np.ones(3), 5)])
+            )
         )
-        assert msg == wire.MSG_TOPK
-        weights, k = wire.decode_topk(reader)
+        assert msg == wire.MSG_TOPK_BATCH
+        ((weights, k),) = wire.decode_topk_batch(reader)
         assert k == 5 and np.array_equal(weights, np.ones(3))
 
     def test_bad_magic_rejected(self):
@@ -89,10 +91,10 @@ class TestPayloads:
             latency_ms=0.123456789,
             cache_entries=6,
         )
-        out = wire.decode_reply(
+        (out,) = wire.decode_batch_reply(
             wire.decode_frame(
                 wire.encode_frame(
-                    wire.MSG_REPLY_TOPK, wire.encode_reply(reply)
+                    wire.MSG_REPLY_BATCH, wire.encode_batch_reply([reply])
                 )
             )[1]
         )
@@ -244,13 +246,13 @@ class TestDecodeErrorPaths:
                 wire.decode_frame(whole[:cut])
 
     def test_truncated_array_payload_rejected(self):
-        payload = wire.encode_topk(np.arange(6, dtype=np.float64), 3)
-        frame = wire.encode_frame(wire.MSG_TOPK, payload)
+        payload = wire.encode_insert(np.arange(6, dtype=np.float64))
+        frame = wire.encode_frame(wire.MSG_INSERT, payload)
         # Cut inside the array body (after the dtype/ndim/shape preamble).
         cut = frame[: len(frame) - len(payload) + 2 + 8 + 8 * 3]
         msg, reader = wire.decode_frame(cut)
         with pytest.raises(wire.WireError, match="truncated"):
-            wire.decode_topk(reader)
+            wire.decode_insert(reader)
 
     def test_payload_length_mismatch_rejected(self):
         # Extra bytes after a structurally-complete payload: the reader's
