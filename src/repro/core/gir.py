@@ -19,6 +19,15 @@ carries per-stage CPU times and simulated I/O so the benchmark harness can
 print the paper's charts directly, and the serving layer
 (:mod:`repro.engine`) can charge each request precisely.
 
+Per-dimension monotone scoring functions ``S(p, q) = Σ q_i g_i(p_i)``
+(Section 7.2) reduce to the linear case: ``S(p, q') ≥ S(p', q')`` iff
+``(g(p) − g(p')) · q' ≥ 0``, a half-space through the origin whose normal
+is a difference of *transformed* records. Every phase therefore works on
+the g-space image of the data unchanged — SP's separation half-spaces,
+and equally CP's hull and FP's facet fan, whose arguments use nothing but
+that scores are dot products with ``q'`` — and since each ``g_i`` is
+non-decreasing, dominance and MBB corners carry over to g-space as well.
+
 For serving under a *changing* database, :class:`GIRResult` also exposes a
 region k-th-score bound — :meth:`GIRResult.kth_score_margin` /
 :meth:`GIRResult.admits_above_kth` — the halfspace-intersection test that
@@ -76,7 +85,7 @@ def compute_gir(
     scorer:
         Scoring function (linear by default). SP supports any
         per-dimension monotone function; CP/FP support them through the
-        g-space reduction (DESIGN.md §5).
+        g-space reduction (see the module docstring).
     metered:
         Charge node accesses to the tree's I/O meter.
     run:

@@ -45,6 +45,8 @@ __all__ = [
     "above_mask",
     "any_above",
     "box_any_above",
+    "boxes_any_above",
+    "facet_heights",
     "dominated_mask",
     "segmented_membership_numpy",
     "segmented_membership_batch_numpy",
@@ -52,6 +54,8 @@ __all__ = [
     "above_mask_numpy",
     "any_above_numpy",
     "box_any_above_numpy",
+    "boxes_any_above_numpy",
+    "facet_heights_numpy",
     "dominated_mask_numpy",
 ]
 
@@ -136,6 +140,30 @@ def box_any_above_numpy(
     """
     best = pos @ hi + neg @ lo
     return bool((best - offsets > eps).any())
+
+
+def boxes_any_above_numpy(
+    pos: np.ndarray,
+    neg: np.ndarray,
+    offsets: np.ndarray,
+    his: np.ndarray,
+    los: np.ndarray,
+    eps: float,
+) -> np.ndarray:
+    """Batched :func:`box_any_above_numpy`: ``his`` / ``los`` are ``(m, d)``
+    box corners, the result is one boolean per box. FP's disk step tests a
+    whole heap (or a fetched node's children) with one call."""
+    best = his @ pos.T + los @ neg.T
+    return (best - offsets > eps).any(axis=1)
+
+
+def facet_heights_numpy(
+    points: np.ndarray, normals: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Signed height of every point over every facet, ``(m, F)``; positive
+    means above. ``FacetFan.add_points`` keeps this matrix current across
+    insertions instead of re-testing the pending batch."""
+    return points @ normals.T - offsets
 
 
 def dominated_mask_numpy(apex: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -239,6 +267,38 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installe
         return False
 
     @numba.njit(cache=True)
+    def boxes_any_above_numba(pos, neg, offsets, his, los, eps):
+        m = his.shape[0]
+        f = pos.shape[0]
+        d = pos.shape[1]
+        out = np.empty(m, dtype=np.bool_)
+        for p in range(m):
+            seen = False
+            for i in range(f):
+                acc = 0.0
+                for j in range(d):
+                    acc += his[p, j] * pos[i, j] + los[p, j] * neg[i, j]
+                if acc - offsets[i] > eps:
+                    seen = True
+                    break
+            out[p] = seen
+        return out
+
+    @numba.njit(cache=True)
+    def facet_heights_numba(points, normals, offsets):
+        m = points.shape[0]
+        f = normals.shape[0]
+        d = normals.shape[1]
+        out = np.empty((m, f), dtype=np.float64)
+        for p in range(m):
+            for i in range(f):
+                acc = 0.0
+                for j in range(d):
+                    acc += points[p, j] * normals[i, j]
+                out[p, i] = acc - offsets[i]
+        return out
+
+    @numba.njit(cache=True)
     def dominated_mask_numba(apex, points):
         m = points.shape[0]
         d = points.shape[1]
@@ -266,6 +326,8 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installe
     above_mask = above_mask_numba
     any_above = any_above_numba
     box_any_above = box_any_above_numba
+    boxes_any_above = boxes_any_above_numba
+    facet_heights = facet_heights_numba
     dominated_mask = dominated_mask_numba
 else:
     ACTIVE_BACKEND = "numpy"
@@ -275,6 +337,8 @@ else:
     above_mask = above_mask_numpy
     any_above = any_above_numpy
     box_any_above = box_any_above_numpy
+    boxes_any_above = boxes_any_above_numpy
+    facet_heights = facet_heights_numpy
     dominated_mask = dominated_mask_numpy
 
 

@@ -18,11 +18,17 @@ two steps:
    pruned iff its MBB lies below every fan facet (the MBB then sits in the
    hull's tangent cone at ``p_k``, whose points induce only implied
    half-spaces), otherwise it is fetched and its children pushed / records
-   tested against the fan.
+   tested against the fan. Refining a fan only enlarges that cone, so
+   pruning is monotone: an entry prunable when pushed is prunable when
+   popped, and testing entries early, a batch at a time, fetches exactly
+   the nodes that testing them one by one at pop time would.
 
 Everything runs in g-space, so FP also covers the per-dimension monotone
 functions of Section 7.2 (an extension beyond the paper, which only claims
-SP for them; see DESIGN.md).
+SP for them): the score is ``g(p) · q``, a dot product of the transformed
+record, so the hull argument holds verbatim for the transformed records,
+and since every ``g_i`` is non-decreasing the transformed corners of an
+MBB bound the transformed records below it.
 """
 
 from __future__ import annotations
@@ -38,9 +44,8 @@ from repro.core.phase2 import Phase2Output
 from repro.geometry.halfspace import separation_halfspace
 from repro.geometry.incident_facets import FacetFan
 from repro.geometry.polytope import Polytope
-from repro.index.mbb import MBB
 from repro.index.rtree import RStarTree
-from repro.query.brs import BRSRun, make_heap_entry
+from repro.query.brs import BRSRun, HeapEntry, child_heap_entries
 from repro.scoring import ScoringFunction
 from repro.core.tolerances import EXACT_TOL, NORM_FLOOR
 
@@ -164,16 +169,11 @@ def build_fan(
     Records dominated by the apex are discarded up front (they can never
     overtake it), matching Sections 6.2/6.3.1.
     """
-    apex = points[apex_id]
     apex_g = points_g[apex_id]
-    cand_ids = [rid for rid in encountered.keys() if rid != apex_id]
+    ids = np.array([rid for rid in encountered if rid != apex_id], dtype=np.intp)
     # Dominance filter: drop records the apex dominates.
-    kept: list[tuple[int, np.ndarray]] = []
-    for rid in cand_ids:
-        p = points[rid]
-        if (apex >= p).all() and (apex > p).any():
-            continue
-        kept.append((rid, points_g[rid]))
+    ids = ids[~kernels.dominated_mask(points[apex_id], points[ids])]
+    kept = list(zip(ids.tolist(), points_g[ids]))
     ordered = _order_candidates(kept, apex_g, weights)
     fan = FacetFan(apex_g)
     candidates = list(ordered)
@@ -197,14 +197,39 @@ def refine_fans(
 
     A node is pruned only when its (g-space) MBB is below every facet of
     *every* fan — for the single-fan GIR this is the paper's Section 6.2/
-    6.3.2 rule, and for GIR* the multi-fan rule of Section 7.1. Returns the
-    number of nodes fetched from disk.
+    6.3.2 rule, and for GIR* the multi-fan rule of Section 7.1. Entries
+    take that test twice: in one batch when they enter the heap (the whole
+    retained heap up front, a fetched node's children together) and again
+    when popped. The early test only saves heap work: the beneath-every-
+    facet cone grows as a fan is refined, so what is prunable now is
+    prunable at pop time and the fetched nodes are those of the pop-time
+    test alone. Returns the number of nodes fetched from disk.
     """
     read = tree.fetch if metered else tree._node
-    heap = list(run.heap)
-    heapq.heapify(heap)
     exclude = set(run.result.ids)
-    apexes = {apex_id: points[apex_id] for apex_id in fans}
+    apexes = points[list(fans)]
+
+    def fetchable(entries: list[HeapEntry]) -> list[HeapEntry]:
+        if not entries:
+            return []
+        los = np.array([e.mbb.lo for e in entries])
+        his = np.array([e.mbb.hi for e in entries])
+        los_g, his_g = scorer.transform(los), scorer.transform(his)
+        fetch = np.zeros(len(entries), dtype=bool)
+        for fan in fans.values():
+            fetch |= fan.boxes_seen(los_g, his_g)
+        if options.prune_dominated_nodes:
+            # A node whose entire box is dominated by every apex can only
+            # yield half-spaces implied inside the query space (node-level
+            # form of the Section 6.3.1 record dominance filter).
+            dominated = np.ones(len(entries), dtype=bool)
+            for apex in apexes:
+                dominated &= kernels.dominated_mask(apex, his)
+            fetch &= ~dominated
+        return [e for e, f in zip(entries, fetch) if f]
+
+    heap = fetchable(run.heap)
+    heapq.heapify(heap)
     directions: np.ndarray | None = None
     apex_dir_scores: dict[int, np.ndarray] = {}
     if options.tighten_with_phase1:
@@ -216,53 +241,34 @@ def refine_fans(
     fetched = 0
     while heap:
         entry = heapq.heappop(heap)
-        top = entry.mbb.upper_corner()
-        if options.prune_dominated_nodes and all(
-            # A node whose entire box is dominated by every apex can only
-            # yield half-spaces implied inside the query space (node-level
-            # form of the Section 6.3.1 record dominance filter).
-            (apex >= top).all() and (apex > top).any()
-            for apex in apexes.values()
-        ):
-            continue
-        mbb_g = MBB(
-            scorer.transform_one(entry.mbb.lo), scorer.transform_one(entry.mbb.hi)
-        )
         if directions is not None:
             # Footnote 7: fetch only if some point of the node could
             # outscore an apex somewhere in the Phase-1 interim region
             # (checked at the region's vertices; scores are linear there).
-            node_best = directions @ mbb_g.hi
+            node_best = directions @ scorer.transform_one(entry.mbb.hi)
             if all(
                 (node_best <= apex_dir_scores[apex_id] + EXACT_TOL).all()
                 for apex_id in fans
             ):
                 continue
-        if not any(fan.mbb_sees(mbb_g) for fan in fans.values()):
+        if not fetchable([entry]):
             continue
         node = read(entry.node_id)
         fetched += 1
         if node.is_leaf:
             rids = [e.child_id for e in node.entries if e.child_id not in exclude]
             if rids:
-                pts = points[np.asarray(rids, dtype=np.intp)]
-                pts_g = points_g[np.asarray(rids, dtype=np.intp)]
-                for apex_id, fan in fans.items():
-                    apex = apexes[apex_id]
+                pts = points[rids]
+                pts_g = points_g[rids]
+                for apex, fan in zip(apexes, fans.values()):
                     # Dominated records only yield implied half-spaces.
-                    keep = ~kernels.dominated_mask(apex, pts)
-                    idx = np.flatnonzero(keep)
-                    fan.add_points(
-                        [rids[i] for i in idx], [pts_g[i] for i in idx]
-                    )
+                    idx = np.flatnonzero(~kernels.dominated_mask(apex, pts))
+                    fan.add_points([rids[i] for i in idx], pts_g[idx])
         else:
-            for e in node.entries:
-                heapq.heappush(
-                    heap,
-                    make_heap_entry(
-                        e.mbb, e.child_id, node.level - 1, run.result.weights, scorer
-                    ),
-                )
+            for child in fetchable(
+                child_heap_entries(node, run.result.weights, scorer)
+            ):
+                heapq.heappush(heap, child)
     return fetched
 
 
@@ -303,6 +309,7 @@ def phase2_fp(
         candidate_ids=list(criticals),
         extras={
             "fan_facets": float(fan.facet_count()),
+            "fan_insertions": float(fan.insertions),
             "critical_records": float(len(criticals)),
             "nodes_fetched_phase2": float(fetched),
             "fan_degenerate": float(fan.degenerate),

@@ -3,27 +3,52 @@
 This is the core data structure of the paper's FP algorithm (Section 6.3).
 Instead of the full convex hull ``CH' = hull({p_k} ∪ D\\R)``, FP maintains
 only the *star* of the apex ``p_k``: the facets of the hull that are
-incident to it. Soundness of maintaining the star in isolation rests on two
-facts (proved in DESIGN.md §5):
+incident to it.
 
-1. every ridge containing the apex is shared by exactly two facets that both
-   contain the apex, so an inserted point can alter the star only if it is
-   *above* (sees) one of the star's facets — points below every star facet
-   can reshape only the remote part of the hull;
-2. the apex is a vertex of every partial hull, because the query hyperplane
-   through ``p_k`` separates it from every other inserted point (they all
-   score strictly below it).
+**The star can be maintained in isolation.** The apex is a vertex of every
+partial hull: every inserted point scores strictly below it under the
+query, so the query hyperplane through the apex supports the hull there.
+A ridge that contains the apex is shared by exactly two facets, and both
+contain the apex, so the star is closed under "neighbour across a ridge
+through the apex". Inserting a point replaces the facets it sees (is
+strictly above) by facets from the point to the horizon; a point below
+every star facet sees none of them, so whatever it does to the remote
+part of the hull it leaves the star as it was. A point above some star
+facet changes the star exactly as it changes the hull: the visible star
+facets go, and each horizon ridge through the apex — a ridge of a visible
+star facet whose other facet is not visible — gains the facet spanned by
+the ridge and the new point. Horizon ridges not through the apex create
+facets that do not contain the apex and are not part of the star.
 
-The fan also powers the branch-and-bound refinement of FP's second step:
-an R-tree node can be pruned iff its MBB is below every fan facet, because
-the "beneath-all-incident-facets" cone is the tangent cone of the hull at
-the apex, whose points induce only half-spaces implied by the fan's.
+**Insertion order cannot change the critical set.** The final star is the
+star of the apex in ``hull({apex} ∪ P)``, a function of the point *set*:
+by the previous paragraph every insertion sequence maintains exactly the
+star of the partial hull, and the last partial hull is the same for all
+of them. (Records exactly coplanar with a facet through the apex — ties
+the paper assumes away — make that facet a non-simplex; each order then
+triangulates it its own way, and all of them bound the same region.)
+What the order changes is the work. A point inserted while it
+is not extreme is removed again later, and each removal is a rebuild;
+:meth:`FacetFan.add_points` therefore always inserts the pending point
+*highest above the current fan* (quickhull's choice) — that point is
+extreme in the direction of the facet it is farthest from, so it is a
+vertex of the final hull unless a later point shadows the whole facet.
 
-Performance note: facet normals and offsets are kept stacked in numpy
-arrays so visibility tests — the inner loop of FP — are single mat-vecs,
-not per-facet Python loops. High dimensions produce thousands of incident
-facets (Figure 8(b)), which makes this the difference between FP winning
-and losing the CPU comparison of Figure 15.
+**The beneath-every-facet cone only grows.** The set of points below all
+star facets is the tangent cone of the partial hull at the apex; a larger
+hull has a larger tangent cone. So a point or box that is below every
+facet now stays below every facet, which is what lets ``add_points`` drop
+the unseen part of a batch once, and FP's disk step prune an R-tree node
+before the fan is final: the node's MBB lies in the tangent cone, whose
+points induce only half-spaces implied by the fan's.
+
+Storage: the inserted points live in one ``(n, d)`` array (a point's row
+is its *slot*) and the facets in an integer ``(F, d − 1)`` array of
+ascending vertex slots beside the stacked normals and offsets, so facet
+geometry is one fancy index and one batched SVD, a visibility test is
+one product, and a rebuild is three concatenations. High dimensions
+produce thousands of incident facets (Figure 8(b)), which makes this the
+difference between FP winning and losing the CPU comparison of Figure 15.
 """
 
 from __future__ import annotations
@@ -68,6 +93,11 @@ class FanFacet:
         return best > self.offset + eps
 
 
+def _drop_one(n: int) -> np.ndarray:
+    """``(n, n − 1)`` index matrix: row ``j`` is ``arange(n)`` without ``j``."""
+    return np.tile(np.arange(n), (n, 1))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+
+
 class FacetFan:
     """Incrementally maintained star of facets around an apex point.
 
@@ -80,8 +110,8 @@ class FacetFan:
 
     Usage: feed candidate points via :meth:`bootstrap` (which greedily forms
     the initial full-dimensional simplex and then inserts the rest), then
-    :meth:`add_point` for further points, and finally read
-    :meth:`critical_keys`.
+    :meth:`add_points` for further points, and finally read
+    :meth:`critical_keys`. :attr:`insertions` counts the rebuilds.
     """
 
     def __init__(self, apex: np.ndarray, eps: float = EPS) -> None:
@@ -89,42 +119,75 @@ class FacetFan:
         if apex.ndim != 1 or apex.shape[0] < 2:
             raise ValueError("apex must be a vector of dimension >= 2")
         self.apex = apex
-        self.d = int(apex.shape[0])
+        self.d = d = int(apex.shape[0])
         self.eps = eps
-        self.points: dict[PointKey, np.ndarray] = {}
-        self._others: list[frozenset[PointKey]] = []
-        self._normals = np.empty((0, self.d))
+        self.insertions = 0
+        self._keys: list[PointKey] = []  # slot -> key
+        self._pts = np.empty((0, d))  # slot -> point
+        self._verts = np.empty((0, d - 1), dtype=np.intp)
+        self._normals = np.empty((0, d))
         self._offsets = np.empty(0)
-        self._pos = np.empty((0, self.d))  # max(normal, 0), for MBB tests
-        self._neg = np.empty((0, self.d))  # min(normal, 0)
+        self._pos = np.empty((0, d))  # max(normal, 0), for MBB tests
+        self._neg = np.empty((0, d))  # min(normal, 0)
+        # The columns of a facet's vertex row that remain when one vertex
+        # is dropped: its d − 1 ridges through the apex.
+        self._ridge_cols = _drop_one(d - 1)
         self._interior: np.ndarray | None = None
         self._degenerate = False
 
-    # -- facet storage ------------------------------------------------------
+    # -- storage --------------------------------------------------------------
 
     @property
     def facets(self) -> list[FanFacet]:
         """Materialised facet objects (for inspection/tests)."""
         return [
-            FanFacet(o, self._normals[i], float(self._offsets[i]))
-            for i, o in enumerate(self._others)
+            FanFacet(
+                frozenset(self._keys[s] for s in row),
+                self._normals[i],
+                float(self._offsets[i]),
+            )
+            for i, row in enumerate(self._verts.tolist())
         ]
 
     def facet_count(self) -> int:
-        return len(self._others)
+        return int(self._verts.shape[0])
 
-    def _set_facets(
-        self, others: list[frozenset[PointKey]], normals: list[np.ndarray], offsets: list[float]
-    ) -> None:
-        self._others = others
-        if others:
-            self._normals = np.vstack(normals)
-            self._offsets = np.asarray(offsets, dtype=np.float64)
-        else:
-            self._normals = np.empty((0, self.d))
-            self._offsets = np.empty(0)
+    def _store(self, keys: list[PointKey], pts: np.ndarray) -> int:
+        """Append points; returns the slot of the first."""
+        first = len(self._keys)
+        self._keys.extend(keys)
+        self._pts = np.concatenate([self._pts, pts])
+        return first
+
+    def _extend_facets(self, keep: np.ndarray, verts: np.ndarray) -> tuple:
+        """Replace the facets outside the mask ``keep`` by the non-flat
+        ones among ``verts``; returns the geometry added and the mask."""
+        normals, offsets, ok = self._facet_geometry(verts)
+        # Degenerate slivers are skipped; the eps-tolerance of the
+        # neighbouring facets covers the gap (joggle-style resolution).
+        verts, normals, offsets = verts[ok], normals[ok], offsets[ok]
+        self._verts = np.concatenate([self._verts[keep], verts])
+        self._normals = np.concatenate([self._normals[keep], normals])
+        self._offsets = np.concatenate([self._offsets[keep], offsets])
         self._pos = np.maximum(self._normals, 0.0)
         self._neg = np.minimum(self._normals, 0.0)
+        return normals, offsets, ok
+
+    def _facet_geometry(
+        self, verts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hyperplanes through the apex and each row of vertex slots,
+        oriented away from the interior reference, in one batched SVD;
+        the mask is false where the vertices are affinely flat."""
+        assert self._interior is not None
+        _, _, vt = np.linalg.svd(self._pts[verts] - self.apex)
+        normals = vt[:, -1, :]  # null-space direction per facet
+        offsets = normals @ self.apex
+        sides = normals @ self._interior - offsets
+        flip = sides > 0
+        normals[flip] = -normals[flip]
+        offsets[flip] = -offsets[flip]
+        return normals, offsets, np.abs(sides) > FACET_SIDE_TOL
 
     # -- construction -------------------------------------------------------
 
@@ -133,58 +196,28 @@ class FacetFan:
 
         The first ``d`` affinely independent (with the apex) candidates form
         the initial simplex; every other candidate is then inserted with
-        :meth:`add_point`. Candidates that span fewer than ``d`` dimensions
+        :meth:`add_points`. Candidates that span fewer than ``d`` dimensions
         leave a lower-dimensional fan: ``facets`` stays empty and *every*
         candidate is recorded as critical (a safe fallback — their
         half-spaces are simply all kept).
         """
-        cand = [(k, np.asarray(p, dtype=np.float64)) for k, p in candidates]
-        basis_idx = affine_rank_basis(self.apex, [p for _, p in cand], self.d)
+        cand = list(candidates)
+        keys = [k for k, _ in cand]
+        pts = np.asarray([p for _, p in cand], dtype=np.float64).reshape(-1, self.d)
+        basis_idx = affine_rank_basis(self.apex, pts, self.d)
         if len(basis_idx) < self.d:
             # Degenerate input: no full-dimensional hull exists. Keep every
             # candidate as critical — correct, merely unpruned.
-            for key, p in cand:
-                self.points[key] = p
+            self._store(keys, pts)
             self._degenerate = True
             return
-        simplex = [cand[i] for i in basis_idx]
-        for key, p in simplex:
-            self.points[key] = p
-        all_vertices = np.vstack([self.apex] + [p for _, p in simplex])
-        self._interior = all_vertices.mean(axis=0)
-        keys = [key for key, _ in simplex]
-        others_list, normals, offsets = [], [], []
-        for omit in range(self.d):
-            others = frozenset(k for j, k in enumerate(keys) if j != omit)
-            geom = self._facet_geometry(others)
-            if geom is None:
-                raise FanError("initial simplex produced a flat facet")
-            others_list.append(others)
-            normals.append(geom[0])
-            offsets.append(geom[1])
-        self._set_facets(others_list, normals, offsets)
-        chosen = set(basis_idx)
-        rest_keys = [cand[i][0] for i in range(len(cand)) if i not in chosen]
-        rest_pts = [cand[i][1] for i in range(len(cand)) if i not in chosen]
-        self.add_points(rest_keys, rest_pts)
-
-    def _facet_geometry(
-        self, others: frozenset[PointKey]
-    ) -> tuple[np.ndarray, float] | None:
-        """Hyperplane through apex + ``others``, oriented away from the
-        interior reference; ``None`` when the points are affinely flat."""
-        assert self._interior is not None
-        vs = np.vstack([self.points[k] for k in others])
-        edges = vs - self.apex
-        _, _, vt = np.linalg.svd(edges)
-        normal = vt[-1]
-        offset = float(normal @ self.apex)
-        side = float(normal @ self._interior) - offset
-        if abs(side) <= FACET_SIDE_TOL:
-            return None
-        if side > 0:
-            normal, offset = -normal, -offset
-        return normal, float(offset)
+        self._store([keys[i] for i in basis_idx], pts[basis_idx])
+        self._interior = np.vstack([self.apex[None, :], self._pts]).mean(axis=0)
+        if not self._extend_facets(np.zeros(0, dtype=bool), _drop_one(self.d))[2].all():
+            raise FanError("initial simplex produced a flat facet")
+        rest = np.ones(len(cand), dtype=bool)
+        rest[basis_idx] = False
+        self.add_points([k for k, r in zip(keys, rest) if r], pts[rest])
 
     # -- incremental update (Section 6.3.1) -----------------------------------
 
@@ -192,102 +225,79 @@ class FacetFan:
     def degenerate(self) -> bool:
         return self._degenerate
 
-    def add_points(self, keys: list[PointKey], pts: list[np.ndarray]) -> None:
-        """Insert a batch of points, cheaply skipping the invisible ones.
+    def add_points(self, keys: list[PointKey], pts: np.ndarray) -> bool:
+        """Insert a batch of points; returns True iff the fan changed.
 
-        Visibility of the whole batch is evaluated in one matrix product
-        against the current facet stack as a prefilter; survivors are then
-        inserted one by one (:meth:`add_point` re-checks visibility itself,
-        so points shadowed by an earlier insertion are dropped exactly).
+        The ``(m, F)`` height matrix of the pending points over the facets
+        is computed once and then kept current: an insertion slices away
+        the columns of the facets it removed and appends one product for
+        the facets it created. Points below every facet are dropped up
+        front (they stay below, see the module docstring); of the rest,
+        the one highest above the fan is inserted next.
         """
+        pts = np.asarray(pts, dtype=np.float64).reshape(-1, self.d)
         if self._degenerate:
-            for k, p in zip(keys, pts):
-                self.points[k] = p
-            return
-        if not keys:
-            return
-        pmat = np.asarray(pts)
-        seen = kernels.any_above(pmat, self._normals, self._offsets, self.eps)
-        for idx in np.flatnonzero(seen):
-            self.add_point(keys[int(idx)], pmat[idx])
+            self._store(list(keys), pts)
+            return True
+        if not self.facet_count():
+            raise FanError("bootstrap the fan before adding points")
+        heights = kernels.facet_heights(pts, self._normals, self._offsets)
+        seen = np.flatnonzero((heights > self.eps).any(axis=1))
+        pts, heights = pts[seen], heights[seen]
+        changed = False
+        while heights.shape[0]:
+            top = heights.max(axis=1)
+            i = int(top.argmax())
+            if not top[i] > self.eps:
+                break
+            above = heights[i] > self.eps
+            normals, offsets = self._insert(keys[seen[i]], pts[i], above)
+            heights = np.concatenate(
+                [heights[:, ~above], kernels.facet_heights(pts, normals, offsets)],
+                axis=1,
+            )
+            heights[i] = -np.inf  # inserted: never pending again
+            changed = True
+        return changed
 
     def add_point(self, key: PointKey, point: np.ndarray) -> bool:
-        """Insert a point; returns True iff it changed the fan.
+        """Insert one point; returns True iff it changed the fan."""
+        return self.add_points([key], np.asarray(point, dtype=np.float64)[None, :])
 
-        Implements the paper's update: collect the facets the point sees
-        (``F_v``), find the horizon ridges *incident to the apex* (ridges of
-        ``F_v`` facets shared with unseen facets), drop ``F_v`` and connect
-        the point to each retained ridge.
-        """
-        point = np.asarray(point, dtype=np.float64)
-        if self._degenerate:
-            self.points[key] = point
-            return True
-        if not self._others:
-            raise FanError("bootstrap the fan before adding points")
-        above = kernels.above_mask(self._normals, self._offsets, point, self.eps)
-        if not above.any():
-            return False
-        self.points[key] = point
-        visible_idx = np.flatnonzero(above)
-        # Ridges containing the apex: drop one non-apex vertex. A ridge seen
-        # by exactly one visible facet borders an unseen facet => horizon.
-        ridge_count: dict[frozenset[PointKey], int] = {}
-        for i in visible_idx:
-            others = self._others[i]
-            for v in others:
-                ridge = others - {v}
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        horizon = [r for r, c in ridge_count.items() if c == 1]
-        if not horizon:
+    def _insert(
+        self, key: PointKey, point: np.ndarray, above: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The paper's update for a point that sees the facets ``above``
+        (``F_v``): find the horizon ridges *incident to the apex* (ridges
+        of ``F_v`` facets shared with unseen facets), drop ``F_v`` and
+        connect the point to each horizon ridge. Returns the normals and
+        offsets of the facets created."""
+        # Vertex rows are ascending, so equal ridges are equal rows. A ridge
+        # seen by exactly one visible facet borders an unseen facet.
+        visible = self._verts[above]
+        ridges = visible[:, self._ridge_cols].reshape(
+            visible.shape[0] * (self.d - 1), self.d - 2
+        )
+        if ridges.shape[1]:
+            ridges = ridges[np.lexsort(ridges.T)]
+        same = (ridges[1:] == ridges[:-1]).all(axis=1)
+        once = np.ones(ridges.shape[0], dtype=bool)
+        once[1:] &= ~same
+        once[:-1] &= ~same
+        horizon = ridges[once]
+        if not horizon.shape[0]:
             raise FanError(
                 "no horizon ridge: the apex is not a hull vertex — inserted "
                 "points must score strictly below the apex under the query"
             )
-        keep = ~above
-        others_list = [o for o, k in zip(self._others, keep) if k]
-        normals = [self._normals[i] for i in np.flatnonzero(keep)]
-        offsets = [float(self._offsets[i]) for i in np.flatnonzero(keep)]
-        new_others, new_normals, new_offsets = self._facet_geometry_batch(
-            [ridge | {key} for ridge in horizon]
+        # The new slot is the largest, so appending it keeps rows ascending.
+        slot = self._store([key], point[None, :])
+        new = np.concatenate(
+            [horizon, np.full((horizon.shape[0], 1), slot, dtype=np.intp)], axis=1
         )
-        # Degenerate slivers are skipped by the batch helper; the
-        # eps-tolerance of the neighbouring facets covers the gap
-        # (joggle-style resolution).
-        others_list.extend(new_others)
-        normals.extend(new_normals)
-        offsets.extend(new_offsets)
-        self._set_facets(others_list, normals, offsets)
-        return True
-
-    def _facet_geometry_batch(
-        self, others_sets: list[frozenset[PointKey]]
-    ) -> tuple[list[frozenset[PointKey]], list[np.ndarray], list[float]]:
-        """Vectorised :meth:`_facet_geometry` for many facets at once.
-
-        High dimensions create dozens of facets per insertion; one batched
-        SVD call replaces per-facet Python-loop linear algebra.
-        """
-        assert self._interior is not None
-        if not others_sets:
-            return [], [], []
-        edges = np.empty((len(others_sets), self.d - 1, self.d))
-        for i, others in enumerate(others_sets):
-            vs = np.vstack([self.points[k] for k in others])
-            edges[i] = vs - self.apex
-        _, _, vt = np.linalg.svd(edges)
-        normals = vt[:, -1, :]  # null-space direction per facet
-        offsets = normals @ self.apex
-        sides = normals @ self._interior - offsets
-        flip = sides > 0
-        normals[flip] = -normals[flip]
-        offsets[flip] = -offsets[flip]
-        ok = np.abs(sides) > FACET_SIDE_TOL
-        return (
-            [o for o, good in zip(others_sets, ok) if good],
-            [normals[i] for i in np.flatnonzero(ok)],
-            [float(offsets[i]) for i in np.flatnonzero(ok)],
-        )
+        normals, offsets, _ = self._extend_facets(~above, new)
+        self.insertions += 1
+        return normals, offsets
 
     # -- queries ----------------------------------------------------------------
 
@@ -317,16 +327,21 @@ class FacetFan:
             self._pos, self._neg, self._offsets, mbb.hi, mbb.lo, eps
         )
 
+    def boxes_seen(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`mbb_sees` for ``(m, d)`` stacks of box corners."""
+        if self._degenerate:
+            return np.ones(his.shape[0], dtype=bool)
+        return kernels.boxes_any_above(
+            self._pos, self._neg, self._offsets, his, los, self.eps
+        )
+
     def critical_keys(self) -> set[PointKey]:
         """Keys of the records incident to the maintained facets — the
         paper's *critical records* (plus every candidate in the degenerate
         fallback)."""
         if self._degenerate:
-            return set(self.points.keys())
-        out: set[PointKey] = set()
-        for others in self._others:
-            out |= others
-        return out
+            return set(self._keys)
+        return {self._keys[s] for s in np.unique(self._verts).tolist()}
 
 
 # Imported at the bottom: repro.core's package init transitively imports

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.index.mbb import MBB
+from repro.index.node import Node
 from repro.index.rtree import RStarTree
 from repro.query.topk import TopKResult
 from repro.scoring import LinearScoring, ScoringFunction
@@ -80,6 +81,20 @@ def make_heap_entry(
         level=level,
         mbb=mbb,
     )
+
+
+def child_heap_entries(
+    node: Node, weights: np.ndarray, scorer: ScoringFunction
+) -> list[HeapEntry]:
+    """Heap entries for every child of an internal node, their maxscores
+    taken in one product over the stacked top corners."""
+    tops = np.array([e.mbb.upper_corner() for e in node.entries])
+    scores = scorer.score(tops, weights).tolist()
+    sums = tops.sum(axis=1).tolist()
+    return [
+        HeapEntry((-score, -corner_sum, next(_seq)), e.child_id, node.level - 1, e.mbb)
+        for e, score, corner_sum in zip(node.entries, scores, sums)
+    ]
 
 
 @dataclass
@@ -140,13 +155,7 @@ def brs_topk(
     root = read(tree.root_id)
     node_accesses += 1
     leaf_accesses += int(root.is_leaf)
-    for e in root.entries:
-        if root.is_leaf:
-            _consider_record(interim, encountered, e.child_id, points, weights, scorer, k)
-        else:
-            heapq.heappush(
-                heap, make_heap_entry(e.mbb, e.child_id, root.level - 1, weights, scorer)
-            )
+    _expand(root, heap, interim, encountered, points, weights, scorer, k)
 
     drained_nodes, drained_leaves = _drain_heap(
         read, heap, interim, encountered, points, weights, scorer, k
@@ -155,7 +164,9 @@ def brs_topk(
         heap,
         interim,
         encountered,
+        points,
         weights,
+        scorer,
         node_accesses=node_accesses + drained_nodes,
         leaf_accesses=leaf_accesses + drained_leaves,
         tree_mutations=tree.mutations,
@@ -202,8 +213,10 @@ def resume_brs_topk(
 
     interim: list[tuple[float, float, int]] = []
     encountered: dict[int, np.ndarray] = {}
-    for rid in (*run.result.ids, *run.encountered):
-        _consider_record(interim, encountered, rid, points, weights, scorer, k)
+    _consider_records(
+        interim, encountered, [*run.result.ids, *run.encountered],
+        points, weights, scorer, k,
+    )
     heap = [
         make_heap_entry(e.mbb, e.node_id, e.level, weights, scorer)
         for e in run.heap
@@ -217,7 +230,9 @@ def resume_brs_topk(
         heap,
         interim,
         encountered,
+        points,
         weights,
+        scorer,
         node_accesses=run.node_accesses + node_accesses,
         leaf_accesses=run.leaf_accesses + leaf_accesses,
         tree_mutations=tree.mutations,
@@ -253,37 +268,50 @@ def _drain_heap(
     while heap:
         if len(interim) == k and interim[0][0] >= heap[0].maxscore:
             break  # k-th interim score dominates everything unexplored
-        entry = heapq.heappop(heap)
-        node = read(entry.node_id)
+        node = read(heapq.heappop(heap).node_id)
         node_accesses += 1
-        if node.is_leaf:
-            leaf_accesses += 1
-            for e in node.entries:
-                _consider_record(
-                    interim, encountered, e.child_id, points, weights, scorer, k
-                )
-        else:
-            for e in node.entries:
-                heapq.heappush(
-                    heap,
-                    make_heap_entry(e.mbb, e.child_id, node.level - 1, weights, scorer),
-                )
+        leaf_accesses += int(node.is_leaf)
+        _expand(node, heap, interim, encountered, points, weights, scorer, k)
     return node_accesses, leaf_accesses
+
+
+def _expand(
+    node: Node,
+    heap: list[HeapEntry],
+    interim: list[tuple[float, float, int]],
+    encountered: dict[int, np.ndarray],
+    points: np.ndarray,
+    weights: np.ndarray,
+    scorer: ScoringFunction,
+    k: int,
+) -> None:
+    """Score a fetched node with one product: a leaf's records go to the
+    interim top-k, an internal node's children onto the search heap."""
+    if node.is_leaf:
+        rids = [e.child_id for e in node.entries]
+        _consider_records(interim, encountered, rids, points, weights, scorer, k)
+    else:
+        for child in child_heap_entries(node, weights, scorer):
+            heapq.heappush(heap, child)
 
 
 def _package_run(
     heap: list[HeapEntry],
     interim: list[tuple[float, float, int]],
     encountered: dict[int, np.ndarray],
+    points: np.ndarray,
     weights: np.ndarray,
+    scorer: ScoringFunction,
     node_accesses: int,
     leaf_accesses: int,
     tree_mutations: int | None = None,
 ) -> BRSRun:
     """Rank the interim records and bundle the retained search state."""
-    ranked = sorted(interim, reverse=True)
-    ids = tuple(rid for _, _, rid in ranked)
-    scores = tuple(score for score, _, rid in ranked)
+    ids = tuple(rid for _, _, rid in sorted(interim, reverse=True))
+    # Scored as the engine's cache-hit path scores them — one product over
+    # the ranked rows — so a miss and the hit that follows it agree to the
+    # last bit (a product over one row may differ from it by an ulp).
+    scores = tuple(scorer.score(points[list(ids)], weights).tolist())
     for rid in ids:
         encountered.pop(rid, None)  # T excludes the result records
     result = TopKResult(ids=ids, scores=scores, weights=weights)
@@ -297,21 +325,29 @@ def _package_run(
     )
 
 
-def _consider_record(
+def _consider_records(
     interim: list[tuple[float, float, int]],
     encountered: dict[int, np.ndarray],
-    rid: int,
+    rids: list[int],
     points: np.ndarray,
     weights: np.ndarray,
     scorer: ScoringFunction,
     k: int,
 ) -> None:
-    """Update the interim top-k with a record fetched from a leaf."""
-    point = points[rid]
-    encountered[rid] = point
-    score = float(scorer.score(point, weights))
-    item = (score, float(point.sum()), rid)
-    if len(interim) < k:
-        heapq.heappush(interim, item)
-    elif item > interim[0]:
-        heapq.heapreplace(interim, item)
+    """Update the interim top-k with the records fetched from a leaf: one
+    product scores them all, and only those that can still enter a full
+    interim top-k (its threshold only rises) get heap work."""
+    encountered.update((rid, points[rid]) for rid in rids)
+    pts = points[rids]
+    scores = scorer.score(pts, weights)
+    sums = pts.sum(axis=1)
+    if len(interim) == k:
+        contenders = np.flatnonzero(scores >= interim[0][0]).tolist()
+    else:
+        contenders = range(len(rids))
+    for i in contenders:
+        item = (float(scores[i]), float(sums[i]), rids[i])
+        if len(interim) < k:
+            heapq.heappush(interim, item)
+        elif item > interim[0]:
+            heapq.heapreplace(interim, item)

@@ -17,10 +17,11 @@ This module carries both halves of that claim:
 Scores are compared under the tier's **canonical boundary scoring**:
 ``scorer.score(rows_of(ids), weights)`` over a snapshot of the answer's
 rows — the same computation the engine's own full-hit path performs.
-The engine's raw response scores are *path-dependent* in the last ulp
-(a pipeline run scores records one BRS candidate at a time; a cache hit
-rescales via one matvec), so a tier that changed hit/miss trajectories
-could never be byte-compared against them; the canonical form is a pure
+An engine's raw response scores can be *path-dependent* in the last ulp
+(BLAS may round a row's score differently in products of different
+shapes: a shard's partial answer, a merged one, a single row), so a tier
+that changed hit/miss trajectories could not safely be byte-compared
+against them; the canonical form is a pure
 function of ``(ids, weights, live rows)`` and therefore
 trajectory-independent, while the ids themselves are trajectory-
 independent by the GIR invariant. The front door serves every response

@@ -1,14 +1,77 @@
 """Tests for BRS top-k search."""
 
+import heapq
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.data.dataset import Dataset
 from repro.data.synthetic import independent
 from repro.index.bulkload import bulk_load_str
 from repro.query.brs import brs_topk, resume_brs_topk
 from repro.query.linear_scan import scan_topk
-from repro.scoring import polynomial_scoring
+from repro.scoring import LinearScoring, polynomial_scoring
 from tests.conftest import random_query
+
+
+def record_at_a_time_brs(tree, points, weights, k, scorer, prior=None):
+    """Reference BRS that scores one record (one MBB corner) per call and
+    offers every fetched record to the interim top-k — the loop the
+    per-node ``_drain_heap`` replaced. ``prior`` resumes a finished run.
+    Returns ``(ids, encountered key order, retained (node_id, level)
+    multiset, node accesses, leaf accesses)``."""
+    interim, encountered, heap = [], {}, []
+    seq = itertools.count()
+
+    def consider(rid):
+        encountered[rid] = None
+        p = points[rid]
+        item = (float(scorer.score(p, weights)), float(p.sum()), rid)
+        if len(interim) < k:
+            heapq.heappush(interim, item)
+        elif item > interim[0]:
+            heapq.heapreplace(interim, item)
+
+    def push(mbb, node_id, level):
+        key = (-float(scorer.score(mbb.hi, weights)), -float(mbb.hi.sum()), next(seq))
+        heapq.heappush(heap, (key, node_id, level))
+
+    def expand(node):
+        for e in node.entries:
+            if node.is_leaf:
+                consider(e.child_id)
+            else:
+                push(e.mbb, e.child_id, node.level - 1)
+
+    if prior is None:
+        expand(tree._node(tree.root_id))
+        nodes, leaves = 1, int(tree.height == 1)
+    else:
+        for rid in (*prior.result.ids, *prior.encountered):
+            consider(rid)
+        for e in prior.heap:
+            push(e.mbb, e.node_id, e.level)
+        nodes, leaves = prior.node_accesses, prior.leaf_accesses
+    while heap and not (len(interim) == k and interim[0][0] >= -heap[0][0][0]):
+        node = tree._node(heapq.heappop(heap)[1])
+        nodes += 1
+        leaves += int(node.is_leaf)
+        expand(node)
+    ids = tuple(rid for _, _, rid in sorted(interim, reverse=True))
+    order = [rid for rid in encountered if rid not in ids]
+    return ids, order, Counter((nid, lvl) for _, nid, lvl in heap), nodes, leaves
+
+
+def observed(run):
+    return (
+        run.result.ids,
+        list(run.encountered),
+        Counter((e.node_id, e.level) for e in run.heap),
+        run.node_accesses,
+        run.leaf_accesses,
+    )
 
 
 class TestCorrectness:
@@ -127,6 +190,46 @@ class TestRetainedState:
         tree.store.reset_meter()
         brs_topk(tree, data.points, random_query(rng, 2), 5, metered=False)
         assert tree.store.stats.page_reads == 0
+
+
+class TestPerNodeScoringMatchesRecordAtATime:
+    """One product per fetched node and heap work only for contenders
+    change nothing observable — including with every point stored twice,
+    where score and coordinate-sum ties are broken by rid."""
+
+    @pytest.fixture(scope="class")
+    def duplicated(self):
+        half = independent(450, 3, seed=29).points
+        data = Dataset(np.vstack([half, half]), name="dup")
+        return data, bulk_load_str(data)
+
+    @pytest.mark.parametrize("scorer", [LinearScoring(3), polynomial_scoring([3, 2, 1])])
+    def test_fresh_and_resumed_runs(self, duplicated, rng, scorer):
+        data, tree = duplicated
+        for _ in range(8):
+            q = random_query(rng, 3)
+            shallow = brs_topk(tree, data.points, q, 7, scorer=scorer, metered=False)
+            assert observed(shallow) == record_at_a_time_brs(
+                tree, data.points, q, 7, scorer
+            )
+            # k is odd: the k-th place splits a duplicated pair by rid.
+            assert shallow.result.ids == scan_topk(data.points, q, 7, scorer=scorer).ids
+            q2 = np.clip(q + rng.normal(0, 0.02, 3), 0.01, 1.0)
+            deep = resume_brs_topk(
+                tree, data.points, shallow, q2, 30, scorer=scorer, metered=False
+            )
+            assert observed(deep) == record_at_a_time_brs(
+                tree, data.points, q2, 30, scorer, prior=shallow
+            )
+
+    def test_single_leaf_tree(self, rng):
+        data = independent(6, 2, seed=3)
+        tree = bulk_load_str(data)
+        q = random_query(rng, 2)
+        run = brs_topk(tree, data.points, q, 3, metered=False)
+        assert observed(run) == record_at_a_time_brs(
+            tree, data.points, q, 3, LinearScoring(2)
+        )
 
 
 class TestResume:

@@ -39,6 +39,18 @@ class TestCacheFirstServing:
         assert second.gir_stats is None
         assert second.ids == first.ids
 
+    def test_miss_and_following_hit_return_the_same_score_bits(self, served_setup, rng):
+        """The computed path ranks with per-leaf scores but reports the
+        scores the hit path reports: one product over the ranked rows."""
+        data, tree = served_setup
+        engine = GIREngine(data, tree)
+        for _ in range(20):
+            q = random_query(rng, 3)
+            miss, hit = engine.topk(q, 20), engine.topk(q, 20)
+            assert (miss.source, hit.source) == ("computed", "cache")
+            assert miss.ids == hit.ids
+            assert miss.scores == hit.scores
+
     def test_full_hit_scores_are_for_probe_weights(self, served_setup, rng):
         """A hit inside the GIR keeps the ids but rescoring uses the
         probe's own weights, so the reported scores are exact."""

@@ -130,6 +130,36 @@ class TestNumpyReferenceSemantics:
             (apex >= pts).all(axis=1) & (apex > pts).any(axis=1),
         )
 
+    def test_batched_fan_kernels(self, rng):
+        """``facet_heights`` is the matrix ``above_mask`` / ``any_above``
+        threshold; ``boxes_any_above`` is ``box_any_above`` per box —
+        including the empty batch and the facet-less fan."""
+        normals = rng.normal(size=(11, 4))
+        offsets = rng.normal(size=11)
+        pos, neg = np.maximum(normals, 0.0), np.minimum(normals, 0.0)
+        eps = 1e-9
+        for m in (0, 1, 17):
+            pts = rng.normal(size=(m, 4))
+            heights = kernels.facet_heights_numpy(pts, normals, offsets)
+            assert heights.shape == (m, 11)
+            np.testing.assert_array_equal(heights, pts @ normals.T - offsets)
+            np.testing.assert_array_equal(
+                (heights > eps).any(axis=1),
+                kernels.any_above_numpy(pts, normals, offsets, eps),
+            )
+            los = pts - rng.random((m, 4))
+            got = kernels.boxes_any_above_numpy(pos, neg, offsets, pts, los, eps)
+            assert got.shape == (m,) and got.dtype == bool
+            for i in range(m):
+                assert got[i] == kernels.box_any_above_numpy(
+                    pos, neg, offsets, pts[i], los[i], eps
+                )
+        none = np.empty((0, 4))
+        assert kernels.facet_heights_numpy(pts, none, np.empty(0)).shape == (17, 0)
+        assert not kernels.boxes_any_above_numpy(
+            none, none, np.empty(0), pts, los, eps
+        ).any()
+
 
 @pytest.mark.skipif(
     not kernels.NUMBA_AVAILABLE, reason="numba not installed"
@@ -183,4 +213,16 @@ class TestJitEquivalence:
             np.testing.assert_array_equal(
                 kernels.dominated_mask_numba(point, pts),
                 kernels.dominated_mask_numpy(point, pts),
+            )
+            np.testing.assert_array_equal(
+                kernels.boxes_any_above_numba(pos, neg, offsets, pts + 1.0, pts, eps),
+                kernels.boxes_any_above_numpy(pos, neg, offsets, pts + 1.0, pts, eps),
+            )
+            # Heights are compared as numbers, not bits: BLAS is free to
+            # reassociate the length-d dot products the loop adds in order.
+            np.testing.assert_allclose(
+                kernels.facet_heights_numba(pts, normals, offsets),
+                kernels.facet_heights_numpy(pts, normals, offsets),
+                rtol=0.0,
+                atol=1e-12,
             )

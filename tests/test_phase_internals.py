@@ -1,10 +1,26 @@
 """Tests for Phase-1 construction and FP internals (seeds, 2-d ordering)."""
 
-import numpy as np
+import heapq
 
+import numpy as np
+import pytest
+
+from repro.core.gir import compute_gir
+from repro.core.gir_star import prune_result_records
 from repro.core.phase1 import phase1_halfspaces
-from repro.core.phase2_fp import _order_candidates, build_fan, virtual_seeds
-from repro.query.brs import brs_topk
+from repro.core.phase2_fp import (
+    FPOptions,
+    _order_candidates,
+    build_fan,
+    refine_fans,
+    virtual_seeds,
+)
+from repro.data.synthetic import anticorrelated, independent
+from repro.geometry.predicates import dominates
+from repro.index.bulkload import bulk_load_str
+from repro.index.mbb import MBB
+from repro.query.brs import brs_topk, make_heap_entry
+from repro.scoring import LinearScoring
 from repro.query.linear_scan import scan_topk
 from tests.conftest import random_query
 
@@ -132,3 +148,108 @@ class TestBuildFan:
         fan = build_fan(apex_id, pts, pts, encountered, np.ones(2), np.zeros(2))
         crits = {c for c in fan.critical_keys() if not isinstance(c, tuple)}
         assert crits <= {50, 51}
+
+
+def pop_time_refine(tree, points, run, fans, scorer, options):
+    """Reference disk step: every retained entry and every child of a
+    fetched node goes on the heap and is tested only when popped, one box
+    against one fan at a time; records reach the fans one by one, in leaf
+    order. Returns the number of nodes fetched."""
+    heap = list(run.heap)
+    heapq.heapify(heap)
+    exclude = set(run.result.ids)
+    fetched = 0
+    while heap:
+        entry = heapq.heappop(heap)
+        if options.prune_dominated_nodes and all(
+            dominates(points[apex_id], entry.mbb.hi) for apex_id in fans
+        ):
+            continue
+        if not any(fan.mbb_sees(entry.mbb) for fan in fans.values()):
+            continue
+        node = tree.fetch(entry.node_id)
+        fetched += 1
+        for e in node.entries:
+            if not node.is_leaf:
+                heapq.heappush(
+                    heap,
+                    make_heap_entry(
+                        e.mbb, e.child_id, node.level - 1, run.result.weights, scorer
+                    ),
+                )
+            elif e.child_id not in exclude:
+                for apex_id, fan in fans.items():
+                    if not dominates(points[apex_id], points[e.child_id]):
+                        fan.add_point(e.child_id, points[e.child_id])
+    return fetched
+
+
+class TestDiskStep:
+    """``refine_fans`` prunes entries in batches as they enter the heap;
+    the fetched nodes, page reads and critical records are those of
+    testing each entry alone when it is popped."""
+
+    @pytest.fixture(scope="class", params=["IND", "ANTI"])
+    def indexed(self, request):
+        make = independent if request.param == "IND" else anticorrelated
+        data = make(6000, 3, seed=31)
+        return request.param, data.points, bulk_load_str(data)
+
+    @pytest.mark.parametrize("star", [False, True], ids=["gir", "gir_star"])
+    @pytest.mark.parametrize("prune_dominated", [True, False])
+    def test_matches_pop_time_reference(self, indexed, star, prune_dominated):
+        family, points, tree = indexed
+        options = FPOptions(prune_dominated_nodes=prune_dominated)
+        scorer = LinearScoring(3)
+        rng = np.random.default_rng(8)  # own stream: cases reproduce alone
+        for _ in range(6):
+            q = random_query(rng, 3)
+            run = brs_topk(tree, points, q, 10, metered=False)
+            apexes = (
+                prune_result_records(run.result.ids, points, points)
+                if star
+                else [run.result.kth_id]
+            )
+            batched, reference = (
+                {
+                    a: build_fan(a, points, points, run.encountered, q, np.zeros(3))
+                    for a in apexes
+                }
+                for _ in range(2)
+            )
+            tree.store.reset_meter()
+            fetched = refine_fans(
+                tree, points, points, run, batched, scorer, options=options
+            )
+            assert fetched == tree.store.stats.page_reads
+            assert fetched == pop_time_refine(
+                tree, points, run, reference, scorer, options
+            )
+            assert tree.store.stats.page_reads == 2 * fetched
+            for a in apexes:
+                ours, theirs = batched[a].critical_keys(), reference[a].critical_keys()
+                if family == "IND":
+                    assert ours == theirs
+                # ANTI clips coordinates to 1.0, so records can be exactly
+                # coplanar with a facet through an apex that is clipped
+                # too; each insertion order triangulates such a facet its
+                # own way. What one fan keeps and the other does not must
+                # then lie on the other's facets, never above them.
+                seeds = dict(virtual_seeds(points[a], np.zeros(3)))
+                for fan, extra in ((batched[a], theirs - ours), (reference[a], ours - theirs)):
+                    for key in extra:
+                        assert not fan.sees(seeds[key] if key in seeds else points[key])
+
+    def test_farthest_first_insertion_count(self):
+        """Quickhull order: on IND n = 20k, d = 4, k = 20 a fan is rebuilt
+        at most 2.5 times per critical record it ends with (4.1 when the
+        candidates were inserted in arrival order)."""
+        data = independent(20_000, 4, seed=5)
+        tree = bulk_load_str(data)
+        rng = np.random.default_rng(5)
+        insertions = criticals = 0.0
+        for _ in range(20):
+            extras = compute_gir(tree, data, random_query(rng, 4), 20).stats.extras
+            insertions += extras["fan_insertions"]
+            criticals += extras["critical_records"]
+        assert insertions / criticals <= 2.5

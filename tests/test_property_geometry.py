@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from repro.core.phase2_fp import virtual_seeds
 from repro.geometry.convexhull import IncrementalHull
 from repro.geometry.incident_facets import FacetFan
 from repro.geometry.polytope import Polytope
@@ -29,6 +30,29 @@ def point_cloud(draw, min_n=12, max_n=80, min_d=2, max_d=4):
     d = draw(st.integers(min_d, max_d))
     rng = np.random.default_rng(seed)
     return rng.random((n, d))
+
+
+@st.composite
+def fan_candidates(draw):
+    """An apex, ``(key, point)`` candidates it outscores, and a shuffle of
+    them. ``duplicate`` and ``coplanar`` (with the apex) candidates span
+    fewer than d dimensions: the degenerate keep-everything fallback."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    d = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(d + 2, 40))
+    kind = draw(st.sampled_from(["general", "seeded", "duplicate", "coplanar"]))
+    rng = np.random.default_rng(seed)
+    apex = np.full(d, 1.2)
+    pts = rng.random((n, d))
+    if kind == "duplicate":
+        pts[:] = pts[0]
+    elif kind == "coplanar":
+        pts[:, -1] = apex[-1]
+    cands = list(enumerate(pts))
+    if kind == "seeded":
+        cands += virtual_seeds(apex, np.zeros(d))
+    shuffled = [cands[i] for i in rng.permutation(len(cands))]
+    return apex, cands, shuffled, kind in ("duplicate", "coplanar")
 
 
 class TestHullProperties:
@@ -73,6 +97,27 @@ class TestFanProperties:
             if 0 in simplex:
                 expected |= {int(v) - 1 for v in simplex if v != 0}
         assert fan.critical_keys() == expected
+
+    @given(fan_candidates())
+    @SETTINGS
+    def test_critical_set_ignores_order_and_batching(self, case):
+        """The star is a function of the point set: any candidate order,
+        and ``add_points`` (farthest first) or one ``add_point`` at a time
+        in the given order, end with the same critical keys."""
+        apex, cands, shuffled, degenerate = case
+        d = apex.shape[0]
+        batch, permuted, single = FacetFan(apex), FacetFan(apex), FacetFan(apex)
+        batch.bootstrap(cands)
+        permuted.bootstrap(shuffled)
+        single.bootstrap(cands[: d + 1])
+        for key, p in cands[d + 1 :]:
+            single.add_point(key, p)
+        for fan in (batch, permuted, single):
+            assert fan.degenerate == degenerate
+        assert batch.critical_keys() == permuted.critical_keys()
+        assert batch.critical_keys() == single.critical_keys()
+        if degenerate:
+            assert batch.critical_keys() == {key for key, _ in cands}
 
     @given(point_cloud(min_n=15, max_n=50))
     @SETTINGS
