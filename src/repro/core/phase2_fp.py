@@ -7,13 +7,16 @@ themselves incident to ``p_k`` — the *critical records*. FP never builds
 ``CH'``; it maintains only the incident-facet star (:class:`FacetFan`) in
 two steps:
 
-1. **memory step** — bootstrap the fan from the records ``T`` that BRS
-   already fetched (minus those dominated by ``p_k``), seeding the initial
-   simplex with the per-dimension maxima heuristic (Section 6.3.1) — or,
-   in two dimensions, directly with the two extreme-angle records of the
-   paper's angular sweep (Section 6.2). The axis projections of ``p_k``
-   are appended as *virtual* seed points (footnote 6); their half-spaces
-   are redundant inside the query space, so they never change the GIR.
+1. **memory step** — the fan over the records ``T`` that BRS already
+   fetched (minus those dominated by ``p_k``). ``T`` is known in full and
+   scores below ``p_k`` under the query, so its star is not grown record
+   by record: it is the convex hull of ``T``'s central projection onto a
+   hyperplane below ``p_k`` — one Qhull call in ``d − 1`` dimensions, in
+   two dimensions the two extreme-angle records of the paper's angular
+   sweep (Section 6.2); see :mod:`repro.geometry.incident_facets`. The
+   axis projections of ``p_k`` join ``T`` as *virtual* seed points
+   (footnote 6); their half-spaces are redundant inside the query space,
+   so they never change the GIR.
 2. **disk step** — drain the retained BRS search heap; an index node is
    pruned iff its MBB lies below every fan facet (the MBB then sits in the
    hull's tangent cone at ``p_k``, whose points induce only implied
@@ -47,7 +50,7 @@ from repro.geometry.polytope import Polytope
 from repro.index.rtree import RStarTree
 from repro.query.brs import BRSRun, HeapEntry, child_heap_entries
 from repro.scoring import ScoringFunction
-from repro.core.tolerances import EXACT_TOL, NORM_FLOOR
+from repro.core.tolerances import EXACT_TOL
 
 __all__ = ["FPOptions", "phase2_fp", "build_fan", "refine_fans", "virtual_seeds"]
 
@@ -103,56 +106,18 @@ def phase1_vertex_directions(
 
 def virtual_seeds(
     apex_g: np.ndarray, lower_corner_g: np.ndarray
-) -> list[tuple[tuple[str, int], np.ndarray]]:
-    """The axis projections of the apex (footnote 6), in g-space.
+) -> tuple[list[tuple[str, int]], np.ndarray]:
+    """The axis projections of the apex (footnote 6), in g-space: their
+    keys ``("virtual", i)`` and their ``(d, d)`` point array.
 
     Seed ``i`` keeps the apex's i-th g-coordinate and drops every other
     coordinate to the g-space lower corner, so the apex dominates it and
     its separation half-space is redundant inside the query space.
     """
     d = apex_g.shape[0]
-    seeds = []
-    for i in range(d):
-        s = lower_corner_g.copy()
-        s[i] = apex_g[i]
-        seeds.append((("virtual", i), s))
-    return seeds
-
-
-def _order_candidates(
-    cands: list[tuple[int, np.ndarray]], apex_g: np.ndarray, weights: np.ndarray
-) -> list[tuple[int, np.ndarray]]:
-    """Processing order for the memory step.
-
-    d = 2: the paper's angular sweep — the minimum- and maximum-angle
-    records around the apex come first (they *are* the interim facets, and
-    every other record is then below both).
-
-    d > 2: the per-dimension maxima heuristic — the d records with maximum
-    value along each g-dimension come first, so early facets prune many of
-    the remaining records immediately.
-    """
-    if len(cands) <= 2:
-        return cands
-    d = apex_g.shape[0]
-    if d == 2:
-        # Angle of (p - apex) within the half-plane strictly below the
-        # sweeping line: basis (t, -q) with t ⟂ q.
-        q = weights / max(np.linalg.norm(weights), NORM_FLOOR)
-        t = np.array([-q[1], q[0]])
-        first: list[int] = []
-        angles = []
-        for idx, (_, p) in enumerate(cands):
-            v = p - apex_g
-            angles.append(np.arctan2(max(float(v @ -q), 0.0), float(v @ t)))
-        first = [int(np.argmin(angles)), int(np.argmax(angles))]
-    else:
-        pts = np.asarray([p for _, p in cands])
-        first = list(dict.fromkeys(int(np.argmax(pts[:, j])) for j in range(d)))
-    chosen = set(first)
-    ordered = [cands[i] for i in first]
-    ordered.extend(c for i, c in enumerate(cands) if i not in chosen)
-    return ordered
+    seeds = np.tile(lower_corner_g, (d, 1))
+    np.fill_diagonal(seeds, apex_g)
+    return [("virtual", i) for i in range(d)], seeds
 
 
 def build_fan(
@@ -167,19 +132,20 @@ def build_fan(
     """Step 1 of FP: the fan over the in-memory records ``T``.
 
     Records dominated by the apex are discarded up front (they can never
-    overtake it), matching Sections 6.2/6.3.1.
+    overtake it), matching Sections 6.2/6.3.1. No record of ``T`` outscores
+    the apex under ``weights`` (``T`` holds non-result records only), which
+    is what the fan's hull seed needs of its supporting direction.
     """
     apex_g = points_g[apex_id]
     ids = np.array([rid for rid in encountered if rid != apex_id], dtype=np.intp)
     # Dominance filter: drop records the apex dominates.
     ids = ids[~kernels.dominated_mask(points[apex_id], points[ids])]
-    kept = list(zip(ids.tolist(), points_g[ids]))
-    ordered = _order_candidates(kept, apex_g, weights)
-    fan = FacetFan(apex_g)
-    candidates = list(ordered)
+    keys, pts = ids.tolist(), points_g[ids]
     if use_virtual_seeds:
-        candidates += virtual_seeds(apex_g, lower_corner_g)
-    fan.bootstrap(candidates)
+        seed_keys, seeds = virtual_seeds(apex_g, lower_corner_g)
+        keys, pts = keys + seed_keys, np.concatenate([pts, seeds])
+    fan = FacetFan(apex_g)
+    fan.bootstrap(keys, pts, weights)
     return fan
 
 

@@ -67,6 +67,7 @@ numpy fallbacks otherwise (``REPRO_NO_JIT`` forces the fallbacks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,9 +120,10 @@ class GridSignature:
     can intersect; a probe's cell having **zero** registrations proves the
     probe is in no entry's region. Registration over-approximates (per
     cell, per half-space row: the row's minimum over the cell box must not
-    exceed ``b + slack`` — corner-separable, one matmul for all cells), so
-    false negatives are impossible; false positives merely fall through to
-    the exact membership matvec.
+    exceed ``b + slack`` — corner-separable, and tested top-down over a
+    halving subdivision of the box so only boxes near the region are ever
+    evaluated), so false negatives are impossible; false positives merely
+    fall through to the exact membership matvec.
     """
 
     def __init__(self, d: int, cells_per_axis: int) -> None:
@@ -138,29 +140,53 @@ class GridSignature:
         self._counts_list: list[int] = [0] * self.n_cells
         #: Memoized registered-cell ids per entry key (immutable per key).
         self._cells: dict[int, np.ndarray] = {}
-        self._corner_lo: np.ndarray | None = None
-        self._corner_hi: np.ndarray | None = None
         #: Lookups that consulted the grid / were answered "certain miss".
         self.probes = 0
         self.negatives = 0
 
-    def _corners(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower/upper corners of every cell, ``(n_cells, d)`` each —
-        built once per signature and shared across registrations."""
-        if self._corner_lo is None:
-            idx = np.arange(self.n_cells, dtype=np.int64)
-            digits = (idx[:, None] // self._strides[None, :]) % self.g
-            self._corner_lo = digits.astype(np.float64) / self.g
-            self._corner_hi = (digits + 1).astype(np.float64) / self.g
-        return self._corner_lo, self._corner_hi
+    @cached_property
+    def _levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The box's subdivision, coarse to fine: every level halves each
+        axis interval of the one before (an odd one splits unevenly, a
+        single cell stays) down to the cells themselves. Per level: lower /
+        upper corners of its boxes, ``(n_boxes, d)`` each, and each box's
+        parent id in the level above. Box ids are mixed-radix in the level's
+        per-axis interval count, so the finest level's ids are the cell ids
+        and its corners ``digits / g`` and ``(digits + 1) / g``."""
+        levels = []
+        edges = np.array([0, self.g])  # interval boundaries, in cells
+        while edges.shape[0] <= self.g:
+            coarse = edges
+            edges = np.union1d(coarse, (coarse[:-1] + coarse[1:]) // 2)
+            n = edges.shape[0] - 1
+            radix = n ** np.arange(self.d, dtype=np.int64)
+            digits = (np.arange(n**self.d)[:, None] // radix[None, :]) % n
+            # The coarse interval holding each fine interval's start.
+            up = np.searchsorted(coarse, edges[:-1], side="right") - 1
+            parent = up[digits] @ (coarse.shape[0] - 1) ** np.arange(self.d)
+            lo = edges[digits].astype(np.float64) / self.g
+            hi = edges[digits + 1].astype(np.float64) / self.g
+            levels.append((lo, hi, parent))
+        return levels
 
     def register(self, key: int, A_n: np.ndarray, b_n: np.ndarray) -> None:
         """Mark the cells the region ``A_n x <= b_n`` (slack-relaxed) can
-        touch. Rows must be normalized so the slack is norm-relative."""
-        lo, hi = self._corners()
-        # Min of a linear function over a box is corner-separable.
-        mins = lo @ np.maximum(A_n, 0.0).T + hi @ np.minimum(A_n, 0.0).T
-        cells = np.flatnonzero((mins <= b_n + _GRID_SLACK).all(axis=1))
+        touch. Rows must be normalized so the slack is norm-relative.
+
+        Top-down: only a surviving box's children are tested at the next
+        level. A box's minimum is at most its children's, so no passing
+        cell is lost, and the cells are decided by the same expression on
+        the same corner values as testing all of them at once."""
+        pos, neg = np.maximum(A_n, 0.0).T, np.minimum(A_n, 0.0).T
+        bound = b_n + _GRID_SLACK
+        alive = np.ones(1, dtype=bool)
+        for lo, hi, parent in self._levels:
+            cells = np.flatnonzero(alive[parent])
+            # Min of a linear function over a box is corner-separable.
+            mins = lo[cells] @ pos + hi[cells] @ neg
+            cells = cells[(mins <= bound).all(axis=1)]
+            alive = np.zeros(parent.shape[0], dtype=bool)
+            alive[cells] = True
         self._cells[key] = cells
         self._counts[cells] += 1
         lst = self._counts_list

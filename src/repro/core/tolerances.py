@@ -16,6 +16,8 @@ Grouping, loosest to tightest:
   parameters, not correctness tolerances;
 * :data:`GRID_SAFE_TOL` / :data:`GRID_SLACK` — the admission grid's
   soundness boundary (slack must dominate ``tol * (1 + sqrt(d))``);
+* :data:`STRICT_BELOW_TOL` — how far below the apex's score hyperplane
+  a record must lie to take part in the facet fan's hull seed;
 * :data:`CONTAINMENT_TOL` — LP-backed polytope containment slack
   (linprog answers are good to ~1e-9; one order looser stays safe);
 * :data:`MEMBERSHIP_TOL` — the global half-space membership tolerance
@@ -39,6 +41,7 @@ __all__ = [
     "COEFFICIENT_EPS",
     "FACET_SIDE_TOL",
     "PREDICATE_EPS",
+    "STRICT_BELOW_TOL",
     "GRID_SAFE_TOL",
     "GRID_SLACK",
     "SCREEN_SAFETY",
@@ -84,6 +87,15 @@ FACET_SIDE_TOL = 1e-13
 #: Shared slack of the exact geometric predicates
 #: (:mod:`repro.geometry.predicates`).
 PREDICATE_EPS = 1e-10
+
+#: Strict-below cut-off of the facet fan's vertex-figure seed: a candidate
+#: enters the hull call only if its depth below the apex's score
+#: hyperplane exceeds this fraction of its distance from the apex. The
+#: central projection divides by that depth, so this bounds the projected
+#: coordinates by its reciprocal and leaves Qhull nine significant digits.
+#: Candidates nearer the hyperplane (score ties included) are inserted
+#: incrementally instead; the cut-off moves work, never the result.
+STRICT_BELOW_TOL = 1e-6
 
 #: Largest membership tolerance the grid admission fast path is sound
 #: for: cells are registered with :data:`GRID_SLACK` of relaxation,

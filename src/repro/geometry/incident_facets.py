@@ -42,20 +42,41 @@ the unseen part of a batch once, and FP's disk step prune an R-tree node
 before the fan is final: the node's MBB lies in the tangent cone, whose
 points induce only half-spaces implied by the fan's.
 
+**The star over a known point set is a hull one dimension lower.** The
+facets of ``hull({apex} ∪ T)`` through the apex are the facets of the
+cone ``apex + cone(T − apex)``. When every ``p ∈ T`` scores strictly
+below the apex under a direction ``q``, every ray ``p − apex`` points
+into the open half-space below the apex's score hyperplane: the cone is
+pointed, and each ray crosses the parallel hyperplane one unit below
+exactly once, at ``u(p) = B(p − apex) / (−(p − apex) · q̂)`` in coordinates
+``B`` of ``q̂⊥``. That section — the apex's *vertex figure* — is the
+convex hull of the ``u(p)``, and the cone is the cone over it, face for
+face: hull vertices of ``u`` are the records on extreme rays (the critical
+records) and hull facets are the star's facets. :meth:`FacetFan.bootstrap`
+takes both from one Qhull call in ``d − 1`` dimensions (the extreme values
+of the scalar ``u`` when ``d = 2``: the paper's angular sweep), whatever
+the order of ``T``. Qhull's verdict is not trusted: every candidate it did
+not return as a vertex, and every candidate too close to the score
+hyperplane for a well-scaled image (a tie with the apex has none), then
+goes through ``add_points``, which inserts whatever lies above a facet.
+Later points — FP's disk step — are inserted incrementally.
+
 Storage: the inserted points live in one ``(n, d)`` array (a point's row
 is its *slot*) and the facets in an integer ``(F, d − 1)`` array of
-ascending vertex slots beside the stacked normals and offsets, so facet
-geometry is one fancy index and one batched SVD, a visibility test is
-one product, and a rebuild is three concatenations. High dimensions
-produce thousands of incident facets (Figure 8(b)), which makes this the
-difference between FP winning and losing the CPU comparison of Figure 15.
+ascending vertex slots beside the stacked normals and offsets, so the
+geometry of a batch of facets is one fancy index and one batched SVD, a
+visibility test is one product, and a rebuild is three concatenations.
+High dimensions produce thousands of incident facets (Figure 8(b)), which
+makes this the difference between FP winning and losing the CPU comparison
+of Figure 15.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from repro.geometry.predicates import EPS, affine_rank_basis
 from repro.index.mbb import MBB
@@ -108,10 +129,11 @@ class FacetFan:
     eps:
         Sidedness tolerance.
 
-    Usage: feed candidate points via :meth:`bootstrap` (which greedily forms
-    the initial full-dimensional simplex and then inserts the rest), then
-    :meth:`add_points` for further points, and finally read
-    :meth:`critical_keys`. :attr:`insertions` counts the rebuilds.
+    Usage: feed the known candidate points to :meth:`bootstrap` (which
+    seeds the star from their vertex figure and then inserts the rest),
+    then :meth:`add_points` for further points, and finally read
+    :meth:`critical_keys`. :attr:`insertions` counts the rebuilds by
+    :meth:`_insert`; the seed is not one.
     """
 
     def __init__(self, apex: np.ndarray, eps: float = EPS) -> None:
@@ -191,19 +213,23 @@ class FacetFan:
 
     # -- construction -------------------------------------------------------
 
-    def bootstrap(self, candidates: Iterable[tuple[PointKey, np.ndarray]]) -> None:
-        """Initialise the fan from candidate ``(key, point)`` pairs.
+    def bootstrap(
+        self, keys: list[PointKey], pts: np.ndarray, direction: np.ndarray
+    ) -> None:
+        """Initialise the fan from candidate ``keys`` / ``(m, d)`` points.
 
-        The first ``d`` affinely independent (with the apex) candidates form
-        the initial simplex; every other candidate is then inserted with
-        :meth:`add_points`. Candidates that span fewer than ``d`` dimensions
-        leave a lower-dimensional fan: ``facets`` stays empty and *every*
-        candidate is recorded as critical (a safe fallback — their
-        half-spaces are simply all kept).
+        ``direction`` supports the hull at the apex: no candidate scores
+        above the apex under it. The fan is seeded with the vertex figure
+        of the candidates strictly below (:meth:`_vertex_figure`) — or,
+        when they form no hull, with the first ``d`` candidates affinely
+        independent of the apex — and every other candidate is then
+        inserted with :meth:`add_points`. Candidates that span fewer than
+        ``d`` dimensions leave a lower-dimensional fan: ``facets`` stays
+        empty and *every* candidate is recorded as critical (a safe
+        fallback — their half-spaces are simply all kept).
         """
-        cand = list(candidates)
-        keys = [k for k, _ in cand]
-        pts = np.asarray([p for _, p in cand], dtype=np.float64).reshape(-1, self.d)
+        keys = list(keys)
+        pts = np.asarray(pts, dtype=np.float64).reshape(-1, self.d)
         basis_idx = affine_rank_basis(self.apex, pts, self.d)
         if len(basis_idx) < self.d:
             # Degenerate input: no full-dimensional hull exists. Keep every
@@ -211,13 +237,59 @@ class FacetFan:
             self._store(keys, pts)
             self._degenerate = True
             return
-        self._store([keys[i] for i in basis_idx], pts[basis_idx])
-        self._interior = np.vstack([self.apex[None, :], self._pts]).mean(axis=0)
-        if not self._extend_facets(np.zeros(0, dtype=bool), _drop_one(self.d))[2].all():
-            raise FanError("initial simplex produced a flat facet")
-        rest = np.ones(len(cand), dtype=bool)
-        rest[basis_idx] = False
+        figure = self._vertex_figure(pts, direction)
+        if figure is None or not self._seed(keys, pts, *figure):
+            figure = np.asarray(basis_idx), _drop_one(self.d)
+            if not self._seed(keys, pts, *figure):
+                raise FanError("initial simplex produced a flat facet")
+        rest = np.ones(len(keys), dtype=bool)
+        rest[figure[0]] = False
         self.add_points([k for k, r in zip(keys, rest) if r], pts[rest])
+
+    def _vertex_figure(
+        self, pts: np.ndarray, direction: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The star of the apex over ``pts`` from one hull call: ascending
+        indices of the candidates on extreme rays, and the facets as rows
+        of ``d − 1`` ascending positions in that index array. ``None``
+        when the strictly-below candidates form no ``(d − 1)``-dimensional
+        hull (see the module docstring for the construction)."""
+        q = direction / max(float(np.linalg.norm(direction)), NORM_FLOOR)
+        offsets = pts - self.apex
+        depth = -(offsets @ q)
+        strict = np.flatnonzero(
+            depth > STRICT_BELOW_TOL * np.linalg.norm(offsets, axis=1)
+        )
+        if strict.shape[0] < self.d:
+            return None
+        # Rows 1.. of the right singular vectors of q span its orthogonal
+        # complement: coordinates on the hyperplane one unit below the apex.
+        plane = np.linalg.svd(q[None, :])[2][1:]
+        u = (offsets[strict] @ plane.T) / depth[strict, None]
+        if self.d == 2:
+            # The paper's angular sweep: the two extreme-angle records.
+            ends = np.array([u.argmin(), u.argmax()])
+            if ends[0] == ends[1]:
+                return None
+            return strict[np.sort(ends)], np.array([[0], [1]])
+        try:
+            hull = ConvexHull(u)
+        except QhullError:
+            return None
+        vertices = np.sort(hull.vertices)
+        facets = np.sort(np.searchsorted(vertices, hull.simplices), axis=1)
+        return strict[vertices], facets
+
+    def _seed(
+        self, keys: list[PointKey], pts: np.ndarray, idx: np.ndarray, verts: np.ndarray
+    ) -> bool:
+        """Make candidates ``idx`` the stored points and ``verts`` (rows of
+        positions in ``idx``) the facets; False if any facet is flat."""
+        self._keys = [keys[i] for i in idx.tolist()]
+        self._pts = pts[idx]
+        self._interior = np.vstack([self.apex[None, :], self._pts]).mean(axis=0)
+        none = np.zeros(self.facet_count(), dtype=bool)
+        return bool(self._extend_facets(none, verts)[2].all())
 
     # -- incremental update (Section 6.3.1) -----------------------------------
 
@@ -353,4 +425,8 @@ from repro.core import kernels  # noqa: E402
 # Leaf constants module, but imported down here with the kernels import:
 # `repro.core.tolerances` still triggers repro.core's package init, which
 # re-enters this module (same cycle as above).
-from repro.core.tolerances import FACET_SIDE_TOL  # noqa: E402
+from repro.core.tolerances import (  # noqa: E402
+    FACET_SIDE_TOL,
+    NORM_FLOOR,
+    STRICT_BELOW_TOL,
+)

@@ -1,4 +1,4 @@
-"""Tests for Phase-1 construction and FP internals (seeds, 2-d ordering)."""
+"""Tests for Phase-1 construction and FP internals (seeds, memory and disk step)."""
 
 import heapq
 
@@ -10,7 +10,6 @@ from repro.core.gir_star import prune_result_records
 from repro.core.phase1 import phase1_halfspaces
 from repro.core.phase2_fp import (
     FPOptions,
-    _order_candidates,
     build_fan,
     refine_fans,
     virtual_seeds,
@@ -59,66 +58,26 @@ class TestPhase1:
 class TestVirtualSeeds:
     def test_linear_seeds_are_axis_projections(self):
         apex = np.array([0.6, 0.5, 0.9])
-        seeds = virtual_seeds(apex, np.zeros(3))
-        assert len(seeds) == 3
-        for i, (key, s) in enumerate(seeds):
-            assert key == ("virtual", i)
-            expected = np.zeros(3)
-            expected[i] = apex[i]
-            assert np.allclose(s, expected)
+        keys, seeds = virtual_seeds(apex, np.zeros(3))
+        assert keys == [("virtual", i) for i in range(3)]
+        assert np.array_equal(seeds, np.diag(apex))
 
     def test_seeds_dominated_by_apex(self):
         apex = np.array([0.6, 0.5])
-        for _, s in virtual_seeds(apex, np.zeros(2)):
-            assert (apex >= s).all()
+        assert (apex >= virtual_seeds(apex, np.zeros(2))[1]).all()
 
     def test_seed_constraints_redundant_in_query_space(self, rng):
         """(apex - seed)·q' >= 0 for every q' in the positive orthant."""
         apex = rng.random(4)
-        for _, s in virtual_seeds(apex, np.zeros(4)):
-            normal = apex - s
-            for _ in range(50):
-                q = rng.random(4)
-                assert normal @ q >= -1e-12
+        normals = apex - virtual_seeds(apex, np.zeros(4))[1]
+        assert (normals @ rng.random((4, 50)) >= -1e-12).all()
 
     def test_gspace_lower_corner(self):
         """Seeds drop to the g-space lower corner, not to zero."""
         apex_g = np.array([1.5, 2.0])
         lower = np.array([1.0, 1.0])  # e.g. exp-transformed space
-        seeds = virtual_seeds(apex_g, lower)
-        assert np.allclose(seeds[0][1], [1.5, 1.0])
-        assert np.allclose(seeds[1][1], [1.0, 2.0])
-
-
-class TestCandidateOrdering:
-    def test_2d_extreme_angles_first(self):
-        """The paper's 2-d angular sweep: min/max-angle records lead."""
-        apex = np.array([0.9, 0.9])
-        q = np.array([1.0, 1.0])
-        cands = [
-            (0, np.array([0.5, 0.5])),   # middle
-            (1, np.array([0.95, 0.2])),  # clockwise extreme
-            (2, np.array([0.2, 0.95])),  # anticlockwise extreme
-            (3, np.array([0.6, 0.6])),   # middle
-        ]
-        ordered = _order_candidates(cands, apex, q)
-        assert {ordered[0][0], ordered[1][0]} == {1, 2}
-
-    def test_highd_max_per_dimension_first(self):
-        apex = np.ones(3)
-        q = np.ones(3)
-        cands = [
-            (0, np.array([0.2, 0.2, 0.2])),
-            (1, np.array([0.9, 0.1, 0.1])),  # max x1
-            (2, np.array([0.1, 0.9, 0.1])),  # max x2
-            (3, np.array([0.1, 0.1, 0.9])),  # max x3
-        ]
-        ordered = _order_candidates(cands, apex, q)
-        assert [k for k, _ in ordered[:3]] == [1, 2, 3]
-
-    def test_small_input_passthrough(self):
-        cands = [(0, np.array([0.1, 0.2]))]
-        assert _order_candidates(cands, np.ones(2), np.ones(2)) == cands
+        _, seeds = virtual_seeds(apex_g, lower)
+        assert np.allclose(seeds, [[1.5, 1.0], [1.0, 2.0]])
 
 
 class TestBuildFan:
@@ -235,7 +194,7 @@ class TestDiskStep:
                 # too; each insertion order triangulates such a facet its
                 # own way. What one fan keeps and the other does not must
                 # then lie on the other's facets, never above them.
-                seeds = dict(virtual_seeds(points[a], np.zeros(3)))
+                seeds = dict(zip(*virtual_seeds(points[a], np.zeros(3))))
                 for fan, extra in ((batched[a], theirs - ours), (reference[a], ours - theirs)):
                     for key in extra:
                         assert not fan.sees(seeds[key] if key in seeds else points[key])

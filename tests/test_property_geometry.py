@@ -15,6 +15,7 @@ from repro.core.phase2_fp import virtual_seeds
 from repro.geometry.convexhull import IncrementalHull
 from repro.geometry.incident_facets import FacetFan
 from repro.geometry.polytope import Polytope
+from repro.geometry.predicates import affine_rank_basis
 
 SETTINGS = settings(
     max_examples=25,
@@ -34,9 +35,10 @@ def point_cloud(draw, min_n=12, max_n=80, min_d=2, max_d=4):
 
 @st.composite
 def fan_candidates(draw):
-    """An apex, ``(key, point)`` candidates it outscores, and a shuffle of
-    them. ``duplicate`` and ``coplanar`` (with the apex) candidates span
-    fewer than d dimensions: the degenerate keep-everything fallback."""
+    """An apex, candidate keys and points it outscores under the all-ones
+    direction, and a permutation of them. ``duplicate`` and ``coplanar``
+    (with the apex) candidates span fewer than d dimensions: the degenerate
+    keep-everything fallback."""
     seed = draw(st.integers(0, 2**31 - 1))
     d = draw(st.sampled_from([2, 3, 4, 5]))
     n = draw(st.integers(d + 2, 40))
@@ -48,11 +50,11 @@ def fan_candidates(draw):
         pts[:] = pts[0]
     elif kind == "coplanar":
         pts[:, -1] = apex[-1]
-    cands = list(enumerate(pts))
+    keys = list(range(n))
     if kind == "seeded":
-        cands += virtual_seeds(apex, np.zeros(d))
-    shuffled = [cands[i] for i in rng.permutation(len(cands))]
-    return apex, cands, shuffled, kind in ("duplicate", "coplanar")
+        seed_keys, seeds = virtual_seeds(apex, np.zeros(d))
+        keys, pts = keys + seed_keys, np.concatenate([pts, seeds])
+    return apex, keys, pts, rng.permutation(len(keys)), kind in ("duplicate", "coplanar")
 
 
 class TestHullProperties:
@@ -87,7 +89,7 @@ class TestFanProperties:
         d = pts.shape[1]
         apex = np.full(d, 1.2)  # strictly outscores every point under 1-vec
         fan = FacetFan(apex)
-        fan.bootstrap([(i, p) for i, p in enumerate(pts)])
+        fan.bootstrap(list(range(len(pts))), pts, np.ones(d))
         if fan.degenerate:
             return
         all_pts = np.vstack([apex[None, :], pts])
@@ -101,23 +103,32 @@ class TestFanProperties:
     @given(fan_candidates())
     @SETTINGS
     def test_critical_set_ignores_order_and_batching(self, case):
-        """The star is a function of the point set: any candidate order,
-        and ``add_points`` (farthest first) or one ``add_point`` at a time
-        in the given order, end with the same critical keys."""
-        apex, cands, shuffled, degenerate = case
+        """The star is a function of the point set: seeded from the vertex
+        figure in any candidate order, or grown from a basis simplex by
+        ``add_points`` (farthest first) or one ``add_point`` at a time in
+        the given order, the fan ends with the same critical keys and
+        facets."""
+        apex, keys, pts, perm, degenerate = case
         d = apex.shape[0]
-        batch, permuted, single = FacetFan(apex), FacetFan(apex), FacetFan(apex)
-        batch.bootstrap(cands)
-        permuted.bootstrap(shuffled)
-        single.bootstrap(cands[: d + 1])
-        for key, p in cands[d + 1 :]:
-            single.add_point(key, p)
-        for fan in (batch, permuted, single):
+        ones = np.ones(d)
+        hull, permuted, grown, single = (FacetFan(apex) for _ in range(4))
+        hull.bootstrap(keys, pts, ones)
+        permuted.bootstrap([keys[i] for i in perm], pts[perm], ones)
+        basis = affine_rank_basis(apex, pts, d)
+        rest = [i for i in range(len(keys)) if i not in basis]
+        for fan in (grown, single):
+            # d candidates: their vertex figure is the simplex itself.
+            fan.bootstrap([keys[i] for i in basis], pts[basis], ones)
+        grown.add_points([keys[i] for i in rest], pts[rest])
+        for i in rest:
+            single.add_point(keys[i], pts[i])
+        for fan in (hull, permuted, grown, single):
             assert fan.degenerate == degenerate
-        assert batch.critical_keys() == permuted.critical_keys()
-        assert batch.critical_keys() == single.critical_keys()
+            assert fan.critical_keys() == hull.critical_keys()
+            assert fan.facet_count() == hull.facet_count()
+        assert hull.insertions == 0  # the seed is not a rebuild
         if degenerate:
-            assert batch.critical_keys() == {key for key, _ in cands}
+            assert hull.critical_keys() == set(keys)
 
     @given(point_cloud(min_n=15, max_n=50))
     @SETTINGS
@@ -125,7 +136,7 @@ class TestFanProperties:
         d = pts.shape[1]
         apex = np.full(d, 1.2)
         fan = FacetFan(apex)
-        fan.bootstrap([(i, p) for i, p in enumerate(pts)])
+        fan.bootstrap(list(range(len(pts))), pts, np.ones(d))
         if fan.degenerate:
             return
         crits = fan.critical_keys()
@@ -140,7 +151,7 @@ class TestFanProperties:
         d = pts.shape[1]
         apex = np.full(d, 1.2)
         fan = FacetFan(apex)
-        fan.bootstrap([(i, p) for i, p in enumerate(pts)])
+        fan.bootstrap(list(range(len(pts))), pts, np.ones(d))
         crits = sorted(k for k in fan.critical_keys())
         if fan.degenerate or not crits:
             return

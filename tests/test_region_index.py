@@ -6,6 +6,7 @@ import pytest
 from repro.core.caching import GIRCache, invalidated_by_insert
 from repro.core.gir import compute_gir
 from repro.core.region_index import (
+    GridSignature,
     RegionIndex,
     SCREEN_LP,
     SCREEN_SAFE,
@@ -21,6 +22,18 @@ def random_region(rng, d: int, cuts: int = 3) -> Polytope:
     """A random cone-through-origin ∩ unit box (the GIR shape)."""
     normals = rng.normal(size=(cuts, d))
     return Polytope.from_unit_box(d).with_constraints(normals)
+
+
+def flat_cells(grid: GridSignature, A_n: np.ndarray, b_n: np.ndarray) -> np.ndarray:
+    """Reference registration: every row's minimum over every cell in one
+    product, the expression ``GridSignature.register`` prunes top-down."""
+    from repro.core.region_index import _GRID_SLACK
+
+    digits = (np.arange(grid.n_cells)[:, None] // grid._strides[None, :]) % grid.g
+    lo = digits.astype(np.float64) / grid.g
+    hi = (digits + 1).astype(np.float64) / grid.g
+    mins = lo @ np.maximum(A_n, 0.0).T + hi @ np.minimum(A_n, 0.0).T
+    return np.flatnonzero((mins <= b_n + _GRID_SLACK).all(axis=1))
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +226,43 @@ class TestGridSignature:
             g = default_grid_cells(d)
             assert g >= 2
             assert g == 2 or g**d <= _GRID_TARGET_CELLS
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])  # g = 64, 16, 8, 5, 4
+    def test_subdivision_registers_the_flat_cells(self, rng, d):
+        """Top-down registration marks exactly the cells of the all-cells
+        product — on real GIRs, on cones cut from the box (they touch its
+        walls) and on thin slabs along a wall — and ``unregister`` undoes
+        it."""
+        data = independent(300, d, seed=40 + d)
+        tree = bulk_load_str(data)
+        regions = [
+            compute_gir(tree, data, random_query(rng, d), 5).polytope
+            for _ in range(6)
+        ]
+        regions += [random_region(rng, d, cuts) for cuts in (1, 2, 3, 5)]
+        box = Polytope.from_unit_box(d)
+        for axis in range(d):
+            # x_axis >= 0.97 and x_axis <= 0.02: a layer or two of cells.
+            for normal, bound in ((-1.0, -0.97), (1.0, 0.02)):
+                row = np.zeros((1, d))
+                row[0, axis] = normal
+                regions.append(
+                    Polytope(np.vstack([box.A, row]), np.append(box.b, bound))
+                )
+        grid = RegionIndex(d).grid
+        expected = np.zeros(grid.n_cells, dtype=np.int64)
+        for key, region in enumerate(regions):
+            A_n, b_n = region.normalized_halfspaces()
+            grid.register(key, A_n, b_n)
+            cells = flat_cells(grid, A_n, b_n)
+            np.testing.assert_array_equal(grid._cells[key], cells)
+            assert 0 < cells.shape[0]
+            expected[cells] += 1
+        np.testing.assert_array_equal(grid._counts, expected)
+        assert grid._counts_list == expected.tolist()
+        for key in range(len(regions)):
+            grid.unregister(key)
+        assert not grid._counts.any() and not any(grid._counts_list)
 
     def test_grid_negatives_match_brute_force(self, rng):
         """Every grid 'certain miss' is a true all-False membership, and
