@@ -116,23 +116,20 @@ def _stack_regions(regions: list[Polytope]) -> Polytope:
     Every GIR polytope starts with the same ``2d`` unit-box rows
     (:func:`~repro.core.pipeline.assemble_polytope`), so a verbatim
     stacking of S shard regions would carry S identical box copies —
-    dead weight on the cluster cache's stacked-matvec lookup path and on
-    vertex enumeration at every cache insert. Regions after the first
-    whose leading rows *are* the box (verified, not assumed) contribute
-    only their remaining rows; anything else is stacked verbatim via
-    :meth:`Polytope.intersection`.
+    dead weight on the cluster cache's stacked-matvec lookup path, and
+    fatal to the insert screen's ray enumeration, which accepts only the
+    box rows followed by homogeneous ones (a second box copy has
+    ``b = 1``). Regions after the first whose leading rows *are*
+    the box (:meth:`Polytope.starts_with_unit_box`: verified, not
+    assumed) contribute only their remaining rows; anything else is
+    stacked verbatim via :meth:`Polytope.intersection`.
     """
     first = regions[0]
-    d = first.d
-    box = Polytope.from_unit_box(d)
+    box_rows = 2 * first.d
     trimmed = [first]
     for region in regions[1:]:
-        if (
-            region.m >= box.m
-            and np.array_equal(region.A[: box.m], box.A)
-            and np.array_equal(region.b[: box.m], box.b)
-        ):
-            trimmed.append(Polytope(region.A[box.m :], region.b[box.m :]))
+        if region.starts_with_unit_box():
+            trimmed.append(Polytope(region.A[box_rows:], region.b[box_rows:]))
         else:
             trimmed.append(region)
     return Polytope.intersection(trimmed)

@@ -661,9 +661,11 @@ class ShardedGIREngine:
     ) -> tuple[int, int, int]:
         """Apply the insert-invalidation policy to the cluster cache;
         returns (evicted, prescreen_screened, lps_run). The same
-        prescreen → tie-break → LP sequence as :meth:`GIREngine.insert`
+        ray prescreen (safe / tie / certain eviction) → tie-break → LP on
+        the undecided rest sequence as :meth:`GIREngine.insert`
         (:func:`~repro.core.caching.apply_insert_invalidation`), keyed by
-        global rids."""
+        global rids; merged entries carry their request weights as the
+        rays' interior point."""
         if self.cache is None:
             return 0, 0, 0
         if self.invalidation == "flush":

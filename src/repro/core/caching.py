@@ -38,11 +38,13 @@ that decides *which* cached entries an update can disturb:
 * an **insert** invalidates entry E only if the new record's score can
   exceed E's k-th score somewhere inside E's region — the
   halfspace-intersection test :func:`invalidated_by_insert` (one LP via
-  :meth:`~repro.core.gir.GIRResult.admits_above_kth`). Before any LP
-  runs, :meth:`GIRCache.prescreen_insert` screens the whole cache in one
-  vectorized pass (vertex-set upper bounds, see
-  :meth:`~repro.core.region_index.RegionIndex.prescreen_insert`), so the
-  LP is spent only on entries the screen cannot clear;
+  :meth:`~repro.core.gir.GIRResult.admits_above_kth`).
+  :meth:`GIRCache.prescreen_insert` decides it for the whole cache in one
+  vectorized pass over each region's cone rays (see
+  :meth:`~repro.core.region_index.RegionIndex.prescreen_insert`): every
+  entry is safe, an exact tie (the tie-break decides), a certain
+  eviction, or — only where ray enumeration failed or the bracket is too
+  loose — left to the LP;
 * a **delete** invalidates E only if the deleted rid appears in E's
   result, or in the T-set of E's retained BRS run (whose resumed state
   would otherwise replay the dead record) —
@@ -66,6 +68,8 @@ from repro import sanitize
 from repro.core.gir import GIRResult
 from repro.core.region_index import (
     RegionIndex,
+    SCREEN_EVICT,
+    SCREEN_LP,
     SCREEN_SAFE,
     SCREEN_TIE,
 )
@@ -129,10 +133,12 @@ def apply_insert_invalidation(
 ) -> tuple[int, int, int]:
     """Run the selective insert-invalidation policy over a whole cache.
 
-    The one sequence both serving tiers share: vectorized prescreen →
-    tie-break resolution of exact-tie entries → invalidation LP on the
-    survivors → eviction. Returns ``(evicted, prescreen_screened,
-    lps_run)``.
+    The one sequence both serving tiers share: vectorized prescreen
+    (safe / exact tie / certain eviction / undecided) → tie-break
+    resolution of exact-tie entries → invalidation LP on the undecided
+    entries only → eviction of the ties that win, the certain evictions
+    and the LP's positives. Returns ``(evicted, prescreen_screened,
+    lps_run)``; certain evictions count as screened.
 
     Parameters
     ----------
@@ -158,6 +164,7 @@ def apply_insert_invalidation(
         return (new_sum, new_rid) > (float(kth_point(kth).sum()), kth)
 
     stale = [key for key in prescreen.ties if tie_wins(cache.entry(key))]
+    stale.extend(prescreen.evict)
     lps = 0
     for key in prescreen.candidates:
         gir = cache.entry(key)
@@ -212,13 +219,15 @@ class InsertPrescreen:
     #: Entries whose k-th record the insert ties at *every* query vector
     #: (identical g-image); the caller's tie-break rule decides, no LP.
     ties: tuple[int, ...]
-    #: Entries the screen could not clear — run the exact LP test.
+    #: Entries the insert provably disturbs — evict, no LP needed.
+    evict: tuple[int, ...]
+    #: Entries the screen could not decide — run the exact LP test.
     candidates: tuple[int, ...]
 
     @property
     def screened(self) -> int:
         """Entries resolved without an LP."""
-        return len(self.safe) + len(self.ties)
+        return len(self.safe) + len(self.ties) + len(self.evict)
 
 
 #: Floor on the Chebyshev-radius volume proxy, so sliver/degenerate
@@ -355,7 +364,7 @@ class GIRCache:
         d = int(gir.weights.shape[0])
         self._indexes.setdefault(
             d, RegionIndex(d, grid_cells=None if self.grid else 0)
-        ).add(key, gir.polytope, kth_g=kth_g)
+        ).add(key, gir.polytope, kth_g=kth_g, interior=gir.weights)
 
     def _forget_scoring(self, key: int) -> None:
         self._stamps.pop(key, None)
@@ -654,7 +663,7 @@ class GIRCache:
         One vectorized pass per region index (see
         :meth:`~repro.core.region_index.RegionIndex.prescreen_insert`)
         partitions the entries into provably-undisturbed / exact-tie /
-        LP-candidate sets; the caller runs
+        provably-disturbed / LP-candidate sets; the caller runs
         :func:`invalidated_by_insert`'s LP only on the candidates.
         Entries indexed under a different dimensionality than ``point_g``
         (impossible through :class:`repro.engine.GIREngine`) are returned
@@ -662,24 +671,24 @@ class GIRCache:
         """
         point_g = np.asarray(point_g, dtype=np.float64)
         d = int(point_g.shape[0])
-        safe: list[int] = []
-        ties: list[int] = []
-        candidates: list[int] = []
+        by_code: dict[int, list[int]] = {
+            code: [] for code in (SCREEN_SAFE, SCREEN_TIE, SCREEN_EVICT, SCREEN_LP)
+        }
         for dim, index in self._indexes.items():
             if not len(index):
                 continue
             keys = np.asarray(index.keys())
             if dim != d:
-                candidates.extend(keys.tolist())
+                by_code[SCREEN_LP].extend(keys.tolist())
                 continue
             codes = index.prescreen_insert(point_g, tol=tol)
-            safe.extend(keys[codes == SCREEN_SAFE].tolist())
-            ties.extend(keys[codes == SCREEN_TIE].tolist())
-            candidates.extend(
-                keys[(codes != SCREEN_SAFE) & (codes != SCREEN_TIE)].tolist()
-            )
+            for code, bucket in by_code.items():
+                bucket.extend(keys[codes == code].tolist())
         return InsertPrescreen(
-            safe=tuple(safe), ties=tuple(ties), candidates=tuple(candidates)
+            safe=tuple(by_code[SCREEN_SAFE]),
+            ties=tuple(by_code[SCREEN_TIE]),
+            evict=tuple(by_code[SCREEN_EVICT]),
+            candidates=tuple(by_code[SCREEN_LP]),
         )
 
     @sanitize.mutates

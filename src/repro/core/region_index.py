@@ -20,26 +20,33 @@ Write-path prescreen
 --------------------
 
 On an insert, the dynamic engine must decide for every cached entry
-whether the new record can enter its top-k somewhere in its region —
-an LP per entry (:func:`~repro.core.caching.invalidated_by_insert`).
-Almost all entries are *obviously* undisturbable, and the index proves it
-without any LP: inside an entry's region the score gap to its k-th record
-is the linear function ``(g(p_new) − g(p_k)) · w``, whose maximum over the
-(bounded) region is attained at a vertex. The index therefore keeps, per
-entry, the region's vertex set ``V`` and the precomputed dot products
-``V @ g(p_k)``; screening every entry against a new ``g(p_new)`` is then
-one stacked matvec ``V_all @ g(p_new)`` plus a segment max. Entries whose
-bound is (safely) non-positive can never be disturbed; the LP runs only on
-the survivors. Entries whose vertex enumeration failed (degenerate
-regions) fall back to an enclosing ball around their Chebyshev centre —
-regions live in the unit query box, so radius ``√d`` always encloses them.
+whether the new record can enter its top-k somewhere in its region: is
+``max δ · w > tol`` over the region, with ``δ = g(p_new) − g(p_k)``
+(:func:`~repro.core.caching.invalidated_by_insert`, one LP)? The index
+decides it without the LP. A GIR is a polyhedral cone cut by the unit
+box, so every member is ``w = Σ λ_j r_j`` over the cone's unit-sum
+extreme rays ``r_j`` with ``λ_j ≥ 0`` and ``Σ λ_j = Σ w ≤ d``; and each
+ray scaled to ``r_j / max(r_j)`` is itself a member. With
+``m = max δ · r_j`` and ``s = max δ · r_j / max(r_j)`` the LP optimum
+therefore lies in ``[s, d · max(m, 0)]``:
 
-Vertex data is materialized lazily on the first prescreen, so read-only
-workloads never pay for it; each entry's vertices (and the Chebyshev-ball
-fallback for degenerate regions) are computed **once** and the resulting
-screen entry memoized for the key's whole cache lifetime (regions are
-immutable) — re-stacks after add/remove only re-concatenate the memoized
-per-entry blocks.
+* ``d · m ≤ tol − SCREEN_SAFETY`` (or ``δ`` dominated) — the insert
+  provably cannot disturb the entry;
+* ``s > tol + SCREEN_SAFETY`` — it provably does: evict, no LP;
+* in between — run the LP.
+
+The index keeps, per entry, the rays ``R`` (:meth:`Polytope.cone_rays`,
+with the entry's query vector as the interior point) and the dot products
+``R @ g(p_k)``; screening every entry against a new ``g(p_new)`` is one
+stacked matvec plus two segment maxima. An entry whose ray enumeration
+failed (a query vector on a facet, a flat region, rows that are not a
+cone) is always left to the LP.
+
+Rays are materialized lazily on the first prescreen, so read-only
+workloads never pay for them; each entry's rays are computed **once** and
+memoized for the key's whole cache lifetime (regions are immutable) —
+re-stacks after add/remove only re-concatenate the memoized per-entry
+blocks.
 
 Admission prescreen (read path)
 -------------------------------
@@ -81,14 +88,16 @@ __all__ = [
     "SCREEN_SAFE",
     "SCREEN_TIE",
     "SCREEN_LP",
+    "SCREEN_EVICT",
 ]
 
 #: Prescreen verdicts (per entry): the insert provably cannot disturb the
 #: entry / ties its k-th record exactly everywhere (caller's tie-break
-#: decides) / needs the LP to decide.
+#: decides) / needs the LP to decide / provably disturbs it.
 SCREEN_SAFE = 0
 SCREEN_TIE = 1
 SCREEN_LP = 2
+SCREEN_EVICT = 3
 
 
 #: Grid registration slack (see :mod:`repro.core.tolerances`:
@@ -278,16 +287,12 @@ class GridSignature:
 class _ScreenEntry:
     """Static insert-screen geometry of one cached region."""
 
-    #: Region vertices ``(nv, d)`` — a one-row placeholder when enumeration
-    #: failed (then ``has_vertices`` is False and the ball bound is used).
-    V: np.ndarray
-    #: Per-vertex ``V @ g(p_k)`` for the entry's k-th result record.
-    vdots: np.ndarray
-    #: Chebyshev centre (NaN when the centre LP failed).
-    center: np.ndarray
+    #: Unit-sum extreme rays of the region's cone, ``(n_rays, d)``.
+    R: np.ndarray
+    #: Per-ray ``R @ g(p_k)`` for the entry's k-th result record.
+    rdots: np.ndarray
     #: g-image of the entry's k-th result record.
     kth_g: np.ndarray
-    has_vertices: bool
 
 
 # repro: thread-owned[RegionIndex] -- owned by one GIRCache; reached only under the router's serve lock (membership lazily materializes screen stacks)
@@ -319,8 +324,9 @@ class RegionIndex:
         #: Row segment boundaries: entry ``i`` owns rows
         #: ``offsets[i]:offsets[i+1]``.
         self._offsets = np.zeros(1, dtype=np.int64)
-        #: Per-key screen geometry: ``None`` = ineligible (no ``kth_g``
-        #: given), a ``(polytope, kth_g)`` tuple = pending lazy
+        #: Per-key screen geometry: ``None`` = always LP (no ``kth_g`` or
+        #: interior given, or ray enumeration failed), a
+        #: ``(polytope, kth_g, interior)`` tuple = pending lazy
         #: computation, a :class:`_ScreenEntry` = computed.
         self._screen: dict[int, _ScreenEntry | tuple | None] = {}
         self._screen_stacks: tuple | None = None
@@ -340,12 +346,20 @@ class RegionIndex:
         return list(self._keys)
 
     @sanitize.mutates
-    def add(self, key: int, polytope: Polytope, kth_g: np.ndarray | None = None) -> None:
+    def add(
+        self,
+        key: int,
+        polytope: Polytope,
+        kth_g: np.ndarray | None = None,
+        interior: np.ndarray | None = None,
+    ) -> None:
         """Index a region under ``key``.
 
-        ``kth_g`` (the g-image of the entry's k-th result record) enables
-        the insert-invalidation prescreen for this entry; without it the
-        entry is always classified :data:`SCREEN_LP`.
+        ``kth_g`` (the g-image of the entry's k-th result record) and
+        ``interior`` (the entry's query vector, the interior point of the
+        ray enumeration) enable the insert-invalidation prescreen for this
+        entry; without both the entry is always classified
+        :data:`SCREEN_LP`.
         """
         if polytope.d != self.d:
             raise ValueError(f"expected a {self.d}-d region, got {polytope.d}-d")
@@ -360,9 +374,10 @@ class RegionIndex:
         self._keys.append(key)
         if self.grid is not None:
             self.grid.register(key, A_n, b_n)
-        self._screen[key] = None if kth_g is None else (
+        self._screen[key] = None if kth_g is None or interior is None else (
             polytope,
             np.asarray(kth_g, dtype=np.float64),
+            np.asarray(interior, dtype=np.float64),
         )
         self._screen_stacks = None
 
@@ -475,71 +490,50 @@ class RegionIndex:
     def _materialize_screen(self) -> tuple:
         """Build (lazily, cached) the stacked screen arrays.
 
-        Pending entries compute their vertex set / Chebyshev centre here —
-        once per cache lifetime; rebuilds after add/remove only re-stack
-        the already-computed per-entry blocks.
+        Pending entries enumerate their cone's rays here — once per cache
+        lifetime; rebuilds after add/remove only re-stack the
+        already-computed per-entry blocks. An entry without rays stacks a
+        one-row placeholder and is marked ineligible (always LP).
         """
         if self._screen_stacks is not None:
             return self._screen_stacks
-        placeholder_V = np.zeros((1, self.d))
-        # -inf placeholder => segment max +inf => "needs LP" on any miss of
-        # the dedicated fallback paths; never silently screens out.
-        placeholder_dots = np.full(1, -np.inf)
-        V_parts, vdot_parts = [], []
-        voffsets = [0]
-        kth_rows, centers, eligible, no_vertices = [], [], [], []
+        # Unit-sum like a real ray, so the max(r) divisor stays positive.
+        placeholder_R = np.full((1, self.d), 1.0 / self.d)
+        R_parts, rdot_parts, kth_rows, eligible = [], [], [], []
         for key in self._keys:
             blob = self._screen[key]
             if isinstance(blob, tuple):
                 blob = self._compute_screen_entry(*blob)
                 self._screen[key] = blob
             if blob is None:
-                V_parts.append(placeholder_V)
-                vdot_parts.append(placeholder_dots)
+                R_parts.append(placeholder_R)
+                rdot_parts.append(np.zeros(1))
                 kth_rows.append(np.full(self.d, np.nan))
-                centers.append(np.full(self.d, np.nan))
                 eligible.append(False)
-                no_vertices.append(False)
             else:
-                V_parts.append(blob.V)
-                vdot_parts.append(blob.vdots)
+                R_parts.append(blob.R)
+                rdot_parts.append(blob.rdots)
                 kth_rows.append(blob.kth_g)
-                centers.append(blob.center)
                 eligible.append(True)
-                no_vertices.append(not blob.has_vertices)
-            voffsets.append(voffsets[-1] + len(vdot_parts[-1]))
         n = len(self._keys)
+        R_all = np.concatenate(R_parts) if n else np.zeros((0, self.d))
         self._screen_stacks = (
-            np.concatenate(V_parts) if n else np.zeros((0, self.d)),
-            np.concatenate(vdot_parts) if n else np.zeros(0),
-            np.asarray(voffsets, dtype=np.int64),
+            R_all,
+            np.concatenate(rdot_parts) if n else np.zeros(0),
+            R_all.max(axis=1),
+            np.cumsum([0] + [len(part) for part in rdot_parts], dtype=np.int64),
             np.asarray(kth_rows).reshape(n, self.d),
-            np.asarray(centers).reshape(n, self.d),
             np.asarray(eligible, dtype=bool),
-            np.asarray(no_vertices, dtype=bool),
         )
         return self._screen_stacks
 
     def _compute_screen_entry(
-        self, polytope: Polytope, kth_g: np.ndarray
-    ) -> _ScreenEntry:
-        verts = polytope.vertices()
-        center, _radius = polytope.chebyshev_center()
-        # Only un-joggled vertex sets give a sound maximum (a joggled run
-        # can misplace or miss vertices); anything else uses the enclosing
-        # ball around the Chebyshev centre instead.
-        if verts.shape[0] and polytope.vertices_exact:
-            return _ScreenEntry(
-                V=verts, vdots=verts @ kth_g, center=center, kth_g=kth_g,
-                has_vertices=True,
-            )
-        return _ScreenEntry(
-            V=np.zeros((1, self.d)),
-            vdots=np.full(1, -np.inf),
-            center=center,
-            kth_g=kth_g,
-            has_vertices=False,
-        )
+        self, polytope: Polytope, kth_g: np.ndarray, interior: np.ndarray
+    ) -> _ScreenEntry | None:
+        R = polytope.cone_rays(interior)
+        if R is None:
+            return None
+        return _ScreenEntry(R=R, rdots=R @ kth_g, kth_g=kth_g)
 
     @sanitize.mutates  # lazily materializes the screen stacks
     def prescreen_insert(
@@ -550,23 +544,28 @@ class RegionIndex:
     ) -> np.ndarray:
         """Classify every entry against an inserted record's g-image.
 
-        Returns an int8 array aligned with :meth:`keys`:
+        Returns an int8 array aligned with :meth:`keys`. With
+        ``δ = g(p_new) − g(p_k)`` and the entry's unit-sum rays ``r``,
+        ``m = max δ · r`` and ``s = max δ · r / max(r)`` bracket the LP
+        optimum over the region as ``[s, d · max(m, 0)]`` (see the module
+        docstring):
 
         * :data:`SCREEN_SAFE` — the record provably cannot out-score the
-          entry's k-th record anywhere in its region (no LP needed): it is
-          dominated component-wise, or the vertex-set upper bound of
-          ``(g(p_new) − g(p_k)) · w`` is below ``tol − safety``;
+          entry's k-th record anywhere in its region: ``δ`` is dominated
+          component-wise, or ``d · m ≤ tol − safety``;
         * :data:`SCREEN_TIE` — identical g-image to the k-th record (a tie
           at *every* query vector; the caller's tie-break rule decides);
+        * :data:`SCREEN_EVICT` — it provably does, somewhere in the region:
+          ``s > tol + safety``;
         * :data:`SCREEN_LP` — undecided, run the exact LP test.
 
-        ``safety`` absorbs vertex rounding (un-joggled qhull vertices are
-        reliable to ~1e-12) so the screen stays conservative: a skipped
-        entry's true LP margin is certainly below the LP test's ``tol``.
-        It must stay *below* ``tol``: GIR regions contain the origin (the
-        cone apex), so every undisturbable entry's exact maximum is 0 —
-        a ``safety ≥ tol`` would reject the very bound the screen exists
-        to accept. Entries added without ``kth_g`` are always
+        ``safety`` absorbs ray rounding (un-joggled qhull intersections
+        are reliable to ~1e-12), so both decisions are the LP's own
+        verdict. It must stay *below* ``tol``: GIR regions contain the
+        origin (the cone apex), so every undisturbable entry's exact
+        maximum is 0 — a ``safety ≥ tol`` would reject the very bound the
+        screen exists to accept. Entries added without ``kth_g`` or
+        ``interior``, or whose ray enumeration failed, are always
         :data:`SCREEN_LP`.
         """
         n = len(self._keys)
@@ -574,9 +573,10 @@ class RegionIndex:
         if n == 0:
             return codes
         point_g = np.asarray(point_g, dtype=np.float64)
-        V_all, vdots, voffsets, kth, centers, eligible, no_verts = (
-            self._materialize_screen()
-        )
+        R_all, rdots, rmax, offsets, kth, eligible = self._materialize_screen()
+        gap = R_all @ point_g - rdots  # δ · r, one value per ray
+        m = kernels.segmented_max(gap, offsets)
+        s = kernels.segmented_max(gap / rmax, offsets)
         delta = point_g[None, :] - kth  # NaN rows for ineligible entries
         with np.errstate(invalid="ignore"):
             # repro: allow[numeric-safety] -- exact g-image ties only: a row
@@ -585,16 +585,12 @@ class RegionIndex:
             # near-ties that the LP path handles correctly
             tie = eligible & (delta == 0.0).all(axis=1)
             dominated = eligible & ~tie & (delta <= 0.0).all(axis=1)
-            bound = kernels.segmented_max(V_all @ point_g - vdots, voffsets)
-            ball = eligible & no_verts
-            if ball.any():
-                d_ball = delta[ball]
-                bound[ball] = (d_ball * centers[ball]).sum(axis=1) + np.sqrt(
-                    self.d
-                ) * np.linalg.norm(d_ball, axis=1)
-            safe = eligible & ~tie & (dominated | (bound <= tol - safety))
+        bounded = eligible & ~tie
+        safe = bounded & (dominated | (self.d * m <= tol - safety))
+        evict = bounded & ~safe & (s > tol + safety)
         codes[tie] = SCREEN_TIE
         codes[safe] = SCREEN_SAFE
+        codes[evict] = SCREEN_EVICT
         return codes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -67,7 +67,9 @@ EXACT_TOL = 1e-12
 
 #: Chebyshev radius below which a polytope is treated as degenerate /
 #: empty (scipy's interior-point answers are reliable to ~1e-12; one
-#: order of slack on top).
+#: order of slack on top). Also the least distance from every cone row
+#: that ``Polytope.cone_rays`` demands of its interior point — the same
+#: "is this point usably inside" bar for the same Qhull call.
 DEGENERATE_RADIUS = 1e-11
 
 #: Slack for LP-backed polytope-in-polytope containment and feasibility
@@ -111,9 +113,12 @@ GRID_SAFE_TOL = 1e-7
 #: ``d`` (≤ 9 in the unit query box regime, so 1e-6 ≥ 4e-7 holds).
 GRID_SLACK = 1e-6
 
-#: Extra conservatism subtracted from the insert-prescreen's vertex
-#: upper bound before an entry is declared undisturbable (vertex
-#: enumeration is reliable to ~1e-12; this dominates it comfortably).
+#: Margin of the insert prescreen's two decisions on the cone-ray bracket
+#: ``[s, d · m]`` of the invalidation LP's optimum: an entry is
+#: undisturbable only if ``d · m ≤ tol − SCREEN_SAFETY`` and certainly
+#: evicted only if ``s > tol + SCREEN_SAFETY`` (un-joggled qhull rays are
+#: reliable to ~1e-12; this dominates it comfortably). Must stay below
+#: :data:`MEMBERSHIP_TOL`, the ``tol`` it is subtracted from.
 SCREEN_SAFETY = 1e-10
 
 #: Floor on the Chebyshev-radius volume proxy of the cost-aware

@@ -760,12 +760,13 @@ class GIREngine:
         policy — under ``"gir"``, entry E is evicted only if the new
         record can out-score E's k-th result record somewhere in E's
         region (the halfspace-intersection LP of
-        :meth:`~repro.core.gir.GIRResult.admits_above_kth`). Before any LP
-        runs, the cache's vectorized prescreen
-        (:meth:`~repro.core.caching.GIRCache.prescreen_insert`) clears
-        every entry whose vertex-set score bound proves it undisturbable,
-        so the LP cost scales with the prescreen's survivors, not the
-        cache size.
+        :meth:`~repro.core.gir.GIRResult.admits_above_kth`). The cache's
+        vectorized prescreen
+        (:meth:`~repro.core.caching.GIRCache.prescreen_insert`) brackets
+        that LP's optimum by each region's cone rays and so decides
+        nearly every entry — undisturbable or certainly evicted — without
+        it; the LP runs only where ray enumeration failed or the bracket
+        straddles the tolerance.
 
         Malformed points (wrong dimension, NaN/inf) are rejected with a
         :class:`ValueError` before any structure is touched — see

@@ -7,7 +7,9 @@ scipy's qhull bindings (the library the paper itself uses for half-space
 intersection):
 
 * a strictly interior point via the Chebyshev centre (linear program);
-* vertex enumeration (``scipy.spatial.HalfspaceIntersection``);
+* vertex enumeration (``scipy.spatial.HalfspaceIntersection``), and the
+  cheaper extreme rays of a GIR's cone (one intersection on the slice
+  ``Σw = 1``);
 * exact volume (qhull) — the paper's sensitivity measure is
   ``vol(GIR) / vol(query space)`` (Figure 14);
 * per-axis intervals through a base point — the paper's *interactive
@@ -55,11 +57,6 @@ class Polytope:
         self.b = b
         self._cheb: tuple[np.ndarray, float] | None = None
         self._vertices: np.ndarray | None = None
-        #: True when the cached vertex set came from an un-joggled qhull
-        #: run (reliable to ~1e-12); False for the QJ fallback or an empty
-        #: result. Consumers needing sound bounds (the region index's
-        #: insert prescreen) must check this.
-        self._vertices_exact = False
         self._normalized: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- constructors -----------------------------------------------------------
@@ -249,12 +246,10 @@ class Polytope:
             self._vertices = np.empty((0, self.d))
             return self._vertices
         halfspaces = np.hstack([self.A, -self.b[:, None]])
-        exact = True
         try:
             hs = HalfspaceIntersection(halfspaces, centre)
             verts = hs.intersections
         except QhullError:
-            exact = False
             try:
                 hs = HalfspaceIntersection(halfspaces, centre, qhull_options="QJ")
                 verts = hs.intersections
@@ -266,15 +261,64 @@ class Polytope:
         if len(verts):
             verts = np.unique(np.round(verts, 12), axis=0)
         self._vertices = verts
-        self._vertices_exact = exact and bool(len(verts))
         return self._vertices
 
-    @property
-    def vertices_exact(self) -> bool:
-        """Whether :meth:`vertices` produced a reliable (un-joggled) vertex
-        set — computes it on first access."""
-        self.vertices()
-        return self._vertices_exact
+    def starts_with_unit_box(self) -> bool:
+        """Whether the leading ``2d`` rows are exactly :meth:`from_unit_box`'s
+        (bit-identical, as every GIR assembly writes them)."""
+        box = Polytope.from_unit_box(self.d)
+        return (
+            self.m >= box.m
+            and np.array_equal(self.A[: box.m], box.A)
+            and np.array_equal(self.b[: box.m], box.b)
+        )
+
+    def cone_rays(self, interior: np.ndarray) -> np.ndarray | None:
+        """Unit-sum extreme rays of the cone this region cuts from the box.
+
+        Applies to the GIR shape only: the unit-box rows first, then rows
+        that are all homogeneous (``b = 0``), so the region is the cone
+        ``{w ≥ 0, A' w ≤ 0}`` cut by ``w ≤ 1``. ``interior`` (the entry's
+        query vector) must lie strictly inside every homogeneous row,
+        ``w ≥ 0`` included; rows with a zero normal constrain nothing and
+        are skipped. The rays are the vertices of the cone's slice
+        ``Σw = 1``: one (d−1)-dimensional half-space intersection, or the
+        closed-form interval for ``d = 2`` (Qhull cannot work in 1-D).
+
+        Returns ``(n_rays, d)``, or ``None`` when the region is not of that
+        shape, the interior point is not strictly inside, or Qhull fails —
+        callers then fall back to an LP.
+        """
+        d = self.d
+        if not self.starts_with_unit_box() or self.b[2 * d :].any():
+            return None
+        cone = np.vstack([-np.eye(d), self.A[2 * d :]])
+        norms = np.linalg.norm(cone, axis=1)
+        cone, norms = cone[norms > 0.0], norms[norms > 0.0]
+        x = np.asarray(interior, dtype=np.float64)
+        x = x / x.sum()
+        if not (cone @ x < -_DEGENERATE_RADIUS * norms).all():
+            return None
+        if d == 1:
+            return np.ones((1, 1))
+        # On the slice, w_d = 1 − Σ_{i<d} w_i: a row a · w ≤ 0 becomes
+        # (a_{<d} − a_d) · x + a_d ≤ 0 over the first d − 1 coordinates.
+        lin = cone[:, :-1] - cone[:, -1:]
+        off = cone[:, -1]
+        if d == 2:
+            coef, rhs = lin[:, 0], -off
+            lo = np.max(rhs[coef < 0.0] / coef[coef < 0.0])
+            hi = np.min(rhs[coef > 0.0] / coef[coef > 0.0])
+            t = np.array([lo, hi])
+            return np.column_stack([t, 1.0 - t])
+        try:
+            hs = HalfspaceIntersection(np.column_stack([lin, off]), x[:-1])
+        except QhullError:
+            return None
+        pts = hs.intersections
+        if not pts.shape[0] or not np.isfinite(pts).all():
+            return None
+        return np.column_stack([pts, 1.0 - pts.sum(axis=1)])
 
     def volume(self) -> float:
         """Euclidean volume; 0 for empty / lower-dimensional regions.
@@ -345,8 +389,13 @@ class Polytope:
         c = np.asarray(c, dtype=np.float64)
         if c.shape != (self.d,):
             raise ValueError(f"objective must have shape ({self.d},)")
+        # HiGHS stops once every reduced cost is under its absolute dual
+        # tolerance (1e-7), so an objective that small (an insert within
+        # ~1e-7 of the k-th record) would stop at its first vertex. Solve
+        # for c scaled to unit size by a power of two — exact both ways.
+        scale = np.ldexp(1.0, int(np.frexp(np.abs(c).max())[1]))
         res = linprog(
-            -c,
+            -c / scale,
             A_ub=self.A,
             b_ub=self.b,
             bounds=[(None, None)] * self.d,
@@ -356,7 +405,7 @@ class Polytope:
             return float("inf")
         if not res.success:
             return float("-inf")
-        return float(-res.fun)
+        return float(-res.fun) * scale
 
     # -- projections ---------------------------------------------------------------------
 

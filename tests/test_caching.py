@@ -552,43 +552,81 @@ class TestGridFlag:
         assert cache.stats()["grid_probes"] == 20
 
 
+def _count_polytope_calls(monkeypatch, calls, names, override=None):
+    """Wrap ``Polytope.<name>`` for each name so ``calls[name]`` counts
+    invocations; ``override(self, real, *args)`` replaces a call's result."""
+    for name in names:
+        real = getattr(Polytope, name)
+
+        def counting(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            if override is not None:
+                return override(self, _real, *args)
+            return _real(self, *args)
+
+        monkeypatch.setattr(Polytope, name, counting)
+
+
 class TestPrescreenMemoization:
     def test_screen_entry_computed_once(self, cached_setup, rng, monkeypatch):
-        """Regression: repeated prescreen_insert must not recompute vertex
-        sets or Chebyshev centres — each entry's screen blob (including the
-        degenerate ball fallback) is materialized exactly once."""
+        """Each entry's cone rays are enumerated exactly once — on the first
+        prescreen, never again — and deciding a non-degenerate cache (the
+        prescreen plus the evictions it decides) never enumerates
+        vertices, solves a Chebyshev LP or runs the invalidation LP."""
+        from repro.core.caching import apply_insert_invalidation
+
         data, tree = cached_setup
         cache = GIRCache()
-        girs = [compute_gir(tree, data, random_query(rng, 3), 5) for _ in range(4)]
-        for g in girs:
-            cache.insert(g)
+        for _ in range(6):
+            gir = compute_gir(tree, data, random_query(rng, 3), 5)
+            cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
         entries = len(cache)
-        # Force one entry down the Chebyshev-ball fallback path.
-        fallback = cache.entry(cache.entry_keys()[0]).polytope
-        monkeypatch.setattr(
-            type(fallback), "vertices_exact", property(lambda self: False)
-        )
-        calls = {"vertices": 0, "chebyshev": 0}
-        real_vertices = Polytope.vertices
-        real_chebyshev = Polytope.chebyshev_center
-
-        def counting_vertices(self):
-            calls["vertices"] += 1
-            return real_vertices(self)
-
-        def counting_chebyshev(self):
-            calls["chebyshev"] += 1
-            return real_chebyshev(self)
-
-        monkeypatch.setattr(Polytope, "vertices", counting_vertices)
-        monkeypatch.setattr(Polytope, "chebyshev_center", counting_chebyshev)
-        point = rng.random(3)
-        first = cache.prescreen_insert(point)
-        assert calls["vertices"] <= entries
-        assert calls["chebyshev"] <= entries
-        baseline = dict(calls)
+        names = ("cone_rays", "vertices", "chebyshev_center", "maximize")
+        calls = dict.fromkeys(names, 0)
+        _count_polytope_calls(monkeypatch, calls, names)
+        first = cache.prescreen_insert(rng.random(3))
+        assert calls["cone_rays"] == entries
         for _ in range(5):
-            again = cache.prescreen_insert(rng.random(3))
-            assert again.screened >= 0
-        assert calls == baseline
-        assert first.screened + len(first.ties) + len(first.candidates) == entries
+            cache.prescreen_insert(rng.random(3))
+        assert calls["cone_rays"] == entries
+        # screened already includes the ties and the decided evictions.
+        assert first.screened + len(first.candidates) == entries
+        assert first.screened == (
+            len(first.safe) + len(first.ties) + len(first.evict)
+        )
+        high = np.full(3, 0.99)
+        evicted, screened, lps = apply_insert_invalidation(
+            cache,
+            high,
+            new_sum=float(high.sum()),
+            new_rid=data.n,
+            kth_point=lambda rid: data.points[rid],
+            kth_g=lambda rid: data.points[rid],
+        )
+        assert evicted > 0 and lps == 0 and screened == entries
+        assert calls["cone_rays"] == entries
+        assert calls["vertices"] == calls["chebyshev_center"] == 0
+        assert calls["maximize"] == 0
+
+    def test_rayless_entry_memoized_as_lp(self, cached_setup, rng, monkeypatch):
+        """An entry whose ray enumeration fails is remembered as such (no
+        retry on later prescreens) and is always left to the LP."""
+        data, tree = cached_setup
+        cache = GIRCache()
+        for _ in range(4):
+            gir = compute_gir(tree, data, random_query(rng, 3), 5)
+            cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
+        failing = cache.entry(cache.entry_keys()[0]).polytope
+        calls = {"cone_rays": 0}
+        _count_polytope_calls(
+            monkeypatch,
+            calls,
+            ["cone_rays"],
+            override=lambda self, real, *args: (
+                None if self is failing else real(self, *args)
+            ),
+        )
+        for _ in range(4):
+            pre = cache.prescreen_insert(rng.random(3))
+            assert cache.entry_keys()[0] in pre.candidates
+        assert calls["cone_rays"] == len(cache)

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.caching import GIRCache, invalidated_by_insert
 from repro.core.gir import compute_gir
 from repro.core.region_index import (
     GridSignature,
     RegionIndex,
+    SCREEN_EVICT,
     SCREEN_LP,
     SCREEN_SAFE,
     SCREEN_TIE,
 )
+from repro.core.tolerances import MEMBERSHIP_TOL
 from repro.data.synthetic import independent
 from repro.geometry.polytope import Polytope
 from repro.index.bulkload import bulk_load_str
@@ -102,68 +106,92 @@ class TestMembership:
             index.membership_batch(np.zeros((4, 2)))
 
 
+def add_gir(index: RegionIndex, key: int, gir, data) -> None:
+    """Index a computed GIR the way ``GIRCache`` does: its k-th record's
+    g-image and its query vector as the rays' interior point."""
+    index.add(
+        key, gir.polytope, kth_g=data.points[gir.topk.kth_id], interior=gir.weights
+    )
+
+
+def assert_decided_verdicts_match_lp(codes, entries, p) -> tuple[int, int]:
+    """Every SAFE / EVICT verdict equals the invalidation LP's; TIE means
+    a bit-identical g-image. ``entries`` is ``[(gir, kth_g)]`` aligned with
+    ``codes``. Returns the (safe, evict) counts."""
+    safe = evict = 0
+    for code, (gir, kth_g) in zip(codes, entries):
+        if code == SCREEN_SAFE:
+            safe += 1
+            assert not invalidated_by_insert(gir, p, kth_g)
+        elif code == SCREEN_EVICT:
+            evict += 1
+            assert invalidated_by_insert(gir, p, kth_g)
+        elif code == SCREEN_TIE:
+            assert (p == kth_g).all()
+    return safe, evict
+
+
 class TestPrescreen:
     def test_safe_entries_agree_with_lp(self, indexed_setup, rng):
-        """Every SAFE verdict must be confirmed by the exact LP test —
-        the screen may be loose, never wrong."""
+        """Every SAFE and EVICT verdict must be confirmed by the exact LP
+        test — the screen decides, it never guesses."""
         data, tree = indexed_setup
         index = RegionIndex(3)
-        girs = {}
+        entries = []
         for key in range(12):
             gir = compute_gir(tree, data, random_query(rng, 3), 8)
-            girs[key] = gir
-            index.add(key, gir.polytope, kth_g=data.points[gir.topk.kth_id])
-        checked_safe = 0
+            add_gir(index, key, gir, data)
+            entries.append((gir, data.points[gir.topk.kth_id]))
+        checked_safe = checked_evict = 0
         for _ in range(60):
             p = rng.random(3)
-            codes = index.prescreen_insert(p)
-            for key, code in zip(index.keys(), codes):
-                gir = girs[key]
-                kth_g = data.points[gir.topk.kth_id]
-                if code == SCREEN_SAFE:
-                    checked_safe += 1
-                    assert not invalidated_by_insert(gir, p, kth_g)
-                elif code == SCREEN_TIE:
-                    assert (p == kth_g).all()
-        assert checked_safe > 0  # the screen actually fires
+            safe, evict = assert_decided_verdicts_match_lp(
+                index.prescreen_insert(p), entries, p
+            )
+            checked_safe += safe
+            checked_evict += evict
+        assert checked_safe > 0 and checked_evict > 0  # both decisions fire
 
     def test_tie_detected_exactly(self, indexed_setup, rng):
         data, tree = indexed_setup
         gir = compute_gir(tree, data, random_query(rng, 3), 8)
         index = RegionIndex(3)
-        index.add(0, gir.polytope, kth_g=data.points[gir.topk.kth_id])
+        add_gir(index, 0, gir, data)
         codes = index.prescreen_insert(data.points[gir.topk.kth_id])
         assert codes[0] == SCREEN_TIE
 
     def test_dominating_insert_not_screened(self, indexed_setup, rng):
-        """A record strictly dominating the k-th result must survive the
-        screen (and the LP must then invalidate the entry)."""
+        """A record strictly dominating the k-th result is never SAFE: the
+        rays decide the eviction, and the LP agrees."""
         data, tree = indexed_setup
         gir = compute_gir(tree, data, random_query(rng, 3), 8)
         kth_g = data.points[gir.topk.kth_id]
         index = RegionIndex(3)
-        index.add(0, gir.polytope, kth_g=kth_g)
+        add_gir(index, 0, gir, data)
         above = np.clip(kth_g + 0.05, 0, 1)
         codes = index.prescreen_insert(above)
-        assert codes[0] == SCREEN_LP
+        assert codes[0] == SCREEN_EVICT
         assert invalidated_by_insert(gir, above, kth_g)
 
     def test_entries_without_kth_g_always_lp(self, rng):
         index = RegionIndex(3)
         index.add(0, random_region(rng, 3))
+        index.add(1, random_region(rng, 3), kth_g=np.zeros(3))  # no interior
         codes = index.prescreen_insert(rng.random(3))
-        assert codes[0] == SCREEN_LP
+        assert (codes == SCREEN_LP).all()
 
     def test_degenerate_region_falls_back_without_false_safe(self, rng):
-        """An entry whose region has no usable vertex set (empty interior)
-        must classify via the ball fallback / LP, never silently SAFE
-        against a dominating insert."""
+        """An entry whose region has no interior (so no interior point for
+        the ray enumeration) must go to the LP, never silently SAFE against
+        a dominating insert."""
         # x1 <= 0 and x1 >= 0 inside the box: a 2-d face, no interior.
         flat = Polytope.from_unit_box(3).with_constraints(
             np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         )
         index = RegionIndex(3)
-        index.add(0, flat, kth_g=np.array([0.2, 0.2, 0.2]))
+        index.add(
+            0, flat, kth_g=np.array([0.2, 0.2, 0.2]), interior=np.array([0.0, 0.5, 0.5])
+        )
         codes = index.prescreen_insert(np.array([0.9, 0.9, 0.9]))
         assert codes[0] == SCREEN_LP
 
@@ -174,22 +202,197 @@ class TestPrescreen:
         for key in range(6):
             gir = compute_gir(tree, data, random_query(rng, 3), 6)
             girs[key] = gir
-            index.add(key, gir.polytope, kth_g=data.points[gir.topk.kth_id])
+            add_gir(index, key, gir, data)
         index.prescreen_insert(rng.random(3))  # materialize
         index.remove(2)
         del girs[2]
         gir = compute_gir(tree, data, random_query(rng, 3), 6)
         girs[99] = gir
-        index.add(99, gir.polytope, kth_g=data.points[gir.topk.kth_id])
+        add_gir(index, 99, gir, data)
         p = rng.random(3)
         codes = index.prescreen_insert(p)
         assert len(codes) == len(index.keys())
-        for key, code in zip(index.keys(), codes):
-            if code == SCREEN_SAFE:
-                g = girs[key]
-                assert not invalidated_by_insert(
-                    g, p, data.points[g.topk.kth_id]
+        assert_decided_verdicts_match_lp(
+            codes,
+            [(girs[k], data.points[girs[k].topk.kth_id]) for k in index.keys()],
+            p,
+        )
+
+
+def _cache_entries(cache: GIRCache, g_of) -> list:
+    """``[(gir, kth_g)]`` of a cache's one region index, in index order."""
+    (index,) = cache._indexes.values()
+    return [
+        (gir, g_of(gir.topk.kth_id))
+        for gir in (cache.entry(key) for key in index.keys())
+    ]
+
+
+def _assert_cache_screen_matches_lp(cache: GIRCache, g_of, inserts) -> None:
+    """Screen a live cache against each insert (nothing is evicted) and
+    check every decided verdict against the LP; both must fire."""
+    (index,) = cache._indexes.values()
+    entries = _cache_entries(cache, g_of)
+    assert len(entries) >= 8
+    safe = evict = 0
+    for p in inserts:
+        s, e = assert_decided_verdicts_match_lp(
+            index.prescreen_insert(p), entries, p
+        )
+        safe, evict = safe + s, evict + e
+    assert safe > 0 and evict > 0
+
+
+class TestScreenDifferential:
+    """SAFE / EVICT verdicts equal the invalidation LP's on the regions
+    the serving engines actually cache, for high and uniform inserts."""
+
+    @staticmethod
+    def _inserts(rng, d, count=10):
+        high = 0.75 + 0.25 * rng.random((count, d))
+        return list(high) + list(rng.random((count, d)))
+
+    def test_engine_cache_matches_lp(self, rng):
+        from repro.engine import GIREngine
+
+        data = independent(2000, 3, seed=31)
+        engine = GIREngine(data, cache_capacity=32)
+        for _ in range(24):
+            engine.topk(random_query(rng, 3), 10)
+        _assert_cache_screen_matches_lp(
+            engine.cache, lambda rid: engine.points_g[rid], self._inserts(rng, 3)
+        )
+
+    def test_sharded_caches_match_lp(self, rng):
+        from repro.cluster import ShardedGIREngine
+
+        data = independent(2000, 3, seed=32)
+        with ShardedGIREngine(data, shards=2, cluster_cache_capacity=32) as engine:
+            for _ in range(24):
+                engine.topk(random_query(rng, 3), 10)
+            inserts = self._inserts(rng, 3)
+            _assert_cache_screen_matches_lp(engine.cache, engine._g_of, inserts)
+            for backend in engine.backends:
+                shard = backend.engine
+                _assert_cache_screen_matches_lp(
+                    shard.cache, lambda rid, s=shard: s.points_g[rid], inserts
                 )
+
+
+class TestScreenBand:
+    """Pins SCREEN_SAFETY and the bracket arithmetic ``[s, d·m]`` on cones
+    whose rays are known in closed form: the triangle-inequality cone in
+    d = 3 (rays ``(1, 1, 0) / 2`` and permutations, ``max(r) = 1/2``) and
+    the d = 2 cone ``w0 ≤ 3 w1, w1 ≤ 3 w0`` (rays ``(1, 3) / 4``,
+    ``(3, 1) / 4``, ``max(r) = 3/4``). Along ``δ = c · 1`` every ray has
+    ``δ · r = c``, so ``m = c`` and ``s = c / max(r)``."""
+
+    CASES = {
+        3: (
+            np.array([[1.0, -1, -1], [-1, 1, -1], [-1, -1, 1]]),
+            np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+        ),
+        2: (
+            np.array([[1.0, -3.0], [-3.0, 1.0]]),
+            np.array([[0.25, 0.75], [0.75, 0.25]]),
+        ),
+    }
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_band_edges(self, d):
+        from repro.core.tolerances import MEMBERSHIP_TOL as tol, SCREEN_SAFETY as safety
+
+        rows, rays = self.CASES[d]
+        cone = Polytope(
+            np.vstack([Polytope.from_unit_box(d).A, rows]),
+            np.concatenate([Polytope.from_unit_box(d).b, np.zeros(len(rows))]),
+        )
+        interior = np.full(d, 0.5)
+        got = cone.cone_rays(interior)
+        assert got is not None
+        assert {tuple(r) for r in np.round(got, 12)} == {tuple(r) for r in rays}
+        rmax = rays.max()
+        index = RegionIndex(d)
+        index.add(0, cone, kth_g=np.zeros(d), interior=interior)
+
+        def verdict_at(c):
+            return int(index.prescreen_insert(np.full(d, c))[0])
+
+        nudge = 1e-3 * safety  # far above rounding, far below the band
+        # Upper edge d·m = tol − safety: inside is SAFE, just past it LP.
+        assert verdict_at((tol - safety - nudge) / d) == SCREEN_SAFE
+        assert verdict_at((tol - safety + nudge) / d) == SCREEN_LP
+        assert verdict_at((tol - safety / 2) / d) == SCREEN_LP
+        # Lower edge s = tol + safety: just short of it LP, past it EVICT.
+        assert verdict_at((tol + safety - nudge) * rmax) == SCREEN_LP
+        assert verdict_at((tol + safety + nudge) * rmax) == SCREEN_EVICT
+        assert verdict_at((tol + 2 * safety) * rmax) == SCREEN_EVICT
+
+
+#: Cone shapes for the screen property: ``degenerate`` kinds must make
+#: ``cone_rays`` give up (the entry is LP); the rest must screen soundly.
+_DEGENERATE_KINDS = ("zero_weight", "tie_at_query", "flat", "inhomogeneous")
+_CONE_KINDS = ("plain", "duplicate_points") + _DEGENERATE_KINDS
+
+
+@st.composite
+def screened_cone(draw):
+    """A GIR-shaped region (box rows + cone rows through the origin), its
+    query vector, a k-th record and inserts around it, in d = 2..5."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    d = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(_CONE_KINDS))
+    w = rng.random(d) * 0.8 + 0.1
+    if kind == "zero_weight":
+        w[rng.integers(d)] = 0.0  # the query vector sits on a box facet
+    normals = rng.normal(size=(int(rng.integers(1, 2 * d + 1)), d))
+    normals *= np.where(normals @ w < 0.0, -1.0, 1.0)[:, None]  # w inside
+    if kind == "tie_at_query":
+        # Two records scoring the same at w: their row passes through it.
+        normals[0] -= (normals[0] @ w) / (w @ w) * w
+    elif kind == "duplicate_points":
+        normals = np.vstack([normals, np.zeros(d)])  # constrains nothing
+    elif kind == "flat":
+        normals = np.vstack([normals, -normals[0]])
+    region = Polytope.from_unit_box(d).with_constraints(normals)
+    if kind == "inhomogeneous":
+        cap = np.zeros((1, d))
+        cap[0, 0] = 1.0
+        region = Polytope(np.vstack([region.A, cap]), np.append(region.b, 0.95))
+    kth = rng.random(d)
+    inserts = [rng.random(d), 0.8 + 0.2 * rng.random(d), kth.copy()]
+    inserts += [kth + rng.normal(0.0, scale, d) for scale in (1e-3, 1e-6, 1e-9)]
+    return kind, region, w, kth, inserts
+
+
+class TestScreenProperty:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(screened_cone())
+    def test_screen_never_decides_wrongly(self, case):
+        """On plain and degenerate cones the screen never returns a wrong
+        SAFE or EVICT; where the rays cannot be enumerated soundly (query
+        vector on a facet, a score tie at it, a flat region, a row that is
+        not a cone's) the entry is always LP."""
+        kind, region, w, kth, inserts = case
+        degenerate = kind in _DEGENERATE_KINDS
+        if degenerate:
+            assert region.cone_rays(w) is None
+        index = RegionIndex(region.d)
+        index.add(0, region, kth_g=kth, interior=w)
+        for p in inserts:
+            code = index.prescreen_insert(p)[0]
+            delta = p - kth
+            if degenerate:
+                assert code == SCREEN_LP
+            elif code == SCREEN_TIE:
+                assert not delta.any()
+            elif code in (SCREEN_SAFE, SCREEN_EVICT):
+                lp = (delta > 0.0).any() and region.maximize(delta) > MEMBERSHIP_TOL
+                assert lp == (code == SCREEN_EVICT)
 
 
 class TestCachePrescreenIntegration:
@@ -199,10 +402,12 @@ class TestCachePrescreenIntegration:
         for _ in range(8):
             gir = compute_gir(tree, data, random_query(rng, 3), 8)
             cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
-        pre = cache.prescreen_insert(rng.random(3))
-        combined = sorted(pre.safe + pre.ties + pre.candidates)
-        assert combined == sorted(cache.entry_keys())
-        assert pre.screened == len(pre.safe) + len(pre.ties)
+        for p in (rng.random(3), np.full(3, 0.95)):
+            pre = cache.prescreen_insert(p)
+            combined = sorted(pre.safe + pre.ties + pre.evict + pre.candidates)
+            assert combined == sorted(cache.entry_keys())
+            assert pre.screened == len(pre.safe) + len(pre.ties) + len(pre.evict)
+        assert pre.evict  # the high insert is decided without an LP
 
     def test_entries_inserted_without_kth_g_are_candidates(
         self, indexed_setup, rng
