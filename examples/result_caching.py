@@ -6,9 +6,9 @@ cached GIR is served instantly — no index access at all. Users with
 similar preferences thus share work.
 
 The modern path is :class:`repro.GIREngine`: it owns the tree, dataset,
-scorer and GIR cache, answers every request cache-first (partial hits are
-*completed* by resuming computation, never returned half-done) and
-accounts latency and I/O per request. For comparison, the second half of
+scorer and GIR cache, answers every request cache-first (a request for
+more records than the containing entry holds is a miss, computed afresh)
+and accounts latency and I/O per request. For comparison, the second half of
 this example replays the same workload through the original manual
 cache-then-compute loop.
 
@@ -51,8 +51,8 @@ def main(n: int = 30_000, workload_len: int = 400) -> None:
     print(f"verified {checked} served answers against a full scan — all exact")
     print()
 
-    # A user of a cached entry asks for MORE results: the engine completes
-    # the answer by resuming computation (no half-done prefixes).
+    # A user of a cached entry asks for MORE results: the cached prefix
+    # cannot serve it, so the engine computes the deeper answer afresh.
     deep = engine.topk(workload.requests[0].weights, 25)
     print(f"k=25 request after k={k} traffic: source={deep.source!r}, "
           f"{len(deep.ids)} records, {deep.pages_read} pages read")
@@ -82,7 +82,7 @@ def main(n: int = 30_000, workload_len: int = 400) -> None:
     io_pages_spent = 0
     for req in workload:
         hit = cache.lookup(req.weights, k)
-        if hit is not None and not hit.partial:
+        if hit is not None:
             served_from_cache += 1
             continue
         tree2.store.reset_meter()

@@ -147,7 +147,6 @@ class ShardSpec:
     method: str
     cache_capacity: int
     cache_policy: str
-    retain_runs: bool
     invalidation: str
     page_sleep_ms: float
     scorer: "ScoringFunction"
@@ -173,7 +172,7 @@ class ShardReply:
     points_g: npt.NDArray[np.float64]
     #: The region the shard served this exact ordered list under.
     region: "Polytope"
-    #: ``"cache"`` / ``"completed"`` / ``"computed"``.
+    #: ``"cache"`` / ``"computed"``.
     source: str
     #: Metered page reads charged for this answer.
     pages_read: int
@@ -272,7 +271,6 @@ def build_shard_engine(spec: ShardSpec) -> GIREngine:
         scorer=spec.scorer,
         cache_capacity=spec.cache_capacity,
         cache_policy=spec.cache_policy,
-        retain_runs=spec.retain_runs,
         invalidation=spec.invalidation,
     )
 
@@ -332,7 +330,6 @@ def engine_shard_stats(engine: GIREngine) -> dict[str, Any]:
         "page_reads": engine.tree.store.stats.page_reads,
         "cache_entries": len(cache),
         "cache_full_hits": cache.full_hits,
-        "cache_partial_hits": cache.partial_hits,
         "cache_misses": cache.misses,
         "updates_applied": engine.updates_applied,
         "update_evictions": engine.update_evictions,

@@ -4,7 +4,7 @@ Python threads cannot overlap the CPU-bound parts of GIR serving (phase-2
 half-space computation, merge preparation, LP-based invalidation all hold
 the GIL); a worker *process* can. Each backend forks/spawns one worker
 that owns the full shard engine — R*-tree, page store, point table,
-GIRCache, retained BRS runs — for the cluster's lifetime, so every cached
+GIRCache — for the cluster's lifetime, so every cached
 region and warm structure survives across requests exactly as in-process
 shards do. Router and worker speak the versioned frame format of
 :mod:`repro.cluster.wire` over a ``multiprocessing`` pipe:

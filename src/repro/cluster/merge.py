@@ -79,7 +79,7 @@ class ShardAnswer:
     points_g: np.ndarray
     #: The region the shard served this exact list under.
     region: Polytope
-    #: Provenance of the shard response (``cache``/``completed``/``computed``).
+    #: Provenance of the shard response (``cache``/``computed``).
     source: str
     #: Metered page reads the shard charged for this answer.
     pages_read: int
@@ -96,8 +96,7 @@ class MergedAnswer:
     #: (``_hs_row_offset`` marks where they start among the rows).
     gir: GIRResult
     #: Cluster-level provenance: ``"cache"`` when every shard answered
-    #: from its cache (no pipeline ran anywhere), ``"computed"`` when any
-    #: shard ran a fresh pipeline, else ``"completed"``.
+    #: from its cache (no pipeline ran anywhere), else ``"computed"``.
     source: str
     #: Total metered page reads across the shards.
     pages_read: int
@@ -136,12 +135,7 @@ def _stack_regions(regions: list[Polytope]) -> Polytope:
 
 
 def _merged_source(answers: list[ShardAnswer]) -> str:
-    sources = {a.source for a in answers}
-    if sources == {"cache"}:
-        return "cache"
-    if "computed" in sources:
-        return "computed"
-    return "completed"
+    return "cache" if all(a.source == "cache" for a in answers) else "computed"
 
 
 def merge_shard_answers(

@@ -28,9 +28,8 @@ serves the *global* top-k on top:
   cross-shard merge-order half-spaces;
 * **a cluster-level GIR cache** holds those merged regions, so repeat
   traffic in a hot region is served with *zero* fan-out and zero page
-  reads. The cluster tier cannot resume a merged answer to a deeper
-  ``k`` (there is no retained search state to continue), so its lookups
-  are full-only: deeper requests simply fan out;
+  reads. As at a shard, a request deeper than every containing entry's
+  ``k`` is a miss and fans out;
 * **writes route** to the single owning shard (the partitioner decides),
   reuse the shard's selective ``invalidated_by_insert`` /
   ``invalidated_by_delete`` machinery unchanged, and apply the same
@@ -149,7 +148,7 @@ class ShardedGIREngine:
         Real per-page read latency of each shard's simulated store
         (see :class:`~repro.index.storage.PageStore`); ``0`` keeps page
         reads accounting-only.
-    method / scorer / retain_runs / invalidation:
+    method / scorer / invalidation:
         Forwarded to every shard engine (one shared scorer instance keeps
         g-space identical across shards; the process backend pickles it
         into each worker).
@@ -168,7 +167,6 @@ class ShardedGIREngine:
         cache_capacity: int = 128,
         cache_policy: str = "lru",
         cluster_cache_capacity: int = 256,
-        retain_runs: bool = True,
         invalidation: str = "gir",
         page_sleep_ms: float = 0.0,
     ) -> None:
@@ -237,7 +235,6 @@ class ShardedGIREngine:
                     method=method,
                     cache_capacity=cache_capacity,
                     cache_policy=cache_policy,
-                    retain_runs=retain_runs,
                     invalidation=invalidation,
                     page_sleep_ms=page_sleep_ms,
                     scorer=self.scorer,
@@ -394,7 +391,7 @@ class ShardedGIREngine:
             ks = [validate_k(r.k, n_live) for r in reqs]
             t_lookup = time.perf_counter()
             hits = (
-                self.cache.lookup_batch(W, ks, full_only=True)
+                self.cache.lookup_batch(W, ks)
                 if self.cache is not None
                 else [None] * len(reqs)
             )
@@ -636,7 +633,6 @@ class ShardedGIREngine:
             elif self.invalidation == "flush":
                 evicted = self.cache.flush()
             else:
-                # No tset_of: merged entries retain no search runs.
                 evicted = apply_delete_invalidation(self.cache, rid)
             return self._finish_update(
                 "delete",
@@ -720,7 +716,6 @@ class ShardedGIREngine:
         "latency_ms_total",
         "page_reads",
         "cache_full_hits",
-        "cache_partial_hits",
         "cache_misses",
         "updates_applied",
         "update_evictions",

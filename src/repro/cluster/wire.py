@@ -359,7 +359,6 @@ def encode_build(spec: "ShardSpec") -> bytes:
             "method": spec.method,
             "cache_capacity": spec.cache_capacity,
             "cache_policy": spec.cache_policy,
-            "retain_runs": spec.retain_runs,
             "invalidation": spec.invalidation,
             "page_sleep_ms": spec.page_sleep_ms,
         },
@@ -391,7 +390,6 @@ def decode_build(reader: Reader) -> "ShardSpec":
         method=str(config["method"]),
         cache_capacity=int(config["cache_capacity"]),
         cache_policy=str(config.get("cache_policy", "lru")),
-        retain_runs=bool(config["retain_runs"]),
         invalidation=str(config["invalidation"]),
         page_sleep_ms=float(config["page_sleep_ms"]),
         scorer=scorer,

@@ -7,15 +7,14 @@ touching the database:
 * same or smaller ``k`` — inside the (order-sensitive) GIR the whole
   ordered list is immutable, so the first ``k'`` cached records are the
   exact answer;
-* larger ``k`` — the cached records are still the correct highest-scoring
-  prefix, which the cache returns immediately flagged *partial* (the paper
-  cites progressive reporting [31] for this case), leaving the caller to
-  compute the remaining records. :class:`repro.engine.GIREngine` does
-  exactly that: it resumes the compute pipeline and serves a complete
-  answer instead of handing the prefix back to the user.
+* larger ``k`` — a **miss**. The cached records are still the correct
+  highest-scoring prefix (the paper cites progressive reporting [31] for
+  this case), but completing it would mean keeping every entry's search
+  state alive; the caller runs a fresh search instead, whose GIR then
+  serves the deeper ``k`` itself.
 
 Hit accounting is non-overlapping: every lookup is exactly one of
-``full_hits``, ``partial_hits`` or ``misses``.
+``full_hits`` or ``misses``.
 
 Vectorized membership
 ---------------------
@@ -46,10 +45,8 @@ that decides *which* cached entries an update can disturb:
   eviction, or — only where ray enumeration failed or the bracket is too
   loose — left to the LP;
 * a **delete** invalidates E only if the deleted rid appears in E's
-  result, or in the T-set of E's retained BRS run (whose resumed state
-  would otherwise replay the dead record) —
-  :func:`invalidated_by_delete`. Deleting any other record leaves the
-  cached ordered top-k valid everywhere in the region.
+  result — :func:`invalidated_by_delete`. Deleting any other record
+  leaves the cached ordered top-k valid everywhere in the region.
 
 The eviction mechanics live on :meth:`GIRCache.evict` /
 :meth:`GIRCache.flush`; the *policy* (selective GIR test vs flush-on-write
@@ -105,22 +102,16 @@ def invalidated_by_insert(
     return gir.admits_above_kth(point_g, kth_g, tol=tol, tie_wins=tie_wins)
 
 
-def invalidated_by_delete(
-    gir: GIRResult, rid: int, tset_ids: Iterable[int] | None = None
-) -> bool:
+def invalidated_by_delete(gir: GIRResult, rid: int) -> bool:
     """Does deleting record ``rid`` disturb ``gir``?
 
     True iff ``rid`` is one of the entry's result records (the cached
-    answer itself loses a member), or appears in the T-set of the entry's
-    retained BRS run (``tset_ids``; resuming that run would replay the
-    dead record). Deleting a record outside both sets cannot change the
-    cached ordered top-k anywhere in the region: removing a non-member
-    never alters a top-k answer, so the region merely becomes a valid
-    under-approximation of the new (larger) GIR.
+    answer itself loses a member). Deleting any other record cannot
+    change the cached ordered top-k anywhere in the region: removing a
+    non-member never alters a top-k answer, so the region merely becomes
+    a valid under-approximation of the new (larger) GIR.
     """
-    if rid in gir.topk.ids:
-        return True
-    return tset_ids is not None and rid in tset_ids
+    return rid in gir.topk.ids
 
 
 def apply_insert_invalidation(
@@ -176,25 +167,13 @@ def apply_insert_invalidation(
     return cache.evict(stale), prescreen.screened, lps
 
 
-def apply_delete_invalidation(
-    cache: "GIRCache", rid: int, tset_of=None
-) -> int:
+def apply_delete_invalidation(cache: "GIRCache", rid: int) -> int:
     """Run the selective delete-invalidation policy over a whole cache.
 
     Evicts every entry :func:`invalidated_by_delete` flags — the rid is
-    in the entry's cached result, or in the T-set of its retained search
-    run — and returns the eviction count. ``tset_of`` is an optional
-    ``entry key -> iterable of rids`` accessor for retained-run T-sets;
-    leave it ``None`` for tiers that retain no runs (the cluster-level
-    cache of merged answers).
+    in the entry's cached result — and returns the eviction count.
     """
-    stale = [
-        key
-        for key, gir in cache.items()
-        if invalidated_by_delete(
-            gir, rid, tset_ids=tset_of(key) if tset_of is not None else None
-        )
-    ]
+    stale = [key for key, gir in cache.items() if invalidated_by_delete(gir, rid)]
     return cache.evict(stale)
 
 
@@ -203,9 +182,6 @@ class CacheHit:
     """Outcome of a successful cache lookup."""
 
     ids: tuple[int, ...]
-    #: True when the request asked for more records than were cached; the
-    #: ids are then the correct leading prefix of the answer.
-    partial: bool
     #: Key of the cached entry that served the hit.
     entry_key: int
 
@@ -287,7 +263,6 @@ class GIRCache:
         self._gain_total = 0.0
         self._priority: dict[int, float] = {}
         self.full_hits = 0
-        self.partial_hits = 0
         self.misses = 0
         self.subsumption_evictions = 0
         #: Inserts skipped because an existing same-``k`` entry's region
@@ -307,11 +282,6 @@ class GIRCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hits(self) -> int:
-        """Total lookups served from cache (full + partial)."""
-        return self.full_hits + self.partial_hits
 
     # -- internal bookkeeping --------------------------------------------------
 
@@ -493,27 +463,19 @@ class GIRCache:
     # -- lookups --------------------------------------------------------------
 
     @sanitize.mutates  # a hit touches recency; every path bumps counters
-    def lookup(
-        self, weights: np.ndarray, k: int, full_only: bool = False
-    ) -> CacheHit | None:
-        """Serve a query from cache if its vector lies in some cached GIR.
+    def lookup(self, weights: np.ndarray, k: int) -> CacheHit | None:
+        """Serve a query from cache if its vector lies in some cached GIR
+        whose entry was cached for ``k`` or more records.
 
         Membership of *all* entries is evaluated in one vectorized pass
-        over the region index; a hit refreshes the entry's recency. A
-        containing entry cached for a smaller ``k`` only serves a
-        *partial* prefix, so a full-serving entry is preferred when any
-        containing entry has ``cached k ≥ k``; among equally good
-        candidates the most recently used wins (exactly the order the
-        entry-by-entry scan of :meth:`lookup_scan` produces). Returns
-        ``None`` on a miss.
-
-        ``full_only`` makes a lookup that no entry can serve *in full*
-        count as a miss (no partial hit, no recency touch) — the mode of
-        callers that cannot complete a prefix, such as the sharded
-        cluster tier, whose merged entries have no resumable search state.
+        over the region index; a hit refreshes the entry's recency. Among
+        the serving candidates the most recently used wins (exactly the
+        order the entry-by-entry scan of :meth:`lookup_scan` produces).
+        Returns ``None`` on a miss — including a vector only a
+        smaller-``k`` entry contains, which is not touched.
         """
         weights = np.asarray(weights, dtype=np.float64)
-        return self._resolve(self._members_of(weights), k, full_only=full_only)
+        return self._resolve(self._members_of(weights), k)
 
     @sanitize.mutates
     def lookup_scan(self, weights: np.ndarray, k: int) -> CacheHit | None:
@@ -525,8 +487,6 @@ class GIRCache:
         accounting are identical to :meth:`lookup`.
         """
         weights = np.asarray(weights, dtype=np.float64)
-        partial_key = None
-        partial_ids: tuple[int, ...] = ()
         # OrderedDict supports reversed iteration natively; no key-list
         # materialisation. The in-loop _touch is safe because the scan
         # returns immediately after it.
@@ -534,19 +494,11 @@ class GIRCache:
             gir = self._entries[key]
             if gir.weights.shape != weights.shape:
                 continue
-            if not gir.contains(weights):
+            if len(gir.topk.ids) < k or not gir.contains(weights):
                 continue
-            cached_ids = gir.topk.ids
-            if k <= len(cached_ids):
-                self._touch(key)
-                self.full_hits += 1
-                return CacheHit(ids=cached_ids[:k], partial=False, entry_key=key)
-            if partial_key is None or len(cached_ids) > len(partial_ids):
-                partial_key, partial_ids = key, cached_ids
-        if partial_key is not None:
-            self._touch(partial_key)
-            self.partial_hits += 1
-            return CacheHit(ids=partial_ids, partial=True, entry_key=partial_key)
+            self._touch(key)
+            self.full_hits += 1
+            return CacheHit(ids=gir.topk.ids[:k], entry_key=key)
         self.misses += 1
         return None
 
@@ -556,7 +508,6 @@ class GIRCache:
         weights_batch: np.ndarray,
         ks: int | Sequence[int],
         stop_after_non_full: bool = False,
-        full_only: bool = False,
     ) -> list[CacheHit | None]:
         """Serve a whole batch of lookups from one membership matmul.
 
@@ -567,14 +518,10 @@ class GIRCache:
         throughout).
 
         With ``stop_after_non_full`` the batch stops — *after* accounting
-        it — at the first lookup that is not a full hit, returning a
-        possibly shorter list. The serving engine uses this to interleave
-        pipeline computations (which mutate the cache) at exactly the
-        positions a sequential run would.
-
-        ``full_only`` is forwarded to the per-query resolution (see
-        :meth:`lookup`): queries only a smaller-``k`` entry contains count
-        as misses instead of partial hits.
+        it — at the first miss, returning a possibly shorter list. The
+        serving engine uses this to interleave pipeline computations
+        (which mutate the cache) at exactly the positions a sequential run
+        would.
         """
         W = np.asarray(weights_batch, dtype=np.float64)
         if W.ndim != 2:
@@ -594,9 +541,9 @@ class GIRCache:
                 if membership is not None
                 else []
             )
-            hit = self._resolve(members, int(ks_arr[i]), full_only=full_only)
+            hit = self._resolve(members, int(ks_arr[i]))
             hits.append(hit)
-            if stop_after_non_full and (hit is None or hit.partial):
+            if stop_after_non_full and hit is None:
                 break
         return hits
 
@@ -609,40 +556,18 @@ class GIRCache:
         keys = index.keys()
         return [keys[i] for i in np.nonzero(mask)[0]]
 
-    def _resolve(
-        self, member_keys: Sequence[int], k: int, full_only: bool = False
-    ) -> CacheHit | None:
+    def _resolve(self, member_keys: Sequence[int], k: int) -> CacheHit | None:
         """Pick the serving entry among containing entries and account the
-        outcome — the selection rule shared by every lookup flavour.
-        ``full_only`` suppresses partial hits (counted as misses)."""
-        best_full: tuple[int, int] | None = None  # (stamp, key)
-        best_partial: tuple[int, int, int] | None = None  # (cached, stamp, key)
-        for key in member_keys:
-            cached = len(self._entries[key].topk.ids)
-            stamp = self._stamps[key]
-            if cached >= k:
-                if best_full is None or stamp > best_full[0]:
-                    best_full = (stamp, key)
-            elif full_only:
-                continue
-            elif best_partial is None or (cached, stamp) > best_partial[:2]:
-                best_partial = (cached, stamp, key)
-        if best_full is not None:
-            key = best_full[1]
-            self._touch(key)
-            self.full_hits += 1
-            return CacheHit(
-                ids=self._entries[key].topk.ids[:k], partial=False, entry_key=key
-            )
-        if best_partial is not None:
-            key = best_partial[2]
-            self._touch(key)
-            self.partial_hits += 1
-            return CacheHit(
-                ids=self._entries[key].topk.ids, partial=True, entry_key=key
-            )
-        self.misses += 1
-        return None
+        outcome — the selection rule shared by every lookup flavour: the
+        most recently used entry cached for at least ``k`` records."""
+        serving = [key for key in member_keys if len(self._entries[key].topk.ids) >= k]
+        if not serving:
+            self.misses += 1
+            return None
+        key = max(serving, key=self._stamps.__getitem__)
+        self._touch(key)
+        self.full_hits += 1
+        return CacheHit(ids=self._entries[key].topk.ids[:k], entry_key=key)
 
     def entry_keys(self) -> list[int]:
         """Keys of the currently cached entries (LRU order, oldest first)."""
@@ -746,9 +671,7 @@ class GIRCache:
             if index.grid is not None
         ]
         return {
-            "hits": self.hits,
             "full_hits": self.full_hits,
-            "partial_hits": self.partial_hits,
             "misses": self.misses,
             "subsumption_evictions": self.subsumption_evictions,
             "subsumption_skips": self.subsumption_skips,

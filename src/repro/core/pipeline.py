@@ -5,15 +5,15 @@ breaks it into explicitly staged steps that share an
 :class:`ExecutionContext` (dataset, tree, scorer, g-space points and the
 accumulating :class:`GIRStats` meters). Each stage is reusable and
 individually timeable, which is what lets the serving layer
-(:mod:`repro.engine`) drive the compute path — e.g. resume Phase 2 from a
-BRS run the application already has, or complete a partially-served cached
-result — and what lets the bench harness attribute cost per stage.
+(:mod:`repro.engine`) drive the compute path — e.g. run Phase 2 from a
+BRS run the application already has — and what lets the bench harness
+attribute cost per stage.
 
 Stage contract (all stages mutate only ``ctx.stats``):
 
 * :func:`stage_retrieve`   — BRS top-k; charges ``cpu_ms_topk`` /
   ``io_pages_topk``. Accepts an existing :class:`~repro.query.brs.BRSRun`
-  to resume from instead of searching again.
+  to adopt instead of searching again.
 * :func:`stage_phase1`     — ordering half-spaces (Section 4); charges
   ``cpu_ms_phase1``.
 * :func:`stage_phase2`     — separation half-spaces via SP/CP/FP

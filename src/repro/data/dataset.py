@@ -8,8 +8,8 @@ stable across all index and query structures.
 :class:`PointTable` is the *mutable* counterpart backing the dynamic
 serving engine: record ids stay append-only and stable (an insert returns
 the next fresh rid; a delete tombstones its row rather than renumbering),
-so every structure keyed by rid — the R*-tree, cached GIRs, retained BRS
-runs — remains addressable across updates.
+so every structure keyed by rid — the R*-tree, cached GIRs — remains
+addressable across updates.
 """
 
 from __future__ import annotations

@@ -13,14 +13,12 @@ Serving discipline:
 * **full hit** — the request's vector lies in a cached GIR with
   ``k ≤ cached k``: served entirely from memory, zero page reads (scores
   are recomputed for the request's own weights from the in-memory points).
-* **partial hit** — vector in a cached GIR but ``k > cached k``: the
-  engine *completes* the answer by resuming computation — the cached
-  entry's retained BRS run is continued to the deeper ``k`` via
-  :func:`~repro.query.brs.resume_brs_topk` (re-reading no page the
-  original search already fetched), then the pipeline's phase1/phase2
-  stages run on the resumed state and the deeper GIR is cached — instead
-  of returning a half-done prefix.
 * **miss** — full pipeline run; the GIR is cached for future traffic.
+  A vector inside a GIR cached only for a *smaller* ``k`` is a miss too:
+  the engine keeps no per-entry search state to complete the cached
+  prefix from. Resuming a retained BRS run would save page reads, but
+  with pages in memory re-keying the retained heap costs more CPU than
+  those reads, and the retained runs cost megabytes per cache.
 
 Dynamic datasets
 ----------------
@@ -34,16 +32,10 @@ invalidate cached GIRs per the engine's ``invalidation`` policy:
 * ``"gir"`` (default) — *selective*: an insert evicts entry E only if the
   new record's score can exceed E's k-th score somewhere in E's region
   (one LP, :func:`~repro.core.caching.invalidated_by_insert`); a delete
-  only if the rid is in E's result or in the T-set of E's retained run
+  only if the rid is in E's result
   (:func:`~repro.core.caching.invalidated_by_delete`).
 * ``"flush"`` — flush-on-write: every update empties the whole cache (the
   comparison baseline).
-
-Retained BRS runs are version-stamped against
-:attr:`~repro.index.rtree.RStarTree.mutations`; any structural update
-makes them stale (their heaps reference pre-update pages) and the engine
-discards them instead of resuming — a later partial hit falls back to a
-from-scratch search.
 """
 
 from __future__ import annotations
@@ -72,7 +64,7 @@ from repro.engine.workload import (
 from repro.geometry.polytope import Polytope
 from repro.index.bulkload import bulk_load_str
 from repro.index.rtree import RStarTree
-from repro.query.brs import BRSRun, brs_topk, resume_brs_topk
+from repro.query.brs import brs_topk
 from repro.scoring import LinearScoring, ScoringFunction
 
 __all__ = [
@@ -90,14 +82,13 @@ __all__ = [
 
 #: Response provenance markers.
 SOURCE_CACHE = "cache"
-SOURCE_COMPLETED = "completed"
 SOURCE_COMPUTED = "computed"
 
 #: Cache-invalidation policies for updates.
 INVALIDATION_POLICIES = ("gir", "flush")
 
 #: Max requests stacked into one batched cache lookup. A pipeline-running
-#: request (partial hit / miss) interrupts the batch and invalidates the
+#: request (a miss) interrupts the batch and invalidates the
 #: membership matrix computed for the requests behind it, so on miss-heavy
 #: streams an unbounded window would redo O(batch) membership work per
 #: interruption (quadratic overall); the window caps that waste while a
@@ -184,8 +175,7 @@ class EngineResponse:
     scores: tuple[float, ...]
     weights: np.ndarray
     k: int
-    #: ``"cache"`` (full hit), ``"completed"`` (partial hit resumed) or
-    #: ``"computed"`` (miss).
+    #: ``"cache"`` (full hit) or ``"computed"`` (miss).
     source: str
     latency_ms: float
     pages_read: int
@@ -256,10 +246,6 @@ class WorkloadReport:
     @property
     def full_hits(self) -> int:
         return sum(r.source == SOURCE_CACHE for r in self.responses)
-
-    @property
-    def completed_partials(self) -> int:
-        return sum(r.source == SOURCE_COMPLETED for r in self.responses)
 
     @property
     def computed(self) -> int:
@@ -347,7 +333,6 @@ class WorkloadReport:
             "workload_kind": self.workload_kind,
             "queries": self.total,
             "full_hits": self.full_hits,
-            "completed_partials": self.completed_partials,
             "computed": self.computed,
             "hit_rate": self.hit_rate,
             "latency_p50_ms": self.latency_p50_ms,
@@ -381,8 +366,7 @@ class WorkloadReport:
         lines = [
             f"workload          : {self.total} queries ({self.workload_kind})",
             f"served from cache : {self.full_hits} "
-            f"({100 * self.hit_rate:.1f}%), "
-            f"{self.completed_partials} completed, {self.computed} computed",
+            f"({100 * self.hit_rate:.1f}%), {self.computed} computed",
             f"latency           : p50 {self.latency_p50_ms:.2f} ms, "
             f"p95 {self.latency_p95_ms:.2f} ms",
             f"I/O               : {self.pages_read_total} pages "
@@ -478,10 +462,6 @@ class GIREngine:
         Capacity-eviction policy of the GIR cache: ``"lru"`` (default)
         or ``"cost"`` (Greedy-Dual volume × recompute-cost scoring; see
         :class:`~repro.core.caching.GIRCache`).
-    retain_runs:
-        Keep each cached entry's BRS run so partial hits resume the
-        search instead of re-running it (costs memory proportional to the
-        retained heaps; disable for very tight-memory deployments).
     invalidation:
         Cache policy on updates: ``"gir"`` (selective, default) or
         ``"flush"`` (drop everything — the baseline).
@@ -496,7 +476,6 @@ class GIREngine:
         scorer: ScoringFunction | None = None,
         cache_capacity: int = 128,
         cache_policy: str = "lru",
-        retain_runs: bool = True,
         invalidation: str = "gir",
     ) -> None:
         if method not in PHASE2_METHODS:
@@ -521,13 +500,7 @@ class GIREngine:
         self._g_buf = self.scorer.transform(self.table.rows).copy()
         self._g_n = self.table.n_allocated
         self.cache = GIRCache(capacity=cache_capacity, policy=cache_policy)
-        self.retain_runs = retain_runs
-        #: Retained BRS state per live cache entry, for partial-hit resume.
-        #: Runs self-describe their tree version (``run.tree_mutations``);
-        #: stale ones are never resumed.
-        self._runs: dict[int, BRSRun] = {}
         self.requests_served = 0
-        self.resumed_completions = 0
         self.updates_applied = 0
         self.update_evictions = 0
         self.prescreen_screened = 0
@@ -581,17 +554,17 @@ class GIREngine:
         """Serve a batch of :class:`~repro.engine.workload.Request`\\ s,
         cache-first — the engine's one read path.
 
-        A full cache hit performs zero metered page reads; a partial hit is
-        completed by resuming computation at the requested ``k``; a miss
-        runs the full pipeline. Either way each response carries a complete
-        ordered top-k and exact latency / page-read accounting.
+        A full cache hit performs zero metered page reads; a miss — any
+        request no entry cached for at least its ``k`` contains — runs the
+        full pipeline. Either way each response carries a complete ordered
+        top-k and exact latency / page-read accounting.
 
         Answers, provenance and all cache/hit accounting are identical to
         issuing the requests one-by-one; the cache membership work,
         however, is batched — one matmul of the pending request matrix
         against every cached region's stacked half-spaces
         (:meth:`~repro.core.caching.GIRCache.lookup_batch`). A request
-        that triggers the pipeline (partial hit or miss) mutates the
+        that triggers the pipeline (a miss) mutates the
         cache, so batched evaluation restarts from the following request —
         exactly the state a sequential run would see. Lookups are stacked
         at most :data:`LOOKUP_WINDOW` at a time, bounding the membership
@@ -648,11 +621,11 @@ class GIREngine:
         extra_latency_ms: float = 0.0,
     ) -> EngineResponse:
         """Turn a resolved cache outcome into a full response (running the
-        pipeline when the hit is partial or absent). ``extra_latency_ms``
+        pipeline on a miss). ``extra_latency_ms``
         charges work done for this request before ``t0`` (a batched
         lookup's amortized share)."""
         with obs.span("engine.serve") as sp:
-            if hit is not None and not hit.partial:
+            if hit is not None:
                 ids = hit.ids
                 scores = tuple(
                     float(s)
@@ -662,12 +635,10 @@ class GIREngine:
                 gir_stats = None
                 region = self.cache.entry(hit.entry_key).polytope
             else:
-                gir = self._compute_and_cache(weights, k, hit)
+                gir = self._compute_and_cache(weights, k)
                 ids = gir.topk.ids
                 scores = gir.topk.scores
-                source = (
-                    SOURCE_COMPLETED if hit is not None else SOURCE_COMPUTED
-                )
+                source = SOURCE_COMPUTED
                 gir_stats = gir.stats
                 region = gir.polytope
 
@@ -690,9 +661,8 @@ class GIREngine:
                 region=region,
             )
 
-    def _compute_and_cache(self, weights: np.ndarray, k: int, hit) -> GIRResult:
-        """Run the staged pipeline — resuming a retained BRS run on a
-        partial hit — and cache the resulting GIR."""
+    def _compute_and_cache(self, weights: np.ndarray, k: int) -> GIRResult:
+        """Run the staged pipeline and cache the resulting GIR."""
         points = self.points
         ctx = ExecutionContext(
             tree=self.tree,
@@ -705,23 +675,8 @@ class GIREngine:
         )
         io_before = self.tree.store.stats.page_reads
         t0 = time.perf_counter()
-        prior = self._runs.get(hit.entry_key) if hit is not None else None
-        if prior is not None and prior.tree_mutations != self.tree.mutations:
-            # The tree changed since the run was captured: its heap
-            # references pre-update pages. Forbid the resume (it would be
-            # a StaleRunError anyway) and search from scratch.
-            del self._runs[hit.entry_key]
-            prior = None
-        with obs.span("engine.brs", resumed=prior is not None) as bsp:
-            if prior is not None:
-                run = resume_brs_topk(
-                    self.tree, points, prior, weights, k, scorer=self.scorer
-                )
-                self.resumed_completions += 1
-            else:
-                run = brs_topk(
-                    self.tree, points, weights, k, scorer=self.scorer
-                )
+        with obs.span("engine.brs") as bsp:
+            run = brs_topk(self.tree, points, weights, k, scorer=self.scorer)
             if obs.tracing_enabled():
                 bsp.set(
                     "pages_read",
@@ -733,7 +688,7 @@ class GIREngine:
         with obs.span("engine.pipeline"):
             gir = run_pipeline(ctx, run)
         # stage_retrieve adopted our run and charged nothing; attribute the
-        # engine-side retrieval (fresh or resumed) so per-request GIRStats
+        # engine-side retrieval so per-request GIRStats
         # stay exact.
         gir.stats.cpu_ms_topk = retrieve_ms
         gir.stats.io_pages_topk = retrieve_pages
@@ -741,12 +696,7 @@ class GIREngine:
         # kth_g enables the cache's vectorized insert-invalidation
         # prescreen for this entry (copied: the g-buffer may be
         # reallocated by later growth).
-        key = self.cache.insert(
-            gir, kth_g=self._g_buf[gir.topk.kth_id].copy()
-        )
-        if self.retain_runs:
-            self._runs[key] = run
-            self._drop_stale_runs()
+        self.cache.insert(gir, kth_g=self._g_buf[gir.topk.kth_id].copy())
         return gir
 
     # -- updates --------------------------------------------------------------
@@ -791,7 +741,6 @@ class GIREngine:
             )
             self.prescreen_screened += screened
             self.prescreen_lps += lps
-        self._drop_stale_runs()
         return self._finish_update(
             "insert", rid, t0, evicted, screened=screened, lps=lps
         )
@@ -801,15 +750,9 @@ class GIREngine:
         """Delete a live record; returns eviction accounting.
 
         Under the ``"gir"`` policy an entry is evicted only if ``rid``
-        appears in its result or in the T-set of its retained BRS run;
-        deleting any other record leaves the cached ordered top-k valid
-        everywhere in its region (removing a non-member never changes a
-        top-k answer). The T-set clause is deliberately conservative:
-        since every update also discards all retained runs (mutation
-        version stamp), a surviving entry without its run would still
-        serve correct full hits — evicting on T membership trades a few
-        extra evictions for never holding state derived from a record
-        that no longer exists.
+        appears in its result; deleting any other record leaves the cached
+        ordered top-k valid everywhere in its region (removing a
+        non-member never changes a top-k answer).
         """
         t0 = time.perf_counter()
         point = self.table.delete(rid)
@@ -819,16 +762,7 @@ class GIREngine:
         if self.invalidation == "flush":
             evicted = self.cache.flush()
         else:
-            evicted = apply_delete_invalidation(
-                self.cache,
-                rid,
-                tset_of=lambda key: (
-                    run.encountered
-                    if (run := self._runs.get(key)) is not None
-                    else None
-                ),
-            )
-        self._drop_stale_runs()
+            evicted = apply_delete_invalidation(self.cache, rid)
         return self._finish_update("delete", rid, t0, evicted)
 
     def _append_g(self, point: np.ndarray) -> np.ndarray:
@@ -839,16 +773,6 @@ class GIREngine:
         self._g_buf[self._g_n] = g_row
         self._g_n += 1
         return g_row
-
-    def _drop_stale_runs(self) -> None:
-        """Discard retained runs invalidated by a structural tree change
-        (and runs whose cache entry is gone)."""
-        live = set(self.cache.entry_keys())
-        self._runs = {
-            key: run
-            for key, run in self._runs.items()
-            if key in live and run.tree_mutations == self.tree.mutations
-        }
 
     def _finish_update(
         self,
@@ -893,7 +817,6 @@ class GIREngine:
         """Engine-level counters merged with the cache's."""
         return {
             "requests_served": self.requests_served,
-            "resumed_completions": self.resumed_completions,
             "updates_applied": self.updates_applied,
             "update_evictions": self.update_evictions,
             "prescreen_screened": self.prescreen_screened,

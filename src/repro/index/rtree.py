@@ -67,11 +67,6 @@ class RStarTree:
         if self.leaf_capacity < 2 or self.internal_capacity < 2:
             raise ValueError("node capacities must be at least 2")
         self.size = 0
-        #: Structural mutation counter: bumped by every successful
-        #: ``insert``/``delete``. Retained query state (e.g. a
-        #: :class:`~repro.query.brs.BRSRun` heap) is only resumable while
-        #: this counter matches the value it was captured at.
-        self.mutations = 0
         root = Node(self.store.allocate(), level=0)
         self.store.write(root)
         self.root_id = root.node_id
@@ -119,7 +114,6 @@ class RStarTree:
             pending_entry, level = self._pending.pop()
             self._insert_at_level(pending_entry, level)
         self.size += 1
-        self.mutations += 1
 
     def _insert_at_level(self, entry: NodeEntry, target_level: int) -> None:
         root = self.root()
@@ -272,7 +266,6 @@ class RStarTree:
         self.store.write(leaf)
         orphans = self._condense(path)
         self.size -= 1
-        self.mutations += 1
         # Shrink the root while it is an internal node with a single child.
         root = self.root()
         while not root.is_leaf and len(root.entries) == 1:

@@ -303,9 +303,7 @@ def bind_serve_stats(
 
 #: GIRCache.stats() keys exposed as callback gauges.
 CACHE_STAT_KEYS = (
-    "hits",
     "full_hits",
-    "partial_hits",
     "misses",
     "subsumption_evictions",
     "invalidation_evictions",
@@ -334,7 +332,6 @@ def bind_cache_stats(
 #: counters; its merged-in cache keys come via :func:`bind_cache_stats`).
 ENGINE_STAT_KEYS = (
     "requests_served",
-    "resumed_completions",
     "updates_applied",
     "update_evictions",
     "prescreen_screened",
@@ -376,15 +373,9 @@ def crosscheck_cache_identities(
     registry: MetricsRegistry, prefix: str = "cache"
 ) -> dict:
     """Re-evaluate the cache accounting identities from registry-read
-    values: capacity evictions split into lru+cost, hits into
-    full+partial."""
+    values: capacity evictions split into lru+cost."""
     val = lambda key: int(registry.value(f"{prefix}_{key}"))  # noqa: E731
     eviction_split = val("capacity_evictions") == val("lru_evictions") + val(
         "cost_evictions"
     )
-    hit_split = val("hits") == val("full_hits") + val("partial_hits")
-    return {
-        "eviction_split": eviction_split,
-        "hit_split": hit_split,
-        "ok": eviction_split and hit_split,
-    }
+    return {"eviction_split": eviction_split, "ok": eviction_split}

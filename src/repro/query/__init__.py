@@ -5,21 +5,19 @@
   the set ``T`` of encountered non-result records for the GIR phases.
 * :mod:`repro.query.bbs` — Branch-and-Bound Skyline [Papadias et al.],
   modified per the paper to pop entries in decreasing maxscore order and to
-  resume from BRS leftovers.
+  continue from the BRS leftovers of the same GIR computation.
 * :mod:`repro.query.linear_scan` — brute-force oracles used in tests.
 """
 
 from repro.query.bbs import bbs_skyline, skyline_of_points
-from repro.query.brs import BRSRun, StaleRunError, brs_topk, resume_brs_topk
+from repro.query.brs import BRSRun, brs_topk
 from repro.query.linear_scan import scan_skyline, scan_topk
 from repro.query.topk import TopKResult
 
 __all__ = [
     "TopKResult",
     "BRSRun",
-    "StaleRunError",
     "brs_topk",
-    "resume_brs_topk",
     "bbs_skyline",
     "skyline_of_points",
     "scan_topk",

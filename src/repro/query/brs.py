@@ -30,20 +30,7 @@ from repro.index.rtree import RStarTree
 from repro.query.topk import TopKResult
 from repro.scoring import LinearScoring, ScoringFunction
 
-__all__ = ["HeapEntry", "BRSRun", "StaleRunError", "brs_topk", "resume_brs_topk"]
-
-
-class StaleRunError(ValueError):
-    """Raised when resuming a :class:`BRSRun` against a tree that has been
-    structurally mutated since the run was captured.
-
-    A retained heap references node ids and MBBs of the tree *as it was*;
-    after an insert or delete those pages may have been split, merged or
-    freed, so continuing the search could silently return wrong records.
-    The dynamic serving engine catches staleness up front (it version-stamps
-    runs against :attr:`~repro.index.rtree.RStarTree.mutations`) and falls
-    back to a from-scratch search.
-    """
+__all__ = ["HeapEntry", "BRSRun", "brs_topk"]
 
 
 @dataclass(order=True)
@@ -106,9 +93,6 @@ class BRSRun:
     encountered: dict[int, np.ndarray]  # the paper's set T: rid -> point
     leaf_accesses: int
     node_accesses: int
-    #: Value of ``tree.mutations`` when the run was captured; ``None`` for
-    #: hand-built runs (staleness then cannot be checked).
-    tree_mutations: int | None = None
 
     @property
     def encountered_ids(self) -> list[int]:
@@ -169,73 +153,6 @@ def brs_topk(
         scorer,
         node_accesses=node_accesses + drained_nodes,
         leaf_accesses=leaf_accesses + drained_leaves,
-        tree_mutations=tree.mutations,
-    )
-
-
-def resume_brs_topk(
-    tree: RStarTree,
-    points: np.ndarray,
-    run: BRSRun,
-    weights: np.ndarray,
-    k: int,
-    scorer: ScoringFunction | None = None,
-    metered: bool = True,
-) -> BRSRun:
-    """Continue a finished BRS run to a deeper ``k`` — the serving layer's
-    partial-hit completion path.
-
-    The caller holds a :class:`BRSRun` for some ``k' < k`` (e.g. attached
-    to a cached GIR) and now needs the top-``k`` under a query vector
-    *inside* that GIR — typically not bit-identical to the original one.
-    Everything already fetched is reused: the retained heap's unexpanded
-    entries are re-keyed under ``weights`` (maxscores are MBB corner
-    scores — pure CPU, no I/O), the interim top-k is rebuilt from every
-    record already read (result ∪ T), and the standard BRS drain continues
-    from there, reading only genuinely new pages. The input run is left
-    untouched, so the same cached run can be resumed repeatedly.
-
-    Equivalent to ``brs_topk(tree, points, weights, k)`` — any record not
-    fetched by the original run still lies under some retained heap entry,
-    so the continued search considers it; the priority order and the
-    termination test are those of a from-scratch search. The equivalence
-    holds only while the tree is exactly as the run left it: resuming after
-    an insert or delete raises :class:`StaleRunError`.
-    """
-    if run.tree_mutations is not None and run.tree_mutations != tree.mutations:
-        raise StaleRunError(
-            f"run was captured at tree mutation {run.tree_mutations}, the "
-            f"tree is now at {tree.mutations}; re-run brs_topk instead"
-        )
-    weights = _validate_query(tree, weights, k)
-    scorer = scorer or LinearScoring(tree.d)
-    read = tree.fetch if metered else tree._node
-
-    interim: list[tuple[float, float, int]] = []
-    encountered: dict[int, np.ndarray] = {}
-    _consider_records(
-        interim, encountered, [*run.result.ids, *run.encountered],
-        points, weights, scorer, k,
-    )
-    heap = [
-        make_heap_entry(e.mbb, e.node_id, e.level, weights, scorer)
-        for e in run.heap
-    ]
-    heapq.heapify(heap)
-
-    node_accesses, leaf_accesses = _drain_heap(
-        read, heap, interim, encountered, points, weights, scorer, k
-    )
-    return _package_run(
-        heap,
-        interim,
-        encountered,
-        points,
-        weights,
-        scorer,
-        node_accesses=run.node_accesses + node_accesses,
-        leaf_accesses=run.leaf_accesses + leaf_accesses,
-        tree_mutations=tree.mutations,
     )
 
 
@@ -304,7 +221,6 @@ def _package_run(
     scorer: ScoringFunction,
     node_accesses: int,
     leaf_accesses: int,
-    tree_mutations: int | None = None,
 ) -> BRSRun:
     """Rank the interim records and bundle the retained search state."""
     ids = tuple(rid for _, _, rid in sorted(interim, reverse=True))
@@ -321,7 +237,6 @@ def _package_run(
         encountered=encountered,
         leaf_accesses=leaf_accesses,
         node_accesses=node_accesses,
-        tree_mutations=tree_mutations,
     )
 
 

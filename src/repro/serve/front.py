@@ -90,7 +90,7 @@ class ServeResponse:
     #: ``"engine"`` (this read was an engine request) or ``"coalesced"``
     #: (answered from an in-flight leader's GIR).
     via: str
-    #: Engine provenance: ``cache`` / ``completed`` / ``computed`` for
+    #: Engine provenance: ``cache`` / ``computed`` for
     #: engine-served reads, ``coalesced:<leader provenance>`` otherwise.
     source: str
     #: Metered page reads this response cost (0 when coalesced).

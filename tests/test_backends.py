@@ -50,7 +50,6 @@ def spec(data):
         method="fp",
         cache_capacity=16,
         cache_policy="lru",
-        retain_runs=True,
         invalidation="gir",
         page_sleep_ms=0.0,
         scorer=LinearScoring(D),

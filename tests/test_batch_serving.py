@@ -131,18 +131,6 @@ class TestBatchEquivalence:
         assert responses[1].pages_read == 0
         assert responses[0].ids == responses[1].ids
 
-    def test_partial_hit_in_batch_completed(self, batch_setup, rng):
-        data = batch_setup
-        engine = GIREngine(data, bulk_load_str(data))
-        q = random_query(rng, 3)
-        responses = engine.topk_batch(
-            [Request(weights=q, k=5), Request(weights=q, k=12)]
-        )
-        assert responses[0].source == "computed"
-        assert responses[1].source == "completed"
-        assert len(responses[1].ids) == 12
-        assert engine.resumed_completions == 1
-
     def test_empty_batch(self, batch_setup):
         engine = GIREngine(batch_setup, bulk_load_str(batch_setup))
         assert engine.topk_batch([]) == []

@@ -10,17 +10,16 @@ import pytest
 from repro.data.dataset import Dataset
 from repro.data.synthetic import independent
 from repro.index.bulkload import bulk_load_str
-from repro.query.brs import brs_topk, resume_brs_topk
+from repro.query.brs import brs_topk
 from repro.query.linear_scan import scan_topk
 from repro.scoring import LinearScoring, polynomial_scoring
 from tests.conftest import random_query
 
 
-def record_at_a_time_brs(tree, points, weights, k, scorer, prior=None):
+def record_at_a_time_brs(tree, points, weights, k, scorer):
     """Reference BRS that scores one record (one MBB corner) per call and
     offers every fetched record to the interim top-k — the loop the
-    per-node ``_drain_heap`` replaced. ``prior`` resumes a finished run.
-    Returns ``(ids, encountered key order, retained (node_id, level)
+    per-node ``_drain_heap`` replaced. Returns ``(ids, encountered key order, retained (node_id, level)
     multiset, node accesses, leaf accesses)``."""
     interim, encountered, heap = [], {}, []
     seq = itertools.count()
@@ -45,15 +44,8 @@ def record_at_a_time_brs(tree, points, weights, k, scorer, prior=None):
             else:
                 push(e.mbb, e.child_id, node.level - 1)
 
-    if prior is None:
-        expand(tree._node(tree.root_id))
-        nodes, leaves = 1, int(tree.height == 1)
-    else:
-        for rid in (*prior.result.ids, *prior.encountered):
-            consider(rid)
-        for e in prior.heap:
-            push(e.mbb, e.node_id, e.level)
-        nodes, leaves = prior.node_accesses, prior.leaf_accesses
+    expand(tree._node(tree.root_id))
+    nodes, leaves = 1, int(tree.height == 1)
     while heap and not (len(interim) == k and interim[0][0] >= -heap[0][0][0]):
         node = tree._node(heapq.heappop(heap)[1])
         nodes += 1
@@ -204,23 +196,16 @@ class TestPerNodeScoringMatchesRecordAtATime:
         return data, bulk_load_str(data)
 
     @pytest.mark.parametrize("scorer", [LinearScoring(3), polynomial_scoring([3, 2, 1])])
-    def test_fresh_and_resumed_runs(self, duplicated, rng, scorer):
+    def test_fresh_runs(self, duplicated, rng, scorer):
         data, tree = duplicated
         for _ in range(8):
             q = random_query(rng, 3)
-            shallow = brs_topk(tree, data.points, q, 7, scorer=scorer, metered=False)
-            assert observed(shallow) == record_at_a_time_brs(
+            run = brs_topk(tree, data.points, q, 7, scorer=scorer, metered=False)
+            assert observed(run) == record_at_a_time_brs(
                 tree, data.points, q, 7, scorer
             )
             # k is odd: the k-th place splits a duplicated pair by rid.
-            assert shallow.result.ids == scan_topk(data.points, q, 7, scorer=scorer).ids
-            q2 = np.clip(q + rng.normal(0, 0.02, 3), 0.01, 1.0)
-            deep = resume_brs_topk(
-                tree, data.points, shallow, q2, 30, scorer=scorer, metered=False
-            )
-            assert observed(deep) == record_at_a_time_brs(
-                tree, data.points, q2, 30, scorer, prior=shallow
-            )
+            assert run.result.ids == scan_topk(data.points, q, 7, scorer=scorer).ids
 
     def test_single_leaf_tree(self, rng):
         data = independent(6, 2, seed=3)
@@ -232,106 +217,11 @@ class TestPerNodeScoringMatchesRecordAtATime:
         )
 
 
-class TestResume:
-    """resume_brs_topk: continuing a finished run to a deeper k."""
-
-    def test_resume_same_weights_matches_scratch(self, small_ind_4d, rng):
-        data, tree = small_ind_4d
-        for _ in range(5):
-            q = random_query(rng, 4)
-            shallow = brs_topk(tree, data.points, q, 5, metered=False)
-            resumed = resume_brs_topk(tree, data.points, shallow, q, 25, metered=False)
-            assert resumed.result.ids == scan_topk(data.points, q, 25).ids
-            assert np.allclose(
-                resumed.result.scores, scan_topk(data.points, q, 25).scores
-            )
-
-    def test_resume_with_shifted_weights(self, small_anti_3d, rng):
-        """The resumed search is exact even under a different query vector
-        (the serving layer resumes for any vector inside the cached GIR)."""
-        data, tree = small_anti_3d
-        for _ in range(5):
-            q = random_query(rng, 3)
-            shallow = brs_topk(tree, data.points, q, 5, metered=False)
-            q2 = np.clip(q + rng.normal(0, 0.02, 3), 0.01, 1.0)
-            resumed = resume_brs_topk(tree, data.points, shallow, q2, 20, metered=False)
-            assert resumed.result.ids == scan_topk(data.points, q2, 20).ids
-
-    def test_resume_reads_fewer_pages_than_scratch(self, small_ind_4d, rng):
-        data, tree = small_ind_4d
-        q = random_query(rng, 4)
-        tree.store.reset_meter()
-        shallow = brs_topk(tree, data.points, q, 10)
-        tree.store.reset_meter()
-        resume_brs_topk(tree, data.points, shallow, q, 30)
-        resumed_pages = tree.store.stats.page_reads
-        tree.store.reset_meter()
-        brs_topk(tree, data.points, q, 30)
-        scratch_pages = tree.store.stats.page_reads
-        assert resumed_pages < scratch_pages
-
-    def test_resume_leaves_input_run_untouched(self, small_ind_4d, rng):
-        data, tree = small_ind_4d
-        q = random_query(rng, 4)
-        shallow = brs_topk(tree, data.points, q, 5, metered=False)
-        heap_before = list(shallow.heap)
-        enc_before = dict(shallow.encountered)
-        resume_brs_topk(tree, data.points, shallow, q, 25, metered=False)
-        assert shallow.heap == heap_before
-        assert shallow.encountered.keys() == enc_before.keys()
-        # Resumable twice: a second resume gives the same answer.
-        again = resume_brs_topk(tree, data.points, shallow, q, 25, metered=False)
-        assert again.result.ids == scan_topk(data.points, q, 25).ids
-
-    def test_resume_shallower_k_is_noop_read(self, small_ind_4d, rng):
-        data, tree = small_ind_4d
-        q = random_query(rng, 4)
-        run = brs_topk(tree, data.points, q, 10, metered=False)
-        tree.store.reset_meter()
-        resumed = resume_brs_topk(tree, data.points, run, q, 10)
-        assert tree.store.stats.page_reads == 0
-        assert resumed.result.ids == run.result.ids
-
-
 class TestStaleRuns:
-    def test_resume_raises_after_insert(self, rng):
-        from repro.query.brs import StaleRunError
-
-        data = independent(500, 2, seed=23)
-        tree = bulk_load_str(data)
-        q = random_query(rng, 2)
-        run = brs_topk(tree, data.points, q, 5)
-        assert run.tree_mutations == tree.mutations
-        tree.insert(np.array([0.99, 0.99]), data.n)
-        points = np.vstack([data.points, [[0.99, 0.99]]])
-        with pytest.raises(StaleRunError):
-            resume_brs_topk(tree, points, run, q, 10)
-
-    def test_resume_raises_after_delete(self, rng):
-        from repro.query.brs import StaleRunError
-
-        data = independent(500, 2, seed=24)
-        tree = bulk_load_str(data)
-        q = random_query(rng, 2)
-        run = brs_topk(tree, data.points, q, 5)
-        victim = next(rid for rid in range(data.n) if rid not in run.result.ids)
-        assert tree.delete(data.points[victim], victim)
-        with pytest.raises(StaleRunError):
-            resume_brs_topk(tree, data.points, run, q, 10)
-
-    def test_resume_on_unmutated_tree_matches_scratch(self, small_ind_4d, rng):
-        data, tree = small_ind_4d
-        q = random_query(rng, 4)
-        run = brs_topk(tree, data.points, q, 5)
-        q2 = q * (1 + rng.normal(0, 0.01, 4))
-        resumed = resume_brs_topk(tree, data.points, run, q2, 20)
-        scratch = brs_topk(tree, data.points, q2, 20)
-        assert resumed.result.ids == scratch.result.ids
-
     def test_fresh_search_after_mutation_is_equivalent(self, rng):
-        """The dynamic path's fallback: after a mutation, a from-scratch
-        search at the deeper k equals ground truth (what resume would have
-        had to produce)."""
+        """After a mutation, a from-scratch search at a deeper k equals
+        ground truth: the run captured before the insert is simply
+        dropped, never continued."""
         data = independent(600, 3, seed=25)
         tree = bulk_load_str(data)
         q = random_query(rng, 3)

@@ -11,6 +11,7 @@ from repro.data.synthetic import independent
 from repro.engine import GIREngine, drifting_zipf_workload, zipf_clustered_workload
 from repro.geometry.polytope import Polytope
 from repro.index.bulkload import bulk_load_str
+from repro.query.brs import brs_topk
 from repro.query.linear_scan import scan_topk
 from tests.conftest import random_query
 
@@ -35,7 +36,7 @@ class TestLookup:
             if (probe <= 1e-9).all():
                 continue
             hit = cache.lookup(probe, 10)
-            assert hit is not None and not hit.partial
+            assert hit is not None
             assert hit.ids == gir.topk.ids
             # The served answer is genuinely correct:
             assert hit.ids == scan_topk(data.points, probe, 10).ids
@@ -61,21 +62,24 @@ class TestLookup:
         cache = GIRCache()
         cache.insert(gir)
         hit = cache.lookup(q, 3)
-        assert hit is not None and not hit.partial
+        assert hit is not None
         assert hit.ids == gir.topk.ids[:3]
         assert hit.ids == scan_topk(data.points, q, 3).ids
 
-    def test_larger_k_partial(self, cached_setup, rng):
+    def test_larger_k_misses(self, cached_setup, rng):
+        """A vector inside a GIR cached only for a smaller k is a miss:
+        the containing entry is not touched, and ``misses`` counts it."""
         data, tree = cached_setup
         q = random_query(rng, 3)
-        gir = compute_gir(tree, data, q, 10)
         cache = GIRCache()
-        cache.insert(gir)
-        hit = cache.lookup(q, 25)
-        assert hit is not None and hit.partial
-        assert hit.ids == gir.topk.ids
-        # Partial answer is the true prefix of the larger result.
-        assert hit.ids == scan_topk(data.points, q, 25).ids[:10]
+        cache.insert(compute_gir(tree, data, q, 10))
+        cache.insert(compute_gir(tree, data, random_query(rng, 3), 5))
+        order = cache.entry_keys()
+        assert cache.lookup(q, 25) is None
+        assert cache.lookup_scan(q, 25) is None
+        assert cache.entry_keys() == order
+        stats = cache.stats()
+        assert (stats["full_hits"], stats["misses"]) == (0, 2)
 
     def test_dimension_mismatch_misses(self, cached_setup, rng):
         data, tree = cached_setup
@@ -111,29 +115,27 @@ class TestEvictionAndStats:
         )
         cache.lookup(outside, 5)
         stats = cache.stats()
-        assert stats["hits"] == 1
         assert stats["full_hits"] == 1
         assert stats["misses"] == 1
         assert stats["entries"] == 1
 
     def test_stats_non_overlapping(self, cached_setup, rng):
-        """Every lookup lands in exactly one of full/partial/miss."""
+        """Every lookup lands in exactly one of full hit / miss."""
         data, tree = cached_setup
         q = random_query(rng, 3)
         cache = GIRCache()
         cache.insert(compute_gir(tree, data, q, 5))
         cache.lookup(q, 3)   # full
-        cache.lookup(q, 20)  # partial
+        cache.lookup(q, 20)  # deeper than the entry: miss
         # Probe random points until one misses (counts toward stats).
-        next(
-            c for c in (rng.random(3) for _ in range(1000))
-            if cache.lookup(c, 5) is None
-        )
+        lookups = 2
+        for c in (rng.random(3) for _ in range(1000)):
+            lookups += 1
+            if cache.lookup(c, 5) is None:
+                break
         stats = cache.stats()
-        assert stats["full_hits"] == 1
-        assert stats["partial_hits"] == 1
-        assert stats["full_hits"] + stats["partial_hits"] == stats["hits"]
-        assert stats["misses"] >= 1
+        assert stats["full_hits"] >= 1 and stats["misses"] >= 2
+        assert stats["full_hits"] + stats["misses"] == lookups
 
     def test_insert_evicts_subsumed_entry(self, cached_setup, rng):
         """Re-inserting a GIR containing an older entry's query vector (at
@@ -178,7 +180,7 @@ class TestEvictionAndStats:
         cache.insert(compute_gir(tree, data, q, 5))
         assert len(cache) == 2
         hit = cache.lookup(q, 15)
-        assert hit is not None and not hit.partial and len(hit.ids) == 15
+        assert hit is not None and len(hit.ids) == 15
 
     def test_insert_skips_entry_subsumed_by_existing(self, cached_setup, rng):
         """Regression: the reverse subsumption direction. A new same-k
@@ -243,7 +245,7 @@ class TestEvictionAndStats:
 
     def test_vectorized_lookup_matches_scan(self, cached_setup, rng):
         """The region-index lookup and the per-entry reference scan give
-        identical hits (entry, prefix, partial flag) and identical
+        identical hits (entry, prefix) and identical
         accounting on the same probe stream."""
         data, tree = cached_setup
         girs = [
@@ -260,9 +262,7 @@ class TestEvictionAndStats:
             hs = scan.lookup_scan(probe, k)
             assert (hv is None) == (hs is None)
             if hv is not None:
-                assert (hv.ids, hv.partial, hv.entry_key) == (
-                    hs.ids, hs.partial, hs.entry_key,
-                )
+                assert (hv.ids, hv.entry_key) == (hs.ids, hs.entry_key)
         # Grid probe counters are instrumentation of the vectorized path
         # only — the reference scan never consults the grid.
         sv, ss = vec.stats(), scan.stats()
@@ -288,9 +288,7 @@ class TestEvictionAndStats:
         for hb, hs in zip(batch_hits, seq_hits):
             assert (hb is None) == (hs is None)
             if hb is not None:
-                assert (hb.ids, hb.partial, hb.entry_key) == (
-                    hs.ids, hs.partial, hs.entry_key,
-                )
+                assert (hb.ids, hb.entry_key) == (hs.ids, hs.entry_key)
         assert batched.stats() == sequential.stats()
 
     def test_lookup_batch_stop_after_non_full(self, cached_setup, rng):
@@ -395,9 +393,11 @@ class TestUpdateInvalidation:
             rid for rid in range(data.n) if rid not in gir.topk.ids
         )
         assert not invalidated_by_delete(gir, outsider)
-        # T-set membership matters only when a run is retained.
-        assert invalidated_by_delete(gir, outsider, tset_ids={outsider})
-        assert not invalidated_by_delete(gir, outsider, tset_ids={outsider + 1})
+        # A record BRS fetched but ranked out of the result (the T-set) is
+        # a non-member too: deleting it leaves the entry valid.
+        run = brs_topk(tree, data.points, q, 10, metered=False)
+        assert run.encountered, "test needs a non-empty T-set"
+        assert not any(invalidated_by_delete(gir, rid) for rid in run.encountered)
 
     def test_insert_invalidation_score_tie_uses_tie_break(self, cached_setup, rng):
         """A challenger with the k-th record's exact g-image ties everywhere;

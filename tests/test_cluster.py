@@ -239,7 +239,7 @@ class TestAccounting:
             q = np.array([0.5, 0.4, 0.7])
             first = engine.topk(q, K)
             again = engine.topk(q, K)
-        assert first.source in ("computed", "completed")
+        assert first.source == "computed"
         assert again.source == "cache"
         assert again.pages_read == 0
         assert again.ids == first.ids
@@ -529,7 +529,7 @@ class TestMergeLayer:
 
         assert _merged_source([fake("cache"), fake("cache")]) == "cache"
         assert _merged_source([fake("cache"), fake("computed")]) == "computed"
-        assert _merged_source([fake("cache"), fake("completed")]) == "completed"
+        assert _merged_source([fake("computed"), fake("computed")]) == "computed"
 
 
 class TestClusterValidation:

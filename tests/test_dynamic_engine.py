@@ -1,5 +1,5 @@
-"""Tests for the dynamic GIREngine: updates, selective invalidation,
-mixed workloads and the stale-run guard."""
+"""Tests for the dynamic GIREngine: updates, selective invalidation and
+mixed workloads."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from repro.engine import (
     mixed_workload,
 )
 from repro.index.bulkload import bulk_load_str
+from repro.query.brs import brs_topk
 from repro.query.linear_scan import scan_topk
 from tests.conftest import random_query
 
@@ -77,14 +78,17 @@ class TestDynamicCorrectness:
     )
     def test_interleaved_updates_match_live_scan(self, family, invalidation):
         """After every update, served answers equal exhaustive linear-scan
-        ground truth over the live records — whether they came from cache,
-        a resumed run or a fresh pipeline — under either invalidation
-        policy and on correlated data as well as independent."""
+        ground truth over the live records — whether they came from cache
+        or a fresh pipeline — under either invalidation policy and on
+        correlated data as well as independent. Each step draws its own
+        k and often repeats an earlier vector, so deeper-k requests land
+        inside shallower cached regions (and must be served as misses)."""
         data = make_synthetic(family, 900, 3, seed=51)
         engine = GIREngine(
             data, bulk_load_str(data), cache_capacity=24, invalidation=invalidation
         )
         rng = np.random.default_rng(8)
+        asked = []
         for step in range(50):
             r = rng.random()
             if r < 0.25:
@@ -92,9 +96,15 @@ class TestDynamicCorrectness:
             elif r < 0.40:
                 live = engine.table.live_ids()
                 engine.delete(int(rng.choice(live)))
-            q = random_query(rng, 3)
-            resp = engine.topk(q, 10)
-            truth = live_truth(engine, q, 10)
+            if asked and rng.random() < 0.5:
+                q = asked[rng.integers(len(asked))]
+            else:
+                q = random_query(rng, 3)
+                asked.append(q)
+            k = int(rng.choice([5, 10, 20]))
+            resp = engine.topk(q, k)
+            assert resp.source in ("cache", "computed")
+            truth = live_truth(engine, q, k)
             assert resp.ids == truth.ids, f"step {step} ({resp.source})"
             assert np.allclose(resp.scores, truth.scores)
 
@@ -167,10 +177,9 @@ class TestSelectiveInvalidation:
 
     def test_unrelated_delete_keeps_cache(self, dyn_setup):
         data, tree = dyn_setup
-        engine = GIREngine(data, tree, retain_runs=False)
+        engine = GIREngine(data, tree)
         q = random_query(np.random.default_rng(7), 3)
         first = engine.topk(q, 10)
-        # A rid in neither the result nor any retained T-set.
         outsider = next(
             rid for rid in range(data.n) if rid not in first.ids
         )
@@ -188,16 +197,22 @@ class TestSelectiveInvalidation:
         upd = engine.delete(first.ids[4])
         assert upd.evicted == 1 and len(engine.cache) == 0
 
-    def test_tset_member_delete_evicts_when_run_retained(self, dyn_setup):
+    def test_tset_member_delete_keeps_entry(self, dyn_setup):
+        """A record BRS fetched but left out of the result (the paper's
+        T-set) is a non-member: deleting it keeps the entry serving."""
         data, tree = dyn_setup
-        engine = GIREngine(data, tree, retain_runs=True)
+        engine = GIREngine(data, tree)
         q = random_query(np.random.default_rng(9), 3)
-        engine.topk(q, 10)
-        (run,) = engine._runs.values()
+        first = engine.topk(q, 10)
+        run = brs_topk(tree, engine.points, q, 10, metered=False)
         assert run.encountered, "test needs a non-empty T-set"
         victim = next(iter(run.encountered))
+        assert victim not in first.ids
         upd = engine.delete(victim)
-        assert upd.evicted == 1
+        assert upd.evicted == 0
+        resp = engine.topk(q, 10)
+        assert resp.source == "cache"
+        assert resp.ids == live_truth(engine, q, 10).ids
 
     def test_flush_policy_evicts_everything(self, dyn_setup):
         data, tree = dyn_setup
@@ -233,32 +248,6 @@ class TestSelectiveInvalidation:
         data, tree = dyn_setup
         with pytest.raises(ValueError, match="invalidation"):
             GIREngine(data, tree, invalidation="lazy")
-
-
-class TestStaleRunGuard:
-    def test_partial_hit_after_update_never_resumes(self, dyn_setup):
-        """A mutation makes every retained BRS run stale; the next partial
-        hit must fall back to a fresh search and still be exact."""
-        data, tree = dyn_setup
-        engine = GIREngine(data, tree)
-        q = random_query(np.random.default_rng(11), 3)
-        engine.topk(q, 5)
-        engine.insert(np.array([0.001, 0.001, 0.001]))  # keeps the entry
-        assert len(engine.cache) == 1
-        deep = engine.topk(q, 14)
-        assert deep.source == "completed"
-        assert engine.resumed_completions == 0  # resume was forbidden
-        assert deep.ids == live_truth(engine, q, 14).ids
-
-    def test_partial_hit_without_update_still_resumes(self, dyn_setup):
-        data, tree = dyn_setup
-        engine = GIREngine(data, tree)
-        q = random_query(np.random.default_rng(12), 3)
-        engine.topk(q, 5)
-        deep = engine.topk(q, 14)
-        assert deep.source == "completed"
-        assert engine.resumed_completions == 1
-        assert deep.ids == live_truth(engine, q, 14).ids
 
 
 class TestMixedWorkload:

@@ -68,43 +68,22 @@ class TestCacheFirstServing:
             assert resp.ids == expected.ids
             assert np.allclose(resp.scores, expected.scores)
 
-    def test_partial_hit_completed(self, served_setup, rng):
+    def test_deeper_k_is_a_miss(self, served_setup, rng):
+        """A vector inside a GIR cached for a smaller k is a miss: the
+        pipeline runs from scratch, and its deeper GIR then serves."""
         data, tree = served_setup
         engine = GIREngine(data, tree)
         q = random_query(rng, 3)
         engine.topk(q, 5)
         deeper = engine.topk(q, 14)
-        assert deeper.source == "completed"
-        assert len(deeper.ids) == 14
+        assert deeper.source == "computed"
         assert deeper.ids == scan_topk(data.points, q, 14).ids
-        # Completion RESUMED the retained BRS run rather than re-searching.
-        assert engine.resumed_completions == 1
+        cold = GIREngine(data, tree).topk(q, 14)
+        assert deeper.gir_stats.io_pages_topk == cold.gir_stats.io_pages_topk
+        assert engine.stats()["misses"] == 2
         # The deeper GIR is cached: asking again is now a pure hit.
         again = engine.topk(q, 14)
         assert again.source == "cache" and again.pages_read == 0
-
-    def test_partial_hit_resume_skips_retrieval_io(self, served_setup, rng):
-        """Completing a partial hit re-reads none of the pages the original
-        search fetched; a cold engine answering the same deep request pays
-        the full retrieval."""
-        data, tree = served_setup
-        warm = GIREngine(data, tree)
-        q = random_query(rng, 3)
-        warm.topk(q, 5)
-        completed = warm.topk(q, 14)
-        cold = GIREngine(data, tree)
-        fresh = cold.topk(q, 14)
-        assert completed.gir_stats.io_pages_topk < fresh.gir_stats.io_pages_topk
-
-    def test_retain_runs_disabled_still_correct(self, served_setup, rng):
-        data, tree = served_setup
-        engine = GIREngine(data, tree, retain_runs=False)
-        q = random_query(rng, 3)
-        engine.topk(q, 5)
-        deeper = engine.topk(q, 14)
-        assert deeper.source == "completed"
-        assert deeper.ids == scan_topk(data.points, q, 14).ids
-        assert engine.resumed_completions == 0
 
     def test_smaller_k_is_full_hit(self, served_setup, rng):
         data, tree = served_setup
@@ -130,7 +109,7 @@ class TestBatchAccounting:
         report = engine.run(workload)
 
         assert report.total == 60
-        assert report.full_hits + report.completed_partials + report.computed == 60
+        assert report.full_hits + report.computed == 60
         # Page accounting: the report total is exactly the sum of the
         # requests' own meters, and matches the pipelines' GIRStats.
         assert report.pages_read_total == sum(r.pages_read for r in report.responses)
@@ -148,7 +127,6 @@ class TestBatchAccounting:
         stats = engine.stats()
         assert stats["requests_served"] == 60
         assert stats["full_hits"] == report.full_hits
-        assert stats["partial_hits"] == report.completed_partials
         assert stats["misses"] == report.computed
 
     def test_report_aggregates(self, served_setup, rng):

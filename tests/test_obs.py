@@ -273,8 +273,10 @@ class TestMetrics:
         registry = obs.MetricsRegistry()
         obs.bind_cache_stats(registry, engine.cache)
         verdict = obs.crosscheck_cache_identities(registry)
-        assert verdict["ok"], verdict
-        assert registry.value("cache_hits") == engine.cache.stats()["hits"]
+        assert verdict == {"eviction_split": True, "ok": True}
+        stats = engine.cache.stats()
+        assert registry.value("cache_full_hits") == stats["full_hits"]
+        assert registry.value("cache_misses") == stats["misses"]
 
 
 class TestExporters:

@@ -538,7 +538,7 @@ class TestGridSignature:
         uniform = list(rng.random((len(near), 3)))
 
         def outcome(hit):
-            return None if hit is None else (hit.ids, hit.partial, hit.entry_key)
+            return None if hit is None else (hit.ids, hit.entry_key)
 
         def hits_of(probes):
             hits = 0

@@ -237,12 +237,12 @@ class TestMutationCounter:
         rng = np.random.default_rng(36)
         pts = rng.random((40, 2))
         tree = RStarTree(2, leaf_capacity=6, internal_capacity=6)
-        assert tree.mutations == 0
+        assert tree.size == 0
         for rid, p in enumerate(pts):
             tree.insert(p, rid)
-        assert tree.mutations == 40
+        assert tree.size == 40
         assert tree.delete(pts[0], 0)
-        assert tree.mutations == 41
-        # A failed delete is not a structural mutation.
+        assert tree.size == 39
+        # A failed delete changes nothing.
         assert not tree.delete(np.array([0.5, 0.5]), 9999)
-        assert tree.mutations == 41
+        assert tree.size == 39

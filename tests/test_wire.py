@@ -86,7 +86,7 @@ class TestPayloads:
             tie_sums=(1.25, np.pi, 0.75),
             points_g=rng.random((3, 3)),
             region=region(),
-            source="completed",
+            source="computed",
             pages_read=17,
             latency_ms=0.123456789,
             cache_entries=6,
@@ -104,7 +104,7 @@ class TestPayloads:
         assert out.points_g.tobytes() == reply.points_g.tobytes()
         assert out.region.A.tobytes() == reply.region.A.tobytes()
         assert (out.source, out.pages_read, out.latency_ms) == (
-            "completed",
+            "computed",
             17,
             reply.latency_ms,
         )
@@ -184,7 +184,6 @@ class TestPayloads:
             method="fp",
             cache_capacity=32,
             cache_policy="cost",
-            retain_runs=False,
             invalidation="flush",
             page_sleep_ms=0.25,
             scorer=LinearScoring(4),
@@ -195,8 +194,7 @@ class TestPayloads:
             )[1]
         )
         assert (out.shard, out.name, out.method) == (2, "data[shard2]", "fp")
-        assert (out.cache_capacity, out.retain_runs) == (32, False)
-        assert out.cache_policy == "cost"
+        assert (out.cache_capacity, out.cache_policy) == (32, "cost")
         assert (out.invalidation, out.page_sleep_ms) == ("flush", 0.25)
         assert out.points.tobytes() == spec.points.tobytes()
         assert isinstance(out.scorer, LinearScoring) and out.scorer.d == 4
@@ -210,7 +208,6 @@ class TestPayloads:
             method="fp",
             cache_capacity=4,
             cache_policy="lru",
-            retain_runs=True,
             invalidation="gir",
             page_sleep_ms=0.0,
             scorer=polynomial_scoring((2.0, 1.0)),
