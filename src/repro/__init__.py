@@ -46,7 +46,6 @@ from repro.engine import (
     GIREngine,
     Workload,
     WorkloadReport,
-    drifting_zipf_workload,
     mixed_workload,
     uniform_workload,
     zipf_clustered_workload,
@@ -61,7 +60,7 @@ from repro.data import (
     independent,
     make_synthetic,
 )
-from repro.geometry import FacetFan, Halfspace, IncrementalHull, Polytope
+from repro.geometry import FacetFan, Halfspace, Polytope
 from repro.index import MBB, PageStore, RStarTree, bulk_load_str
 from repro.query import BRSRun, TopKResult, bbs_skyline, brs_topk, scan_skyline, scan_topk
 from repro.scoring import (
@@ -100,7 +99,6 @@ __all__ = [
     "WorkloadReport",
     "uniform_workload",
     "zipf_clustered_workload",
-    "drifting_zipf_workload",
     "mixed_workload",
     # data
     "Dataset",
@@ -127,7 +125,6 @@ __all__ = [
     "Polytope",
     "Halfspace",
     "FacetFan",
-    "IncrementalHull",
     # scoring
     "ScoringFunction",
     "LinearScoring",

@@ -3,10 +3,9 @@
 The bench harness and the paper-reproduction tables are only as honest as
 the counter plumbing: a counter that is incremented but never surfaced in
 ``to_dict()`` / ``stats()`` / ``summary()`` silently drops a column from
-every saved report (the eviction split ``capacity_evictions =
-lru_evictions + cost_evictions`` was added precisely so the cost-aware
-eviction policy's behaviour stays auditable — an unreported counter is
-the same bug one refactor later).
+every saved report, and an identity over it (such as
+``ServeStats.accounting_ok()``) can then only be checked on the raw
+fields.
 
 The check is structural: for every class that defines at least one
 reporting method (``to_dict``, ``stats`` or ``summary``), every *public

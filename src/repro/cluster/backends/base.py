@@ -146,7 +146,6 @@ class ShardSpec:
     points: npt.NDArray[np.float64]
     method: str
     cache_capacity: int
-    cache_policy: str
     invalidation: str
     page_sleep_ms: float
     scorer: "ScoringFunction"
@@ -270,7 +269,6 @@ def build_shard_engine(spec: ShardSpec) -> GIREngine:
         method=spec.method,
         scorer=spec.scorer,
         cache_capacity=spec.cache_capacity,
-        cache_policy=spec.cache_policy,
         invalidation=spec.invalidation,
     )
 

@@ -138,9 +138,11 @@ class ShardedGIREngine:
     cache_capacity:
         Capacity of each *shard's* GIR cache.
     cache_policy:
-        Capacity-eviction policy (``"lru"`` or ``"cost"``) applied to
-        every shard cache *and* the cluster-level cache through the
-        shared :class:`~repro.core.caching.GIRCache`.
+        Must be ``"lru"``, the one eviction rule of every shard cache and
+        the cluster-level cache; anything else raises ``ValueError``. The
+        keyword is accepted only so that callers written against the
+        former choice of policies keep working; it is neither stored nor
+        forwarded.
     cluster_cache_capacity:
         Capacity of the cluster-level merged-region cache; ``0``
         disables the cluster cache (every read fans out).
@@ -183,6 +185,8 @@ class ShardedGIREngine:
                 f"unknown invalidation policy {invalidation!r}; "
                 f"expected one of {INVALIDATION_POLICIES}"
             )
+        if cache_policy != "lru":
+            raise ValueError(f"unknown cache policy {cache_policy!r}; expected 'lru'")
         self.n_shards = int(shards)
         self.scorer = scorer or LinearScoring(data.d)
         self.method = method
@@ -234,7 +238,6 @@ class ShardedGIREngine:
                     points=data.points[gids],
                     method=method,
                     cache_capacity=cache_capacity,
-                    cache_policy=cache_policy,
                     invalidation=invalidation,
                     page_sleep_ms=page_sleep_ms,
                     scorer=self.scorer,
@@ -259,7 +262,7 @@ class ShardedGIREngine:
 
         #: Cluster-level cache of merged answers (``None`` = disabled).
         self.cache: GIRCache | None = (
-            GIRCache(capacity=cluster_cache_capacity, policy=cache_policy)
+            GIRCache(capacity=cluster_cache_capacity)
             if cluster_cache_capacity > 0
             else None
         )

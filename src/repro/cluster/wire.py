@@ -358,7 +358,6 @@ def encode_build(spec: "ShardSpec") -> bytes:
             "name": spec.name,
             "method": spec.method,
             "cache_capacity": spec.cache_capacity,
-            "cache_policy": spec.cache_policy,
             "invalidation": spec.invalidation,
             "page_sleep_ms": spec.page_sleep_ms,
         },
@@ -389,7 +388,6 @@ def decode_build(reader: Reader) -> "ShardSpec":
         points=points,
         method=str(config["method"]),
         cache_capacity=int(config["cache_capacity"]),
-        cache_policy=str(config.get("cache_policy", "lru")),
         invalidation=str(config["invalidation"]),
         page_sleep_ms=float(config["page_sleep_ms"]),
         scorer=scorer,

@@ -70,7 +70,7 @@ from repro.core.region_index import (
     SCREEN_SAFE,
     SCREEN_TIE,
 )
-from repro.core.tolerances import MEMBERSHIP_TOL, MIN_GAIN_RADIUS
+from repro.core.tolerances import MEMBERSHIP_TOL
 
 __all__ = [
     "CacheHit",
@@ -206,43 +206,18 @@ class InsertPrescreen:
         return len(self.safe) + len(self.ties) + len(self.evict)
 
 
-#: Floor on the Chebyshev-radius volume proxy, so sliver/degenerate
-#: regions still carry a positive gain and recency can order them.
-_MIN_RADIUS = MIN_GAIN_RADIUS
-
-
 # repro: thread-owned[GIRCache] -- owned by one GIREngine; the router's serve lock serializes every path that reaches it
 class GIRCache:
     """A capacity-bounded cache of (query, top-k result, GIR) triples.
 
-    Capacity overflow is resolved by one of two eviction policies:
-
-    * ``policy="lru"`` (default, the reference policy) — drop the least
-      recently used entry;
-    * ``policy="cost"`` — Greedy-Dual scoring: each entry carries a
-      *gain* — its region-volume proxy (Chebyshev radius ** d, floored)
-      times its recompute cost (``1 + io_pages_total`` of the original
-      GIR computation) — and a *priority* ``clock_at_last_touch + gain``.
-      Eviction drops the minimum-priority entry and advances the clock to
-      the victim's priority, so untouched entries age relative to the
-      clock exactly as in LRU, while big or expensive regions survive
-      proportionally longer. Under a drifting hot spot this keeps the
-      wide regions that will serve the *next* hot spot, where LRU churns
-      them out with the small, momentarily-hot slivers.
+    Capacity overflow evicts the least recently used entry; a hit, an
+    insert and a subsumption-skipped insert all refresh recency.
     """
 
-    def __init__(
-        self,
-        capacity: int = 128,
-        policy: str = "lru",
-        grid: bool = True,
-    ) -> None:
+    def __init__(self, capacity: int = 128, grid: bool = True) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if policy not in ("lru", "cost"):
-            raise ValueError(f"unknown eviction policy {policy!r}")
         self.capacity = capacity
-        self.policy = policy
         #: Whether region indexes carry the grid admission prescreen.
         self.grid = bool(grid)
         self._entries: OrderedDict[int, GIRResult] = OrderedDict()
@@ -254,14 +229,6 @@ class GIRCache:
         #: without walking the dict.
         self._stamps: dict[int, int] = {}
         self._tick = 0
-        #: Greedy-Dual state (cost policy): inflation clock, memoized
-        #: per-key raw gain (and its sum over live entries, for
-        #: normalization), and priority = clock at last touch + shaped
-        #: gain.
-        self._clock = 0.0
-        self._gain: dict[int, float] = {}
-        self._gain_total = 0.0
-        self._priority: dict[int, float] = {}
         self.full_hits = 0
         self.misses = 0
         self.subsumption_evictions = 0
@@ -270,15 +237,8 @@ class GIRCache:
         #: entry is refreshed instead).
         self.subsumption_skips = 0
         self.invalidation_evictions = 0
-        #: Entries dropped by the LRU policy on capacity overflow.
-        self.lru_evictions = 0
-        #: Entries dropped by the cost-aware policy on capacity overflow.
-        self.cost_evictions = 0
-
-    @property
-    def capacity_evictions(self) -> int:
-        """Total capacity-overflow evictions across both policies."""
-        return self.lru_evictions + self.cost_evictions
+        #: Least recently used entries dropped on capacity overflow.
+        self.capacity_evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -289,36 +249,6 @@ class GIRCache:
         self._entries.move_to_end(key)
         self._tick += 1
         self._stamps[key] = self._tick
-        if self.policy == "cost":
-            self._priority[key] = self._priority_of(key)
-
-    def _priority_of(self, key: int) -> float:
-        """Greedy-Dual priority at the current clock.
-
-        The raw gain is normalized by the mean gain of the live entries
-        (so the value term is O(1) and the clock ages untouched entries at
-        LRU speed regardless of data scale) and square-root-compressed
-        (raw gains span orders of magnitude; uncompressed, a hot but
-        small region would be evicted the moment it stops being the very
-        last touch, which loses to LRU even on non-drifting skew)."""
-        mean = self._gain_total / len(self._gain) if self._gain else 1.0
-        rel = self._gain[key] / mean if mean > 0.0 else 1.0
-        return self._clock + float(np.sqrt(rel))
-
-    def _entry_gain(self, gir: GIRResult) -> float:
-        """Greedy-Dual gain: region-volume proxy × recompute cost.
-
-        The Chebyshev radius is memoized on the polytope; the ``d``-th
-        power makes the proxy scale like a volume, and the floor keeps
-        degenerate (empty-interior) regions at a small positive gain.
-        """
-        _center, radius = gir.polytope.chebyshev_center()
-        if not np.isfinite(radius) or radius <= 0.0:
-            radius = _MIN_RADIUS
-        d = int(gir.weights.shape[0])
-        volume_proxy = max(radius, _MIN_RADIUS) ** d
-        recompute_cost = 1.0 + float(gir.stats.io_pages_total)
-        return volume_proxy * recompute_cost
 
     def _register(
         self, key: int, gir: GIRResult, kth_g: np.ndarray | None
@@ -326,30 +256,16 @@ class GIRCache:
         self._entries[key] = gir
         self._tick += 1
         self._stamps[key] = self._tick
-        if self.policy == "cost":
-            gain = self._entry_gain(gir)
-            self._gain[key] = gain
-            self._gain_total += gain
-            self._priority[key] = self._priority_of(key)
         d = int(gir.weights.shape[0])
         self._indexes.setdefault(
             d, RegionIndex(d, grid_cells=None if self.grid else 0)
         ).add(key, gir.polytope, kth_g=kth_g, interior=gir.weights)
 
-    def _forget_scoring(self, key: int) -> None:
-        self._stamps.pop(key, None)
-        gain = self._gain.pop(key, None)
-        if gain is not None:
-            self._gain_total -= gain
-            if not self._gain:
-                self._gain_total = 0.0
-        self._priority.pop(key, None)
-
     def _unregister(self, key: int) -> bool:
         gir = self._entries.pop(key, None)
         if gir is None:
             return False
-        self._forget_scoring(key)
+        self._stamps.pop(key, None)
         index = self._indexes.get(int(gir.weights.shape[0]))
         if index is not None:
             index.remove(key)
@@ -426,18 +342,8 @@ class GIRCache:
         self._next_key += 1
         self._register(key, gir, kth_g)
         if len(self._entries) > self.capacity:
-            if self.policy == "cost":
-                victim = min(self._priority, key=self._priority.__getitem__)
-                # Advance the clock so entries untouched since before the
-                # victim's last touch age out of the cache the way LRU
-                # would age them.
-                self._clock = self._priority[victim]
-                self._unregister(victim)
-                self.cost_evictions += 1
-            else:
-                oldest = next(iter(self._entries))
-                self._unregister(oldest)
-                self.lru_evictions += 1
+            self._unregister(next(iter(self._entries)))
+            self.capacity_evictions += 1
         return key
 
     def _subsuming_host(
@@ -628,7 +534,7 @@ class GIRCache:
             if gir is None:
                 continue
             removed += 1
-            self._forget_scoring(key)
+            self._stamps.pop(key, None)
             by_dim.setdefault(int(gir.weights.shape[0]), []).append(key)
         for dim, dim_keys in by_dim.items():
             index = self._indexes.get(dim)
@@ -643,9 +549,6 @@ class GIRCache:
         removed = len(self._entries)
         self._entries.clear()
         self._stamps.clear()
-        self._gain.clear()
-        self._gain_total = 0.0
-        self._priority.clear()
         for index in self._indexes.values():
             index.clear()
         self.invalidation_evictions += removed
@@ -677,8 +580,6 @@ class GIRCache:
             "subsumption_skips": self.subsumption_skips,
             "invalidation_evictions": self.invalidation_evictions,
             "capacity_evictions": self.capacity_evictions,
-            "lru_evictions": self.lru_evictions,
-            "cost_evictions": self.cost_evictions,
             "entries": len(self._entries),
             "index_rows": sum(
                 index.rows for index in self._indexes.values()

@@ -12,8 +12,8 @@ not whatever a caller happened to type).
 
 Grouping, loosest to tightest:
 
-* :data:`APPROX_TOLERANCE` / :data:`MIN_GAIN_RADIUS` — coarse model
-  parameters, not correctness tolerances;
+* :data:`APPROX_TOLERANCE` — a coarse model parameter, not a
+  correctness tolerance;
 * :data:`GRID_SAFE_TOL` / :data:`GRID_SLACK` — the admission grid's
   soundness boundary (slack must dominate ``tol * (1 + sqrt(d))``);
 * :data:`STRICT_BELOW_TOL` — how far below the apex's score hyperplane
@@ -45,7 +45,6 @@ __all__ = [
     "GRID_SAFE_TOL",
     "GRID_SLACK",
     "SCREEN_SAFETY",
-    "MIN_GAIN_RADIUS",
     "APPROX_TOLERANCE",
     "NORM_FLOOR",
     "LP_FTOL",
@@ -120,12 +119,6 @@ GRID_SLACK = 1e-6
 #: reliable to ~1e-12; this dominates it comfortably). Must stay below
 #: :data:`MEMBERSHIP_TOL`, the ``tol`` it is subtracted from.
 SCREEN_SAFETY = 1e-10
-
-#: Floor on the Chebyshev-radius volume proxy of the cost-aware
-#: eviction gain, so sliver/degenerate regions still carry a positive
-#: gain and recency can order them. A model parameter, not a
-#: correctness tolerance.
-MIN_GAIN_RADIUS = 1e-3
 
 #: Default termination tolerance of the approximate (sampling-based)
 #: GIR variant. A model parameter, not a correctness tolerance.

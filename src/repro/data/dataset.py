@@ -117,42 +117,6 @@ class Dataset:
         normalised[:, constant] = 0.5
         return cls(normalised, name=name)
 
-    @classmethod
-    def from_csv(
-        cls,
-        path,
-        name: str | None = None,
-        delimiter: str = ",",
-        skip_header: int = 1,
-        columns: "list[int] | None" = None,
-        normalise: bool = True,
-    ) -> "Dataset":
-        """Load records from a CSV file.
-
-        Parameters
-        ----------
-        path:
-            File path (anything ``numpy.genfromtxt`` accepts).
-        skip_header:
-            Header lines to skip (default 1).
-        columns:
-            Attribute columns to use (default: all).
-        normalise:
-            Min-max normalise into ``[0, 1]^d`` (default). Disable only if
-            the file already contains unit-cube data.
-        """
-        raw = np.genfromtxt(path, delimiter=delimiter, skip_header=skip_header)
-        if raw.ndim == 1:
-            raw = raw[:, None]
-        if columns is not None:
-            raw = raw[:, columns]
-        if not np.isfinite(raw).all():
-            raise ValueError(f"{path}: non-numeric or missing values in data")
-        label = name or str(path)
-        if normalise:
-            return cls.from_raw(raw, name=label)
-        return cls(raw, name=label)
-
     def subset(self, rids: np.ndarray, name: str | None = None) -> "Dataset":
         """Dataset restricted to the given record ids (ids are re-numbered)."""
         rids = np.asarray(rids, dtype=np.intp)

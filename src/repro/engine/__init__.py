@@ -29,7 +29,6 @@ from repro.engine.workload import (
     Request,
     Workload,
     as_generator,
-    drifting_zipf_workload,
     flash_crowd_workload,
     mixed_workload,
     uniform_workload,
@@ -54,7 +53,6 @@ __all__ = [
     "as_generator",
     "uniform_workload",
     "zipf_clustered_workload",
-    "drifting_zipf_workload",
     "flash_crowd_workload",
     "mixed_workload",
 ]

@@ -459,9 +459,10 @@ class GIREngine:
     cache_capacity:
         Capacity of the GIR cache.
     cache_policy:
-        Capacity-eviction policy of the GIR cache: ``"lru"`` (default)
-        or ``"cost"`` (Greedy-Dual volume × recompute-cost scoring; see
-        :class:`~repro.core.caching.GIRCache`).
+        Must be ``"lru"``, the cache's one eviction rule; anything else
+        raises ``ValueError``. The keyword is accepted only so that
+        callers written against the former choice of policies keep
+        working; it is neither stored nor forwarded.
     invalidation:
         Cache policy on updates: ``"gir"`` (selective, default) or
         ``"flush"`` (drop everything — the baseline).
@@ -487,6 +488,8 @@ class GIREngine:
                 f"unknown invalidation policy {invalidation!r}; "
                 f"expected one of {INVALIDATION_POLICIES}"
             )
+        if cache_policy != "lru":
+            raise ValueError(f"unknown cache policy {cache_policy!r}; expected 'lru'")
         if not isinstance(data, Dataset):
             data = Dataset(np.asarray(data, float))
         self.data = data
@@ -499,7 +502,7 @@ class GIREngine:
         #: (capacity-doubling buffer mirroring the table's rows).
         self._g_buf = self.scorer.transform(self.table.rows).copy()
         self._g_n = self.table.n_allocated
-        self.cache = GIRCache(capacity=cache_capacity, policy=cache_policy)
+        self.cache = GIRCache(capacity=cache_capacity)
         self.requests_served = 0
         self.updates_applied = 0
         self.update_evictions = 0

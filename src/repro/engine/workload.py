@@ -2,7 +2,7 @@
 
 A workload is an ordered stream of operations: top-k :class:`Request`\\ s,
 optionally interleaved with :class:`InsertOp` / :class:`DeleteOp` updates.
-Three stream shapes cover the interesting ends of the caching spectrum:
+Four stream shapes cover the interesting ends of the caching spectrum:
 
 * :func:`uniform_workload` — every user has independent taste; query
   vectors are i.i.d. uniform over the (interior of the) weight space.
@@ -12,9 +12,6 @@ Three stream shapes cover the interesting ends of the caching spectrum:
   archetype plus a small personal tweak. This is the situation Section 1's
   result-caching application exploits — most traffic lands in a few hot
   regions of weight space.
-* :func:`drifting_zipf_workload` — Zipf-clustered traffic whose hot spot
-  *migrates* at phase boundaries. The regime where recency-only (LRU)
-  eviction churns and a value-aware score should win.
 * :func:`flash_crowd_workload` — sudden duplicate-heavy bursts over a
   tiny pool of hot vectors, on a thin uniform background. The separating
   regime for the serving front door's single-flight coalescing: most of
@@ -49,7 +46,6 @@ __all__ = [
     "Workload",
     "uniform_workload",
     "zipf_clustered_workload",
-    "drifting_zipf_workload",
     "flash_crowd_workload",
     "mixed_workload",
 ]
@@ -219,77 +215,6 @@ def zipf_clustered_workload(
             "clusters": float(clusters),
             "zipf_s": float(zipf_s),
             "spread": float(spread),
-        },
-    )
-
-
-def drifting_zipf_workload(
-    d: int,
-    count: int,
-    k: int = 10,
-    clusters: int = 8,
-    zipf_s: float = 1.1,
-    spread: float = 0.01,
-    phases: int = 4,
-    carryover: float = 0.25,
-    rng: "int | np.random.Generator | None" = None,
-) -> Workload:
-    """Zipf-clustered reads whose *hot spot drifts* over the run.
-
-    The stream is split into ``phases`` equal segments. Each phase is a
-    Zipf-clustered stream of its own, but the popularity ranking over the
-    (fixed) archetype centres is re-dealt at every phase boundary: a new
-    head archetype becomes hot and the previous phase's traffic goes
-    cold, except for a ``carryover`` fraction of each phase's queries
-    that still follow the *previous* ranking (real migrations overlap).
-
-    This is the regime that separates recency-only eviction from
-    value-aware eviction: when the hot spot moves, LRU has filled the
-    cache with small per-tweak regions of the dead hot spot, while a
-    volume×cost score retains the wide regions that keep serving traffic
-    across phases.
-    """
-    if clusters <= 0:
-        raise ValueError("clusters must be positive")
-    if phases <= 0:
-        raise ValueError("phases must be positive")
-    if not 0.0 <= carryover <= 1.0:
-        raise ValueError("carryover must be in [0, 1]")
-    rng = as_generator(rng)
-    centres = rng.random((clusters, d)) * 0.7 + 0.15
-    ranks = np.arange(1, clusters + 1, dtype=np.float64)
-    probs = ranks**-zipf_s
-    probs /= probs.sum()
-    # rank -> archetype assignment, re-dealt per phase.
-    order = rng.permutation(clusters)
-    prev_order = order
-    requests: list = []
-    bounds = np.linspace(0, count, phases + 1).astype(int)
-    for phase in range(phases):
-        if phase:
-            prev_order = order
-            order = rng.permutation(clusters)
-        for _ in range(bounds[phase + 1] - bounds[phase]):
-            deal = prev_order if rng.random() < carryover else order
-            c = deal[rng.choice(clusters, p=probs)]
-            requests.append(
-                Request(
-                    weights=_interior(centres[c] + rng.normal(0.0, spread, d)),
-                    k=k,
-                )
-            )
-    return Workload(
-        requests=requests,
-        kind="drifting_zipf",
-        params={
-            "d": float(d),
-            "count": float(count),
-            "k": float(k),
-            "clusters": float(clusters),
-            "zipf_s": float(zipf_s),
-            "spread": float(spread),
-            "phases": float(phases),
-            "carryover": float(carryover),
         },
     )
 

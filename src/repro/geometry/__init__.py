@@ -5,9 +5,8 @@
 * :mod:`repro.geometry.halfspace` — half-spaces of query space whose
   bounding hyperplanes pass through the origin (Section 3.2), plus their
   provenance (which records induced them);
-* :mod:`repro.geometry.convexhull` — a from-scratch incremental convex hull
-  (Clarkson-style beneath-and-beyond) for any d ≥ 2, cross-checked against
-  scipy's qhull in the tests;
+* :mod:`repro.geometry.convexhull` — hull vertices and facet counts
+  through scipy's Qhull bindings (CP and GIR* pruning, Fig 8);
 * :mod:`repro.geometry.incident_facets` — the *facet fan*: incremental
   maintenance of only the hull facets incident to an apex point, the core
   data structure of the paper's FP algorithm (Section 6.3);
@@ -16,7 +15,7 @@
   qhull bindings, the same library the paper uses).
 """
 
-from repro.geometry.convexhull import IncrementalHull, hull_vertex_ids, qhull_facet_count
+from repro.geometry.convexhull import hull_vertex_ids, qhull_facet_count
 from repro.geometry.halfspace import Halfspace, order_halfspace, separation_halfspace
 from repro.geometry.incident_facets import FacetFan
 from repro.geometry.polytope import Polytope
@@ -28,7 +27,6 @@ __all__ = [
     "Halfspace",
     "order_halfspace",
     "separation_halfspace",
-    "IncrementalHull",
     "hull_vertex_ids",
     "qhull_facet_count",
     "FacetFan",

@@ -1,17 +1,16 @@
-"""Convex hulls: a from-scratch incremental algorithm plus qhull helpers.
+"""Convex hulls through Qhull.
 
-The paper's CP method computes the convex hull of the skyline records with
-Clarkson's randomized incremental algorithm, and FP shares its key update
-(beneath-and-beyond with horizon ridges, Section 6.3.1). We provide:
+CP and GIR* prune their candidates to convex-hull vertices, and Fig 8
+reports hull facet counts. All go through ``scipy.spatial.ConvexHull`` —
+the same Qhull library the paper links against — with degeneracy
+fallbacks:
 
-* :class:`IncrementalHull` — a clean-room incremental hull for any ``d ≥ 2``
-  that exposes facets and vertices. It processes points one by one: points
-  above one or more facets replace the visible facets with new ones through
-  the horizon ridges, exactly the operation the paper builds FP on. Used as
-  the didactic reference and cross-checked against qhull in the tests.
-* :func:`hull_vertex_ids` / :func:`qhull_facet_count` — thin wrappers around
-  ``scipy.spatial.ConvexHull`` (the same Qhull library the paper links
-  against) with degeneracy fallbacks; used on large inputs.
+* :func:`hull_vertex_ids` — indices of the hull vertices;
+* :func:`qhull_facet_count` — number of simplicial facets.
+
+FP's incremental hull update (beneath-and-beyond through the horizon
+ridges, Section 6.3.1) lives in :class:`repro.geometry.FacetFan`, which
+keeps only the facets incident to the apex.
 """
 
 from __future__ import annotations
@@ -20,163 +19,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 from scipy.spatial import QhullError
 
-from repro.geometry.predicates import EPS, affine_rank_basis
-from repro.core.tolerances import EXACT_TOL
-
-__all__ = ["HullFacet", "IncrementalHull", "hull_vertex_ids", "qhull_facet_count", "DegenerateInputError"]
-
-
-class DegenerateInputError(ValueError):
-    """Raised when the input points do not span a full-dimensional hull."""
-
-
-class HullFacet:
-    """A simplicial hull facet: ``d`` vertex indices, outward normal and
-    offset such that the hull interior satisfies ``normal · x < offset``."""
-
-    __slots__ = ("vertices", "normal", "offset")
-
-    def __init__(self, vertices: frozenset[int], normal: np.ndarray, offset: float):
-        self.vertices = vertices
-        self.normal = normal
-        self.offset = offset
-
-    def is_above(self, point: np.ndarray, eps: float = EPS) -> bool:
-        """Strictly outside test (coplanar counts as not above)."""
-        return float(self.normal @ point) > self.offset + eps
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HullFacet(vertices={sorted(self.vertices)})"
-
-
-def _facet_geometry(
-    points: np.ndarray, vertices: tuple[int, ...], below_ref: np.ndarray
-) -> tuple[np.ndarray, float] | None:
-    """Outward normal/offset of the hyperplane through ``vertices``,
-    oriented so ``below_ref`` lies strictly below. ``None`` if degenerate."""
-    vs = points[list(vertices)]
-    base = vs[0]
-    edges = vs[1:] - base
-    # Null space of the edge matrix = facet normal direction.
-    _, _, vt = np.linalg.svd(edges)
-    normal = vt[-1]
-    offset = float(normal @ base)
-    side = float(normal @ below_ref) - offset
-    if abs(side) <= EXACT_TOL:
-        return None
-    if side > 0:
-        normal = -normal
-        offset = -offset
-    return normal, float(offset)
-
-
-class IncrementalHull:
-    """Incremental convex hull of a point set in ``d ≥ 2`` dimensions.
-
-    Parameters
-    ----------
-    points:
-        ``(m, d)`` array. The hull references points by their row index.
-    eps:
-        Sidedness tolerance; coplanar points are treated as interior, so
-        reported vertices are strictly extreme points.
-
-    Raises
-    ------
-    DegenerateInputError
-        If the points do not span ``d`` dimensions.
-    """
-
-    def __init__(self, points: np.ndarray, eps: float = EPS) -> None:
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2:
-            raise ValueError("points must be an (m, d) array")
-        m, d = points.shape
-        if d < 2:
-            raise ValueError("hulls require d >= 2")
-        if m < d + 1:
-            raise DegenerateInputError(f"need at least {d + 1} points, got {m}")
-        self.points = points
-        self.eps = eps
-        self.facets: dict[int, HullFacet] = {}
-        self._next_facet_id = 0
-        self._build()
-
-    # -- construction -----------------------------------------------------
-
-    def _build(self) -> None:
-        points, d = self.points, self.points.shape[1]
-        apex = points[0]
-        rest = [points[i] for i in range(1, len(points))]
-        basis = affine_rank_basis(apex, rest, d)
-        if len(basis) < d:
-            raise DegenerateInputError("points span fewer than d dimensions")
-        simplex = [0] + [i + 1 for i in basis]
-        self._interior = points[simplex].mean(axis=0)
-        for skip in range(d + 1):
-            verts = tuple(v for j, v in enumerate(simplex) if j != skip)
-            geom = _facet_geometry(points, verts, self._interior)
-            if geom is None:
-                raise DegenerateInputError("initial simplex is flat")
-            self._add_facet(frozenset(verts), *geom)
-        used = set(simplex)
-        for idx in range(len(points)):
-            if idx not in used:
-                self.add_point(idx)
-
-    def _add_facet(self, vertices: frozenset[int], normal: np.ndarray, offset: float) -> None:
-        self.facets[self._next_facet_id] = HullFacet(vertices, normal, offset)
-        self._next_facet_id += 1
-
-    # -- incremental update (beneath-and-beyond) ---------------------------
-
-    def add_point(self, idx: int) -> bool:
-        """Process point ``idx``; returns True if it extended the hull."""
-        p = self.points[idx]
-        visible = [fid for fid, f in self.facets.items() if f.is_above(p, self.eps)]
-        if not visible:
-            return False
-        # Horizon ridges: (d-1)-subsets that appear in exactly one visible
-        # facet (their other side is an invisible facet).
-        ridge_count: dict[frozenset[int], int] = {}
-        for fid in visible:
-            for v in self.facets[fid].vertices:
-                ridge = self.facets[fid].vertices - {v}
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        horizon = [r for r, c in ridge_count.items() if c == 1]
-        for fid in visible:
-            del self.facets[fid]
-        for ridge in horizon:
-            verts = ridge | {idx}
-            geom = _facet_geometry(self.points, tuple(verts), self._interior)
-            if geom is None:
-                # Degenerate sliver (nearly collinear ridge + point); skip —
-                # the neighbouring facets still cover the hull boundary up
-                # to eps, which is the usual joggle-style resolution.
-                continue
-            self._add_facet(frozenset(verts), *geom)
-        return True
-
-    # -- queries ------------------------------------------------------------
-
-    def vertex_ids(self) -> set[int]:
-        """Indices of points on the hull boundary (strict extreme points)."""
-        out: set[int] = set()
-        for f in self.facets.values():
-            out |= f.vertices
-        return out
-
-    def facet_count(self) -> int:
-        return len(self.facets)
-
-    def contains(self, point: np.ndarray, eps: float | None = None) -> bool:
-        """Is ``point`` inside (or on) the hull?"""
-        eps = self.eps if eps is None else eps
-        p = np.asarray(point, dtype=np.float64)
-        return all(not f.is_above(p, eps) for f in self.facets.values())
-
-
-# -- qhull-backed helpers (large inputs) -------------------------------------
+__all__ = ["hull_vertex_ids", "qhull_facet_count"]
 
 
 def hull_vertex_ids(points: np.ndarray) -> set[int]:

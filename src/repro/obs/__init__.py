@@ -24,7 +24,6 @@ from repro.obs.metrics import (
     bind_cache_stats,
     bind_engine_stats,
     bind_serve_stats,
-    crosscheck_cache_identities,
     crosscheck_serve_identities,
 )
 from repro.obs.trace import (
@@ -68,7 +67,6 @@ __all__ = [
     "bind_serve_stats",
     "chrome_trace",
     "collector",
-    "crosscheck_cache_identities",
     "crosscheck_serve_identities",
     "current",
     "disable",

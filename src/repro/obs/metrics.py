@@ -4,11 +4,10 @@ The registry is *wiring*, not a second accounting system: gauges read
 the existing counters (``ServeStats`` fields, ``GIRCache.stats()``,
 ``GIREngine.stats()``) through callbacks at collection time, so nothing
 is double-counted and the registry can never drift from the source of
-truth. The PR 7 accounting-rule identities are re-checked *through* the
-registry (:func:`crosscheck_serve_identities`,
-:func:`crosscheck_cache_identities`) — if the wiring ever lied, the
-identities would break here even while ``ServeStats.accounting_ok()``
-still passed on the raw fields.
+truth. The serve accounting identities are re-checked *through* the
+registry (:func:`crosscheck_serve_identities`) — if the wiring ever
+lied, the identities would break here even while
+``ServeStats.accounting_ok()`` still passed on the raw fields.
 
 Histograms use fixed bucket upper bounds (defaults sized for
 millisecond latencies) and answer p50/p95/p99 by nearest-rank walk with
@@ -33,7 +32,6 @@ __all__ = [
     "bind_cache_stats",
     "bind_engine_stats",
     "crosscheck_serve_identities",
-    "crosscheck_cache_identities",
 ]
 
 #: Default histogram bucket upper bounds for millisecond latencies:
@@ -308,8 +306,6 @@ CACHE_STAT_KEYS = (
     "subsumption_evictions",
     "invalidation_evictions",
     "capacity_evictions",
-    "lru_evictions",
-    "cost_evictions",
     "entries",
     "grid_probes",
     "grid_negatives",
@@ -368,14 +364,3 @@ def crosscheck_serve_identities(
     out["ok"] = ok
     return out
 
-
-def crosscheck_cache_identities(
-    registry: MetricsRegistry, prefix: str = "cache"
-) -> dict:
-    """Re-evaluate the cache accounting identities from registry-read
-    values: capacity evictions split into lru+cost."""
-    val = lambda key: int(registry.value(f"{prefix}_{key}"))  # noqa: E731
-    eviction_split = val("capacity_evictions") == val("lru_evictions") + val(
-        "cost_evictions"
-    )
-    return {"eviction_split": eviction_split, "ok": eviction_split}

@@ -49,7 +49,6 @@ def spec(data):
         points=np.asarray(data.points),
         method="fp",
         cache_capacity=16,
-        cache_policy="lru",
         invalidation="gir",
         page_sleep_ms=0.0,
         scorer=LinearScoring(D),

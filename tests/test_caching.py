@@ -8,7 +8,8 @@ import pytest
 from repro.core.caching import GIRCache
 from repro.core.gir import compute_gir
 from repro.data.synthetic import independent
-from repro.engine import GIREngine, drifting_zipf_workload, zipf_clustered_workload
+from repro.cluster import ShardedGIREngine
+from repro.engine import GIREngine
 from repro.geometry.polytope import Polytope
 from repro.index.bulkload import bulk_load_str
 from repro.query.brs import brs_topk
@@ -413,122 +414,51 @@ class TestUpdateInvalidation:
         assert invalidated_by_insert(gir, kth, kth, tie_wins=True)
 
 
-class TestCostPolicy:
-    """Greedy-Dual cost-aware eviction (policy="cost")."""
+class TestCapacityEviction:
+    """LRU is the cache's one capacity-eviction rule."""
 
-    def test_rejects_bad_policy(self):
-        with pytest.raises(ValueError):
-            GIRCache(policy="fifo")
-
-    def test_gain_formula(self, cached_setup, rng):
+    def test_eviction_churn_closes(self, cached_setup, rng):
+        """Every insert ends up cached, subsumed, skipped or evicted."""
         data, tree = cached_setup
-        cache = GIRCache(policy="cost")
-        gir = compute_gir(tree, data, random_query(rng, 3), 5)
-        _center, radius = gir.polytope.chebyshev_center()
-        expected = max(radius, 1e-3) ** 3 * (1.0 + gir.stats.io_pages_total)
-        assert cache._entry_gain(gir) == pytest.approx(expected)
-
-    def test_cost_evicts_min_priority(self, cached_setup, rng):
-        """Capacity overflow removes the minimum Greedy-Dual priority —
-        which may be the just-inserted entry itself when its gain is small
-        relative to the incumbents (implicit admission control)."""
-        data, tree = cached_setup
-        probe = GIRCache(policy="cost")
-        girs = sorted(
-            (compute_gir(tree, data, random_query(rng, 3), 5) for _ in range(10)),
-            key=probe._entry_gain,
-        )
-        lo, hi = girs[0], girs[-1]
-        assert probe._entry_gain(hi) > probe._entry_gain(lo)
-        checked = 0
-        for third in girs[1:-1]:
-            cache = GIRCache(capacity=2, policy="cost")
-            cache.insert(lo)
-            cache.insert(hi)
-            if len(cache) != 2:
-                continue  # subsumption interfered; try another filler
-            prio = dict(cache._priority)
-            gain_third = cache._entry_gain(third)
-            total = cache._gain_total + gain_third
-            predicted = float(np.sqrt(gain_third * 3.0 / total))
-            key_third = cache.insert(third)
-            if cache.cost_evictions != 1:
-                continue
-            prio[key_third] = predicted
-            victim = min(prio, key=prio.__getitem__)
-            assert set(cache.entry_keys()) == set(prio) - {victim}
-            # The clock advanced to the victim's priority so stale
-            # incumbents age out at LRU speed.
-            assert cache._clock == pytest.approx(prio[victim])
-            checked += 1
-        assert checked > 0
-
-    def test_eviction_counter_split(self, cached_setup, rng):
-        """Each policy increments only its own counter; the legacy
-        capacity_evictions total is their sum and churn still closes."""
-        data, tree = cached_setup
-        for policy in ("lru", "cost"):
-            cache = GIRCache(capacity=2, policy=policy)
-            inserts = 0
-            for _ in range(12):
-                cache.insert(compute_gir(tree, data, random_query(rng, 3), 5))
-                inserts += 1
-                if cache.capacity_evictions >= 2:
-                    break
-            stats = cache.stats()
-            assert stats["capacity_evictions"] >= 1
-            if policy == "lru":
-                assert stats["cost_evictions"] == 0
-                assert stats["lru_evictions"] == stats["capacity_evictions"]
-            else:
-                assert stats["lru_evictions"] == 0
-                assert stats["cost_evictions"] == stats["capacity_evictions"]
-            assert inserts - stats["subsumption_skips"] == (
-                stats["entries"]
-                + stats["subsumption_evictions"]
-                + stats["capacity_evictions"]
-                + stats["invalidation_evictions"]
-            )
-
-    @pytest.mark.parametrize("stream", ["zipf", "drift"])
-    def test_cost_vs_lru_hit_rate(self, cached_setup, stream):
-        """Under capacity pressure the cost policy matches LRU's hit rate
-        on a stationary Zipf stream and beats it once the hot spot
-        drifts; each policy evicts through its own counter only."""
-        data, tree = cached_setup
-        shape = dict(k=10, clusters=24, zipf_s=0.9, spread=0.02)
-        if stream == "zipf":
-            workload = zipf_clustered_workload(3, 200, **shape, rng=10)
-        else:
-            workload = drifting_zipf_workload(
-                3, 200, **shape, phases=5, carryover=0.25, rng=11
-            )
-        hit_rate, stats = {}, {}
-        for policy in ("lru", "cost"):
-            engine = GIREngine(data, tree, cache_capacity=12, cache_policy=policy)
-            hit_rate[policy] = engine.run(workload).hit_rate
-            stats[policy] = engine.cache.stats()
-        if stream == "zipf":
-            assert hit_rate["cost"] >= hit_rate["lru"]
-        else:
-            assert hit_rate["cost"] > hit_rate["lru"]
-        assert stats["cost"]["cost_evictions"] > 0
-        assert stats["cost"]["lru_evictions"] == 0
-        assert stats["lru"]["lru_evictions"] > 0
-        assert stats["lru"]["cost_evictions"] == 0
-
-    def test_flush_clears_scoring_state(self, cached_setup, rng):
-        data, tree = cached_setup
-        cache = GIRCache(capacity=4, policy="cost")
-        for _ in range(3):
+        cache = GIRCache(capacity=2)
+        inserts = 0
+        for _ in range(12):
             cache.insert(compute_gir(tree, data, random_query(rng, 3), 5))
-        assert cache._gain and cache._priority
-        cache.flush()
-        assert not cache._gain and not cache._priority
-        assert cache._gain_total == 0.0
-        # Reusable after the flush.
-        cache.insert(compute_gir(tree, data, random_query(rng, 3), 5))
-        assert len(cache) == 1
+            inserts += 1
+            if cache.capacity_evictions >= 2:
+                break
+        stats = cache.stats()
+        assert stats["capacity_evictions"] >= 1
+        assert inserts - stats["subsumption_skips"] == (
+            stats["entries"]
+            + stats["subsumption_evictions"]
+            + stats["capacity_evictions"]
+            + stats["invalidation_evictions"]
+        )
+
+    def test_engines_accept_only_lru(self, cached_setup):
+        """``cache_policy`` survives as a keyword that takes ``"lru"`` only
+        (the kwargs below are the performance ledger's)."""
+        data, tree = cached_setup
+        engine = GIREngine(data, tree, method="fp", cache_capacity=128, cache_policy="lru")
+        assert engine.cache.capacity == 128
+        with pytest.raises(ValueError, match="cache policy"):
+            GIREngine(data, tree, cache_policy="cost")
+        cluster = ShardedGIREngine(
+            data,
+            shards=2,
+            backend="process",
+            parallel=True,
+            partitioner="round_robin",
+            method="fp",
+            cache_capacity=128,
+            cache_policy="lru",
+            cluster_cache_capacity=256,
+            page_sleep_ms=0.0,
+        )
+        cluster.close()
+        with pytest.raises(ValueError, match="cache policy"):
+            ShardedGIREngine(data, shards=2, cache_policy="cost")
 
 
 class TestGridFlag:

@@ -1,50 +1,9 @@
-"""Tests for adoption conveniences: CSV loading and result summaries."""
-
-import numpy as np
-import pytest
+"""Tests for adoption conveniences: result summaries."""
 
 from repro.core.gir import compute_gir
-from repro.data.dataset import Dataset
 from repro.data.synthetic import independent
 from repro.index.bulkload import bulk_load_str
 from tests.conftest import random_query
-
-
-class TestFromCSV:
-    def write_csv(self, tmp_path, rows, header="a,b,c\n"):
-        path = tmp_path / "data.csv"
-        path.write_text(header + "\n".join(",".join(map(str, r)) for r in rows))
-        return path
-
-    def test_basic_load(self, tmp_path):
-        path = self.write_csv(tmp_path, [[1, 10, 5], [3, 20, 7], [2, 30, 6]])
-        ds = Dataset.from_csv(path)
-        assert ds.n == 3 and ds.d == 3
-        assert ds.points.min() == 0.0 and ds.points.max() == 1.0
-
-    def test_column_selection(self, tmp_path):
-        path = self.write_csv(tmp_path, [[1, 10, 5], [3, 20, 7]])
-        ds = Dataset.from_csv(path, columns=[0, 2])
-        assert ds.d == 2
-
-    def test_no_normalise_requires_unit_cube(self, tmp_path):
-        path = self.write_csv(tmp_path, [[0.1, 0.2, 0.3], [0.9, 0.8, 0.7]])
-        ds = Dataset.from_csv(path, normalise=False)
-        assert np.allclose(ds.points[0], [0.1, 0.2, 0.3])
-
-    def test_missing_values_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,\n2,3\n")
-        with pytest.raises(ValueError, match="missing"):
-            Dataset.from_csv(path)
-
-    def test_loaded_data_queryable(self, tmp_path, rng):
-        rows = rng.random((50, 3)) * 100
-        path = self.write_csv(tmp_path, rows.tolist())
-        ds = Dataset.from_csv(path)
-        tree = bulk_load_str(ds)
-        gir = compute_gir(tree, ds, random_query(rng, 3), 5)
-        assert gir.contains(gir.weights)
 
 
 class TestSummary:

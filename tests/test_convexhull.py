@@ -1,96 +1,13 @@
-"""Tests for the from-scratch incremental convex hull (vs scipy's qhull)."""
+"""Tests for the Qhull-backed hull helpers."""
 
 import numpy as np
-import pytest
 from scipy.spatial import ConvexHull
 
-from repro.geometry.convexhull import (
-    DegenerateInputError,
-    IncrementalHull,
-    hull_vertex_ids,
-    qhull_facet_count,
-)
+from repro.geometry.convexhull import hull_vertex_ids, qhull_facet_count
 
 
 def qhull_vertices(points: np.ndarray) -> set[int]:
     return set(int(v) for v in ConvexHull(points).vertices)
-
-
-class TestIncrementalHull2D:
-    def test_square(self):
-        pts = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]], dtype=float)
-        hull = IncrementalHull(pts)
-        assert hull.vertex_ids() == {0, 1, 2, 3}
-        assert hull.facet_count() == 4
-
-    def test_interior_points_excluded(self, rng):
-        pts = np.vstack([np.array([[0, 0], [4, 0], [0, 4], [4, 4.0]]), rng.random((50, 2)) + 1.0])
-        hull = IncrementalHull(pts)
-        assert hull.vertex_ids() == {0, 1, 2, 3}
-
-    @pytest.mark.parametrize("n", [10, 60, 200])
-    def test_matches_qhull_random(self, rng, n):
-        pts = rng.random((n, 2))
-        hull = IncrementalHull(pts)
-        assert hull.vertex_ids() == qhull_vertices(pts)
-
-    def test_contains(self, rng):
-        pts = rng.random((60, 2))
-        hull = IncrementalHull(pts)
-        assert hull.contains(pts.mean(axis=0))
-        assert not hull.contains(np.array([5.0, 5.0]))
-
-
-class TestIncrementalHullHighD:
-    @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_matches_qhull(self, rng, d):
-        pts = rng.random((80, d))
-        hull = IncrementalHull(pts)
-        assert hull.vertex_ids() == qhull_vertices(pts)
-
-    def test_simplex_plus_interior(self, rng):
-        d = 3
-        corners = np.vstack([np.zeros(d), np.eye(d) * 3])
-        interior = rng.dirichlet(np.ones(d + 1), size=30) @ corners
-        pts = np.vstack([corners, interior * 0.9 + 0.05])
-        hull = IncrementalHull(pts)
-        assert hull.vertex_ids() == {0, 1, 2, 3}
-
-    def test_facet_count_cube(self):
-        """A 3-cube hull has 12 simplicial facets (2 triangles per face)."""
-        corners = np.array(
-            [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float
-        )
-        hull = IncrementalHull(corners)
-        assert hull.vertex_ids() == set(range(8))
-        assert hull.facet_count() == 12
-
-    def test_every_point_below_every_facet(self, rng):
-        """Hull validity: no input point lies strictly above any facet."""
-        pts = rng.random((60, 3))
-        hull = IncrementalHull(pts)
-        for facet in hull.facets.values():
-            assert (pts @ facet.normal <= facet.offset + 1e-9).all()
-
-
-class TestDegenerate:
-    def test_too_few_points(self):
-        with pytest.raises(DegenerateInputError):
-            IncrementalHull(np.array([[0.0, 0.0], [1.0, 1.0]]))
-
-    def test_collinear(self):
-        pts = np.array([[0, 0], [1, 1], [2, 2], [3, 3]], dtype=float)
-        with pytest.raises(DegenerateInputError):
-            IncrementalHull(pts)
-
-    def test_coplanar_in_3d(self):
-        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        with pytest.raises(DegenerateInputError):
-            IncrementalHull(pts)
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            IncrementalHull(np.array([[0.0], [1.0], [2.0]]))
 
 
 class TestQhullHelpers:
@@ -111,10 +28,3 @@ class TestQhullHelpers:
         pts = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float)
         assert qhull_facet_count(pts) == 4
 
-    def test_facet_counts_agree_with_own_hull(self, rng):
-        pts = rng.random((50, 3))
-        own = IncrementalHull(pts).facet_count()
-        qh = qhull_facet_count(pts)
-        # qhull merges coplanar facets only with default options on random
-        # data both counts are simplicial and equal.
-        assert own == qh

@@ -9,7 +9,6 @@ from repro.engine import (
     Request,
     Workload,
     percentile,
-    drifting_zipf_workload,
     uniform_workload,
     zipf_clustered_workload,
 )
@@ -184,41 +183,6 @@ class TestWorkloadGenerators:
     def test_zipf_rejects_bad_clusters(self):
         with pytest.raises(ValueError, match="positive"):
             zipf_clustered_workload(3, 10, clusters=0)
-
-    def test_drifting_zipf_hot_spot_moves(self):
-        """The head archetype of the first phase goes cold in later phases
-        (up to the carryover fraction), so phase-wise traffic centroids
-        actually move."""
-        rng = np.random.default_rng(11)
-        wl = drifting_zipf_workload(
-            3, 400, clusters=6, zipf_s=1.3, phases=4, carryover=0.2, rng=rng
-        )
-        assert isinstance(wl, Workload) and len(wl) == 400
-        assert wl.kind == "drifting_zipf"
-        assert wl.params["phases"] == 4.0
-        arr = np.stack([req.weights for req in wl])
-        assert (arr >= 0.01).all() and (arr <= 1.0).all()
-        per_phase = np.split(arr, 4)
-        centroids = np.stack([p.mean(axis=0) for p in per_phase])
-        # At least one phase boundary shifts the centroid by more than the
-        # within-cluster spread (the ranking was re-dealt).
-        jumps = np.linalg.norm(np.diff(centroids, axis=0), axis=1)
-        assert jumps.max() > 0.05
-
-    def test_drifting_zipf_validation(self):
-        with pytest.raises(ValueError, match="phases"):
-            drifting_zipf_workload(3, 10, phases=0)
-        with pytest.raises(ValueError, match="carryover"):
-            drifting_zipf_workload(3, 10, carryover=1.5)
-        with pytest.raises(ValueError, match="positive"):
-            drifting_zipf_workload(3, 10, clusters=0)
-
-    def test_drifting_zipf_seed_deterministic(self):
-        a = drifting_zipf_workload(3, 60, rng=5)
-        b = drifting_zipf_workload(3, 60, rng=5)
-        np.testing.assert_array_equal(
-            np.stack([r.weights for r in a]), np.stack([r.weights for r in b])
-        )
 
     def test_percentile_nearest_rank(self):
         values = [5.0, 1.0, 3.0, 2.0, 4.0]

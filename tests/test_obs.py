@@ -266,14 +266,12 @@ class TestMetrics:
         assert not verdict["ok"] and not verdict["admission"]
         assert verdict["completion"] and verdict["provenance"]
 
-    def test_cache_identities_crosscheck_against_live_cache(self, data):
+    def test_cache_gauges_read_live_cache(self, data):
         engine = fresh_engine(data)
         for request in uniform_workload(D, 30, k=5, rng=3):
             engine.topk(request.weights, request.k)
         registry = obs.MetricsRegistry()
         obs.bind_cache_stats(registry, engine.cache)
-        verdict = obs.crosscheck_cache_identities(registry)
-        assert verdict == {"eviction_split": True, "ok": True}
         stats = engine.cache.stats()
         assert registry.value("cache_full_hits") == stats["full_hits"]
         assert registry.value("cache_misses") == stats["misses"]

@@ -1,7 +1,7 @@
 """Property-based tests on the geometric data structures.
 
 Complements test_property_based.py (pipeline invariants) with randomized
-checks on the hull, the facet fan and the polytope machinery themselves.
+checks on the facet fan and the polytope machinery themselves.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from repro.core.phase2_fp import virtual_seeds
-from repro.geometry.convexhull import IncrementalHull
 from repro.geometry.incident_facets import FacetFan
 from repro.geometry.polytope import Polytope
 from repro.geometry.predicates import affine_rank_basis
@@ -55,31 +54,6 @@ def fan_candidates(draw):
         seed_keys, seeds = virtual_seeds(apex, np.zeros(d))
         keys, pts = keys + seed_keys, np.concatenate([pts, seeds])
     return apex, keys, pts, rng.permutation(len(keys)), kind in ("duplicate", "coplanar")
-
-
-class TestHullProperties:
-    @given(point_cloud())
-    @SETTINGS
-    def test_vertices_match_qhull(self, pts):
-        own = IncrementalHull(pts).vertex_ids()
-        ref = set(int(v) for v in ConvexHull(pts).vertices)
-        assert own == ref
-
-    @given(point_cloud())
-    @SETTINGS
-    def test_hull_contains_all_inputs(self, pts):
-        hull = IncrementalHull(pts)
-        for p in pts:
-            assert hull.contains(p, eps=1e-8)
-
-    @given(point_cloud(min_n=20, max_n=60))
-    @SETTINGS
-    def test_convex_combinations_inside(self, pts):
-        hull = IncrementalHull(pts)
-        rng = np.random.default_rng(0)
-        w = rng.dirichlet(np.ones(pts.shape[0]), size=10)
-        for combo in w @ pts:
-            assert hull.contains(combo, eps=1e-8)
 
 
 class TestFanProperties:

@@ -1,5 +1,7 @@
 """Tests for the vectorized region-membership index."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -143,8 +145,11 @@ class TestPrescreen:
             add_gir(index, key, gir, data)
             entries.append((gir, data.points[gir.topk.kth_id]))
         checked_safe = checked_evict = 0
-        for _ in range(60):
-            p = rng.random(3)
+        for i in range(60):
+            # Uniform inserts are mostly safe; ones from the high corner
+            # beat most k-th records everywhere, so evictions fire whatever
+            # queries the shared generator dealt.
+            p = rng.random(3) if i % 2 else 0.8 + 0.2 * rng.random(3)
             safe, evict = assert_decided_verdicts_match_lp(
                 index.prescreen_insert(p), entries, p
             )
@@ -565,6 +570,29 @@ class TestGridSignature:
         x = rng.random(3)
         assert not index.grid.is_certain_miss(x, GRID_SAFE_TOL * 11)
         assert not index.grid.certain_miss_mask(x[None, :], GRID_SAFE_TOL * 11).any()
+
+    def test_slack_admits_members_across_a_grid_line(self):
+        """A facet 5e-10 below the grid line ``w0 = 0.5`` (d = 4, g = 8):
+        a probe on the line is a member within ``MEMBERSHIP_TOL`` yet lies
+        in a cell the exact region misses. Only the registration slack
+        keeps the grid from calling it a certain miss."""
+        d = 4
+        data = independent(300, d, seed=44)
+        q = np.array([0.3, 0.6, 0.6, 0.6])
+        gir = compute_gir(bulk_load_str(data), data, q, 5)
+        box = Polytope.from_unit_box(d)
+        slab = Polytope(
+            np.vstack([box.A, np.eye(d)[:1]]), np.append(box.b, 0.5 - 5e-10)
+        )
+        entry = dataclasses.replace(gir, polytope=slab)
+        grid_cache, scan_cache = GIRCache(), GIRCache(grid=False)
+        grid_cache.insert(entry)
+        scan_cache.insert(entry)
+        assert grid_cache._indexes[d].grid.g == 8
+        probe = np.array([0.5, 0.6, 0.6, 0.6])
+        expected = scan_cache.lookup_scan(probe, 5)
+        assert expected is not None
+        assert grid_cache.lookup(probe, 5) == expected
 
     def test_near_facet_membership_property(self, rng):
         """Grid prescreen + exact membership never disagrees with the

@@ -183,7 +183,6 @@ class TestPayloads:
             points=rng.random((20, 4)),
             method="fp",
             cache_capacity=32,
-            cache_policy="cost",
             invalidation="flush",
             page_sleep_ms=0.25,
             scorer=LinearScoring(4),
@@ -194,8 +193,8 @@ class TestPayloads:
             )[1]
         )
         assert (out.shard, out.name, out.method) == (2, "data[shard2]", "fp")
-        assert (out.cache_capacity, out.cache_policy) == (32, "cost")
-        assert (out.invalidation, out.page_sleep_ms) == ("flush", 0.25)
+        assert (out.cache_capacity, out.invalidation) == (32, "flush")
+        assert out.page_sleep_ms == 0.25
         assert out.points.tobytes() == spec.points.tobytes()
         assert isinstance(out.scorer, LinearScoring) and out.scorer.d == 4
 
@@ -207,7 +206,6 @@ class TestPayloads:
             points=np.zeros((2, 2)),
             method="fp",
             cache_capacity=4,
-            cache_policy="lru",
             invalidation="gir",
             page_sleep_ms=0.0,
             scorer=polynomial_scoring((2.0, 1.0)),
