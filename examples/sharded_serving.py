@@ -11,12 +11,13 @@ cached at the cluster level, so repeat traffic in a hot preference region
 is served with zero fan-out and zero page reads.
 
 The demo serves the same Zipf-clustered workload through a single engine
-and through a 4-shard cluster — sequential fan-out, thread fan-out, and
-process fan-out (``backend="process"``: one long-lived worker process per
-shard, requests crossing the versioned wire format of
-``repro.cluster.wire``, so CPU-bound phase-2 work escapes the GIL on
-multi-core hosts) — verifies all answers are identical, and prints the
-per-shard breakdowns.
+and through a 4-shard cluster on each shard backend — in-process shards
+(``backend="inproc"``, answered one after another) and process shards
+(``backend="process"``: one long-lived worker process per shard, requests
+crossing the versioned wire format of ``repro.cluster.wire``; a fan-out
+sends every worker its request before reading any reply, so CPU-bound
+phase-2 work escapes the GIL on multi-core hosts) — verifies all answers
+are identical, and prints the per-shard breakdowns.
 
 Run with:  python examples/sharded_serving.py
 """
@@ -41,32 +42,27 @@ def main(n: int = 20_000, queries: int = 200) -> None:
     print(single_report.summary())
 
     reports = {}
-    configs = [
-        ("sequential", dict(backend="inproc", parallel=False)),
-        ("thread", dict(backend="inproc", parallel=True)),
-        ("process", dict(backend="process", parallel=True)),
-    ]
-    for mode, knobs in configs:
+    for backend in ("inproc", "process"):
         with ShardedGIREngine(
             data,
             shards=4,
             partitioner="kd",
+            backend=backend,
             cache_capacity=64,
             cluster_cache_capacity=128,
-            **knobs,
         ) as cluster:
             report = cluster.run(workload)
-            reports[mode] = report
-            print(f"\n--- 4-shard cluster ({mode} fan-out) " + "-" * 24)
+            reports[backend] = report
+            print(f"\n--- 4-shard cluster ({backend} backend) " + "-" * 24)
             print(report.summary())
 
-    for mode in reports:
+    for backend in reports:
         mismatches = sum(
             r.ids != s.ids
-            for r, s in zip(reports[mode].responses, single_report.responses)
+            for r, s in zip(reports[backend].responses, single_report.responses)
         )
         print(
-            f"\n{mode:>10} fan-out vs single engine: "
+            f"\n{backend:>8} backend vs single engine: "
             f"{len(single_report.responses) - mismatches}/"
             f"{len(single_report.responses)} identical"
             + (" — all exact" if mismatches == 0 else " — MISMATCH")

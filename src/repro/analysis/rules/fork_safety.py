@@ -4,8 +4,8 @@
 :class:`~repro.cluster.backends.base.ShardSpec` to a worker process —
 under ``spawn`` that means *pickling* it, and under ``fork`` every piece
 of module-level state in the parent is silently duplicated into each
-worker. The in-process backend fans out over threads, so the same
-module-level state is *shared* instead. Both failure modes are
+worker. Concurrent callers of the router run on threads, so the same
+module-level state is *shared* among them instead. Both failure modes are
 structural, so both are checked statically, over the fan-out-reachable
 modules (``cluster/``, ``engine/``, and the core modules the shard
 engine touches):
@@ -17,7 +17,7 @@ engine touches):
    and configs must be module-level importable objects.
 
 2. **Module-level mutable containers** — a plain ``dict``/``list``/
-   ``set`` at module scope is shared across the thread fan-out and
+   ``set`` at module scope is shared across concurrent callers and
    duplicated-but-diverging across forked workers. Lookup tables must be
    immutable (``frozenset``, tuple, ``types.MappingProxyType``); genuine
    registries need an explicit suppression explaining why mutation is

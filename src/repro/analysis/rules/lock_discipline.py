@@ -1,10 +1,10 @@
 """Rule ``lock-discipline``: fan-out-reachable mutations hold a lock.
 
-:class:`~repro.cluster.ShardedGIREngine` answers reads by fanning out
-over a ``ThreadPoolExecutor`` — so every method reachable from
-``_fan_out`` / an executor-submitted callable can
-run on a pool thread, concurrently with whatever the caller's thread
-does next. This rule enforces the discipline that makes that safe:
+:class:`~repro.cluster.ShardedGIREngine` serves concurrent callers, and
+every read reaches the shards through ``_fan_out`` — so every method
+reachable from ``_fan_out`` / an executor-submitted callable can run on
+one caller's thread while another's does something else. This rule
+enforces the discipline that makes that safe:
 
 1. **Guarded mutations** — any ``self.<attr>`` store (assignment,
    augmented assignment, subscript store, in-place mutator call like
@@ -52,7 +52,7 @@ CONCURRENCY_SCOPE = (
     "repro/core/region_index.py",
 )
 
-#: Method names that start a pool-thread fan-out in this codebase.
+#: Method names that start a read fan-out in this codebase.
 FAN_OUT_ROOTS = ("_fan_out",)
 
 

@@ -1,8 +1,8 @@
 """Rule ``shared-state``: no unprotected read/write-shared mutables.
 
-The router serves reads by fanning out on pool threads while routed
-writes mutate shard state — so anything reachable from **both** the
-read path (``topk``/``topk_batch``/``_fan_out`` and
+The router serves reads on its callers' threads while routed writes
+from other threads mutate shard state — so anything reachable from
+**both** the read path (``topk``/``topk_batch``/``_fan_out`` and
 executor-submitted callables) and the write path (``insert``/``delete``)
 of the ``cluster/`` tier is shared across threads. This rule generalizes
 ``fork-safety`` from picklability to *mutation*: a shared structure is a

@@ -3,7 +3,7 @@ shard-execution backends.
 
 * :class:`repro.cluster.ShardedGIREngine` — partitions the record table
   across N independent :class:`~repro.engine.GIREngine` shards, fans
-  reads out (sequentially or on a thread pool), merges the per-shard
+  reads out on the caller's thread, merges the per-shard
   answers into the byte-identical global top-k with a cross-shard merged
   stability region, caches merged regions at the cluster level, and
   routes writes to the single owning shard;

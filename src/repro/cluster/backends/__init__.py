@@ -5,12 +5,13 @@ caches; *where each shard executes* is this package's concern, behind the
 :class:`~repro.cluster.backends.base.ShardBackend` contract:
 
 * :class:`InProcBackend` (``"inproc"``, the default) — the shard engine
-  lives in the router's process; fan-out threads overlap page-store
-  waits but share the GIL for CPU work;
+  lives in the router's process; a fan-out answers the shards one after
+  another;
 * :class:`ProcessBackend` (``"process"``) — one long-lived worker process
   per shard, speaking the versioned wire format of
-  :mod:`repro.cluster.wire`; CPU-bound phase-2/merge-prep work runs
-  genuinely in parallel across shards.
+  :mod:`repro.cluster.wire`; a fan-out sends every shard its request
+  before reading any reply, so CPU-bound phase-2 work runs genuinely in
+  parallel across shards.
 
 Both are byte-identical in their answers; the registry (``BACKENDS`` /
 :func:`make_backend`) is where a future socket/multi-host backend plugs

@@ -13,6 +13,8 @@ contract is deliberately narrow and fully serializable:
   single read is a batch of one), returning :class:`ShardReply`\\ s — the
   ``(ids, scores, tie_sums, points_g, region)`` tuple the merge layer
   consumes, in **local** rid terms (the router lifts rids to global);
+* :meth:`ShardBackend.fan_out` — one such batch on each of several
+  shards: the router's fan-out, overlapped as the backend class can;
 * :meth:`ShardBackend.insert` / :meth:`ShardBackend.delete` — apply a
   routed write, returning :class:`ShardUpdate` (local rid + invalidation
   accounting);
@@ -34,11 +36,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Self, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
+from repro import obs
 from repro.data.dataset import Dataset
 from repro.engine.engine import EngineResponse, GIREngine, UpdateResponse
 from repro.engine.workload import Request
@@ -51,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ShardSpec",
+    "ShardReads",
     "ShardReply",
     "ShardUpdate",
     "ShardBackend",
@@ -62,6 +66,11 @@ __all__ = [
     "update_from_response",
     "engine_shard_stats",
 ]
+
+
+#: A batch of ``(weights, k)`` local reads (each ``k`` already clamped by
+#: the router).
+ShardReads = Sequence[tuple[npt.NDArray[np.float64], int]]
 
 
 class ShardWriteError(RuntimeError):
@@ -215,11 +224,19 @@ class ShardBackend(ABC):
         """Construct the shard from its spec. Called exactly once."""
 
     @abstractmethod
-    def topk_batch(
-        self, requests: Sequence[tuple[npt.NDArray[np.float64], int]]
-    ) -> list[ShardReply]:
-        """Answer a batch of ``(weights, k)`` local reads in one round
-        trip (each ``k`` already clamped by the router)."""
+    def topk_batch(self, requests: ShardReads) -> list[ShardReply]:
+        """Answer a batch of local reads in one round trip."""
+
+    @classmethod
+    def fan_out(cls, calls: Sequence[tuple[int, Self, ShardReads]]) -> list[list[ShardReply]]:
+        """One :meth:`topk_batch` per ``(shard, backend, requests)``
+        call, each under a ``shard.call`` span, replies in call order.
+        This default runs the shards one after another."""
+        replies: list[list[ShardReply]] = []
+        for shard, backend, requests in calls:
+            with obs.span("shard.call", shard=shard, method="topk_batch"):
+                replies.append(backend.topk_batch(requests))
+        return replies
 
     @abstractmethod
     def insert(self, point: npt.NDArray[np.float64]) -> ShardUpdate:

@@ -2,9 +2,10 @@
 
 The default backend and the reference the others are measured against:
 zero transport cost, zero serialization, direct object sharing (a reply's
-``region`` is the very polytope the shard's cache holds). Thread fan-out
-over in-process backends overlaps page-store waits but serializes
-CPU-bound phase-2 work on the GIL — escaping that is what
+``region`` is the very polytope the shard's cache holds). A fan-out over
+in-process backends is the default :meth:`ShardBackend.fan_out`: the
+shards answer one after another on the caller's thread, so their
+CPU-bound phase-2 work never overlaps — overlapping it is what
 :class:`~repro.cluster.backends.process.ProcessBackend` is for.
 """
 
@@ -32,7 +33,7 @@ __all__ = ["InProcBackend"]
 
 # The backend holds no lock of its own: the router's serve lock already
 # serializes every request that reaches it, and the engine it wraps is
-# built before any fan-out thread exists (happens-before publication).
+# built before the router serves its first request.
 # repro: thread-owned[InProcBackend] -- every call arrives under the router's serve lock; the backend itself adds no concurrency
 class InProcBackend(ShardBackend):
     """Direct calls into a locally owned :class:`GIREngine`."""

@@ -10,7 +10,9 @@ shards do. Router and worker speak the versioned frame format of
 :mod:`repro.cluster.wire` over a ``multiprocessing`` pipe:
 
 * one outstanding request per worker at a time (the router's fan-out
-  parallelism comes from having N workers, not from pipelining one);
+  parallelism comes from having N workers, not from pipelining one):
+  :meth:`ProcessBackend.fan_out` writes every shard's request frame,
+  then reads every reply, all on the caller's thread;
 * float payloads are bit-exact on the wire, so answers are byte-identical
   to :class:`~repro.cluster.backends.inproc.InProcBackend`;
 * a worker-side exception is caught, serialized (type, message,
@@ -19,7 +21,7 @@ shards do. Router and worker speak the versioned frame format of
   keeps serving.
 
 The start method prefers ``fork`` on Linux (no re-import of numpy/scipy
-per worker; the parent creates workers before any fan-out threads exist)
+per worker; the router starts no threads of its own to fork under)
 and uses ``spawn`` everywhere else (macOS frameworks are not fork-safe);
 ``spawn`` requires the spec's scorer to be picklable, which the wire
 format enforces for every start method so behaviour cannot differ by
@@ -33,7 +35,8 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import sys
-from typing import Any, Sequence
+import time
+from typing import Any, Self, Sequence
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from repro import obs, sanitize
 from repro.cluster import wire
 from repro.cluster.backends.base import (
     ShardBackend,
+    ShardReads,
     ShardReply,
     ShardSpec,
     ShardUpdate,
@@ -118,7 +122,7 @@ def _worker_main(conn: Any) -> None:
                         # lazily on first traced frame.
                         if not obs.tracing_enabled():
                             obs.enable()
-                        stack.enter_context(obs.use_trace(*reader.trace))
+                        stack.enter_context(obs.use_trace(reader.trace))
                         stack.enter_context(
                             obs.span(
                                 "shard.worker", msg=wire.MSG_NAMES[msg]
@@ -210,10 +214,12 @@ class ProcessBackend(ShardBackend):
         self._start_method: str = start_method or default_start_method()
         self._proc: multiprocessing.process.BaseProcess | None = None
         self._conn: Any = None
-        #: One outstanding request per worker: the lock serializes the
-        #: send/recv pair so thread fan-out from the router stays safe.
-        #: Every ``_proc``/``_conn`` touch after ``build`` happens under
-        #: it, which is what lets the shared-state rule prove the pair.
+        self._shard = -1
+        #: One outstanding request per worker: the lock is held from a
+        #: request's send to its reply, so no caller can write a frame
+        #: while another's reply is still in the pipe. Every
+        #: ``_proc``/``_conn`` touch after ``build`` happens under it,
+        #: which is what lets the shared-state rule prove the pair.
         self._lock = sanitize.make_lock("ProcessBackend._lock")
 
     def build(self, spec: ShardSpec) -> None:
@@ -222,6 +228,7 @@ class ProcessBackend(ShardBackend):
         # Encode the spec *before* starting the worker so an unpicklable
         # scorer fails fast with no orphan process.
         payload = wire.encode_build(spec)
+        self._shard = spec.shard
         ctx = multiprocessing.get_context(self._start_method)
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
@@ -234,52 +241,82 @@ class ProcessBackend(ShardBackend):
         child.close()
         self._request(wire.MSG_BUILD, payload, expect=wire.MSG_READY)
 
-    def _request(
-        self,
-        msg: int,
-        payload: bytes,
-        expect: int,
-        trace: tuple[str, str] | None = None,
-    ) -> "wire.Reader":
-        with self._lock:
-            # The closed/unbuilt check lives *inside* the lock so it and
-            # the use it guards are one atomic step — a concurrent
-            # ``close`` cannot null the pipe between them.
-            conn = self._conn
-            if conn is None:
-                raise RuntimeError(
-                    "backend is not running (closed or unbuilt)"
-                )
-            try:
-                conn.send_bytes(wire.encode_frame(msg, payload, trace=trace))
-                frame = conn.recv_bytes()
-            except (EOFError, OSError) as exc:
-                proc = self._proc
-                raise RuntimeError(
-                    f"shard worker {proc.name if proc else '?'} "
-                    f"died mid-request"
-                ) from exc
+    def _send(self, msg: int, payload: bytes, trace: tuple[str, str] | None) -> None:
+        """Write one request frame. The caller holds ``_lock`` from here
+        until :meth:`_receive` has read the reply; checking the pipe under
+        it means a concurrent ``close`` cannot null it in between."""
+        if self._conn is None:
+            raise RuntimeError("backend is not running (closed or unbuilt)")
+        try:
+            self._conn.send_bytes(wire.encode_frame(msg, payload, trace=trace))
+        except OSError as exc:
+            raise RuntimeError(f"shard worker {self._shard} died mid-request") from exc
+
+    def _receive(self, expect: int) -> "wire.Reader":
+        try:
+            frame = self._conn.recv_bytes()
+        except (EOFError, OSError) as exc:
+            raise RuntimeError(f"shard worker {self._shard} died mid-request") from exc
         reply_msg, reader = wire.decode_frame(frame)
         if reply_msg == wire.MSG_REPLY_ERROR:
             raise wire.decode_error(reader)
         if reply_msg != expect:
-            raise wire.WireError(
-                f"expected reply type {expect}, got {reply_msg}"
-            )
+            raise wire.WireError(f"expected reply type {expect}, got {reply_msg}")
         return reader
+
+    def _request(
+        self, msg: int, payload: bytes, expect: int, trace: tuple[str, str] | None = None
+    ) -> "wire.Reader":
+        with self._lock:
+            self._send(msg, payload, trace)
+            return self._receive(expect)
 
     # -- the shard contract ----------------------------------------------------
 
-    def topk_batch(
-        self, requests: Sequence[tuple[np.ndarray, int]]
-    ) -> list[ShardReply]:
-        reader = self._request(
-            wire.MSG_TOPK_BATCH,
-            wire.encode_topk_batch(list(requests)),
-            wire.MSG_REPLY_BATCH,
-            trace=obs.current(),
-        )
-        return wire.decode_batch_reply(reader)
+    @classmethod
+    def fan_out(cls, calls: Sequence[tuple[int, Self, ShardReads]]) -> list[list[ShardReply]]:
+        """Send every shard its ``MSG_TOPK_BATCH`` frame, then read every
+        reply, so the workers compute at once. Pipe locks are taken in
+        shard order, each held from its shard's send to its reply. Every
+        shard sent a frame is read before the first error is raised, so
+        no reply is left in a pipe for the next request. A shard's
+        ``shard.call`` span runs from its send to its reply and parents
+        its wire codec work and its worker's spans."""
+        parent = obs.current()
+        sent: list[tuple[int, Self, tuple[str, str] | None, float]] = []
+        replies: list[list[ShardReply]] = []
+        error: Exception | None = None
+        with contextlib.ExitStack() as held:
+            for shard, backend, requests in calls:
+                held.enter_context(backend._lock)
+                call = None if parent is None else (parent[0], obs.new_span_id())
+                t0 = time.perf_counter()
+                try:
+                    with obs.use_trace(call):
+                        payload = wire.encode_topk_batch(list(requests))
+                        backend._send(wire.MSG_TOPK_BATCH, payload, call)
+                except Exception as exc:
+                    error = exc
+                    break
+                sent.append((shard, backend, call, t0))
+            for shard, backend, call, t0 in sent:
+                try:
+                    with obs.use_trace(call):
+                        reader = backend._receive(wire.MSG_REPLY_BATCH)
+                        replies.append(wire.decode_batch_reply(reader))
+                except Exception as exc:
+                    error = error or exc
+                if call is not None:
+                    obs.record_span(
+                        "shard.call", t0, time.perf_counter(), trace_ctx=parent,
+                        span_id=call[1], shard=shard, method="topk_batch",
+                    )
+        if error is not None:
+            raise error
+        return replies
+
+    def topk_batch(self, requests: ShardReads) -> list[ShardReply]:
+        return self.fan_out([(self._shard, self, requests)])[0]
 
     def insert(self, point: np.ndarray) -> ShardUpdate:
         reader = self._request(

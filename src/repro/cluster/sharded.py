@@ -10,17 +10,18 @@ serves the *global* top-k on top:
 * **shards execute behind a pluggable backend**
   (:mod:`repro.cluster.backends`): the router speaks only the narrow
   :class:`~repro.cluster.backends.ShardBackend` contract —
-  ``build / topk_batch / insert / delete / stats / close`` over
+  ``build / topk_batch / fan_out / insert / delete / stats / close`` over
   plain serializable data — so the same cluster runs its shards in-process
   (``backend="inproc"``, the default) or in one long-lived worker process
   per shard (``backend="process"``, speaking the versioned wire format of
   :mod:`repro.cluster.wire`), with byte-identical answers either way;
 * **reads fan out**: every non-empty shard answers its local top-k
-  (cache-first, exactly as a standalone engine would), sequentially or
-  concurrently on a thread pool (``parallel=True``). With in-process
-  shards the threads overlap real page-store waits; with process shards
-  they merely wait on the pipes while the workers run CPU-bound phase-2
-  work genuinely in parallel, outside the router's GIL;
+  (cache-first, exactly as a standalone engine would), all on the
+  caller's thread through one
+  :meth:`~repro.cluster.backends.ShardBackend.fan_out` call. The backend
+  decides how: in-process shards answer one after another; process
+  shards are each sent their request before any reply is read, so the
+  workers run CPU-bound phase-2 work at once, outside the router's GIL;
 * **the merge layer** (:mod:`repro.cluster.merge`) pools the per-shard
   candidates into the global ordered top-k — byte-identical to a single
   engine over the unpartitioned data — and assembles its stability region
@@ -46,10 +47,9 @@ the global one — the invariant the merge's byte-identity rests on.
 callers: every serving and update entry point runs under one reentrant
 *serve lock* (``_serve_lock``), so a ``topk`` observes either all or
 none of a concurrent ``insert``/``delete`` — reads and the maps/caches
-they consult can never interleave with a half-applied write. Fan-out
-parallelism is unaffected: the pool threads run *backend* calls, which
-never take the serve lock (the router's own fan-out holds it while it
-waits on them). Under ``REPRO_SANITIZE=1`` the lock is a
+they consult can never interleave with a half-applied write. The router
+starts no threads; a fan-out holds the serve lock, then the pipe lock of
+each process shard it calls. Under ``REPRO_SANITIZE=1`` the lock is a
 :class:`repro.sanitize.SanitizedRLock`, so acquisition-order inversions
 against the backend pipe locks fail fast.
 """
@@ -57,7 +57,6 @@ against the backend pipe locks fail fast.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Sequence
 
 import numpy as np
@@ -96,19 +95,6 @@ from repro.scoring import LinearScoring, ScoringFunction
 __all__ = ["ShardedGIREngine"]
 
 
-def _traced_shard_topk_batch(
-    backend: ShardBackend,
-    shard: int,
-    requests: "list[tuple[np.ndarray, int]]",
-) -> list[ShardReply]:
-    """One per-shard batched read under a ``shard.call`` span.
-    Module-level (not a method) so the fan-out can submit it through
-    :func:`obs.pool_submit`, which carries the router's ambient trace
-    context into pool threads."""
-    with obs.span("shard.call", shard=shard, method="topk_batch"):
-        return backend.topk_batch(requests)
-
-
 class ShardedGIREngine:
     """A sharded, fan-out top-k serving engine (see module docstring).
 
@@ -130,11 +116,10 @@ class ShardedGIREngine:
         :class:`~repro.cluster.backends.ShardBackend` subclass. Answers
         and accounting are byte-identical across backends.
     parallel:
-        Fan reads out on a thread pool (one worker per shard) instead of
-        sequentially. Answers and all accounting are identical either
-        way; only wall-clock changes. With ``backend="process"`` the
-        threads only block on pipes, so per-shard CPU work overlaps for
-        real.
+        Ignored. The backend, not a flag, decides how a fan-out overlaps
+        its shards (see :meth:`ShardBackend.fan_out`). The keyword is
+        accepted only so that callers written against the former thread
+        fan-out keep working; it is neither stored nor forwarded.
     cache_capacity:
         Capacity of each *shard's* GIR cache.
     cache_policy:
@@ -191,14 +176,12 @@ class ShardedGIREngine:
         self.scorer = scorer or LinearScoring(data.d)
         self.method = method
         self.invalidation = invalidation
-        self.parallel = bool(parallel)
         self.partitioner = make_partitioner(partitioner, self.n_shards)
         self.backend_name: str = (
             backend if isinstance(backend, str) else getattr(backend, "name", "custom")
         )
         #: Serializes every serving/update entry point against concurrent
         #: external callers (reentrant: the fan-out helpers re-enter it).
-        #: Pool threads never take it, so fan-out parallelism is intact.
         self._serve_lock = sanitize.make_lock("ShardedGIREngine._serve_lock")
 
         #: Global mirror of the record table: the cluster's public rids.
@@ -266,13 +249,6 @@ class ShardedGIREngine:
             if cluster_cache_capacity > 0
             else None
         )
-        self._pool: ThreadPoolExecutor | None = (
-            ThreadPoolExecutor(
-                max_workers=self.n_shards, thread_name_prefix="gir-shard"
-            )
-            if self.parallel
-            else None
-        )
         self.requests_served = 0
         self.fanouts = 0
         self.updates_applied = 0
@@ -288,14 +264,11 @@ class ShardedGIREngine:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the fan-out pool and every shard backend down (idempotent;
-        process-backed shards get an orderly worker shutdown). Taking the
-        serve lock first lets any in-flight request finish before the
-        backends under it disappear."""
+        """Shut every shard backend down (idempotent; process-backed
+        shards get an orderly worker shutdown). Taking the serve lock
+        first lets any in-flight request finish before the backends under
+        it disappear."""
         with self._serve_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
             for backend in self.backends:
                 backend.close()
 
@@ -493,7 +466,8 @@ class ShardedGIREngine:
     ) -> list[tuple[int, list[ShardReply]]]:
         """One read fan-out: a single backend ``topk_batch`` per non-empty
         shard over the whole pending request list (each answered locally,
-        cache-first), concurrently in parallel mode. Each request's local
+        cache-first), in one :meth:`ShardBackend.fan_out` call that lets
+        the backend class overlap the shards as it can. Each request's local
         ``k`` is clamped to the shard's live count (a shard holding fewer
         than ``k`` records contributes its whole live set — the pool still
         dominates every unseen record). Returns ``(shard, replies)``
@@ -502,31 +476,13 @@ class ShardedGIREngine:
         subclass (or test harness) calls it directly."""
         with obs.span("cluster.fanout", n=len(weights_list)), self._serve_lock:
             targets = [
-                (s, [(w, min(k, live)) for w, k in zip(weights_list, ks)])
+                (s, self.backends[s], [(w, min(k, live)) for w, k in zip(weights_list, ks)])
                 for s, live in enumerate(self._shard_live)
                 if live > 0
             ]
-            if self._pool is not None and len(targets) > 1:
-                futures = [
-                    obs.pool_submit(
-                        self._pool,
-                        _traced_shard_topk_batch,
-                        self.backends[s],
-                        s,
-                        shard_reqs,
-                    )
-                    for s, shard_reqs in targets
-                ]
-                reply_lists = [f.result() for f in futures]
-            else:
-                reply_lists = [
-                    _traced_shard_topk_batch(self.backends[s], s, shard_reqs)
-                    for s, shard_reqs in targets
-                ]
+            reply_lists = type(self.backends[0]).fan_out(targets)
             self.fanouts += len(weights_list)
-            return [
-                (s, replies) for (s, _), replies in zip(targets, reply_lists)
-            ]
+            return [(s, r) for (s, _, _), r in zip(targets, reply_lists)]
 
     def _lift(self, shard: int, reply: ShardReply) -> ShardAnswer:
         """Lift a local-rid shard reply into global-rid terms for the
@@ -807,21 +763,11 @@ class ShardedGIREngine:
             for s, backend in enumerate(self.backends)
         ]
 
-    @property
-    def fanout_mode(self) -> str:
-        """The fan-out mode label: ``"sequential"`` (no pool),
-        ``"thread"`` (pool over in-process shards) or the backend name
-        (``"process"``: pool threads just wait on worker pipes)."""
-        if not self.parallel:
-            return "sequential"
-        return "thread" if self.backend_name == "inproc" else self.backend_name
-
     def cluster_stats(self) -> dict[str, Any]:
-        """Cluster-tier counters (cache, fan-outs, backend, mode)."""
+        """Cluster-tier counters (cache, fan-outs, backend)."""
         stats: dict[str, Any] = {
             "shards": self.n_shards,
             "backend": self.backend_name,
-            "mode": self.fanout_mode,
             "partitioner": self.partitioner.name,
             "requests_served": self.requests_served,
             "fanouts": self.fanouts,

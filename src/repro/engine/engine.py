@@ -232,8 +232,8 @@ class WorkloadReport:
     #: state); empty for single-engine runs.
     shard_stats: list[dict] = field(default_factory=list)
     #: Cluster-tier counters of a sharded run (cluster-cache hits and
-    #: fan-outs as per-run deltas; backend/mode/partitioner/entries as
-    #: state — the backend name and fan-out mode make saved bench reports
+    #: fan-outs as per-run deltas; backend/partitioner/entries as
+    #: state — the backend name makes saved bench reports
     #: self-describing); empty for single-engine runs.
     cluster_stats: dict = field(default_factory=dict)
 
@@ -388,8 +388,7 @@ class WorkloadReport:
             cs = self.cluster_stats
             lines.append(
                 f"cluster           : {len(self.shard_stats)} shards "
-                f"({cs.get('backend', 'inproc')} backend, "
-                f"{cs.get('mode', '?')} fan-out), "
+                f"({cs.get('backend', 'inproc')} backend), "
                 f"{cs.get('cluster_full_hits', 0)} cluster-cache hits, "
                 f"{cs.get('fanouts', 0)} fan-outs"
             )

@@ -40,7 +40,7 @@ from repro.obs.trace import (
     drain_payload,
     enable,
     end_span,
-    pool_submit,
+    new_span_id,
     record_span,
     reset_collector,
     snapshot,
@@ -75,7 +75,7 @@ __all__ = [
     "enable",
     "end_span",
     "explain",
-    "pool_submit",
+    "new_span_id",
     "prometheus_text",
     "record_span",
     "reset_collector",

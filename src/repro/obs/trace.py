@@ -23,16 +23,17 @@ Primitives:
   trace id.
 * :func:`record_span` — record an already-measured interval as one
   atomic span (used for retroactive spans such as ingress-queue wait,
-  where enter and exit happen on different tasks).
+  where enter and exit happen on different tasks, and for the shard
+  calls of one fan-out, whose intervals overlap on one thread).
 * :class:`TraceCollector` — fixed-capacity ring buffer of finished
   spans, with enter/exit balance counters (``started == finished`` is
   what the tracing tests assert).
 
 Ambient context rides a :class:`contextvars.ContextVar`, which crosses
-``await`` boundaries for free; it does **not** cross
-``ThreadPoolExecutor.submit`` — use :func:`pool_submit` (fan-out pool
-threads) or pass :func:`current` explicitly (the serve front's executor
-bridge, the shard wire).
+``await`` boundaries for free; it does **not** cross into an executor
+thread or another process, so those hops pass :func:`current`
+explicitly and adopt it with :func:`use_trace` (the serve front's
+executor bridge, the shard wire).
 
 Timestamps are ``time.perf_counter`` microseconds: on Linux that is
 ``CLOCK_MONOTONIC``, shared by every process on the host, so worker
@@ -46,7 +47,7 @@ import os
 import threading
 import time
 from contextvars import ContextVar
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 __all__ = [
     "ENV_VAR",
@@ -65,7 +66,7 @@ __all__ = [
     "begin_span",
     "end_span",
     "record_span",
-    "pool_submit",
+    "new_span_id",
     "absorb",
     "drain",
     "snapshot",
@@ -90,7 +91,8 @@ def _new_trace_id() -> str:
     return f"t{os.getpid():x}-{next(_IDS):x}"
 
 
-def _new_span_id() -> str:
+def new_span_id() -> str:
+    """A fresh span id (see :func:`record_span`'s ``span_id``)."""
     return f"s{os.getpid():x}-{next(_IDS):x}"
 
 
@@ -318,7 +320,7 @@ class Span:
     ) -> None:
         self.name = name
         self.trace_id = trace_id
-        self.span_id = _new_span_id()
+        self.span_id = new_span_id()
         self.parent_id = parent_id
         self.attrs = attrs
         self._t0 = 0.0
@@ -411,13 +413,14 @@ def trace(name: str, **attrs: Any) -> Any:
     return Span(name, _new_trace_id(), None, attrs)
 
 
-def use_trace(trace_id: str, span_id: str) -> Any:
-    """Adopt ``(trace_id, span_id)`` as the ambient parent for the
-    block's duration (``with``-form required) — the receiving half of
-    cross-thread / cross-process propagation."""
-    if not _STATE.enabled:
+def use_trace(ctx: tuple[str, str] | None) -> Any:
+    """Adopt ``ctx``, a ``(trace_id, span_id)`` pair, as the ambient
+    parent for the block's duration (``with``-form required) — the
+    receiving half of cross-thread / cross-process propagation (no-op
+    for ``None``)."""
+    if not _STATE.enabled or ctx is None:
         return _NOOP
-    return _Adopt((str(trace_id), str(span_id)))
+    return _Adopt((str(ctx[0]), str(ctx[1])))
 
 
 def begin_span(name: str, **attrs: Any) -> Any:
@@ -440,13 +443,15 @@ def record_span(
     t0: float,
     t1: float,
     trace_ctx: tuple[str, str] | None = None,
+    span_id: str | None = None,
     **attrs: Any,
 ) -> None:
     """Record an already-measured ``perf_counter`` interval as one
     atomic span (enter and exit counted together, so balance holds by
     construction). ``trace_ctx`` is a ``(trace_id, parent_span_id)``
     pair, defaulting to the ambient context; with neither, the record
-    roots its own trace."""
+    roots its own trace. ``span_id``, minted by :func:`new_span_id` when
+    the interval began, lets spans opened meanwhile name it as parent."""
     if not _STATE.enabled:
         return
     if trace_ctx is None:
@@ -461,7 +466,7 @@ def record_span(
     coll.add(
         SpanRecord(
             trace_id=trace_id,
-            span_id=_new_span_id(),
+            span_id=span_id or new_span_id(),
             parent_id=parent_id,
             name=name,
             t0_us=t0 * 1e6,
@@ -471,17 +476,6 @@ def record_span(
             attrs=attrs,
         )
     )
-
-
-def pool_submit(pool: Any, fn: Callable[..., Any], *args: Any) -> Any:
-    """``pool.submit`` that carries the ambient trace context onto the
-    pool thread (contextvars do not cross ``submit`` on their own).
-    Free when tracing is off."""
-    if not _STATE.enabled:
-        return pool.submit(fn, *args)
-    import contextvars
-
-    return pool.submit(contextvars.copy_context().run, fn, *args)
 
 
 def absorb(records: Iterable[Mapping[str, Any]]) -> int:

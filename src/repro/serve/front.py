@@ -438,7 +438,7 @@ class ServeFront:
         (the other leaders share the batch; their spans nest here too).
         """
         if trace_ctx is not None and obs.tracing_enabled():
-            with obs.use_trace(*trace_ctx), obs.span(
+            with obs.use_trace(trace_ctx), obs.span(
                 "serve.engine_batch", n=len(reqs)
             ):
                 return self._serve_batch_inner(reqs)
@@ -474,7 +474,7 @@ class ServeFront:
 
     def _apply_write_sync(self, op: _WriteOp, trace_ctx=None) -> UpdateResponse:
         if trace_ctx is not None and obs.tracing_enabled():
-            with obs.use_trace(*trace_ctx), obs.span(
+            with obs.use_trace(trace_ctx), obs.span(
                 "serve.engine_write", kind=op.kind
             ):
                 return self._apply_write_inner(op)

@@ -12,6 +12,21 @@ from repro.data.synthetic import anticorrelated, correlated, independent
 from repro.engine import InsertOp, Request, WorkloadReport
 from repro.index.bulkload import bulk_load_str
 
+#: The keyword arguments the performance ledger's ``sharded_rw`` workload
+#: builds its cluster with (``benchmarks/ledger/workloads.py``) — among
+#: them the ``parallel`` flag, which the cluster accepts and ignores.
+LEDGER_CLUSTER_KWARGS = {
+    "shards": 2,
+    "backend": "process",
+    "parallel": True,
+    "partitioner": "round_robin",
+    "method": "fp",
+    "cache_capacity": 128,
+    "cache_policy": "lru",
+    "cluster_cache_capacity": 256,
+    "page_sleep_ms": 0.0,
+}
+
 
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:

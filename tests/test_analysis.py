@@ -977,7 +977,7 @@ class TestSpanDiscipline:
                     "    with obs.span('outer'), obs.trace('root'):\n"
                     "        pass\n"
                     "    with contextlib.ExitStack() as stack:\n"
-                    "        stack.enter_context(obs.use_trace(*trace_ctx))\n"
+                    "        stack.enter_context(obs.use_trace(trace_ctx))\n"
                     "        stack.enter_context(obs.span('inner'))\n"
                     "    obs.record_span('atomic', 0.0, 1.0)\n"
                 )

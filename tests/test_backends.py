@@ -5,10 +5,14 @@ worker process per shard, every request and reply crossing the versioned
 wire format — is *byte-identical* to the in-process cluster (exact float
 equality, not just tolerance) and observably identical to a single
 :class:`GIREngine`, across shard counts × partitioners × batch sizes
-(singleton / multi-request) × mixed read/write workloads.
+(singleton / multi-request) × mixed read/write workloads. A process
+fan-out sends every shard its request before reading any reply, on the
+caller's thread; the tests below pin what that must not break.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -25,13 +29,14 @@ from repro.cluster.wire import WorkerFailure
 from repro.data.synthetic import anticorrelated, independent
 from repro.engine import (
     GIREngine,
+    Request,
     mixed_workload,
     uniform_workload,
     zipf_clustered_workload,
 )
 from repro.index.bulkload import bulk_load_str
 from repro.scoring import LinearScoring
-from tests.conftest import run_batched
+from tests.conftest import LEDGER_CLUSTER_KWARGS, run_batched
 
 N, D, K = 500, 3, 5
 
@@ -205,8 +210,7 @@ class TestProcessClusterEquivalence:
         ) as inproc:
             inproc_report = inproc.run(wl)
         with ShardedGIREngine(
-            data, shards=shards, partitioner=partitioner, backend="process",
-            parallel=True,
+            data, shards=shards, partitioner=partitioner, backend="process"
         ) as proc:
             proc_report = proc.run(wl)
         exact_match(proc_report, inproc_report)
@@ -262,7 +266,6 @@ class TestProcessClusterEquivalence:
             payload = engine.run(workloads["uniform"]).to_dict()
             summary = engine.run(workloads["uniform"]).summary()
         assert payload["cluster"]["backend"] == "process"
-        assert payload["cluster"]["mode"] == "sequential"
         assert "process backend" in summary
 
     def test_shards_property_unavailable_for_process(self, data):
@@ -286,6 +289,49 @@ class TestProcessClusterEquivalence:
                 engine.topk(np.array([0.5, 0.5, 0.5]), N + 1)
             with pytest.raises(ValueError, match="finite"):
                 engine.insert(np.array([0.5, np.inf, 0.5]))
+
+
+class TestProcessFanOut:
+    def test_failed_shard_leaves_no_stale_reply(self, data):
+        """A fan-out whose second shard fails still reads the first
+        shard's reply before raising, so that shard's next read returns
+        the answer to *its own* request — bit-equal to an in-process
+        twin that served the same two requests."""
+        first, second = np.array([0.9, 0.1, 0.2]), np.array([0.1, 0.3, 0.9])
+        with ShardedGIREngine(
+            data, shards=2, backend="process", cluster_cache_capacity=0
+        ) as engine:
+            engine.backends[1].close()
+            with pytest.raises(RuntimeError, match="not running"):
+                engine.topk(first, K)
+            (got,) = engine.backends[0].topk_batch([(second, K)])
+        with ShardedGIREngine(data, shards=2, backend="inproc") as twin:
+            shard0 = twin.backends[0]
+            (stale,) = shard0.topk_batch([(first, K)])
+            (want,) = shard0.topk_batch([(second, K)])
+        assert stale.ids != want.ids  # a stale reply would be caught
+        assert got.ids == want.ids
+        assert got.scores == want.scores
+        assert got.points_g.tobytes() == want.points_g.tobytes()
+        assert got.region.A.tobytes() == want.region.A.tobytes()
+        assert got.region.b.tobytes() == want.region.b.tobytes()
+        assert (got.source, got.pages_read) == (want.source, want.pages_read)
+
+    def test_serving_starts_no_router_thread(self, data):
+        """The ledger's cluster fans out on the caller's thread: building
+        it and serving reads leaves the set of threads unchanged, and the
+        ignored ``parallel`` flag is not stored."""
+        rng = np.random.default_rng(8)
+        before = sorted(t.name for t in threading.enumerate())
+        with ShardedGIREngine(data, **LEDGER_CLUSTER_KWARGS) as engine:
+            assert not hasattr(engine, "parallel")
+            for _ in range(3):
+                engine.topk_batch(
+                    [Request(rng.random(D) + 0.05, K) for _ in range(4)]
+                )
+            assert engine.fanouts > 0
+            during = sorted(t.name for t in threading.enumerate())
+        assert during == before
 
 
 class TestProcessBackendDefaults:

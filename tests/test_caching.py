@@ -14,7 +14,7 @@ from repro.geometry.polytope import Polytope
 from repro.index.bulkload import bulk_load_str
 from repro.query.brs import brs_topk
 from repro.query.linear_scan import scan_topk
-from tests.conftest import random_query
+from tests.conftest import LEDGER_CLUSTER_KWARGS, random_query
 
 
 @pytest.fixture(scope="module")
@@ -444,18 +444,7 @@ class TestCapacityEviction:
         assert engine.cache.capacity == 128
         with pytest.raises(ValueError, match="cache policy"):
             GIREngine(data, tree, cache_policy="cost")
-        cluster = ShardedGIREngine(
-            data,
-            shards=2,
-            backend="process",
-            parallel=True,
-            partitioner="round_robin",
-            method="fp",
-            cache_capacity=128,
-            cache_policy="lru",
-            cluster_cache_capacity=256,
-            page_sleep_ms=0.0,
-        )
+        cluster = ShardedGIREngine(data, **LEDGER_CLUSTER_KWARGS)
         cluster.close()
         with pytest.raises(ValueError, match="cache policy"):
             ShardedGIREngine(data, shards=2, cache_policy="cost")

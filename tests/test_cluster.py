@@ -1,7 +1,7 @@
 """Tests for the sharded serving tier (`repro.cluster`).
 
 The headline property: a :class:`ShardedGIREngine` — any shard count, any
-partitioner, sequential or parallel fan-out, any read batch size — is
+partitioner, either shard backend, any read batch size — is
 *observably identical* to a single :class:`GIREngine` over the
 unpartitioned data: same rid sequences, same scores, on read-only and
 mixed read/write workloads alike. On top of that, every cluster-level
@@ -74,12 +74,11 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("workload_name", ["uniform", "zipf", "mixed"])
     @pytest.mark.parametrize("shards", [2, 4])
-    @pytest.mark.parametrize("parallel", [False, True])
     def test_matches_single_engine(
-        self, data, workloads, reference_reports, workload_name, shards, parallel
+        self, data, workloads, reference_reports, workload_name, shards
     ):
         with ShardedGIREngine(
-            data, shards=shards, partitioner="round_robin", parallel=parallel
+            data, shards=shards, partitioner="round_robin"
         ) as engine:
             report = engine.run(workloads[workload_name])
         assert_equivalent(report, reference_reports[workload_name])
@@ -114,20 +113,20 @@ class TestEquivalence:
 
 class TestClusterBench:
     def test_mini_benchmark_payload(self):
-        """The smallest cluster grid — 1 and 2 shards, sequential and
-        thread fan-out, d=2 and 16-entry caches that evict — answers
+        """The smallest cluster grid — 1 and 2 shards, in-process and
+        process backends, d=2 and 16-entry caches that evict — answers
         exactly like one engine, and shard page reads sum to the total."""
         data = independent(400, 2, seed=0)
         workload = zipf_clustered_workload(2, 12, k=4, clusters=4, rng=1)
         reference = GIREngine(data, bulk_load_str(data), cache_capacity=16)
         ref_ids = [r.ids for r in reference.run(workload).responses]
-        modes = set()
+        grid = set()
         for shards in (1, 2):
-            for parallel in (False, True):
+            for backend in ("inproc", "process"):
                 with ShardedGIREngine(
                     data,
                     shards=shards,
-                    parallel=parallel,
+                    backend=backend,
                     cache_capacity=16,
                     cluster_cache_capacity=16,
                 ) as engine:
@@ -135,13 +134,13 @@ class TestClusterBench:
                 assert [r.ids for r in report.responses] == ref_ids
                 shard_pages = sum(s["page_reads"] for s in report.shard_stats)
                 assert shard_pages == report.pages_read_total
-                assert report.cluster_stats["backend"] == "inproc"
-                modes.add((shards, report.cluster_stats["mode"]))
-        assert modes == {
-            (1, "sequential"),
-            (1, "thread"),
-            (2, "sequential"),
-            (2, "thread"),
+                assert len(report.shard_stats) == shards
+                grid.add((shards, report.cluster_stats["backend"]))
+        assert grid == {
+            (1, "inproc"),
+            (1, "process"),
+            (2, "inproc"),
+            (2, "process"),
         }
 
 
@@ -232,7 +231,7 @@ class TestAccounting:
             payload = engine.run(workloads["uniform"]).to_dict()
         assert "cluster" in payload and "shards" in payload
         assert len(payload["shards"]) == 2
-        assert payload["cluster"]["mode"] == "sequential"
+        assert payload["cluster"]["backend"] == "inproc"
 
     def test_cluster_cache_hit_is_free(self, data):
         with ShardedGIREngine(data, shards=2) as engine:
@@ -351,7 +350,8 @@ class TestRoutedWrites:
                 with pytest.raises(RuntimeError, match="cluster is broken"):
                     method()
 
-    def test_shard_emptied_by_deletes_still_merges(self):
+    @pytest.mark.parametrize("backend", ["inproc", "process"])
+    def test_shard_emptied_by_deletes_still_merges(self, backend):
         """Deleting every record a shard owns must leave the cluster
         serving correctly: the empty shard is skipped by the fan-out (it
         has nothing to contribute) and the merged answer still matches a
@@ -360,12 +360,12 @@ class TestRoutedWrites:
         small = independent(n, d, seed=21)
         wl = uniform_workload(d, 10, k=k, rng=77)
         with ShardedGIREngine(
-            small, shards=3, partitioner="round_robin"
+            small, shards=3, partitioner="round_robin", backend=backend
         ) as engine:
             victims = [rid for rid in range(n) if engine.locate(rid)[0] == 1]
             for rid in victims:
                 engine.delete(rid)
-            assert engine.shards[1].n_live == 0
+            assert engine.stats()["shard_stats"][1]["live_records"] == 0
             report = engine.run(wl)
             # Only the two surviving shards are fanned out to.
             assert engine.stats()["shard_stats"][1]["requests"] == 0

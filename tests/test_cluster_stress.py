@@ -2,7 +2,9 @@
 
 The serve lock makes every router operation atomic, so a concurrent
 history must be *linearizable*: each read observes exactly the state
-after some prefix of the write sequence. The test races reader threads
+after some prefix of the write sequence — with in-process shards and
+with process shards, whose fan-out holds every pipe lock from its send
+to its reply under the serve lock. The test races reader threads
 (``topk_batch`` calls of one or several requests) against a writer
 applying routed ``insert`` / ``delete`` ops, tags every read with the
 write-epoch it observed, then replays the same write sequence sequentially on a fresh
@@ -70,7 +72,7 @@ def apply_op(engine, op):
 
 
 class TestRacingReadsVsRoutedWrites:
-    def _race(self, data, write_ops, queries, batch_size: int):
+    def _race(self, data, write_ops, queries, batch_size: int, backend="inproc"):
         observations = []  # (epoch, query_index, ids, scores)
         obs_lock = threading.Lock()
         started = 0
@@ -79,7 +81,7 @@ class TestRacingReadsVsRoutedWrites:
         errors: list[BaseException] = []
 
         with ShardedGIREngine(
-            data, shards=SHARDS, partitioner="round_robin", parallel=True
+            data, shards=SHARDS, partitioner="round_robin", backend=backend
         ) as engine:
             # Warm the cluster cache so racing reads are mostly fast
             # cache hits — slow cold GIR computations would overlap
@@ -148,7 +150,7 @@ class TestRacingReadsVsRoutedWrites:
             by_epoch.setdefault(epoch, []).append((q, ids, scores))
 
         with ShardedGIREngine(
-            data, shards=SHARDS, partitioner="round_robin", parallel=False
+            data, shards=SHARDS, partitioner="round_robin"
         ) as reference:
             applied = 0
             for epoch in sorted(by_epoch):
@@ -172,11 +174,12 @@ class TestRacingReadsVsRoutedWrites:
                         atol=1e-12,
                     )
 
+    @pytest.mark.parametrize("backend", ["inproc", "process"])
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_reads_match_sequential_replay(
-        self, data, write_ops, queries, batch_size
+        self, data, write_ops, queries, batch_size, backend
     ):
-        obs = self._race(data, write_ops, queries, batch_size)
+        obs = self._race(data, write_ops, queries, batch_size, backend)
         self._replay_and_check(data, write_ops, queries, obs)
 
     def test_reads_observe_intermediate_epochs(self, data, write_ops, queries):

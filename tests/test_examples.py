@@ -54,9 +54,8 @@ class TestExamples:
 
     def test_sharded_serving(self):
         out = run_example("sharded_serving.py", "3000")
-        assert "4-shard cluster (sequential fan-out)" in out
-        assert "4-shard cluster (thread fan-out)" in out
-        assert "4-shard cluster (process fan-out)" in out
+        assert "4-shard cluster (inproc backend)" in out
+        assert "4-shard cluster (process backend)" in out
         assert "process backend" in out
         assert "shard 3" in out
         assert "all exact" in out

@@ -1,10 +1,10 @@
 """Tests for the observability subsystem (`repro.obs`).
 
 Covers the span/collector contract (nesting, balance, ring capacity,
-atomic records, remote-context adoption, pool propagation), the metrics
+atomic records, remote-context adoption, minted span ids), the metrics
 registry (histogram percentiles, kind clashes, accounting crosschecks),
-the exporters, and the two end-to-end properties the trace-smoke CI job
-gates on:
+the exporters, the span shape of a process fan-out, and the two
+end-to-end properties the trace-smoke CI job gates on:
 
 * serving is **bit-identical** with tracing on vs off (the front door
   and a process-backed cluster both), and
@@ -15,7 +15,6 @@ gates on:
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -143,27 +142,27 @@ class TestSpans:
     def test_use_trace_adopts_remote_parent(self):
         obs.reset_collector()
         obs.enable()
-        with obs.use_trace("t-wire", "s-wire"):
+        with obs.use_trace(("t-wire", "s-wire")):
             assert obs.current() == ("t-wire", "s-wire")
             with obs.span("worker.side") as sp:
                 assert sp.trace_id == "t-wire"
                 assert sp.parent_id == "s-wire"
         assert obs.current() is None
+        with obs.use_trace(None):
+            assert obs.current() is None
 
-    def test_pool_submit_carries_context_to_pool_threads(self):
+    def test_record_span_under_a_minted_id_adopts_its_children(self):
         obs.reset_collector()
         obs.enable()
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            with obs.span("fanout") as fan:
-                futures = [
-                    obs.pool_submit(pool, obs.current) for _ in range(4)
-                ]
-                contexts = [f.result() for f in futures]
-        assert contexts == [(fan.trace_id, fan.span_id)] * 4
-        # plain submit does NOT carry it — the reason pool_submit exists
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            with obs.span("fanout2"):
-                assert pool.submit(obs.current).result() is None
+        with obs.span("fanout") as fan:
+            call = (fan.trace_id, obs.new_span_id())
+            with obs.use_trace(call), obs.span("wire.encode") as child:
+                pass
+            obs.record_span("shard.call", 1.0, 2.0, span_id=call[1])
+        by_name = {s.name: s for s in obs.drain()}
+        assert by_name["shard.call"].span_id == call[1]
+        assert by_name["shard.call"].parent_id == fan.span_id
+        assert child.parent_id == call[1]
 
     def test_absorb_merges_foreign_records_without_balance_impact(self):
         obs.reset_collector()
@@ -190,7 +189,7 @@ class TestDisabledMode:
         obs.disable()
         obs.reset_collector()
         assert obs.span("x") is obs.span("y") is obs.trace("z")
-        assert obs.use_trace("t", "s") is obs.span("x")
+        assert obs.use_trace(("t", "s")) is obs.span("x")
         with obs.span("nothing") as sp:
             sp.set("ignored", 1)
         obs.record_span("nothing", 0.0, 1.0)
@@ -390,7 +389,6 @@ class TestClusterTracing:
                 cluster_data,
                 shards=2,
                 backend="process",
-                parallel=True,
                 cache_capacity=16,
                 cluster_cache_capacity=16,
             )
@@ -427,11 +425,53 @@ class TestClusterTracing:
         assert "shard.worker" in names
         assert any(n.startswith("engine.") for n in names)
 
+    def test_process_fanout_span_shape(self, cluster_data):
+        """Each fan-out has one ``shard.call`` child per shard; each
+        worker's ``shard.worker`` span parents under its own shard's
+        call; and the calls of one fan-out overlap — both frames are
+        sent before either reply is read."""
+        rng = np.random.default_rng(6)
+        obs.reset_collector()
+        obs.enable()
+        try:
+            with ShardedGIREngine(
+                cluster_data, shards=2, backend="process",
+                cluster_cache_capacity=0,
+            ) as engine:
+                shard_of_pid = {
+                    b._proc.pid: s for s, b in enumerate(engine.backends)
+                }
+                for _ in range(8):
+                    engine.topk(rng.random(D) + 0.05, 5)
+                engine.drain_worker_spans()
+        finally:
+            obs.disable()
+        spans = obs.drain()
+        by_id = {s.span_id: s for s in spans}
+        fanouts = [s for s in spans if s.name == "cluster.fanout"]
+        calls = [s for s in spans if s.name == "shard.call"]
+        assert len(fanouts) == 8
+        assert len(calls) == 2 * len(fanouts)
+        for fan in fanouts:
+            a, b = sorted(
+                (c for c in calls if c.parent_id == fan.span_id),
+                key=lambda c: c.attrs["shard"],
+            )
+            assert (a.attrs["shard"], b.attrs["shard"]) == (0, 1)
+            assert a.t0_us < b.t0_us + b.dur_us
+            assert b.t0_us < a.t0_us + a.dur_us
+        workers = [s for s in spans if s.name == "shard.worker"]
+        assert len(workers) == len(calls)
+        for w in workers:
+            call = by_id[w.parent_id]
+            assert call.name == "shard.call"
+            assert call.attrs["shard"] == shard_of_pid[w.pid]
+
     def test_trace_off_cluster_reports_no_spans(self, cluster_data):
         obs.disable()
         obs.reset_collector()
         with ShardedGIREngine(
-            cluster_data, shards=2, backend="process", parallel=True
+            cluster_data, shards=2, backend="process"
         ) as engine:
             engine.topk(np.array([0.4, 0.3, 0.3]), 5)
             drained = engine.drain_worker_spans()

@@ -270,9 +270,10 @@ class TestProductionWiring:
         assert "SERIAL-OK" in proc.stdout
 
     def test_sharded_tier_runs_clean_under_the_sanitizer(self):
-        # The serve lock serializes the router, so parallel fan-out over
-        # instrumented shard engines must produce zero violations — and
-        # identical answers to the unsanitized run.
+        # The serve lock serializes the router, and a process fan-out
+        # takes the pipe locks under it in shard order: a mixed workload
+        # on either backend must produce zero violations — and the same
+        # answers on both.
         proc = run_sanitized(
             "from repro.cluster import ShardedGIREngine\n"
             "from repro.data.synthetic import independent\n"
@@ -281,10 +282,13 @@ class TestProductionWiring:
             "data = independent(300, 3, seed=9)\n"
             "wl = mixed_workload(3, 20, base_n=300, k=5,\n"
             "                    update_fraction=0.3, rng=17)\n"
-            "with ShardedGIREngine(data, shards=2, parallel=True) as eng:\n"
-            "    report = eng.run(wl)\n"
-            "assert len(report.responses) > 0\n"
-            "print('CLUSTER-OK', len(report.responses))\n"
+            "answers = []\n"
+            "for backend in ('inproc', 'process'):\n"
+            "    with ShardedGIREngine(data, shards=2, backend=backend) as eng:\n"
+            "        report = eng.run(wl)\n"
+            "    answers.append([r.ids for r in report.responses])\n"
+            "assert answers[0] == answers[1] and answers[0]\n"
+            "print('CLUSTER-OK', len(answers[0]))\n"
         )
         assert proc.returncode == 0, proc.stderr
         assert "CLUSTER-OK" in proc.stdout
