@@ -534,11 +534,10 @@ class GIREngine:
         """Snapshot copy of the rows behind an answer, in answer order.
 
         The serving front door takes this on the engine thread right
-        after the response it belongs to, so coalesced followers can be
-        rescored on the event loop from state that is immune to later
-        inserts/deletes — ``scorer.score(result_rows(ids), w)`` is then
-        bit-identical to the full-hit rescoring path for any ``w`` in
-        the response's region.
+        after the response it belongs to, before any later insert/delete
+        can run, and scores it canonically: ``scorer.score(
+        result_rows(ids), w)`` is bit-identical to the full-hit
+        rescoring path for any ``w`` in the response's region.
         """
         return np.array(self.points[list(ids)], dtype=np.float64)
 

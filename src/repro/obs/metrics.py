@@ -268,7 +268,6 @@ SERVE_COUNTER_FIELDS = (
     "engine_requests",
     "coalesce_attached",
     "coalesced_served",
-    "coalesce_fallbacks",
     "fences",
     "queue_depth_peak",
     "inflight_batches_peak",

@@ -1,12 +1,13 @@
 """``repro.serve`` — the asyncio front door over the serving engines.
 
 The paper's Section 1 workload is *concurrent*: many near-duplicate
-requests arrive faster than one engine drains them. GIRs make that
-regime cheap — every request whose weight vector lands in a served
-answer's stability region is provably the *same* ordered answer — but
-the engines themselves are synchronous and thread-owned. This package
-puts an asyncio tier in front of :class:`~repro.engine.GIREngine` /
-:class:`~repro.cluster.ShardedGIREngine` that exploits it:
+requests arrive faster than one engine drains them. The engines' GIR
+caches make each of those requests cheap — every request whose weight
+vector lands in a served answer's stability region is provably the
+*same* ordered answer — but the engines themselves are synchronous and
+thread-owned. This package puts an asyncio tier in front of
+:class:`~repro.engine.GIREngine` /
+:class:`~repro.cluster.ShardedGIREngine`:
 
 * **admission** (:meth:`ServeFront.topk`) — boundary validation via the
   engine's own :func:`~repro.engine.validate_weights` /
@@ -17,10 +18,9 @@ puts an asyncio tier in front of :class:`~repro.engine.GIREngine` /
   ``batch_max``) — queued reads are collected for a few milliseconds and
   served through one ``topk_batch`` call (byte-identical to per-request
   serving by the engine's own contract);
-* **single-flight coalescing** (:mod:`repro.serve.coalesce`) — requests
-  duplicating (or landing near) a weight vector already being computed
-  await that computation instead of re-entering the engine, and are
-  answered from the leader's returned GIR after a membership check;
+* **single flight** — a read whose ``(weights, k)`` exactly duplicates
+  one already being computed awaits that computation instead of
+  re-entering the engine, and takes the leader's answer (or error) as is;
 * **a write fence** — inserts/deletes drain every in-flight read batch
   before applying, so no coalesced read is served from a pre-write
   snapshot but serialized after the write;

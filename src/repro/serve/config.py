@@ -8,16 +8,12 @@ Every knob trades latency against engine work:
 * ``batch_window_ms`` / ``batch_max`` shape the micro-batcher: how long
   the dispatcher lingers collecting compatible reads, and how many it
   stacks into one ``topk_batch`` call;
-* ``coalesce`` / ``coalesce_radius`` control single-flight coalescing:
-  exact-duplicate weight vectors always attach to the in-flight leader;
-  a positive radius additionally attaches near-duplicates (L∞ distance
-  up to the radius), optimistically — membership in the leader's
-  returned GIR is verified before answering, and non-members fall back
-  to their own engine pass, so the radius is a *performance* knob, never
-  a correctness one;
 * ``max_inflight_batches`` caps engine batches in flight at once, so a
   slow engine backs pressure up into the queue (and from there into
   sheds) instead of into an unbounded set of outstanding futures.
+
+Single flight has no knob: an exact duplicate of an in-flight read
+always takes that read's answer, which never costs an engine pass.
 """
 
 from __future__ import annotations
@@ -37,10 +33,6 @@ class ServeConfig:
     batch_window_ms: float = 2.0
     #: Max reads stacked into one ``topk_batch`` call.
     batch_max: int = 32
-    #: Enable single-flight coalescing onto in-flight computations.
-    coalesce: bool = True
-    #: L∞ attach radius for near-duplicate coalescing (0 = exact only).
-    coalesce_radius: float = 0.02
     #: Max engine batches outstanding before the dispatcher stalls.
     max_inflight_batches: int = 4
 
@@ -51,7 +43,5 @@ class ServeConfig:
             raise ValueError("batch_window_ms must be non-negative")
         if self.batch_max <= 0:
             raise ValueError("batch_max must be positive")
-        if self.coalesce_radius < 0.0:
-            raise ValueError("coalesce_radius must be non-negative")
         if self.max_inflight_batches <= 0:
             raise ValueError("max_inflight_batches must be positive")

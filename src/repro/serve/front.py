@@ -8,24 +8,21 @@ serving surface: ``topk_batch`` / ``insert`` / ``delete`` /
 single-owner: every engine call runs on the front door's one-thread
 executor (the *executor bridge*), which is exactly the ownership shape
 the runtime sanitizer's tokens accept, and the event loop itself only
-ever does queue plumbing and stateless float math.
+ever does queue plumbing.
 
 Data path for a read::
 
     admission (validate, bound, shed)          — caller's task
       → ingress queue
-      → dispatcher: micro-batch + coalesce     — one dispatcher task
+      → dispatcher: micro-batch + single flight — one dispatcher task
       → executor bridge: one topk_batch call   — the engine thread
-      → resolution: leaders, then followers    — a finisher task
+      → resolution: each leader, then its followers — a finisher task
 
-A follower (a read attached to an in-flight duplicate/near-duplicate
-leader) is answered *from the leader's returned GIR* after an explicit
-membership check — the GIR invariant certifies the same ordered ids for
-every vector in the region, and the scores are recomputed canonically
-for the follower's own weights from the leader's row snapshot, which is
-bit-identical to what a sequential full cache hit would serve (see
-:mod:`repro.serve.replay`). Non-members fall back to their own engine
-pass; correctness never rides on the attach heuristic.
+Single flight is by exact key: a read whose ``(weights bytes, k)``
+equals an in-flight read's attaches to it as a follower and takes the
+leader's outcome verbatim — the same ids and canonical scores, or the
+same error. That is exact because the follower is the same request, and
+the write fence below resolves it before any write runs.
 
 Writes fence: the dispatcher drains every outstanding read batch (all
 followers resolve against their pre-write snapshots and are logged)
@@ -57,7 +54,6 @@ from repro.engine.workload import (
     Workload,
     frozen_array,
 )
-from repro.serve.coalesce import InFlightEntry, InFlightTable
 from repro.serve.config import ServeConfig
 from repro.serve.errors import Overloaded, Rejected, ServeError
 from repro.serve.replay import (
@@ -88,7 +84,7 @@ class ServeResponse:
     weights: np.ndarray
     k: int
     #: ``"engine"`` (this read was an engine request) or ``"coalesced"``
-    #: (answered from an in-flight leader's GIR).
+    #: (an exact duplicate given its in-flight leader's answer).
     via: str
     #: Engine provenance: ``cache`` / ``computed`` for
     #: engine-served reads, ``coalesced:<leader provenance>`` otherwise.
@@ -97,7 +93,7 @@ class ServeResponse:
     pages_read: int
     #: Arrival → dispatch queueing delay.
     wait_ms: float
-    #: Engine time (≈0 for a coalesced answer).
+    #: Engine time (0 for a coalesced answer).
     service_ms: float
 
     def __post_init__(self) -> None:
@@ -116,7 +112,7 @@ class ServeUpdate:
 
 
 class _ReadOp:
-    __slots__ = ("weights", "k", "future", "t_arrive", "no_coalesce", "trace")
+    __slots__ = ("weights", "k", "future", "t_arrive", "trace")
 
     def __init__(
         self, weights: np.ndarray, k: int, future: asyncio.Future
@@ -125,9 +121,6 @@ class _ReadOp:
         self.k = k
         self.future = future
         self.t_arrive = time.perf_counter()
-        #: Set after a failed coalesce so the retry leads its own request
-        #: instead of chasing another near leader forever.
-        self.no_coalesce = False
         #: The admitting request's trace context; retro spans (queue
         #: wait, linger) and the engine bridge stitch under it because
         #: contextvars do not follow the op across tasks/threads.
@@ -152,8 +145,19 @@ class _WriteOp:
         self.trace = obs.current()
 
 
+class _Flight:
+    """One in-flight engine request and the identical reads awaiting it."""
+
+    __slots__ = ("key", "leader", "followers")
+
+    def __init__(self, key: tuple, leader: _ReadOp) -> None:
+        self.key = key
+        self.leader = leader
+        self.followers: list = []
+
+
 class ServeFront:
-    """Asyncio admission/batching/coalescing tier over one engine.
+    """Asyncio admission/batching/single-flight tier over one engine.
 
     Use as an async context manager (or call :meth:`start` / :meth:`close`
     explicitly)::
@@ -173,9 +177,9 @@ class ServeFront:
         #: Commit-ordered serialization log (ReadLog/InsertLog/DeleteLog).
         self.log: list = []
         self._d = int(engine.d)
-        self._inflight = InFlightTable(
-            self.config.coalesce_radius if self.config.coalesce else 0.0
-        )
+        #: Single-flight table: ``(weights bytes, k)`` → its in-flight
+        #: :class:`_Flight`.
+        self._inflight: dict[tuple, _Flight] = {}
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-engine"
         )
@@ -330,19 +334,7 @@ class ServeFront:
                 )
             self._launch_reads(batch)
             await self._throttle_jobs()
-        # Drain: outstanding jobs may requeue fallback followers, so
-        # alternate until both the job list and the queue are empty.
-        while True:
-            await self._drain_jobs()
-            if queue.empty():
-                break
-            op = queue.get_nowait()
-            if op is _SENTINEL:
-                continue
-            if isinstance(op, _WriteOp):
-                await self._apply_write(op)
-            else:
-                self._launch_reads([op])
+        await self._drain_jobs()
 
     async def _collect_batch(self, first: _ReadOp) -> list:
         """Micro-batch: linger up to the window (or until the size cap, a
@@ -373,8 +365,8 @@ class ServeFront:
         return batch
 
     def _launch_reads(self, batch: list) -> None:
-        """Coalesce a batch against the in-flight table, then submit the
-        leaders as one engine batch on the bridge."""
+        """Attach exact duplicates to their in-flight flights, then submit
+        the leaders as one engine batch on the bridge."""
         t_dispatch = time.perf_counter()
         if obs.tracing_enabled():
             for op in batch:
@@ -382,28 +374,25 @@ class ServeFront:
                     "serve.queue_wait", op.t_arrive, t_dispatch,
                     trace_ctx=op.trace,
                 )
-        leaders: list[InFlightEntry] = []
+        flights: list[_Flight] = []
         for op in batch:
-            entry = None
-            if self.config.coalesce and not op.no_coalesce:
-                entry = self._inflight.match(op.weights, op.k)
-            if entry is not None:
-                entry.followers.append(op)
+            key = (op.weights.tobytes(), op.k)
+            flight = self._inflight.get(key)
+            if flight is not None:
+                flight.followers.append(op)
                 self.stats.coalesce_attached += 1
             else:
-                entry = InFlightEntry(op.weights, op.k, op)
-                self._inflight.register(entry)
-                leaders.append(entry)
-        if not leaders:
+                flight = self._inflight[key] = _Flight(key, op)
+                flights.append(flight)
+        if not flights:
             return
         loop = asyncio.get_running_loop()
-        reqs = [(e.weights, e.k) for e in leaders]
+        reqs = [(f.leader.weights, f.leader.k) for f in flights]
         job = loop.run_in_executor(
-            self._pool, self._serve_batch_sync, reqs,
-            leaders[0].leader.trace,
+            self._pool, self._serve_batch_sync, reqs, flights[0].leader.trace
         )
         task = loop.create_task(
-            self._finish_batch(leaders, job, t_dispatch)
+            self._finish_batch(flights, job, t_dispatch)
         )
         self._jobs.append(task)
         self.stats.engine_batch_calls += 1
@@ -429,7 +418,7 @@ class ServeFront:
 
     def _serve_batch_sync(self, reqs: list, trace_ctx=None) -> list:
         """Engine-thread half of a read batch: one ``topk_batch`` call,
-        then a row snapshot + canonical scores per response, all taken
+        then canonical scores per response from a row snapshot, taken
         before any later write can run on this (single) thread.
 
         ``trace_ctx`` is the first leader's trace context — contextvars
@@ -445,7 +434,7 @@ class ServeFront:
         return self._serve_batch_inner(reqs)
 
     def _serve_batch_inner(self, reqs: list) -> list:
-        """One result per request: ``(response, rows, scores)``, or the
+        """One result per request: ``(response, scores)``, or the
         :class:`Rejected` error of a request whose ``k`` exceeds the live
         record count. That bound moves with every write, so it can only
         be judged here, on the engine thread; the offender is set aside
@@ -469,7 +458,7 @@ class ServeFront:
                 scores = canonical_scores(
                     self.engine.scorer, rows, resp.weights
                 )
-                out[i] = (resp, rows, scores)
+                out[i] = (resp, scores)
         return out
 
     def _apply_write_sync(self, op: _WriteOp, trace_ctx=None) -> UpdateResponse:
@@ -488,48 +477,49 @@ class ServeFront:
     # -- resolution (event-loop code) -----------------------------------------
 
     async def _finish_batch(
-        self, leaders: list, job, t_dispatch: float
+        self, flights: list, job, t_dispatch: float
     ) -> None:
         try:
             results = await job
         except Exception as exc:
-            for entry in leaders:
-                self._inflight.discard(entry)
-                self._resolve_error(entry.leader, exc)
-                for follower in entry.followers:
-                    self._resolve_error(follower, exc)
-            return
-        # Unregister the whole batch first: a follower arriving after
-        # this point must not attach to an already-resolved computation.
-        for entry in leaders:
-            self._inflight.discard(entry)
-        for entry, result in zip(leaders, results):
-            if isinstance(result, ServeError):
-                # Only the offender fails; its followers asked for no
-                # more than it did and may well be servable.
-                self._resolve_error(entry.leader, result)
-                for follower in entry.followers:
-                    self._requeue(follower)
+            results = [exc] * len(flights)
+        # Unregister the whole batch first: a read arriving after this
+        # point must not attach to an already-resolved computation. The
+        # discard is identity-guarded: after a fence clears the table, a
+        # newer flight may hold the same key.
+        for flight in flights:
+            if self._inflight.get(flight.key) is flight:
+                del self._inflight[flight.key]
+        for flight, result in zip(flights, results):
+            if isinstance(result, Exception):
+                for op in (flight.leader, *flight.followers):
+                    self._resolve_error(op, result)
                 continue
-            resp, rows, scores = result
-            self._resolve_leader(entry.leader, resp, scores, t_dispatch)
-            for follower in entry.followers:
-                self._resolve_follower(follower, resp, rows)
+            resp, scores = result
+            self._resolve_read(flight.leader, resp, scores, t_dispatch)
+            t_done = time.perf_counter()
+            for op in flight.followers:
+                self._resolve_read(op, resp, scores, t_done, leader=False)
 
-    def _resolve_leader(
-        self, op: _ReadOp, resp, scores: tuple, t_dispatch: float
+    def _resolve_read(
+        self, op: _ReadOp, resp, scores: tuple, t_dispatch: float,
+        leader: bool = True,
     ) -> None:
+        """Serve ``op`` the flight's answer: as the engine request, or as
+        a follower with its leader's ids and scores verbatim."""
+        via = "engine" if leader else "coalesced"
         wait_ms = (t_dispatch - op.t_arrive) * 1e3
+        service_ms = resp.latency_ms if leader else 0.0
         response = ServeResponse(
             ids=tuple(resp.ids),
             scores=scores,
             weights=op.weights,
             k=op.k,
-            via="engine",
-            source=resp.source,
-            pages_read=resp.pages_read,
+            via=via,
+            source=resp.source if leader else f"coalesced:{resp.source}",
+            pages_read=resp.pages_read if leader else 0,
             wait_ms=wait_ms,
-            service_ms=resp.latency_ms,
+            service_ms=service_ms,
         )
         self.log.append(
             ReadLog(
@@ -537,68 +527,18 @@ class ServeFront:
                 k=op.k,
                 ids=response.ids,
                 scores=scores,
-                via="engine",
+                via=via,
             )
         )
         self.stats.reads_served += 1
-        self.stats.engine_requests += 1
+        if leader:
+            self.stats.engine_requests += 1
+        else:
+            self.stats.coalesced_served += 1
         self.stats.wait_ms.observe(wait_ms)
-        self.stats.service_ms.observe(resp.latency_ms)
+        self.stats.service_ms.observe(service_ms)
         if not op.future.done():
             op.future.set_result(response)
-
-    def _resolve_follower(self, op: _ReadOp, resp, rows: np.ndarray) -> None:
-        """Answer a follower from its leader's GIR — or send it back
-        through the queue for its own engine pass if the optimistic
-        attach turns out not to be covered by the returned region."""
-        if (
-            op.k <= len(resp.ids)
-            and resp.region is not None
-            and resp.region.contains(op.weights)
-        ):
-            t0 = time.perf_counter()
-            ids = tuple(resp.ids[: op.k])
-            scores = canonical_scores(
-                self.engine.scorer, rows[: op.k], op.weights
-            )
-            wait_ms = (t0 - op.t_arrive) * 1e3
-            service_ms = (time.perf_counter() - t0) * 1e3
-            response = ServeResponse(
-                ids=ids,
-                scores=scores,
-                weights=op.weights,
-                k=op.k,
-                via="coalesced",
-                source=f"coalesced:{resp.source}",
-                pages_read=0,
-                wait_ms=wait_ms,
-                service_ms=service_ms,
-            )
-            self.log.append(
-                ReadLog(
-                    weights=op.weights,
-                    k=op.k,
-                    ids=ids,
-                    scores=scores,
-                    via="coalesced",
-                )
-            )
-            self.stats.reads_served += 1
-            self.stats.coalesced_served += 1
-            self.stats.wait_ms.observe(wait_ms)
-            self.stats.service_ms.observe(service_ms)
-            if not op.future.done():
-                op.future.set_result(response)
-        else:
-            self._requeue(op)
-
-    def _requeue(self, op: _ReadOp) -> None:
-        """Send an attached read back through the queue to lead its own
-        engine request."""
-        op.no_coalesce = True
-        self.stats.coalesce_fallbacks += 1
-        assert self._queue is not None
-        self._queue.put_nowait(op)
 
     def _resolve_error(self, op, exc: Exception) -> None:
         self.stats.errors += 1

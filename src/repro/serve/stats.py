@@ -10,7 +10,7 @@ The tier's counters follow one identity, checked (not assumed) by
 and the headline service metric is the **coalesce fan-in ratio** —
 reads served per engine request; above 1.0 the tier is answering
 traffic the engine never saw. Latency is split into *wait* (arrival →
-dispatch, the queueing cost) and *service* (engine time, or ~0 for a
+dispatch, the queueing cost) and *service* (engine time, or 0 for a
 coalesced answer), so queue pressure and engine cost cannot masquerade
 as one another. Both are fixed-bucket
 :class:`~repro.obs.metrics.Histogram` instruments — tail percentiles
@@ -53,13 +53,10 @@ class ServeStats:
     #: denominator); charged when the answer resolves, so a request the
     #: engine failed lands in ``errors`` and nowhere else.
     engine_requests: int = 0
-    #: Reads that attached to an in-flight leader at dispatch.
+    #: Reads that attached to an in-flight exact duplicate at dispatch.
     coalesce_attached: int = 0
-    #: Attached reads actually answered from their leader's GIR.
+    #: Attached reads answered with their leader's answer.
     coalesced_served: int = 0
-    #: Attached reads whose vector fell outside the leader's returned
-    #: GIR and re-entered the queue for their own engine pass.
-    coalesce_fallbacks: int = 0
     #: Write fences executed (each drains every in-flight read batch).
     fences: int = 0
     #: Deepest ingress queue observed at an admission.
@@ -73,7 +70,7 @@ class ServeStats:
             Histogram, "serve_wait_ms", "arrival→dispatch queueing delay"
         )
     )
-    #: Engine time per served read (≈0 for coalesced answers), ms.
+    #: Engine time per served read (0 for coalesced answers), ms.
     service_ms: Histogram = field(
         default_factory=partial(
             Histogram, "serve_service_ms", "engine time per served read"
@@ -109,7 +106,9 @@ class ServeStats:
             "engine_requests": self.engine_requests,
             "coalesce_attached": self.coalesce_attached,
             "coalesced_served": self.coalesced_served,
-            "coalesce_fallbacks": self.coalesce_fallbacks,
+            # An attached read never falls back; the key stays for the
+            # perf ledger (benchmarks/ledger/layers.py), which reads it.
+            "coalesce_fallbacks": 0,
             "fan_in_ratio": self.fan_in_ratio,
             "fences": self.fences,
             "queue_depth_peak": self.queue_depth_peak,
@@ -135,8 +134,7 @@ class ServeStats:
             f"({self.engine_batch_calls} batches) — fan-in "
             f"{self.fan_in_ratio:.2f}x",
             f"coalescing        : {self.coalesce_attached} attached, "
-            f"{self.coalesced_served} served, "
-            f"{self.coalesce_fallbacks} fallbacks",
+            f"{self.coalesced_served} served",
             f"writes            : {self.writes_applied} applied through "
             f"{self.fences} fences ({self.errors} errors)",
             f"latency split     : wait p50 {self.wait_ms.percentile(50):.2f}"

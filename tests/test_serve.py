@@ -26,6 +26,7 @@ from repro.serve import (
     ServeConfig,
     ServeFront,
     ServeResponse,
+    canonical_scores,
     replay_serial_check,
     run_serve_workload,
 )
@@ -71,12 +72,12 @@ class TestServeEquivalence:
         "config",
         [
             ServeConfig(),  # batched + coalesced (the default path)
-            ServeConfig(coalesce=False),  # batched only
-            ServeConfig(batch_max=1, coalesce=False),  # direct
+            # direct: one read in flight at a time, so nothing can attach
+            ServeConfig(batch_max=1, max_inflight_batches=1),
             ServeConfig(batch_window_ms=0.1, batch_max=4),  # tiny batches
             ServeConfig(max_inflight_batches=1),  # fully serialized jobs
         ],
-        ids=["default", "no-coalesce", "direct", "tiny-batch", "one-job"],
+        ids=["default", "direct", "tiny-batch", "one-job"],
     )
     def test_every_serving_mode_matches_sequential(self, data, config):
         workload = flash_crowd_workload(D, 60, k=8, rng=3)
@@ -122,10 +123,20 @@ class TestCoalescing:
             == stats.engine_requests + stats.coalesced_served
         )
 
-    def test_identical_burst_coalesces_to_one_engine_request(self, data):
+    def test_identical_burst_coalesces_to_one_engine_request(
+        self, data, monkeypatch
+    ):
         """A simultaneous burst of one weight vector is one engine call:
         all admissions land in the ingress queue before the dispatcher's
-        batch resumes, so the duplicates attach to the first leader."""
+        batch resumes, so the duplicates attach to the first leader and
+        take its scores as is, with no per-follower re-scoring."""
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return canonical_scores(*args)
+
+        monkeypatch.setattr("repro.serve.front.canonical_scores", counting)
         engine = fresh_engine(data)
         w = np.full(D, 1.0 / D)
 
@@ -146,7 +157,30 @@ class TestCoalescing:
             assert resp.ids == leader[0].ids
             assert resp.scores == leader[0].scores
             assert resp.pages_read == 0
+            assert resp.service_ms == 0.0
             assert resp.source.startswith("coalesced:")
+        assert len(calls) == 1
+
+    def test_near_duplicate_is_its_own_engine_request(self, data):
+        """Single flight is by exact bytes: a vector 1e-9 away from an
+        in-flight one is a different request and gets its own engine
+        pass, however close it is."""
+        w = np.full(D, 1.0 / D)
+        near = w.copy()
+        near[0] += 1e-9
+
+        async def burst():
+            async with ServeFront(fresh_engine(data)) as front:
+                responses = await asyncio.gather(
+                    front.topk(w, k=8), front.topk(near, k=8)
+                )
+                return front, responses
+
+        front, responses = asyncio.run(burst())
+        assert [r.via for r in responses] == ["engine", "engine"]
+        assert front.stats.engine_requests == 2
+        assert front.stats.coalesce_attached == 0
+        assert front.stats.accounting_ok()
 
     def test_coalesced_answers_equal_direct_answers(self, data):
         """Every coalesced response must byte-match what the same request
@@ -158,9 +192,7 @@ class TestCoalescing:
             assert isinstance(resp, ServeResponse)
 
             async def one(weights=resp.weights, k=resp.k):
-                async with ServeFront(
-                    direct, ServeConfig(batch_max=1, coalesce=False)
-                ) as f:
+                async with ServeFront(direct, ServeConfig(batch_max=1)) as f:
                     return await f.topk(weights, k)
 
             ref = asyncio.run(one())
@@ -257,7 +289,7 @@ class TestAdmission:
         ks = [5, 5, 60, 5, 5, 5]
 
         async def go():
-            config = ServeConfig(batch_window_ms=50.0, coalesce=False)
+            config = ServeConfig(batch_window_ms=50.0)
             async with ServeFront(fresh_engine(small), config) as front:
                 results = await asyncio.gather(
                     *(front.topk(rng.random(D) + 0.1, k) for k in ks),
@@ -283,9 +315,9 @@ class TestAdmission:
         assert stats.accounting_ok()
 
     def test_follower_of_an_oversized_leader_is_still_served(self):
-        """A valid read may attach to an in-flight leader that asks for
-        more than the engine holds; when the leader fails, the follower
-        re-enters the queue instead of inheriting the error."""
+        """A smaller-``k`` read of an oversized read's vector is a
+        different request: it leads its own engine request in the same
+        batch and is served while the oversized one fails alone."""
         small = make_synthetic("IND", 50, D, seed=3)
         w = np.full(D, 1.0 / D)
 
@@ -301,8 +333,35 @@ class TestAdmission:
         front, (leader, follower) = asyncio.run(go())
         assert isinstance(leader, Rejected)
         assert isinstance(follower, ServeResponse) and len(follower.ids) == 5
-        assert front.stats.coalesce_fallbacks == 1
+        assert follower.via == "engine"
+        assert front.stats.engine_batch_calls == 1
+        assert front.stats.coalesce_attached == 0
         assert front.stats.accounting_ok()
+
+    def test_duplicate_of_an_oversized_leader_gets_its_error(self):
+        """An exact duplicate takes its leader's outcome, errors
+        included: two identical oversized reads are one engine request
+        and two equal ``Rejected``, with no second batch call."""
+        small = make_synthetic("IND", 50, D, seed=3)
+        w = np.full(D, 1.0 / D)
+
+        async def go():
+            config = ServeConfig(batch_window_ms=50.0)
+            async with ServeFront(fresh_engine(small), config) as front:
+                results = await asyncio.gather(
+                    front.topk(w, 60), front.topk(w, 60),
+                    return_exceptions=True,
+                )
+            return front, results
+
+        front, (leader, follower) = asyncio.run(go())
+        assert isinstance(leader, Rejected) and isinstance(follower, Rejected)
+        assert leader.to_dict() == follower.to_dict()
+        stats = front.stats
+        assert stats.engine_batch_calls == 1
+        assert stats.coalesce_attached == 1
+        assert stats.errors == 2
+        assert stats.accounting_ok()
 
     def test_whole_batch_engine_failure_keeps_the_identities(self, data):
         """An exception out of ``topk_batch`` itself errors every read of
@@ -361,6 +420,9 @@ class TestReportAndStats:
             "throughput_rps",
         ):
             assert key in payload, key
+        # Nothing falls back; the key stays for the perf ledger
+        # (benchmarks/ledger/layers.py), which reads it.
+        assert payload["coalesce_fallbacks"] == 0
         assert payload["workload_kind"] == "flash_crowd"
         assert payload["reads_served"] == front.stats.reads_served
 
@@ -369,8 +431,6 @@ class TestReportAndStats:
             ServeConfig(max_pending=0)
         with pytest.raises(ValueError):
             ServeConfig(batch_window_ms=-1.0)
-        with pytest.raises(ValueError):
-            ServeConfig(coalesce_radius=-0.1)
 
 
 class TestFlashCrowdWorkload:
