@@ -175,26 +175,28 @@ def refine_fans(
     exclude = set(run.result.ids)
     apexes = points[list(fans)]
 
-    def fetchable(entries: list[HeapEntry]) -> list[HeapEntry]:
-        if not entries:
-            return []
-        los = np.array([e.mbb.lo for e in entries])
-        his = np.array([e.mbb.hi for e in entries])
+    def fetchable(los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        """Which of the boxes stacked in ``los`` / ``his`` must be fetched."""
         los_g, his_g = scorer.transform(los), scorer.transform(his)
-        fetch = np.zeros(len(entries), dtype=bool)
+        fetch = np.zeros(his.shape[0], dtype=bool)
         for fan in fans.values():
             fetch |= fan.boxes_seen(los_g, his_g)
         if options.prune_dominated_nodes:
             # A node whose entire box is dominated by every apex can only
             # yield half-spaces implied inside the query space (node-level
             # form of the Section 6.3.1 record dominance filter).
-            dominated = np.ones(len(entries), dtype=bool)
+            dominated = np.ones(his.shape[0], dtype=bool)
             for apex in apexes:
                 dominated &= kernels.dominated_mask(apex, his)
             fetch &= ~dominated
-        return [e for e, f in zip(entries, fetch) if f]
+        return fetch
 
-    heap = fetchable(run.heap)
+    heap: list[HeapEntry] = []
+    if run.heap:
+        keep = fetchable(
+            np.array([e.lo for e in run.heap]), np.array([e.hi for e in run.heap])
+        )
+        heap = [e for e, f in zip(run.heap, keep.tolist()) if f]
     heapq.heapify(heap)
     directions: np.ndarray | None = None
     apex_dir_scores: dict[int, np.ndarray] = {}
@@ -211,18 +213,18 @@ def refine_fans(
             # Footnote 7: fetch only if some point of the node could
             # outscore an apex somewhere in the Phase-1 interim region
             # (checked at the region's vertices; scores are linear there).
-            node_best = directions @ scorer.transform_one(entry.mbb.hi)
+            node_best = directions @ scorer.transform_one(entry.hi)
             if all(
                 (node_best <= apex_dir_scores[apex_id] + EXACT_TOL).all()
                 for apex_id in fans
             ):
                 continue
-        if not fetchable([entry]):
+        if not fetchable(entry.lo[None, :], entry.hi[None, :])[0]:
             continue
         node = read(entry.node_id)
         fetched += 1
         if node.is_leaf:
-            rids = [e.child_id for e in node.entries if e.child_id not in exclude]
+            rids = [rid for rid in node.ids.tolist() if rid not in exclude]
             if rids:
                 pts = points[rids]
                 pts_g = points_g[rids]
@@ -231,9 +233,10 @@ def refine_fans(
                     idx = np.flatnonzero(~kernels.dominated_mask(apex, pts))
                     fan.add_points([rids[i] for i in idx], pts_g[idx])
         else:
-            for child in fetchable(
-                child_heap_entries(node, run.result.weights, scorer)
-            ):
+            # Test the children on the node's rows first, so a pruned
+            # child never costs a heap entry.
+            keep = fetchable(node.lo, node.hi)
+            for child in child_heap_entries(node, run.result.weights, scorer, keep):
                 heapq.heappush(heap, child)
     return fetched
 

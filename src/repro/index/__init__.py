@@ -6,8 +6,10 @@ fetches the same page twice). This package reproduces that setting:
 
 * :mod:`repro.index.storage` — page store with read counters and a
   configurable I/O latency model;
-* :mod:`repro.index.mbb` — minimum bounding boxes and score bounds;
-* :mod:`repro.index.node` — leaf/internal node layout and fan-out math;
+* :mod:`repro.index.mbb` — box geometry over ``(m, d)`` row stacks, and
+  the single-box :class:`MBB` with its score bounds;
+* :mod:`repro.index.node` — a node as its page lays it out (``lo`` /
+  ``hi`` / ``ids`` arrays) and fan-out math;
 * :mod:`repro.index.rtree` — dynamic R*-tree (choose-subtree, forced
   reinsert, topological split);
 * :mod:`repro.index.bulkload` — Sort-Tile-Recursive packing for large data.
@@ -15,14 +17,13 @@ fetches the same page twice). This package reproduces that setting:
 
 from repro.index.bulkload import bulk_load_str
 from repro.index.mbb import MBB
-from repro.index.node import Node, NodeEntry, node_capacities
+from repro.index.node import Node, node_capacities
 from repro.index.rtree import RStarTree
 from repro.index.storage import IOStats, PageStore
 
 __all__ = [
     "MBB",
     "Node",
-    "NodeEntry",
     "node_capacities",
     "PageStore",
     "IOStats",

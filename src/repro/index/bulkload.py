@@ -9,6 +9,10 @@ comparable to the paper's.
 
 The resulting tree is a fully functional :class:`RStarTree` — subsequent
 dynamic inserts/deletes work normally.
+
+Packing works on whole levels at once: the records are permuted into leaf
+order once, each leaf's rows are one slice of that permutation, and a
+level's bounds (the parents' rows) come from one ``reduceat`` per side.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import math
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.index.mbb import MBB
-from repro.index.node import Node, NodeEntry
+from repro.index.node import Node
 from repro.index.rtree import RStarTree
 from repro.index.storage import PageStore
 
@@ -52,6 +55,33 @@ def _str_partition(
     return result
 
 
+def _pack_level(
+    tree: RStarTree,
+    level: int,
+    runs: list[np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    ids: np.ndarray,
+) -> tuple[list[Node], np.ndarray, np.ndarray]:
+    """Write one node per run of rows (``lo`` / ``hi`` / ``ids`` are the
+    rows of the level below). Returns the new nodes and their bounds, the
+    rows of the level above."""
+    order = np.concatenate(runs)
+    lo, ids = lo[order], ids[order]
+    hi = lo if level == 0 else hi[order]
+    starts = np.cumsum([0] + [len(run) for run in runs])
+    nodes: list[Node] = []
+    for start, stop in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        node = Node(
+            tree.store.allocate(), level, lo[start:stop], hi[start:stop], ids[start:stop]
+        )
+        tree.store.write(node)
+        nodes.append(node)
+    bounds_lo = np.minimum.reduceat(lo, starts[:-1], axis=0)
+    bounds_hi = np.maximum.reduceat(hi, starts[:-1], axis=0)
+    return nodes, bounds_lo, bounds_hi
+
+
 def bulk_load_str(
     dataset: Dataset,
     store: PageStore | None = None,
@@ -80,33 +110,21 @@ def bulk_load_str(
     internal_cap = max(2, int(tree.internal_capacity * fill_factor))
 
     # Level 0: pack records into leaves.
-    all_ids = np.arange(dataset.n, dtype=np.intp)
+    all_ids = np.arange(dataset.n, dtype=np.int64)
     runs = _str_partition(all_ids, points, leaf_cap, axis=0)
-    level_nodes: list[Node] = []
-    for run in runs:
-        node = Node(tree.store.allocate(), level=0)
-        node.entries = [NodeEntry(MBB.of_point(points[i]), int(i)) for i in run]
-        tree.store.write(node)
-        level_nodes.append(node)
+    nodes, lo, hi = _pack_level(tree, 0, runs, points, points, all_ids)
 
     # Upper levels: pack child nodes by their MBB centres.
     level = 0
-    while len(level_nodes) > 1:
+    while len(nodes) > 1:
         level += 1
-        centres = np.array([n.mbb().center() for n in level_nodes])
-        idx = np.arange(len(level_nodes), dtype=np.intp)
+        centres = (lo + hi) / 2.0
+        idx = np.arange(len(nodes), dtype=np.intp)
         runs = _str_partition(idx, centres, internal_cap, axis=0)
-        parents: list[Node] = []
-        for run in runs:
-            node = Node(tree.store.allocate(), level=level)
-            node.entries = [
-                NodeEntry(level_nodes[i].mbb(), level_nodes[i].node_id) for i in run
-            ]
-            tree.store.write(node)
-            parents.append(node)
-        level_nodes = parents
+        child_ids = np.array([n.node_id for n in nodes], dtype=np.int64)
+        nodes, lo, hi = _pack_level(tree, level, runs, lo, hi, child_ids)
 
-    root = level_nodes[0]
+    root = nodes[0]
     # Free the placeholder empty root allocated by the RStarTree constructor.
     tree.store.free(tree.root_id)
     tree.root_id = root.node_id

@@ -5,7 +5,13 @@ top-k processing with non-negative weight vectors, the *maxscore* of an MBB
 — the largest score any point inside it can achieve — is attained at its top
 corner (the paper defines it as the max over the MBB's corners, which for a
 monotone function is the top corner). The BRS and BBS algorithms order their
-search heaps by this bound.
+search heaps by this bound, on the ``hi`` rows of a node.
+
+The tree stores boxes as ``(m, d)`` ``lo`` / ``hi`` row stacks
+(:mod:`repro.index.node`), and the functions here are the box geometry
+over such stacks: every argument broadcasts over leading axes, ``d`` is
+the last axis, and each row's value is bit-equal to the same function on
+that one box alone. :class:`MBB` is a single validated box.
 """
 
 from __future__ import annotations
@@ -13,11 +19,72 @@ from __future__ import annotations
 import numpy as np
 from repro.core.tolerances import EXACT_TOL
 
-__all__ = ["MBB"]
+__all__ = [
+    "MBB",
+    "box_areas",
+    "box_margins",
+    "box_overlaps",
+    "boxes_intersect",
+    "boxes_contain",
+]
+
+
+def box_areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Volumes of the boxes (the R*-tree literature calls them areas)."""
+    return np.prod(hi - lo, axis=-1)
+
+
+def box_margins(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sums of edge lengths (×2^(d-1) in the R* paper; the constant factor
+    does not affect argmin comparisons, so this is the plain sum)."""
+    return np.sum(hi - lo, axis=-1)
+
+
+def box_overlaps(
+    lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray
+) -> np.ndarray:
+    """Volumes of the intersections of boxes ``a`` and ``b``: 0 when some
+    extent is ≤ 0 (disjoint, touching or flat)."""
+    ext = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
+    return np.where((ext <= 0).any(axis=-1), 0.0, np.prod(ext, axis=-1))
+
+
+def boxes_intersect(
+    lo_a: np.ndarray,
+    hi_a: np.ndarray,
+    lo_b: np.ndarray,
+    hi_b: np.ndarray,
+    atol: float = EXACT_TOL,
+) -> np.ndarray:
+    """True where boxes ``a`` and ``b`` share at least one point (a
+    closed-box test).
+
+    Unlike ``box_overlaps(...) > 0`` this is exact for zero-volume
+    contacts: boxes that merely touch at a face/edge/corner, and degenerate
+    (axis-flat or point) boxes, still intersect. R-tree window descent
+    must use this predicate — a volume test silently skips subtrees whose
+    bounding boxes are flat along some axis (e.g. duplicated coordinate
+    values).
+    """
+    return (lo_b <= hi_a + atol).all(axis=-1) & (lo_a <= hi_b + atol).all(axis=-1)
+
+
+def boxes_contain(
+    lo: np.ndarray, hi: np.ndarray, points: np.ndarray, atol: float = EXACT_TOL
+) -> np.ndarray:
+    """True where box ``[lo, hi]`` contains the point (closed, within
+    ``atol``)."""
+    return (points >= lo - atol).all(axis=-1) & (points <= hi + atol).all(axis=-1)
 
 
 class MBB:
-    """Axis-aligned box ``[lo, hi]`` in ``[0, 1]^d``."""
+    """Axis-aligned box ``[lo, hi]`` in ``[0, 1]^d``.
+
+    The tree holds no ``MBB`` objects. This is the public single-box value
+    type: :meth:`repro.geometry.incident_facets.FacetFan.mbb_sees` takes
+    one, and its score bounds and dominance test are the per-box forms of
+    what BRS, BBS and FP compute over a node's rows.
+    """
 
     __slots__ = ("lo", "hi")
 
@@ -31,13 +98,6 @@ class MBB:
         self.lo = lo
         self.hi = hi
 
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def of_point(cls, point: np.ndarray) -> "MBB":
-        point = np.asarray(point, dtype=np.float64)
-        return cls(point.copy(), point.copy())
-
     @classmethod
     def of_points(cls, points: np.ndarray) -> "MBB":
         points = np.asarray(points, dtype=np.float64)
@@ -45,67 +105,9 @@ class MBB:
             raise ValueError("need a non-empty (m, d) array of points")
         return cls(points.min(axis=0), points.max(axis=0))
 
-    @classmethod
-    def union_of(cls, boxes: list["MBB"]) -> "MBB":
-        if not boxes:
-            raise ValueError("cannot take the union of zero boxes")
-        lo = np.minimum.reduce([b.lo for b in boxes])
-        hi = np.maximum.reduce([b.hi for b in boxes])
-        return cls(lo, hi)
-
-    # -- geometry --------------------------------------------------------------
-
     @property
     def d(self) -> int:
         return int(self.lo.shape[0])
-
-    def union(self, other: "MBB") -> "MBB":
-        return MBB(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
-
-    def area(self) -> float:
-        """Volume of the box (the R*-tree literature calls it area)."""
-        return float(np.prod(self.hi - self.lo))
-
-    def margin(self) -> float:
-        """Sum of edge lengths (×2^(d-1) in the R* paper; constant factor
-        does not affect argmin comparisons, so we use the plain sum)."""
-        return float(np.sum(self.hi - self.lo))
-
-    def overlap(self, other: "MBB") -> float:
-        """Volume of the intersection with ``other`` (0 when disjoint)."""
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        ext = hi - lo
-        if (ext <= 0).any():
-            return 0.0
-        return float(np.prod(ext))
-
-    def enlargement(self, point_or_box: "MBB | np.ndarray") -> float:
-        """Area increase needed to cover ``point_or_box``."""
-        if isinstance(point_or_box, MBB):
-            merged = self.union(point_or_box)
-        else:
-            p = np.asarray(point_or_box, dtype=np.float64)
-            merged = MBB(np.minimum(self.lo, p), np.maximum(self.hi, p))
-        return merged.area() - self.area()
-
-    def intersects(self, other: "MBB", atol: float = EXACT_TOL) -> bool:
-        """True when the boxes share at least one point (closed-box test).
-
-        Unlike ``overlap() > 0`` this is exact for zero-volume contacts:
-        boxes that merely touch at a face/edge/corner, and degenerate
-        (axis-flat or point) boxes, still intersect. R-tree window descent
-        must use this predicate — a volume test silently skips subtrees
-        whose bounding boxes are flat along some axis (e.g. duplicated
-        coordinate values).
-        """
-        return bool(
-            (self.lo <= other.hi + atol).all() and (other.lo <= self.hi + atol).all()
-        )
-
-    def contains_point(self, point: np.ndarray, atol: float = EXACT_TOL) -> bool:
-        p = np.asarray(point, dtype=np.float64)
-        return bool((p >= self.lo - atol).all() and (p <= self.hi + atol).all())
 
     def center(self) -> np.ndarray:
         return (self.lo + self.hi) / 2.0
@@ -126,10 +128,6 @@ class MBB:
         """Lower bound on the score of any point in the box."""
         w = np.asarray(weights, dtype=np.float64)
         return float(np.where(w >= 0, self.lo, self.hi) @ w)
-
-    def upper_corner(self) -> np.ndarray:
-        """Top corner — the maxscore point for monotone scoring functions."""
-        return self.hi
 
     # -- dominance (used by BBS pruning) ------------------------------------------
 

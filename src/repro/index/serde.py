@@ -1,17 +1,20 @@
 """Byte-level page layout for R-tree nodes.
 
-The simulated page store keeps nodes as Python objects, but the fan-out
-arithmetic in :func:`repro.index.node.node_capacities` is justified by an
-actual on-disk layout. This module implements that layout so the capacity
-math is verified, not asserted:
+A node in memory is already laid out the way its page is: ``ids``, ``lo``
+and ``hi`` arrays, one row per entry (:mod:`repro.index.node`). The fan-out
+arithmetic in :func:`repro.index.node.node_capacities` is justified by the
+on-disk layout below, and this module implements it so the capacity math
+is verified, not asserted:
 
 ``page := header | entry*``
 
 * header (32 bytes): magic ``b"GIRP"``, format version, level, entry
   count, node id — little-endian, padded;
 * leaf entry: record id (int64) + ``d`` float64 attribute values;
-* internal entry: child page id (int64) + MBB as ``2 d`` float64.
+* internal entry: child page id (int64) + box as ``2 d`` float64
+  (``lo`` then ``hi``).
 
+Encoding and decoding are one structured-array copy each way.
 ``encode_node`` refuses to overflow a page, which pins the capacities used
 by the I/O model to what genuinely fits in 4 KiB.
 """
@@ -22,8 +25,7 @@ import struct
 
 import numpy as np
 
-from repro.index.mbb import MBB
-from repro.index.node import Node, NodeEntry, PAGE_HEADER_BYTES
+from repro.index.node import Node, PAGE_HEADER_BYTES
 
 __all__ = ["encode_node", "decode_node", "PageOverflowError", "MAGIC"]
 
@@ -37,34 +39,36 @@ class PageOverflowError(ValueError):
     """Raised when a node's entries do not fit in one page."""
 
 
+def _entry_dtype(d: int, leaf: bool) -> np.dtype:
+    """One page entry: the id, then the ``lo`` row (and the ``hi`` row on
+    an internal node), packed little-endian with no padding — the struct
+    format ``<q`` + ``d`` (or ``2 d``) ``d``."""
+    fields = [("id", "<i8"), ("lo", "<f8", (d,))]
+    if not leaf:
+        fields.append(("hi", "<f8", (d,)))
+    dtype = np.dtype(fields)
+    floats = d if leaf else 2 * d
+    assert dtype.itemsize == struct.calcsize(f"<q{floats}d")
+    return dtype
+
+
 def encode_node(node: Node, page_size: int, d: int) -> bytes:
     """Serialise ``node`` into exactly ``page_size`` bytes."""
-    if node.is_leaf:
-        entry_size = 8 + 8 * d
-    else:
-        entry_size = 8 + 16 * d
-    needed = PAGE_HEADER_BYTES + entry_size * len(node.entries)
+    dtype = _entry_dtype(d, node.is_leaf)
+    count = len(node)
+    needed = PAGE_HEADER_BYTES + dtype.itemsize * count
     if needed > page_size:
         raise PageOverflowError(
             f"node {node.node_id} needs {needed} bytes > page size {page_size}"
         )
+    entries = np.empty(count, dtype=dtype)
+    entries["id"] = node.ids
+    entries["lo"] = node.lo
+    if not node.is_leaf:
+        entries["hi"] = node.hi
     out = bytearray(page_size)
-    _HEADER.pack_into(
-        out, 0, MAGIC, FORMAT_VERSION, node.level, len(node.entries), node.node_id
-    )
-    offset = PAGE_HEADER_BYTES
-    for e in node.entries:
-        struct.pack_into("<q", out, offset, e.child_id)
-        offset += 8
-        if node.is_leaf:
-            payload = np.ascontiguousarray(e.mbb.lo, dtype="<f8").tobytes()
-        else:
-            payload = (
-                np.ascontiguousarray(e.mbb.lo, dtype="<f8").tobytes()
-                + np.ascontiguousarray(e.mbb.hi, dtype="<f8").tobytes()
-            )
-        out[offset : offset + len(payload)] = payload
-        offset += len(payload)
+    _HEADER.pack_into(out, 0, MAGIC, FORMAT_VERSION, node.level, count, node.node_id)
+    out[PAGE_HEADER_BYTES:needed] = entries.tobytes()
     return bytes(out)
 
 
@@ -75,20 +79,10 @@ def decode_node(page: bytes, d: int) -> Node:
         raise ValueError("not a GIR page (bad magic)")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported page format version {version}")
-    node = Node(node_id, level)
-    offset = PAGE_HEADER_BYTES
-    for _ in range(count):
-        (child_id,) = struct.unpack_from("<q", page, offset)
-        offset += 8
-        if level == 0:
-            point = np.frombuffer(page, dtype="<f8", count=d, offset=offset).copy()
-            offset += 8 * d
-            mbb = MBB(point, point.copy())
-        else:
-            lo = np.frombuffer(page, dtype="<f8", count=d, offset=offset).copy()
-            offset += 8 * d
-            hi = np.frombuffer(page, dtype="<f8", count=d, offset=offset).copy()
-            offset += 8 * d
-            mbb = MBB(lo, hi)
-        node.entries.append(NodeEntry(mbb, int(child_id)))
-    return node
+    leaf = level == 0
+    entries = np.frombuffer(
+        page, dtype=_entry_dtype(d, leaf), count=count, offset=PAGE_HEADER_BYTES
+    )
+    lo = entries["lo"].astype(np.float64)
+    hi = None if leaf else entries["hi"].astype(np.float64)
+    return Node(node_id, level, lo, hi, entries["id"].astype(np.int64))

@@ -22,6 +22,7 @@ import heapq
 
 import numpy as np
 
+from repro.index.node import Node
 from repro.index.rtree import RStarTree
 from repro.query.brs import BRSRun, HeapEntry, make_heap_entry
 from repro.scoring import LinearScoring, ScoringFunction
@@ -181,35 +182,43 @@ def bbs_skyline(
         sky = _SkylineSet(tree.d)
         heap = []
         root = read(tree.root_id)
-        if root.is_leaf:
-            for e in root.entries:
-                if e.child_id not in exclude:
-                    sky.insert(e.child_id, points[e.child_id])
-        else:
-            for e in root.entries:
-                heapq.heappush(
-                    heap,
-                    make_heap_entry(e.mbb, e.child_id, root.level - 1, weights, scorer),
-                )
+        _expand_skyline(root, heap, sky, points, weights, scorer, exclude)
 
     while heap:
         entry: HeapEntry = heapq.heappop(heap)
         # Prune: a node whose top corner is dominated cannot hold skyline
         # records (dominance of the top corner dominates the whole box).
-        if sky.dominates_point(entry.mbb.upper_corner()):
+        if sky.dominates_point(entry.hi):
             continue
-        node = read(entry.node_id)
-        if node.is_leaf:
-            for e in node.entries:
-                if e.child_id in exclude:
-                    continue
-                sky.insert(e.child_id, points[e.child_id])
-        else:
-            for e in node.entries:
-                if sky.dominates_point(e.mbb.upper_corner()):
-                    continue
-                heapq.heappush(
-                    heap,
-                    make_heap_entry(e.mbb, e.child_id, node.level - 1, weights, scorer),
-                )
+        _expand_skyline(
+            read(entry.node_id), heap, sky, points, weights, scorer, exclude
+        )
     return sky.ids
+
+
+def _expand_skyline(
+    node: Node,
+    heap: list[HeapEntry],
+    sky: _SkylineSet,
+    points: np.ndarray,
+    weights: np.ndarray,
+    scorer: ScoringFunction,
+    exclude: set[int],
+) -> None:
+    """Offer a fetched leaf's records to the skyline, or push an internal
+    node's children whose top corner no skyline member dominates."""
+    ids = node.ids.tolist()
+    if node.is_leaf:
+        for rid in ids:
+            if rid not in exclude:
+                sky.insert(rid, points[rid])
+        return
+    for i, child_id in enumerate(ids):
+        if sky.dominates_point(node.hi[i]):
+            continue
+        heapq.heappush(
+            heap,
+            make_heap_entry(
+                node.lo[i], node.hi[i], child_id, node.level - 1, weights, scorer
+            ),
+        )

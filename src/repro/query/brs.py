@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.index.mbb import MBB
 from repro.index.node import Node
 from repro.index.rtree import RStarTree
 from repro.query.topk import TopKResult
@@ -40,13 +39,15 @@ class HeapEntry:
     ``sort_key`` is ``(-maxscore, -corner_sum, seq)``: the secondary
     coordinate-sum component makes the order strictly compatible with
     dominance even when some query weights are zero, which the BBS
-    continuation relies on.
+    continuation relies on. ``lo`` / ``hi`` are the entry's row views in
+    its parent node (never written in place, see :mod:`repro.index.node`).
     """
 
     sort_key: tuple[float, float, int]
     node_id: int = field(compare=False)
     level: int = field(compare=False)
-    mbb: MBB = field(compare=False)
+    lo: np.ndarray = field(compare=False)
+    hi: np.ndarray = field(compare=False)
 
     @property
     def maxscore(self) -> float:
@@ -57,30 +58,43 @@ _seq = itertools.count()
 
 
 def make_heap_entry(
-    mbb: MBB, node_id: int, level: int, weights: np.ndarray, scorer: ScoringFunction
+    lo: np.ndarray,
+    hi: np.ndarray,
+    node_id: int,
+    level: int,
+    weights: np.ndarray,
+    scorer: ScoringFunction,
 ) -> HeapEntry:
-    """Build a heap entry keyed by the MBB's maxscore under ``scorer``."""
-    top = mbb.upper_corner()
-    maxscore = float(scorer.score(top, weights))
+    """Build a heap entry keyed by the box's maxscore under ``scorer``: the
+    score of its top corner ``hi``."""
+    maxscore = float(scorer.score(hi, weights))
     return HeapEntry(
-        sort_key=(-maxscore, -float(top.sum()), next(_seq)),
+        sort_key=(-maxscore, -float(hi.sum()), next(_seq)),
         node_id=node_id,
         level=level,
-        mbb=mbb,
+        lo=lo,
+        hi=hi,
     )
 
 
 def child_heap_entries(
-    node: Node, weights: np.ndarray, scorer: ScoringFunction
+    node: Node,
+    weights: np.ndarray,
+    scorer: ScoringFunction,
+    keep: np.ndarray | None = None,
 ) -> list[HeapEntry]:
-    """Heap entries for every child of an internal node, their maxscores
-    taken in one product over the stacked top corners."""
-    tops = np.array([e.mbb.upper_corner() for e in node.entries])
-    scores = scorer.score(tops, weights).tolist()
-    sums = tops.sum(axis=1).tolist()
+    """Heap entries for the children of an internal node — only those the
+    boolean mask ``keep`` selects, when given — their maxscores taken in
+    one product over the node's ``hi`` rows (all of them, so a child's
+    score does not depend on which others are kept)."""
+    scores = scorer.score(node.hi, weights).tolist()
+    sums = node.hi.sum(axis=1).tolist()
+    ids = node.ids.tolist()
+    rows = range(len(ids)) if keep is None else np.flatnonzero(keep).tolist()
+    level = node.level - 1
     return [
-        HeapEntry((-score, -corner_sum, next(_seq)), e.child_id, node.level - 1, e.mbb)
-        for e, score, corner_sum in zip(node.entries, scores, sums)
+        HeapEntry((-scores[i], -sums[i], next(_seq)), ids[i], level, node.lo[i], node.hi[i])
+        for i in rows
     ]
 
 
@@ -205,7 +219,7 @@ def _expand(
     """Score a fetched node with one product: a leaf's records go to the
     interim top-k, an internal node's children onto the search heap."""
     if node.is_leaf:
-        rids = [e.child_id for e in node.entries]
+        rids = node.ids.tolist()
         _consider_records(interim, encountered, rids, points, weights, scorer, k)
     else:
         for child in child_heap_entries(node, weights, scorer):

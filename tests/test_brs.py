@@ -33,16 +33,16 @@ def record_at_a_time_brs(tree, points, weights, k, scorer):
         elif item > interim[0]:
             heapq.heapreplace(interim, item)
 
-    def push(mbb, node_id, level):
-        key = (-float(scorer.score(mbb.hi, weights)), -float(mbb.hi.sum()), next(seq))
+    def push(hi, node_id, level):
+        key = (-float(scorer.score(hi, weights)), -float(hi.sum()), next(seq))
         heapq.heappush(heap, (key, node_id, level))
 
     def expand(node):
-        for e in node.entries:
+        for i, child_id in enumerate(node.ids.tolist()):
             if node.is_leaf:
-                consider(e.child_id)
+                consider(child_id)
             else:
-                push(e.mbb, e.child_id, node.level - 1)
+                push(node.hi[i], child_id, node.level - 1)
 
     expand(tree._node(tree.root_id))
     nodes, leaves = 1, int(tree.height == 1)
@@ -158,7 +158,7 @@ class TestRetainedState:
         for rid, p in enumerate(data.points):
             if rid in covered:
                 continue
-            assert any(e.mbb.contains_point(p) for e in run.heap), rid
+            assert any(((e.lo <= p) & (p <= e.hi)).all() for e in run.heap), rid
 
     def test_heap_maxscores_below_kth(self, small_ind_4d, rng):
         """Termination condition: retained entries cannot beat the k-th."""

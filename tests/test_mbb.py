@@ -1,16 +1,31 @@
-"""Tests for minimum bounding boxes."""
+"""Tests for minimum bounding boxes: the row-stack geometry the tree uses,
+and the single-box ``MBB`` value type."""
 
 import numpy as np
 import pytest
 
-from repro.index.mbb import MBB
+from repro.index.mbb import (
+    MBB,
+    box_areas,
+    box_margins,
+    box_overlaps,
+    boxes_contain,
+    boxes_intersect,
+)
+from repro.index.node import Node
+
+
+def box(lo, hi):
+    return np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
 
 
 class TestConstruction:
     def test_of_point_degenerate(self):
-        m = MBB.of_point(np.array([0.3, 0.7]))
-        assert m.area() == 0.0
-        assert m.contains_point(np.array([0.3, 0.7]))
+        """A leaf row is its point's degenerate box: zero area, and it
+        contains the point."""
+        p = np.array([0.3, 0.7])
+        assert box_areas(p, p) == 0.0
+        assert boxes_contain(p, p, p)
 
     def test_of_points(self):
         m = MBB.of_points(np.array([[0.1, 0.9], [0.5, 0.2]]))
@@ -26,46 +41,69 @@ class TestConstruction:
             MBB(np.array([0.5, 0.5]), np.array([0.4, 0.6]))
 
     def test_union_of_rejects_empty(self):
+        """The union of zero rows (an empty node's bounds) is an error."""
         with pytest.raises(ValueError):
-            MBB.union_of([])
+            Node.empty(0, 1, 2).bounds()
 
 
 class TestGeometry:
     def test_union(self):
-        a = MBB(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        b = MBB(np.array([0.4, 0.2]), np.array([0.9, 0.3]))
-        u = a.union(b)
-        assert np.allclose(u.lo, [0.0, 0.0])
-        assert np.allclose(u.hi, [0.9, 0.5])
+        """The union of two boxes is their parent row: a node's bounds."""
+        node = Node(
+            0, 1, np.array([[0.0, 0.0], [0.4, 0.2]]), np.array([[0.5, 0.5], [0.9, 0.3]]),
+            np.array([1, 2], dtype=np.int64),
+        )
+        lo, hi = node.bounds()
+        assert np.allclose(lo, [0.0, 0.0])
+        assert np.allclose(hi, [0.9, 0.5])
 
     def test_area_margin(self):
-        m = MBB(np.array([0.0, 0.0]), np.array([0.5, 0.2]))
-        assert m.area() == pytest.approx(0.1)
-        assert m.margin() == pytest.approx(0.7)
+        lo, hi = box([0.0, 0.0], [0.5, 0.2])
+        assert box_areas(lo, hi) == pytest.approx(0.1)
+        assert box_margins(lo, hi) == pytest.approx(0.7)
 
     def test_overlap_positive(self):
-        a = MBB(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        b = MBB(np.array([0.25, 0.25]), np.array([0.75, 0.75]))
-        assert a.overlap(b) == pytest.approx(0.0625)
-        assert b.overlap(a) == pytest.approx(0.0625)
+        a = box([0.0, 0.0], [0.5, 0.5])
+        b = box([0.25, 0.25], [0.75, 0.75])
+        assert box_overlaps(*a, *b) == pytest.approx(0.0625)
+        assert box_overlaps(*b, *a) == pytest.approx(0.0625)
 
     def test_overlap_disjoint(self):
-        a = MBB(np.array([0.0, 0.0]), np.array([0.2, 0.2]))
-        b = MBB(np.array([0.5, 0.5]), np.array([0.9, 0.9]))
-        assert a.overlap(b) == 0.0
+        a = box([0.0, 0.0], [0.2, 0.2])
+        b = box([0.5, 0.5], [0.9, 0.9])
+        assert box_overlaps(*a, *b) == 0.0
 
     def test_overlap_touching_is_zero(self):
-        a = MBB(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        b = MBB(np.array([0.5, 0.0]), np.array([1.0, 0.5]))
-        assert a.overlap(b) == 0.0
+        a = box([0.0, 0.0], [0.5, 0.5])
+        b = box([0.5, 0.0], [1.0, 0.5])
+        assert box_overlaps(*a, *b) == 0.0
 
     def test_enlargement_point(self):
-        m = MBB(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        assert m.enlargement(np.array([1.0, 0.5])) == pytest.approx(0.25)
+        lo, hi = box([0.0, 0.0], [0.5, 0.5])
+        p = np.array([1.0, 0.5])
+        grown = box_areas(np.minimum(lo, p), np.maximum(hi, p)) - box_areas(lo, hi)
+        assert grown == pytest.approx(0.25)
 
     def test_enlargement_contained_is_zero(self):
-        m = MBB(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        assert m.enlargement(np.array([0.25, 0.25])) == 0.0
+        lo, hi = box([0.0, 0.0], [0.5, 0.5])
+        p = np.array([0.25, 0.25])
+        assert box_areas(np.minimum(lo, p), np.maximum(hi, p)) - box_areas(lo, hi) == 0.0
+
+    def test_row_stacks_match_one_box_at_a_time(self, rng):
+        """Over ``(m, d)`` stacks and ``(m, m, d)`` broadcasts, every value
+        is bit-equal to the same function on that one box."""
+        for d in (2, 4, 8):
+            lo = rng.random((12, d)) * 0.6
+            hi = lo + rng.random((12, d)) * 0.4
+            hi[3, 1] = lo[3, 1]  # a flat box
+            areas, margins = box_areas(lo, hi), box_margins(lo, hi)
+            pairs = box_overlaps(lo[:, None], hi[:, None], lo[None], hi[None])
+            for i in range(12):
+                assert areas[i] == box_areas(lo[i], hi[i])
+                assert margins[i] == box_margins(lo[i], hi[i])
+                for j in range(12):
+                    assert pairs[i, j] == box_overlaps(lo[i], hi[i], lo[j], hi[j])
+            assert (pairs[3] == 0.0).all() and (pairs[:, 3] == 0.0).all()
 
     def test_center(self):
         m = MBB(np.array([0.0, 0.2]), np.array([0.4, 0.8]))
@@ -124,33 +162,32 @@ class TestEquality:
 
 class TestIntersects:
     def test_overlapping_boxes(self):
-        a = MBB(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        b = MBB(np.array([0.4, 0.4]), np.array([0.9, 0.9]))
-        assert a.intersects(b) and b.intersects(a)
+        a = box([0.0, 0.0], [0.5, 0.5])
+        b = box([0.4, 0.4], [0.9, 0.9])
+        assert boxes_intersect(*a, *b) and boxes_intersect(*b, *a)
 
     def test_disjoint_boxes(self):
-        a = MBB(np.array([0.0, 0.0]), np.array([0.3, 0.3]))
-        b = MBB(np.array([0.5, 0.5]), np.array([0.9, 0.9]))
-        assert not a.intersects(b) and not b.intersects(a)
+        a = box([0.0, 0.0], [0.3, 0.3])
+        b = box([0.5, 0.5], [0.9, 0.9])
+        assert not boxes_intersect(*a, *b) and not boxes_intersect(*b, *a)
 
     def test_touching_faces_intersect_despite_zero_overlap(self):
-        a = MBB(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        b = MBB(np.array([0.5, 0.0]), np.array([0.9, 0.5]))
-        assert a.overlap(b) == 0.0
-        assert a.intersects(b)
+        a = box([0.0, 0.0], [0.5, 0.5])
+        b = box([0.5, 0.0], [0.9, 0.5])
+        assert box_overlaps(*a, *b) == 0.0
+        assert boxes_intersect(*a, *b)
 
     def test_flat_box_inside_window(self):
         """Axis-flat boxes (duplicated coordinate values) have zero volume
         but must still register as intersecting."""
-        window = MBB(np.array([0.2, 0.2]), np.array([0.6, 0.6]))
-        flat = MBB(np.array([0.25, 0.3]), np.array([0.25, 0.5]))
-        assert window.overlap(flat) == 0.0
-        assert window.intersects(flat)
-        assert flat.intersects(window)
+        window = box([0.2, 0.2], [0.6, 0.6])
+        flat = box([0.25, 0.3], [0.25, 0.5])
+        assert box_overlaps(*window, *flat) == 0.0
+        assert boxes_intersect(*window, *flat)
+        assert boxes_intersect(*flat, *window)
 
     def test_point_box(self):
-        window = MBB(np.array([0.2, 0.2]), np.array([0.6, 0.6]))
-        pt = MBB.of_point(np.array([0.4, 0.4]))
-        outside = MBB.of_point(np.array([0.7, 0.4]))
-        assert window.intersects(pt)
-        assert not window.intersects(outside)
+        window = box([0.2, 0.2], [0.6, 0.6])
+        points = np.array([[0.4, 0.4], [0.7, 0.4]])
+        assert boxes_intersect(*window, points, points).tolist() == [True, False]
+        assert boxes_contain(*window, points).tolist() == [True, False]

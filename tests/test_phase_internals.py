@@ -121,25 +121,30 @@ def pop_time_refine(tree, points, run, fans, scorer, options):
     while heap:
         entry = heapq.heappop(heap)
         if options.prune_dominated_nodes and all(
-            dominates(points[apex_id], entry.mbb.hi) for apex_id in fans
+            dominates(points[apex_id], entry.hi) for apex_id in fans
         ):
             continue
-        if not any(fan.mbb_sees(entry.mbb) for fan in fans.values()):
+        if not any(fan.mbb_sees(MBB(entry.lo, entry.hi)) for fan in fans.values()):
             continue
         node = tree.fetch(entry.node_id)
         fetched += 1
-        for e in node.entries:
+        for i, child_id in enumerate(node.ids.tolist()):
             if not node.is_leaf:
                 heapq.heappush(
                     heap,
                     make_heap_entry(
-                        e.mbb, e.child_id, node.level - 1, run.result.weights, scorer
+                        node.lo[i],
+                        node.hi[i],
+                        child_id,
+                        node.level - 1,
+                        run.result.weights,
+                        scorer,
                     ),
                 )
-            elif e.child_id not in exclude:
+            elif child_id not in exclude:
                 for apex_id, fan in fans.items():
-                    if not dominates(points[apex_id], points[e.child_id]):
-                        fan.add_point(e.child_id, points[e.child_id])
+                    if not dominates(points[apex_id], points[child_id]):
+                        fan.add_point(child_id, points[child_id])
     return fetched
 
 

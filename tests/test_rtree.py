@@ -1,10 +1,18 @@
 """Tests for the dynamic R*-tree."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.tolerances import EXACT_TOL
+from repro.data.dataset import Dataset
 from repro.data.synthetic import independent
+from repro.index.bulkload import bulk_load_str
 from repro.index.rtree import RStarTree
+from repro.index.serde import encode_node
 from repro.index.storage import PageStore
 
 
@@ -167,7 +175,7 @@ class TestRangeQueryDegenerate:
 
 
 class TestDeleteHeavyStress:
-    @pytest.mark.parametrize("caps", [(8, 8), (6, 5)])
+    @pytest.mark.parametrize("caps", [(8, 8), (6, 5), (4, 4)])
     def test_validate_after_every_deletion(self, caps):
         """Condense-tree must never drop orphaned entries: every structural
         invariant (including the size == indexed-points count) holds after
@@ -195,8 +203,7 @@ class TestDeleteHeavyStress:
         """An orphaned subtree entry whose level equals the root's must be
         appended into the root, not silently discarded (the old guard
         dropped exactly this case)."""
-        from repro.index.mbb import MBB
-        from repro.index.node import NodeEntry, Node
+        from repro.index.node import Node
 
         rng = np.random.default_rng(35)
         pts = rng.random((120, 2))
@@ -206,20 +213,17 @@ class TestDeleteHeavyStress:
         # Build a level-correct sibling subtree whose top sits one level
         # below the root, and reinsert its entry at the root's own level.
         extra = rng.random((6, 2))
-        leaf = Node(tree.store.allocate(), level=0)
-        for i, p in enumerate(extra):
-            leaf.entries.append(NodeEntry(MBB.of_point(p), 200 + i))
+        leaf = Node(tree.store.allocate(), 0, extra, None, 200 + np.arange(6))
         tree.store.write(leaf)
         top = leaf
         for level in range(1, root_level):
+            lo, hi = top.bounds()
             wrap = Node(
-                tree.store.allocate(),
-                level=level,
-                entries=[NodeEntry(top.mbb(), top.node_id)],
+                tree.store.allocate(), level, lo[None], hi[None], np.array([top.node_id])
             )
             tree.store.write(wrap)
             top = wrap
-        entry = NodeEntry(top.mbb(), top.node_id)
+        entry = (*top.bounds(), top.node_id)
         tree._reinserted_levels = set()
         tree._pending = [(entry, root_level)]
         while tree._pending:
@@ -231,6 +235,63 @@ class TestDeleteHeavyStress:
         assert len(found) == 126
         assert {200 + i for i in range(6)} <= set(found)
 
+
+
+#: Coordinates drawn from a coarse grid make exact duplicates and
+#: axis-flat (zero-volume) boxes common; free floats mix in the rest.
+coordinate = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def write_streams(draw):
+    """``(d, caps, window, ops)``: an interleaving of inserts (``point``)
+    and deletes (``index`` into the live records, modulo their count)."""
+    d = draw(st.integers(2, 3))
+    caps = draw(st.sampled_from([(4, 4), (6, 5)]))
+    point = st.lists(coordinate, min_size=d, max_size=d)
+    op = st.one_of(
+        st.tuples(st.just("insert"), point),
+        st.tuples(st.just("delete"), st.integers(0, 10_000)),
+    )
+    ops = draw(st.lists(op, min_size=1, max_size=90))
+    corners = draw(st.lists(point, min_size=2, max_size=2))
+    window = np.minimum(*map(np.array, corners)), np.maximum(*map(np.array, corners))
+    return d, caps, window, ops
+
+
+class TestWriteInterleavingProperty:
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(write_streams())
+    def test_validate_and_range_query_after_every_write(self, stream):
+        """Any interleaving of inserts and deletes over duplicate and
+        axis-flat points keeps every structural invariant, and a window
+        query answers what a numpy scan of the live records does."""
+        d, caps, (lo, hi), ops = stream
+        tree = RStarTree(d, leaf_capacity=caps[0], internal_capacity=caps[1])
+        live: dict[int, np.ndarray] = {}
+        next_rid = 0
+        for kind, arg in ops:
+            if kind == "insert":
+                p = np.array(arg, dtype=np.float64)
+                tree.insert(p, next_rid)
+                live[next_rid] = p
+                next_rid += 1
+            elif live:
+                rid = list(live)[arg % len(live)]
+                assert tree.delete(live.pop(rid), rid)
+            tree.validate()
+            rids = np.array(list(live), dtype=np.int64)
+            pts = np.array([live[r] for r in rids]).reshape(-1, d)
+            # The window is closed, within the tree's EXACT_TOL.
+            inside = ((pts >= lo - EXACT_TOL) & (pts <= hi + EXACT_TOL)).all(axis=1)
+            assert sorted(tree.range_query(lo, hi)) == sorted(rids[inside].tolist())
+            assert sorted(tree.range_query(np.zeros(d), np.ones(d))) == sorted(live)
 
 class TestMutationCounter:
     def test_counts_inserts_and_deletes(self):
@@ -246,3 +307,73 @@ class TestMutationCounter:
         # A failed delete changes nothing.
         assert not tree.delete(np.array([0.5, 0.5]), 9999)
         assert tree.size == 39
+
+
+def tree_digest(tree: RStarTree) -> str:
+    """SHA-256 over every node's page bytes (``iter_nodes`` order) plus the
+    root id, height and size: equal digests mean the same tree, down to
+    entry order, node ids and every coordinate bit."""
+    h = hashlib.sha256()
+    for node in tree.iter_nodes():
+        h.update(encode_node(node, tree.store.page_size, tree.d))
+    h.update(f"{tree.root_id},{tree.height},{tree.size}".encode())
+    return h.hexdigest()
+
+
+class TestTreeIdentity:
+    """Golden digests of an STR bulk load and of a fixed write stream.
+
+    The 512-byte page forces every R* mechanism: splits, forced
+    reinserts, condense and root shrink all happen in the stream (inserts
+    include exact duplicates and points in the ``[0.8, 1]^d`` corner). A
+    change to any split, reinsert or choose-subtree decision, to entry
+    order or to node-id allocation changes a digest.
+    """
+
+    GOLDEN = {
+        2: (
+            240,
+            "14bd4b6ba3ae6731841b856b7f390c3371d89170593a9502a460c51c87e9ac08",
+            "bc3cc9044be21bec2fdc143bdfb957e8caa18c00b9e4be98e7d4b2aba896c49b",
+        ),
+        4: (
+            200,
+            "8b8e0696d6bd88ebca9efdebbe320a1d521f4dba9f4712bda3958ad9ec468dea",
+            "7434c4a5383b3969fb1eee476d40aaf597919a02cd66a577d5516536366d6945",
+        ),
+    }
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_bulk_load_and_write_stream_digests(self, d):
+        n, bulk_digest, stream_digest = self.GOLDEN[d]
+        rng = np.random.default_rng(40 + d)
+        pts = rng.random((n, d))
+        tree = bulk_load_str(Dataset(pts), store=PageStore(page_size=512))
+        assert tree_digest(tree) == bulk_digest
+
+        live = {rid: pts[rid] for rid in range(n)}
+        next_rid = n
+        inserts = deletes = 0
+        while inserts < 400 or deletes < 200:
+            # Delete-heavy until 60 inserts (the tree shrinks), then
+            # insert-heavy (it grows again).
+            p_delete = 0.9 if inserts < 60 else 0.2
+            if deletes < 200 and (inserts >= 400 or rng.random() < p_delete):
+                rid = list(live)[int(rng.integers(len(live)))]
+                assert tree.delete(live.pop(rid), rid)
+                deletes += 1
+                continue
+            kind = rng.integers(3)
+            if kind == 0 and live:  # an exact duplicate of a live record
+                p = live[list(live)[int(rng.integers(len(live)))]].copy()
+            elif kind == 1:
+                p = 0.8 + 0.2 * rng.random(d)
+            else:
+                p = rng.random(d)
+            tree.insert(p, next_rid)
+            live[next_rid] = p
+            next_rid += 1
+            inserts += 1
+        tree.validate(check_fill=False)
+        assert tree.size == len(live)
+        assert tree_digest(tree) == stream_digest

@@ -5,26 +5,26 @@ import pytest
 
 from repro.data.synthetic import independent
 from repro.index.bulkload import bulk_load_str
-from repro.index.mbb import MBB
-from repro.index.node import Node, NodeEntry, node_capacities
+from repro.index.node import Node, node_capacities
 from repro.index.serde import PageOverflowError, decode_node, encode_node
 from repro.index.storage import DEFAULT_PAGE_SIZE
 
 
 def leaf_node(rng, d, count, node_id=7):
-    node = Node(node_id, level=0)
-    for i in range(count):
-        node.entries.append(NodeEntry(MBB.of_point(rng.random(d)), i))
-    return node
+    return Node(node_id, 0, rng.random((count, d)), None, np.arange(count, dtype=np.int64))
 
 
 def internal_node(rng, d, count, node_id=9):
-    node = Node(node_id, level=2)
-    for i in range(count):
-        lo = rng.random(d) * 0.5
-        hi = lo + rng.random(d) * 0.5
-        node.entries.append(NodeEntry(MBB(lo, hi), 100 + i))
-    return node
+    lo = rng.random((count, d)) * 0.5
+    hi = lo + rng.random((count, d)) * 0.5
+    return Node(node_id, 2, lo, hi, 100 + np.arange(count, dtype=np.int64))
+
+
+def assert_same_rows(a: Node, b: Node) -> None:
+    """Entry order, ids and every float64 bit survive the round trip."""
+    assert a.ids.tolist() == b.ids.tolist()
+    assert np.array_equal(a.lo, b.lo)
+    assert np.array_equal(a.hi, b.hi)
 
 
 class TestRoundTrip:
@@ -36,25 +36,21 @@ class TestRoundTrip:
         back = decode_node(page, d)
         assert back.node_id == node.node_id
         assert back.level == 0
-        assert len(back.entries) == 10
-        for a, b in zip(node.entries, back.entries):
-            assert a.child_id == b.child_id
-            assert np.array_equal(a.mbb.lo, b.mbb.lo)
+        assert len(back) == 10
+        assert back.hi is back.lo
+        assert_same_rows(node, back)
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_internal(self, rng, d):
         node = internal_node(rng, d, 8)
         back = decode_node(encode_node(node, DEFAULT_PAGE_SIZE, d), d)
         assert back.level == 2
-        for a, b in zip(node.entries, back.entries):
-            assert a.child_id == b.child_id
-            assert np.array_equal(a.mbb.lo, b.mbb.lo)
-            assert np.array_equal(a.mbb.hi, b.mbb.hi)
+        assert_same_rows(node, back)
 
     def test_empty_node(self, rng):
-        node = Node(3, level=0)
+        node = Node.empty(3, 0, 4)
         back = decode_node(encode_node(node, DEFAULT_PAGE_SIZE, 4), 4)
-        assert back.entries == []
+        assert len(back) == 0 and back.lo.shape == (0, 4)
 
     def test_magic_validated(self, rng):
         page = bytearray(encode_node(leaf_node(rng, 2, 1), DEFAULT_PAGE_SIZE, 2))
@@ -122,12 +118,7 @@ class TestRoundTripProperty:
             back = decode_node(encode_node(node, page_size, d), d)
             assert back.node_id == node.node_id
             assert back.level == node.level
-            assert [e.child_id for e in back.entries] == [
-                e.child_id for e in node.entries
-            ]
-            for a, b in zip(node.entries, back.entries):
-                assert np.array_equal(a.mbb.lo, b.mbb.lo)
-                assert np.array_equal(a.mbb.hi, b.mbb.hi)
+            assert_same_rows(node, back)
 
     @pytest.mark.parametrize("page_size", PAGE_SIZES)
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
@@ -138,10 +129,7 @@ class TestRoundTripProperty:
             node = internal_node(rng, d, count)
             back = decode_node(encode_node(node, page_size, d), d)
             assert back.level == node.level
-            for a, b in zip(node.entries, back.entries):
-                assert a.child_id == b.child_id
-                assert np.array_equal(a.mbb.lo, b.mbb.lo)
-                assert np.array_equal(a.mbb.hi, b.mbb.hi)
+            assert_same_rows(node, back)
 
 
 class TestOverflowBoundary:
@@ -189,4 +177,4 @@ class TestWholeTreeRoundTrip:
         for node in tree.iter_nodes():
             back = decode_node(encode_node(node, DEFAULT_PAGE_SIZE, 3), 3)
             assert back.node_id == node.node_id
-            assert len(back.entries) == len(node.entries)
+            assert_same_rows(node, back)

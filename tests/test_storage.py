@@ -29,22 +29,22 @@ class TestCapacities:
 class TestPageStore:
     def test_allocate_write_read(self):
         store = PageStore()
-        node = Node(store.allocate(), level=0)
+        node = Node.empty(store.allocate(), 0, 2)
         store.write(node)
         assert store.read(node.node_id) is node
         assert store.stats.page_reads == 1
 
     def test_unmetered_read_not_counted(self):
         store = PageStore()
-        node = Node(store.allocate(), level=0)
+        node = Node.empty(store.allocate(), 0, 2)
         store.write(node)
         store.read_unmetered(node.node_id)
         assert store.stats.page_reads == 0
 
     def test_leaf_vs_internal_counters(self):
         store = PageStore()
-        leaf = Node(store.allocate(), level=0)
-        internal = Node(store.allocate(), level=1)
+        leaf = Node.empty(store.allocate(), 0, 2)
+        internal = Node.empty(store.allocate(), 1, 2)
         store.write(leaf)
         store.write(internal)
         store.read(leaf.node_id)
@@ -55,7 +55,7 @@ class TestPageStore:
     def test_no_buffer_counts_repeats(self):
         """The paper's setting: every access is a page read."""
         store = PageStore(buffer_pages=0)
-        node = Node(store.allocate(), level=0)
+        node = Node.empty(store.allocate(), 0, 2)
         store.write(node)
         store.read(node.node_id)
         store.read(node.node_id)
@@ -64,7 +64,7 @@ class TestPageStore:
 
     def test_buffer_absorbs_repeats(self):
         store = PageStore(buffer_pages=4)
-        node = Node(store.allocate(), level=0)
+        node = Node.empty(store.allocate(), 0, 2)
         store.write(node)
         store.read(node.node_id)
         store.read(node.node_id)
@@ -73,8 +73,8 @@ class TestPageStore:
 
     def test_buffer_lru_eviction(self):
         store = PageStore(buffer_pages=1)
-        a = Node(store.allocate(), level=0)
-        b = Node(store.allocate(), level=0)
+        a = Node.empty(store.allocate(), 0, 2)
+        b = Node.empty(store.allocate(), 0, 2)
         store.write(a)
         store.write(b)
         store.read(a.node_id)
@@ -84,7 +84,7 @@ class TestPageStore:
 
     def test_reset_meter(self):
         store = PageStore()
-        node = Node(store.allocate(), level=0)
+        node = Node.empty(store.allocate(), 0, 2)
         store.write(node)
         store.read(node.node_id)
         store.reset_meter()
@@ -96,7 +96,7 @@ class TestPageStore:
 
     def test_free(self):
         store = PageStore()
-        node = Node(store.allocate(), level=0)
+        node = Node.empty(store.allocate(), 0, 2)
         store.write(node)
         store.free(node.node_id)
         assert node.node_id not in store
@@ -111,7 +111,7 @@ class TestPageStore:
 
     def test_snapshot_is_frozen(self):
         store = PageStore()
-        node = Node(store.allocate(), level=0)
+        node = Node.empty(store.allocate(), 0, 2)
         store.write(node)
         store.read(node.node_id)
         snap = store.stats.snapshot()
