@@ -87,7 +87,7 @@ from repro.engine.engine import (
     run_workload,
     validate_k,
     validate_point,
-    validate_weights,
+    validate_weight_rows,
 )
 from repro.engine.workload import Request, Workload
 from repro.scoring import LinearScoring, ScoringFunction
@@ -327,9 +327,9 @@ class ShardedGIREngine:
 
     def result_rows(self, ids: Sequence[int]) -> np.ndarray:
         """Snapshot copy of the global rows behind an answer, in answer
-        order — the cluster half of the serving front door's snapshot
-        contract (see :meth:`repro.engine.GIREngine.result_rows`); taken
-        under the serve lock so it never interleaves with an update."""
+        order — the cluster half of the canonical-score contract (see
+        :meth:`repro.engine.GIREngine.result_rows`); taken under the
+        serve lock so it never interleaves with an update."""
         with self._serve_lock:
             return np.array(self.table.rows[list(ids)], dtype=np.float64)
 
@@ -347,8 +347,10 @@ class ShardedGIREngine:
         (full-only; zero fan-out and zero page reads on a hit); the
         remaining requests fan out with **one** batched backend
         ``topk_batch`` call per shard, then merge per request. Each
-        response's rid sequence and scores are identical to a single
-        :class:`GIREngine` over the unpartitioned data; ``region``
+        response's rid sequence is identical to a single
+        :class:`GIREngine` over the unpartitioned data, and its scores
+        are the canonical product over the answer's rows (rescored after
+        the merge), as the engine response contract requires; ``region``
         carries the merged stability region the answer is valid in.
         Answers are identical to issuing the requests through
         :meth:`topk` one-by-one; cluster-cache *hit accounting* may
@@ -362,7 +364,7 @@ class ShardedGIREngine:
             reqs = list(requests)
             if not reqs:
                 return []
-            W = np.stack([validate_weights(r.weights, self.d) for r in reqs])
+            W = validate_weight_rows([r.weights for r in reqs], self.d)
             n_live = self.n_live
             ks = [validate_k(r.k, n_live) for r in reqs]
             t_lookup = time.perf_counter()
@@ -398,9 +400,12 @@ class ShardedGIREngine:
                     merged = merge_shard_answers(answers, W[i], ks[i])
                     self._cache_merged(merged)
                     self.requests_served += 1
+                    ids = merged.gir.topk.ids
                     responses[i] = EngineResponse(
-                        ids=merged.gir.topk.ids,
-                        scores=merged.gir.topk.scores,
+                        ids=ids,
+                        # The pooled per-shard scores can differ from the
+                        # canonical product by an ulp: rescore the answer.
+                        scores=self._canonical_scores(ids, W[i]),
                         weights=W[i],
                         k=ks[i],
                         source=merged.source,
@@ -442,14 +447,10 @@ class ShardedGIREngine:
         scores recomputed for the request's own weights."""
         assert self.cache is not None  # hits only come from the cache
         ids = hit.ids
-        scores = tuple(
-            float(s)
-            for s in self.scorer.score(self.points[list(ids)], weights)
-        )
         self.requests_served += 1
         return EngineResponse(
             ids=ids,
-            scores=scores,
+            scores=self._canonical_scores(ids, weights),
             weights=weights,
             k=k,
             source=SOURCE_CACHE,
@@ -458,6 +459,13 @@ class ShardedGIREngine:
             gir_stats=None,
             region=self.cache.entry(hit.entry_key).polytope,
         )
+
+    def _canonical_scores(
+        self, ids: Sequence[int], weights: np.ndarray
+    ) -> tuple[float, ...]:
+        """The response contract's scores: one product over the answer's
+        global rows (:func:`repro.serve.replay.canonical_scores`)."""
+        return tuple(self.scorer.score(self.points[list(ids)], weights).tolist())
 
     # -- fan-out --------------------------------------------------------------
 

@@ -124,7 +124,7 @@ def build_fan(
     apex_id: int,
     points: np.ndarray,
     points_g: np.ndarray,
-    encountered: dict[int, np.ndarray],
+    encountered: np.ndarray,
     weights: np.ndarray,
     lower_corner_g: np.ndarray,
     use_virtual_seeds: bool = True,
@@ -137,7 +137,7 @@ def build_fan(
     is what the fan's hull seed needs of its supporting direction.
     """
     apex_g = points_g[apex_id]
-    ids = np.array([rid for rid in encountered if rid != apex_id], dtype=np.intp)
+    ids = encountered[encountered != apex_id]
     # Dominance filter: drop records the apex dominates.
     ids = ids[~kernels.dominated_mask(points[apex_id], points[ids])]
     keys, pts = ids.tolist(), points_g[ids]

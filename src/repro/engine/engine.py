@@ -75,6 +75,7 @@ __all__ = [
     "INVALIDATION_POLICIES",
     "percentile",
     "validate_weights",
+    "validate_weight_rows",
     "validate_k",
     "validate_point",
     "run_workload",
@@ -130,6 +131,29 @@ def validate_weights(weights: np.ndarray, d: int) -> np.ndarray:
     return arr
 
 
+def validate_weight_rows(rows: list, d: int) -> np.ndarray:
+    """Check a batch's query vectors; returns them stacked as ``(n, d)``.
+
+    One set of reductions over the stacked batch accepts a well-formed
+    one; a batch that fails them (or does not stack) is checked row by
+    row with :func:`validate_weights`, so a bad row raises that
+    function's message.
+    """
+    try:
+        W = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        W = None
+    if (
+        W is None
+        or W.shape != (len(rows), d)
+        or not np.isfinite(W).all()
+        or (W < 0).any()
+        or not (W > 0).any(axis=1).all()
+    ):
+        return np.array([validate_weights(w, d) for w in rows]).reshape(-1, d)
+    return W
+
+
 def validate_k(k: int, n_live: int) -> int:
     """Check a request's ``k`` at the serving boundary; returns it as int.
 
@@ -172,6 +196,11 @@ class EngineResponse:
     """
 
     ids: tuple[int, ...]
+    #: The answer's scores, canonical: bit for bit
+    #: ``canonical_scores(scorer, result_rows(ids), weights)`` (one
+    #: product over the ranked rows, see :mod:`repro.serve.replay`),
+    #: whichever path served it — the response contract every engine
+    #: keeps, so a front door passes them through unscored.
     scores: tuple[float, ...]
     weights: np.ndarray
     k: int
@@ -533,11 +562,10 @@ class GIREngine:
     def result_rows(self, ids) -> np.ndarray:
         """Snapshot copy of the rows behind an answer, in answer order.
 
-        The serving front door takes this on the engine thread right
-        after the response it belongs to, before any later insert/delete
-        can run, and scores it canonically: ``scorer.score(
-        result_rows(ids), w)`` is bit-identical to the full-hit
-        rescoring path for any ``w`` in the response's region.
+        The replay check (:func:`~repro.serve.replay.replay_serial_check`)
+        scores it canonically: ``scorer.score(result_rows(ids), w)`` is
+        bit-identical to the ``scores`` of the response with those ids
+        for ``w`` — the engine's response contract.
         """
         return np.array(self.points[list(ids)], dtype=np.float64)
 
@@ -580,14 +608,14 @@ class GIREngine:
         # Validate the whole batch before serving anything: a malformed
         # request must fail the call up front, not abort mid-batch after
         # earlier windows already mutated the cache and the counters.
-        validated = [validate_weights(r.weights, self.d) for r in reqs]
+        validated = validate_weight_rows([r.weights for r in reqs], self.d)
         n_live = self.n_live
         all_ks = [validate_k(r.k, n_live) for r in reqs]
         responses: list[EngineResponse] = []
         with obs.span("engine.topk_batch", n=len(reqs)):
             i = 0
             while i < len(reqs):
-                W = np.stack(validated[i : i + LOOKUP_WINDOW])
+                W = validated[i : i + LOOKUP_WINDOW]
                 ks = all_ks[i : i + LOOKUP_WINDOW]
                 t_lookup = time.perf_counter()
                 with obs.span("engine.cache_lookup_batch", n=len(ks)):
@@ -629,8 +657,7 @@ class GIREngine:
             if hit is not None:
                 ids = hit.ids
                 scores = tuple(
-                    float(s)
-                    for s in self.scorer.score(self.points[list(ids)], weights)
+                    self.scorer.score(self.points[list(ids)], weights).tolist()
                 )
                 source = SOURCE_CACHE
                 gir_stats = None

@@ -172,7 +172,7 @@ def bbs_skyline(
         heap = list(run.heap)
         heapq.heapify(heap)
         sky = _SkylineSet(tree.d)
-        for rid in skyline_of_points(points, run.encountered_ids):
+        for rid in skyline_of_points(points, run.encountered.tolist()):
             sky.insert(rid, points[rid])
     else:
         if weights is None:

@@ -104,13 +104,11 @@ class BRSRun:
 
     result: TopKResult
     heap: list[HeapEntry]
-    encountered: dict[int, np.ndarray]  # the paper's set T: rid -> point
+    #: The paper's set T: rids of the non-result records fetched from
+    #: leaves, in fetch order.
+    encountered: np.ndarray
     leaf_accesses: int
     node_accesses: int
-
-    @property
-    def encountered_ids(self) -> list[int]:
-        return list(self.encountered.keys())
 
 
 def brs_topk(
@@ -145,7 +143,7 @@ def brs_topk(
 
     # Scores of fetched records; maintained as (score, tie-break sum, rid).
     interim: list[tuple[float, float, int]] = []  # min-heap of current top-k
-    encountered: dict[int, np.ndarray] = {}
+    encountered: list[np.ndarray] = []  # fetched leaves' ids, in fetch order
     heap: list[HeapEntry] = []
     node_accesses = 0
     leaf_accesses = 0
@@ -187,7 +185,7 @@ def _drain_heap(
     read,
     heap: list[HeapEntry],
     interim: list[tuple[float, float, int]],
-    encountered: dict[int, np.ndarray],
+    encountered: list[np.ndarray],
     points: np.ndarray,
     weights: np.ndarray,
     scorer: ScoringFunction,
@@ -210,17 +208,18 @@ def _expand(
     node: Node,
     heap: list[HeapEntry],
     interim: list[tuple[float, float, int]],
-    encountered: dict[int, np.ndarray],
+    encountered: list[np.ndarray],
     points: np.ndarray,
     weights: np.ndarray,
     scorer: ScoringFunction,
     k: int,
 ) -> None:
     """Score a fetched node with one product: a leaf's records go to the
-    interim top-k, an internal node's children onto the search heap."""
+    interim top-k (and its ids to T), an internal node's children onto
+    the search heap."""
     if node.is_leaf:
-        rids = node.ids.tolist()
-        _consider_records(interim, encountered, rids, points, weights, scorer, k)
+        encountered.append(node.ids)
+        _consider_records(interim, node.ids.tolist(), points, weights, scorer, k)
     else:
         for child in child_heap_entries(node, weights, scorer):
             heapq.heappush(heap, child)
@@ -229,26 +228,30 @@ def _expand(
 def _package_run(
     heap: list[HeapEntry],
     interim: list[tuple[float, float, int]],
-    encountered: dict[int, np.ndarray],
+    encountered: list[np.ndarray],
     points: np.ndarray,
     weights: np.ndarray,
     scorer: ScoringFunction,
     node_accesses: int,
     leaf_accesses: int,
 ) -> BRSRun:
-    """Rank the interim records and bundle the retained search state."""
+    """Rank the interim records and bundle the retained search state:
+    T is every fetched leaf's ids, in fetch order, minus the result."""
     ids = tuple(rid for _, _, rid in sorted(interim, reverse=True))
     # Scored as the engine's cache-hit path scores them — one product over
     # the ranked rows — so a miss and the hit that follows it agree to the
     # last bit (a product over one row may differ from it by an ulp).
     scores = tuple(scorer.score(points[list(ids)], weights).tolist())
-    for rid in ids:
-        encountered.pop(rid, None)  # T excludes the result records
+    fetched = (
+        np.concatenate(encountered) if encountered else np.empty(0, np.int64)
+    )
+    # A broadcast compare: against k result ids it beats np.isin here.
+    in_result = (fetched[:, None] == np.array(ids, np.int64)[None, :]).any(axis=1)
     result = TopKResult(ids=ids, scores=scores, weights=weights)
     return BRSRun(
         result=result,
         heap=heap,
-        encountered=encountered,
+        encountered=fetched[~in_result],
         leaf_accesses=leaf_accesses,
         node_accesses=node_accesses,
     )
@@ -256,7 +259,6 @@ def _package_run(
 
 def _consider_records(
     interim: list[tuple[float, float, int]],
-    encountered: dict[int, np.ndarray],
     rids: list[int],
     points: np.ndarray,
     weights: np.ndarray,
@@ -266,7 +268,6 @@ def _consider_records(
     """Update the interim top-k with the records fetched from a leaf: one
     product scores them all, and only those that can still enter a full
     interim top-k (its threshold only rises) get heap work."""
-    encountered.update((rid, points[rid]) for rid in rids)
     pts = points[rids]
     scores = scorer.score(pts, weights)
     sums = pts.sum(axis=1)

@@ -15,9 +15,10 @@ thread-owned. This package puts an asyncio tier in front of
   explicit structured :class:`Rejected` / :class:`Overloaded` errors
   instead of unbounded buffering;
 * **micro-batching** (:class:`ServeConfig.batch_window_ms` /
-  ``batch_max``) — queued reads are collected for a few milliseconds and
-  served through one ``topk_batch`` call (byte-identical to per-request
-  serving by the engine's own contract);
+  ``batch_max``) — the reads already queued are taken at once (the
+  batcher lingers up to the window only on an empty queue) and served
+  through one ``topk_batch`` call (byte-identical to per-request
+  serving by the engine's own contract, canonical scores included);
 * **single flight** — a read whose ``(weights, k)`` exactly duplicates
   one already being computed awaits that computation instead of
   re-entering the engine, and takes the leader's answer (or error) as is;

@@ -3,8 +3,8 @@
 One :class:`ServeFront` wraps one engine (a
 :class:`~repro.engine.GIREngine` or a
 :class:`~repro.cluster.ShardedGIREngine` — anything with the engine
-serving surface: ``topk_batch`` / ``insert`` / ``delete`` /
-``result_rows`` / ``scorer`` / ``d`` / ``n_live``). The engine stays strictly
+serving surface: ``topk_batch`` / ``insert`` / ``delete`` / ``d`` /
+``n_live``). The engine stays strictly
 single-owner: every engine call runs on the front door's one-thread
 executor (the *executor bridge*), which is exactly the ownership shape
 the runtime sanitizer's tokens accept, and the event loop itself only
@@ -17,6 +17,15 @@ Data path for a read::
       → dispatcher: micro-batch + single flight — one dispatcher task
       → executor bridge: one topk_batch call   — the engine thread
       → resolution: each leader, then its followers — a finisher task
+
+The micro-batcher drains whatever is already queued without yielding
+and lingers (up to the batch window) only on an empty queue, so a
+backlog becomes one batch in one loop turn.
+
+Responses carry the engine's scores as they are: every engine's
+response contract is that ``EngineResponse.scores`` equals
+:func:`~repro.serve.replay.canonical_scores` of the answer's rows, bit
+for bit, so the bridge does no scoring of its own.
 
 Single flight is by exact key: a read whose ``(weights bytes, k)``
 equals an in-flight read's attaches to it as a follower and takes the
@@ -56,12 +65,7 @@ from repro.engine.workload import (
 )
 from repro.serve.config import ServeConfig
 from repro.serve.errors import Overloaded, Rejected, ServeError
-from repro.serve.replay import (
-    DeleteLog,
-    InsertLog,
-    ReadLog,
-    canonical_scores,
-)
+from repro.serve.replay import DeleteLog, InsertLog, ReadLog
 from repro.serve.stats import ServeReport, ServeStats
 
 __all__ = [
@@ -337,8 +341,9 @@ class ServeFront:
         await self._drain_jobs()
 
     async def _collect_batch(self, first: _ReadOp) -> list:
-        """Micro-batch: linger up to the window (or until the size cap, a
-        write, or the close sentinel) collecting reads behind ``first``."""
+        """Micro-batch: take every read already queued behind ``first``,
+        lingering up to the window only while the queue is empty; the
+        size cap, a write or the close sentinel ends the batch."""
         queue = self._queue
         assert queue is not None
         batch = [first]
@@ -347,17 +352,16 @@ class ServeFront:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.batch_window_ms / 1e3
         while len(batch) < self.config.batch_max:
-            remaining = deadline - loop.time()
-            if remaining <= 0 and queue.empty():
-                break
-            try:
-                nxt = (
-                    queue.get_nowait()
-                    if remaining <= 0
-                    else await asyncio.wait_for(queue.get(), remaining)
-                )
-            except (TimeoutError, asyncio.QueueEmpty):
-                break
+            if queue.empty():
+                remaining = deadline - loop.time()
+                if remaining <= 0:
+                    break
+                try:
+                    nxt = await asyncio.wait_for(queue.get(), remaining)
+                except TimeoutError:
+                    break
+            else:
+                nxt = queue.get_nowait()
             if nxt is _SENTINEL or isinstance(nxt, _WriteOp):
                 self._stashed = nxt
                 break
@@ -417,9 +421,9 @@ class ServeFront:
     # -- the executor bridge (engine-thread code) ------------------------------
 
     def _serve_batch_sync(self, reqs: list, trace_ctx=None) -> list:
-        """Engine-thread half of a read batch: one ``topk_batch`` call,
-        then canonical scores per response from a row snapshot, taken
-        before any later write can run on this (single) thread.
+        """Engine-thread half of a read batch: one ``topk_batch`` call.
+        Each response's scores are already canonical (the engine's
+        response contract), so nothing is rescored here.
 
         ``trace_ctx`` is the first leader's trace context — contextvars
         do not cross ``run_in_executor``, so the bridge re-adopts it
@@ -434,7 +438,7 @@ class ServeFront:
         return self._serve_batch_inner(reqs)
 
     def _serve_batch_inner(self, reqs: list) -> list:
-        """One result per request: ``(response, scores)``, or the
+        """One result per request: its :class:`EngineResponse`, or the
         :class:`Rejected` error of a request whose ``k`` exceeds the live
         record count. That bound moves with every write, so it can only
         be judged here, on the engine thread; the offender is set aside
@@ -451,15 +455,7 @@ class ServeFront:
                 out.append(None)
                 requests.append(Request(weights=w, k=k))
         responses = iter(self.engine.topk_batch(requests))
-        for i, slot in enumerate(out):
-            if slot is None:
-                resp = next(responses)
-                rows = self.engine.result_rows(resp.ids)
-                scores = canonical_scores(
-                    self.engine.scorer, rows, resp.weights
-                )
-                out[i] = (resp, scores)
-        return out
+        return [next(responses) if slot is None else slot for slot in out]
 
     def _apply_write_sync(self, op: _WriteOp, trace_ctx=None) -> UpdateResponse:
         if trace_ctx is not None and obs.tracing_enabled():
@@ -495,15 +491,13 @@ class ServeFront:
                 for op in (flight.leader, *flight.followers):
                     self._resolve_error(op, result)
                 continue
-            resp, scores = result
-            self._resolve_read(flight.leader, resp, scores, t_dispatch)
+            self._resolve_read(flight.leader, result, t_dispatch)
             t_done = time.perf_counter()
             for op in flight.followers:
-                self._resolve_read(op, resp, scores, t_done, leader=False)
+                self._resolve_read(op, result, t_done, leader=False)
 
     def _resolve_read(
-        self, op: _ReadOp, resp, scores: tuple, t_dispatch: float,
-        leader: bool = True,
+        self, op: _ReadOp, resp, t_dispatch: float, leader: bool = True,
     ) -> None:
         """Serve ``op`` the flight's answer: as the engine request, or as
         a follower with its leader's ids and scores verbatim."""
@@ -512,7 +506,7 @@ class ServeFront:
         service_ms = resp.latency_ms if leader else 0.0
         response = ServeResponse(
             ids=tuple(resp.ids),
-            scores=scores,
+            scores=resp.scores,
             weights=op.weights,
             k=op.k,
             via=via,
@@ -526,7 +520,7 @@ class ServeFront:
                 weights=op.weights,
                 k=op.k,
                 ids=response.ids,
-                scores=scores,
+                scores=resp.scores,
                 via=via,
             )
         )

@@ -16,16 +16,19 @@ This module carries both halves of that claim:
 
 Scores are compared under the tier's **canonical boundary scoring**:
 ``scorer.score(rows_of(ids), weights)`` over a snapshot of the answer's
-rows — the same computation the engine's own full-hit path performs.
-An engine's raw response scores can be *path-dependent* in the last ulp
-(BLAS may round a row's score differently in products of different
-shapes: a shard's partial answer, a merged one, a single row), so a tier
-that changed hit/miss trajectories could not safely be byte-compared
-against them; the canonical form is a pure
-function of ``(ids, weights, live rows)`` and therefore
-trajectory-independent, while the ids themselves are trajectory-
-independent by the GIR invariant. The front door serves every response
-in canonical form and the replay compares in canonical form.
+rows — one product over the ranked rows. An engine's raw per-shard
+scores can be *path-dependent* in the last ulp (BLAS may round a row's
+score differently in products of different shapes: a shard's partial
+answer, a merged one, a single row), so a tier that changed hit/miss
+trajectories could not safely be byte-compared against them; the
+canonical form is a pure function of ``(ids, weights, live rows)`` and
+therefore trajectory-independent, while the ids themselves are
+trajectory-independent by the GIR invariant. Serving canonical scores is
+the engines' response contract — ``EngineResponse.scores`` is
+``canonical_scores(engine.scorer, engine.result_rows(ids), weights)``
+bit for bit, on a hit, a miss and a merged cluster answer alike — so
+the front door passes them through and the replay recomputes them from
+its own engine's rows.
 """
 
 from __future__ import annotations
@@ -49,17 +52,22 @@ def canonical_scores(scorer, rows: np.ndarray, weights: np.ndarray) -> tuple:
     """Boundary-canonical scores of an answer: one matvec of the answer's
     row snapshot against the request's weights (the full-hit rescoring
     computation, bit-for-bit)."""
-    return tuple(float(s) for s in scorer.score(rows, weights))
+    return tuple(scorer.score(rows, weights).tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadLog:
-    """One committed read: the request and the exact answer served."""
+    """One committed read: the request and the exact answer served.
+
+    ``scores`` is kept as one read-only float64 array (the log holds
+    every read of a run, so k boxed floats per entry would dominate its
+    size); compare it through ``tuple(entry.scores)``.
+    """
 
     weights: np.ndarray
     k: int
     ids: tuple
-    scores: tuple
+    scores: np.ndarray
     #: ``"engine"`` or ``"coalesced"`` — provenance, not part of the
     #: equivalence contract.
     via: str
@@ -68,6 +76,7 @@ class ReadLog:
         object.__setattr__(
             self, "weights", frozen_array(self.weights, "weights")
         )
+        object.__setattr__(self, "scores", frozen_array(self.scores, "scores"))
 
 
 @dataclass(frozen=True)

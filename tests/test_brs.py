@@ -59,7 +59,7 @@ def record_at_a_time_brs(tree, points, weights, k, scorer):
 def observed(run):
     return (
         run.result.ids,
-        list(run.encountered),
+        run.encountered.tolist(),
         Counter((e.node_id, e.level) for e in run.heap),
         run.node_accesses,
         run.leaf_accesses,
@@ -118,7 +118,7 @@ class TestCorrectness:
         q = np.array([0.5, 0.5])
         run = brs_topk(tree, data.points, q, 30)
         assert len(run.result.ids) == 30
-        assert run.encountered == {}
+        assert run.encountered.size == 0
 
 
 class TestValidation:

@@ -397,8 +397,10 @@ class TestUpdateInvalidation:
         # A record BRS fetched but ranked out of the result (the T-set) is
         # a non-member too: deleting it leaves the entry valid.
         run = brs_topk(tree, data.points, q, 10, metered=False)
-        assert run.encountered, "test needs a non-empty T-set"
-        assert not any(invalidated_by_delete(gir, rid) for rid in run.encountered)
+        assert run.encountered.size, "test needs a non-empty T-set"
+        assert not any(
+            invalidated_by_delete(gir, rid) for rid in run.encountered.tolist()
+        )
 
     def test_insert_invalidation_score_tie_uses_tie_break(self, cached_setup, rng):
         """A challenger with the k-th record's exact g-image ties everywhere;

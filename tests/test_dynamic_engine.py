@@ -205,8 +205,8 @@ class TestSelectiveInvalidation:
         q = random_query(np.random.default_rng(9), 3)
         first = engine.topk(q, 10)
         run = brs_topk(tree, engine.points, q, 10, metered=False)
-        assert run.encountered, "test needs a non-empty T-set"
-        victim = next(iter(run.encountered))
+        assert run.encountered.size, "test needs a non-empty T-set"
+        victim = int(run.encountered[0])
         assert victim not in first.ids
         upd = engine.delete(victim)
         assert upd.evicted == 0

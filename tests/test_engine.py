@@ -12,6 +12,7 @@ from repro.engine import (
     uniform_workload,
     zipf_clustered_workload,
 )
+from repro.engine.engine import validate_weight_rows, validate_weights
 from repro.index.bulkload import bulk_load_str
 from repro.query.linear_scan import scan_topk
 from tests.conftest import random_query
@@ -282,6 +283,27 @@ class TestInputValidation:
         object.__setattr__(bad, "k", 3)
         with pytest.raises(ValueError, match="shape"):
             engine.topk_batch(reqs + [bad])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([0.5, 0.5], r"shape \(3,\)"),
+            ([0.5, np.nan, 0.5], "finite"),
+            ([0.5, -np.inf, 0.5], "finite"),
+            ([0.5, -0.1, 0.5], "non-negative"),
+            ([0.0, 0.0, 0.0], "positive entry"),
+        ],
+    )
+    def test_batch_rows_checked_like_single_vectors(self, bad, message):
+        """The stacked batch check accepts exactly what the per-vector
+        check accepts, and a bad row raises the per-vector message."""
+        good = [np.array([0.5, 0.4, 0.6]), np.array([0.0, 1.0, 0.2])]
+        assert np.array_equal(
+            validate_weight_rows(good, 3),
+            np.stack([validate_weights(w, 3) for w in good]),
+        )
+        with pytest.raises(ValueError, match=message):
+            validate_weight_rows([*good, np.array(bad)], 3)
 
     def test_batch_validates_before_serving_anything(self, engine):
         """A malformed request anywhere in the batch fails the whole call

@@ -103,7 +103,7 @@ class TestBuildFan:
             np.array([[0.95, 0.2], [0.2, 0.95], [0.99, 0.99]]),
         ])
         apex_id = 52  # (0.99, 0.99) dominates the first 50
-        encountered = {i: pts[i] for i in range(52)}
+        encountered = np.arange(52)
         fan = build_fan(apex_id, pts, pts, encountered, np.ones(2), np.zeros(2))
         crits = {c for c in fan.critical_keys() if not isinstance(c, tuple)}
         assert crits <= {50, 51}

@@ -108,6 +108,49 @@ class TestServeEquivalence:
         assert verdict["all_match"], verdict["examples"]
 
 
+class TestCanonicalScoreContract:
+    """The engine response contract the front door relies on: every
+    response's scores are ``canonical_scores`` of its answer's rows, bit
+    for bit — on misses, full hits, cluster-cache hits and merged
+    fan-outs, before and after writes."""
+
+    @pytest.fixture(params=["single", "inproc", "process"])
+    def engine(self, request, data):
+        if request.param == "single":
+            yield fresh_engine(data)
+            return
+        with ShardedGIREngine(data, shards=2, backend=request.param) as cluster:
+            yield cluster
+
+    def test_every_response_is_canonical(self, engine):
+        rng = np.random.default_rng(11)
+        hot = rng.random((4, D)) + 0.05
+        sources = []
+
+        def check(responses):
+            for resp in responses:
+                rows = engine.result_rows(resp.ids)
+                assert resp.scores == canonical_scores(
+                    engine.scorer, rows, resp.weights
+                )
+                sources.append(resp.source)
+
+        def serve_round():
+            check(engine.topk_batch([Request(w, 8) for w in hot]))
+            check([engine.topk(w, 8) for w in hot])
+            check([engine.topk(w, 5) for w in hot])
+            cold = rng.random((6, D)) + 0.05
+            check(engine.topk_batch([Request(w, 6) for w in cold]))
+
+        serve_round()
+        engine.insert(np.full(D, 0.97))
+        serve_round()
+        engine.delete(engine.topk(hot[0], 8).ids[0])
+        serve_round()
+        assert "computed" in sources and "cache" in sources
+        assert engine.cache.full_hits > 0
+
+
 class TestCoalescing:
     def test_flash_crowd_coalesces(self, data):
         workload = flash_crowd_workload(
@@ -129,15 +172,17 @@ class TestCoalescing:
         """A simultaneous burst of one weight vector is one engine call:
         all admissions land in the ingress queue before the dispatcher's
         batch resumes, so the duplicates attach to the first leader and
-        take its scores as is, with no per-follower re-scoring."""
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return canonical_scores(*args)
-
-        monkeypatch.setattr("repro.serve.front.canonical_scores", counting)
+        take its scores as is — the engine scores the answer once and
+        nothing re-scores it, per follower or at the front door."""
         engine = fresh_engine(data)
+        served = []
+        serve = engine._serve
+
+        def counting(*args, **kwargs):
+            served.append(serve(*args, **kwargs))
+            return served[-1]
+
+        monkeypatch.setattr(engine, "_serve", counting)
         w = np.full(D, 1.0 / D)
 
         async def burst():
@@ -159,7 +204,43 @@ class TestCoalescing:
             assert resp.pages_read == 0
             assert resp.service_ms == 0.0
             assert resp.source.startswith("coalesced:")
-        assert len(calls) == 1
+        assert len(served) == 1
+        assert all(r.scores is served[0].scores for r in responses)
+
+    def test_queued_reads_drain_into_one_batch(self, data, monkeypatch):
+        """Reads already queued when the dispatcher resumes become one
+        micro-batch in one pass: taken without awaiting the queue per
+        read, and handed to the engine as a single ``topk_batch``."""
+        waits = []
+        wait_for = asyncio.wait_for
+
+        def counting_wait_for(*args, **kwargs):
+            waits.append(1)
+            return wait_for(*args, **kwargs)
+
+        monkeypatch.setattr("repro.serve.front.asyncio.wait_for", counting_wait_for)
+        engine = fresh_engine(data)
+        batches = []
+        topk_batch = engine.topk_batch
+
+        def recording(requests):
+            batches.append(len(requests))
+            return topk_batch(requests)
+
+        monkeypatch.setattr(engine, "topk_batch", recording)
+        rng = np.random.default_rng(3)
+        vectors = rng.random((32, D)) + 0.05
+
+        async def backlog():
+            async with ServeFront(engine, ServeConfig(batch_max=32)) as front:
+                return await asyncio.gather(
+                    *(front.topk(w, k=4) for w in vectors)
+                )
+
+        responses = asyncio.run(backlog())
+        assert [r.via for r in responses] == ["engine"] * 32
+        assert batches == [32]
+        assert len(waits) <= 1
 
     def test_near_duplicate_is_its_own_engine_request(self, data):
         """Single flight is by exact bytes: a vector 1e-9 away from an
