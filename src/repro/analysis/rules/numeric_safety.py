@@ -15,8 +15,8 @@ Two checks, both grounded in invariants this repro actually ships:
 
 2. **Inline tolerance literals** — a literal of the form ``1e-N``
    (``3 ≤ N ≤ 320``) anywhere outside :mod:`repro.core.tolerances`.
-   Tolerances are system-wide contracts (the grid prescreen is only
-   sound because its slack dominates *the* membership tolerance), so
+   Tolerances are system-wide contracts (the insert prescreen is only
+   sound because its margin stays below *the* membership tolerance), so
    each one lives exactly once, in the consolidated module, under a name
    that documents what it guards.
 """

@@ -512,12 +512,8 @@ class ShardedGIREngine:
         )
 
     def _cache_merged(self, merged: MergedAnswer) -> None:
-        # subsume=False: merged regions are under-approximations, so two
-        # entries for the same ordered result can cover different,
-        # non-nested areas — GIRCache's subsumption rules (which assume
-        # maximal regions) would evict or skip coverage we want to keep.
         if self.cache is not None:
-            self.cache.insert(merged.gir, kth_g=merged.kth_g, subsume=False)
+            self.cache.insert(merged.gir, kth_g=merged.kth_g)
 
     # -- updates --------------------------------------------------------------
 

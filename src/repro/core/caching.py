@@ -210,16 +210,14 @@ class InsertPrescreen:
 class GIRCache:
     """A capacity-bounded cache of (query, top-k result, GIR) triples.
 
-    Capacity overflow evicts the least recently used entry; a hit, an
-    insert and a subsumption-skipped insert all refresh recency.
+    Capacity overflow evicts the least recently used entry; a hit and an
+    insert refresh recency.
     """
 
-    def __init__(self, capacity: int = 128, grid: bool = True) -> None:
+    def __init__(self, capacity: int = 128) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        #: Whether region indexes carry the grid admission prescreen.
-        self.grid = bool(grid)
         self._entries: OrderedDict[int, GIRResult] = OrderedDict()
         self._next_key = 0
         #: One region index per query-space dimensionality.
@@ -231,17 +229,18 @@ class GIRCache:
         self._tick = 0
         self.full_hits = 0
         self.misses = 0
-        self.subsumption_evictions = 0
-        #: Inserts skipped because an existing same-``k`` entry's region
-        #: already contains the new entry's query vector (the existing
-        #: entry is refreshed instead).
-        self.subsumption_skips = 0
         self.invalidation_evictions = 0
         #: Least recently used entries dropped on capacity overflow.
         self.capacity_evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def subsumption_evictions(self) -> int:
+        """Always 0: insert keeps every entry. Read by the ledger's
+        ``core.subsumption_evictions`` column (ROADMAP 6(c))."""
+        return 0
 
     # -- internal bookkeeping --------------------------------------------------
 
@@ -257,9 +256,10 @@ class GIRCache:
         self._tick += 1
         self._stamps[key] = self._tick
         d = int(gir.weights.shape[0])
-        self._indexes.setdefault(
-            d, RegionIndex(d, grid_cells=None if self.grid else 0)
-        ).add(key, gir.polytope, kth_g=kth_g, interior=gir.weights)
+        index = self._indexes.get(d)
+        if index is None:
+            index = self._indexes[d] = RegionIndex(d)
+        index.add(key, gir.polytope, kth_g=kth_g, interior=gir.weights)
 
     def _unregister(self, key: int) -> bool:
         gir = self._entries.pop(key, None)
@@ -278,66 +278,18 @@ class GIRCache:
     # -- writes ---------------------------------------------------------------
 
     @sanitize.mutates
-    def insert(
-        self,
-        gir: GIRResult,
-        kth_g: np.ndarray | None = None,
-        subsume: bool = True,
-    ) -> int:
+    def insert(self, gir: GIRResult, kth_g: np.ndarray | None = None) -> int:
         """Cache a computed GIR; returns its entry key.
 
-        Subsumption is resolved in both directions. An existing same-``k``
-        entry whose own query vector lies inside the new GIR is strictly
-        subsumed: the GIR is the *maximal* region of the ordered result,
-        and containing the old query vector at equal ``k`` means both
-        entries certify the same ordered result — i.e. the same maximal
-        region. The old entry is evicted rather than left to crowd the LRU
-        with a redundant region. Conversely, when the *new* entry's query
-        vector already lies inside an existing same-``k`` entry's region
-        (and that entry was not itself just evicted as subsumed), the new
-        entry is redundant: the insert is skipped and the existing entry's
-        recency refreshed — its key is returned. Entries cached for a
-        *different* ``k`` are kept either way: a deeper entry serves
-        requests the new one cannot, and a shallower entry's region is
-        typically *wider* (fewer constraints) and still serves traffic the
-        new, tighter region misses.
-
-        Both directions rest on regions being *maximal* for their ordered
-        result. Callers caching **under-approximated** regions — the
-        sharded cluster tier's merged entries — must pass
-        ``subsume=False``: two such entries can certify the same ordered
-        result under different, non-nested regions, so evicting (or
-        skipping) one would silently shrink the cache's coverage.
+        Every insert adds an entry; no existing entry is dropped for it
+        except the least recently used one on capacity overflow. An older
+        entry whose region overlaps the new one stays: both are sound for
+        their own requests, and LRU retires whichever stops serving.
 
         ``kth_g`` — the g-image of the entry's k-th result record — enables
         the vectorized insert-invalidation prescreen for this entry (see
         :meth:`prescreen_insert`); optional for read-only deployments.
         """
-        stale: list[int] = []
-        if subsume:
-            k = gir.topk.k
-            same_k = [
-                key
-                for key, entry in self._entries.items()
-                if entry.topk.k == k
-                and entry.weights.shape == gir.weights.shape
-            ]
-            if same_k:
-                inside = gir.polytope.contains_batch(
-                    np.stack([self._entries[key].weights for key in same_k])
-                )
-                stale = [key for key, flag in zip(same_k, inside) if flag]
-            if not stale:
-                # Reverse direction: is the new entry itself redundant?
-                host = self._subsuming_host(gir, same_k)
-                if host is not None:
-                    self._touch(host)
-                    self.subsumption_skips += 1
-                    return host
-        for key in stale:
-            self._unregister(key)
-        self.subsumption_evictions += len(stale)
-
         key = self._next_key
         self._next_key += 1
         self._register(key, gir, kth_g)
@@ -345,26 +297,6 @@ class GIRCache:
             self._unregister(next(iter(self._entries)))
             self.capacity_evictions += 1
         return key
-
-    def _subsuming_host(
-        self, gir: GIRResult, same_k: Sequence[int]
-    ) -> int | None:
-        """Most recent same-``k`` entry whose region contains ``gir``'s own
-        query vector, or ``None``."""
-        if not same_k:
-            return None
-        index = self._indexes.get(int(gir.weights.shape[0]))
-        if index is None or not len(index):
-            return None
-        mask = index.membership(gir.weights)
-        keys = index.keys()
-        same_k_set = set(same_k)
-        hosts = [
-            keys[i] for i in np.nonzero(mask)[0] if keys[i] in same_k_set
-        ]
-        if not hosts:
-            return None
-        return max(hosts, key=self._stamps.__getitem__)
 
     # -- lookups --------------------------------------------------------------
 
@@ -485,7 +417,7 @@ class GIRCache:
 
     # -- update-driven eviction ------------------------------------------------
 
-    @sanitize.mutates  # the grid prescreen bumps probe counters
+    @sanitize.mutates  # lazily materializes the region indexes' ray stacks
     def prescreen_insert(
         self, point_g: np.ndarray, tol: float = MEMBERSHIP_TOL
     ) -> InsertPrescreen:
@@ -555,35 +487,18 @@ class GIRCache:
         return removed
 
     def grid_counters(self) -> tuple[int, int]:
-        """Cheap ``(probes, negatives)`` totals of the grid prescreen —
-        the tracing layer reads these around a lookup to attribute the
-        prescreen's outcome to a span without paying for full
-        :meth:`stats`."""
-        probes = 0
-        negatives = 0
-        for index in self._indexes.values():
-            if index.grid is not None:
-                probes += index.grid.probes
-                negatives += index.grid.negatives
-        return probes, negatives
+        """Always ``(0, 0)``: lookups run no admission grid. Read by the
+        ledger's ``core.grid_negative_share`` column (ROADMAP 6(c))."""
+        return 0, 0
 
     def stats(self) -> dict[str, int]:
-        grids = [
-            index.grid_stats()
-            for index in self._indexes.values()
-            if index.grid is not None
-        ]
         return {
             "full_hits": self.full_hits,
             "misses": self.misses,
-            "subsumption_evictions": self.subsumption_evictions,
-            "subsumption_skips": self.subsumption_skips,
             "invalidation_evictions": self.invalidation_evictions,
             "capacity_evictions": self.capacity_evictions,
             "entries": len(self._entries),
             "index_rows": sum(
                 index.rows for index in self._indexes.values()
             ),
-            "grid_probes": sum(g["probes"] for g in grids),
-            "grid_negatives": sum(g["negatives"] for g in grids),
         }

@@ -37,6 +37,7 @@ MBB bound the transformed records below it.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,41 +164,58 @@ def refine_fans(
 
     A node is pruned only when its (g-space) MBB is below every facet of
     *every* fan — for the single-fan GIR this is the paper's Section 6.2/
-    6.3.2 rule, and for GIR* the multi-fan rule of Section 7.1. Entries
-    take that test twice: in one batch when they enter the heap (the whole
-    retained heap up front, a fetched node's children together) and again
-    when popped. The early test only saves heap work: the beneath-every-
-    facet cone grows as a fan is refined, so what is prunable now is
-    prunable at pop time and the fetched nodes are those of the pop-time
-    test alone. Returns the number of nodes fetched from disk.
+    6.3.2 rule, and for GIR* the multi-fan rule of Section 7.1. The heap
+    keeps one invariant: every entry in it has passed that test against
+    the *current* fans. Entries are tested in one batch as they enter
+    (the whole retained heap up front, a fetched node's children
+    together), and when a leaf's records change a fan the whole heap is
+    re-tested in one call; a pop then fetches without a box test. This
+    fetches exactly the nodes that testing each entry alone at pop time
+    would: the beneath-every-facet cone only grows as a fan is refined,
+    so an entry the re-test drops would be pruned at its pop too, and the
+    survivors pop in the same order. Returns the number of nodes fetched
+    from disk.
     """
     read = tree.fetch if metered else tree._node
-    exclude = set(run.result.ids)
+    result_ids = np.asarray(run.result.ids, dtype=np.int64)
+    fan_list = list(fans.values())
     apexes = points[list(fans)]
+
+    def seen(los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        """Which of the boxes stacked in ``los`` / ``his`` rise above
+        some facet of some fan."""
+        los_g, his_g = scorer.transform(los), scorer.transform(his)
+        fetch = fan_list[0].boxes_seen(los_g, his_g)
+        for fan in fan_list[1:]:
+            fetch = fetch | fan.boxes_seen(los_g, his_g)
+        return fetch
 
     def fetchable(los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Which of the boxes stacked in ``los`` / ``his`` must be fetched."""
-        los_g, his_g = scorer.transform(los), scorer.transform(his)
-        fetch = np.zeros(his.shape[0], dtype=bool)
-        for fan in fans.values():
-            fetch |= fan.boxes_seen(los_g, his_g)
+        fetch = seen(los, his)
         if options.prune_dominated_nodes:
             # A node whose entire box is dominated by every apex can only
             # yield half-spaces implied inside the query space (node-level
-            # form of the Section 6.3.1 record dominance filter).
-            dominated = np.ones(his.shape[0], dtype=bool)
-            for apex in apexes:
+            # form of the Section 6.3.1 record dominance filter). The
+            # test does not depend on the fans, so it runs once, on entry.
+            dominated = kernels.dominated_mask(apexes[0], his)
+            for apex in apexes[1:]:
                 dominated &= kernels.dominated_mask(apex, his)
-            fetch &= ~dominated
+            fetch = fetch & ~dominated
         return fetch
 
-    heap: list[HeapEntry] = []
-    if run.heap:
-        keep = fetchable(
-            np.array([e.lo for e in run.heap]), np.array([e.hi for e in run.heap])
+    def kept(entries: list[HeapEntry], test) -> list[HeapEntry]:
+        """The entries that pass ``test``, as a heap."""
+        if not entries:
+            return []
+        keep = test(
+            np.array([e.lo for e in entries]), np.array([e.hi for e in entries])
         )
-        heap = [e for e, f in zip(run.heap, keep.tolist()) if f]
-    heapq.heapify(heap)
+        heap = list(itertools.compress(entries, keep.tolist()))
+        heapq.heapify(heap)
+        return heap
+
+    heap = kept(run.heap, fetchable)
     directions: np.ndarray | None = None
     apex_dir_scores: dict[int, np.ndarray] = {}
     if options.tighten_with_phase1:
@@ -219,19 +237,22 @@ def refine_fans(
                 for apex_id in fans
             ):
                 continue
-        if not fetchable(entry.lo[None, :], entry.hi[None, :])[0]:
-            continue
         node = read(entry.node_id)
         fetched += 1
         if node.is_leaf:
-            rids = [rid for rid in node.ids.tolist() if rid not in exclude]
-            if rids:
-                pts = points[rids]
-                pts_g = points_g[rids]
-                for apex, fan in zip(apexes, fans.values()):
-                    # Dominated records only yield implied half-spaces.
-                    idx = np.flatnonzero(~kernels.dominated_mask(apex, pts))
-                    fan.add_points([rids[i] for i in idx], pts_g[idx])
+            # A broadcast compare: against k result ids it beats np.isin.
+            ids = node.ids[~(node.ids[:, None] == result_ids[None, :]).any(axis=1)]
+            if not ids.shape[0]:
+                continue
+            pts = points[ids]
+            pts_g = points_g[ids]
+            changed = False
+            for apex, fan in zip(apexes, fan_list):
+                # Dominated records only yield implied half-spaces.
+                idx = np.flatnonzero(~kernels.dominated_mask(apex, pts))
+                changed |= fan.add_points(ids[idx].tolist(), pts_g[idx])
+            if changed:
+                heap = kept(heap, seen)
         else:
             # Test the children on the node's rows first, so a pruned
             # child never costs a heap entry.

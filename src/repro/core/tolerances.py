@@ -5,17 +5,15 @@ intentional bit-exact equality goes through a named constant defined
 here. The ``numeric-safety`` rule of :mod:`repro.analysis` enforces
 this statically: an inline literal like ``1e-9`` in a comparison or a
 default argument anywhere else in ``src/`` is a finding, so a tolerance
-cannot silently fork from the rest of the system (the grid prescreen's
-zero-false-negative guarantee, for instance, is only sound because the
-membership tolerance it must dominate is *this* :data:`MEMBERSHIP_TOL`,
-not whatever a caller happened to type).
+cannot silently fork from the rest of the system (the insert
+prescreen's margin :data:`SCREEN_SAFETY`, for instance, is only sound
+because the membership tolerance it must stay below is *this*
+:data:`MEMBERSHIP_TOL`, not whatever a caller happened to type).
 
 Grouping, loosest to tightest:
 
 * :data:`APPROX_TOLERANCE` — a coarse model parameter, not a
   correctness tolerance;
-* :data:`GRID_SAFE_TOL` / :data:`GRID_SLACK` — the admission grid's
-  soundness boundary (slack must dominate ``tol * (1 + sqrt(d))``);
 * :data:`STRICT_BELOW_TOL` — how far below the apex's score hyperplane
   a record must lie to take part in the facet fan's hull seed;
 * :data:`CONTAINMENT_TOL` — LP-backed polytope containment slack
@@ -42,8 +40,6 @@ __all__ = [
     "FACET_SIDE_TOL",
     "PREDICATE_EPS",
     "STRICT_BELOW_TOL",
-    "GRID_SAFE_TOL",
-    "GRID_SLACK",
     "SCREEN_SAFETY",
     "APPROX_TOLERANCE",
     "NORM_FLOOR",
@@ -97,20 +93,6 @@ PREDICATE_EPS = 1e-10
 #: Candidates nearer the hyperplane (score ties included) are inserted
 #: incrementally instead; the cut-off moves work, never the result.
 STRICT_BELOW_TOL = 1e-6
-
-#: Largest membership tolerance the grid admission fast path is sound
-#: for: cells are registered with :data:`GRID_SLACK` of relaxation,
-#: which must dominate ``tol * (1 + sqrt(d))`` (the tolerance itself
-#: plus the cushion of clipping a just-outside-the-box member into its
-#: cell). Lookups with a larger ``tol`` skip the grid and run the exact
-#: matvec.
-GRID_SAFE_TOL = 1e-7
-
-#: Per-row relaxation used when registering an entry's cells in the
-#: grid signature. Soundness requires
-#: ``GRID_SLACK >= GRID_SAFE_TOL * (1 + sqrt(d))`` for every supported
-#: ``d`` (≤ 9 in the unit query box regime, so 1e-6 ≥ 4e-7 holds).
-GRID_SLACK = 1e-6
 
 #: Margin of the insert prescreen's two decisions on the cone-ray bracket
 #: ``[s, d · m]`` of the invalidation LP's optimum: an entry is

@@ -302,12 +302,9 @@ def bind_serve_stats(
 CACHE_STAT_KEYS = (
     "full_hits",
     "misses",
-    "subsumption_evictions",
     "invalidation_evictions",
     "capacity_evictions",
     "entries",
-    "grid_probes",
-    "grid_negatives",
 )
 
 

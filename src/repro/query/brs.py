@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,26 +33,29 @@ from repro.scoring import LinearScoring, ScoringFunction
 __all__ = ["HeapEntry", "BRSRun", "brs_topk"]
 
 
-@dataclass(order=True)
-class HeapEntry:
+class HeapEntry(NamedTuple):
     """Max-heap entry (stored negated in Python's min-heap).
 
-    ``sort_key`` is ``(-maxscore, -corner_sum, seq)``: the secondary
+    Entries order as tuples on ``(-maxscore, -corner_sum, seq)``: the
     coordinate-sum component makes the order strictly compatible with
     dominance even when some query weights are zero, which the BBS
-    continuation relies on. ``lo`` / ``hi`` are the entry's row views in
-    its parent node (never written in place, see :mod:`repro.index.node`).
+    continuation relies on, and ``seq`` is unique, so a comparison never
+    reaches the fields after it. ``lo`` / ``hi`` are the entry's row
+    views in its parent node (never written in place, see
+    :mod:`repro.index.node`).
     """
 
-    sort_key: tuple[float, float, int]
-    node_id: int = field(compare=False)
-    level: int = field(compare=False)
-    lo: np.ndarray = field(compare=False)
-    hi: np.ndarray = field(compare=False)
+    neg_maxscore: float
+    neg_sum: float
+    seq: int
+    node_id: int
+    level: int
+    lo: np.ndarray
+    hi: np.ndarray
 
     @property
     def maxscore(self) -> float:
-        return -self.sort_key[0]
+        return -self.neg_maxscore
 
 
 _seq = itertools.count()
@@ -69,11 +73,7 @@ def make_heap_entry(
     score of its top corner ``hi``."""
     maxscore = float(scorer.score(hi, weights))
     return HeapEntry(
-        sort_key=(-maxscore, -float(hi.sum()), next(_seq)),
-        node_id=node_id,
-        level=level,
-        lo=lo,
-        hi=hi,
+        -maxscore, -float(hi.sum()), next(_seq), node_id, level, lo, hi
     )
 
 
@@ -93,7 +93,7 @@ def child_heap_entries(
     rows = range(len(ids)) if keep is None else np.flatnonzero(keep).tolist()
     level = node.level - 1
     return [
-        HeapEntry((-scores[i], -sums[i], next(_seq)), ids[i], level, node.lo[i], node.hi[i])
+        HeapEntry(-scores[i], -sums[i], next(_seq), ids[i], level, node.lo[i], node.hi[i])
         for i in rows
     ]
 

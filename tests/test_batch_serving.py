@@ -57,17 +57,6 @@ def assert_responses_identical(r1, r2):
         assert (a.weights == b.weights).all()
 
 
-def stats_without_grid_instrumentation(engine):
-    """Engine counters minus the grid probe instrumentation: a
-    multi-request batch re-probes its unserved suffix after each miss
-    insert, so the grid legitimately sees more (identical-answer) probes
-    than singleton batches do."""
-    stats = dict(engine.stats())
-    stats.pop("grid_probes", None)
-    stats.pop("grid_negatives", None)
-    return stats
-
-
 class TestBatchEquivalence:
     @pytest.mark.parametrize("kind", ["uniform", "zipf", "mixed"])
     def test_batch_run_matches_sequential_run(self, batch_setup, kind):
@@ -83,9 +72,7 @@ class TestBatchEquivalence:
         r_seq = sequential.run(workload)
         r_bat = run_batched(batched, workload)
         assert_responses_identical(r_seq, r_bat)
-        assert stats_without_grid_instrumentation(
-            sequential
-        ) == stats_without_grid_instrumentation(batched)
+        assert sequential.stats() == batched.stats()
         # Update accounting (empty lists for read-only kinds) matches too.
         assert len(r_seq.updates) == len(r_bat.updates)
         for ua, ub in zip(r_seq.updates, r_bat.updates):
@@ -112,9 +99,7 @@ class TestBatchEquivalence:
         assert [r.pages_read for r in individual] == [
             r.pages_read for r in batch
         ]
-        assert stats_without_grid_instrumentation(
-            reference
-        ) == stats_without_grid_instrumentation(batched)
+        assert reference.stats() == batched.stats()
 
     def test_miss_in_batch_serves_later_requests(self, batch_setup, rng):
         """A miss mid-batch caches its GIR; an identical later request in

@@ -1,7 +1,5 @@
 """Tests for GIR-based result caching (Section 1 application)."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -138,20 +136,6 @@ class TestEvictionAndStats:
         assert stats["full_hits"] >= 1 and stats["misses"] >= 2
         assert stats["full_hits"] + stats["misses"] == lookups
 
-    def test_insert_evicts_subsumed_entry(self, cached_setup, rng):
-        """Re-inserting a GIR containing an older entry's query vector (at
-        the same or larger k) replaces it instead of accumulating."""
-        data, tree = cached_setup
-        q = random_query(rng, 3)
-        gir = compute_gir(tree, data, q, 5)
-        cache = GIRCache()
-        cache.insert(gir)
-        cache.insert(compute_gir(tree, data, q, 5))
-        assert len(cache) == 1
-        assert cache.stats()["subsumption_evictions"] == 1
-        # The surviving entry still serves the query.
-        assert cache.lookup(q, 5) is not None
-
     def test_insert_keeps_wider_shallow_entries(self, cached_setup, rng):
         """A deeper-k GIR is a *smaller* region (more constraints), so it
         must not evict a shallower entry at the same spot: the shallow
@@ -163,7 +147,6 @@ class TestEvictionAndStats:
         cache.insert(shallow)
         cache.insert(compute_gir(tree, data, q, 15))
         assert len(cache) == 2
-        assert cache.stats()["subsumption_evictions"] == 0
         # A probe inside the wide region but outside the deep one is still
         # a full hit at k=5.
         for probe in shallow.polytope.sample(40, rng):
@@ -183,44 +166,6 @@ class TestEvictionAndStats:
         hit = cache.lookup(q, 15)
         assert hit is not None and len(hit.ids) == 15
 
-    def test_insert_skips_entry_subsumed_by_existing(self, cached_setup, rng):
-        """Regression: the reverse subsumption direction. A new same-k
-        entry whose own query vector lies inside an existing entry's
-        region — while its (narrower) region does not contain the existing
-        entry's vector, so the forward check cannot fire — must be
-        *skipped*, refreshing the existing entry instead of crowding the
-        LRU with a redundant region."""
-        data, tree = cached_setup
-        q = random_query(rng, 3)
-        gir = compute_gir(tree, data, q, 5)
-        cache = GIRCache()
-        key = cache.insert(gir)
-        # A second, unrelated entry so the recency refresh is observable.
-        other = compute_gir(tree, data, np.array([0.15, 0.9, 0.12]), 7)
-        other_key = cache.insert(other)
-        probe = next(
-            p
-            for p in gir.polytope.sample(100, rng)
-            if (p > 1e-6).all() and np.linalg.norm(p - q) > 1e-3
-        )
-        # Narrow the region with a half-plane keeping `probe`, cutting `q`.
-        n_vec = probe - q
-        mid = (probe + q) / 2.0
-        narrow = Polytope(
-            np.vstack([gir.polytope.A, -n_vec[None, :]]),
-            np.concatenate([gir.polytope.b, [-(n_vec @ mid)]]),
-        )
-        assert narrow.contains(probe) and not narrow.contains(q)
-        redundant = dataclasses.replace(gir, weights=probe, polytope=narrow)
-        returned = cache.insert(redundant)
-        assert returned == key  # the existing entry serves instead
-        assert len(cache) == 2
-        stats = cache.stats()
-        assert stats["subsumption_skips"] == 1
-        assert stats["subsumption_evictions"] == 0
-        # The skip refreshed the host's recency: it is now MRU.
-        assert cache.entry_keys() == [other_key, key]
-
     def test_capacity_evictions_counted(self, cached_setup, rng):
         """Regression: LRU-capacity overflow must be visible in stats() so
         eviction counters fully explain entry churn."""
@@ -235,11 +180,10 @@ class TestEvictionAndStats:
         stats = cache.stats()
         assert stats["capacity_evictions"] >= 1
         assert stats["entries"] <= 2
-        # Churn bookkeeping closes exactly: every successful insert is
-        # either still cached or accounted to one eviction counter.
-        assert inserts - stats["subsumption_skips"] == (
+        # Churn bookkeeping closes exactly: every insert is either still
+        # cached or accounted to one eviction counter.
+        assert inserts == (
             stats["entries"]
-            + stats["subsumption_evictions"]
             + stats["capacity_evictions"]
             + stats["invalidation_evictions"]
         )
@@ -264,13 +208,7 @@ class TestEvictionAndStats:
             assert (hv is None) == (hs is None)
             if hv is not None:
                 assert (hv.ids, hv.entry_key) == (hs.ids, hs.entry_key)
-        # Grid probe counters are instrumentation of the vectorized path
-        # only — the reference scan never consults the grid.
-        sv, ss = vec.stats(), scan.stats()
-        for blob in (sv, ss):
-            blob.pop("grid_probes")
-            blob.pop("grid_negatives")
-        assert sv == ss
+        assert vec.stats() == scan.stats()
 
     def test_lookup_batch_matches_sequential(self, cached_setup, rng):
         data, tree = cached_setup
@@ -420,7 +358,7 @@ class TestCapacityEviction:
     """LRU is the cache's one capacity-eviction rule."""
 
     def test_eviction_churn_closes(self, cached_setup, rng):
-        """Every insert ends up cached, subsumed, skipped or evicted."""
+        """Every insert ends up cached or evicted."""
         data, tree = cached_setup
         cache = GIRCache(capacity=2)
         inserts = 0
@@ -431,9 +369,8 @@ class TestCapacityEviction:
                 break
         stats = cache.stats()
         assert stats["capacity_evictions"] >= 1
-        assert inserts - stats["subsumption_skips"] == (
+        assert inserts == (
             stats["entries"]
-            + stats["subsumption_evictions"]
             + stats["capacity_evictions"]
             + stats["invalidation_evictions"]
         )
@@ -450,27 +387,6 @@ class TestCapacityEviction:
         cluster.close()
         with pytest.raises(ValueError, match="cache policy"):
             ShardedGIREngine(data, shards=2, cache_policy="cost")
-
-
-class TestGridFlag:
-    def test_grid_false_disables_prescreen(self, cached_setup, rng):
-        data, tree = cached_setup
-        cache = GIRCache(grid=False)
-        cache.insert(compute_gir(tree, data, random_query(rng, 3), 5))
-        assert all(index.grid is None for index in cache._indexes.values())
-        for _ in range(20):
-            cache.lookup(rng.random(3), 5)
-        stats = cache.stats()
-        assert stats["grid_probes"] == 0
-        assert stats["grid_negatives"] == 0
-
-    def test_grid_true_counts_probes(self, cached_setup, rng):
-        data, tree = cached_setup
-        cache = GIRCache()
-        cache.insert(compute_gir(tree, data, random_query(rng, 3), 5))
-        for _ in range(20):
-            cache.lookup(rng.random(3), 5)
-        assert cache.stats()["grid_probes"] == 20
 
 
 def _count_polytope_calls(monkeypatch, calls, names, override=None):

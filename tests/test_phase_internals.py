@@ -15,6 +15,7 @@ from repro.core.phase2_fp import (
     virtual_seeds,
 )
 from repro.data.synthetic import anticorrelated, independent
+from repro.geometry.incident_facets import FacetFan
 from repro.geometry.predicates import dominates
 from repro.index.bulkload import bulk_load_str
 from repro.index.mbb import MBB
@@ -148,39 +149,54 @@ def pop_time_refine(tree, points, run, fans, scorer, options):
     return fetched
 
 
-class TestDiskStep:
-    """``refine_fans`` prunes entries in batches as they enter the heap;
-    the fetched nodes, page reads and critical records are those of
-    testing each entry alone when it is popped."""
+def fans_for(run, points, apexes):
+    """One freshly built fan per apex over the run's records ``T``."""
+    d = points.shape[1]
+    return {
+        a: build_fan(
+            a, points, points, run.encountered, run.result.weights, np.zeros(d)
+        )
+        for a in apexes
+    }
 
-    @pytest.fixture(scope="class", params=["IND", "ANTI"])
+
+class TestDiskStep:
+    """``refine_fans`` prunes entries in batches as they enter the heap
+    and re-tests the heap when a fan changes; the fetched nodes, page
+    reads and critical records are those of testing each entry alone
+    when it is popped."""
+
+    #: ``(generator, n, d, k)`` per family; ``IND4`` is the ledger's
+    #: shape (IND, d = 4, k = 20) on a smaller population.
+    FAMILIES = {
+        "IND": (independent, 6000, 3, 10),
+        "ANTI": (anticorrelated, 6000, 3, 10),
+        "IND4": (independent, 20_000, 4, 20),
+    }
+
+    @pytest.fixture(scope="class", params=list(FAMILIES))
     def indexed(self, request):
-        make = independent if request.param == "IND" else anticorrelated
-        data = make(6000, 3, seed=31)
-        return request.param, data.points, bulk_load_str(data)
+        make, n, d, k = self.FAMILIES[request.param]
+        data = make(n, d, seed=31)
+        return request.param, data.points, bulk_load_str(data), k
 
     @pytest.mark.parametrize("star", [False, True], ids=["gir", "gir_star"])
     @pytest.mark.parametrize("prune_dominated", [True, False])
     def test_matches_pop_time_reference(self, indexed, star, prune_dominated):
-        family, points, tree = indexed
+        family, points, tree, k = indexed
+        d = points.shape[1]
         options = FPOptions(prune_dominated_nodes=prune_dominated)
-        scorer = LinearScoring(3)
+        scorer = LinearScoring(d)
         rng = np.random.default_rng(8)  # own stream: cases reproduce alone
         for _ in range(6):
-            q = random_query(rng, 3)
-            run = brs_topk(tree, points, q, 10, metered=False)
+            q = random_query(rng, d)
+            run = brs_topk(tree, points, q, k, metered=False)
             apexes = (
                 prune_result_records(run.result.ids, points, points)
                 if star
                 else [run.result.kth_id]
             )
-            batched, reference = (
-                {
-                    a: build_fan(a, points, points, run.encountered, q, np.zeros(3))
-                    for a in apexes
-                }
-                for _ in range(2)
-            )
+            batched, reference = (fans_for(run, points, apexes) for _ in range(2))
             tree.store.reset_meter()
             fetched = refine_fans(
                 tree, points, points, run, batched, scorer, options=options
@@ -199,10 +215,70 @@ class TestDiskStep:
                 # too; each insertion order triangulates such a facet its
                 # own way. What one fan keeps and the other does not must
                 # then lie on the other's facets, never above them.
-                seeds = dict(zip(*virtual_seeds(points[a], np.zeros(3))))
+                seeds = dict(zip(*virtual_seeds(points[a], np.zeros(d))))
                 for fan, extra in ((batched[a], theirs - ours), (reference[a], ours - theirs)):
                     for key in extra:
                         assert not fan.sees(seeds[key] if key in seeds else points[key])
+
+    @pytest.mark.parametrize("star", [False, True], ids=["gir", "gir_star"])
+    def test_heap_retested_once_per_fan_change(self, indexed, star, monkeypatch):
+        """A fan tests boxes once for the retained heap, once per fetched
+        internal node (its children) and once per leaf that rebuilt some
+        fan — never once per popped entry."""
+        _, points, tree, k = indexed
+        d = points.shape[1]
+        calls: dict[int, int] = {}
+        real = FacetFan.boxes_seen
+
+        def counted(fan, los, his):
+            calls[id(fan)] = calls.get(id(fan), 0) + 1
+            return real(fan, los, his)
+
+        monkeypatch.setattr(FacetFan, "boxes_seen", counted)
+        fans: dict = {}
+        # Per fetch: is the node internal, and the fans' rebuild total
+        # when it was read.
+        reads: list[tuple[bool, int]] = []
+        real_read = tree._node
+
+        def rebuilds() -> int:
+            return sum(fan.insertions for fan in fans.values())
+
+        def read(node_id):
+            node = real_read(node_id)
+            reads.append((not node.is_leaf, rebuilds()))
+            return node
+
+        monkeypatch.setattr(tree, "_node", read)
+        rng = np.random.default_rng(12)
+        pops = changes = 0
+        for _ in range(6):
+            run = brs_topk(tree, points, random_query(rng, d), k, metered=False)
+            apexes = (
+                prune_result_records(run.result.ids, points, points)
+                if star
+                else [run.result.kth_id]
+            )
+            fans = fans_for(run, points, apexes)
+            calls.clear()
+            reads.clear()
+            fetched = refine_fans(
+                tree, points, points, run, fans, LinearScoring(d), metered=False
+            )
+            assert len(reads) == fetched
+            internal = sum(flag for flag, _ in reads)
+            # Leaves after which some fan had been rebuilt.
+            after = [total for _, total in reads[1:]] + [rebuilds()]
+            changed = sum(
+                not flag and later > total
+                for (flag, total), later in zip(reads, after)
+            )
+            for fan in fans.values():
+                assert calls.get(id(fan), 0) <= 1 + internal + changed
+            pops += fetched
+            changes += changed
+        # Fewer tests than one per pop, so the bound has teeth.
+        assert changes < pops
 
     def test_farthest_first_insertion_count(self):
         """Quickhull order: on IND n = 20k, d = 4, k = 20 a fan is rebuilt

@@ -1,7 +1,5 @@
 """Tests for the vectorized region-membership index."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.caching import GIRCache, invalidated_by_insert
 from repro.core.gir import compute_gir
 from repro.core.region_index import (
-    GridSignature,
     RegionIndex,
     SCREEN_EVICT,
     SCREEN_LP,
@@ -28,18 +25,6 @@ def random_region(rng, d: int, cuts: int = 3) -> Polytope:
     """A random cone-through-origin ∩ unit box (the GIR shape)."""
     normals = rng.normal(size=(cuts, d))
     return Polytope.from_unit_box(d).with_constraints(normals)
-
-
-def flat_cells(grid: GridSignature, A_n: np.ndarray, b_n: np.ndarray) -> np.ndarray:
-    """Reference registration: every row's minimum over every cell in one
-    product, the expression ``GridSignature.register`` prunes top-down."""
-    from repro.core.region_index import _GRID_SLACK
-
-    digits = (np.arange(grid.n_cells)[:, None] // grid._strides[None, :]) % grid.g
-    lo = digits.astype(np.float64) / grid.g
-    hi = (digits + 1).astype(np.float64) / grid.g
-    mins = lo @ np.maximum(A_n, 0.0).T + hi @ np.minimum(A_n, 0.0).T
-    return np.flatnonzero((mins <= b_n + _GRID_SLACK).all(axis=1))
 
 
 @pytest.fixture(scope="module")
@@ -75,19 +60,26 @@ class TestMembership:
             assert (batch[i] == index.membership(X[i])).all()
 
     def test_remove_splices_segments(self, rng):
-        index = RegionIndex(3)
-        regions = {key: random_region(rng, 3) for key in range(6)}
-        for key, region in regions.items():
-            index.add(key, region)
-        assert index.remove(3)
-        assert not index.remove(3)  # already gone
-        del regions[3]
-        assert index.keys() == [0, 1, 2, 4, 5]
-        assert index.rows == sum(r.m for r in regions.values())
-        for _ in range(60):
-            x = rng.uniform(-0.1, 1.1, 3)
-            expected = np.array([regions[k].contains(x) for k in index.keys()])
-            assert (index.membership(x) == expected).all()
+        """Removing the first, a middle or the last entry, or several at
+        once, splices exactly their row segments out."""
+        for dropped in ([0], [3], [5], [5, 1, 3]):
+            index = RegionIndex(3)
+            regions = {key: random_region(rng, 3) for key in range(6)}
+            for key, region in regions.items():
+                index.add(key, region)
+            if len(dropped) == 1:
+                assert index.remove(dropped[0])
+                assert not index.remove(dropped[0])  # already gone
+            else:
+                assert index.remove_many(dropped + [dropped[0], 99]) == 3
+            for key in dropped:
+                del regions[key]
+            assert index.keys() == list(regions)
+            assert index.rows == sum(r.m for r in regions.values())
+            for _ in range(60):
+                x = rng.uniform(-0.1, 1.1, 3)
+                expected = np.array([regions[k].contains(x) for k in index.keys()])
+                assert (index.membership(x) == expected).all()
 
     def test_clear(self, rng):
         index = RegionIndex(2)
@@ -426,115 +418,22 @@ class TestCachePrescreenIntegration:
         assert len(pre.candidates) == 1
 
 
-class TestGridSignature:
-    """Admission-prescreen grid: zero false negatives, by construction."""
+class TestLookupAgreement:
+    """The stacked-matvec lookup and the per-entry scan agree."""
 
-    def test_default_cells_budget(self):
-        from repro.core.region_index import _GRID_TARGET_CELLS, default_grid_cells
-
-        for d in range(1, 10):
-            g = default_grid_cells(d)
-            assert g >= 2
-            assert g == 2 or g**d <= _GRID_TARGET_CELLS
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])  # g = 64, 16, 8, 5, 4
-    def test_subdivision_registers_the_flat_cells(self, rng, d):
-        """Top-down registration marks exactly the cells of the all-cells
-        product — on real GIRs, on cones cut from the box (they touch its
-        walls) and on thin slabs along a wall — and ``unregister`` undoes
-        it."""
-        data = independent(300, d, seed=40 + d)
-        tree = bulk_load_str(data)
-        regions = [
-            compute_gir(tree, data, random_query(rng, d), 5).polytope
-            for _ in range(6)
-        ]
-        regions += [random_region(rng, d, cuts) for cuts in (1, 2, 3, 5)]
-        box = Polytope.from_unit_box(d)
-        for axis in range(d):
-            # x_axis >= 0.97 and x_axis <= 0.02: a layer or two of cells.
-            for normal, bound in ((-1.0, -0.97), (1.0, 0.02)):
-                row = np.zeros((1, d))
-                row[0, axis] = normal
-                regions.append(
-                    Polytope(np.vstack([box.A, row]), np.append(box.b, bound))
-                )
-        grid = RegionIndex(d).grid
-        expected = np.zeros(grid.n_cells, dtype=np.int64)
-        for key, region in enumerate(regions):
-            A_n, b_n = region.normalized_halfspaces()
-            grid.register(key, A_n, b_n)
-            cells = flat_cells(grid, A_n, b_n)
-            np.testing.assert_array_equal(grid._cells[key], cells)
-            assert 0 < cells.shape[0]
-            expected[cells] += 1
-        np.testing.assert_array_equal(grid._counts, expected)
-        assert grid._counts_list == expected.tolist()
-        for key in range(len(regions)):
-            grid.unregister(key)
-        assert not grid._counts.any() and not any(grid._counts_list)
-
-    def test_grid_negatives_match_brute_force(self, rng):
-        """Every grid 'certain miss' is a true all-False membership, and
-        answers with the grid on equal answers with the grid off."""
-        total_negatives = 0
-        for d in (2, 3, 4):
-            with_grid = RegionIndex(d)
-            without = RegionIndex(d, grid_cells=0)
-            regions = [random_region(rng, d) for _ in range(12)]
-            for key, region in enumerate(regions):
-                with_grid.add(key, region)
-                without.add(key, region)
-            X = rng.uniform(-0.05, 1.05, size=(500, d))
-            got = with_grid.membership_batch(X)
-            ref = without.membership_batch(X)
-            np.testing.assert_array_equal(got, ref)
-            for i in range(0, 500, 7):
-                np.testing.assert_array_equal(
-                    with_grid.membership(X[i]), ref[i]
-                )
-            stats = with_grid.grid_stats()
-            assert stats["probes"] > 0
-            total_negatives += stats["negatives"]
-        # Certain misses must actually occur on uniform probes somewhere
-        # (at low d a dozen cones can touch every cell), or the grid is
-        # dead weight.
-        assert total_negatives > 0
-
-    def test_grid_maintenance_over_remove_and_clear(self, rng):
-        index = RegionIndex(3)
-        regions = {key: random_region(rng, 3) for key in range(8)}
-        for key, region in regions.items():
-            index.add(key, region)
-        index.remove_many([1, 3, 5])
-        X = rng.uniform(0.0, 1.0, size=(200, 3))
-        ref = np.stack(
-            [
-                [regions[k].contains(x) for k in index.keys()]
-                for x in X
-            ]
-        )
-        np.testing.assert_array_equal(index.membership_batch(X), ref)
-        index.clear()
-        assert index.grid_stats()["registered_cells"] == 0
-
-    def test_prescreened_lookups_match_scan(self, indexed_setup, rng):
+    def test_lookups_match_scan_on_mixed_stream(self, indexed_setup, rng):
         """On a mixed stream (cached query vectors and probes near them,
-        then uniform probes) the grid-prescreened lookup and the
-        per-entry scan agree on every outcome; on the uniform half most
-        probes are certain misses the grid answers alone (a share that
-        falls as entries are added: ~0.75 at 16, ~0.2 at 128)."""
+        then uniform probes) the stacked lookup and the per-entry scan
+        agree on every outcome."""
         data, tree = indexed_setup
-        grid_cache, scan_cache = GIRCache(capacity=16), GIRCache(capacity=16, grid=False)
+        cache, scan_cache = GIRCache(capacity=16), GIRCache(capacity=16)
         cached_queries = []
-        while len(grid_cache) < 16:
+        while len(cache) < 16:
             q = rng.random(3) * 0.8 + 0.1
             gir = compute_gir(tree, data, q, 10)
-            before = len(grid_cache)
-            grid_cache.insert(gir)
+            cache.insert(gir)
             scan_cache.insert(gir)
-            if len(grid_cache) > before:
-                cached_queries.append(q)
+            cached_queries.append(q)
         near = cached_queries + [
             np.clip(q + rng.normal(0.0, 0.01, 3), 0.01, 1.0)
             for q in cached_queries
@@ -549,74 +448,32 @@ class TestGridSignature:
             hits = 0
             for p in probes:
                 expected = outcome(scan_cache.lookup_scan(p, 10))
-                assert outcome(grid_cache.lookup(p, 10)) == expected
+                assert outcome(cache.lookup(p, 10)) == expected
                 hits += expected is not None
             return hits
 
         assert hits_of(near) >= len(cached_queries)
-        before = grid_cache.stats()
         hits_of(uniform)
-        after = grid_cache.stats()
-        negatives = after["grid_negatives"] - before["grid_negatives"]
-        assert negatives / (after["grid_probes"] - before["grid_probes"]) > 0.5
-
-    def test_large_tol_bypasses_grid(self, rng):
-        """Tolerances above GRID_SAFE_TOL must never be answered by the
-        grid (the registration slack does not cover them)."""
-        from repro.core.region_index import GRID_SAFE_TOL
-
-        index = RegionIndex(3)
-        index.add(0, random_region(rng, 3))
-        x = rng.random(3)
-        assert not index.grid.is_certain_miss(x, GRID_SAFE_TOL * 11)
-        assert not index.grid.certain_miss_mask(x[None, :], GRID_SAFE_TOL * 11).any()
-
-    def test_slack_admits_members_across_a_grid_line(self):
-        """A facet 5e-10 below the grid line ``w0 = 0.5`` (d = 4, g = 8):
-        a probe on the line is a member within ``MEMBERSHIP_TOL`` yet lies
-        in a cell the exact region misses. Only the registration slack
-        keeps the grid from calling it a certain miss."""
-        d = 4
-        data = independent(300, d, seed=44)
-        q = np.array([0.3, 0.6, 0.6, 0.6])
-        gir = compute_gir(bulk_load_str(data), data, q, 5)
-        box = Polytope.from_unit_box(d)
-        slab = Polytope(
-            np.vstack([box.A, np.eye(d)[:1]]), np.append(box.b, 0.5 - 5e-10)
-        )
-        entry = dataclasses.replace(gir, polytope=slab)
-        grid_cache, scan_cache = GIRCache(), GIRCache(grid=False)
-        grid_cache.insert(entry)
-        scan_cache.insert(entry)
-        assert grid_cache._indexes[d].grid.g == 8
-        probe = np.array([0.5, 0.6, 0.6, 0.6])
-        expected = scan_cache.lookup_scan(probe, 5)
-        assert expected is not None
-        assert grid_cache.lookup(probe, 5) == expected
 
     def test_near_facet_membership_property(self, rng):
-        """Grid prescreen + exact membership never disagrees with the
-        per-entry scan for weights within ±10·tol of cached facet
-        boundaries — the tolerance worst case (satellite requirement)."""
+        """The stacked lookup never disagrees with the per-entry scan for
+        weights within ±10·tol of cached facet boundaries — the tolerance
+        worst case."""
         tol = 1e-9
         for d in (2, 4, 6):
             data = independent(400, d, seed=60 + d)
             tree = bulk_load_str(data)
-            grid_cache = GIRCache(capacity=32, grid=True)
-            scan_cache = GIRCache(capacity=32, grid=False)
+            cache = GIRCache(capacity=32)
+            scan_cache = GIRCache(capacity=32)
             girs = []
             queries = []
-            attempts = 0
-            while len(girs) < 6 and attempts < 120:
-                attempts += 1
+            for _ in range(6):
                 q = rng.random(d) * 0.8 + 0.1
                 gir = compute_gir(tree, data, q, 5)
-                before = len(grid_cache)
-                grid_cache.insert(gir)
+                cache.insert(gir)
                 scan_cache.insert(gir)
-                if len(grid_cache) > before:
-                    girs.append(gir)
-                    queries.append(q)
+                girs.append(gir)
+                queries.append(q)
             probes = []
             for gir, q in zip(girs, queries):
                 A_n, b_n = gir.polytope.normalized_halfspaces()
@@ -628,9 +485,9 @@ class TestGridSignature:
                     for off in (-10 * tol, -tol, 0.0, tol, 10 * tol):
                         probes.append(base + off * a)
             for p in probes:
-                hit_g = grid_cache.lookup(p, 5)
+                hit = cache.lookup(p, 5)
                 hit_s = scan_cache.lookup_scan(p, 5)
-                assert (hit_g is None) == (hit_s is None)
-                if hit_g is not None:
-                    assert hit_g.ids == hit_s.ids
-                    assert hit_g.entry_key == hit_s.entry_key
+                assert (hit is None) == (hit_s is None)
+                if hit is not None:
+                    assert hit.ids == hit_s.ids
+                    assert hit.entry_key == hit_s.entry_key
