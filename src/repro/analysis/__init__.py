@@ -4,7 +4,7 @@ Run it as a module::
 
     PYTHONPATH=src python -m repro.analysis [paths...] [--strict] [--json]
 
-Eight AST-walking rules enforce invariants this codebase actually relies
+Six AST-walking rules enforce invariants this codebase actually relies
 on (see each rule module's docstring for the full rationale):
 
 ``numeric-safety``
@@ -22,10 +22,6 @@ on (see each rule module's docstring for the full rationale):
 ``accounting``
     every counter field on a stats/report class reaches its
     ``to_dict``/``stats``/``summary`` surface.
-``lock-discipline``
-    fan-out-reachable mutations hold a declared lock.
-``shared-state``
-    read/write-shared cluster state is locked or owned.
 ``async-safety``
     ``serve/`` coroutines never block the event loop.
 ``span-discipline``

@@ -19,11 +19,6 @@ is itself reported (rule id ``suppression``) — the point of the marker is
 to leave the *reason* in the code, not just to silence the tool. In
 ``--strict`` mode, suppressions that match no finding are also reported
 (rule id ``unused-suppression``), so stale markers cannot accumulate.
-
-The concurrency rules additionally honour a second marker kind,
-``# repro: thread-owned[name] -- justification`` (see
-:meth:`Module.thread_owned`), declaring a class or attribute
-single-owner; its justification is equally mandatory.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "Finding",
     "Suppression",
-    "ThreadOwned",
     "Module",
     "Project",
     "Rule",
@@ -58,16 +52,6 @@ __all__ = [
 #: very comment from matching its own pattern).
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*allow\[(?P<rule>[a-z0-9-]+)\]"
-    r"(?:\s*--\s*(?P<why>.*\S))?"
-)
-
-#: The single-owner marker the concurrency rules honour:
-#: ``repro: thread-owned[<attr-or-class>]`` with a required
-#: ``-- justification`` tail. On (or above) a ``class`` line naming the
-#: class it declares the whole instance single-owner; inside a class
-#: body naming an attribute it declares just that attribute.
-_THREAD_OWNED_RE = re.compile(
-    r"#\s*repro:\s*thread-owned\[(?P<name>[A-Za-z_]\w*)\]"
     r"(?:\s*--\s*(?P<why>.*\S))?"
 )
 
@@ -107,19 +91,6 @@ class Suppression:
         )
 
 
-@dataclass(frozen=True)
-class ThreadOwned:
-    """One ``# repro: thread-owned[...]`` marker."""
-
-    #: Attribute or class name the marker declares single-owner.
-    name: str
-    path: str
-    line: int
-    justification: str
-    #: The code line the marker covers (same semantics as suppressions).
-    target: int = 0
-
-
 @dataclass
 class Module:
     """One parsed source file."""
@@ -146,8 +117,8 @@ class Module:
 
         Tokenizing (rather than regex-scanning raw lines) keeps markers
         quoted inside docstrings — e.g. documentation *about* the
-        suppression syntax — from registering as live markers. Every
-        marker scan (suppressions, thread-owned) shares this one table,
+        suppression syntax — from registering as live markers. The
+        suppression scan and :meth:`marker_target` share this one table,
         so a file is tokenized at most once per run.
         """
         if self._comments is None:
@@ -200,24 +171,6 @@ class Module:
                 )
             self._suppressions = out
         return self._suppressions
-
-    def thread_owned(self) -> list[ThreadOwned]:
-        """All ``# repro: thread-owned[...]`` markers in real comments."""
-        out = []
-        for i, text in sorted(self.comments().items()):
-            m = _THREAD_OWNED_RE.search(text)
-            if m is None:
-                continue
-            out.append(
-                ThreadOwned(
-                    name=m.group("name"),
-                    path=self.path,
-                    line=i,
-                    justification=(m.group("why") or "").strip(),
-                    target=self.marker_target(i),
-                )
-            )
-        return out
 
 
 class Project:

@@ -9,9 +9,7 @@ from __future__ import annotations
 from repro.analysis.rules.accounting import AccountingRule
 from repro.analysis.rules.async_safety import AsyncSafetyRule
 from repro.analysis.rules.fork_safety import ForkSafetyRule
-from repro.analysis.rules.lock_discipline import LockDisciplineRule
 from repro.analysis.rules.numeric_safety import NumericSafetyRule
-from repro.analysis.rules.shared_state import SharedStateRule
 from repro.analysis.rules.span_discipline import SpanDisciplineRule
 from repro.analysis.rules.wire_drift import WireDriftRule
 
@@ -21,8 +19,6 @@ __all__ = [
     "WireDriftRule",
     "ForkSafetyRule",
     "AccountingRule",
-    "LockDisciplineRule",
-    "SharedStateRule",
     "AsyncSafetyRule",
     "SpanDisciplineRule",
 ]
@@ -32,8 +28,6 @@ ALL_RULES = (
     WireDriftRule,
     ForkSafetyRule,
     AccountingRule,
-    LockDisciplineRule,
-    SharedStateRule,
     AsyncSafetyRule,
     SpanDisciplineRule,
 )

@@ -31,10 +31,9 @@ from repro.engine.engine import GIREngine
 __all__ = ["InProcBackend"]
 
 
-# The backend holds no lock of its own: the router's serve lock already
-# serializes every request that reaches it, and the engine it wraps is
-# built before the router serves its first request.
-# repro: thread-owned[InProcBackend] -- every call arrives under the router's serve lock; the backend itself adds no concurrency
+# The backend holds no lock of its own: every call arrives under the
+# router's serve lock, and the engine it wraps is built before the
+# router serves its first request.
 class InProcBackend(ShardBackend):
     """Direct calls into a locally owned :class:`GIREngine`."""
 

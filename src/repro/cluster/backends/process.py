@@ -40,7 +40,7 @@ from typing import Any, Self, Sequence
 
 import numpy as np
 
-from repro import obs, sanitize
+from repro import obs
 from repro.cluster import wire
 from repro.cluster.backends.base import (
     ShardBackend,
@@ -198,6 +198,9 @@ def _handle_frame(
     return reply, engine
 
 
+# The backend holds no lock of its own: every call arrives under the
+# router's serve lock, held from a request's send to its reply, so one
+# request at a time crosses the pipe.
 class ProcessBackend(ShardBackend):
     """A shard served by a dedicated worker process (see module docstring).
 
@@ -215,12 +218,6 @@ class ProcessBackend(ShardBackend):
         self._proc: multiprocessing.process.BaseProcess | None = None
         self._conn: Any = None
         self._shard = -1
-        #: One outstanding request per worker: the lock is held from a
-        #: request's send to its reply, so no caller can write a frame
-        #: while another's reply is still in the pipe. Every
-        #: ``_proc``/``_conn`` touch after ``build`` happens under it,
-        #: which is what lets the shared-state rule prove the pair.
-        self._lock = sanitize.make_lock("ProcessBackend._lock")
 
     def build(self, spec: ShardSpec) -> None:
         if self._proc is not None:
@@ -242,9 +239,9 @@ class ProcessBackend(ShardBackend):
         self._request(wire.MSG_BUILD, payload, expect=wire.MSG_READY)
 
     def _send(self, msg: int, payload: bytes, trace: tuple[str, str] | None) -> None:
-        """Write one request frame. The caller holds ``_lock`` from here
-        until :meth:`_receive` has read the reply; checking the pipe under
-        it means a concurrent ``close`` cannot null it in between."""
+        """Write one request frame; :meth:`_receive` reads its reply. The
+        router's serve lock is held from here to that reply, so no other
+        frame enters the pipe while this one's reply is still in it."""
         if self._conn is None:
             raise RuntimeError("backend is not running (closed or unbuilt)")
         try:
@@ -267,50 +264,46 @@ class ProcessBackend(ShardBackend):
     def _request(
         self, msg: int, payload: bytes, expect: int, trace: tuple[str, str] | None = None
     ) -> "wire.Reader":
-        with self._lock:
-            self._send(msg, payload, trace)
-            return self._receive(expect)
+        self._send(msg, payload, trace)
+        return self._receive(expect)
 
     # -- the shard contract ----------------------------------------------------
 
     @classmethod
     def fan_out(cls, calls: Sequence[tuple[int, Self, ShardReads]]) -> list[list[ShardReply]]:
         """Send every shard its ``MSG_TOPK_BATCH`` frame, then read every
-        reply, so the workers compute at once. Pipe locks are taken in
-        shard order, each held from its shard's send to its reply. Every
-        shard sent a frame is read before the first error is raised, so
-        no reply is left in a pipe for the next request. A shard's
-        ``shard.call`` span runs from its send to its reply and parents
-        its wire codec work and its worker's spans."""
+        reply, so the workers compute at once. Every shard sent a frame
+        is read before the first error is raised, so no reply is left in
+        a pipe for the next request. A shard's ``shard.call`` span runs
+        from its send to its reply and parents its wire codec work and
+        its worker's spans."""
         parent = obs.current()
         sent: list[tuple[int, Self, tuple[str, str] | None, float]] = []
         replies: list[list[ShardReply]] = []
         error: Exception | None = None
-        with contextlib.ExitStack() as held:
-            for shard, backend, requests in calls:
-                held.enter_context(backend._lock)
-                call = None if parent is None else (parent[0], obs.new_span_id())
-                t0 = time.perf_counter()
-                try:
-                    with obs.use_trace(call):
-                        payload = wire.encode_topk_batch(list(requests))
-                        backend._send(wire.MSG_TOPK_BATCH, payload, call)
-                except Exception as exc:
-                    error = exc
-                    break
-                sent.append((shard, backend, call, t0))
-            for shard, backend, call, t0 in sent:
-                try:
-                    with obs.use_trace(call):
-                        reader = backend._receive(wire.MSG_REPLY_BATCH)
-                        replies.append(wire.decode_batch_reply(reader))
-                except Exception as exc:
-                    error = error or exc
-                if call is not None:
-                    obs.record_span(
-                        "shard.call", t0, time.perf_counter(), trace_ctx=parent,
-                        span_id=call[1], shard=shard, method="topk_batch",
-                    )
+        for shard, backend, requests in calls:
+            call = None if parent is None else (parent[0], obs.new_span_id())
+            t0 = time.perf_counter()
+            try:
+                with obs.use_trace(call):
+                    payload = wire.encode_topk_batch(list(requests))
+                    backend._send(wire.MSG_TOPK_BATCH, payload, call)
+            except Exception as exc:
+                error = exc
+                break
+            sent.append((shard, backend, call, t0))
+        for shard, backend, call, t0 in sent:
+            try:
+                with obs.use_trace(call):
+                    reader = backend._receive(wire.MSG_REPLY_BATCH)
+                    replies.append(wire.decode_batch_reply(reader))
+            except Exception as exc:
+                error = error or exc
+            if call is not None:
+                obs.record_span(
+                    "shard.call", t0, time.perf_counter(), trace_ctx=parent,
+                    span_id=call[1], shard=shard, method="topk_batch",
+                )
         if error is not None:
             raise error
         return replies
@@ -356,17 +349,12 @@ class ProcessBackend(ShardBackend):
     def close(self) -> None:
         """Orderly worker shutdown; escalates to terminate on a hang.
 
-        The attribute swap happens under ``_lock`` (waiting out any
-        in-flight request, and making later ones fail the guard), but
-        the shutdown handshake and the join run *outside* it: they can
-        block for seconds, and — more subtly — doing pipe teardown while
-        holding ``_lock`` would order it against the router's serve
-        lock, inverting the serve-lock -> pipe-lock order every request
-        establishes.
+        The router calls this under its serve lock, so no request is in
+        flight; clearing ``_proc``/``_conn`` first makes any later
+        request fail the not-running guard.
         """
-        with self._lock:
-            proc, conn = self._proc, self._conn
-            self._proc, self._conn = None, None
+        proc, conn = self._proc, self._conn
+        self._proc, self._conn = None, None
         if conn is not None:
             try:
                 conn.send_bytes(wire.encode_frame(wire.MSG_SHUTDOWN))

@@ -48,20 +48,21 @@ callers: every serving and update entry point runs under one reentrant
 *serve lock* (``_serve_lock``), so a ``topk`` observes either all or
 none of a concurrent ``insert``/``delete`` — reads and the maps/caches
 they consult can never interleave with a half-applied write. The router
-starts no threads; a fan-out holds the serve lock, then the pipe lock of
-each process shard it calls. Under ``REPRO_SANITIZE=1`` the lock is a
-:class:`repro.sanitize.SanitizedRLock`, so acquisition-order inversions
-against the backend pipe locks fail fast.
+starts no threads, and the serve lock is the tier's only lock: the
+backends are router-owned, so every backend call — a fan-out, a write,
+a stats or span round trip, ``close`` — runs under it, and a process
+shard's request holds it from its send to its reply.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro import obs, sanitize
+from repro import obs
 from repro.cluster.backends import (
     InProcBackend,
     ShardBackend,
@@ -180,9 +181,10 @@ class ShardedGIREngine:
         self.backend_name: str = (
             backend if isinstance(backend, str) else getattr(backend, "name", "custom")
         )
-        #: Serializes every serving/update entry point against concurrent
-        #: external callers (reentrant: the fan-out helpers re-enter it).
-        self._serve_lock = sanitize.make_lock("ShardedGIREngine._serve_lock")
+        #: Serializes every serving/update entry point and every backend
+        #: call against concurrent external callers (reentrant: the
+        #: fan-out helpers re-enter it).
+        self._serve_lock = threading.RLock()
 
         #: Global mirror of the record table: the cluster's public rids.
         #: Keeps the full point rows addressable for cluster-cache
@@ -755,17 +757,19 @@ class ShardedGIREngine:
         Router-side counters (requests fanned out, accumulated latency)
         merged with each backend's own stat snapshot
         (:func:`~repro.cluster.backends.engine_shard_stats`) — one stats
-        round trip per shard for process-backed clusters.
+        round trip per shard for process-backed clusters, under the
+        serve lock like every other backend call.
         """
-        return [
-            {
-                "shard": s,
-                "requests": self._shard_requests[s],
-                "latency_ms_total": self._shard_latency_ms[s],
-                **backend.stats(),
-            }
-            for s, backend in enumerate(self.backends)
-        ]
+        with self._serve_lock:
+            return [
+                {
+                    "shard": s,
+                    "requests": self._shard_requests[s],
+                    "latency_ms_total": self._shard_latency_ms[s],
+                    **backend.stats(),
+                }
+                for s, backend in enumerate(self.backends)
+            ]
 
     def cluster_stats(self) -> dict[str, Any]:
         """Cluster-tier counters (cache, fan-outs, backend)."""

@@ -206,7 +206,8 @@ class InsertPrescreen:
         return len(self.safe) + len(self.ties) + len(self.evict)
 
 
-# repro: thread-owned[GIRCache] -- owned by one GIREngine; the router's serve lock serializes every path that reaches it
+# Single-owner, no lock: owned by one GIREngine, and the router's serve
+# lock serializes every path that reaches it.
 class GIRCache:
     """A capacity-bounded cache of (query, top-k result, GIR) triples.
 

@@ -91,7 +91,8 @@ class _ScreenEntry:
     kth_g: np.ndarray
 
 
-# repro: thread-owned[RegionIndex] -- owned by one GIRCache; reached only under the router's serve lock (membership lazily materializes screen stacks)
+# Single-owner, no lock: owned by one GIRCache and reached only under the
+# router's serve lock (membership lazily materializes screen stacks).
 class RegionIndex:
     """Contiguously stacked half-space rows of many bounded regions.
 

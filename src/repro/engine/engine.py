@@ -466,7 +466,8 @@ def run_workload(engine, workload: Workload | list) -> WorkloadReport:
     )
 
 
-# repro: thread-owned[GIREngine] -- one engine serves one shard; the router's serve lock (or the worker process) serializes all access
+# Single-owner, no lock: one engine serves one shard, and the router's
+# serve lock (or the worker process) serializes all access.
 class GIREngine:
     """A cache-first top-k serving engine over a *dynamic* dataset
     (Section 1 application).

@@ -1,31 +1,24 @@
-"""Runtime concurrency sanitizer — the dynamic twin of the static rules.
+"""Runtime concurrency sanitizer: ownership tokens on single-owner structures.
 
-The ``lock-discipline`` / ``shared-state`` rules prove discipline
-*statically*, by conservative over-approximation; this module checks the
-same contracts *dynamically*, on real executions, and fails fast with
-**both** stacks when a violation actually happens. Two primitives:
+The program's structures that hold no lock of their own — one shard
+engine, its GIR cache, the cache's region index — are single-owner: the
+sharded router's serve lock (or a shard's worker process) serializes
+every path that reaches them. :class:`AccessToken` checks that on real
+executions: every instrumented method enters its owner's token for its
+duration, and two threads inside the same token at the same time, at
+least one of them mutating, is a data race by definition and raises
+:class:`OwnershipViolation` carrying the stacks of both participants.
 
-* :class:`SanitizedRLock` — an RLock that records, per thread, the
-  stack of sanitized locks currently held and maintains a global
-  acquisition-order graph keyed by lock *name*. Taking ``B`` while
-  holding ``A`` orders ``A`` before ``B``; a later attempt to take
-  ``A`` while holding ``B`` is an ABBA inversion and raises
-  :class:`LockOrderViolation` immediately — on the *inversion*, without
-  needing the actual deadlock to strike.
-
-* :class:`AccessToken` — the ownership tag for structures the static
-  rules accept as ``thread-owned``: every instrumented method enters the
-  owner's token for its duration; two threads inside the same token at
-  the same time, at least one of them mutating, is a data race by
-  definition and raises :class:`OwnershipViolation` carrying the stacks
-  of both participants.
+There is no lock-order check. The serve lock is the only lock the
+program constructs (besides the trace collector's leaf guard, which
+never calls out while held), and an acquisition-order inversion needs
+two.
 
 Production wiring is **zero-overhead when disabled**: the
 :func:`mutates` / :func:`reads` decorators return the function object
-untouched unless ``REPRO_SANITIZE=1`` was set at import time, and
-:func:`make_lock` degrades to a plain ``threading.RLock``. The
-primitives themselves always work when constructed directly, so tests
-can exercise them in-process without the environment flag.
+untouched unless ``REPRO_SANITIZE=1`` was set at import time. The token
+itself always works when constructed directly, so tests can exercise it
+in-process without the environment flag.
 
 Costs when enabled are kept proportional: a token access appends a
 ``(kind, frame)`` pair — stack *formatting* happens only on violation.
@@ -44,12 +37,8 @@ from contextlib import contextmanager
 
 __all__ = [
     "ENABLED",
-    "SanitizerViolation",
     "OwnershipViolation",
-    "LockOrderViolation",
     "AccessToken",
-    "SanitizedRLock",
-    "make_lock",
     "mutates",
     "reads",
 ]
@@ -61,17 +50,9 @@ ENABLED = os.environ.get("REPRO_SANITIZE", "") == "1"
 F = TypeVar("F", bound=Callable[..., Any])
 
 
-class SanitizerViolation(RuntimeError):
-    """Base of every sanitizer failure (never raised directly)."""
-
-
-class OwnershipViolation(SanitizerViolation):
+class OwnershipViolation(RuntimeError):
     """Two threads were inside one thread-owned structure at once, at
     least one of them mutating."""
-
-
-class LockOrderViolation(SanitizerViolation):
-    """A sanitized lock was acquired against the established order."""
 
 
 def _format_frame(frame: FrameType | None) -> str:
@@ -130,96 +111,6 @@ class AccessToken:
                 entries.pop()
                 if not entries:
                     del self._active[me]
-
-
-# -- sanitized locks -----------------------------------------------------------
-
-#: Global acquisition-order graph, by lock name: ``(a, b)`` present
-#: means "a was held while b was acquired". Guarded by ``_ORDER_GUARD``.
-_ORDER_EDGES: dict[tuple[str, str], str] = {}
-_ORDER_GUARD = threading.Lock()
-_HELD = threading.local()
-
-
-def _held_stack() -> list[str]:
-    stack = getattr(_HELD, "stack", None)
-    if stack is None:
-        stack = _HELD.stack = []
-    return stack
-
-
-def _reset_order_graph() -> None:
-    """Test hook: forget every recorded acquisition order."""
-    with _ORDER_GUARD:
-        _ORDER_EDGES.clear()
-
-
-class SanitizedRLock:
-    """An RLock that checks acquisition order against all history.
-
-    Order is keyed by *name*, so every instance of one lock site (e.g.
-    each shard backend's pipe lock) shares one rank — exactly the
-    abstraction the static ABBA check uses.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._lock = threading.RLock()
-
-    def _check_order(self) -> None:
-        held = _held_stack()
-        if not held:
-            return
-        me = self.name
-        with _ORDER_GUARD:
-            for h in held:
-                if h == me:
-                    continue  # reentrant re-acquisition
-                if (me, h) in _ORDER_EDGES:
-                    first = _ORDER_EDGES[(me, h)]
-                    raise LockOrderViolation(
-                        f"lock order inversion (ABBA candidate): "
-                        f"acquiring {me!r} while holding {h!r}, but the "
-                        f"opposite order {me!r} -> {h!r} was established "
-                        f"at:\n{first}\n"
-                        f"--- this acquisition ---\n"
-                        f"{_format_frame(sys._getframe(2))}"
-                    )
-                if (h, me) not in _ORDER_EDGES:
-                    _ORDER_EDGES[(h, me)] = _format_frame(
-                        sys._getframe(2)
-                    )
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        self._check_order()
-        got = self._lock.acquire(blocking, timeout)
-        if got:
-            _held_stack().append(self.name)
-        return got
-
-    def release(self) -> None:
-        stack = _held_stack()
-        # Pop the most recent occurrence (reentrant holds repeat).
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i] == self.name:
-                del stack[i]
-                break
-        self._lock.release()
-
-    def __enter__(self) -> "SanitizedRLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()
-
-
-def make_lock(name: str) -> "SanitizedRLock | threading.RLock":
-    """The lock constructor production code uses: sanitized under
-    ``REPRO_SANITIZE=1``, a plain ``threading.RLock`` otherwise."""
-    if ENABLED:
-        return SanitizedRLock(name)
-    return threading.RLock()
 
 
 # -- method instrumentation ----------------------------------------------------

@@ -18,9 +18,7 @@ from repro.analysis import ALL_RULES, Project, run_rules
 from repro.analysis.rules.accounting import AccountingRule
 from repro.analysis.rules.async_safety import AsyncSafetyRule
 from repro.analysis.rules.fork_safety import ForkSafetyRule
-from repro.analysis.rules.lock_discipline import LockDisciplineRule
 from repro.analysis.rules.numeric_safety import NumericSafetyRule
-from repro.analysis.rules.shared_state import SharedStateRule
 from repro.analysis.rules.span_discipline import SpanDisciplineRule
 from repro.analysis.rules.wire_drift import WireDriftRule
 
@@ -341,292 +339,6 @@ class TestAccounting:
         assert findings_of(project, AccountingRule()) == []
 
 
-class TestLockDiscipline:
-    def _router(self, serve_body: str, extra: str = "") -> dict[str, str]:
-        return {
-            "repro/cluster/router.py": (
-                "import threading\n"
-                "from concurrent.futures import ThreadPoolExecutor\n"
-                "\n"
-                "\n"
-                "class Router:\n"
-                f"{extra}"
-                "    def __init__(self):\n"
-                "        self.hits = 0\n"
-                "        self._lock = threading.Lock()\n"
-                "        self.pool = ThreadPoolExecutor(2)\n"
-                "\n"
-                "    def _fan_out(self, xs):\n"
-                "        return [self.pool.submit(self._serve, x) for x in xs]\n"
-                "\n"
-                "    def _serve(self, x):\n"
-                f"{serve_body}"
-                "        return x\n"
-            )
-        }
-
-    def test_unguarded_mutation_on_submitted_path_flagged(self, tmp_path):
-        project = project_from(
-            tmp_path, self._router("        self.hits += 1\n")
-        )
-        findings = findings_of(project, LockDisciplineRule())
-        assert len(findings) == 1
-        assert findings[0].rule == "lock-discipline"
-        assert "'hits'" in findings[0].message
-        assert "_serve" in findings[0].message
-
-    def test_lexically_guarded_mutation_passes(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            self._router(
-                "        with self._lock:\n            self.hits += 1\n"
-            ),
-        )
-        assert findings_of(project, LockDisciplineRule()) == []
-
-    def test_caller_held_lock_covers_callee_interprocedurally(self, tmp_path):
-        # The mutation sits in a helper with no lock of its own; the only
-        # caller holds the lock, so every path into the helper is guarded.
-        project = project_from(
-            tmp_path,
-            {
-                "repro/cluster/router.py": (
-                    "import threading\n"
-                    "\n"
-                    "\n"
-                    "class Router:\n"
-                    "    def __init__(self):\n"
-                    "        self.hits = 0\n"
-                    "        self._lock = threading.Lock()\n"
-                    "\n"
-                    "    def _fan_out(self, xs):\n"
-                    "        with self._lock:\n"
-                    "            self._bump()\n"
-                    "\n"
-                    "    def _bump(self):\n"
-                    "        self.hits += 1\n"
-                )
-            },
-        )
-        assert findings_of(project, LockDisciplineRule()) == []
-
-    def test_thread_owned_attribute_marker_exempts(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            self._router(
-                "        self.hits += 1\n",
-                extra=(
-                    "    # repro: thread-owned[hits] -- test fixture: "
-                    "counter read only after the pool drains\n"
-                ),
-            ),
-        )
-        assert findings_of(project, LockDisciplineRule()) == []
-
-    def test_unjustified_marker_is_a_finding_but_still_owns(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            self._router(
-                "        self.hits += 1\n",
-                extra="    # repro: thread-owned[hits]\n",
-            ),
-        )
-        findings = findings_of(project, LockDisciplineRule())
-        assert len(findings) == 1
-        assert "justification" in findings[0].message
-
-    def test_stale_marker_flagged(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            self._router(
-                "        pass\n",
-                extra=(
-                    "    # repro: thread-owned[no_such_attr] -- "
-                    "left behind by a refactor\n"
-                ),
-            ),
-        )
-        findings = findings_of(project, LockDisciplineRule())
-        assert len(findings) == 1
-        assert "stale" in findings[0].message
-
-    def test_abba_lock_order_flagged(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "repro/cluster/pair.py": (
-                    "import threading\n"
-                    "\n"
-                    "\n"
-                    "class Pair:\n"
-                    "    def __init__(self):\n"
-                    "        self.a = threading.Lock()\n"
-                    "        self.b = threading.Lock()\n"
-                    "\n"
-                    "    def one(self):\n"
-                    "        with self.a:\n"
-                    "            with self.b:\n"
-                    "                pass\n"
-                    "\n"
-                    "    def two(self):\n"
-                    "        with self.b:\n"
-                    "            with self.a:\n"
-                    "                pass\n"
-                )
-            },
-        )
-        findings = findings_of(project, LockDisciplineRule())
-        assert len(findings) == 1
-        assert "ABBA" in findings[0].message
-        assert "Pair.a" in findings[0].message
-        assert "Pair.b" in findings[0].message
-
-    def test_consistent_lock_order_passes(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "repro/cluster/pair.py": (
-                    "import threading\n"
-                    "\n"
-                    "\n"
-                    "class Pair:\n"
-                    "    def __init__(self):\n"
-                    "        self.a = threading.Lock()\n"
-                    "        self.b = threading.Lock()\n"
-                    "\n"
-                    "    def one(self):\n"
-                    "        with self.a:\n"
-                    "            with self.b:\n"
-                    "                pass\n"
-                    "\n"
-                    "    def two(self):\n"
-                    "        with self.a:\n"
-                    "            with self.b:\n"
-                    "                pass\n"
-                )
-            },
-        )
-        assert findings_of(project, LockDisciplineRule()) == []
-
-    def test_real_concurrency_surface_is_clean(self):
-        project = Project.load(REPO, [SRC / "repro"])
-        assert findings_of(project, LockDisciplineRule()) == []
-
-
-class TestSharedState:
-    def test_attr_shared_across_read_and_write_paths_flagged(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "repro/cluster/shard.py": (
-                    "class Shard:\n"
-                    "    def __init__(self):\n"
-                    "        self.items = []\n"
-                    "\n"
-                    "    def topk(self, k):\n"
-                    "        return self.items[:k]\n"
-                    "\n"
-                    "    def insert(self, x):\n"
-                    "        self.items.append(x)\n"
-                )
-            },
-        )
-        findings = findings_of(project, SharedStateRule())
-        assert len(findings) == 1
-        assert findings[0].rule == "shared-state"
-        assert "'items'" in findings[0].message
-
-    def test_common_lock_on_both_sides_passes(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "repro/cluster/shard.py": (
-                    "import threading\n"
-                    "\n"
-                    "\n"
-                    "class Shard:\n"
-                    "    def __init__(self):\n"
-                    "        self.items = []\n"
-                    "        self._lock = threading.Lock()\n"
-                    "\n"
-                    "    def topk(self, k):\n"
-                    "        with self._lock:\n"
-                    "            return self.items[:k]\n"
-                    "\n"
-                    "    def insert(self, x):\n"
-                    "        with self._lock:\n"
-                    "            self.items.append(x)\n"
-                )
-            },
-        )
-        assert findings_of(project, SharedStateRule()) == []
-
-    def test_init_only_attribute_never_fires(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "repro/cluster/shard.py": (
-                    "class Shard:\n"
-                    "    def __init__(self):\n"
-                    "        self.k = 10\n"
-                    "\n"
-                    "    def topk(self):\n"
-                    "        return self.k\n"
-                    "\n"
-                    "    def insert(self, x):\n"
-                    "        return self.k + x\n"
-                )
-            },
-        )
-        assert findings_of(project, SharedStateRule()) == []
-
-    def test_module_global_shared_across_paths_flagged(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "repro/cluster/registry.py": (
-                    "REGISTRY = {}\n"
-                    "\n"
-                    "\n"
-                    "class Shard:\n"
-                    "    def topk(self, key):\n"
-                    "        return REGISTRY.get(key)\n"
-                    "\n"
-                    "    def insert(self, key, x):\n"
-                    "        REGISTRY[key] = x\n"
-                )
-            },
-        )
-        findings = findings_of(project, SharedStateRule())
-        assert len(findings) == 1
-        assert "'REGISTRY'" in findings[0].message
-
-    def test_thread_owned_class_marker_exempts(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "repro/cluster/shard.py": (
-                    "# repro: thread-owned[Shard] -- test fixture: the "
-                    "router serializes every call\n"
-                    "class Shard:\n"
-                    "    def __init__(self):\n"
-                    "        self.items = []\n"
-                    "\n"
-                    "    def topk(self, k):\n"
-                    "        return self.items[:k]\n"
-                    "\n"
-                    "    def insert(self, x):\n"
-                    "        self.items.append(x)\n"
-                )
-            },
-        )
-        assert findings_of(project, SharedStateRule()) == []
-
-    def test_real_cluster_state_is_locked_or_owned(self):
-        project = Project.load(REPO, [SRC / "repro"])
-        assert findings_of(project, SharedStateRule()) == []
-
-
 class TestSuppressions:
     def test_justified_suppression_suppresses(self, tmp_path):
         project = project_from(
@@ -785,7 +497,7 @@ class TestCLI:
         twice = Project.load(REPO, [SRC, SRC / "repro"])
         assert sorted(twice.modules) == sorted(once.modules)
 
-    def test_list_rules_names_all_eight(self):
+    def test_list_rules_names_all_six(self):
         proc = self._run("--list-rules")
         assert proc.returncode == 0
         expected = [
@@ -793,8 +505,6 @@ class TestCLI:
             "wire-drift",
             "fork-safety",
             "accounting",
-            "lock-discipline",
-            "shared-state",
             "async-safety",
             "span-discipline",
         ]

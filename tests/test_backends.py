@@ -12,7 +12,13 @@ caller's thread; the tests below pin what that must not break.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +45,49 @@ from repro.scoring import LinearScoring
 from tests.conftest import LEDGER_CLUSTER_KWARGS, run_batched
 
 N, D, K = 500, 3, 5
+REPO = Path(__file__).resolve().parents[1]
+
+#: One thread polls ``stats()`` while the main thread serves 60 batches
+#: of 4 misses on two process shards; the answers must equal an
+#: in-process cluster's on the same stream.
+STATS_DURING_SERVING = """
+import threading
+import numpy as np
+from repro.cluster import ShardedGIREngine
+from repro.data.synthetic import independent
+from repro.engine import Request
+
+data = independent(500, 3, seed=19)
+rng = np.random.default_rng(31)
+stream = [[Request(rng.random(3) + 0.05, 5) for _ in range(4)] for _ in range(60)]
+answers = {}
+for backend in ("inproc", "process"):
+    with ShardedGIREngine(data, shards=2, backend=backend) as engine:
+        stop, errors, polls = threading.Event(), [], [0]
+
+        def poll():
+            try:
+                while not stop.is_set():
+                    engine.stats()
+                    polls[0] += 1
+            except Exception as exc:
+                errors.append(exc)
+
+        poller = threading.Thread(target=poll)
+        poller.start()
+        try:
+            answers[backend] = [
+                (r.ids, r.scores) for batch in stream for r in engine.topk_batch(batch)
+            ]
+        finally:
+            stop.set()
+            poller.join(timeout=60)
+        assert not poller.is_alive()
+        assert errors == [], errors
+        assert polls[0] > 0
+assert answers["process"] == answers["inproc"]
+print("STATS-OK", len(answers["process"]))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +365,47 @@ class TestProcessFanOut:
         assert got.region.A.tobytes() == want.region.A.tobytes()
         assert got.region.b.tobytes() == want.region.b.tobytes()
         assert (got.source, got.pages_read) == (want.source, want.pages_read)
+
+    def test_stats_polled_during_serving(self):
+        """``stats()`` from a second thread shares the serve lock with the
+        fan-out, so its round trips never interleave with a batch's
+        frames. Run in a subprocess so a regression fails on the timeout
+        instead of hanging the suite."""
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", STATS_DURING_SERVING],
+                capture_output=True, text=True, cwd=REPO, env=env, timeout=120,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("stats() polled during serving hung the cluster")
+        assert proc.returncode == 0, proc.stderr
+        assert "STATS-OK 240" in proc.stdout
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="no SIGKILL")
+    def test_killed_worker_raises_not_hangs(self, data):
+        """A SIGKILLed worker turns the next read into an error, not a
+        hang: with one lock, a read blocked on a dead pipe would hold the
+        whole router. Later reads fail the same way and ``close()``
+        returns."""
+        rng = np.random.default_rng(9)
+        engine = ShardedGIREngine(
+            data, shards=2, backend="process", cluster_cache_capacity=0
+        )
+        try:
+            worker = engine.backends[1]._proc
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            for _ in range(2):
+                t0 = time.perf_counter()
+                with pytest.raises(RuntimeError, match="died mid-request"):
+                    engine.topk(rng.random(D) + 0.05, K)
+                assert time.perf_counter() - t0 < 5.0
+        finally:
+            t0 = time.perf_counter()
+            engine.close()
+        assert time.perf_counter() - t0 < 10.0
 
     def test_serving_starts_no_router_thread(self, data):
         """The ledger's cluster fans out on the caller's thread: building

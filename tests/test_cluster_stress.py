@@ -3,8 +3,8 @@
 The serve lock makes every router operation atomic, so a concurrent
 history must be *linearizable*: each read observes exactly the state
 after some prefix of the write sequence — with in-process shards and
-with process shards, whose fan-out holds every pipe lock from its send
-to its reply under the serve lock. The test races reader threads
+with process shards, whose fan-out holds the serve lock from its first
+send to its last reply. The test races reader threads
 (``topk_batch`` calls of one or several requests) against a writer
 applying routed ``insert`` / ``delete`` ops, tags every read with the
 write-epoch it observed, then replays the same write sequence sequentially on a fresh

@@ -1,10 +1,10 @@
 """Tests for the runtime concurrency sanitizer (`repro.sanitize`).
 
-The primitives (ownership tokens, order-checking locks) are exercised
-directly in-process — they work regardless of ``REPRO_SANITIZE``. The
-production wiring (decorators arming, a seeded race actually detected,
-the sharded tier running clean) needs the flag frozen at import, so
-those cases run in subprocesses with ``REPRO_SANITIZE=1``.
+The ownership token is exercised directly in-process — it works
+regardless of ``REPRO_SANITIZE``. The production wiring (decorators
+arming, a seeded race actually detected, the sharded tier running
+clean) needs the flag frozen at import, so those cases run in
+subprocesses with ``REPRO_SANITIZE=1``.
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import sanitize
-from repro.sanitize import (
-    AccessToken,
-    LockOrderViolation,
-    OwnershipViolation,
-    SanitizedRLock,
-    _reset_order_graph,
-)
+from repro.sanitize import AccessToken, OwnershipViolation
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -127,50 +120,6 @@ class TestAccessToken:
                     pass
 
 
-class TestSanitizedRLock:
-    def setup_method(self):
-        _reset_order_graph()
-
-    def test_inversion_detected_without_a_deadlock(self):
-        a, b = SanitizedRLock("A"), SanitizedRLock("B")
-        with a:
-            with b:
-                pass
-        with pytest.raises(LockOrderViolation) as err:
-            with b:
-                with a:
-                    pass
-        message = str(err.value)
-        assert "'A'" in message and "'B'" in message
-        assert "--- this acquisition" in message
-
-    def test_consistent_order_passes(self):
-        a, b = SanitizedRLock("A"), SanitizedRLock("B")
-        for _ in range(3):
-            with a:
-                with b:
-                    pass
-
-    def test_reentrant_acquisition_is_not_an_inversion(self):
-        a = SanitizedRLock("A")
-        with a:
-            with a:
-                pass
-
-    def test_order_is_shared_across_instances_of_one_name(self):
-        # Two backends' pipe locks share a rank, exactly like the static
-        # ABBA check abstracts them.
-        a1, a2 = SanitizedRLock("pipe"), SanitizedRLock("pipe")
-        serve = SanitizedRLock("serve")
-        with serve:
-            with a1:
-                pass
-        with pytest.raises(LockOrderViolation):
-            with a2:
-                with serve:
-                    pass
-
-
 class TestProductionWiring:
     def test_decorators_are_identity_when_disabled(self):
         # Run in a subprocess with the flag cleared: this test must hold
@@ -182,15 +131,12 @@ class TestProductionWiring:
             [
                 sys.executable,
                 "-c",
-                "import threading\n"
                 "from repro import sanitize\n"
                 "assert not sanitize.ENABLED\n"
                 "def method(self):\n"
                 "    return 7\n"
                 "assert sanitize.mutates(method) is method\n"
                 "assert sanitize.reads(method) is method\n"
-                "assert isinstance(sanitize.make_lock('x'),\n"
-                "                  type(threading.RLock()))\n"
                 "print('IDENTITY-OK')\n",
             ],
             capture_output=True,
@@ -270,10 +216,9 @@ class TestProductionWiring:
         assert "SERIAL-OK" in proc.stdout
 
     def test_sharded_tier_runs_clean_under_the_sanitizer(self):
-        # The serve lock serializes the router, and a process fan-out
-        # takes the pipe locks under it in shard order: a mixed workload
-        # on either backend must produce zero violations — and the same
-        # answers on both.
+        # The serve lock serializes the router and every backend call
+        # under it: a mixed workload on either backend must produce zero
+        # ownership violations — and the same answers on both.
         proc = run_sanitized(
             "from repro.cluster import ShardedGIREngine\n"
             "from repro.data.synthetic import independent\n"
