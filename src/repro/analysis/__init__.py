@@ -2,30 +2,30 @@
 
 Run it as a module::
 
-    PYTHONPATH=src python -m repro.analysis [paths...] [--strict] [--json]
+    PYTHONPATH=src python -m repro.analysis [paths...] [--strict] [--format github]
 
-Six AST-walking rules enforce invariants this codebase actually relies
-on (see each rule module's docstring for the full rationale):
+Four AST-walking rules enforce invariants this codebase relies on and
+no test would notice breaking (see each rule module's docstring for the
+full rationale):
 
 ``numeric-safety``
     no bare ``==``/``!=`` on floating-point expressions outside
     ``repro: bit-exact`` files; every ``1e-N`` tolerance lives in
     :mod:`repro.core.tolerances` under a documented name.
-``wire-drift``
-    every wire/page codec is symmetric (``encode_X`` ↔ ``decode_X``,
-    same struct formats both sides) and the committed golden fingerprint
-    fails if the byte layout changes without a version bump.
 ``fork-safety``
     nothing unpicklable goes into ``ShardSpec``; no module-level mutable
     containers or import-time OS resources in fork/thread fan-out
     modules.
-``accounting``
-    every counter field on a stats/report class reaches its
-    ``to_dict``/``stats``/``summary`` surface.
 ``async-safety``
     ``serve/`` coroutines never block the event loop.
 ``span-discipline``
     trace spans are entered as context managers.
+
+The byte layouts are pinned by tests, not by a rule:
+``tests/test_wire.py::TestFrameIdentity`` hashes one frame of every
+shard-wire message type and ``tests/test_rtree.py::TestTreeIdentity``
+hashes every R*-tree page. That every counter reaches its report is
+checked on live objects in ``tests/test_obs.py``.
 
 Findings are suppressed per line with ``# repro: allow[rule-id] -- why``;
 the justification is mandatory and ``--strict`` additionally rejects
@@ -41,7 +41,6 @@ from repro.analysis.framework import (
     Project,
     Rule,
     Suppression,
-    render_json,
     render_text,
     run_rules,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "Project",
     "Rule",
     "Suppression",
-    "render_json",
     "render_text",
     "run_rules",
 ]

@@ -13,34 +13,15 @@ from pathlib import Path
 from repro.analysis.framework import (
     Project,
     render_github,
-    render_json,
     render_text,
     run_rules,
 )
 from repro.analysis.rules import ALL_RULES
-from repro.analysis.rules.wire_drift import WireDriftRule
 
 
 def _default_target() -> Path:
     """``src/repro`` relative to the repo this package is installed from."""
     return Path(__file__).resolve().parents[1]
-
-
-def _select_rules(select: str | None, ignore: str | None):
-    known = {cls.id: cls for cls in ALL_RULES}
-    chosen = list(known)
-    if select:
-        chosen = [rid.strip() for rid in select.split(",") if rid.strip()]
-    if ignore:
-        dropped = {rid.strip() for rid in ignore.split(",")}
-        chosen = [rid for rid in chosen if rid not in dropped]
-    unknown = [rid for rid in chosen if rid not in known]
-    if unknown:
-        raise SystemExit(
-            f"repro.analysis: unknown rule id(s): {', '.join(unknown)} "
-            f"(known: {', '.join(known)})"
-        )
-    return [known[rid]() for rid in chosen]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,38 +36,15 @@ def main(argv: list[str] | None = None) -> int:
         help="files or directories to check (default: the repro package)",
     )
     parser.add_argument(
-        "--select",
-        metavar="IDS",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore",
-        metavar="IDS",
-        help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
         "--format",
-        choices=("text", "json", "github"),
+        choices=("text", "github"),
         default="text",
-        help=(
-            "output format: human text, machine-readable JSON, or GitHub "
-            "Actions ::error annotations"
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="shorthand for --format json",
+        help="output format: human text or GitHub Actions ::error annotations",
     )
     parser.add_argument(
         "--strict",
         action="store_true",
         help="additionally fail on suppressions that match no finding",
-    )
-    parser.add_argument(
-        "--update-golden",
-        action="store_true",
-        help="regenerate the wire-layout golden fingerprint and exit",
     )
     parser.add_argument(
         "--list-rules",
@@ -109,22 +67,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{', '.join(str(p) for p in missing)}"
         )
     project = Project.load(Path.cwd(), paths)
-
-    if args.update_golden:
-        rule = WireDriftRule()
-        path = rule.write_golden(project)
-        print(f"repro.analysis: wrote {path}")
-        return 0
-
-    rules = _select_rules(args.select, args.ignore)
-    result = run_rules(project, rules, strict=args.strict)
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
-        render_json(result)
-    elif fmt == "github":
-        render_github(result)
-    else:
-        render_text(result)
+    result = run_rules(project, [cls() for cls in ALL_RULES], strict=args.strict)
+    render = render_github if args.format == "github" else render_text
+    render(result)
     return result.exit_code
 
 

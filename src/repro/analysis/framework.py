@@ -25,10 +25,8 @@ from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import sys
-import time
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,7 +41,6 @@ __all__ = [
     "AnalysisResult",
     "run_rules",
     "render_text",
-    "render_json",
     "render_github",
 ]
 
@@ -217,13 +214,6 @@ class Project:
 
     _parse_errors: list[tuple[str, str]] = []
 
-    def find(self, suffix: str) -> Module | None:
-        """The module whose path ends with ``suffix`` (``None`` if absent)."""
-        for path, module in self.modules.items():
-            if path.endswith(suffix):
-                return module
-        return None
-
     def __iter__(self) -> Iterator[Module]:
         return iter(self.modules.values())
 
@@ -256,8 +246,6 @@ class AnalysisResult:
     suppressed: list[tuple[Finding, Suppression]]
     checked_files: int
     rules_run: list[str]
-    #: Wall-clock per rule, rule id → milliseconds.
-    rule_timings_ms: dict[str, float] = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
@@ -273,11 +261,8 @@ def run_rules(
         for path, msg in project._parse_errors
     ]
     rules = list(rules)
-    timings: dict[str, float] = {}
     for rule in rules:
-        t0 = time.perf_counter()
         raw.extend(rule.check(project))
-        timings[rule.id] = (time.perf_counter() - t0) * 1e3
 
     suppressions: list[Suppression] = []
     for module in project:
@@ -328,7 +313,6 @@ def run_rules(
         suppressed=suppressed,
         checked_files=len(project.modules),
         rules_run=[r.id for r in rules],
-        rule_timings_ms=timings,
     )
 
 
@@ -343,38 +327,6 @@ def render_text(result: AnalysisResult, stream=sys.stdout) -> None:
         f"[rules: {', '.join(result.rules_run)}]",
         file=stream,
     )
-
-
-def render_json(result: AnalysisResult, stream=sys.stdout) -> None:
-    payload = {
-        "findings": [
-            {
-                "rule": f.rule,
-                "path": f.path,
-                "line": f.line,
-                "message": f.message,
-            }
-            for f in result.findings
-        ],
-        "suppressed": [
-            {
-                "rule": f.rule,
-                "path": f.path,
-                "line": f.line,
-                "message": f.message,
-                "justification": s.justification,
-            }
-            for f, s in result.suppressed
-        ],
-        "checked_files": result.checked_files,
-        "rules": result.rules_run,
-        "rule_timings_ms": {
-            rid: round(ms, 3) for rid, ms in result.rule_timings_ms.items()
-        },
-        "exit_code": result.exit_code,
-    }
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
 
 
 def render_github(result: AnalysisResult, stream=sys.stdout) -> None:

@@ -6,20 +6,13 @@ tracing tests (which assert ``balanced``) fail, and — worse —
 every later span in the same task silently parents under the leaked
 span, so timelines nest wrongly without any functional symptom. The
 :mod:`repro.obs` API makes the safe form the easy one (``with
-obs.span(...)``), and this rule pins it statically:
-
-1. **No bare ``begin_span()`` / ``end_span()``** outside ``repro.obs``
-   itself. The paired low-level calls exist so the tracer can build the
-   context managers; user code pairing them by hand loses the
-   exception-safety ``with`` gives for free (an exception between the
-   two leaks the span). The sanctioned low-level form is
-   ``record_span`` — atomic, nothing to leak.
-2. **Span constructors are ``with``-items** — a call to ``span`` /
-   ``trace`` / ``use_trace`` (through any import alias) must appear
-   directly as a ``with`` (or ``async with``) context expression, or as
-   the direct argument of an ``ExitStack``-style ``.enter_context(...)``
-   call, whose stack closes it exception-safely. Assigning the span to
-   a variable first, or calling ``__enter__`` by hand, is a finding.
+obs.span(...)``), and this rule pins it statically: a call to ``span`` /
+``trace`` / ``use_trace`` (through any import alias) must appear
+directly as a ``with`` (or ``async with``) context expression, or as
+the direct argument of an ``ExitStack``-style ``.enter_context(...)``
+call, whose stack closes it exception-safely. Assigning the span to a
+variable first, or calling ``__enter__`` by hand, is a finding. The
+sanctioned low-level form is ``record_span`` — atomic, nothing to leak.
 
 The ``repro/obs/`` package itself is exempt (it implements the
 primitives this rule polices).
@@ -36,9 +29,6 @@ __all__ = ["SpanDisciplineRule"]
 #: Span-constructor functions that must be entered via ``with`` /
 #: ``enter_context``.
 _SPAN_FNS = frozenset({"span", "trace", "use_trace"})
-
-#: The hand-paired low-level API, banned outside repro.obs.
-_RAW_FNS = frozenset({"begin_span", "end_span"})
 
 #: Module paths of the tracer implementation (every import spelling).
 _OBS_MODULES = frozenset({"repro.obs", "repro.obs.trace"})
@@ -62,7 +52,7 @@ def _import_aliases(tree: ast.AST) -> tuple[set[str], dict[str, str]]:
                         modules.add(alias.asname or "obs")
             elif node.module in _OBS_MODULES:
                 for alias in node.names:
-                    if alias.name in _SPAN_FNS | _RAW_FNS:
+                    if alias.name in _SPAN_FNS:
                         fns[alias.asname or alias.name] = alias.name
     return modules, fns
 
@@ -76,7 +66,7 @@ def _span_call_name(
     if isinstance(func, ast.Name):
         return fns.get(func.id)
     if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        if func.value.id in modules and func.attr in _SPAN_FNS | _RAW_FNS:
+        if func.value.id in modules and func.attr in _SPAN_FNS:
             return func.attr
     return None
 
@@ -103,11 +93,10 @@ class SpanDisciplineRule(Rule):
     id = "span-discipline"
     name = "trace spans are entered as context managers"
     doc = (
-        "Outside repro/obs/: bans bare begin_span()/end_span() (an "
-        "exception between the pair leaks the span) and requires every "
-        "span()/trace()/use_trace() call to be a with-item context "
-        "expression or a direct .enter_context(...) argument, so spans "
-        "close exception-safely and the collector stays balanced."
+        "Outside repro/obs/: every span()/trace()/use_trace() call is a "
+        "with-item context expression or a direct .enter_context(...) "
+        "argument, so spans close exception-safely and the collector "
+        "stays balanced."
     )
 
     def check(self, project: Project) -> list[Finding]:
@@ -128,23 +117,7 @@ class SpanDisciplineRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = _span_call_name(node, modules, fns)
-            if name is None:
-                continue
-            if name in _RAW_FNS:
-                findings.append(
-                    Finding(
-                        rule=self.id,
-                        path=module.path,
-                        line=node.lineno,
-                        message=(
-                            f"bare {name}() outside repro.obs — an "
-                            f"exception between begin and end leaks the "
-                            f"span; use 'with obs.span(...)' (or "
-                            f"record_span for the atomic form)"
-                        ),
-                    )
-                )
-            elif id(node) not in allowed:
+            if name is not None and id(node) not in allowed:
                 findings.append(
                     Finding(
                         rule=self.id,

@@ -32,14 +32,12 @@ from repro.obs.trace import (
     SpanRecord,
     TraceCollector,
     absorb,
-    begin_span,
     collector,
     current,
     disable,
     drain,
     drain_payload,
     enable,
-    end_span,
     new_span_id,
     record_span,
     reset_collector,
@@ -61,7 +59,6 @@ __all__ = [
     "SpanRecord",
     "TraceCollector",
     "absorb",
-    "begin_span",
     "bind_cache_stats",
     "bind_engine_stats",
     "bind_serve_stats",
@@ -73,7 +70,6 @@ __all__ = [
     "drain",
     "drain_payload",
     "enable",
-    "end_span",
     "explain",
     "new_span_id",
     "prometheus_text",

@@ -14,8 +14,8 @@ Primitives:
 * :func:`span` — open a child span under the ambient context (a fresh
   trace is started when there is none). **Must** be used in
   ``with``-form (or via ``ExitStack.enter_context``); the
-  ``span-discipline`` analysis rule enforces that every enter site is
-  structurally guaranteed its exit.
+  ``span-discipline`` analysis rule checks every call site outside
+  :mod:`repro.obs`, so each span enter is guaranteed its exit.
 * :func:`trace` — like :func:`span` but always a new root (fresh trace
   id), for request entry points.
 * :func:`use_trace` — adopt a remote parent context, e.g. one received
@@ -63,8 +63,6 @@ __all__ = [
     "span",
     "trace",
     "use_trace",
-    "begin_span",
-    "end_span",
     "record_span",
     "new_span_id",
     "absorb",
@@ -421,21 +419,6 @@ def use_trace(ctx: tuple[str, str] | None) -> Any:
     if not _STATE.enabled or ctx is None:
         return _NOOP
     return _Adopt((str(ctx[0]), str(ctx[1])))
-
-
-def begin_span(name: str, **attrs: Any) -> Any:
-    """Low-level span enter. Outside :mod:`repro.obs` itself every call
-    site must use the ``with``-form (:func:`span`) instead; the
-    ``span-discipline`` rule flags bare ``begin_span`` because nothing
-    guarantees its :func:`end_span` on an exception path."""
-    handle = span(name, **attrs)
-    handle.__enter__()
-    return handle
-
-
-def end_span(handle: Any) -> None:
-    """Close a span opened with :func:`begin_span`."""
-    handle.__exit__(None, None, None)
 
 
 def record_span(

@@ -2,25 +2,20 @@
 
 Every rule gets a positive fixture (a seeded violation it must catch) and
 a negative fixture (clean code it must pass); the framework's suppression
-semantics and the wire-layout golden regression are covered against the
-real committed sources.
+semantics and the CLI are covered against the real committed sources.
 """
 
 from __future__ import annotations
 
-import json
-import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 from repro.analysis import ALL_RULES, Project, run_rules
-from repro.analysis.rules.accounting import AccountingRule
 from repro.analysis.rules.async_safety import AsyncSafetyRule
 from repro.analysis.rules.fork_safety import ForkSafetyRule
 from repro.analysis.rules.numeric_safety import NumericSafetyRule
 from repro.analysis.rules.span_discipline import SpanDisciplineRule
-from repro.analysis.rules.wire_drift import WireDriftRule
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -98,86 +93,6 @@ class TestNumericSafety:
         assert findings_of(project, NumericSafetyRule()) == []
 
 
-class TestWireDrift:
-    WIRE_FILES = (
-        "src/repro/cluster/wire.py",
-        "src/repro/index/serde.py",
-        "src/repro/geometry/polytope.py",
-    )
-
-    def _copy_tree(self, tmp_path: Path) -> Path:
-        for rel in self.WIRE_FILES:
-            dst = tmp_path / rel.removeprefix("src/")
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy(REPO / rel, dst)
-        return tmp_path
-
-    def test_committed_golden_matches_committed_sources(self):
-        project = Project.load(REPO, [SRC / "repro"])
-        assert findings_of(project, WireDriftRule()) == []
-
-    def test_layout_change_without_version_bump_fails(self, tmp_path):
-        root = self._copy_tree(tmp_path)
-        wire_copy = root / "repro/cluster/wire.py"
-        source = wire_copy.read_text()
-        assert '"<qqqqqd"' in source
-        # Widen the update record on BOTH sides: symmetric, still drifted.
-        wire_copy.write_text(source.replace('"<qqqqqd"', '"<qqqqqqd"'))
-        project = Project.load(root, [root])
-        found = findings_of(project, WireDriftRule())
-        assert any(
-            "WIRE_VERSION" in f.message and "bump" in f.message
-            for f in found
-        ), found
-
-    def test_layout_change_with_version_bump_wants_new_golden(self, tmp_path):
-        root = self._copy_tree(tmp_path)
-        wire_copy = root / "repro/cluster/wire.py"
-        source = wire_copy.read_text()
-        source = source.replace('"<qqqqqd"', '"<qqqqqqd"')
-        source = source.replace("WIRE_VERSION = 1", "WIRE_VERSION = 2")
-        wire_copy.write_text(source)
-        project = Project.load(root, [root])
-        found = findings_of(project, WireDriftRule())
-        assert any("--update-golden" in f.message for f in found)
-
-    def test_asymmetric_codec_flagged(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "repro/cluster/wire.py": (
-                    "import struct\n"
-                    "WIRE_VERSION = 1\n"
-                    "def encode_ping(x):\n"
-                    '    return struct.pack("<q", x)\n'
-                )
-            },
-        )
-        rule = WireDriftRule(golden_path=tmp_path / "golden.json")
-        rule.write_golden(project)
-        found = findings_of(project, rule)
-        assert any("decode_ping" in f.message for f in found)
-
-    def test_format_disagreement_flagged(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "repro/cluster/wire.py": (
-                    "import struct\n"
-                    "WIRE_VERSION = 1\n"
-                    "def encode_ping(x):\n"
-                    '    return struct.pack("<qq", x, x)\n'
-                    "def decode_ping(buf):\n"
-                    '    return struct.unpack("<qd", buf)\n'
-                )
-            },
-        )
-        rule = WireDriftRule(golden_path=tmp_path / "golden.json")
-        rule.write_golden(project)
-        found = findings_of(project, rule)
-        assert any("disagree" in f.message for f in found)
-
-
 class TestForkSafety:
     def test_lambda_into_shardspec_flagged(self, tmp_path):
         project = project_from(
@@ -251,92 +166,6 @@ class TestForkSafety:
         assert result.findings == []
         # The two plug-in registries ride on justified suppressions.
         assert len(result.suppressed) == 2
-
-
-class TestAccounting:
-    def test_unreported_dataclass_counter_flagged(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "pkg/report.py": (
-                    "from dataclasses import dataclass\n"
-                    "@dataclass\n"
-                    "class Report:\n"
-                    "    hits: int = 0\n"
-                    "    misses: int = 0\n"
-                    "    def to_dict(self):\n"
-                    "        return {'hits': self.hits}\n"
-                )
-            },
-        )
-        found = findings_of(project, AccountingRule())
-        assert len(found) == 1 and "misses" in found[0].message
-
-    def test_unreported_init_counter_flagged(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "pkg/cache.py": (
-                    "class Cache:\n"
-                    "    def __init__(self):\n"
-                    "        self.evictions = 0\n"
-                    "        self._tick = 0\n"
-                    "    def stats(self):\n"
-                    "        return {}\n"
-                )
-            },
-        )
-        found = findings_of(project, AccountingRule())
-        assert len(found) == 1 and "evictions" in found[0].message
-
-    def test_counter_via_helper_method_passes(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "pkg/router.py": (
-                    "class Router:\n"
-                    "    def __init__(self):\n"
-                    "        self.fanouts = 0\n"
-                    "    def _tier(self):\n"
-                    "        return {'fanouts': self.fanouts}\n"
-                    "    def stats(self):\n"
-                    "        return {**self._tier()}\n"
-                )
-            },
-        )
-        assert findings_of(project, AccountingRule()) == []
-
-    def test_counter_via_property_passes(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "pkg/cache.py": (
-                    "class Cache:\n"
-                    "    def __init__(self):\n"
-                    "        self.lru_evictions = 0\n"
-                    "        self.cost_evictions = 0\n"
-                    "    @property\n"
-                    "    def capacity_evictions(self):\n"
-                    "        return self.lru_evictions + self.cost_evictions\n"
-                    "    def stats(self):\n"
-                    "        return {'capacity': self.capacity_evictions}\n"
-                )
-            },
-        )
-        assert findings_of(project, AccountingRule()) == []
-
-    def test_class_without_reporting_surface_ignored(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "pkg/plain.py": (
-                    "class Plain:\n"
-                    "    def __init__(self):\n"
-                    "        self.count = 0\n"
-                )
-            },
-        )
-        assert findings_of(project, AccountingRule()) == []
 
 
 class TestSuppressions:
@@ -429,25 +258,13 @@ class TestCLI:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 findings" in proc.stdout
 
-    def test_violations_exit_nonzero_with_json(self, tmp_path):
+    def test_violations_exit_nonzero(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("TOL = 1e-9\n")
-        proc = self._run(str(bad), "--json")
+        proc = self._run(str(bad))
         assert proc.returncode == 1
-        payload = json.loads(proc.stdout)
-        assert payload["exit_code"] == 1
-        assert payload["findings"][0]["rule"] == "numeric-safety"
-
-    def test_select_restricts_rules(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("TOL = 1e-9\n")
-        proc = self._run(str(bad), "--select", "accounting")
-        assert proc.returncode == 0
-
-    def test_unknown_rule_id_rejected(self):
-        proc = self._run("src/repro", "--select", "no-such-rule")
-        assert proc.returncode != 0
-        assert "unknown rule" in proc.stderr
+        assert ":1: [numeric-safety]" in proc.stdout
+        assert "1 finding (0 suppressed)" in proc.stdout
 
     def test_github_format_emits_error_annotations(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -481,15 +298,6 @@ class TestCLI:
         assert "\n" not in annotation.removeprefix("::error ")
         assert "%0A" in annotation and "%25" in annotation
 
-    def test_json_reports_per_rule_timings(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("TOL = 1e-9\n")
-        proc = self._run(str(bad), "--json")
-        payload = json.loads(proc.stdout)
-        timings = payload["rule_timings_ms"]
-        assert set(timings) == {cls.id for cls in ALL_RULES}
-        assert all(t >= 0.0 for t in timings.values())
-
     def test_overlapping_paths_parse_each_file_once(self):
         # src and src/repro overlap; every file must be loaded (and its
         # findings reported) exactly once.
@@ -497,14 +305,12 @@ class TestCLI:
         twice = Project.load(REPO, [SRC, SRC / "repro"])
         assert sorted(twice.modules) == sorted(once.modules)
 
-    def test_list_rules_names_all_six(self):
+    def test_list_rules_names_all_four(self):
         proc = self._run("--list-rules")
         assert proc.returncode == 0
         expected = [
             "numeric-safety",
-            "wire-drift",
             "fork-safety",
-            "accounting",
             "async-safety",
             "span-discipline",
         ]
@@ -627,23 +433,6 @@ class TestAsyncSafety:
 class TestSpanDiscipline:
     """Seeded violations and clean fixtures for ``span-discipline``."""
 
-    def test_flags_bare_begin_span(self, tmp_path):
-        project = project_from(
-            tmp_path,
-            {
-                "pkg/engine/mod.py": (
-                    "from repro import obs\n\n"
-                    "def f():\n"
-                    "    sp = obs.begin_span('work')\n"
-                    "    obs.end_span(sp)\n"
-                )
-            },
-        )
-        found = findings_of(project, SpanDisciplineRule())
-        assert len(found) == 2
-        assert all(f.rule == "span-discipline" for f in found)
-        assert "leaks the span" in found[0].message
-
     def test_flags_span_not_used_as_context_manager(self, tmp_path):
         project = project_from(
             tmp_path,
@@ -696,14 +485,14 @@ class TestSpanDiscipline:
         assert findings_of(project, SpanDisciplineRule()) == []
 
     def test_obs_package_is_exempt(self, tmp_path):
+        # The same call is a finding anywhere else (see the alias test).
         project = project_from(
             tmp_path,
             {
-                "repro/obs/trace.py": (
-                    "def begin_span(name):\n"
-                    "    return name\n\n"
-                    "def span(name):\n"
-                    "    handle = begin_span(name)\n"
+                "repro/obs/export.py": (
+                    "from repro.obs.trace import span\n\n"
+                    "def f():\n"
+                    "    handle = span('work')\n"
                     "    return handle\n"
                 )
             },

@@ -2,8 +2,10 @@
 
 Covers the span/collector contract (nesting, balance, ring capacity,
 atomic records, remote-context adoption, minted span ids), the metrics
-registry (histogram percentiles, kind clashes, accounting crosschecks),
-the exporters, the span shape of a process fan-out, and the two
+registry (histogram percentiles, kind clashes, accounting crosschecks,
+every gauge read against its live object), the counter-reporting
+contract (every counter a stats or report class keeps is a key of its
+report), the exporters, the span shape of a process fan-out, and the two
 end-to-end properties the trace-smoke CI job gates on:
 
 * serving is **bit-identical** with tracing on vs off (the front door
@@ -22,9 +24,14 @@ import pytest
 from repro import obs
 from repro.cluster import ShardedGIREngine
 from repro.data.synthetic import make_synthetic
-from repro.engine import GIREngine, flash_crowd_workload, uniform_workload
+from repro.engine import (
+    GIREngine,
+    InsertOp,
+    WorkloadReport,
+    flash_crowd_workload,
+)
 from repro.index.bulkload import bulk_load_str
-from repro.serve import ServeFront, replay_serial_check, run_serve_workload
+from repro.serve import ServeFront, ServeStats, replay_serial_check, run_serve_workload
 
 D = 3
 N = 400
@@ -85,11 +92,12 @@ class TestSpans:
         obs.enable()
         with obs.span("a"):
             pass
-        handle = obs.begin_span("leaky")
+        leaky = obs.span("leaky")
+        leaky.__enter__()  # opened by hand: nothing closes it yet
         stats = obs.collector().stats()
         assert stats["started"] == 2 and stats["finished"] == 1
         assert not stats["balanced"]
-        obs.end_span(handle)
+        leaky.__exit__(None, None, None)
         assert obs.collector().balanced
         obs.drain()
         stats = obs.collector().stats()
@@ -266,14 +274,84 @@ class TestMetrics:
         assert verdict["completion"] and verdict["provenance"]
 
     def test_cache_gauges_read_live_cache(self, data):
-        engine = fresh_engine(data)
-        for request in uniform_workload(D, 30, k=5, rng=3):
-            engine.topk(request.weights, request.k)
+        # Every gauge the three binders register reads a key or field of
+        # the live object it wraps, and reads it as the object reports it.
+        async def go():
+            front = ServeFront(fresh_engine(data))
+            async with front:
+                ops = [*flash_crowd_workload(D, 40, k=5, rng=3), InsertOp(np.full(D, 0.5))]
+                await run_serve_workload(front, ops, 8)
+            return front
+
+        front = asyncio.run(go())
+        engine = front.engine
         registry = obs.MetricsRegistry()
+        obs.bind_serve_stats(registry, front.stats)
         obs.bind_cache_stats(registry, engine.cache)
-        stats = engine.cache.stats()
-        assert registry.value("cache_full_hits") == stats["full_hits"]
-        assert registry.value("cache_misses") == stats["misses"]
+        obs.bind_engine_stats(registry, engine)
+        live = {"serve": vars(front.stats), "cache": engine.cache.stats(), "engine": engine.stats()}
+        for name in registry.names():
+            prefix, key = name.split("_", 1)
+            expected = live[prefix][key]
+            if isinstance(expected, obs.Histogram):
+                expected = expected.to_dict()
+            assert registry.value(name) == expected, name
+        assert registry.value("cache_full_hits") > 0
+        assert registry.value("serve_writes_applied") > 0
+
+
+def _zero_counters(obj) -> set[str]:
+    """Public ``int``/``float`` attributes of ``obj`` that are zero."""
+    names = set(getattr(obj, "__dict__", ())) | set(getattr(type(obj), "__slots__", ()))
+    return {
+        name
+        for name in names
+        if not name.startswith("_")
+        and type(getattr(obj, name)) in (int, float)
+        and getattr(obj, name) == 0
+    }
+
+
+def _report_keys(report: dict) -> set[str]:
+    keys = set(report)
+    for value in report.values():
+        if isinstance(value, dict):
+            keys |= _report_keys(value)
+    return keys
+
+
+class TestCounterReporting:
+    """A counter that is incremented but missing from its class's report
+    drops a column from every saved report. Each class that reports is
+    taken fresh, so every counter it keeps is zero, and each such
+    counter must be a key of the report."""
+
+    def test_every_counter_reaches_its_report(self, data):
+        engine = fresh_engine(data)
+        # update_wall_ms is reported only by a run that had updates.
+        updates = fresh_engine(data).run([InsertOp(np.full(D, 0.5))]).updates
+        workload_report = WorkloadReport(responses=[], wall_ms=0.0, updates=updates)
+        histogram = obs.Histogram("h")
+        # Histogram.max_seen is reported as "max".
+        histogram_report = histogram.to_dict()
+        histogram_report["max_seen"] = histogram_report.pop("max")
+        collector = obs.TraceCollector()
+        serve_stats = ServeStats()
+        with ShardedGIREngine(data, shards=2, backend="inproc") as sharded:
+            cases = [
+                (serve_stats, serve_stats.to_dict()),
+                (collector, collector.stats()),
+                (histogram, histogram_report),
+                (engine.cache, engine.cache.stats()),
+                (engine, engine.stats()),
+                (workload_report, workload_report.to_dict()),
+                (sharded, sharded.stats()),
+            ]
+            for obj, report in cases:
+                counters = _zero_counters(obj)
+                assert counters, type(obj).__name__
+                missing = counters - _report_keys(report)
+                assert not missing, f"{type(obj).__name__} does not report {sorted(missing)}"
 
 
 class TestExporters:

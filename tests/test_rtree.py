@@ -330,6 +330,11 @@ class TestTreeIdentity:
     order or to node-id allocation changes a digest.
     """
 
+    BUMP = (
+        "a page-layout change must bump serde.FORMAT_VERSION, then update "
+        "this digest"
+    )
+
     GOLDEN = {
         2: (
             240,
@@ -349,7 +354,7 @@ class TestTreeIdentity:
         rng = np.random.default_rng(40 + d)
         pts = rng.random((n, d))
         tree = bulk_load_str(Dataset(pts), store=PageStore(page_size=512))
-        assert tree_digest(tree) == bulk_digest
+        assert tree_digest(tree) == bulk_digest, self.BUMP
 
         live = {rid: pts[rid] for rid in range(n)}
         next_rid = n
@@ -376,4 +381,4 @@ class TestTreeIdentity:
             inserts += 1
         tree.validate(check_fill=False)
         assert tree.size == len(live)
-        assert tree_digest(tree) == stream_digest
+        assert tree_digest(tree) == stream_digest, self.BUMP

@@ -8,9 +8,14 @@ worker exceptions must survive the crossing with enough context to debug.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+import struct
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cluster import wire
 from repro.cluster.backends import ShardReply, ShardSpec, ShardUpdate
 from repro.geometry.polytope import Polytope
@@ -32,8 +37,6 @@ class TestPolytopeBytes:
     def test_malformed_payloads_rejected(self):
         with pytest.raises(ValueError, match="payload"):
             Polytope.from_bytes(region().to_bytes()[:-8])
-        import struct
-
         with pytest.raises(ValueError, match="malformed"):
             Polytope.from_bytes(struct.pack("<qq", -1, 2))
 
@@ -55,16 +58,12 @@ class TestFraming:
             wire.decode_frame(frame)
 
     def test_version_mismatch_rejected(self):
-        import struct
-
         frame = bytearray(wire.encode_frame(wire.MSG_READY))
         struct.pack_into("<H", frame, 4, wire.WIRE_VERSION + 1)
         with pytest.raises(wire.WireError, match="version"):
             wire.decode_frame(bytes(frame))
 
     def test_unknown_message_type_rejected(self):
-        import struct
-
         frame = bytearray(wire.encode_frame(wire.MSG_READY))
         struct.pack_into("<H", frame, 6, 999)
         with pytest.raises(wire.WireError, match="unknown message"):
@@ -269,8 +268,6 @@ class TestDecodeErrorPaths:
             wire.decode_insert(reader)
 
     def test_negative_array_dimension_rejected(self):
-        import struct
-
         payload = bytearray(wire.encode_insert(np.ones(3)))
         struct.pack_into("<q", payload, 2, -3)  # first shape slot
         msg, reader = wire.decode_frame(
@@ -297,3 +294,87 @@ class TestDecodeErrorPaths:
         )
         with pytest.raises(wire.WireError, match="truncated"):
             wire.decode_batch_reply(reader)
+
+
+class TestFrameIdentity:
+    """Golden digest of one frame of every message type.
+
+    The round-trip tests above pass for any layout both sides agree on;
+    this digest fails when the bytes themselves change, so a layout
+    change cannot ship without a ``WIRE_VERSION`` bump. The inputs are
+    exact binary fractions, so no float rounding enters the bytes.
+    """
+
+    GOLDEN = (3, "059e679c07d5f54fd0b63f088726ede8cba3944e904202fe7829a1593ebd3fff")
+
+    def frames(self) -> dict[int, bytes]:
+        rows = np.arange(12, dtype=np.float64).reshape(4, 3) / 8.0
+        box = Polytope.from_unit_box(2)
+        region = Polytope(np.vstack([box.A, [[-0.5, 0.25]]]), np.append(box.b, 0.0))
+        spec = ShardSpec(
+            shard=1, name="fixed[shard1]", points=rows, method="fp",
+            cache_capacity=16, invalidation="gir", page_sleep_ms=0.5,
+            scorer=LinearScoring(3),
+        )
+        reply = ShardReply(
+            ids=(3, 1), scores=(0.75, 0.5), tie_sums=(1.5, 1.25),
+            points_g=rows[:2, :2], region=region, source="computed",
+            pages_read=5, latency_ms=0.125, cache_entries=2,
+        )
+        update = ShardUpdate(
+            rid=4, evicted=2, screened=3, lps=1, latency_ms=0.25,
+            cache_entries=6,
+        )
+        span = obs.SpanRecord("t-1", "s-2", "s-1", "shard.topk_batch", 16.0, 2.5, 7, 9, {"k": 3})
+        # The scorer crosses as pickle's bytes, not this format's: they
+        # may differ across Python/numpy versions, so the digest stops
+        # before that last field (its 4-byte length, then the pickle).
+        build = wire.encode_frame(wire.MSG_BUILD, wire.encode_build(spec))
+        scorer = pickle.dumps(spec.scorer)
+        assert build.endswith(scorer)
+        return {
+            wire.MSG_BUILD: build[: -4 - len(scorer)],
+            wire.MSG_TOPK_BATCH: wire.encode_frame(
+                wire.MSG_TOPK_BATCH,
+                wire.encode_topk_batch([(rows[0] + 0.5, 3), (rows[1], 5)]),
+                trace=("t-1", "s-1"),
+            ),
+            wire.MSG_INSERT: wire.encode_frame(wire.MSG_INSERT, wire.encode_insert(rows[2])),
+            wire.MSG_DELETE: wire.encode_frame(wire.MSG_DELETE, wire.encode_delete(7)),
+            wire.MSG_REPLY_BATCH: wire.encode_frame(
+                wire.MSG_REPLY_BATCH, wire.encode_batch_reply([reply, reply])
+            ),
+            wire.MSG_REPLY_UPDATE: wire.encode_frame(
+                wire.MSG_REPLY_UPDATE, wire.encode_update(update)
+            ),
+            wire.MSG_REPLY_STATS: wire.encode_frame(
+                wire.MSG_REPLY_STATS,
+                wire.encode_stats({"page_reads": 42, "live_records": 100}),
+            ),
+            wire.MSG_REPLY_TRACE: wire.encode_frame(
+                wire.MSG_REPLY_TRACE,
+                wire.encode_trace_payload(
+                    {"spans": [span.to_dict()], "started": 1, "finished": 1, "dropped": 0}
+                ),
+            ),
+            wire.MSG_REPLY_ERROR: wire.encode_frame(
+                wire.MSG_REPLY_ERROR,
+                wire.encode_error(KeyError("rid 9 is not live")),
+            ),
+            **{
+                msg: wire.encode_frame(msg)
+                for msg in (wire.MSG_READY, wire.MSG_STATS, wire.MSG_SHUTDOWN, wire.MSG_TRACE)
+            },
+        }
+
+    def test_frame_digest(self):
+        frames = self.frames()
+        assert sorted(frames) == sorted(wire.MSG_NAMES)
+        digest = hashlib.sha256()
+        for msg in sorted(frames):
+            digest.update(struct.pack("<Q", len(frames[msg])) + frames[msg])
+        got = (wire.WIRE_VERSION, digest.hexdigest())
+        assert got == self.GOLDEN, (
+            f"a frame-layout change must bump WIRE_VERSION, then update "
+            f"this digest to {got}"
+        )
