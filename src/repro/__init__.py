@@ -61,7 +61,7 @@ from repro.data import (
     make_synthetic,
 )
 from repro.geometry import FacetFan, Halfspace, Polytope
-from repro.index import MBB, PageStore, RStarTree, bulk_load_str
+from repro.index import PageStore, RStarTree, bulk_load_str
 from repro.query import BRSRun, TopKResult, bbs_skyline, brs_topk, scan_skyline, scan_topk
 from repro.scoring import (
     LinearScoring,
@@ -113,7 +113,6 @@ __all__ = [
     "RStarTree",
     "bulk_load_str",
     "PageStore",
-    "MBB",
     # query
     "brs_topk",
     "bbs_skyline",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
-__all__ = ["format_table", "print_table", "fmt"]
+__all__ = ["format_table", "fmt"]
 
 
 def fmt(value: Any) -> str:
@@ -37,10 +37,3 @@ def format_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[Any
     for row in cells:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def print_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    text = format_table(title, headers, rows)
-    print(text)
-    print()
-    return text

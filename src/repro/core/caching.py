@@ -19,12 +19,13 @@ Hit accounting is non-overlapping: every lookup is exactly one of
 Vectorized membership
 ---------------------
 
-The cache keeps every entry's half-space rows stacked in a
-:class:`~repro.core.region_index.RegionIndex` (one per query-space
-dimensionality), so :meth:`GIRCache.lookup` answers "which cached regions
-contain this vector?" with one matvec over *all* entries instead of a
-Python loop of per-entry tests, and :meth:`GIRCache.lookup_batch` resolves
-a whole request batch from a single matmul. :meth:`GIRCache.lookup_scan`
+The cache keeps every entry's half-space rows stacked in one
+:class:`~repro.core.region_index.RegionIndex`, so
+:meth:`GIRCache.lookup_batch` answers "which cached regions contain these
+vectors?" for a whole request batch from a single matmul instead of a
+Python loop of per-entry tests; :meth:`GIRCache.lookup` is a batch of
+one. The first insert fixes the cache's dimensionality: a region or a
+vector of another ``d`` is a ``ValueError``. :meth:`GIRCache.lookup_scan`
 preserves the entry-by-entry reference path — same answers, same
 accounting — for the equivalence tests.
 
@@ -221,8 +222,9 @@ class GIRCache:
         self.capacity = capacity
         self._entries: OrderedDict[int, GIRResult] = OrderedDict()
         self._next_key = 0
-        #: One region index per query-space dimensionality.
-        self._indexes: dict[int, RegionIndex] = {}
+        #: The stacked regions; created by the first insert, whose
+        #: dimensionality every later region and vector must match.
+        self._index: RegionIndex | None = None
         #: Monotone recency stamps (mirror the OrderedDict order) so the
         #: vectorized lookup can break ties most-recently-used-first
         #: without walking the dict.
@@ -250,28 +252,6 @@ class GIRCache:
         self._tick += 1
         self._stamps[key] = self._tick
 
-    def _register(
-        self, key: int, gir: GIRResult, kth_g: np.ndarray | None
-    ) -> None:
-        self._entries[key] = gir
-        self._tick += 1
-        self._stamps[key] = self._tick
-        d = int(gir.weights.shape[0])
-        index = self._indexes.get(d)
-        if index is None:
-            index = self._indexes[d] = RegionIndex(d)
-        index.add(key, gir.polytope, kth_g=kth_g, interior=gir.weights)
-
-    def _unregister(self, key: int) -> bool:
-        gir = self._entries.pop(key, None)
-        if gir is None:
-            return False
-        self._stamps.pop(key, None)
-        index = self._indexes.get(int(gir.weights.shape[0]))
-        if index is not None:
-            index.remove(key)
-        return True
-
     def entry(self, key: int) -> GIRResult:
         """The cached entry under ``key`` (no recency touch)."""
         return self._entries[key]
@@ -291,11 +271,19 @@ class GIRCache:
         the vectorized insert-invalidation prescreen for this entry (see
         :meth:`prescreen_insert`); optional for read-only deployments.
         """
+        if self._index is None:
+            self._index = RegionIndex(int(gir.weights.shape[0]))
         key = self._next_key
+        # The index rejects a region of another dimensionality before
+        # anything is written, so a rejected insert leaves no entry.
+        self._index.add(key, gir.polytope, kth_g=kth_g, interior=gir.weights)
         self._next_key += 1
-        self._register(key, gir, kth_g)
+        self._entries[key] = gir
+        self._touch(key)
         if len(self._entries) > self.capacity:
-            self._unregister(next(iter(self._entries)))
+            oldest = next(iter(self._entries))
+            del self._entries[oldest], self._stamps[oldest]
+            self._index.remove(oldest)
             self.capacity_evictions += 1
         return key
 
@@ -304,17 +292,16 @@ class GIRCache:
     @sanitize.mutates  # a hit touches recency; every path bumps counters
     def lookup(self, weights: np.ndarray, k: int) -> CacheHit | None:
         """Serve a query from cache if its vector lies in some cached GIR
-        whose entry was cached for ``k`` or more records.
+        whose entry was cached for ``k`` or more records: a
+        :meth:`lookup_batch` of one.
 
-        Membership of *all* entries is evaluated in one vectorized pass
-        over the region index; a hit refreshes the entry's recency. Among
-        the serving candidates the most recently used wins (exactly the
-        order the entry-by-entry scan of :meth:`lookup_scan` produces).
-        Returns ``None`` on a miss — including a vector only a
-        smaller-``k`` entry contains, which is not touched.
+        A hit refreshes the entry's recency. Among the serving candidates
+        the most recently used wins (exactly the order the entry-by-entry
+        scan of :meth:`lookup_scan` produces). Returns ``None`` on a miss —
+        including a vector only a smaller-``k`` entry contains, which is
+        not touched.
         """
-        weights = np.asarray(weights, dtype=np.float64)
-        return self._resolve(self._members_of(weights), k)
+        return self.lookup_batch(np.asarray(weights, dtype=np.float64)[None], [k])[0]
 
     @sanitize.mutates
     def lookup_scan(self, weights: np.ndarray, k: int) -> CacheHit | None:
@@ -354,7 +341,8 @@ class GIRCache:
         sequence. Results, recency refreshes and hit/miss accounting are
         exactly those of ``q`` sequential :meth:`lookup` calls (pure
         lookups never change membership, so the batched matrix stays valid
-        throughout).
+        throughout). A ``d`` other than the cached regions' is a
+        ``ValueError``.
 
         With ``stop_after_non_full`` the batch stops — *after* accounting
         it — at the first miss, returning a possibly shorter list. The
@@ -367,33 +355,18 @@ class GIRCache:
             raise ValueError("weights_batch must have shape (q, d)")
         q = W.shape[0]
         ks_arr = np.broadcast_to(np.asarray(ks, dtype=np.int64), (q,))
-        index = self._indexes.get(int(W.shape[1]))
-        membership = None
-        keys: list[int] = []
-        if index is not None and len(index):
-            membership = index.membership_batch(W)
-            keys = index.keys()
+        if self._index is None:
+            membership, keys = np.zeros((q, 0), dtype=bool), []
+        else:
+            membership, keys = self._index.membership_batch(W), self._index.keys()
         hits: list[CacheHit | None] = []
         for i in range(q):
-            members = (
-                [keys[j] for j in np.nonzero(membership[i])[0]]
-                if membership is not None
-                else []
-            )
+            members = [keys[j] for j in np.nonzero(membership[i])[0]]
             hit = self._resolve(members, int(ks_arr[i]))
             hits.append(hit)
             if stop_after_non_full and hit is None:
                 break
         return hits
-
-    def _members_of(self, weights: np.ndarray) -> list[int]:
-        """Keys of all cached entries whose region contains ``weights``."""
-        index = self._indexes.get(int(weights.shape[0]))
-        if index is None or not len(index):
-            return []
-        mask = index.membership(weights)
-        keys = index.keys()
-        return [keys[i] for i in np.nonzero(mask)[0]]
 
     def _resolve(self, member_keys: Sequence[int], k: int) -> CacheHit | None:
         """Pick the serving entry among containing entries and account the
@@ -408,10 +381,6 @@ class GIRCache:
         self.full_hits += 1
         return CacheHit(ids=self._entries[key].topk.ids[:k], entry_key=key)
 
-    def entry_keys(self) -> list[int]:
-        """Keys of the currently cached entries (LRU order, oldest first)."""
-        return list(self._entries)
-
     def items(self) -> Iterator[tuple[int, GIRResult]]:
         """(key, entry) pairs in LRU order, oldest first (no recency touch)."""
         return iter(list(self._entries.items()))
@@ -424,57 +393,41 @@ class GIRCache:
     ) -> InsertPrescreen:
         """Screen the whole cache against an inserted record's g-image.
 
-        One vectorized pass per region index (see
+        One vectorized pass over the region index (see
         :meth:`~repro.core.region_index.RegionIndex.prescreen_insert`)
         partitions the entries into provably-undisturbed / exact-tie /
         provably-disturbed / LP-candidate sets; the caller runs
-        :func:`invalidated_by_insert`'s LP only on the candidates.
-        Entries indexed under a different dimensionality than ``point_g``
-        (impossible through :class:`repro.engine.GIREngine`) are returned
-        as candidates so no caller can silently skip them.
+        :func:`invalidated_by_insert`'s LP only on the candidates. A
+        ``point_g`` of another dimensionality than the cached regions' is
+        a ``ValueError``.
         """
-        point_g = np.asarray(point_g, dtype=np.float64)
-        d = int(point_g.shape[0])
-        by_code: dict[int, list[int]] = {
-            code: [] for code in (SCREEN_SAFE, SCREEN_TIE, SCREEN_EVICT, SCREEN_LP)
-        }
-        for dim, index in self._indexes.items():
-            if not len(index):
-                continue
-            keys = np.asarray(index.keys())
-            if dim != d:
-                by_code[SCREEN_LP].extend(keys.tolist())
-                continue
-            codes = index.prescreen_insert(point_g, tol=tol)
-            for code, bucket in by_code.items():
-                bucket.extend(keys[codes == code].tolist())
+        if self._index is None:
+            return InsertPrescreen(safe=(), ties=(), evict=(), candidates=())
+        keys = np.asarray(self._index.keys(), dtype=np.int64)
+        codes = self._index.prescreen_insert(point_g, tol=tol)
+
+        def coded(code: int) -> tuple[int, ...]:
+            return tuple(keys[codes == code].tolist())
+
         return InsertPrescreen(
-            safe=tuple(by_code[SCREEN_SAFE]),
-            ties=tuple(by_code[SCREEN_TIE]),
-            evict=tuple(by_code[SCREEN_EVICT]),
-            candidates=tuple(by_code[SCREEN_LP]),
+            safe=coded(SCREEN_SAFE),
+            ties=coded(SCREEN_TIE),
+            evict=coded(SCREEN_EVICT),
+            candidates=coded(SCREEN_LP),
         )
 
     @sanitize.mutates
     def evict(self, keys: Iterable[int]) -> int:
         """Drop the given entries (update invalidation); returns the number
-        actually removed. Unknown keys are ignored. The region indexes are
-        compacted once per dimensionality, not once per key."""
-        by_dim: dict[int, list[int]] = {}
-        removed = 0
-        for key in keys:
-            gir = self._entries.pop(key, None)
-            if gir is None:
-                continue
-            removed += 1
-            self._stamps.pop(key, None)
-            by_dim.setdefault(int(gir.weights.shape[0]), []).append(key)
-        for dim, dim_keys in by_dim.items():
-            index = self._indexes.get(dim)
-            if index is not None:
-                index.remove_many(dim_keys)
-        self.invalidation_evictions += removed
-        return removed
+        actually removed. Unknown keys are ignored. The region index is
+        compacted once, not once per key."""
+        removed = [key for key in keys if self._entries.pop(key, None) is not None]
+        for key in removed:
+            del self._stamps[key]
+        if removed:
+            self._index.remove_many(removed)
+        self.invalidation_evictions += len(removed)
+        return len(removed)
 
     @sanitize.mutates
     def flush(self) -> int:
@@ -482,8 +435,8 @@ class GIRCache:
         removed = len(self._entries)
         self._entries.clear()
         self._stamps.clear()
-        for index in self._indexes.values():
-            index.clear()
+        if self._index is not None:
+            self._index.clear()
         self.invalidation_evictions += removed
         return removed
 
@@ -499,7 +452,5 @@ class GIRCache:
             "invalidation_evictions": self.invalidation_evictions,
             "capacity_evictions": self.capacity_evictions,
             "entries": len(self._entries),
-            "index_rows": sum(
-                index.rows for index in self._indexes.values()
-            ),
+            "index_rows": self._index.rows if self._index is not None else 0,
         }

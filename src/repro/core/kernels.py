@@ -2,12 +2,13 @@
 
 The serving hot path bottoms out in a handful of tiny dense loops: the
 segmented membership reduction of :class:`~repro.core.region_index.RegionIndex`
-(one matvec over all cached half-space rows plus a per-entry AND), the
-facet-visibility tests inside the FP fan refinement
+(one matmul of a query batch against all cached half-space rows plus a
+per-entry AND), the facet-visibility tests inside the FP fan refinement
 (:mod:`repro.core.phase2_fp` / :class:`~repro.geometry.incident_facets.FacetFan`)
 and the screen bound of the insert prescreen. They live here, one
 implementation each, so a change to one of them is a change to this
-module only.
+module only. Every kernel takes row stacks: a single query vector, point
+or box is a batch of one row, and there is no single-row twin.
 """
 
 from __future__ import annotations
@@ -16,78 +17,31 @@ import numpy as np
 
 __all__ = [
     "backend_info",
-    "segmented_membership",
     "segmented_membership_batch",
     "segmented_max",
-    "above_mask",
-    "any_above",
-    "box_any_above",
     "boxes_any_above",
     "facet_heights",
     "dominated_mask",
 ]
 
 
-def segmented_membership(
-    A: np.ndarray, b: np.ndarray, offsets: np.ndarray, x: np.ndarray, tol: float
-) -> np.ndarray:
-    """Per-segment AND of ``A @ x <= b + tol`` over row segments.
-
-    ``offsets`` has one more element than there are segments; segment ``i``
-    owns rows ``offsets[i]:offsets[i+1]``. Returns a boolean array with one
-    entry per segment.
-    """
-    ok = A @ x <= b + tol
-    return np.logical_and.reduceat(ok, offsets[:-1])
-
-
 def segmented_membership_batch(
     A: np.ndarray, b: np.ndarray, offsets: np.ndarray, X: np.ndarray, tol: float
 ) -> np.ndarray:
-    """Batched :func:`segmented_membership`: ``X`` is ``(q, d)``,
-    returns boolean ``(q, n_segments)``."""
+    """Per-segment AND of ``X @ Aᵀ <= b + tol`` over row segments.
+
+    ``offsets`` has one more element than there are segments; segment ``i``
+    owns rows ``offsets[i]:offsets[i+1]``. ``X`` is ``(q, d)``; returns
+    boolean ``(q, n_segments)``.
+    """
     ok = X @ A.T <= b + tol
     return np.logical_and.reduceat(ok, offsets[:-1], axis=1)
 
 
 def segmented_max(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment max of a stacked value vector (see membership for the
-    segment convention)."""
+    """Per-segment max of a stacked value vector (segments as in
+    :func:`segmented_membership_batch`)."""
     return np.maximum.reduceat(values, offsets[:-1])
-
-
-def above_mask(
-    normals: np.ndarray, offsets: np.ndarray, point: np.ndarray, eps: float
-) -> np.ndarray:
-    """Which facets (rows of ``normals`` / entries of ``offsets``) does
-    ``point`` lie strictly above? The FP fan's per-point visibility test."""
-    return normals @ point - offsets > eps
-
-
-def any_above(
-    points: np.ndarray, normals: np.ndarray, offsets: np.ndarray, eps: float
-) -> np.ndarray:
-    """Per-point: is the point above at least one facet? ``points`` is
-    ``(m, d)``; the batched prefilter of ``FacetFan.add_points``."""
-    return (points @ normals.T - offsets > eps).any(axis=1)
-
-
-def box_any_above(
-    pos: np.ndarray,
-    neg: np.ndarray,
-    offsets: np.ndarray,
-    hi: np.ndarray,
-    lo: np.ndarray,
-    eps: float,
-) -> bool:
-    """Can any point of the box ``[lo, hi]`` lie above some facet?
-
-    ``pos`` / ``neg`` are the clamped facet normals ``max(n, 0)`` /
-    ``min(n, 0)`` — the max of a linear function over a box is
-    corner-separable. This is the node-pruning test of FP's disk step.
-    """
-    best = pos @ hi + neg @ lo
-    return bool((best - offsets > eps).any())
 
 
 def boxes_any_above(
@@ -98,9 +52,14 @@ def boxes_any_above(
     los: np.ndarray,
     eps: float,
 ) -> np.ndarray:
-    """Batched :func:`box_any_above`: ``his`` / ``los`` are ``(m, d)``
-    box corners, the result is one boolean per box. FP's disk step tests a
-    whole heap (or a fetched node's children) with one call."""
+    """Can any point of each box ``[lo, hi]`` lie above some facet?
+
+    ``his`` / ``los`` are ``(m, d)`` box corners and the result is one
+    boolean per box. ``pos`` / ``neg`` are the clamped facet normals
+    ``max(n, 0)`` / ``min(n, 0)``: the max of a linear function over a box
+    is corner-separable. FP's disk step tests a whole heap (or a fetched
+    node's children) with one call.
+    """
     best = his @ pos.T + los @ neg.T
     return (best - offsets > eps).any(axis=1)
 

@@ -81,10 +81,6 @@ class GIRStats:
         return self.cpu_ms_phase1 + self.cpu_ms_phase2
 
     @property
-    def io_pages_total(self) -> int:
-        return self.io_pages_topk + self.io_pages_phase2
-
-    @property
     def io_ms_phase2(self) -> float:
         """Simulated Phase-2 I/O time — the paper's I/O metric."""
         return self.io_pages_phase2 * self.io_ms_per_page
@@ -108,11 +104,6 @@ class GIRResult:
     def contains(self, q: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
         """Does query vector ``q`` preserve the (ordered) top-k result?"""
         return self.polytope.contains(q, tol=tol)
-
-    def contains_batch(self, Q: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-        """Vectorized :meth:`contains` over a ``(m, d)`` batch of query
-        vectors; returns a boolean ``(m,)`` array."""
-        return self.polytope.contains_batch(Q, tol=tol)
 
     def volume(self) -> float:
         return self.polytope.volume()

@@ -1,16 +1,11 @@
 """Vectorized region-membership index over cached GIR polytopes.
 
 The serving hot path of :class:`~repro.core.caching.GIRCache` is "which
-cached regions contain this query vector?" — previously answered by a
-Python loop calling :meth:`~repro.geometry.polytope.Polytope.contains`
-once per entry (one small matmul each). This index stacks every cached
-entry's *normalized* half-space rows ``(A, b)`` into one contiguous matrix
-with per-entry row segments, so
-
-* a single-query membership test is **one** matvec over all entries plus a
-  segment reduction (:meth:`RegionIndex.membership`), and
-* a whole request batch is **one** matmul ``W @ A_allᵀ``
-  (:meth:`RegionIndex.membership_batch`).
+cached regions contain these query vectors?". This index stacks every
+cached entry's *normalized* half-space rows ``(A, b)`` into one contiguous
+matrix with per-entry row segments, so a whole request batch is **one**
+matmul ``W @ A_allᵀ`` plus a segment reduction
+(:meth:`RegionIndex.membership_batch`); a single vector is a batch of one.
 
 Rows come from :meth:`Polytope.normalized_halfspaces`, so the single
 global tolerance is norm-relative and agrees bit-for-bit in form with the
@@ -92,14 +87,14 @@ class _ScreenEntry:
 
 
 # Single-owner, no lock: owned by one GIRCache and reached only under the
-# router's serve lock (membership lazily materializes screen stacks).
+# router's serve lock (the prescreen lazily materializes its stacks).
 class RegionIndex:
     """Contiguously stacked half-space rows of many bounded regions.
 
-    All regions share one dimensionality ``d`` (the cache keeps one index
-    per query-space dimension). Entries are identified by the cache's
-    integer keys; ``add``/``remove``/``clear`` maintain the stacks
-    incrementally (append on add, segment splice on remove).
+    All regions share one dimensionality ``d``, the cache's query-space
+    dimension. Entries are identified by the cache's integer keys;
+    ``add``/``remove``/``clear`` maintain the stacks incrementally (append
+    on add, segment splice on remove).
     """
 
     def __init__(self, d: int) -> None:
@@ -215,19 +210,6 @@ class RegionIndex:
 
     # -- membership -----------------------------------------------------------
 
-    def membership(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-        """Boolean array over :meth:`keys`: which regions contain ``x``?
-
-        One matvec over all stacked rows + one segment reduction —
-        equivalent to calling ``contains`` per entry.
-        """
-        if not self._keys:
-            return np.zeros(0, dtype=bool)
-        x = np.asarray(x, dtype=np.float64)
-        return kernels.segmented_membership(
-            self._A, self._b, self._offsets, x, tol
-        )
-
     def membership_batch(self, X: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         """Membership of a whole query batch at once.
 
@@ -327,11 +309,13 @@ class RegionIndex:
         ``interior``, or whose ray enumeration failed, are always
         :data:`SCREEN_LP`.
         """
+        point_g = np.asarray(point_g, dtype=np.float64)
+        if point_g.shape != (self.d,):
+            raise ValueError(f"point_g must have shape ({self.d},)")
         n = len(self._keys)
         codes = np.full(n, SCREEN_LP, dtype=np.int8)
         if n == 0:
             return codes
-        point_g = np.asarray(point_g, dtype=np.float64)
         R_all, rdots, rmax, offsets, kth, eligible = self._materialize_screen()
         gap = R_all @ point_g - rdots  # δ · r, one value per ray
         m = kernels.segmented_max(gap, offsets)

@@ -66,6 +66,9 @@ is its *slot*) and the facets in an integer ``(F, d − 1)`` array of
 ascending vertex slots beside the stacked normals and offsets, so the
 geometry of a batch of facets is one fancy index and one batched SVD, a
 visibility test is one product, and a rebuild is three concatenations.
+Both tests take row stacks only — :meth:`FacetFan.add_points` a batch of
+points, :meth:`FacetFan.boxes_seen` a batch of boxes — and one point or
+box is a batch of one row.
 High dimensions produce thousands of incident facets (Figure 8(b)), which
 makes this the difference between FP winning and losing the CPU comparison
 of Figure 15.
@@ -79,39 +82,14 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from repro.geometry.predicates import EPS, affine_rank_basis
-from repro.index.mbb import MBB
 
-__all__ = ["FanFacet", "FacetFan", "FanError"]
+__all__ = ["FacetFan", "FanError"]
 
 PointKey = Hashable
 
 
 class FanError(RuntimeError):
     """Raised when fan invariants break (apex not a hull vertex)."""
-
-
-class FanFacet:
-    """One star facet: the apex plus ``d − 1`` other vertices.
-
-    ``normal`` points away from the hull interior, and because every fan
-    facet passes through the apex, its offset is ``normal · apex``.
-    """
-
-    __slots__ = ("others", "normal", "offset")
-
-    def __init__(self, others: frozenset[PointKey], normal: np.ndarray, offset: float):
-        self.others = others
-        self.normal = normal
-        self.offset = offset
-
-    def is_above(self, point: np.ndarray, eps: float = EPS) -> bool:
-        return float(self.normal @ point) > self.offset + eps
-
-    def mbb_above(self, mbb: MBB, eps: float = EPS) -> bool:
-        """True iff some corner of ``mbb`` lies strictly above the facet
-        (the max of a linear function over a box is corner-separable)."""
-        best = float(np.where(self.normal > 0, mbb.hi, mbb.lo) @ self.normal)
-        return best > self.offset + eps
 
 
 def _drop_one(n: int) -> np.ndarray:
@@ -158,18 +136,6 @@ class FacetFan:
         self._degenerate = False
 
     # -- storage --------------------------------------------------------------
-
-    @property
-    def facets(self) -> list[FanFacet]:
-        """Materialised facet objects (for inspection/tests)."""
-        return [
-            FanFacet(
-                frozenset(self._keys[s] for s in row),
-                self._normals[i],
-                float(self._offsets[i]),
-            )
-            for i, row in enumerate(self._verts.tolist())
-        ]
 
     def facet_count(self) -> int:
         return int(self._verts.shape[0])
@@ -332,10 +298,6 @@ class FacetFan:
             changed = True
         return changed
 
-    def add_point(self, key: PointKey, point: np.ndarray) -> bool:
-        """Insert one point; returns True iff it changed the fan."""
-        return self.add_points([key], np.asarray(point, dtype=np.float64)[None, :])
-
     def _insert(
         self, key: PointKey, point: np.ndarray, above: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -373,34 +335,10 @@ class FacetFan:
 
     # -- queries ----------------------------------------------------------------
 
-    def sees(self, point: np.ndarray) -> bool:
-        """Is the point above at least one fan facet (i.e. potentially
-        critical)?"""
-        if self._degenerate:
-            return True
-        p = np.asarray(point, dtype=np.float64)
-        return bool(
-            kernels.above_mask(self._normals, self._offsets, p, self.eps).any()
-        )
-
-    def seen_mask(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`sees` for an ``(m, d)`` batch."""
-        if self._degenerate:
-            return np.ones(pts.shape[0], dtype=bool)
-        return kernels.any_above(pts, self._normals, self._offsets, self.eps)
-
-    def mbb_sees(self, mbb: MBB, eps: float | None = None) -> bool:
-        """Can any point of the MBB lie above some fan facet? (False ⇒ the
-        R-tree node is prunable, per Section 6.2/6.3.2.)"""
-        if self._degenerate:
-            return True
-        eps = self.eps if eps is None else eps
-        return kernels.box_any_above(
-            self._pos, self._neg, self._offsets, mbb.hi, mbb.lo, eps
-        )
-
     def boxes_seen(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`mbb_sees` for ``(m, d)`` stacks of box corners."""
+        """Can any point of each box ``[lo, hi]`` lie above some fan facet?
+        ``los`` / ``his`` are ``(m, d)`` row stacks; a False row is an
+        R-tree node FP's disk step prunes (Sections 6.2 and 6.3.2)."""
         if self._degenerate:
             return np.ones(his.shape[0], dtype=bool)
         return kernels.boxes_any_above(

@@ -192,8 +192,8 @@ class Polytope:
 
         ``X`` is ``(m, d)``; returns a boolean ``(m,)`` array, row ``i``
         agreeing with ``contains(X[i])`` (same normalized rows, same
-        tolerance). One matmul instead of ``m`` Python-level loops — the
-        primitive behind the serving layer's batched cache lookup.
+        tolerance), in one matmul. Tests use it as the reference for
+        vertex containment between regions.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.d:

@@ -6,8 +6,7 @@ fetches the same page twice). This package reproduces that setting:
 
 * :mod:`repro.index.storage` — page store with read counters and a
   configurable I/O latency model;
-* :mod:`repro.index.mbb` — box geometry over ``(m, d)`` row stacks, and
-  the single-box :class:`MBB` with its score bounds;
+* :mod:`repro.index.mbb` — box geometry over ``(m, d)`` row stacks;
 * :mod:`repro.index.node` — a node as its page lays it out (``lo`` /
   ``hi`` / ``ids`` arrays) and fan-out math;
 * :mod:`repro.index.rtree` — dynamic R*-tree (choose-subtree, forced
@@ -16,13 +15,11 @@ fetches the same page twice). This package reproduces that setting:
 """
 
 from repro.index.bulkload import bulk_load_str
-from repro.index.mbb import MBB
 from repro.index.node import Node, node_capacities
 from repro.index.rtree import RStarTree
 from repro.index.storage import IOStats, PageStore
 
 __all__ = [
-    "MBB",
     "Node",
     "node_capacities",
     "PageStore",

@@ -11,7 +11,8 @@ The tree stores boxes as ``(m, d)`` ``lo`` / ``hi`` row stacks
 (:mod:`repro.index.node`), and the functions here are the box geometry
 over such stacks: every argument broadcasts over leading axes, ``d`` is
 the last axis, and each row's value is bit-equal to the same function on
-that one box alone. :class:`MBB` is a single validated box.
+that one box alone. There is no single-box type: one box is a stack of
+one row.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from repro.core.tolerances import EXACT_TOL
 
 __all__ = [
-    "MBB",
     "box_areas",
     "box_margins",
     "box_overlaps",
@@ -76,74 +76,3 @@ def boxes_contain(
     ``atol``)."""
     return (points >= lo - atol).all(axis=-1) & (points <= hi + atol).all(axis=-1)
 
-
-class MBB:
-    """Axis-aligned box ``[lo, hi]`` in ``[0, 1]^d``.
-
-    The tree holds no ``MBB`` objects. This is the public single-box value
-    type: :meth:`repro.geometry.incident_facets.FacetFan.mbb_sees` takes
-    one, and its score bounds and dominance test are the per-box forms of
-    what BRS, BBS and FP compute over a node's rows.
-    """
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lo and hi must be 1-d arrays of equal length")
-        if (lo > hi + EXACT_TOL).any():
-            raise ValueError("MBB requires lo <= hi in every dimension")
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def of_points(cls, points: np.ndarray) -> "MBB":
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[0] == 0:
-            raise ValueError("need a non-empty (m, d) array of points")
-        return cls(points.min(axis=0), points.max(axis=0))
-
-    @property
-    def d(self) -> int:
-        return int(self.lo.shape[0])
-
-    def center(self) -> np.ndarray:
-        return (self.lo + self.hi) / 2.0
-
-    # -- score bounds -----------------------------------------------------------
-
-    def maxscore(self, weights: np.ndarray) -> float:
-        """Upper bound on the score of any point in the box.
-
-        For non-negative weights this is the score of the top corner ``hi``;
-        in general it is attained corner-wise: take ``hi_i`` where ``w_i > 0``
-        and ``lo_i`` otherwise.
-        """
-        w = np.asarray(weights, dtype=np.float64)
-        return float(np.where(w >= 0, self.hi, self.lo) @ w)
-
-    def minscore(self, weights: np.ndarray) -> float:
-        """Lower bound on the score of any point in the box."""
-        w = np.asarray(weights, dtype=np.float64)
-        return float(np.where(w >= 0, self.lo, self.hi) @ w)
-
-    # -- dominance (used by BBS pruning) ------------------------------------------
-
-    def dominated_by(self, point: np.ndarray) -> bool:
-        """True if ``point`` dominates the *entire* box.
-
-        A record dominates the whole box iff it dominates the box's top
-        corner (every point in the box is ≤ the top corner component-wise).
-        """
-        p = np.asarray(point, dtype=np.float64)
-        return bool((p >= self.hi).all() and (p > self.hi).any())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MBB):
-            return NotImplemented
-        return bool(np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MBB(lo={self.lo.tolist()}, hi={self.hi.tolist()})"

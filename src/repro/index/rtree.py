@@ -24,7 +24,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.index.mbb import (
-    MBB,
     box_areas,
     box_margins,
     box_overlaps,
@@ -337,7 +336,7 @@ class RStarTree:
 
     def range_query(self, lo: np.ndarray, hi: np.ndarray, metered: bool = False) -> list[int]:
         """Record ids whose points fall inside the window ``[lo, hi]``."""
-        window = MBB(np.asarray(lo, float), np.asarray(hi, float))
+        lo, hi = np.asarray(lo, float), np.asarray(hi, float)
         result: list[int] = []
         read = self.fetch if metered else self._node
         stack = [self.root_id]
@@ -347,9 +346,9 @@ class RStarTree:
             # test (`overlap > 0`) skips zero-volume contacts — flat
             # MBBs from duplicated coordinates, or entries that only
             # touch the window boundary — and drops their records.
-            hit = boxes_intersect(window.lo, window.hi, node.lo, node.hi)
+            hit = boxes_intersect(lo, hi, node.lo, node.hi)
             if node.is_leaf:
-                hit &= boxes_contain(window.lo, window.hi, node.lo)
+                hit &= boxes_contain(lo, hi, node.lo)
                 result.extend(node.ids[hit].tolist())
             else:
                 stack.extend(node.ids[hit].tolist())

@@ -40,26 +40,11 @@ class IOStats:
     buffer_hits: int = 0
     latency_ms_per_page: float = DEFAULT_PAGE_LATENCY_MS
 
-    @property
-    def io_time_ms(self) -> float:
-        """Simulated I/O time under the configured per-page latency."""
-        return self.page_reads * self.latency_ms_per_page
-
     def reset(self) -> None:
         self.page_reads = 0
         self.leaf_reads = 0
         self.internal_reads = 0
         self.buffer_hits = 0
-
-    def snapshot(self) -> "IOStats":
-        """A frozen copy of the current counters."""
-        return IOStats(
-            page_reads=self.page_reads,
-            leaf_reads=self.leaf_reads,
-            internal_reads=self.internal_reads,
-            buffer_hits=self.buffer_hits,
-            latency_ms_per_page=self.latency_ms_per_page,
-        )
 
 
 class PageStore:
@@ -74,7 +59,9 @@ class PageStore:
         Size of an optional LRU buffer. ``0`` (the default) disables
         buffering, matching the paper's setup.
     latency_ms_per_page:
-        Simulated cost of one page read, used by :attr:`IOStats.io_time_ms`.
+        Simulated cost of one page read; the GIR pipeline copies it into
+        :attr:`~repro.core.pipeline.GIRStats.io_ms_per_page`, the factor of
+        the paper's I/O time metric.
     sleep_ms_per_page:
         When positive, every metered page read *actually sleeps* this many
         milliseconds instead of only counting. Accounting-only mode (the
@@ -156,9 +143,6 @@ class PageStore:
 
     def __len__(self) -> int:
         return len(self._pages)
-
-    def node_ids(self) -> list[int]:
-        return list(self._pages.keys())
 
     def reset_meter(self) -> None:
         """Zero the I/O counters (start of a fresh query)."""

@@ -41,7 +41,6 @@ from repro.obs.trace import (
     new_span_id,
     record_span,
     reset_collector,
-    snapshot,
     span,
     trace,
     tracing_enabled,
@@ -75,7 +74,6 @@ __all__ = [
     "prometheus_text",
     "record_span",
     "reset_collector",
-    "snapshot",
     "span",
     "spans_by_trace",
     "trace",

@@ -67,7 +67,6 @@ __all__ = [
     "new_span_id",
     "absorb",
     "drain",
-    "snapshot",
     "drain_payload",
 ]
 
@@ -224,11 +223,6 @@ class TraceCollector:
     def balanced(self) -> bool:
         """Every span entered so far has exited."""
         return self.started == self.finished
-
-    def snapshot(self) -> list[SpanRecord]:
-        """Buffered records, oldest first (non-destructive)."""
-        with self._guard:
-            return self._buf[self._head :] + self._buf[: self._head]
 
     def drain(self) -> list[SpanRecord]:
         """Return the buffered records and reset the buffer *and* the
@@ -466,10 +460,6 @@ def absorb(records: Iterable[Mapping[str, Any]]) -> int:
     return _STATE.collector.absorb(
         SpanRecord.from_dict(r) for r in records
     )
-
-
-def snapshot() -> list[SpanRecord]:
-    return _STATE.collector.snapshot()
 
 
 def drain() -> list[SpanRecord]:

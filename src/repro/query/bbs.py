@@ -86,10 +86,6 @@ class _SkylineSet:
     def ids(self) -> list[int]:
         return list(self._ids)
 
-    @property
-    def points(self) -> np.ndarray:
-        return self._buf[: self._size]
-
     def _remember_dominator(self, m: np.ndarray) -> None:
         """Add a member that just dominated something to the elite ring."""
         self._elite[self._elite_next] = m

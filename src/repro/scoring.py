@@ -60,10 +60,6 @@ class ScoringFunction:
         out = self.transform(pts) @ np.asarray(weights, dtype=np.float64)
         return float(out[0]) if single else out
 
-    @property
-    def is_linear(self) -> bool:
-        return isinstance(self, LinearScoring)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(d={self.d})"
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.caching import GIRCache
+from repro.core.caching import GIRCache, apply_insert_invalidation
 from repro.core.gir import compute_gir
 from repro.data.synthetic import independent
 from repro.cluster import ShardedGIREngine
@@ -73,19 +73,38 @@ class TestLookup:
         cache = GIRCache()
         cache.insert(compute_gir(tree, data, q, 10))
         cache.insert(compute_gir(tree, data, random_query(rng, 3), 5))
-        order = cache.entry_keys()
+        order = [key for key, _ in cache.items()]
         assert cache.lookup(q, 25) is None
         assert cache.lookup_scan(q, 25) is None
-        assert cache.entry_keys() == order
+        assert [key for key, _ in cache.items()] == order
         stats = cache.stats()
         assert (stats["full_hits"], stats["misses"]) == (0, 2)
 
-    def test_dimension_mismatch_misses(self, cached_setup, rng):
+    def test_dimension_mismatch_raises(self, cached_setup, rng):
+        """The first insert fixes the cache's d. A region of another d is
+        rejected before anything is written; a lookup or an insert screen
+        of another d raises instead of missing or reaching the LP."""
         data, tree = cached_setup
         gir = compute_gir(tree, data, random_query(rng, 3), 5)
         cache = GIRCache()
-        cache.insert(gir)
-        assert cache.lookup(np.array([0.5, 0.5]), 5) is None
+        cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
+        data4 = independent(300, 4, seed=72)
+        gir4 = compute_gir(bulk_load_str(data4), data4, random_query(rng, 4), 5)
+        before = cache.stats()
+        with pytest.raises(ValueError, match="3-d"):
+            cache.insert(gir4, kth_g=data4.points[gir4.topk.kth_id])
+        assert len(cache) == 1 and cache.stats() == before
+        with pytest.raises(ValueError):
+            cache.lookup(np.array([0.5, 0.5]), 5)
+        with pytest.raises(ValueError):
+            cache.lookup_batch(np.full((2, 4), 0.5), 5)
+        with pytest.raises(ValueError, match=r"\(3,\)"):
+            apply_insert_invalidation(
+                cache, np.full(4, 0.5), 2.0, 10**6, data4.points.__getitem__,
+                data4.points.__getitem__,
+            )
+        assert cache.stats() == before
+        assert cache.lookup(gir.weights, 5).ids == gir.topk.ids
 
 
 class TestEvictionAndStats:
@@ -237,7 +256,7 @@ class TestEvictionAndStats:
         cache.insert(compute_gir(tree, data, q, 10))
         outside = next(
             c for c in (rng.random(3) for _ in range(1000))
-            if not cache.entry(cache.entry_keys()[0]).contains(c)
+            if not next(cache.items())[1].contains(c)
         )
         W = np.stack([q, q, outside, q])
         hits = cache.lookup_batch(W, 10, stop_after_non_full=True)
@@ -453,7 +472,7 @@ class TestPrescreenMemoization:
         for _ in range(4):
             gir = compute_gir(tree, data, random_query(rng, 3), 5)
             cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
-        failing = cache.entry(cache.entry_keys()[0]).polytope
+        failing = next(cache.items())[1].polytope
         calls = {"cone_rays": 0}
         _count_polytope_calls(
             monkeypatch,
@@ -465,5 +484,5 @@ class TestPrescreenMemoization:
         )
         for _ in range(4):
             pre = cache.prescreen_insert(rng.random(3))
-            assert cache.entry_keys()[0] in pre.candidates
+            assert next(cache.items())[0] in pre.candidates
         assert calls["cone_rays"] == len(cache)

@@ -114,7 +114,7 @@ class TestBatchAccounting:
         # requests' own meters, and matches the pipelines' GIRStats.
         assert report.pages_read_total == sum(r.pages_read for r in report.responses)
         assert report.pages_read_total == sum(
-            r.gir_stats.io_pages_total
+            r.gir_stats.io_pages_topk + r.gir_stats.io_pages_phase2
             for r in report.responses
             if r.gir_stats is not None
         )

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from repro.core import kernels
 from repro.geometry.incident_facets import FacetFan, FanError
-from repro.index.mbb import MBB
 
 
 def make_apex_and_points(rng, n, d):
@@ -47,7 +47,7 @@ class TestFanBasics:
         base = np.eye(3) * 0.8
         fan = FacetFan(apex)
         fan.bootstrap([0, 1, 2], base, np.ones(3))
-        assert not fan.add_point(99, np.array([0.2, 0.2, 0.2]))
+        assert not fan.add_points([99], np.array([[0.2, 0.2, 0.2]]))
         assert 99 not in fan.critical_keys()
 
     def test_extending_point_updates_fan(self):
@@ -55,7 +55,7 @@ class TestFanBasics:
         base = np.eye(3) * 0.5
         fan = FacetFan(apex)
         fan.bootstrap([0, 1, 2], base, np.ones(3))
-        assert fan.add_point(99, np.array([0.9, 0.05, 0.05]))
+        assert fan.add_points([99], np.array([[0.9, 0.05, 0.05]]))
         assert 99 in fan.critical_keys()
 
     def test_degenerate_candidates_keep_all(self):
@@ -66,12 +66,13 @@ class TestFanBasics:
         fan.bootstrap([0, 1], flat, np.ones(3))
         assert fan.degenerate
         assert fan.critical_keys() == {0, 1}
-        assert fan.sees(np.array([0.1, 0.1, 0.1]))  # everything is critical
+        p = np.array([[0.1, 0.1, 0.1]])
+        assert fan.boxes_seen(p, p).all()  # everything is critical
 
     def test_add_before_bootstrap_raises(self):
         fan = FacetFan(np.array([1.0, 1.0]))
         with pytest.raises(FanError, match="bootstrap"):
-            fan.add_point(0, np.array([0.5, 0.5]))
+            fan.add_points([0], np.array([[0.5, 0.5]]))
 
     def test_rejects_tiny_apex(self):
         with pytest.raises(ValueError):
@@ -183,31 +184,31 @@ class TestMBBInteraction:
         apex = np.array([1.0, 1.0])
         fan = FacetFan(apex)
         fan.bootstrap([0, 1], np.array([[0.9, 0.1], [0.1, 0.9]]), np.ones(2))
-        inside = MBB(np.array([0.1, 0.1]), np.array([0.3, 0.3]))
-        assert not fan.mbb_sees(inside)
+        lo, hi = np.array([[0.1, 0.1]]), np.array([[0.3, 0.3]])
+        assert not fan.boxes_seen(lo, hi).any()
 
     def test_mbb_crossing_facet_seen(self):
         apex = np.array([1.0, 1.0])
         fan = FacetFan(apex)
         fan.bootstrap([0, 1], np.array([[0.6, 0.1], [0.1, 0.6]]), np.ones(2))
-        crossing = MBB(np.array([0.5, 0.5]), np.array([0.95, 0.95]))
-        assert fan.mbb_sees(crossing)
+        lo, hi = np.array([[0.5, 0.5]]), np.array([[0.95, 0.95]])
+        assert fan.boxes_seen(lo, hi).all()
 
     def test_mbb_see_is_sound_for_corners(self, rng):
-        """If no corner of the MBB is above any facet, mbb_sees is False."""
+        """A box is seen iff one of its 2^d corners is above some facet."""
         d = 3
         apex, pts, w = make_apex_and_points(rng, 50, d)
         fan = FacetFan(apex)
         fan.bootstrap(list(range(len(pts))), pts, w)
-        for _ in range(50):
-            lo = rng.random(d) * 0.5
-            hi = lo + rng.random(d) * 0.3
-            box = MBB(lo, hi)
-            corners = np.array(
-                [[lo[i] if bit & (1 << i) else hi[i] for i in range(d)] for bit in range(2**d)]
-            )
-            any_corner_seen = any(fan.sees(c) for c in corners)
-            assert fan.mbb_sees(box) == any_corner_seen
+        los = rng.random((50, d)) * 0.5
+        his = los + rng.random((50, d)) * 0.5  # some boxes reach above the fan
+        seen = fan.boxes_seen(los, his)
+        bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1  # (2^d, d)
+        for lo, hi, box_seen in zip(los, his, seen):
+            corners = np.where(bits, lo, hi)
+            heights = kernels.facet_heights(corners, fan._normals, fan._offsets)
+            assert box_seen == (heights > fan.eps).any()
+        assert seen.any() and not seen.all()
 
 
 class TestFanErrorConditions:
@@ -217,4 +218,4 @@ class TestFanErrorConditions:
         fan = FacetFan(apex)
         fan.bootstrap([0, 1], np.array([[0.45, 0.1], [0.1, 0.45]]), np.ones(2))
         with pytest.raises(FanError, match="hull vertex"):
-            fan.add_point(99, np.array([0.9, 0.9]))
+            fan.add_points([99], np.array([[0.9, 0.9]]))

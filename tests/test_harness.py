@@ -73,5 +73,4 @@ class TestGIRStatsAccessors:
             io_ms_per_page=10.0,
         )
         assert s.cpu_ms_total == 5.0
-        assert s.io_pages_total == 10
         assert s.io_ms_phase2 == 60.0

@@ -33,8 +33,7 @@ class TestBackendSelection:
         ``repro.kernels`` re-export is gone — and every name it
         advertises resolves."""
         for name in kernels.__all__:
-            assert hasattr(kernels, name), name
-        assert callable(kernels.segmented_membership)
+            assert callable(getattr(kernels, name)), name
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.kernels")
 
@@ -43,9 +42,10 @@ class TestNumpyReferenceSemantics:
     """The kernels equal the inline expressions they replaced."""
 
     def test_segmented_membership(self, rng):
+        """One vector is a batch of one row."""
         A, b, offsets = random_segments(rng)
         x = rng.normal(size=A.shape[1])
-        got = kernels.segmented_membership(A, b, offsets, x, 1e-9)
+        got = kernels.segmented_membership_batch(A, b, offsets, x[None], 1e-9)[0]
         ok = A @ x <= b + 1e-9
         np.testing.assert_array_equal(
             got, np.logical_and.reduceat(ok, offsets[:-1])
@@ -74,16 +74,12 @@ class TestNumpyReferenceSemantics:
         pts = rng.normal(size=(17, 4))
         eps = 1e-9
         np.testing.assert_array_equal(
-            kernels.above_mask(normals, offsets, point, eps),
+            kernels.facet_heights(point[None], normals, offsets)[0] > eps,
             normals @ point - offsets > eps,
-        )
-        np.testing.assert_array_equal(
-            kernels.any_above(pts, normals, offsets, eps),
-            (pts @ normals.T - offsets > eps).any(axis=1),
         )
         hi, lo = rng.normal(size=4) + 2.0, rng.normal(size=4) - 2.0
         pos, neg = np.maximum(normals, 0.0), np.minimum(normals, 0.0)
-        assert kernels.box_any_above(pos, neg, offsets, hi, lo, eps) == bool(
+        assert kernels.boxes_any_above(pos, neg, offsets, hi[None], lo[None], eps)[0] == (
             ((pos @ hi + neg @ lo) - offsets > eps).any()
         )
         apex = rng.normal(size=4)
@@ -93,9 +89,9 @@ class TestNumpyReferenceSemantics:
         )
 
     def test_batched_fan_kernels(self, rng):
-        """``facet_heights`` is the matrix ``above_mask`` / ``any_above``
-        threshold; ``boxes_any_above`` is ``box_any_above`` per box —
-        including the empty batch and the facet-less fan."""
+        """``facet_heights`` is the height matrix; ``boxes_any_above`` is
+        the corner bound per box — including the empty batch and the
+        facet-less fan."""
         normals = rng.normal(size=(11, 4))
         offsets = rng.normal(size=11)
         pos, neg = np.maximum(normals, 0.0), np.minimum(normals, 0.0)
@@ -105,17 +101,12 @@ class TestNumpyReferenceSemantics:
             heights = kernels.facet_heights(pts, normals, offsets)
             assert heights.shape == (m, 11)
             np.testing.assert_array_equal(heights, pts @ normals.T - offsets)
-            np.testing.assert_array_equal(
-                (heights > eps).any(axis=1),
-                kernels.any_above(pts, normals, offsets, eps),
-            )
             los = pts - rng.random((m, 4))
             got = kernels.boxes_any_above(pos, neg, offsets, pts, los, eps)
             assert got.shape == (m,) and got.dtype == bool
             for i in range(m):
-                assert got[i] == kernels.box_any_above(
-                    pos, neg, offsets, pts[i], los[i], eps
-                )
+                best = pos @ pts[i] + neg @ los[i]
+                assert got[i] == (best - offsets > eps).any()
         none = np.empty((0, 4))
         assert kernels.facet_heights(pts, none, np.empty(0)).shape == (17, 0)
         assert not kernels.boxes_any_above(

@@ -1,11 +1,12 @@
 """Tests for minimum bounding boxes: the row-stack geometry the tree uses,
-and the single-box ``MBB`` value type."""
+and the per-box score bound and dominance test the searches take over a
+node's rows."""
 
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.index.mbb import (
-    MBB,
     box_areas,
     box_margins,
     box_overlaps,
@@ -13,6 +14,8 @@ from repro.index.mbb import (
     boxes_intersect,
 )
 from repro.index.node import Node
+from repro.query.brs import make_heap_entry
+from repro.scoring import LinearScoring
 
 
 def box(lo, hi):
@@ -28,17 +31,11 @@ class TestConstruction:
         assert boxes_contain(p, p, p)
 
     def test_of_points(self):
-        m = MBB.of_points(np.array([[0.1, 0.9], [0.5, 0.2]]))
-        assert np.allclose(m.lo, [0.1, 0.2])
-        assert np.allclose(m.hi, [0.5, 0.9])
-
-    def test_of_points_rejects_empty(self):
-        with pytest.raises(ValueError):
-            MBB.of_points(np.empty((0, 2)))
-
-    def test_rejects_inverted(self):
-        with pytest.raises(ValueError, match="lo <= hi"):
-            MBB(np.array([0.5, 0.5]), np.array([0.4, 0.6]))
+        """The box of a leaf's points is its parent row."""
+        pts = np.array([[0.1, 0.9], [0.5, 0.2]])
+        lo, hi = Node(0, 0, pts, None, np.array([1, 2], dtype=np.int64)).bounds()
+        assert np.allclose(lo, [0.1, 0.2])
+        assert np.allclose(hi, [0.5, 0.9])
 
     def test_union_of_rejects_empty(self):
         """The union of zero rows (an empty node's bounds) is an error."""
@@ -105,59 +102,40 @@ class TestGeometry:
                     assert pairs[i, j] == box_overlaps(lo[i], hi[i], lo[j], hi[j])
             assert (pairs[3] == 0.0).all() and (pairs[:, 3] == 0.0).all()
 
-    def test_center(self):
-        m = MBB(np.array([0.0, 0.2]), np.array([0.4, 0.8]))
-        assert np.allclose(m.center(), [0.2, 0.5])
+
+def maxscore(lo, hi, w):
+    """BRS's heap key for the box: the score of its top corner."""
+    return make_heap_entry(lo, hi, 0, 0, w, LinearScoring(len(w))).maxscore
 
 
 class TestScoreBounds:
     def test_maxscore_nonnegative_weights(self):
-        m = MBB(np.array([0.1, 0.2]), np.array([0.5, 0.9]))
-        w = np.array([1.0, 2.0])
-        assert m.maxscore(w) == pytest.approx(0.5 + 1.8)
-
-    def test_minscore(self):
-        m = MBB(np.array([0.1, 0.2]), np.array([0.5, 0.9]))
-        w = np.array([1.0, 2.0])
-        assert m.minscore(w) == pytest.approx(0.1 + 0.4)
-
-    def test_maxscore_negative_weight_uses_lo(self):
-        m = MBB(np.array([0.1, 0.2]), np.array([0.5, 0.9]))
-        w = np.array([-1.0, 1.0])
-        assert m.maxscore(w) == pytest.approx(-0.1 + 0.9)
+        lo, hi = box([0.1, 0.2], [0.5, 0.9])
+        assert maxscore(lo, hi, np.array([1.0, 2.0])) == pytest.approx(0.5 + 1.8)
 
     def test_maxscore_bounds_every_contained_point(self):
         rng = np.random.default_rng(3)
-        m = MBB(np.array([0.2, 0.3, 0.1]), np.array([0.6, 0.8, 0.5]))
+        lo, hi = box([0.2, 0.3, 0.1], [0.6, 0.8, 0.5])
         w = rng.random(3)
-        pts = m.lo + rng.random((100, 3)) * (m.hi - m.lo)
-        assert (pts @ w <= m.maxscore(w) + 1e-12).all()
+        pts = lo + rng.random((100, 3)) * (hi - lo)
+        assert (pts @ w <= maxscore(lo, hi, w) + 1e-12).all()
 
 
 class TestDominance:
+    """A point dominates a whole box iff it dominates the box's top
+    corner: FP's node pruning is ``dominated_mask`` over the ``hi`` rows."""
+
     def test_dominated_by_point_above(self):
-        m = MBB(np.array([0.1, 0.1]), np.array([0.4, 0.4]))
-        assert m.dominated_by(np.array([0.5, 0.5]))
+        _, hi = box([0.1, 0.1], [0.4, 0.4])
+        assert kernels.dominated_mask(np.array([0.5, 0.5]), hi[None])[0]
 
     def test_not_dominated_by_equal_corner(self):
-        m = MBB(np.array([0.1, 0.1]), np.array([0.4, 0.4]))
-        assert not m.dominated_by(np.array([0.4, 0.4]))
+        _, hi = box([0.1, 0.1], [0.4, 0.4])
+        assert not kernels.dominated_mask(np.array([0.4, 0.4]), hi[None])[0]
 
     def test_not_dominated_partially(self):
-        m = MBB(np.array([0.1, 0.1]), np.array([0.4, 0.4]))
-        assert not m.dominated_by(np.array([0.9, 0.3]))
-
-
-class TestEquality:
-    def test_eq(self):
-        a = MBB(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        b = MBB(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        assert a == b
-
-    def test_neq(self):
-        a = MBB(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        b = MBB(np.array([0.0, 0.0]), np.array([0.5, 0.6]))
-        assert a != b
+        _, hi = box([0.1, 0.1], [0.4, 0.4])
+        assert not kernels.dominated_mask(np.array([0.9, 0.3]), hi[None])[0]
 
 
 class TestIntersects:

@@ -18,7 +18,6 @@ from repro.data.synthetic import anticorrelated, independent
 from repro.geometry.incident_facets import FacetFan
 from repro.geometry.predicates import dominates
 from repro.index.bulkload import bulk_load_str
-from repro.index.mbb import MBB
 from repro.query.brs import brs_topk, make_heap_entry
 from repro.scoring import LinearScoring
 from repro.query.linear_scan import scan_topk
@@ -125,7 +124,8 @@ def pop_time_refine(tree, points, run, fans, scorer, options):
             dominates(points[apex_id], entry.hi) for apex_id in fans
         ):
             continue
-        if not any(fan.mbb_sees(MBB(entry.lo, entry.hi)) for fan in fans.values()):
+        lo, hi = entry.lo[None], entry.hi[None]
+        if not any(fan.boxes_seen(lo, hi)[0] for fan in fans.values()):
             continue
         node = tree.fetch(entry.node_id)
         fetched += 1
@@ -145,7 +145,7 @@ def pop_time_refine(tree, points, run, fans, scorer, options):
             elif child_id not in exclude:
                 for apex_id, fan in fans.items():
                     if not dominates(points[apex_id], points[child_id]):
-                        fan.add_point(child_id, points[child_id])
+                        fan.add_points([child_id], points[child_id][None])
     return fetched
 
 
@@ -218,7 +218,8 @@ class TestDiskStep:
                 seeds = dict(zip(*virtual_seeds(points[a], np.zeros(d))))
                 for fan, extra in ((batched[a], theirs - ours), (reference[a], ours - theirs)):
                     for key in extra:
-                        assert not fan.sees(seeds[key] if key in seeds else points[key])
+                        p = (seeds[key] if key in seeds else points[key])[None]
+                        assert not fan.boxes_seen(p, p)[0]
 
     @pytest.mark.parametrize("star", [False, True], ids=["gir", "gir_star"])
     def test_heap_retested_once_per_fan_change(self, indexed, star, monkeypatch):

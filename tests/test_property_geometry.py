@@ -79,8 +79,8 @@ class TestFanProperties:
     def test_critical_set_ignores_order_and_batching(self, case):
         """The star is a function of the point set: seeded from the vertex
         figure in any candidate order, or grown from a basis simplex by
-        ``add_points`` (farthest first) or one ``add_point`` at a time in
-        the given order, the fan ends with the same critical keys and
+        ``add_points`` (farthest first) or one point at a time in the
+        given order, the fan ends with the same critical keys and
         facets."""
         apex, keys, pts, perm, degenerate = case
         d = apex.shape[0]
@@ -95,7 +95,7 @@ class TestFanProperties:
             fan.bootstrap([keys[i] for i in basis], pts[basis], ones)
         grown.add_points([keys[i] for i in rest], pts[rest])
         for i in rest:
-            single.add_point(keys[i], pts[i])
+            single.add_points([keys[i]], pts[i][None])
         for fan in (hull, permuted, grown, single):
             assert fan.degenerate == degenerate
             assert fan.critical_keys() == hull.critical_keys()
@@ -114,9 +114,8 @@ class TestFanProperties:
         if fan.degenerate:
             return
         crits = fan.critical_keys()
-        for i, p in enumerate(pts):
-            if i not in crits:
-                assert not fan.sees(p)
+        rest = pts[[i for i in range(len(pts)) if i not in crits]]
+        assert not fan.boxes_seen(rest, rest).any()
 
     @given(point_cloud(min_n=15, max_n=50))
     @SETTINGS

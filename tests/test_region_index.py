@@ -42,13 +42,13 @@ class TestMembership:
             index.add(key, region)
         assert len(index) == 10
         assert index.rows == sum(r.m for r in regions)
-        for _ in range(100):
-            x = rng.uniform(-0.1, 1.1, 3)
-            mask = index.membership(x)
-            expected = np.array([r.contains(x) for r in regions])
-            assert (mask == expected).all()
+        X = rng.uniform(-0.1, 1.1, size=(100, 3))
+        expected = np.array([[r.contains(x) for r in regions] for x in X])
+        assert (index.membership_batch(X) == expected).all()
 
     def test_membership_batch_matches_rows(self, rng):
+        """A row's answer does not depend on the batch around it: each
+        equals the same vector's batch of one."""
         index = RegionIndex(3)
         regions = [random_region(rng, 3) for _ in range(7)]
         for key, region in enumerate(regions):
@@ -57,7 +57,7 @@ class TestMembership:
         batch = index.membership_batch(X)
         assert batch.shape == (60, 7)
         for i in range(60):
-            assert (batch[i] == index.membership(X[i])).all()
+            assert (batch[i] == index.membership_batch(X[i : i + 1])[0]).all()
 
     def test_remove_splices_segments(self, rng):
         """Removing the first, a middle or the last entry, or several at
@@ -76,17 +76,15 @@ class TestMembership:
                 del regions[key]
             assert index.keys() == list(regions)
             assert index.rows == sum(r.m for r in regions.values())
-            for _ in range(60):
-                x = rng.uniform(-0.1, 1.1, 3)
-                expected = np.array([regions[k].contains(x) for k in index.keys()])
-                assert (index.membership(x) == expected).all()
+            X = rng.uniform(-0.1, 1.1, size=(60, 3))
+            expected = np.array([[regions[k].contains(x) for k in index.keys()] for x in X])
+            assert (index.membership_batch(X) == expected).all()
 
     def test_clear(self, rng):
         index = RegionIndex(2)
         index.add(0, random_region(rng, 2))
         index.clear()
         assert len(index) == 0 and index.rows == 0
-        assert index.membership(np.array([0.5, 0.5])).shape == (0,)
         assert index.membership_batch(np.zeros((4, 2))).shape == (4, 0)
 
     def test_rejects_mismatched_dimension_and_duplicates(self, rng):
@@ -217,8 +215,8 @@ class TestPrescreen:
 
 
 def _cache_entries(cache: GIRCache, g_of) -> list:
-    """``[(gir, kth_g)]`` of a cache's one region index, in index order."""
-    (index,) = cache._indexes.values()
+    """``[(gir, kth_g)]`` of a cache's region index, in index order."""
+    index = cache._index
     return [
         (gir, g_of(gir.topk.kth_id))
         for gir in (cache.entry(key) for key in index.keys())
@@ -228,7 +226,7 @@ def _cache_entries(cache: GIRCache, g_of) -> list:
 def _assert_cache_screen_matches_lp(cache: GIRCache, g_of, inserts) -> None:
     """Screen a live cache against each insert (nothing is evicted) and
     check every decided verdict against the LP; both must fire."""
-    (index,) = cache._indexes.values()
+    index = cache._index
     entries = _cache_entries(cache, g_of)
     assert len(entries) >= 8
     safe = evict = 0
@@ -402,7 +400,7 @@ class TestCachePrescreenIntegration:
         for p in (rng.random(3), np.full(3, 0.95)):
             pre = cache.prescreen_insert(p)
             combined = sorted(pre.safe + pre.ties + pre.evict + pre.candidates)
-            assert combined == sorted(cache.entry_keys())
+            assert combined == sorted(key for key, _ in cache.items())
             assert pre.screened == len(pre.safe) + len(pre.ties) + len(pre.evict)
         assert pre.evict  # the high insert is decided without an LP
 

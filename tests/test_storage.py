@@ -3,7 +3,8 @@
 import pytest
 
 from repro.index.node import Node, node_capacities
-from repro.index.storage import DEFAULT_PAGE_SIZE, IOStats, PageStore
+from repro.core.pipeline import GIRStats
+from repro.index.storage import DEFAULT_PAGE_SIZE, PageStore
 
 
 class TestCapacities:
@@ -91,8 +92,11 @@ class TestPageStore:
         assert store.stats.page_reads == 0
 
     def test_io_time_model(self):
-        stats = IOStats(page_reads=7, latency_ms_per_page=10.0)
-        assert stats.io_time_ms == 70.0
+        """The paper's I/O time is pages × the store's per-page latency,
+        which a GIR's stats carry."""
+        store = PageStore(latency_ms_per_page=10.0)
+        stats = GIRStats(io_pages_phase2=7, io_ms_per_page=store.stats.latency_ms_per_page)
+        assert stats.io_ms_phase2 == 70.0
 
     def test_free(self):
         store = PageStore()
@@ -108,13 +112,3 @@ class TestPageStore:
     def test_rejects_negative_buffer(self):
         with pytest.raises(ValueError):
             PageStore(buffer_pages=-1)
-
-    def test_snapshot_is_frozen(self):
-        store = PageStore()
-        node = Node.empty(store.allocate(), 0, 2)
-        store.write(node)
-        store.read(node.node_id)
-        snap = store.stats.snapshot()
-        store.read(node.node_id)
-        assert snap.page_reads == 1
-        assert store.stats.page_reads == 2
