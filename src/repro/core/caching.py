@@ -40,7 +40,8 @@ that decides *which* cached entries an update can disturb:
   halfspace-intersection test :func:`invalidated_by_insert` (one LP via
   :meth:`~repro.core.gir.GIRResult.admits_above_kth`).
   :meth:`GIRCache.prescreen_insert` decides it for the whole cache in one
-  vectorized pass over each region's cone rays (see
+  vectorized pass over each region's cone rays, enumerated once when the
+  entry is admitted (see
   :meth:`~repro.core.region_index.RegionIndex.prescreen_insert`): every
   entry is safe, an exact tie (the tie-break decides), a certain
   eviction, or — only where ray enumeration failed or the bracket is too
@@ -267,16 +268,21 @@ class GIRCache:
         entry whose region overlaps the new one stays: both are sound for
         their own requests, and LRU retires whichever stops serving.
 
-        ``kth_g`` — the g-image of the entry's k-th result record — enables
-        the vectorized insert-invalidation prescreen for this entry (see
-        :meth:`prescreen_insert`); optional for read-only deployments.
+        ``kth_g`` — the g-image of the entry's k-th result record, shape
+        ``(d,)`` — enables the vectorized insert-invalidation prescreen for
+        this entry (see :meth:`prescreen_insert`). An insert given it pays
+        one ray enumeration of the entry's cone, here; one given none pays
+        nothing, and its entry is always left to the LP.
         """
-        if self._index is None:
-            self._index = RegionIndex(int(gir.weights.shape[0]))
+        index = self._index
+        if index is None:
+            index = RegionIndex(int(gir.weights.shape[0]))
         key = self._next_key
-        # The index rejects a region of another dimensionality before
-        # anything is written, so a rejected insert leaves no entry.
-        self._index.add(key, gir.polytope, kth_g=kth_g, interior=gir.weights)
+        # The index rejects a region of another dimensionality or a
+        # misshapen ``kth_g`` before anything is written, so a rejected
+        # insert leaves no entry.
+        index.add(key, gir.polytope, kth_g=kth_g, interior=gir.weights)
+        self._index = index
         self._next_key += 1
         self._entries[key] = gir
         self._touch(key)
@@ -387,7 +393,7 @@ class GIRCache:
 
     # -- update-driven eviction ------------------------------------------------
 
-    @sanitize.mutates  # lazily materializes the region indexes' ray stacks
+    @sanitize.reads
     def prescreen_insert(
         self, point_g: np.ndarray, tol: float = MEMBERSHIP_TOL
     ) -> InsertPrescreen:
@@ -397,7 +403,8 @@ class GIRCache:
         :meth:`~repro.core.region_index.RegionIndex.prescreen_insert`)
         partitions the entries into provably-undisturbed / exact-tie /
         provably-disturbed / LP-candidate sets; the caller runs
-        :func:`invalidated_by_insert`'s LP only on the candidates. A
+        :func:`invalidated_by_insert`'s LP only on the candidates. A pure
+        read: every entry's rays were enumerated when it was admitted. A
         ``point_g`` of another dimensionality than the cached regions' is
         a ``ValueError``.
         """

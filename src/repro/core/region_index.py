@@ -30,25 +30,23 @@ therefore lies in ``[s, d · max(m, 0)]``:
 * ``s > tol + SCREEN_SAFETY`` — it provably does: evict, no LP;
 * in between — run the LP.
 
-The index keeps, per entry, the rays ``R`` (:meth:`Polytope.cone_rays`,
-with the entry's query vector as the interior point) and the dot products
-``R @ g(p_k)``; screening every entry against a new ``g(p_new)`` is one
-stacked matvec plus two segment maxima. An entry whose ray enumeration
-failed (a query vector on a facet, a flat region, rows that are not a
-cone) is always left to the LP.
+The index keeps the rays ``R`` (:meth:`Polytope.cone_rays`, with the
+entry's query vector as the interior point) and the dot products
+``R @ g(p_k)`` of every entry stacked like its membership rows;
+screening every entry against a new ``g(p_new)`` is one stacked matvec
+plus two segment maxima. An entry whose ray enumeration failed (a query
+vector on a facet, a flat region, rows that are not a cone) is always
+left to the LP.
 
-Rays are materialized lazily on the first prescreen, so read-only
-workloads never pay for them; each entry's rays are computed **once** and
-memoized for the key's whole cache lifetime (regions are immutable) —
-re-stacks after add/remove only re-concatenate the memoized per-entry
-blocks.
+Rays are enumerated once, when the entry is admitted (:meth:`add`), so
+the screen is a pure read and a write never pays for another entry's
+cone. Removal splices the ray stack in the same pass as the membership
+rows; regions are immutable, so nothing is ever recomputed.
 
 The segmented reductions run through :mod:`repro.core.kernels`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,22 +72,30 @@ SCREEN_LP = 2
 SCREEN_EVICT = 3
 
 
-@dataclass
-class _ScreenEntry:
-    """Static insert-screen geometry of one cached region."""
+def _splice(offsets: np.ndarray, pos: list[int], *stacks: np.ndarray) -> tuple:
+    """Cut the row segments of the entries at sorted positions ``pos`` out
+    of ``stacks``, whose entry ``i`` owns rows ``offsets[i]:offsets[i+1]``.
+    Returns the new offsets followed by the spliced stacks.
 
-    #: Unit-sum extreme rays of the region's cone, ``(n_rays, d)``.
-    R: np.ndarray
-    #: Per-ray ``R @ g(p_k)`` for the entry's k-th result record.
-    rdots: np.ndarray
-    #: g-image of the entry's k-th result record.
-    kth_g: np.ndarray
+    The kept rows are the runs between the dropped segments: slicing them
+    beats a boolean row mask by an order of magnitude.
+    """
+    bounds = offsets.tolist()
+    starts = [0] + [bounds[p + 1] for p in pos]
+    stops = [bounds[p] for p in pos] + [bounds[-1]]
+    runs = [slice(a, z) for a, z in zip(starts, stops) if z > a]
+    sizes = np.delete(np.diff(offsets), pos)
+    return (
+        np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)]),
+        *(np.concatenate([stack[run] for run in runs] or [stack[:0]]) for stack in stacks),
+    )
 
 
 # Single-owner, no lock: owned by one GIRCache and reached only under the
-# router's serve lock (the prescreen lazily materializes its stacks).
+# router's serve lock.
 class RegionIndex:
-    """Contiguously stacked half-space rows of many bounded regions.
+    """Contiguously stacked half-space rows and cone rays of many bounded
+    regions.
 
     All regions share one dimensionality ``d``, the cache's query-space
     dimension. Entries are identified by the cache's integer keys;
@@ -101,18 +107,7 @@ class RegionIndex:
         if d <= 0:
             raise ValueError("dimensionality must be positive")
         self.d = int(d)
-        self._keys: list[int] = []
-        self._A = np.empty((0, d), dtype=np.float64)
-        self._b = np.empty(0, dtype=np.float64)
-        #: Row segment boundaries: entry ``i`` owns rows
-        #: ``offsets[i]:offsets[i+1]``.
-        self._offsets = np.zeros(1, dtype=np.int64)
-        #: Per-key screen geometry: ``None`` = always LP (no ``kth_g`` or
-        #: interior given, or ray enumeration failed), a
-        #: ``(polytope, kth_g, interior)`` tuple = pending lazy
-        #: computation, a :class:`_ScreenEntry` = computed.
-        self._screen: dict[int, _ScreenEntry | tuple | None] = {}
-        self._screen_stacks: tuple | None = None
+        self.clear()
 
     # -- maintenance ----------------------------------------------------------
 
@@ -141,26 +136,40 @@ class RegionIndex:
         ``kth_g`` (the g-image of the entry's k-th result record) and
         ``interior`` (the entry's query vector, the interior point of the
         ray enumeration) enable the insert-invalidation prescreen for this
-        entry; without both the entry is always classified
-        :data:`SCREEN_LP`.
+        entry, at the cost of one ray enumeration here; without both the
+        entry is always classified :data:`SCREEN_LP`. A ``kth_g`` that is
+        not of shape ``(d,)`` is a ``ValueError``, raised before anything
+        is written.
         """
         if polytope.d != self.d:
             raise ValueError(f"expected a {self.d}-d region, got {polytope.d}-d")
         if polytope.m == 0:
             raise ValueError("cannot index a constraint-free region")
-        if key in self._screen:
+        if key in self._keys:
             raise KeyError(f"key {key} already indexed")
+        if kth_g is not None:
+            kth_g = np.asarray(kth_g, dtype=np.float64)
+            if kth_g.shape != (self.d,):
+                raise ValueError(f"kth_g must have shape ({self.d},), got {kth_g.shape}")
+        R = None
+        if kth_g is not None and interior is not None:
+            R = polytope.cone_rays(np.asarray(interior, dtype=np.float64))
+        if R is None:
+            # Unit-sum like a real ray, so the max(r) divisor stays positive;
+            # the NaN k-th row marks the entry as always LP.
+            R, kth_g = np.full((1, self.d), 1.0 / self.d), np.full(self.d, np.nan)
+            rdots = np.zeros(1)
+        else:
+            rdots = R @ kth_g
         A_n, b_n = polytope.normalized_halfspaces()
         self._A = np.concatenate([self._A, A_n])
         self._b = np.concatenate([self._b, b_n])
         self._offsets = np.append(self._offsets, self._offsets[-1] + polytope.m)
+        self._R = np.concatenate([self._R, R])
+        self._rdots = np.concatenate([self._rdots, rdots])
+        self._ray_offsets = np.append(self._ray_offsets, self._ray_offsets[-1] + len(R))
+        self._kth = np.concatenate([self._kth, kth_g[None]])
         self._keys.append(key)
-        self._screen[key] = None if kth_g is None or interior is None else (
-            polytope,
-            np.asarray(kth_g, dtype=np.float64),
-            np.asarray(interior, dtype=np.float64),
-        )
-        self._screen_stacks = None
 
     @sanitize.mutates
     def remove(self, key: int) -> bool:
@@ -174,39 +183,36 @@ class RegionIndex:
         one at a time would copy the arrays once per key). Unknown keys
         are ignored; returns the number removed.
         """
-        drop = [key for key in dict.fromkeys(keys) if key in self._screen]
+        drop = [key for key in dict.fromkeys(keys) if key in self._keys]
         if not drop:
             return 0
         # ``list.index`` finds each dropped key's row segment without a
-        # Python pass over every indexed key (an LRU eviction drops one),
-        # and the kept rows are the runs between the dropped segments:
-        # slicing them beats a boolean row mask by an order of magnitude.
+        # Python pass over every indexed key (an LRU eviction drops one).
         pos = sorted(self._keys.index(key) for key in drop)
-        bounds = self._offsets.tolist()
-        starts = [0] + [bounds[p + 1] for p in pos]
-        stops = [bounds[p] for p in pos] + [bounds[-1]]
-        runs = [slice(a, z) for a, z in zip(starts, stops) if z > a]
-        self._A = np.concatenate([self._A[run] for run in runs] or [self._A[:0]])
-        self._b = np.concatenate([self._b[run] for run in runs] or [self._b[:0]])
-        keep = np.ones(len(self._keys), dtype=bool)
-        keep[pos] = False
-        self._offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(np.diff(self._offsets)[keep])]
+        self._offsets, self._A, self._b = _splice(self._offsets, pos, self._A, self._b)
+        self._ray_offsets, self._R, self._rdots = _splice(
+            self._ray_offsets, pos, self._R, self._rdots
         )
+        self._kth = np.delete(self._kth, pos, axis=0)
         for i in reversed(pos):
-            del self._screen[self._keys[i]]
             del self._keys[i]
-        self._screen_stacks = None
         return len(drop)
 
     @sanitize.mutates
     def clear(self) -> None:
-        self._keys = []
-        self._A = np.empty((0, self.d), dtype=np.float64)
+        d = self.d
+        self._keys: list[int] = []
+        # Membership rows: entry ``i`` owns rows ``offsets[i]:offsets[i+1]``.
+        self._A = np.empty((0, d), dtype=np.float64)
         self._b = np.empty(0, dtype=np.float64)
         self._offsets = np.zeros(1, dtype=np.int64)
-        self._screen = {}
-        self._screen_stacks = None
+        # Screen rays and their ``R @ g(p_k)``, segmented the same way by
+        # ``ray_offsets``, and per entry its k-th g-image: a NaN row for an
+        # entry the screen leaves to the LP.
+        self._R = np.empty((0, d), dtype=np.float64)
+        self._rdots = np.empty(0, dtype=np.float64)
+        self._ray_offsets = np.zeros(1, dtype=np.int64)
+        self._kth = np.empty((0, d), dtype=np.float64)
 
     # -- membership -----------------------------------------------------------
 
@@ -228,55 +234,7 @@ class RegionIndex:
 
     # -- insert-invalidation prescreen ----------------------------------------
 
-    def _materialize_screen(self) -> tuple:
-        """Build (lazily, cached) the stacked screen arrays.
-
-        Pending entries enumerate their cone's rays here — once per cache
-        lifetime; rebuilds after add/remove only re-stack the
-        already-computed per-entry blocks. An entry without rays stacks a
-        one-row placeholder and is marked ineligible (always LP).
-        """
-        if self._screen_stacks is not None:
-            return self._screen_stacks
-        # Unit-sum like a real ray, so the max(r) divisor stays positive.
-        placeholder_R = np.full((1, self.d), 1.0 / self.d)
-        R_parts, rdot_parts, kth_rows, eligible = [], [], [], []
-        for key in self._keys:
-            blob = self._screen[key]
-            if isinstance(blob, tuple):
-                blob = self._compute_screen_entry(*blob)
-                self._screen[key] = blob
-            if blob is None:
-                R_parts.append(placeholder_R)
-                rdot_parts.append(np.zeros(1))
-                kth_rows.append(np.full(self.d, np.nan))
-                eligible.append(False)
-            else:
-                R_parts.append(blob.R)
-                rdot_parts.append(blob.rdots)
-                kth_rows.append(blob.kth_g)
-                eligible.append(True)
-        n = len(self._keys)
-        R_all = np.concatenate(R_parts) if n else np.zeros((0, self.d))
-        self._screen_stacks = (
-            R_all,
-            np.concatenate(rdot_parts) if n else np.zeros(0),
-            R_all.max(axis=1),
-            np.cumsum([0] + [len(part) for part in rdot_parts], dtype=np.int64),
-            np.asarray(kth_rows).reshape(n, self.d),
-            np.asarray(eligible, dtype=bool),
-        )
-        return self._screen_stacks
-
-    def _compute_screen_entry(
-        self, polytope: Polytope, kth_g: np.ndarray, interior: np.ndarray
-    ) -> _ScreenEntry | None:
-        R = polytope.cone_rays(interior)
-        if R is None:
-            return None
-        return _ScreenEntry(R=R, rdots=R @ kth_g, kth_g=kth_g)
-
-    @sanitize.mutates  # lazily materializes the screen stacks
+    @sanitize.reads
     def prescreen_insert(
         self,
         point_g: np.ndarray,
@@ -316,11 +274,11 @@ class RegionIndex:
         codes = np.full(n, SCREEN_LP, dtype=np.int8)
         if n == 0:
             return codes
-        R_all, rdots, rmax, offsets, kth, eligible = self._materialize_screen()
-        gap = R_all @ point_g - rdots  # δ · r, one value per ray
-        m = kernels.segmented_max(gap, offsets)
-        s = kernels.segmented_max(gap / rmax, offsets)
-        delta = point_g[None, :] - kth  # NaN rows for ineligible entries
+        eligible = ~np.isnan(self._kth).any(axis=1)
+        gap = self._R @ point_g - self._rdots  # δ · r, one value per ray
+        m = kernels.segmented_max(gap, self._ray_offsets)
+        s = kernels.segmented_max(gap / self._R.max(axis=1), self._ray_offsets)
+        delta = point_g[None, :] - self._kth  # NaN rows for ineligible entries
         with np.errstate(invalid="ignore"):
             # repro: allow[numeric-safety] -- exact g-image ties only: a row
             # whose kth g-vector is bit-identical to the query point must be

@@ -80,10 +80,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.n
 
-    def record(self, rid: int) -> np.ndarray:
-        """Return the attribute vector of record ``rid`` (read-only view)."""
-        return self.points[rid]
-
     def __getitem__(self, rid: int) -> np.ndarray:
         return self.points[rid]
 
@@ -116,11 +112,6 @@ class Dataset:
         normalised = (raw - lo) / safe_spread
         normalised[:, constant] = 0.5
         return cls(normalised, name=name)
-
-    def subset(self, rids: np.ndarray, name: str | None = None) -> "Dataset":
-        """Dataset restricted to the given record ids (ids are re-numbered)."""
-        rids = np.asarray(rids, dtype=np.intp)
-        return Dataset(self.points[rids], name=name or f"{self.name}[subset]")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dataset(name={self.name!r}, n={self.n}, d={self.d})"

@@ -19,11 +19,10 @@ from repro.geometry.convexhull import hull_vertex_ids, qhull_facet_count
 from repro.geometry.halfspace import Halfspace, order_halfspace, separation_halfspace
 from repro.geometry.incident_facets import FacetFan
 from repro.geometry.polytope import Polytope
-from repro.geometry.predicates import dominates, dominates_matrix
+from repro.geometry.predicates import dominates
 
 __all__ = [
     "dominates",
-    "dominates_matrix",
     "Halfspace",
     "order_halfspace",
     "separation_halfspace",

@@ -14,7 +14,6 @@ from repro.core.tolerances import MEMBERSHIP_TOL, PREDICATE_EPS
 __all__ = [
     "EPS",
     "dominates",
-    "dominates_matrix",
     "affine_rank_basis",
 ]
 
@@ -31,12 +30,6 @@ def dominates(p: np.ndarray, q: np.ndarray) -> bool:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     return bool((p >= q).all() and (p > q).any())
-
-
-def dominates_matrix(candidates: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Boolean mask: which rows of ``candidates`` dominate point ``p``."""
-    candidates = np.asarray(candidates, dtype=np.float64)
-    return (candidates >= p).all(axis=1) & (candidates > p).any(axis=1)
 
 
 def affine_rank_basis(

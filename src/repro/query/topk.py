@@ -52,11 +52,3 @@ class TopKResult:
 
     def __contains__(self, rid: int) -> bool:
         return rid in self.ids
-
-    def same_composition(self, other: "TopKResult") -> bool:
-        """True if the two results contain the same records (any order)."""
-        return set(self.ids) == set(other.ids)
-
-    def same_ordered(self, other: "TopKResult") -> bool:
-        """True if the two results agree in composition *and* score order."""
-        return self.ids == other.ids

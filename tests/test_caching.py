@@ -106,6 +106,31 @@ class TestLookup:
         assert cache.stats() == before
         assert cache.lookup(gir.weights, 5).ids == gir.topk.ids
 
+    def test_misshapen_kth_g_rejected(self, cached_setup, rng):
+        """A ``kth_g`` that is not ``(d,)`` is a ValueError raised before
+        anything is written: the cache keeps its entries and counters, and
+        later insert screens still run."""
+        data, tree = cached_setup
+        gir = compute_gir(tree, data, random_query(rng, 3), 5)
+        cache = GIRCache()
+        cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
+        before = cache.stats()
+        other = compute_gir(tree, data, random_query(rng, 3), 5)
+        for bad in (np.zeros(4), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match=r"kth_g must have shape \(3,\)"):
+                cache.insert(other, kth_g=bad)
+            assert len(cache) == 1 and cache.stats() == before
+        pre = cache.prescreen_insert(rng.random(3))
+        assert pre.screened + len(pre.candidates) == 1
+        # A rejected first insert does not fix the cache's d either.
+        fresh = GIRCache()
+        with pytest.raises(ValueError):
+            fresh.insert(other, kth_g=np.zeros(4))
+        assert len(fresh) == 0 and fresh.stats() == GIRCache().stats()
+        data4 = independent(300, 4, seed=73)
+        fresh.insert(compute_gir(bulk_load_str(data4), data4, random_query(rng, 4), 5))
+        assert len(fresh) == 1
+
 
 class TestEvictionAndStats:
     def test_lru_eviction(self, cached_setup, rng):
@@ -424,27 +449,30 @@ def _count_polytope_calls(monkeypatch, calls, names, override=None):
 
 
 class TestPrescreenMemoization:
+    """An entry's cone rays are enumerated once, when it is admitted; the
+    prescreen is a pure read that never enumerates again."""
+
     def test_screen_entry_computed_once(self, cached_setup, rng, monkeypatch):
-        """Each entry's cone rays are enumerated exactly once — on the first
-        prescreen, never again — and deciding a non-degenerate cache (the
-        prescreen plus the evictions it decides) never enumerates
-        vertices, solves a Chebyshev LP or runs the invalidation LP."""
+        """``cone_rays`` runs once per entry at insert and never on a
+        prescreen, and deciding a non-degenerate cache (the prescreen plus
+        the evictions it decides) never enumerates vertices, solves a
+        Chebyshev LP or runs the invalidation LP."""
         from repro.core.caching import apply_insert_invalidation
 
         data, tree = cached_setup
-        cache = GIRCache()
-        for _ in range(6):
-            gir = compute_gir(tree, data, random_query(rng, 3), 5)
-            cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
-        entries = len(cache)
+        girs = [compute_gir(tree, data, random_query(rng, 3), 5) for _ in range(6)]
         names = ("cone_rays", "vertices", "chebyshev_center", "maximize")
         calls = dict.fromkeys(names, 0)
         _count_polytope_calls(monkeypatch, calls, names)
-        first = cache.prescreen_insert(rng.random(3))
+        cache = GIRCache()
+        for gir in girs:
+            cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
+        entries = len(cache)
         assert calls["cone_rays"] == entries
+        calls.update(dict.fromkeys(names, 0))
+        first = cache.prescreen_insert(rng.random(3))
         for _ in range(5):
             cache.prescreen_insert(rng.random(3))
-        assert calls["cone_rays"] == entries
         # screened already includes the ties and the decided evictions.
         assert first.screened + len(first.candidates) == entries
         assert first.screened == (
@@ -460,19 +488,17 @@ class TestPrescreenMemoization:
             kth_g=lambda rid: data.points[rid],
         )
         assert evicted > 0 and lps == 0 and screened == entries
-        assert calls["cone_rays"] == entries
+        assert calls["cone_rays"] == 0
         assert calls["vertices"] == calls["chebyshev_center"] == 0
         assert calls["maximize"] == 0
 
     def test_rayless_entry_memoized_as_lp(self, cached_setup, rng, monkeypatch):
-        """An entry whose ray enumeration fails is remembered as such (no
-        retry on later prescreens) and is always left to the LP."""
+        """An entry whose ray enumeration fails at admission keeps its
+        placeholder (no retry on later prescreens) and is always left to
+        the LP."""
         data, tree = cached_setup
-        cache = GIRCache()
-        for _ in range(4):
-            gir = compute_gir(tree, data, random_query(rng, 3), 5)
-            cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
-        failing = next(cache.items())[1].polytope
+        girs = [compute_gir(tree, data, random_query(rng, 3), 5) for _ in range(4)]
+        failing = girs[0].polytope
         calls = {"cone_rays": 0}
         _count_polytope_calls(
             monkeypatch,
@@ -482,6 +508,9 @@ class TestPrescreenMemoization:
                 None if self is failing else real(self, *args)
             ),
         )
+        cache = GIRCache()
+        for gir in girs:
+            cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
         for _ in range(4):
             pre = cache.prescreen_insert(rng.random(3))
             assert next(cache.items())[0] in pre.candidates

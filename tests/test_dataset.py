@@ -59,10 +59,10 @@ class TestConstruction:
 
 
 class TestAccessors:
-    def test_record_and_getitem(self):
+    def test_getitem(self):
         ds = Dataset([[0.1, 0.2], [0.3, 0.4]])
-        assert np.allclose(ds.record(1), [0.3, 0.4])
         assert np.allclose(ds[0], [0.1, 0.2])
+        assert np.allclose(ds[1], [0.3, 0.4])
 
     def test_scores(self):
         ds = Dataset([[0.5, 1.0], [1.0, 0.0]])
@@ -87,16 +87,3 @@ class TestFromRaw:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-dimensional"):
             Dataset.from_raw(np.array([1.0, 2.0]))
-
-
-class TestSubset:
-    def test_subset_renumbers(self):
-        ds = Dataset([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
-        sub = ds.subset(np.array([2, 0]))
-        assert sub.n == 2
-        assert np.allclose(sub[0], [0.5, 0.6])
-        assert np.allclose(sub[1], [0.1, 0.2])
-
-    def test_subset_name(self):
-        ds = Dataset([[0.1, 0.2]], name="base")
-        assert "base" in ds.subset(np.array([0])).name

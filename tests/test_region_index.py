@@ -198,7 +198,6 @@ class TestPrescreen:
             gir = compute_gir(tree, data, random_query(rng, 3), 6)
             girs[key] = gir
             add_gir(index, key, gir, data)
-        index.prescreen_insert(rng.random(3))  # materialize
         index.remove(2)
         del girs[2]
         gir = compute_gir(tree, data, random_query(rng, 3), 6)
@@ -213,6 +212,58 @@ class TestPrescreen:
             p,
         )
 
+
+    def test_splice_matches_fresh_index(self, indexed_setup):
+        """After every step of a random add / remove / remove_many / clear
+        sequence, the spliced index answers exactly like one built fresh
+        from the surviving entries: same keys, rows, membership and
+        prescreen codes. The pool mixes GIRs, entries without ``kth_g``
+        and rayless (flat) entries."""
+        data, tree = indexed_setup
+        rng = np.random.default_rng(39)
+        flat = Polytope.from_unit_box(3).with_constraints(
+            np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        )
+        pool = []  # (polytope, kth_g, interior)
+        for _ in range(8):
+            gir = compute_gir(tree, data, random_query(rng, 3), 6)
+            pool.append((gir.polytope, data.points[gir.topk.kth_id], gir.weights))
+        pool += [(random_region(rng, 3), None, None) for _ in range(3)]
+        pool += [(flat, np.full(3, 0.2), np.array([0.0, 0.5, 0.5]))] * 2
+        X = rng.uniform(-0.1, 1.1, size=(40, 3))
+        points = np.vstack([rng.random((4, 3)), 0.8 + 0.2 * rng.random((4, 3))])
+        index, live, next_key = RegionIndex(3), {}, 0
+        decided = set()
+        for _ in range(60):
+            u = rng.random()
+            if u < 0.55 or not live:
+                polytope, kth_g, interior = pool[rng.integers(len(pool))]
+                index.add(next_key, polytope, kth_g=kth_g, interior=interior)
+                live[next_key] = (polytope, kth_g, interior)
+                next_key += 1
+            elif u < 0.75:
+                key = list(live)[rng.integers(len(live))]
+                assert index.remove(key)
+                del live[key]
+            elif u < 0.95:
+                keys = list(rng.choice(list(live), size=min(3, len(live)), replace=False))
+                assert index.remove_many(keys + [next_key + 7]) == len(keys)
+                for key in keys:
+                    del live[key]
+            else:
+                index.clear()
+                live.clear()
+            fresh = RegionIndex(3)
+            for key, (polytope, kth_g, interior) in live.items():
+                fresh.add(key, polytope, kth_g=kth_g, interior=interior)
+            assert index.keys() == fresh.keys() == list(live)
+            assert index.rows == fresh.rows
+            assert (index.membership_batch(X) == fresh.membership_batch(X)).all()
+            for p in points:
+                codes = index.prescreen_insert(p)
+                assert (codes == fresh.prescreen_insert(p)).all()
+                decided.update(codes.tolist())
+        assert {SCREEN_SAFE, SCREEN_LP, SCREEN_EVICT} <= decided
 
 def _cache_entries(cache: GIRCache, g_of) -> list:
     """``[(gir, kth_g)]`` of a cache's region index, in index order."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry.predicates import affine_rank_basis, dominates, dominates_matrix
+from repro.geometry.predicates import affine_rank_basis, dominates
 from repro.query.topk import TopKResult
 
 
@@ -29,17 +29,6 @@ class TestTopKResult:
         with pytest.raises(ValueError, match="equal length"):
             TopKResult(ids=(1, 2), scores=(0.5,), weights=np.array([1.0]))
 
-    def test_same_composition(self):
-        a = self.make()
-        b = TopKResult(ids=(1, 4, 7), scores=(0.9, 0.8, 0.7), weights=a.weights)
-        assert a.same_composition(b)
-        assert not a.same_ordered(b)
-
-    def test_same_ordered(self):
-        a = self.make()
-        b = TopKResult(ids=(4, 7, 1), scores=(0.91, 0.79, 0.7), weights=a.weights)
-        assert a.same_ordered(b)
-
 
 class TestDominance:
     def test_strict(self):
@@ -60,13 +49,6 @@ class TestDominance:
             a, b, c = rng.random((3, 4))
             if dominates(a, b) and dominates(b, c):
                 assert dominates(a, c)
-
-    def test_matrix_form(self, rng):
-        cands = rng.random((50, 3))
-        p = rng.random(3)
-        mask = dominates_matrix(cands, p)
-        for i in range(50):
-            assert mask[i] == dominates(cands[i], p)
 
 
 class TestAffineRankBasis:
