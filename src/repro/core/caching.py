@@ -24,10 +24,17 @@ The cache keeps every entry's half-space rows stacked in one
 :meth:`GIRCache.lookup_batch` answers "which cached regions contain these
 vectors?" for a whole request batch from a single matmul instead of a
 Python loop of per-entry tests; :meth:`GIRCache.lookup` is a batch of
-one. The first insert fixes the cache's dimensionality: a region or a
-vector of another ``d`` is a ``ValueError``. :meth:`GIRCache.lookup_scan`
-preserves the entry-by-entry reference path — same answers, same
-accounting — for the equivalence tests.
+one. The serving engine interleaves misses — which admit a region and
+may evict the LRU entry — with the lookups behind them, so it drives a
+:class:`LookupWindow` instead: :meth:`GIRCache.resolve` serves the
+pending lookups up to and including the first miss, and after the miss's
+admission it patches the window's one matrix (the departed entries'
+columns dropped, the admitted entry evaluated for the unresolved rows
+only) rather than recomputing it. The first insert fixes the cache's
+dimensionality: a region or a vector of another ``d`` is a
+``ValueError``. :meth:`GIRCache.lookup_scan` preserves the entry-by-entry
+reference path — same answers, same accounting — for the equivalence
+tests.
 
 Dynamic datasets
 ----------------
@@ -77,6 +84,7 @@ from repro.core.tolerances import MEMBERSHIP_TOL
 __all__ = [
     "CacheHit",
     "InsertPrescreen",
+    "LookupWindow",
     "GIRCache",
     "invalidated_by_insert",
     "invalidated_by_delete",
@@ -208,6 +216,33 @@ class InsertPrescreen:
         return len(self.safe) + len(self.ties) + len(self.evict)
 
 
+class LookupWindow:
+    """Pending lookups and the membership matrix :meth:`GIRCache.resolve`
+    keeps current for them.
+
+    ``W`` / ``ks`` are the window's vectors and ``k`` values; the first
+    ``resolved`` of them are served. ``member`` holds the rows ``base:``
+    of ``W`` against the entries ``keys`` (index order) as of index
+    ``version`` — no entries until the first :meth:`GIRCache.resolve`.
+    """
+
+    __slots__ = ("W", "ks", "resolved", "member", "keys", "base", "version")
+
+    def __init__(self, W: np.ndarray, ks: list[int]) -> None:
+        self.W = W
+        self.ks = ks
+        self.resolved = 0
+        self.member = np.zeros((len(ks), 0), dtype=bool)
+        self.keys: list[int] = []
+        self.base = 0
+        self.version: int | None = None
+
+    @property
+    def pending(self) -> int:
+        """Lookups not yet resolved."""
+        return len(self.ks) - self.resolved
+
+
 # Single-owner, no lock: owned by one GIREngine, and the router's serve
 # lock serializes every path that reaches it.
 class GIRCache:
@@ -278,19 +313,20 @@ class GIRCache:
         if index is None:
             index = RegionIndex(int(gir.weights.shape[0]))
         key = self._next_key
+        full = len(self._entries) >= self.capacity
+        oldest = next(iter(self._entries)) if full else None
         # The index rejects a region of another dimensionality or a
         # misshapen ``kth_g`` before anything is written, so a rejected
-        # insert leaves no entry.
-        index.add(key, gir.polytope, kth_g=kth_g, interior=gir.weights)
+        # insert leaves no entry and evicts none. An accepted one splices
+        # out the LRU entry in the same pass over the stacks.
+        index.add(key, gir.polytope, kth_g=kth_g, interior=gir.weights, evict=oldest)
         self._index = index
         self._next_key += 1
+        if oldest is not None:
+            del self._entries[oldest], self._stamps[oldest]
+            self.capacity_evictions += 1
         self._entries[key] = gir
         self._touch(key)
-        if len(self._entries) > self.capacity:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest], self._stamps[oldest]
-            self._index.remove(oldest)
-            self.capacity_evictions += 1
         return key
 
     # -- lookups --------------------------------------------------------------
@@ -336,10 +372,7 @@ class GIRCache:
 
     @sanitize.mutates
     def lookup_batch(
-        self,
-        weights_batch: np.ndarray,
-        ks: int | Sequence[int],
-        stop_after_non_full: bool = False,
+        self, weights_batch: np.ndarray, ks: int | Sequence[int]
     ) -> list[CacheHit | None]:
         """Serve a whole batch of lookups from one membership matmul.
 
@@ -348,30 +381,65 @@ class GIRCache:
         exactly those of ``q`` sequential :meth:`lookup` calls (pure
         lookups never change membership, so the batched matrix stays valid
         throughout). A ``d`` other than the cached regions' is a
-        ``ValueError``.
-
-        With ``stop_after_non_full`` the batch stops — *after* accounting
-        it — at the first miss, returning a possibly shorter list. The
-        serving engine uses this to interleave pipeline computations
-        (which mutate the cache) at exactly the positions a sequential run
-        would.
+        ``ValueError``. A caller that mutates the cache between lookups
+        drives a :meth:`lookup_window` with :meth:`resolve` instead.
         """
+        window = self.lookup_window(weights_batch, ks)
+        hits: list[CacheHit | None] = []
+        while window.pending:
+            hits += self.resolve(window)
+        return hits
+
+    def lookup_window(
+        self, weights_batch: np.ndarray, ks: int | Sequence[int]
+    ) -> LookupWindow:
+        """A :class:`LookupWindow` over ``(q, d)`` vectors and their ``k``
+        (a scalar or per-query sequence), for :meth:`resolve`; nothing is
+        evaluated yet."""
         W = np.asarray(weights_batch, dtype=np.float64)
         if W.ndim != 2:
             raise ValueError("weights_batch must have shape (q, d)")
         q = W.shape[0]
-        ks_arr = np.broadcast_to(np.asarray(ks, dtype=np.int64), (q,))
-        if self._index is None:
-            membership, keys = np.zeros((q, 0), dtype=bool), []
-        else:
-            membership, keys = self._index.membership_batch(W), self._index.keys()
+        return LookupWindow(W, np.broadcast_to(np.asarray(ks, dtype=np.int64), (q,)).tolist())
+
+    @sanitize.mutates
+    def resolve(self, window: LookupWindow) -> list[CacheHit | None]:
+        """Resolve a window's pending lookups in order, up to and including
+        the first miss, exactly as sequential :meth:`lookup` calls would.
+
+        The window's membership matrix is computed on the first call and
+        patched on a later one if the region index changed since
+        (:attr:`RegionIndex.version`): the columns of departed entries are
+        dropped and the new entries are evaluated for the unresolved rows
+        only. Entry keys are never reused and the index appends, so the
+        surviving columns are the index's first ones.
+        """
+        index = self._index
+        start = window.resolved
+        if index is not None and index.version != window.version:
+            keys = index.keys()
+            keep: list[int] = []
+            if window.keys:
+                live = set(keys)
+                keep = [j for j, key in enumerate(window.keys) if key in live]
+            member = index.membership_batch(window.W[start:], first=len(keep))
+            if keep:
+                old = window.member[start - window.base :]
+                if len(keep) < len(window.keys):
+                    old = old[:, keep]
+                member = np.concatenate([old, member], axis=1)
+            window.member, window.keys, window.base = member, keys, start
+            window.version = index.version
+        member, keys, ks = window.member, window.keys, window.ks
+        base = window.base
         hits: list[CacheHit | None] = []
-        for i in range(q):
-            members = [keys[j] for j in np.nonzero(membership[i])[0]]
-            hit = self._resolve(members, int(ks_arr[i]))
+        for i in range(start, len(ks)):
+            members = [keys[j] for j in np.nonzero(member[i - base])[0]]
+            hit = self._resolve(members, ks[i])
             hits.append(hit)
-            if stop_after_non_full and hit is None:
+            if hit is None:
                 break
+        window.resolved += len(hits)
         return hits
 
     def _resolve(self, member_keys: Sequence[int], k: int) -> CacheHit | None:

@@ -173,8 +173,12 @@ def refine_fans(
     fetches exactly the nodes that testing each entry alone at pop time
     would: the beneath-every-facet cone only grows as a fan is refined,
     so an entry the re-test drops would be pruned at its pop too, and the
-    survivors pop in the same order. Returns the number of nodes fetched
-    from disk.
+    survivors pop in the same order. The same argument applies to the
+    records of a fetched leaf: each fan first keeps only the rows above
+    one of its facets (:meth:`FacetFan.points_seen`, one product), and a
+    leaf with none costs that fan no result-id compare, dominance filter
+    or :meth:`FacetFan.add_points` call — so every call it does get
+    changes the fan. Returns the number of nodes fetched from disk.
     """
     read = tree.fetch if metered else tree._node
     result_ids = np.asarray(run.result.ids, dtype=np.int64)
@@ -240,17 +244,21 @@ def refine_fans(
         node = read(entry.node_id)
         fetched += 1
         if node.is_leaf:
-            # A broadcast compare: against k result ids it beats np.isin.
-            ids = node.ids[~(node.ids[:, None] == result_ids[None, :]).any(axis=1)]
-            if not ids.shape[0]:
-                continue
-            pts = points[ids]
-            pts_g = points_g[ids]
+            leaf_g = points_g[node.ids]
             changed = False
             for apex, fan in zip(apexes, fan_list):
+                # Only a record above some facet can change the fan;
+                # add_points would drop the rest the same way, in order.
+                above = fan.points_seen(leaf_g)
+                if not above.any():
+                    continue
+                ids = node.ids[above]
+                # A broadcast compare: against k result ids it beats np.isin.
+                ids = ids[~(ids[:, None] == result_ids[None, :]).any(axis=1)]
                 # Dominated records only yield implied half-spaces.
-                idx = np.flatnonzero(~kernels.dominated_mask(apex, pts))
-                changed |= fan.add_points(ids[idx].tolist(), pts_g[idx])
+                ids = ids[~kernels.dominated_mask(apex, points[ids])]
+                if ids.shape[0]:
+                    changed |= fan.add_points(ids.tolist(), points_g[ids])
             if changed:
                 heap = kept(heap, seen)
         else:

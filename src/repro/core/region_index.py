@@ -41,7 +41,11 @@ left to the LP.
 Rays are enumerated once, when the entry is admitted (:meth:`add`), so
 the screen is a pure read and a write never pays for another entry's
 cone. Removal splices the ray stack in the same pass as the membership
-rows; regions are immutable, so nothing is ever recomputed.
+rows, and an admission into a full cache splices out the LRU entry and
+appends the new one in that same pass (``add(..., evict=)``): one copy
+of each stack. Regions are immutable, so nothing is ever recomputed;
+:attr:`RegionIndex.version` counts the mutations, for callers that keep
+a membership matrix across them.
 
 The segmented reductions run through :mod:`repro.core.kernels`.
 """
@@ -72,22 +76,42 @@ SCREEN_LP = 2
 SCREEN_EVICT = 3
 
 
-def _splice(offsets: np.ndarray, pos: list[int], *stacks: np.ndarray) -> tuple:
-    """Cut the row segments of the entries at sorted positions ``pos`` out
-    of ``stacks``, whose entry ``i`` owns rows ``offsets[i]:offsets[i+1]``.
-    Returns the new offsets followed by the spliced stacks.
+def _kept(n: int, pos: list[int]) -> list[tuple[int, int]]:
+    """The runs ``[a, z)`` of entry positions ``0 … n − 1`` left when the
+    sorted positions ``pos`` are cut out."""
+    return [(a, z) for a, z in zip([0] + [p + 1 for p in pos], pos + [n]) if z > a]
+
+
+def _splice(
+    offsets: np.ndarray, keep: list[tuple[int, int]], stacks: tuple, added: tuple | None
+) -> tuple:
+    """Keep the row segments of the entry runs ``keep`` (:func:`_kept`) of
+    ``stacks``, whose entry ``i`` owns rows ``offsets[i]:offsets[i+1]``,
+    and append ``added`` (rows for each stack) as one new segment, unless
+    it is None. Returns the new offsets followed by the new stacks, each
+    built by one concatenate.
 
     The kept rows are the runs between the dropped segments: slicing them
-    beats a boolean row mask by an order of magnitude.
+    beats a boolean row mask by an order of magnitude, and the few numpy
+    calls per run are what an admission pays for its bookkeeping.
     """
-    bounds = offsets.tolist()
-    starts = [0] + [bounds[p + 1] for p in pos]
-    stops = [bounds[p] for p in pos] + [bounds[-1]]
-    runs = [slice(a, z) for a, z in zip(starts, stops) if z > a]
-    sizes = np.delete(np.diff(offsets), pos)
+    pieces, runs, total = [offsets[:1]], [], 0
+    for a, z in keep:
+        start, stop = int(offsets[a]), int(offsets[z])
+        shifted = offsets[a + 1 : z + 1]
+        pieces.append(shifted if start == total else shifted + (total - start))
+        runs.append(slice(start, stop))
+        total += stop - start
+    tails: list[list] = [[] for _ in stacks]
+    if added is not None:
+        pieces.append([total + len(added[0])])
+        tails = [[rows] for rows in added]
     return (
-        np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)]),
-        *(np.concatenate([stack[run] for run in runs] or [stack[:0]]) for stack in stacks),
+        np.concatenate(pieces),
+        *(
+            np.concatenate([stack[run] for run in runs] + tail or [stack[:0]])
+            for stack, tail in zip(stacks, tails)
+        ),
     )
 
 
@@ -99,14 +123,19 @@ class RegionIndex:
 
     All regions share one dimensionality ``d``, the cache's query-space
     dimension. Entries are identified by the cache's integer keys;
-    ``add``/``remove``/``clear`` maintain the stacks incrementally (append
-    on add, segment splice on remove).
+    ``add``/``remove_many``/``clear`` maintain the stacks incrementally (append
+    on add, segment splice on remove, both in one pass for an add that
+    evicts).
     """
 
     def __init__(self, d: int) -> None:
         if d <= 0:
             raise ValueError("dimensionality must be positive")
         self.d = int(d)
+        #: Bumped by every mutation (add, remove_many, clear): a caller holding
+        #: a membership matrix (:class:`~repro.core.caching.LookupWindow`)
+        #: patches it when this moved.
+        self.version = 0
         self.clear()
 
     # -- maintenance ----------------------------------------------------------
@@ -130,6 +159,7 @@ class RegionIndex:
         polytope: Polytope,
         kth_g: np.ndarray | None = None,
         interior: np.ndarray | None = None,
+        evict: int | None = None,
     ) -> None:
         """Index a region under ``key``.
 
@@ -137,9 +167,12 @@ class RegionIndex:
         ``interior`` (the entry's query vector, the interior point of the
         ray enumeration) enable the insert-invalidation prescreen for this
         entry, at the cost of one ray enumeration here; without both the
-        entry is always classified :data:`SCREEN_LP`. A ``kth_g`` that is
-        not of shape ``(d,)`` is a ``ValueError``, raised before anything
-        is written.
+        entry is always classified :data:`SCREEN_LP`. ``evict`` names an
+        indexed entry to drop in the same pass (the cache's LRU entry on
+        capacity overflow): each stack is then copied once, not once to
+        append and once to splice. A ``kth_g`` that is not of shape
+        ``(d,)``, or an ``evict`` key that is not indexed, is an error
+        raised before anything is written.
         """
         if polytope.d != self.d:
             raise ValueError(f"expected a {self.d}-d region, got {polytope.d}-d")
@@ -147,6 +180,7 @@ class RegionIndex:
             raise ValueError("cannot index a constraint-free region")
         if key in self._keys:
             raise KeyError(f"key {key} already indexed")
+        pos = [] if evict is None else [self._position(evict)]
         if kth_g is not None:
             kth_g = np.asarray(kth_g, dtype=np.float64)
             if kth_g.shape != (self.d,):
@@ -161,20 +195,42 @@ class RegionIndex:
             rdots = np.zeros(1)
         else:
             rdots = R @ kth_g
-        A_n, b_n = polytope.normalized_halfspaces()
-        self._A = np.concatenate([self._A, A_n])
-        self._b = np.concatenate([self._b, b_n])
-        self._offsets = np.append(self._offsets, self._offsets[-1] + polytope.m)
-        self._R = np.concatenate([self._R, R])
-        self._rdots = np.concatenate([self._rdots, rdots])
-        self._ray_offsets = np.append(self._ray_offsets, self._ray_offsets[-1] + len(R))
-        self._kth = np.concatenate([self._kth, kth_g[None]])
+        self._restack(pos, polytope.normalized_halfspaces(), (R, rdots), kth_g[None])
         self._keys.append(key)
 
-    @sanitize.mutates
-    def remove(self, key: int) -> bool:
-        """Drop an entry; returns False if the key is unknown."""
-        return self.remove_many([key]) == 1
+    def _position(self, key: int) -> int:
+        """The segment position of an indexed key (``KeyError`` if none).
+        ``list.index`` finds it without a Python pass over every key."""
+        try:
+            return self._keys.index(key)
+        except ValueError:
+            raise KeyError(f"key {key} is not indexed") from None
+
+    def _restack(
+        self,
+        pos: list[int],
+        rows: tuple | None = None,
+        rays: tuple | None = None,
+        kth: np.ndarray | None = None,
+    ) -> None:
+        """Drop the entries at sorted positions ``pos`` from every stack
+        and append one entry's ``(A, b)`` rows, ``(R, R @ g(p_k))`` rays
+        and ``(1, d)`` k-th g-image, if given: one concatenate per stack."""
+        keep = _kept(len(self._keys), pos)
+        self._offsets, self._A, self._b = _splice(
+            self._offsets, keep, (self._A, self._b), rows
+        )
+        self._ray_offsets, self._R, self._rdots = _splice(
+            self._ray_offsets, keep, (self._R, self._rdots), rays
+        )
+        # One k-th row per entry: the entry runs are its row runs.
+        tail = [] if kth is None else [kth]
+        self._kth = np.concatenate(
+            [self._kth[a:z] for a, z in keep] + tail or [self._kth[:0]]
+        )
+        for i in reversed(pos):
+            del self._keys[i]
+        self.version += 1
 
     @sanitize.mutates
     def remove_many(self, keys) -> int:
@@ -186,21 +242,13 @@ class RegionIndex:
         drop = [key for key in dict.fromkeys(keys) if key in self._keys]
         if not drop:
             return 0
-        # ``list.index`` finds each dropped key's row segment without a
-        # Python pass over every indexed key (an LRU eviction drops one).
-        pos = sorted(self._keys.index(key) for key in drop)
-        self._offsets, self._A, self._b = _splice(self._offsets, pos, self._A, self._b)
-        self._ray_offsets, self._R, self._rdots = _splice(
-            self._ray_offsets, pos, self._R, self._rdots
-        )
-        self._kth = np.delete(self._kth, pos, axis=0)
-        for i in reversed(pos):
-            del self._keys[i]
+        self._restack(sorted(self._position(key) for key in drop))
         return len(drop)
 
     @sanitize.mutates
     def clear(self) -> None:
         d = self.d
+        self.version += 1
         self._keys: list[int] = []
         # Membership rows: entry ``i`` owns rows ``offsets[i]:offsets[i+1]``.
         self._A = np.empty((0, d), dtype=np.float64)
@@ -216,20 +264,26 @@ class RegionIndex:
 
     # -- membership -----------------------------------------------------------
 
-    def membership_batch(self, X: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    def membership_batch(
+        self, X: np.ndarray, tol: float = MEMBERSHIP_TOL, first: int = 0
+    ) -> np.ndarray:
         """Membership of a whole query batch at once.
 
-        ``X`` is ``(q, d)``; returns boolean ``(q, n_entries)``, columns in
-        :meth:`keys` order. The entire batch-vs-cache evaluation is one
-        matmul ``X @ A_allᵀ``.
+        ``X`` is ``(q, d)``; returns boolean ``(q, n_entries − first)``,
+        columns in :meth:`keys` order from entry ``first`` on (a caller
+        patching a membership matrix evaluates only the entries added
+        since). The entire batch-vs-cache evaluation is one matmul
+        ``X @ A_allᵀ``.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"X must have shape (q, {self.d})")
-        if not self._keys:
+        if first >= len(self._keys):
             return np.zeros((X.shape[0], 0), dtype=bool)
+        offsets = self._offsets[first:]
+        start = offsets[0]
         return kernels.segmented_membership_batch(
-            self._A, self._b, self._offsets, X, tol
+            self._A[start:], self._b[start:], offsets - start, X, tol
         )
 
     # -- insert-invalidation prescreen ----------------------------------------

@@ -89,11 +89,11 @@ SOURCE_COMPUTED = "computed"
 INVALIDATION_POLICIES = ("gir", "flush")
 
 #: Max requests stacked into one batched cache lookup. A pipeline-running
-#: request (a miss) interrupts the batch and invalidates the
-#: membership matrix computed for the requests behind it, so on miss-heavy
-#: streams an unbounded window would redo O(batch) membership work per
-#: interruption (quadratic overall); the window caps that waste while a
-#: hit-heavy stream still amortizes its matmuls over hundreds of requests.
+#: request (a miss) changes the cache under the requests behind it, and
+#: their membership matrix is patched — one copy of it per miss — so on
+#: miss-heavy streams an unbounded window would copy O(batch) per miss
+#: (quadratic overall); the window caps that while a hit-heavy stream
+#: still amortizes its matmuls over hundreds of requests.
 LOOKUP_WINDOW = 256
 
 
@@ -591,14 +591,15 @@ class GIREngine:
 
         Answers, provenance and all cache/hit accounting are identical to
         issuing the requests one-by-one; the cache membership work,
-        however, is batched — one matmul of the pending request matrix
-        against every cached region's stacked half-spaces
-        (:meth:`~repro.core.caching.GIRCache.lookup_batch`). A request
-        that triggers the pipeline (a miss) mutates the
-        cache, so batched evaluation restarts from the following request —
-        exactly the state a sequential run would see. Lookups are stacked
-        at most :data:`LOOKUP_WINDOW` at a time, bounding the membership
-        work a mid-batch pipeline run can invalidate.
+        however, is batched — one matmul of the request matrix against
+        every cached region's stacked half-spaces
+        (:meth:`~repro.core.caching.GIRCache.resolve`). A request that
+        triggers the pipeline (a miss) admits its region and may evict
+        the LRU entry; the requests after it are then judged against a
+        patched matrix — the evicted entry's column dropped, the new
+        entry's evaluated for them only — exactly the state a sequential
+        run would see. Lookups are stacked at most :data:`LOOKUP_WINDOW`
+        at a time, bounding the matrix every patch copies.
 
         Malformed requests (query vector of the wrong dimension, NaN/inf,
         all-nonpositive; ``k`` not a positive int or above the live
@@ -614,31 +615,31 @@ class GIREngine:
         all_ks = [validate_k(r.k, n_live) for r in reqs]
         responses: list[EngineResponse] = []
         with obs.span("engine.topk_batch", n=len(reqs)):
-            i = 0
-            while i < len(reqs):
+            for i in range(0, len(reqs), LOOKUP_WINDOW):
                 W = validated[i : i + LOOKUP_WINDOW]
-                ks = all_ks[i : i + LOOKUP_WINDOW]
-                t_lookup = time.perf_counter()
-                with obs.span("engine.cache_lookup_batch", n=len(ks)):
-                    hits = self.cache.lookup_batch(
-                        W, ks, stop_after_non_full=True
+                window = self.cache.lookup_window(W, all_ks[i : i + LOOKUP_WINDOW])
+                while window.pending:
+                    start = window.resolved
+                    t_lookup = time.perf_counter()
+                    # The matmul, or the patch after a miss's admission,
+                    # over the pending rows.
+                    with obs.span("engine.cache_lookup_batch", n=window.pending):
+                        hits = self.cache.resolve(window)
+                    # Attribute the lookup work evenly to the requests it
+                    # resolved, so a request's latency_ms includes its
+                    # share of the lookup.
+                    lookup_share_ms = (
+                        (time.perf_counter() - t_lookup) * 1e3 / len(hits)
                     )
-                # Attribute the shared membership matmul evenly to the
-                # requests it resolved, so a request's latency_ms
-                # includes its share of the lookup.
-                lookup_share_ms = (
-                    (time.perf_counter() - t_lookup) * 1e3 / max(len(hits), 1)
-                )
-                for offset, hit in enumerate(hits):
-                    io_before = self.tree.store.stats.page_reads
-                    t0 = time.perf_counter()
-                    responses.append(
-                        self._serve(
-                            W[offset], ks[offset], hit, t0, io_before,
-                            extra_latency_ms=lookup_share_ms,
+                    for offset, hit in enumerate(hits, start):
+                        io_before = self.tree.store.stats.page_reads
+                        t0 = time.perf_counter()
+                        responses.append(
+                            self._serve(
+                                W[offset], window.ks[offset], hit, t0, io_before,
+                                extra_latency_ms=lookup_share_ms,
+                            )
                         )
-                    )
-                i += len(hits)
         return responses
 
     def _serve(

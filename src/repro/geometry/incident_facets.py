@@ -263,6 +263,19 @@ class FacetFan:
     def degenerate(self) -> bool:
         return self._degenerate
 
+    def points_seen(self, pts: np.ndarray) -> np.ndarray:
+        """Which rows of the ``(m, d)`` stack ``pts`` lie above some facet?
+
+        One height product; every row is seen while the fan is degenerate
+        (it keeps every point). A False row cannot change the fan now or
+        later (the beneath-every-facet cone only grows), so a caller may
+        drop it before :meth:`add_points`, which drops it the same way.
+        """
+        if self._degenerate:
+            return np.ones(pts.shape[0], dtype=bool)
+        heights = kernels.facet_heights(pts, self._normals, self._offsets)
+        return (heights > self.eps).any(axis=1)
+
     def add_points(self, keys: list[PointKey], pts: np.ndarray) -> bool:
         """Insert a batch of points; returns True iff the fan changed.
 
@@ -271,7 +284,8 @@ class FacetFan:
         the columns of the facets it removed and appends one product for
         the facets it created. Points below every facet are dropped up
         front (they stay below, see the module docstring); of the rest,
-        the one highest above the fan is inserted next.
+        the one highest above the fan is inserted next. Given only rows
+        :meth:`points_seen` keeps, the call always changes the fan.
         """
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, self.d)
         if self._degenerate:

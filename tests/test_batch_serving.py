@@ -3,13 +3,16 @@
 `GIREngine.topk` is a batch of one through `topk_batch`, so "batched vs
 per-request" is no longer two code paths — but `topk_batch(N requests)`
 ≡ `N` singleton calls is still a real property: a multi-request batch
-resolves its cache membership in one stacked `GIRCache.lookup_batch`
-pass and must *restart* that pass after every request that runs the
-pipeline (`stop_after_non_full`), or later requests would be judged
-against a stale cache. Batching may only change how the membership
-arithmetic is grouped, never what is served. These property tests replay
-the same workload at both batch sizes on twin engines and compare
-everything observable.
+resolves its cache membership from one stacked matrix per lookup window
+(`GIRCache.lookup_window` / `GIRCache.resolve`), and every request that
+runs the pipeline changes the cache under the requests behind it — it
+admits a region and, at capacity, evicts the LRU entry. The window's
+matrix must then be *patched* (`RegionIndex.version` moved: the evicted
+entry's column dropped, the new entry's evaluated for the unresolved
+rows), or later requests would be judged against a stale cache.
+Batching may only change how the membership arithmetic is grouped,
+never what is served. These property tests replay the same workload at
+both batch sizes on twin engines and compare everything observable.
 """
 
 import numpy as np
@@ -23,8 +26,10 @@ from repro.engine import (
     uniform_workload,
     zipf_clustered_workload,
 )
+from repro.core.region_index import RegionIndex
 from repro.index.bulkload import bulk_load_str
 from tests.conftest import random_query, run_batched
+from tests.test_region_index import random_region
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +124,111 @@ class TestBatchEquivalence:
     def test_empty_batch(self, batch_setup):
         engine = GIREngine(batch_setup, bulk_load_str(batch_setup))
         assert engine.topk_batch([]) == []
+
+
+def lru_order(engine) -> list[int]:
+    return [key for key, _ in engine.cache.items()]
+
+
+def assert_batch_matches_sequential(data, batches) -> tuple:
+    """Serve ``batches`` (lists of requests) as ``topk_batch`` calls on one
+    engine and one request at a time on its twin, both with a 3-entry
+    cache; compare every response, the cache counters and the LRU order
+    after each batch. Returns the batched responses and cache."""
+    batched = GIREngine(data, bulk_load_str(data), cache_capacity=3)
+    sequential = GIREngine(data, bulk_load_str(data), cache_capacity=3)
+    served = []
+    for reqs in batches:
+        ours = batched.topk_batch(reqs)
+        theirs = [sequential.topk(r.weights, r.k) for r in reqs]
+        for a, b in zip(ours, theirs, strict=True):
+            assert (a.ids, a.scores, a.source, a.pages_read) == (
+                b.ids, b.scores, b.source, b.pages_read,
+            )
+        assert batched.cache.stats() == sequential.cache.stats()
+        assert lru_order(batched) == lru_order(sequential)
+        served.extend(ours)
+    return served, batched.cache
+
+
+class TestWindowUnderChurn:
+    """A lookup window outlives the misses inside it: each miss admits a
+    region and, at capacity, evicts the LRU entry, and the requests after
+    it are judged against the patched matrix."""
+
+    def test_admitted_evicted_and_deeper_k_in_one_batch(self, batch_setup):
+        data = batch_setup
+        q1, q2, q3, q4 = (np.array(v) for v in (
+            [0.2, 0.5, 0.8], [0.8, 0.2, 0.5], [0.5, 0.8, 0.2], [0.6, 0.6, 0.6],
+        ))
+        batch = [
+            Request(weights=q1, k=5),  # miss: admit E1
+            Request(weights=q2, k=5),  # miss: admit E2
+            Request(weights=q3, k=5),  # miss: admit E3, cache full
+            Request(weights=q1, k=5),  # hits E1, admitted by this batch
+            Request(weights=q4, k=5),  # miss: admit E4, evict E2
+            Request(weights=q2, k=5),  # misses E2, evicted by this batch
+            Request(weights=q1, k=8),  # deeper k inside E1's region: miss
+            Request(weights=q4, k=3),  # shallower k: hits E4
+        ]
+        served, cache = assert_batch_matches_sequential(data, [batch])
+        assert [r.source for r in served] == [
+            "computed", "computed", "computed", "cache",
+            "computed", "computed", "computed", "cache",
+        ]
+        assert cache.stats()["capacity_evictions"] == 3
+        assert served[3].ids == served[0].ids
+        assert served[7].ids == served[4].ids[:3]
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_random_stream(self, batch_setup, seed):
+        """Requests drawn from six vectors with ``k`` in {3, 5, 8}, in
+        batches of 1–12: hits, misses and evictions interleave inside
+        every batch."""
+        rng = np.random.default_rng(seed)
+        pool = [random_query(rng, 3) for _ in range(6)]
+        batches = [
+            [
+                Request(weights=pool[rng.integers(6)], k=int(rng.choice([3, 5, 8])))
+                for _ in range(rng.integers(1, 13))
+            ]
+            for _ in range(12)
+        ]
+        served, cache = assert_batch_matches_sequential(batch_setup, batches)
+        sources = {r.source for r in served}
+        assert sources == {"computed", "cache"}
+        assert cache.stats()["capacity_evictions"] > 0
+
+
+class TestWindowPatch:
+    def test_membership_from_first_entry(self, rng):
+        index = RegionIndex(3)
+        for key in range(6):
+            index.add(key, random_region(rng, 3))
+        X = rng.uniform(-0.1, 1.1, size=(50, 3))
+        full = index.membership_batch(X)
+        for p in range(7):
+            assert (index.membership_batch(X, first=p) == full[:, p:]).all()
+
+    def test_version_moves_on_every_mutation(self, rng):
+        index = RegionIndex(3)
+        seen = [index.version]
+        for key in range(3):
+            index.add(key, random_region(rng, 3))
+            seen.append(index.version)
+        index.add(3, random_region(rng, 3), evict=0)
+        seen.append(index.version)
+        assert index.remove_many([1]) == 1
+        seen.append(index.version)
+        assert index.remove_many([2, 3]) == 2
+        seen.append(index.version)
+        index.clear()
+        seen.append(index.version)
+        assert len(set(seen)) == len(seen)
+        # Nothing to remove, nothing moved.
+        assert index.remove_many([7]) == 0 and index.version == seen[-1]
+        index.membership_batch(rng.random((4, 3)))
+        assert index.version == seen[-1]
 
 
 class TestPrescreenReporting:

@@ -274,7 +274,7 @@ class TestEvictionAndStats:
                 assert (hb.ids, hb.entry_key) == (hs.ids, hs.entry_key)
         assert batched.stats() == sequential.stats()
 
-    def test_lookup_batch_stop_after_non_full(self, cached_setup, rng):
+    def test_resolve_stops_after_first_miss(self, cached_setup, rng):
         data, tree = cached_setup
         q = random_query(rng, 3)
         cache = GIRCache()
@@ -283,14 +283,20 @@ class TestEvictionAndStats:
             c for c in (rng.random(3) for _ in range(1000))
             if not next(cache.items())[1].contains(c)
         )
-        W = np.stack([q, q, outside, q])
-        hits = cache.lookup_batch(W, 10, stop_after_non_full=True)
-        # Stops at (and accounts) the miss; the trailing hit is not served.
-        assert len(hits) == 3
-        assert hits[0] is not None and hits[1] is not None
-        assert hits[2] is None
+        window = cache.lookup_window(np.stack([q, q, outside, outside, q]), 10)
+        hits = cache.resolve(window)
+        # Stops at (and accounts) the miss; the later rows are pending.
+        assert [h is not None for h in hits] == [True, True, False]
+        assert (window.resolved, window.pending) == (3, 2)
         assert cache.stats()["full_hits"] == 2
         assert cache.stats()["misses"] == 1
+        # The caller admits the miss's region; the next run sees it.
+        cache.insert(compute_gir(tree, data, outside, 10))
+        rest = cache.resolve(window)
+        assert [h is not None for h in rest] == [True, True]
+        assert rest[0].entry_key == 1 and rest[1].entry_key == 0
+        assert window.pending == 0
+        assert cache.stats()["full_hits"] == 4
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):

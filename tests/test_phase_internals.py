@@ -281,6 +281,61 @@ class TestDiskStep:
         # Fewer tests than one per pop, so the bound has teeth.
         assert changes < pops
 
+    @pytest.mark.parametrize("star", [False, True], ids=["gir", "gir_star"])
+    def test_every_add_points_changes_the_fan(self, indexed, star, monkeypatch):
+        """A leaf's records reach ``add_points`` only if some lies above a
+        facet, so every call the disk step makes changes the fan."""
+        _, points, tree, k = indexed
+        d = points.shape[1]
+        outcomes: list[bool] = []
+        real = FacetFan.add_points
+
+        def recorded(fan, keys, pts):
+            outcomes.append(real(fan, keys, pts))
+            return outcomes[-1]
+
+        rng = np.random.default_rng(14)
+        for _ in range(6):
+            run = brs_topk(tree, points, random_query(rng, d), k, metered=False)
+            apexes = (
+                prune_result_records(run.result.ids, points, points)
+                if star
+                else [run.result.kth_id]
+            )
+            fans = fans_for(run, points, apexes)
+            with monkeypatch.context() as patch:
+                patch.setattr(FacetFan, "add_points", recorded)
+                refine_fans(tree, points, points, run, fans, LinearScoring(d), metered=False)
+        assert outcomes and all(outcomes)
+
+    def test_degenerate_fan_matches_pop_time_reference(self):
+        """A fan seeded with copies of one record is degenerate: it keeps
+        every record it is given and prunes no box. The disk step still
+        fetches and keeps what testing entries at pop time does."""
+        data = independent(600, 3, seed=4)
+        points, tree = data.points, bulk_load_str(data)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            run = brs_topk(tree, points, random_query(rng, 3), 5, metered=False)
+            apex = run.result.kth_id
+            dup = int(run.encountered[run.encountered != apex][0])
+
+            def degenerate():
+                fan = FacetFan(points[apex])
+                copies = np.repeat(points[dup][None], 3, axis=0)
+                fan.bootstrap([dup] * 3, copies, run.result.weights)
+                assert fan.degenerate
+                return {apex: fan}
+
+            ours, theirs = degenerate(), degenerate()
+            tree.store.reset_meter()
+            fetched = refine_fans(tree, points, points, run, ours, LinearScoring(3))
+            assert fetched == pop_time_refine(
+                tree, points, run, theirs, LinearScoring(3), FPOptions()
+            )
+            assert ours[apex].critical_keys() == theirs[apex].critical_keys()
+            assert len(ours[apex].critical_keys()) > 1
+
     def test_farthest_first_insertion_count(self):
         """Quickhull order: on IND n = 20k, d = 4, k = 20 a fan is rebuilt
         at most 2.5 times per critical record it ends with (4.1 when the

@@ -68,8 +68,8 @@ class TestMembership:
             for key, region in regions.items():
                 index.add(key, region)
             if len(dropped) == 1:
-                assert index.remove(dropped[0])
-                assert not index.remove(dropped[0])  # already gone
+                assert index.remove_many(dropped) == 1
+                assert index.remove_many(dropped) == 0  # already gone
             else:
                 assert index.remove_many(dropped + [dropped[0], 99]) == 3
             for key in dropped:
@@ -198,7 +198,7 @@ class TestPrescreen:
             gir = compute_gir(tree, data, random_query(rng, 3), 6)
             girs[key] = gir
             add_gir(index, key, gir, data)
-        index.remove(2)
+        index.remove_many([2])
         del girs[2]
         gir = compute_gir(tree, data, random_query(rng, 3), 6)
         girs[99] = gir
@@ -217,8 +217,10 @@ class TestPrescreen:
         """After every step of a random add / remove / remove_many / clear
         sequence, the spliced index answers exactly like one built fresh
         from the surviving entries: same keys, rows, membership and
-        prescreen codes. The pool mixes GIRs, entries without ``kth_g``
-        and rayless (flat) entries."""
+        prescreen codes. An add into three or more entries evicts the
+        oldest in the same pass (``evict=``, the cache's capacity
+        overflow). The pool mixes GIRs, entries without ``kth_g`` and
+        rayless (flat) entries."""
         data, tree = indexed_setup
         rng = np.random.default_rng(39)
         flat = Polytope.from_unit_box(3).with_constraints(
@@ -233,17 +235,20 @@ class TestPrescreen:
         X = rng.uniform(-0.1, 1.1, size=(40, 3))
         points = np.vstack([rng.random((4, 3)), 0.8 + 0.2 * rng.random((4, 3))])
         index, live, next_key = RegionIndex(3), {}, 0
-        decided = set()
+        decided, evictions = set(), 0
         for _ in range(60):
             u = rng.random()
             if u < 0.55 or not live:
                 polytope, kth_g, interior = pool[rng.integers(len(pool))]
-                index.add(next_key, polytope, kth_g=kth_g, interior=interior)
+                oldest = next(iter(live)) if len(live) >= 3 else None
+                index.add(next_key, polytope, kth_g=kth_g, interior=interior, evict=oldest)
+                live.pop(oldest, None)
                 live[next_key] = (polytope, kth_g, interior)
                 next_key += 1
+                evictions += oldest is not None
             elif u < 0.75:
                 key = list(live)[rng.integers(len(live))]
-                assert index.remove(key)
+                assert index.remove_many([key]) == 1
                 del live[key]
             elif u < 0.95:
                 keys = list(rng.choice(list(live), size=min(3, len(live)), replace=False))
@@ -264,6 +269,28 @@ class TestPrescreen:
                 assert (codes == fresh.prescreen_insert(p)).all()
                 decided.update(codes.tolist())
         assert {SCREEN_SAFE, SCREEN_LP, SCREEN_EVICT} <= decided
+        assert evictions >= 5
+
+    def test_rejected_insert_at_capacity_evicts_nothing(self, indexed_setup, rng):
+        """A full cache checks a new entry before it splices out its LRU
+        entry: a misshapen ``kth_g`` leaves the entries, the counters and
+        the LRU order as they were."""
+        data, tree = indexed_setup
+        cache = GIRCache(capacity=3)
+        for _ in range(3):
+            gir = compute_gir(tree, data, random_query(rng, 3), 5)
+            cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
+        before, order = cache.stats(), [key for key, _ in cache.items()]
+        rows = cache._index.rows
+        other = compute_gir(tree, data, random_query(rng, 3), 5)
+        with pytest.raises(ValueError, match="kth_g"):
+            cache.insert(other, kth_g=np.zeros(4))
+        assert len(cache) == 3 and cache.stats() == before
+        assert [key for key, _ in cache.items()] == order
+        assert cache._index.keys() == order and cache._index.rows == rows
+        cache.insert(other, kth_g=data.points[other.topk.kth_id])
+        assert [key for key, _ in cache.items()] == order[1:] + [3]
+        assert cache.stats()["capacity_evictions"] == 1
 
 def _cache_entries(cache: GIRCache, g_of) -> list:
     """``[(gir, kth_g)]`` of a cache's region index, in index order."""
