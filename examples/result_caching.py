@@ -8,9 +8,9 @@ similar preferences thus share work.
 The modern path is :class:`repro.GIREngine`: it owns the tree, dataset,
 scorer and GIR cache, answers every request cache-first (a request for
 more records than the containing entry holds is a miss, computed afresh)
-and accounts latency and I/O per request. For comparison, the second half of
-this example replays the same workload through the original manual
-cache-then-compute loop.
+and accounts the page reads of every request. For comparison, the second
+half of this example replays the same workload through the original
+manual cache-then-compute loop.
 
 Run with:  python examples/result_caching.py
 """

@@ -184,9 +184,6 @@ class ShardReply:
     source: str
     #: Metered page reads charged for this answer.
     pages_read: int
-    #: The shard engine's serving latency (compute only — transport time,
-    #: if any, is visible in the router's wall clock instead).
-    latency_ms: float
     #: Shard-cache entries *after* serving this request. The router
     #: tracks these snapshots so update accounting can report cluster-wide
     #: cache occupancy without a per-write stats round trip (nothing
@@ -207,8 +204,6 @@ class ShardUpdate:
     screened: int
     #: Invalidation LPs actually run.
     lps: int
-    #: Shard-side update latency.
-    latency_ms: float
     #: Shard-cache entries remaining after the update (see
     #: :attr:`ShardReply.cache_entries`).
     cache_entries: int
@@ -304,7 +299,6 @@ def reply_from_response(engine: GIREngine, resp: EngineResponse) -> ShardReply:
         region=resp.region,
         source=resp.source,
         pages_read=resp.pages_read,
-        latency_ms=resp.latency_ms,
         cache_entries=len(engine.cache),
     )
 
@@ -327,7 +321,6 @@ def update_from_response(sub: UpdateResponse) -> ShardUpdate:
         evicted=sub.evicted,
         screened=sub.prescreen_screened,
         lps=sub.prescreen_lps,
-        latency_ms=sub.latency_ms,
         cache_entries=sub.cache_entries,
     )
 

@@ -83,8 +83,6 @@ class ShardAnswer:
     source: str
     #: Metered page reads the shard charged for this answer.
     pages_read: int
-    #: The shard's serving latency for this answer.
-    latency_ms: float
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ shard's request holds it from its send to its reply.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Sequence
 
 import numpy as np
@@ -256,7 +255,6 @@ class ShardedGIREngine:
         self.updates_applied = 0
         self.update_evictions = 0
         self._shard_requests: list[int] = [0] * self.n_shards
-        self._shard_latency_ms: list[float] = [0.0] * self.n_shards
         #: Set when a shard diverged mid-write (dirty failure): the
         #: router's maps no longer describe the shard's state, so every
         #: further serving call fail-stops instead of returning answers
@@ -369,32 +367,24 @@ class ShardedGIREngine:
             W = validate_weight_rows([r.weights for r in reqs], self.d)
             n_live = self.n_live
             ks = [validate_k(r.k, n_live) for r in reqs]
-            t_lookup = time.perf_counter()
             hits = (
                 self.cache.lookup_batch(W, ks)
                 if self.cache is not None
                 else [None] * len(reqs)
             )
-            lookup_share_ms = (time.perf_counter() - t_lookup) * 1e3 / len(reqs)
 
             responses: list[EngineResponse | None] = [None] * len(reqs)
             pending = []
             for i, hit in enumerate(hits):
                 if hit is not None:
-                    t0 = time.perf_counter()
-                    responses[i] = self._serve_cluster_hit(
-                        W[i], ks[i], hit, t0, extra_latency_ms=lookup_share_ms
-                    )
+                    responses[i] = self._serve_cluster_hit(W[i], ks[i], hit)
                 else:
                     pending.append(i)
             if pending:
-                t_fan = time.perf_counter()
                 per_shard = self._fan_out(
                     [W[i] for i in pending], [ks[i] for i in pending]
                 )
-                fan_share_ms = (time.perf_counter() - t_fan) * 1e3 / len(pending)
                 for offset, i in enumerate(pending):
-                    t0 = time.perf_counter()
                     answers = [
                         self._lift(s, shard_replies[offset])
                         for s, shard_replies in per_shard
@@ -411,9 +401,6 @@ class ShardedGIREngine:
                         weights=W[i],
                         k=ks[i],
                         source=merged.source,
-                        latency_ms=(time.perf_counter() - t0) * 1e3
-                        + fan_share_ms
-                        + lookup_share_ms,
                         pages_read=merged.pages_read,
                         gir_stats=None,
                         region=merged.gir.polytope,
@@ -438,12 +425,7 @@ class ShardedGIREngine:
         )
 
     def _serve_cluster_hit(
-        self,
-        weights: np.ndarray,
-        k: int,
-        hit: Any,
-        t0: float,
-        extra_latency_ms: float = 0.0,
+        self, weights: np.ndarray, k: int, hit: Any
     ) -> EngineResponse:
         """Serve from a cluster-cache entry: zero fan-out, zero pages;
         scores recomputed for the request's own weights."""
@@ -456,7 +438,6 @@ class ShardedGIREngine:
             weights=weights,
             k=k,
             source=SOURCE_CACHE,
-            latency_ms=(time.perf_counter() - t0) * 1e3 + extra_latency_ms,
             pages_read=0,
             gir_stats=None,
             region=self.cache.entry(hit.entry_key).polytope,
@@ -498,7 +479,6 @@ class ShardedGIREngine:
         """Lift a local-rid shard reply into global-rid terms for the
         merge, accounting the fan-out traffic."""
         self._shard_requests[shard] += 1
-        self._shard_latency_ms[shard] += reply.latency_ms
         self._shard_cache_entries[shard] = reply.cache_entries
         l2g = self._local_to_global[shard]
         return ShardAnswer(
@@ -510,7 +490,6 @@ class ShardedGIREngine:
             region=reply.region,
             source=reply.source,
             pages_read=reply.pages_read,
-            latency_ms=reply.latency_ms,
         )
 
     def _cache_merged(self, merged: MergedAnswer) -> None:
@@ -525,7 +504,6 @@ class ShardedGIREngine:
         the cluster-level cache under the global rids."""
         with obs.span("cluster.insert"), self._serve_lock:
             self._ensure_serving()
-            t0 = time.perf_counter()
             point = validate_point(point, self.d)
             gid = self.table.insert(point)
             # Work from the *stored* (unit-cube-clipped) row from here on,
@@ -564,7 +542,6 @@ class ShardedGIREngine:
             return self._finish_update(
                 "insert",
                 gid,
-                t0,
                 evicted=sub.evicted + evicted,
                 screened=sub.screened + screened,
                 lps=sub.lps + lps,
@@ -575,7 +552,6 @@ class ShardedGIREngine:
         cluster-cache entries are evicted only if they served the rid."""
         with obs.span("cluster.delete"), self._serve_lock:
             self._ensure_serving()
-            t0 = time.perf_counter()
             # Validate first, mutate the global table only after the owning
             # shard applied the delete — a clean backend failure must not
             # strand a live shard record that the router counts as dead (a
@@ -602,7 +578,6 @@ class ShardedGIREngine:
             return self._finish_update(
                 "delete",
                 rid,
-                t0,
                 evicted=sub.evicted + evicted,
                 screened=sub.screened,
                 lps=sub.lps,
@@ -651,7 +626,6 @@ class ShardedGIREngine:
         self,
         kind: str,
         rid: int,
-        t0: float,
         evicted: int,
         screened: int,
         lps: int,
@@ -664,7 +638,6 @@ class ShardedGIREngine:
         return UpdateResponse(
             kind=kind,
             rid=rid,
-            latency_ms=(time.perf_counter() - t0) * 1e3,
             evicted=evicted,
             cache_entries=entries,
             policy=self.invalidation,
@@ -678,7 +651,6 @@ class ShardedGIREngine:
     #: deltas by :meth:`run`); the rest are end-of-run state.
     _SHARD_COUNTER_KEYS = (
         "requests",
-        "latency_ms_total",
         "page_reads",
         "cache_full_hits",
         "cache_misses",
@@ -754,8 +726,8 @@ class ShardedGIREngine:
     def shard_stats(self) -> list[dict[str, Any]]:
         """Per-shard breakdown: fan-out traffic, page reads, cache state.
 
-        Router-side counters (requests fanned out, accumulated latency)
-        merged with each backend's own stat snapshot
+        The router-side count of requests fanned out, merged with each
+        backend's own stat snapshot
         (:func:`~repro.cluster.backends.engine_shard_stats`) — one stats
         round trip per shard for process-backed clusters, under the
         serve lock like every other backend call.
@@ -765,7 +737,6 @@ class ShardedGIREngine:
                 {
                     "shard": s,
                     "requests": self._shard_requests[s],
-                    "latency_ms_total": self._shard_latency_ms[s],
                     **backend.stats(),
                 }
                 for s, backend in enumerate(self.backends)

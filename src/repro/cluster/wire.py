@@ -24,6 +24,11 @@ so that worker-side spans stitch under the router's trace
 (:mod:`repro.obs`). Tracing is observability, not semantics: a frame
 with and without the trace block decodes to byte-identical payloads.
 
+This is version 4: reply and update frames carry answers and their
+accounting (page reads, cache entries, eviction counts), and no latency.
+Time is measured by :mod:`repro.obs` spans, whose worker-side records
+cross as ``MSG_REPLY_TRACE``.
+
 Float payloads round-trip bit-exactly (``<f8`` both ways), which is what
 keeps a process-backed cluster's merged answers *byte-identical* to the
 in-process backend: scores, tie-break sums, g-images and region rows cross
@@ -120,7 +125,7 @@ __all__ = [
 ]
 
 MAGIC = b"GIRW"
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 _FRAME = struct.Struct("<4sHHH")  # magic, version, msg_type, flags
 
 #: Frame flag: a trace-context block precedes the payload.
@@ -455,9 +460,7 @@ def _put_reply(out: bytearray, reply: "ShardReply") -> None:
     _put_array(out, reply.points_g)
     _put_bytes(out, reply.region.to_bytes())
     _put_bytes(out, reply.source.encode("utf-8"))
-    out += struct.pack(
-        "<qqd", reply.pages_read, reply.cache_entries, reply.latency_ms
-    )
+    out += struct.pack("<qq", reply.pages_read, reply.cache_entries)
 
 
 def _get_reply(reader: Reader) -> "ShardReply":
@@ -469,7 +472,7 @@ def _get_reply(reader: Reader) -> "ShardReply":
     points_g = _get_array(reader)
     region = Polytope.from_bytes(_get_bytes(reader))
     source = _get_bytes(reader).decode("utf-8")
-    pages_read, cache_entries, latency_ms = reader.unpack("<qqd")
+    pages_read, cache_entries = reader.unpack("<qq")
     return ShardReply(
         ids=tuple(int(i) for i in ids),
         scores=tuple(float(s) for s in scores),
@@ -478,7 +481,6 @@ def _get_reply(reader: Reader) -> "ShardReply":
         region=region,
         source=source,
         pages_read=int(pages_read),
-        latency_ms=float(latency_ms),
         cache_entries=int(cache_entries),
     )
 
@@ -500,29 +502,25 @@ def decode_batch_reply(reader: Reader) -> list["ShardReply"]:
 
 def encode_update(update: "ShardUpdate") -> bytes:
     return struct.pack(
-        "<qqqqqd",
+        "<qqqqq",
         update.rid,
         update.evicted,
         update.screened,
         update.lps,
         update.cache_entries,
-        update.latency_ms,
     )
 
 
 def decode_update(reader: Reader) -> "ShardUpdate":
     from repro.cluster.backends.base import ShardUpdate
 
-    rid, evicted, screened, lps, cache_entries, latency_ms = reader.unpack(
-        "<qqqqqd"
-    )
+    rid, evicted, screened, lps, cache_entries = reader.unpack("<qqqqq")
     reader.done()
     return ShardUpdate(
         rid=int(rid),
         evicted=int(evicted),
         screened=int(screened),
         lps=int(lps),
-        latency_ms=float(latency_ms),
         cache_entries=int(cache_entries),
     )
 

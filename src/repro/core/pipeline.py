@@ -63,7 +63,14 @@ PHASE2_METHODS = {"sp": phase2_sp, "cp": phase2_cp, "fp": phase2_fp}
 
 @dataclass
 class GIRStats:
-    """Cost breakdown of one GIR computation."""
+    """Cost breakdown of one GIR computation.
+
+    ``cpu_ms_topk`` is charged only when :func:`stage_retrieve` runs BRS
+    itself; an adopted run charges 0. The engine adopts the run it
+    retrieved, so the GIRs it computes report ``cpu_ms_topk == 0.0``:
+    their BRS time is the ``engine.brs`` span (:mod:`repro.obs`), and
+    ``io_pages_topk`` carries their retrieval pages.
+    """
 
     cpu_ms_topk: float = 0.0
     cpu_ms_phase1: float = 0.0
@@ -279,15 +286,15 @@ def stage_retrieve(ctx: ExecutionContext, run: BRSRun | None = None) -> BRSRun:
     run shared across methods by the bench harness) it is reused untouched
     and the stage charges zero cost, exactly as the old monolith did.
     """
-    io_before = ctx.tree.store.stats.page_reads
-    t0 = time.perf_counter()
     if run is None:
+        io_before = ctx.tree.store.stats.page_reads
+        t0 = time.perf_counter()
         run = brs_topk(
             ctx.tree, ctx.points, ctx.weights, ctx.k,
             scorer=ctx.scorer, metered=ctx.metered,
         )
-    ctx.stats.cpu_ms_topk = (time.perf_counter() - t0) * 1e3
-    ctx.stats.io_pages_topk = ctx.tree.store.stats.page_reads - io_before
+        ctx.stats.cpu_ms_topk = (time.perf_counter() - t0) * 1e3
+        ctx.stats.io_pages_topk = ctx.tree.store.stats.page_reads - io_before
     return run
 
 

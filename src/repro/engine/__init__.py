@@ -5,8 +5,8 @@
   ``engine.topk(q, k)`` cache-first, applies ``engine.insert(point)`` /
   ``engine.delete(rid)`` updates with GIR-aware selective cache
   invalidation (or the flush-on-write baseline), and runs batched
-  read/write workloads with per-request latency/IO and per-update
-  eviction accounting;
+  read/write workloads with per-request I/O and per-update eviction
+  accounting (time is measured by :mod:`repro.obs` spans);
 * :mod:`repro.engine.workload` — uniform / Zipf-clustered / mixed
   read-write query-stream generators for scenario diversity.
 """
@@ -17,7 +17,6 @@ from repro.engine.engine import (
     INVALIDATION_POLICIES,
     UpdateResponse,
     WorkloadReport,
-    percentile,
     run_workload,
     validate_k,
     validate_point,
@@ -41,7 +40,6 @@ __all__ = [
     "UpdateResponse",
     "WorkloadReport",
     "INVALIDATION_POLICIES",
-    "percentile",
     "validate_weights",
     "validate_k",
     "validate_point",

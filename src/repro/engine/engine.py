@@ -73,10 +73,10 @@ __all__ = [
     "WorkloadReport",
     "GIREngine",
     "INVALIDATION_POLICIES",
-    "percentile",
     "validate_weights",
     "validate_weight_rows",
     "validate_k",
+    "validate_k_type",
     "validate_point",
     "run_workload",
 ]
@@ -95,13 +95,6 @@ INVALIDATION_POLICIES = ("gir", "flush")
 #: (quadratic overall); the window caps that while a hit-heavy stream
 #: still amortizes its matmuls over hundreds of requests.
 LOOKUP_WINDOW = 256
-
-
-def percentile(values: list[float], p: float) -> float:
-    """Nearest-rank percentile (``p`` in [0, 100]) of a non-empty list."""
-    if not values:
-        raise ValueError("percentile of an empty list")
-    return float(np.percentile(values, p, method="inverted_cdf"))
 
 
 def validate_weights(weights: np.ndarray, d: int) -> np.ndarray:
@@ -154,20 +147,28 @@ def validate_weight_rows(rows: list, d: int) -> np.ndarray:
     return W
 
 
+def validate_k_type(k: int) -> int:
+    """The stateless part of :func:`validate_k` (the front door applies
+    it at admission): an int or numpy integer, not a bool, at least 1.
+    Returns it as int."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
+        raise ValueError(f"k must be positive (an int >= 1), got {k!r}")
+    return int(k)
+
+
 def validate_k(k: int, n_live: int) -> int:
     """Check a request's ``k`` at the serving boundary; returns it as int.
 
     A cache hit serves ``ids[:k]`` of the cached entry, so an unchecked
     ``k = 0`` would come back as an empty "full hit" and a negative ``k``
     as a truncated prefix; only a cold cache would fail, deep inside BRS.
-    Rejected: non-integers (bools included), ``k < 1`` and ``k`` above
-    the live record count.
+    Rejected: non-integers (bools included), ``k < 1``
+    (:func:`validate_k_type`) and ``k`` above the live record count.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
-        raise ValueError(f"k must be positive (an int >= 1), got {k!r}")
+    k = validate_k_type(k)
     if k > n_live:
         raise ValueError(f"k={k} exceeds live record count {n_live}")
-    return int(k)
+    return k
 
 
 def validate_point(point: np.ndarray, d: int) -> np.ndarray:
@@ -206,7 +207,6 @@ class EngineResponse:
     k: int
     #: ``"cache"`` (full hit) or ``"computed"`` (miss).
     source: str
-    latency_ms: float
     pages_read: int
     #: Pipeline cost breakdown; ``None`` for pure cache hits (no pipeline ran).
     gir_stats: GIRStats | None = None
@@ -228,7 +228,6 @@ class UpdateResponse:
     kind: str
     #: Rid of the inserted / deleted record.
     rid: int
-    latency_ms: float
     #: Cache entries this update invalidated (under the engine's policy).
     evicted: int
     #: Cache entries remaining after the update.
@@ -256,7 +255,7 @@ class WorkloadReport:
     #: serving speed.
     update_wall_ms: float = 0.0
     #: Per-shard breakdown of a sharded-cluster run (one dict per shard:
-    #: requests fanned out, page reads, latency, cache counters as
+    #: requests fanned out, page reads, cache counters as
     #: *per-run deltas*; cache entries / live records as end-of-run
     #: state); empty for single-engine runs.
     shard_stats: list[dict] = field(default_factory=list)
@@ -292,18 +291,6 @@ class WorkloadReport:
     @property
     def pages_per_1k_queries(self) -> float:
         return 1000.0 * self.pages_read_total / self.total if self.total else 0.0
-
-    @property
-    def latency_p50_ms(self) -> float:
-        if not self.responses:
-            return 0.0
-        return percentile([r.latency_ms for r in self.responses], 50)
-
-    @property
-    def latency_p95_ms(self) -> float:
-        if not self.responses:
-            return 0.0
-        return percentile([r.latency_ms for r in self.responses], 95)
 
     @property
     def read_wall_ms(self) -> float:
@@ -344,18 +331,6 @@ class WorkloadReport:
         """Invalidation LPs actually run across this run's updates."""
         return sum(u.prescreen_lps for u in self.updates)
 
-    @property
-    def update_latency_p50_ms(self) -> float:
-        if not self.updates:
-            return 0.0
-        return percentile([u.latency_ms for u in self.updates], 50)
-
-    @property
-    def update_latency_p95_ms(self) -> float:
-        if not self.updates:
-            return 0.0
-        return percentile([u.latency_ms for u in self.updates], 95)
-
     def to_dict(self) -> dict:
         """JSON-ready summary of the run."""
         payload = {
@@ -364,8 +339,6 @@ class WorkloadReport:
             "full_hits": self.full_hits,
             "computed": self.computed,
             "hit_rate": self.hit_rate,
-            "latency_p50_ms": self.latency_p50_ms,
-            "latency_p95_ms": self.latency_p95_ms,
             "pages_read_total": self.pages_read_total,
             "pages_per_1k_queries": self.pages_per_1k_queries,
             "wall_ms": self.wall_ms,
@@ -378,8 +351,6 @@ class WorkloadReport:
                     "inserts": self.inserts_applied,
                     "deletes": self.deletes_applied,
                     "evictions": self.evictions_total,
-                    "update_latency_p50_ms": self.update_latency_p50_ms,
-                    "update_latency_p95_ms": self.update_latency_p95_ms,
                     "update_wall_ms": self.update_wall_ms,
                     "prescreen_screened": self.prescreen_screened_total,
                     "prescreen_lps": self.prescreen_lps_total,
@@ -396,8 +367,6 @@ class WorkloadReport:
             f"workload          : {self.total} queries ({self.workload_kind})",
             f"served from cache : {self.full_hits} "
             f"({100 * self.hit_rate:.1f}%), {self.computed} computed",
-            f"latency           : p50 {self.latency_p50_ms:.2f} ms, "
-            f"p95 {self.latency_p95_ms:.2f} ms",
             f"I/O               : {self.pages_read_total} pages "
             f"({self.pages_per_1k_queries:.0f} per 1k queries)",
             f"throughput        : {self.throughput_qps:.0f} q/s",
@@ -406,8 +375,7 @@ class WorkloadReport:
             lines.append(
                 f"updates           : {self.updates_total} "
                 f"({self.inserts_applied} ins / {self.deletes_applied} del), "
-                f"{self.evictions_total} cache evictions, "
-                f"p50 {self.update_latency_p50_ms:.2f} ms"
+                f"{self.evictions_total} cache evictions"
             )
             lines.append(
                 f"insert prescreen  : {self.prescreen_screened_total} entries "
@@ -587,7 +555,8 @@ class GIREngine:
         A full cache hit performs zero metered page reads; a miss — any
         request no entry cached for at least its ``k`` contains — runs the
         full pipeline. Either way each response carries a complete ordered
-        top-k and exact latency / page-read accounting.
+        top-k and its exact page-read count; time is the ``engine.serve``
+        span's (:mod:`repro.obs`).
 
         Answers, provenance and all cache/hit accounting are identical to
         issuing the requests one-by-one; the cache membership work,
@@ -620,41 +589,20 @@ class GIREngine:
                 window = self.cache.lookup_window(W, all_ks[i : i + LOOKUP_WINDOW])
                 while window.pending:
                     start = window.resolved
-                    t_lookup = time.perf_counter()
                     # The matmul, or the patch after a miss's admission,
                     # over the pending rows.
                     with obs.span("engine.cache_lookup_batch", n=window.pending):
                         hits = self.cache.resolve(window)
-                    # Attribute the lookup work evenly to the requests it
-                    # resolved, so a request's latency_ms includes its
-                    # share of the lookup.
-                    lookup_share_ms = (
-                        (time.perf_counter() - t_lookup) * 1e3 / len(hits)
-                    )
                     for offset, hit in enumerate(hits, start):
-                        io_before = self.tree.store.stats.page_reads
-                        t0 = time.perf_counter()
                         responses.append(
-                            self._serve(
-                                W[offset], window.ks[offset], hit, t0, io_before,
-                                extra_latency_ms=lookup_share_ms,
-                            )
+                            self._serve(W[offset], window.ks[offset], hit)
                         )
         return responses
 
-    def _serve(
-        self,
-        weights: np.ndarray,
-        k: int,
-        hit,
-        t0: float,
-        io_before: int,
-        extra_latency_ms: float = 0.0,
-    ) -> EngineResponse:
+    def _serve(self, weights: np.ndarray, k: int, hit) -> EngineResponse:
         """Turn a resolved cache outcome into a full response (running the
-        pipeline on a miss). ``extra_latency_ms``
-        charges work done for this request before ``t0`` (a batched
-        lookup's amortized share)."""
+        pipeline on a miss)."""
+        io_before = self.tree.store.stats.page_reads
         with obs.span("engine.serve") as sp:
             if hit is not None:
                 ids = hit.ids
@@ -672,7 +620,6 @@ class GIREngine:
                 gir_stats = gir.stats
                 region = gir.polytope
 
-            latency_ms = (time.perf_counter() - t0) * 1e3 + extra_latency_ms
             pages_read = self.tree.store.stats.page_reads - io_before
             self.requests_served += 1
             if obs.tracing_enabled():
@@ -685,7 +632,6 @@ class GIREngine:
                 weights=weights,
                 k=k,
                 source=source,
-                latency_ms=latency_ms,
                 pages_read=pages_read,
                 gir_stats=gir_stats,
                 region=region,
@@ -704,7 +650,6 @@ class GIREngine:
             method=self.method,
         )
         io_before = self.tree.store.stats.page_reads
-        t0 = time.perf_counter()
         with obs.span("engine.brs") as bsp:
             run = brs_topk(self.tree, points, weights, k, scorer=self.scorer)
             if obs.tracing_enabled():
@@ -712,15 +657,12 @@ class GIREngine:
                     "pages_read",
                     self.tree.store.stats.page_reads - io_before,
                 )
-        retrieve_ms = (time.perf_counter() - t0) * 1e3
         retrieve_pages = self.tree.store.stats.page_reads - io_before
 
         with obs.span("engine.pipeline"):
             gir = run_pipeline(ctx, run)
         # stage_retrieve adopted our run and charged nothing; attribute the
-        # engine-side retrieval so per-request GIRStats
-        # stay exact.
-        gir.stats.cpu_ms_topk = retrieve_ms
+        # engine-side retrieval's pages (its time is the engine.brs span).
         gir.stats.io_pages_topk = retrieve_pages
 
         # kth_g enables the cache's vectorized insert-invalidation
@@ -826,7 +768,6 @@ class GIREngine:
         return UpdateResponse(
             kind=kind,
             rid=rid,
-            latency_ms=(time.perf_counter() - t0) * 1e3,
             evicted=evicted,
             cache_entries=len(self.cache),
             policy=self.invalidation,

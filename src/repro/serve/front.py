@@ -53,6 +53,7 @@ from repro import obs
 from repro.engine.engine import (
     UpdateResponse,
     validate_k,
+    validate_k_type,
     validate_point,
     validate_weights,
 )
@@ -97,7 +98,10 @@ class ServeResponse:
     pages_read: int
     #: Arrival → dispatch queueing delay.
     wait_ms: float
-    #: Engine time (0 for a coalesced answer).
+    #: Dispatch → the engine batch call returned, on the event loop's
+    #: clock; every leader of one batch reports the same value, a
+    #: coalesced answer 0. Per-request engine time is the
+    #: ``engine.serve`` span (:mod:`repro.obs`).
     service_ms: float
 
     def __post_init__(self) -> None:
@@ -111,7 +115,9 @@ class ServeUpdate:
     """One write applied through the fence."""
 
     update: UpdateResponse
+    #: Arrival → dispatch, the fence's drain included.
     wait_ms: float
+    #: Dispatch → the write returned, on the event loop's clock.
     service_ms: float
 
 
@@ -259,8 +265,7 @@ class ServeFront:
                 w = validate_weights(
                     np.asarray(weights, dtype=np.float64), self._d
                 )
-                if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
-                    raise ValueError(f"k must be a positive int, got {k!r}")
+                k = validate_k_type(k)
             except ValueError as exc:
                 self.stats.rejected += 1
                 raise Rejected(str(exc)) from exc
@@ -297,12 +302,12 @@ class ServeFront:
             if self._closed:
                 self.stats.rejected += 1
                 raise Rejected("front door is closed")
-            if isinstance(rid, bool) or not isinstance(rid, int) or rid < 0:
+            if isinstance(rid, bool) or not isinstance(rid, (int, np.integer)) or rid < 0:
                 self.stats.rejected += 1
                 raise Rejected(
                     f"rid must be a non-negative int, got {rid!r}"
                 )
-            op = _WriteOp("delete", self._new_future(), rid=rid)
+            op = _WriteOp("delete", self._new_future(), rid=int(rid))
             self._admit(op)
             return await op.future
 
@@ -479,6 +484,7 @@ class ServeFront:
             results = await job
         except Exception as exc:
             results = [exc] * len(flights)
+        service_ms = (time.perf_counter() - t_dispatch) * 1e3
         # Unregister the whole batch first: a read arriving after this
         # point must not attach to an already-resolved computation. The
         # discard is identity-guarded: after a fence clears the table, a
@@ -491,19 +497,19 @@ class ServeFront:
                 for op in (flight.leader, *flight.followers):
                     self._resolve_error(op, result)
                 continue
-            self._resolve_read(flight.leader, result, t_dispatch)
+            self._resolve_read(flight.leader, result, t_dispatch, service_ms)
             t_done = time.perf_counter()
             for op in flight.followers:
-                self._resolve_read(op, result, t_done, leader=False)
+                self._resolve_read(op, result, t_done, 0.0, leader=False)
 
     def _resolve_read(
-        self, op: _ReadOp, resp, t_dispatch: float, leader: bool = True,
+        self, op: _ReadOp, resp, t_dispatch: float, service_ms: float,
+        leader: bool = True,
     ) -> None:
         """Serve ``op`` the flight's answer: as the engine request, or as
         a follower with its leader's ids and scores verbatim."""
         via = "engine" if leader else "coalesced"
         wait_ms = (t_dispatch - op.t_arrive) * 1e3
-        service_ms = resp.latency_ms if leader else 0.0
         response = ServeResponse(
             ids=tuple(resp.ids),
             scores=resp.scores,
@@ -568,6 +574,7 @@ class ServeFront:
         except Exception as exc:
             self._resolve_error(op, exc)
             return
+        service_ms = (time.perf_counter() - t_dispatch) * 1e3
         if op.kind == "insert":
             self.log.append(InsertLog(point=op.point, rid=update.rid))
         else:
@@ -576,7 +583,7 @@ class ServeFront:
         result = ServeUpdate(
             update=update,
             wait_ms=(t_dispatch - op.t_arrive) * 1e3,
-            service_ms=update.latency_ms,
+            service_ms=service_ms,
         )
         if not op.future.done():
             op.future.set_result(result)

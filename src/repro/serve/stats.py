@@ -10,9 +10,11 @@ The tier's counters follow one identity, checked (not assumed) by
 and the headline service metric is the **coalesce fan-in ratio** —
 reads served per engine request; above 1.0 the tier is answering
 traffic the engine never saw. Latency is split into *wait* (arrival →
-dispatch, the queueing cost) and *service* (engine time, or 0 for a
-coalesced answer), so queue pressure and engine cost cannot masquerade
-as one another. Both are fixed-bucket
+dispatch, the queueing cost) and *service* (dispatch → the engine call
+returned, on the event loop's clock: one value for every leader of a
+batch, 0 for a coalesced answer), so queue pressure and engine cost
+cannot masquerade as one another; per-request engine time is the
+``engine.serve`` span. Both are fixed-bucket
 :class:`~repro.obs.metrics.Histogram` instruments — tail percentiles
 (p50/p95/p99) without retaining per-request samples — and they double
 as the registry's serve-latency series via
@@ -70,10 +72,11 @@ class ServeStats:
             Histogram, "serve_wait_ms", "arrival→dispatch queueing delay"
         )
     )
-    #: Engine time per served read (0 for coalesced answers), ms.
+    #: Dispatch → engine call returned per served read (its batch's
+    #: value for a leader, 0 for a coalesced answer), ms.
     service_ms: Histogram = field(
         default_factory=partial(
-            Histogram, "serve_service_ms", "engine time per served read"
+            Histogram, "serve_service_ms", "dispatch to engine return per read"
         )
     )
 

@@ -299,12 +299,9 @@ class TestProcessClusterEquivalence:
         for backend, report in reports.items():
             shard_pages = sum(s["page_reads"] for s in report.shard_stats)
             assert shard_pages == report.pages_read_total, backend
-        strip = lambda s: {  # noqa: E731 - wall-clock field differs
-            k: v for k, v in s.items() if k != "latency_ms_total"
-        }
-        assert [strip(s) for s in reports["inproc"].shard_stats] == [
-            strip(s) for s in reports["process"].shard_stats
-        ]
+        assert (
+            reports["inproc"].shard_stats == reports["process"].shard_stats
+        )
         assert (
             reports["inproc"].cluster_stats["cluster_full_hits"]
             == reports["process"].cluster_stats["cluster_full_hits"]

@@ -456,7 +456,6 @@ class TestMergeLayer:
             region=region,
             source="computed",
             pages_read=3,
-            latency_ms=1.0,
         )
 
     def test_merge_interleaves_and_adds_frontier(self):

@@ -65,6 +65,7 @@ class TestStages:
         adopted = stage_retrieve(ctx, run)
         assert adopted is run
         assert ctx.stats.io_pages_topk == 0
+        assert ctx.stats.cpu_ms_topk == 0.0
 
     def test_stage_costs_accumulate_in_context(self, small_anti_3d, rng):
         data, tree = small_anti_3d

@@ -11,6 +11,7 @@ cluster behind the front door.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -242,6 +243,47 @@ class TestCoalescing:
         assert batches == [32]
         assert len(waits) <= 1
 
+    def test_front_door_times_service(self, data, monkeypatch):
+        """Service is the front door's own clock: every leader of one
+        engine batch reports that batch's dispatch → return time, a
+        coalesced follower 0, and wait + service never exceeds what the
+        client measured around its await; a write likewise."""
+        engine = fresh_engine(data)
+        batches = []
+        topk_batch = engine.topk_batch
+
+        def recording(requests):
+            batches.append(len(requests))
+            return topk_batch(requests)
+
+        monkeypatch.setattr(engine, "topk_batch", recording)
+        rng = np.random.default_rng(3)
+        vectors = rng.random((16, D)) + 0.05
+
+        async def timed(call):
+            t0 = time.perf_counter()
+            result = await call
+            return result, (time.perf_counter() - t0) * 1e3
+
+        async def backlog():
+            async with ServeFront(engine, ServeConfig(batch_max=32)) as front:
+                reads = await asyncio.gather(
+                    *(timed(front.topk(w, k=4)) for w in (*vectors, *vectors))
+                )
+                return reads, await timed(front.insert(np.full(D, 0.5)))
+
+        reads, (write, write_ms) = asyncio.run(backlog())
+        assert batches == [16]
+        leaders = [r for r, _ in reads if r.via == "engine"]
+        followers = [r for r, _ in reads if r.via == "coalesced"]
+        assert len(leaders) == 16 and len(followers) == 16
+        assert len({r.service_ms for r in leaders}) == 1
+        assert leaders[0].service_ms > 0
+        assert all(r.service_ms == 0.0 for r in followers)
+        for resp, client_ms in reads:
+            assert resp.wait_ms + resp.service_ms <= client_ms
+        assert 0 < write.service_ms <= write_ms
+
     def test_near_duplicate_is_its_own_engine_request(self, data):
         """Single flight is by exact bytes: a vector 1e-9 away from an
         in-flight one is a different request and gets its own engine
@@ -333,11 +375,29 @@ class TestAdmission:
         with pytest.raises(Rejected):
             self.run_front(data, lambda f: f.topk(np.ones(D + 2) / 5, k=5))
 
-    @pytest.mark.parametrize("k", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True, np.int64(0), np.bool_(True)])
     def test_rejects_bad_k(self, data, k):
         w = np.full(D, 1.0 / D)
         with pytest.raises(Rejected):
             self.run_front(data, lambda f: f.topk(w, k=k))
+
+    def test_numpy_integer_k_is_served(self, data):
+        """The front door keeps the engine's ``k`` rule: a numpy integer
+        is a valid ``k`` and is answered as the plain int is."""
+        w = np.full(D, 1.0 / D)
+
+        async def go(front):
+            return await front.topk(w, k=np.int64(5)), await front.topk(w, k=5)
+
+        as_numpy, as_int = self.run_front(data, go)
+        assert type(as_numpy.k) is int and as_numpy.k == 5
+        assert as_numpy.ids == as_int.ids
+        assert as_numpy.scores == as_int.scores
+
+    def test_numpy_integer_rid_is_deleted(self, data):
+        served = self.run_front(data, lambda f: f.delete(np.int64(3)))
+        assert served.update.kind == "delete"
+        assert type(served.update.rid) is int and served.update.rid == 3
 
     def test_rejects_bad_insert_and_delete(self, data):
         with pytest.raises(Rejected):

@@ -87,7 +87,6 @@ class TestPayloads:
             region=region(),
             source="computed",
             pages_read=17,
-            latency_ms=0.123456789,
             cache_entries=6,
         )
         (out,) = wire.decode_batch_reply(
@@ -102,11 +101,7 @@ class TestPayloads:
         assert out.tie_sums == reply.tie_sums
         assert out.points_g.tobytes() == reply.points_g.tobytes()
         assert out.region.A.tobytes() == reply.region.A.tobytes()
-        assert (out.source, out.pages_read, out.latency_ms) == (
-            "computed",
-            17,
-            reply.latency_ms,
-        )
+        assert (out.source, out.pages_read) == ("computed", 17)
         assert out.cache_entries == 6
 
     def test_batch_reply_round_trip(self):
@@ -120,7 +115,6 @@ class TestPayloads:
                 region=Polytope.from_unit_box(2),
                 source="cache",
                 pages_read=0,
-                latency_ms=0.0,
                 cache_entries=1,
             )
             for i in range(3)
@@ -151,8 +145,7 @@ class TestPayloads:
 
     def test_update_and_stats_round_trip(self):
         update = ShardUpdate(
-            rid=12, evicted=3, screened=9, lps=2, latency_ms=1.5,
-            cache_entries=4,
+            rid=12, evicted=3, screened=9, lps=2, cache_entries=4,
         )
         out = wire.decode_update(
             wire.decode_frame(
@@ -285,7 +278,6 @@ class TestDecodeErrorPaths:
             region=region(),
             source="computed",
             pages_read=1,
-            latency_ms=0.5,
             cache_entries=0,
         )
         payload = wire.encode_batch_reply([reply, reply])
@@ -305,7 +297,7 @@ class TestFrameIdentity:
     exact binary fractions, so no float rounding enters the bytes.
     """
 
-    GOLDEN = (3, "059e679c07d5f54fd0b63f088726ede8cba3944e904202fe7829a1593ebd3fff")
+    GOLDEN = (4, "433ed8284e1e042476ea3357d64e7804cb9f1ba985c2a19d5932aee5c3049bc9")
 
     def frames(self) -> dict[int, bytes]:
         rows = np.arange(12, dtype=np.float64).reshape(4, 3) / 8.0
@@ -319,11 +311,10 @@ class TestFrameIdentity:
         reply = ShardReply(
             ids=(3, 1), scores=(0.75, 0.5), tie_sums=(1.5, 1.25),
             points_g=rows[:2, :2], region=region, source="computed",
-            pages_read=5, latency_ms=0.125, cache_entries=2,
+            pages_read=5, cache_entries=2,
         )
         update = ShardUpdate(
-            rid=4, evicted=2, screened=3, lps=1, latency_ms=0.25,
-            cache_entries=6,
+            rid=4, evicted=2, screened=3, lps=1, cache_entries=6,
         )
         span = obs.SpanRecord("t-1", "s-2", "s-1", "shard.topk_batch", 16.0, 2.5, 7, 9, {"k": 3})
         # The scorer crosses as pickle's bytes, not this format's: they
