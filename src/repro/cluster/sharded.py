@@ -87,6 +87,7 @@ from repro.engine.engine import (
     run_workload,
     validate_k,
     validate_point,
+    validate_rid_type,
     validate_weight_rows,
 )
 from repro.engine.workload import Request, Workload
@@ -550,6 +551,7 @@ class ShardedGIREngine:
     def delete(self, rid: int) -> UpdateResponse:
         """Delete a live record by global rid: routed to its owning shard;
         cluster-cache entries are evicted only if they served the rid."""
+        rid = validate_rid_type(rid)
         with obs.span("cluster.delete"), self._serve_lock:
             self._ensure_serving()
             # Validate first, mutate the global table only after the owning

@@ -77,6 +77,7 @@ __all__ = [
     "validate_weight_rows",
     "validate_k",
     "validate_k_type",
+    "validate_rid_type",
     "validate_point",
     "run_workload",
 ]
@@ -169,6 +170,15 @@ def validate_k(k: int, n_live: int) -> int:
     if k > n_live:
         raise ValueError(f"k={k} exceeds live record count {n_live}")
     return k
+
+
+def validate_rid_type(rid: int) -> int:
+    """Check a delete's rid type before any lookup: an int or numpy
+    integer, not a bool. Returns it as int; whether it is live is the
+    table's question (a negative or dead rid raises ``KeyError`` there)."""
+    if isinstance(rid, bool) or not isinstance(rid, (int, np.integer)):
+        raise ValueError(f"rid must be an int, got {rid!r}")
+    return int(rid)
 
 
 def validate_point(point: np.ndarray, d: int) -> np.ndarray:
@@ -726,6 +736,7 @@ class GIREngine:
         ordered top-k valid everywhere in its region (removing a
         non-member never changes a top-k answer).
         """
+        rid = validate_rid_type(rid)
         t0 = time.perf_counter()
         point = self.table.delete(rid)
         removed = self.tree.delete(point, rid)

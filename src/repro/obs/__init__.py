@@ -1,33 +1,23 @@
-"""Observability: tracing spans, a metrics registry, and exporters.
+"""Observability: tracing spans and exporters over them.
 
-Zero-overhead when off (the :mod:`repro.sanitize` arming pattern):
-``REPRO_TRACE=1`` arms at import, :func:`enable` arms at runtime; while
-disabled every instrumentation site costs one flag check and a shared
-no-op handle. See ``trace.py`` for the span/propagation contract,
-``metrics.py`` for the registry wiring, ``export.py`` for the Chrome
-trace / Prometheus / explain views.
+The span log is the program's record of where time went; the counters
+live in the stats objects (``ServeStats``, ``GIRCache.stats()``,
+``GIREngine.stats()``, ``ShardedGIREngine.stats()``). Zero-overhead
+when off: :func:`enable` arms tracing, and while disabled every
+instrumentation site costs one flag check and a shared no-op handle.
+See ``trace.py`` for the span/propagation contract, ``export.py`` for
+the Chrome trace / explain views, and ``metrics.py`` for the
+fixed-bucket histogram ``ServeStats`` keeps its latencies in.
 """
 
 from repro.obs.export import (
     chrome_trace,
     explain,
-    prometheus_text,
     spans_by_trace,
     trace_roots,
 )
-from repro.obs.metrics import (
-    LATENCY_BUCKETS_MS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    bind_cache_stats,
-    bind_engine_stats,
-    bind_serve_stats,
-    crosscheck_serve_identities,
-)
+from repro.obs.metrics import LATENCY_BUCKETS_MS, Histogram
 from repro.obs.trace import (
-    ENV_VAR,
     Span,
     SpanRecord,
     TraceCollector,
@@ -48,22 +38,14 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "ENV_VAR",
     "LATENCY_BUCKETS_MS",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "Span",
     "SpanRecord",
     "TraceCollector",
     "absorb",
-    "bind_cache_stats",
-    "bind_engine_stats",
-    "bind_serve_stats",
     "chrome_trace",
     "collector",
-    "crosscheck_serve_identities",
     "current",
     "disable",
     "drain",
@@ -71,7 +53,6 @@ __all__ = [
     "enable",
     "explain",
     "new_span_id",
-    "prometheus_text",
     "record_span",
     "reset_collector",
     "span",

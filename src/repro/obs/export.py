@@ -1,14 +1,11 @@
-"""Exporters: Chrome trace-event JSON, Prometheus text, explain trees.
+"""Exporters: Chrome trace-event JSON and explain trees.
 
-Three views over the same :class:`~repro.obs.trace.SpanRecord` stream:
+Two views over the same :class:`~repro.obs.trace.SpanRecord` stream:
 
 * :func:`chrome_trace` — Trace Event Format ``"X"`` (complete) events,
   loadable in Perfetto / ``chrome://tracing``. Router and worker spans
   keep their real pids/tids so a cluster run renders as one process
   lane per shard worker under a shared monotonic timeline.
-* :func:`prometheus_text` — text exposition of a
-  :class:`~repro.obs.metrics.MetricsRegistry` (cumulative ``_bucket``
-  series for histograms, in the scrape format).
 * :func:`explain` — a per-request plain-text timeline: the span tree of
   one trace, indented by parentage, with durations and attributes.
 """
@@ -19,7 +16,6 @@ from typing import Any, Iterable, Sequence
 
 __all__ = [
     "chrome_trace",
-    "prometheus_text",
     "explain",
     "spans_by_trace",
     "trace_roots",
@@ -53,32 +49,6 @@ def chrome_trace(spans: Iterable[Any]) -> dict:
             }
         )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def _format_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return repr(float(value))
-
-
-def prometheus_text(registry: Any) -> str:
-    """Prometheus text exposition of every instrument in ``registry``."""
-    lines: list[str] = []
-    for metric in registry.collect():
-        if metric.help:
-            lines.append(f"# HELP {metric.name} {metric.help}")
-        lines.append(f"# TYPE {metric.name} {metric.kind}")
-        if metric.kind == "histogram":
-            cum = 0
-            for bound, bucket_count in zip(metric.bounds, metric.counts):
-                cum += bucket_count
-                lines.append(f'{metric.name}_bucket{{le="{bound!r}"}} {cum}')
-            lines.append(f'{metric.name}_bucket{{le="+Inf"}} {metric.count}')
-            lines.append(f"{metric.name}_sum {_format_value(metric.total)}")
-            lines.append(f"{metric.name}_count {metric.count}")
-        else:
-            lines.append(f"{metric.name} {_format_value(metric.value)}")
-    return "\n".join(lines) + "\n"
 
 
 def spans_by_trace(spans: Iterable[Any]) -> dict:

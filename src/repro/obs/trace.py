@@ -1,12 +1,11 @@
 """Request tracing: spans, trace contexts and a ring-buffer collector.
 
-The arming contract mirrors :mod:`repro.sanitize`: production wiring is
-**zero-overhead when off**. ``REPRO_TRACE=1`` in the environment arms
-tracing at import; :func:`enable` arms it explicitly at runtime (the
-ledger's traced pass and the tests use this — no environment edit
-needed). While disabled, :func:`span` / :func:`trace` return one shared
-no-op handle whose enter/exit/``set`` do nothing, so an instrumented hot
-path costs a single global flag check per site; :func:`current` and
+Production wiring is **zero-overhead when off**. :func:`enable` is the
+one switch (the ledger's traced pass and the tests call it; a shard
+worker calls it on its first traced frame). While disabled,
+:func:`span` / :func:`trace` return one shared no-op handle whose
+enter/exit/``set`` do nothing, so an instrumented hot path costs a
+single global flag check per site; :func:`current` and
 :func:`record_span` short-circuit the same way.
 
 Primitives:
@@ -50,7 +49,6 @@ from contextvars import ContextVar
 from typing import Any, Iterable, Mapping
 
 __all__ = [
-    "ENV_VAR",
     "SpanRecord",
     "TraceCollector",
     "Span",
@@ -69,11 +67,6 @@ __all__ = [
     "drain",
     "drain_payload",
 ]
-
-#: Environment variable that arms tracing at import time.
-ENV_VAR = "REPRO_TRACE"
-
-_ENV_ENABLED = os.environ.get(ENV_VAR, "") == "1"
 
 #: Default ring capacity: enough for every span of a smoke-scale run
 #: with headroom; the ring drops *oldest* beyond it (and counts drops).
@@ -254,7 +247,7 @@ class _State:
     __slots__ = ("enabled", "collector")
 
     def __init__(self) -> None:
-        self.enabled = _ENV_ENABLED
+        self.enabled = False
         self.collector = TraceCollector()
 
 

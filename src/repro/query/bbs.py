@@ -30,31 +30,6 @@ from repro.scoring import LinearScoring, ScoringFunction
 __all__ = ["skyline_of_points", "bbs_skyline"]
 
 
-def skyline_of_points(points: np.ndarray, ids: list[int]) -> list[int]:
-    """In-memory skyline of the given records (ids into ``points``).
-
-    Sort-filter-scan: records are visited in decreasing coordinate-sum order
-    (a monotone order, so no later record can dominate an earlier skyline
-    member) and kept if undominated by the current skyline.
-    """
-    if not ids:
-        return []
-    pts = points[np.asarray(ids, dtype=np.intp)]
-    order = np.argsort(-pts.sum(axis=1), kind="stable")
-    sky_ids: list[int] = []
-    sky_pts: list[np.ndarray] = []
-    for pos in order:
-        p = pts[pos]
-        if sky_pts:
-            sl = np.asarray(sky_pts)
-            dominated = ((sl >= p).all(axis=1) & (sl > p).any(axis=1)).any()
-            if dominated:
-                continue
-        sky_ids.append(ids[int(pos)])
-        sky_pts.append(p)
-    return sky_ids
-
-
 class _SkylineSet:
     """Growing skyline with vectorised, tiered dominance checks.
 
@@ -130,6 +105,24 @@ class _SkylineSet:
         return True
 
 
+def _sorted_skyline(points: np.ndarray, ids: np.ndarray | list[int]) -> _SkylineSet:
+    """The skyline of ``ids`` (into ``points``), inserted sort-filter-scan
+    style: in stable decreasing coordinate-sum order, a monotone order,
+    so no later record dominates an earlier member and none is evicted."""
+    rids = np.asarray(ids, dtype=np.intp)
+    order = np.argsort(-points[rids].sum(axis=1), kind="stable")
+    sky = _SkylineSet(points.shape[1])
+    for rid in rids[order].tolist():
+        sky.insert(rid, points[rid])
+    return sky
+
+
+def skyline_of_points(points: np.ndarray, ids: list[int]) -> list[int]:
+    """In-memory skyline of the given records (ids into ``points``), in
+    decreasing coordinate-sum order."""
+    return _sorted_skyline(points, ids).ids
+
+
 def bbs_skyline(
     tree: RStarTree,
     points: np.ndarray,
@@ -167,9 +160,7 @@ def bbs_skyline(
             exclude = set(run.result.ids)
         heap = list(run.heap)
         heapq.heapify(heap)
-        sky = _SkylineSet(tree.d)
-        for rid in skyline_of_points(points, run.encountered.tolist()):
-            sky.insert(rid, points[rid])
+        sky = _sorted_skyline(points, run.encountered)
     else:
         if weights is None:
             raise ValueError("weights are required when no BRS run is given")

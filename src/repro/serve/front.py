@@ -55,6 +55,7 @@ from repro.engine.engine import (
     validate_k,
     validate_k_type,
     validate_point,
+    validate_rid_type,
     validate_weights,
 )
 from repro.engine.workload import (
@@ -302,12 +303,14 @@ class ServeFront:
             if self._closed:
                 self.stats.rejected += 1
                 raise Rejected("front door is closed")
-            if isinstance(rid, bool) or not isinstance(rid, (int, np.integer)) or rid < 0:
+            try:
+                rid = validate_rid_type(rid)
+                if rid < 0:
+                    raise ValueError(f"rid must be non-negative, got {rid}")
+            except ValueError as exc:
                 self.stats.rejected += 1
-                raise Rejected(
-                    f"rid must be a non-negative int, got {rid!r}"
-                )
-            op = _WriteOp("delete", self._new_future(), rid=int(rid))
+                raise Rejected(str(exc)) from exc
+            op = _WriteOp("delete", self._new_future(), rid=rid)
             self._admit(op)
             return await op.future
 

@@ -16,15 +16,12 @@ batch, 0 for a coalesced answer), so queue pressure and engine cost
 cannot masquerade as one another; per-request engine time is the
 ``engine.serve`` span. Both are fixed-bucket
 :class:`~repro.obs.metrics.Histogram` instruments — tail percentiles
-(p50/p95/p99) without retaining per-request samples — and they double
-as the registry's serve-latency series via
-:func:`repro.obs.metrics.bind_serve_stats`.
+(p50/p95/p99) without retaining per-request samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.obs.metrics import Histogram
 
@@ -67,18 +64,10 @@ class ServeStats:
     inflight_batches_peak: int = 0
     #: Arrival→dispatch queueing delay per served read, milliseconds
     #: (histogram: observe per read, ask for mean/p50/p95/p99).
-    wait_ms: Histogram = field(
-        default_factory=partial(
-            Histogram, "serve_wait_ms", "arrival→dispatch queueing delay"
-        )
-    )
+    wait_ms: Histogram = field(default_factory=Histogram)
     #: Dispatch → engine call returned per served read (its batch's
     #: value for a leader, 0 for a coalesced answer), ms.
-    service_ms: Histogram = field(
-        default_factory=partial(
-            Histogram, "serve_service_ms", "dispatch to engine return per read"
-        )
-    )
+    service_ms: Histogram = field(default_factory=Histogram)
 
     @property
     def fan_in_ratio(self) -> float:

@@ -30,6 +30,15 @@ class TestInMemorySkyline:
         got = set(skyline_of_points(pts, list(range(300))))
         assert got == scan_skyline(pts)
 
+    def test_anti_order_is_by_coordinate_sum(self):
+        """On a wide anti-correlated skyline the ids come back in
+        non-increasing coordinate sum, and as the exact skyline's set."""
+        pts = anticorrelated(2000, 4, seed=5).points
+        got = skyline_of_points(pts, list(range(2000)))
+        sums = pts[got].sum(axis=1)
+        assert len(got) > 50 and (np.diff(sums) <= 0).all()
+        assert set(got) == scan_skyline(pts)
+
     def test_duplicates_both_kept(self):
         """Records equal in all dimensions do not dominate each other."""
         pts = np.array([[0.5, 0.5], [0.5, 0.5]])

@@ -529,6 +529,15 @@ class TestClusterValidation:
             with pytest.raises(ValueError, match="exceeds live"):
                 engine.topk(np.array([0.5, 0.5, 0.5]), N + 1)
 
+    @pytest.mark.parametrize("rid", [True, 2.0, "3"])
+    def test_bad_rid_rejected(self, data, rid):
+        with ShardedGIREngine(data, shards=2) as engine:
+            with pytest.raises(ValueError, match="rid must be an int"):
+                engine.delete(rid)
+            with pytest.raises(KeyError):
+                engine.delete(-1)
+            assert engine.n_live == N
+
     def test_bad_point_rejected(self, data):
         with ShardedGIREngine(data, shards=2) as engine:
             with pytest.raises(ValueError, match="shape"):

@@ -130,6 +130,20 @@ class TestDynamicCorrectness:
         assert first.ids[0] not in resp.ids
         assert resp.ids == live_truth(engine, q, 5).ids
 
+    @pytest.mark.parametrize("rid", [True, np.bool_(True), 2.0, "3", None])
+    def test_delete_rejects_malformed_rid(self, rid):
+        """A rid that is not an integer is refused by name before any
+        lookup; a negative or dead one is a ``KeyError`` from the table."""
+        engine = GIREngine(independent(30, 2, seed=9))
+        with pytest.raises(ValueError, match="rid must be an int"):
+            engine.delete(rid)
+        assert engine.n_live == 30 and engine.updates_applied == 0
+        with pytest.raises(KeyError):
+            engine.delete(-1)
+        assert engine.delete(np.int64(2)).rid == 2
+        with pytest.raises(KeyError):
+            engine.delete(2)
+
     def test_topk_rejects_k_above_live_count(self):
         data = independent(30, 2, seed=9)
         engine = GIREngine(data)

@@ -1,12 +1,10 @@
 """Tests for the observability subsystem (`repro.obs`).
 
 Covers the span/collector contract (nesting, balance, ring capacity,
-atomic records, remote-context adoption, minted span ids), the metrics
-registry (histogram percentiles, kind clashes, accounting crosschecks,
-every gauge read against its live object), the counter-reporting
-contract (every counter a stats or report class keeps is a key of its
-report), the exporters, the span shape of a process fan-out, and the two
-end-to-end properties the trace-smoke CI job gates on:
+atomic records, remote-context adoption, minted span ids), the latency
+histogram's percentiles, the counter-reporting contract (every counter
+a stats or report class keeps is a key of its report), the exporters,
+the span shape of a process fan-out, and two end-to-end properties:
 
 * serving is **bit-identical** with tracing on vs off (the front door
   and a process-backed cluster both), and
@@ -208,7 +206,7 @@ class TestDisabledMode:
 
 class TestMetrics:
     def test_histogram_percentiles_and_summary(self):
-        h = obs.Histogram("lat_ms", buckets=range(10, 101, 10))
+        h = obs.Histogram(buckets=range(10, 101, 10))
         for v in range(1, 101):
             h.observe(float(v))
         assert h.count == 100 and h.mean == pytest.approx(50.5)
@@ -223,81 +221,14 @@ class TestMetrics:
         assert summary["p50"] <= summary["p95"] <= summary["p99"]
 
     def test_histogram_overflow_interpolates_to_max_seen(self):
-        h = obs.Histogram("h", buckets=[1.0])
+        h = obs.Histogram(buckets=[1.0])
         h.observe(50.0)
         assert h.percentile(99) <= 50.0
         assert h.max_seen == 50.0
 
     def test_empty_histogram_is_all_zero(self):
-        h = obs.Histogram("h")
+        h = obs.Histogram()
         assert h.percentile(99) == 0.0 and h.mean == 0.0
-
-    def test_registry_kind_clash_and_reregistration(self):
-        registry = obs.MetricsRegistry()
-        counter = registry.counter("requests")
-        assert registry.counter("requests") is counter
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("requests")
-        adopted = registry.register(obs.Histogram("wait_ms"))
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register(obs.Histogram("wait_ms"))
-        assert registry.get("wait_ms") is adopted
-
-    def test_registry_values_and_callback_gauges(self):
-        registry = obs.MetricsRegistry()
-        registry.counter("n").inc(3)
-        backing = {"depth": 7}
-        registry.gauge("depth", fn=lambda: backing["depth"])
-        assert registry.value("n") == 3
-        assert registry.value("depth") == 7
-        backing["depth"] = 9
-        assert registry.value("depth") == 9  # live, not copied
-        with pytest.raises(ValueError, match="callback-backed"):
-            registry.get("depth").set(1.0)
-
-    def test_serve_identities_crosscheck(self):
-        registry = obs.MetricsRegistry()
-        values = {
-            "arrivals": 10, "admitted": 8, "rejected": 1, "shed": 1,
-            "reads_served": 6, "writes_applied": 1, "errors": 1,
-            "engine_requests": 4, "coalesced_served": 2,
-        }
-        for name, v in values.items():
-            registry.gauge(f"serve_{name}").set(v)
-        assert obs.crosscheck_serve_identities(registry) == {
-            "admission": True, "completion": True, "provenance": True,
-            "ok": True,
-        }
-        registry.get("serve_shed").set(5)  # break admission only
-        verdict = obs.crosscheck_serve_identities(registry)
-        assert not verdict["ok"] and not verdict["admission"]
-        assert verdict["completion"] and verdict["provenance"]
-
-    def test_cache_gauges_read_live_cache(self, data):
-        # Every gauge the three binders register reads a key or field of
-        # the live object it wraps, and reads it as the object reports it.
-        async def go():
-            front = ServeFront(fresh_engine(data))
-            async with front:
-                ops = [*flash_crowd_workload(D, 40, k=5, rng=3), InsertOp(np.full(D, 0.5))]
-                await run_serve_workload(front, ops, 8)
-            return front
-
-        front = asyncio.run(go())
-        engine = front.engine
-        registry = obs.MetricsRegistry()
-        obs.bind_serve_stats(registry, front.stats)
-        obs.bind_cache_stats(registry, engine.cache)
-        obs.bind_engine_stats(registry, engine)
-        live = {"serve": vars(front.stats), "cache": engine.cache.stats(), "engine": engine.stats()}
-        for name in registry.names():
-            prefix, key = name.split("_", 1)
-            expected = live[prefix][key]
-            if isinstance(expected, obs.Histogram):
-                expected = expected.to_dict()
-            assert registry.value(name) == expected, name
-        assert registry.value("cache_full_hits") > 0
-        assert registry.value("serve_writes_applied") > 0
 
 
 def _zero_counters(obj) -> set[str]:
@@ -331,7 +262,7 @@ class TestCounterReporting:
         # update_wall_ms is reported only by a run that had updates.
         updates = fresh_engine(data).run([InsertOp(np.full(D, 0.5))]).updates
         workload_report = WorkloadReport(responses=[], wall_ms=0.0, updates=updates)
-        histogram = obs.Histogram("h")
+        histogram = obs.Histogram()
         # Histogram.max_seen is reported as "max".
         histogram_report = histogram.to_dict()
         histogram_report["max_seen"] = histogram_report.pop("max")
@@ -397,21 +328,6 @@ class TestExporters:
         )
         assert obs.explain([]) == "(no spans collected)"
         assert "no spans for trace" in obs.explain(spans, trace_id="missing")
-
-    def test_prometheus_text_exposition(self):
-        registry = obs.MetricsRegistry()
-        registry.counter("reqs", help="requests").inc(5)
-        hist = registry.histogram("lat", buckets=[1.0, 2.0])
-        hist.observe(0.5)
-        hist.observe(5.0)
-        text = obs.prometheus_text(registry)
-        assert "# HELP reqs requests" in text
-        assert "# TYPE reqs counter" in text
-        assert "reqs 5.0" in text
-        assert "# TYPE lat histogram" in text
-        assert 'lat_bucket{le="+Inf"} 2' in text
-        assert "lat_count 2" in text
-
 
 class TestServeTracing:
     def test_traced_serving_is_equivalent_and_stitched(self, data):

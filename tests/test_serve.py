@@ -27,6 +27,7 @@ from repro.serve import (
     ServeConfig,
     ServeFront,
     ServeResponse,
+    ServeStats,
     canonical_scores,
     replay_serial_check,
     run_serve_workload,
@@ -399,6 +400,11 @@ class TestAdmission:
         assert served.update.kind == "delete"
         assert type(served.update.rid) is int and served.update.rid == 3
 
+    @pytest.mark.parametrize("rid", [True, np.bool_(True), 2.0, "3"])
+    def test_rejects_bad_rid(self, data, rid):
+        with pytest.raises(Rejected, match="rid must be"):
+            self.run_front(data, lambda f: f.delete(rid))
+
     def test_rejects_bad_insert_and_delete(self, data):
         with pytest.raises(Rejected):
             self.run_front(data, lambda f: f.insert(np.full(D, np.inf)))
@@ -566,6 +572,23 @@ class TestReportAndStats:
         assert payload["coalesce_fallbacks"] == 0
         assert payload["workload_kind"] == "flash_crowd"
         assert payload["reads_served"] == front.stats.reads_served
+
+    @pytest.mark.parametrize(
+        "identity, field",
+        [("admission", "shed"), ("completion", "errors"), ("provenance", "coalesced_served")],
+    )
+    def test_accounting_ok_detects_each_broken_identity(self, identity, field):
+        """Each identity, broken alone by one extra count on its right-hand
+        side, makes ``accounting_ok()`` read False."""
+        stats = ServeStats(
+            arrivals=10, admitted=8, rejected=1, shed=1,
+            reads_served=6, writes_applied=1, errors=1,
+            engine_requests=4, coalesced_served=2,
+        )
+        assert stats.accounting_ok() and stats.to_dict()["accounting_ok"]
+        setattr(stats, field, getattr(stats, field) + 1)
+        assert not stats.accounting_ok(), identity
+        assert stats.to_dict()["accounting_ok"] is False
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
