@@ -1,8 +1,12 @@
 """Rule ``async-safety``: no blocking calls inside ``serve/`` coroutines.
 
 The serving front door's contract is that the event loop never blocks:
-every engine call crosses the one-thread executor bridge
-(``run_in_executor``), and waiting is always an ``await``. A single
+engine work crosses the one-thread executor bridge
+(``run_in_executor``), and waiting is always an ``await``. The one
+engine call allowed on the loop is ``serve_hits``: it serves only full
+cache hits — at most a batch of them, stopping before the first
+non-hit — so it is bounded by a micro-batch of in-memory lookups, and
+it never runs the pipeline, reads a page or waits on a fan-out. A single
 blocking call in a coroutine silently serializes the whole tier — the
 micro-batcher stops collecting, coalescing windows close, and the
 latency split the stats report becomes fiction — without failing any
@@ -19,7 +23,10 @@ module under a ``serve/`` directory:
    / ``run``) in a coroutine. Engine work belongs on the executor
    bridge: pass the bound method to ``run_in_executor`` and await the
    future. Awaited calls are exempt — they are the front door's own
-   async counterparts, not the engine's blocking methods.
+   async counterparts, not the engine's blocking methods — and so is
+   ``serve_hits``, which is bounded (above). Whether the bridge is idle
+   when it runs, so that no two threads are in the engine, is a runtime
+   property: the sanitizer's ownership tokens check it, not this rule.
 
 Nested ``def``\\ s inside a coroutine are skipped (they don't run on the
 loop by virtue of where they're written), and sync functions are out of
@@ -36,6 +43,9 @@ from repro.analysis.framework import Finding, Module, Project, Rule
 __all__ = ["AsyncSafetyRule"]
 
 #: The engine serving surface a coroutine must not call synchronously.
+#: ``serve_hits`` is left out on purpose: it serves at most a batch of
+#: full cache hits and stops before the first non-hit, so it is bounded
+#: by in-memory work and is the one engine call allowed on the loop.
 _ENGINE_CALLS = frozenset({"topk", "topk_batch", "insert", "delete", "run"})
 
 
@@ -74,7 +84,9 @@ class AsyncSafetyRule(Rule):
         "Inside async def bodies under serve/: flags time.sleep, "
         "non-awaited lock .acquire(...), and non-awaited calls to the "
         "engine serving surface (topk/topk_batch/insert/delete/run) — "
-        "engine work must cross the run_in_executor bridge."
+        "engine work must cross the run_in_executor bridge; serve_hits, "
+        "bounded to a batch of full cache hits, is the one engine call "
+        "allowed on the loop."
     )
 
     def check(self, project: Project) -> list[Finding]:

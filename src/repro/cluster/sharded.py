@@ -85,10 +85,9 @@ from repro.engine.engine import (
     UpdateResponse,
     WorkloadReport,
     run_workload,
-    validate_k,
     validate_point,
+    validate_requests,
     validate_rid_type,
-    validate_weight_rows,
 )
 from repro.engine.workload import Request, Workload
 from repro.scoring import LinearScoring, ScoringFunction
@@ -365,9 +364,7 @@ class ShardedGIREngine:
             reqs = list(requests)
             if not reqs:
                 return []
-            W = validate_weight_rows([r.weights for r in reqs], self.d)
-            n_live = self.n_live
-            ks = [validate_k(r.k, n_live) for r in reqs]
+            W, ks, vectors = validate_requests(reqs, self.d, self.n_live)
             hits = (
                 self.cache.lookup_batch(W, ks)
                 if self.cache is not None
@@ -378,7 +375,7 @@ class ShardedGIREngine:
             pending = []
             for i, hit in enumerate(hits):
                 if hit is not None:
-                    responses[i] = self._serve_cluster_hit(W[i], ks[i], hit)
+                    responses[i] = self._serve_cluster_hit(vectors[i], ks[i], hit)
                 else:
                     pending.append(i)
             if pending:
@@ -398,8 +395,8 @@ class ShardedGIREngine:
                         ids=ids,
                         # The pooled per-shard scores can differ from the
                         # canonical product by an ulp: rescore the answer.
-                        scores=self._canonical_scores(ids, W[i]),
-                        weights=W[i],
+                        scores=self._canonical_scores(ids, vectors[i]),
+                        weights=vectors[i],
                         k=ks[i],
                         source=merged.source,
                         pages_read=merged.pages_read,
@@ -411,6 +408,32 @@ class ShardedGIREngine:
             out = [r for r in responses if r is not None]
             assert len(out) == len(reqs)
             return out
+
+    def serve_hits(self, requests: "list[Request] | list[Any]") -> list[EngineResponse]:
+        """Serve the longest prefix of ``requests`` the cluster cache
+        answers in full — a bounded, hit-only read with no fan-out.
+
+        Each served request gets exactly what :meth:`topk_batch` would
+        give it. The first request the cluster cache does not answer in
+        full is not touched (no miss counted, no shard called), and
+        neither is any after it, so ``serve_hits(reqs)`` followed by
+        ``topk_batch`` of the rest serves and accounts exactly what
+        ``topk_batch(reqs)`` does. Without a cluster cache it serves
+        nothing. Validation is :meth:`topk_batch`'s.
+        """
+        with obs.span("cluster.serve_hits", n=len(requests)), self._serve_lock:
+            self._ensure_serving()
+            reqs = list(requests)
+            if not reqs:
+                return []
+            W, ks, vectors = validate_requests(reqs, self.d, self.n_live)
+            if self.cache is None:
+                return []
+            hits = self.cache.resolve_hits(self.cache.lookup_window(W, ks))
+            return [
+                self._serve_cluster_hit(vectors[i], ks[i], hit)
+                for i, hit in enumerate(hits)
+            ]
 
     def _ensure_serving(self) -> None:
         if self._broken is not None:

@@ -30,9 +30,11 @@ may evict the LRU entry — with the lookups behind them, so it drives a
 pending lookups up to and including the first miss, and after the miss's
 admission it patches the window's one matrix (the departed entries'
 columns dropped, the admitted entry evaluated for the unresolved rows
-only) rather than recomputing it. The first insert fixes the cache's
-dimensionality: a region or a vector of another ``d`` is a
-``ValueError``. :meth:`GIRCache.lookup_scan` preserves the entry-by-entry
+only) rather than recomputing it. :meth:`GIRCache.resolve_hits` is its
+hit-prefix step alone: it stops *before* the first non-hit and leaves it
+uncounted, for a caller that serves full hits only. The first insert
+fixes the cache's dimensionality: a region or a vector of another ``d``
+is a ``ValueError``. :meth:`GIRCache.lookup_scan` preserves the entry-by-entry
 reference path — same answers, same accounting — for the equivalence
 tests.
 
@@ -403,9 +405,11 @@ class GIRCache:
         return LookupWindow(W, np.broadcast_to(np.asarray(ks, dtype=np.int64), (q,)).tolist())
 
     @sanitize.mutates
-    def resolve(self, window: LookupWindow) -> list[CacheHit | None]:
-        """Resolve a window's pending lookups in order, up to and including
-        the first miss, exactly as sequential :meth:`lookup` calls would.
+    def resolve_hits(self, window: LookupWindow) -> list[CacheHit]:
+        """Resolve a window's pending lookups in order while the cache
+        answers them in full, exactly as sequential :meth:`lookup` calls
+        would, and stop *before* the first one it does not: that lookup
+        stays pending and uncounted, and nothing behind it is looked at.
 
         The window's membership matrix is computed on the first call and
         patched on a later one if the region index changed since
@@ -432,28 +436,40 @@ class GIRCache:
             window.version = index.version
         member, keys, ks = window.member, window.keys, window.ks
         base = window.base
-        hits: list[CacheHit | None] = []
+        hits: list[CacheHit] = []
         for i in range(start, len(ks)):
-            members = [keys[j] for j in np.nonzero(member[i - base])[0]]
-            hit = self._resolve(members, ks[i])
-            hits.append(hit)
-            if hit is None:
+            key = self._serving_key(
+                [keys[j] for j in np.nonzero(member[i - base])[0]], ks[i]
+            )
+            if key is None:
                 break
+            self._touch(key)
+            self.full_hits += 1
+            hits.append(CacheHit(ids=self._entries[key].topk.ids[: ks[i]], entry_key=key))
         window.resolved += len(hits)
         return hits
 
-    def _resolve(self, member_keys: Sequence[int], k: int) -> CacheHit | None:
-        """Pick the serving entry among containing entries and account the
-        outcome — the selection rule shared by every lookup flavour: the
-        most recently used entry cached for at least ``k`` records."""
+    @sanitize.mutates
+    def resolve(self, window: LookupWindow) -> list[CacheHit | None]:
+        """Resolve a window's pending lookups in order, up to and including
+        the first miss: :meth:`resolve_hits`, then the miss step, which
+        accounts the first non-hit as a miss (``None``). The caller admits
+        the miss's region before resolving the rest."""
+        hits: list[CacheHit | None] = list(self.resolve_hits(window))
+        if window.pending:
+            self.misses += 1
+            window.resolved += 1
+            hits.append(None)
+        return hits
+
+    def _serving_key(self, member_keys: Sequence[int], k: int) -> int | None:
+        """The selection rule shared by every lookup flavour: among the
+        containing entries, the most recently used one cached for at least
+        ``k`` records; ``None`` when no entry serves ``k``."""
         serving = [key for key in member_keys if len(self._entries[key].topk.ids) >= k]
         if not serving:
-            self.misses += 1
             return None
-        key = max(serving, key=self._stamps.__getitem__)
-        self._touch(key)
-        self.full_hits += 1
-        return CacheHit(ids=self._entries[key].topk.ids[:k], entry_key=key)
+        return max(serving, key=self._stamps.__getitem__)
 
     def items(self) -> Iterator[tuple[int, GIRResult]]:
         """(key, entry) pairs in LRU order, oldest first (no recency touch)."""

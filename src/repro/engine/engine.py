@@ -40,6 +40,7 @@ invalidate cached GIRs per the engine's ``invalidation`` policy:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -75,6 +76,7 @@ __all__ = [
     "INVALIDATION_POLICIES",
     "validate_weights",
     "validate_weight_rows",
+    "validate_requests",
     "validate_k",
     "validate_k_type",
     "validate_rid_type",
@@ -107,12 +109,21 @@ def validate_weights(weights: np.ndarray, d: int) -> np.ndarray:
     Rejected: wrong dimensionality, non-finite entries (NaN/inf), negative
     entries, and all-nonpositive vectors (a zero preference ranks every
     record identically — degenerate for top-k).
+
+    A well-formed vector passes one test over its entries as Python
+    floats: a finite positive sum (NaN and inf propagate into it, and an
+    all-zero vector sums to 0) and a non-negative minimum. The checks
+    below it only choose the message, and accept what it turned away
+    only for finite entries whose sum overflows.
     """
     arr = np.asarray(weights, dtype=np.float64)
     if arr.shape != (d,):
         raise ValueError(
             f"weights must be a vector of shape ({d},), got {arr.shape}"
         )
+    vals = arr.tolist()
+    if 0.0 < sum(vals) < math.inf and min(vals) >= 0.0:
+        return arr
     if not np.isfinite(arr).all():
         raise ValueError("weights must be finite (no NaN or inf entries)")
     if (arr < 0).any():
@@ -146,6 +157,21 @@ def validate_weight_rows(rows: list, d: int) -> np.ndarray:
     ):
         return np.array([validate_weights(w, d) for w in rows]).reshape(-1, d)
     return W
+
+
+def validate_requests(
+    requests: list, d: int, n_live: int
+) -> tuple[np.ndarray, list[int], list[np.ndarray]]:
+    """Check a read batch before any of it is served: returns its vectors
+    stacked as ``(n, d)`` (:func:`validate_weight_rows`), its ``k``
+    values (:func:`validate_k`) and each request's frozen vector
+    (:func:`~repro.engine.workload.frozen_array`), the array its response
+    carries — a :class:`~repro.engine.workload.Request`'s own copy, not
+    another one. A malformed request fails the whole call up front,
+    before any cache entry or counter moves."""
+    W = validate_weight_rows([r.weights for r in requests], d)
+    ks = [validate_k(r.k, n_live) for r in requests]
+    return W, ks, [frozen_array(r.weights, "weights") for r in requests]
 
 
 def validate_k_type(k: int) -> int:
@@ -586,17 +612,13 @@ class GIREngine:
         :func:`validate_weights` / :func:`validate_k`.
         """
         reqs = list(requests)
-        # Validate the whole batch before serving anything: a malformed
-        # request must fail the call up front, not abort mid-batch after
-        # earlier windows already mutated the cache and the counters.
-        validated = validate_weight_rows([r.weights for r in reqs], self.d)
-        n_live = self.n_live
-        all_ks = [validate_k(r.k, n_live) for r in reqs]
+        W, ks, vectors = validate_requests(reqs, self.d, self.n_live)
         responses: list[EngineResponse] = []
         with obs.span("engine.topk_batch", n=len(reqs)):
             for i in range(0, len(reqs), LOOKUP_WINDOW):
-                W = validated[i : i + LOOKUP_WINDOW]
-                window = self.cache.lookup_window(W, all_ks[i : i + LOOKUP_WINDOW])
+                window = self.cache.lookup_window(
+                    W[i : i + LOOKUP_WINDOW], ks[i : i + LOOKUP_WINDOW]
+                )
                 while window.pending:
                     start = window.resolved
                     # The matmul, or the patch after a miss's admission,
@@ -605,8 +627,37 @@ class GIREngine:
                         hits = self.cache.resolve(window)
                     for offset, hit in enumerate(hits, start):
                         responses.append(
-                            self._serve(W[offset], window.ks[offset], hit)
+                            self._serve(vectors[i + offset], ks[i + offset], hit)
                         )
+        return responses
+
+    @sanitize.mutates  # a hit touches recency and counters
+    def serve_hits(self, requests: list) -> list[EngineResponse]:
+        """Serve the longest prefix of ``requests`` the cache answers in
+        full — a bounded, hit-only read that never runs the pipeline.
+
+        Every request it serves gets exactly what :meth:`topk_batch`
+        would give it: the same response, recency touch and counters. The
+        first request the cache does not answer in full is not touched —
+        no miss is counted, no pipeline runs, no page is read — and
+        neither is any after it, so ``serve_hits(reqs)`` followed by
+        ``topk_batch`` of the rest serves and accounts exactly what
+        ``topk_batch(reqs)`` does. Validation is :meth:`topk_batch`'s.
+        """
+        reqs = list(requests)
+        W, ks, vectors = validate_requests(reqs, self.d, self.n_live)
+        responses: list[EngineResponse] = []
+        with obs.span("engine.serve_hits", n=len(reqs)):
+            for i in range(0, len(reqs), LOOKUP_WINDOW):
+                window = self.cache.lookup_window(
+                    W[i : i + LOOKUP_WINDOW], ks[i : i + LOOKUP_WINDOW]
+                )
+                with obs.span("engine.cache_lookup_batch", n=window.pending):
+                    hits = self.cache.resolve_hits(window)
+                for offset, hit in enumerate(hits, i):
+                    responses.append(self._serve(vectors[offset], ks[offset], hit))
+                if window.pending:
+                    break
         return responses
 
     def _serve(self, weights: np.ndarray, k: int, hit) -> EngineResponse:

@@ -75,7 +75,19 @@ def frozen_array(value: np.ndarray, shape_name: str) -> np.ndarray:
     Storing the caller's array directly would alias it: a caller mutating
     its query vector in place afterwards would silently corrupt recorded
     accounting and workload replay.
+
+    What this function returns — a read-only float64 vector that owns its
+    data — is shared, not copied again: a request's one frozen copy is
+    the same array in every response and log entry made from it.
     """
+    if (
+        type(value) is np.ndarray
+        and value.dtype == np.float64
+        and value.ndim == 1
+        and value.flags.owndata
+        and not value.flags.writeable
+    ):
+        return value
     arr = np.array(value, dtype=np.float64, copy=True)
     if arr.ndim != 1:
         raise ValueError(f"{shape_name} must be a 1-d vector")

@@ -17,8 +17,10 @@ thread-owned. This package puts an asyncio tier in front of
 * **micro-batching** (:class:`ServeConfig.batch_window_ms` /
   ``batch_max``) — the reads already queued are taken at once (the
   batcher lingers up to the window only on an empty queue) and served
-  through one ``topk_batch`` call (byte-identical to per-request
-  serving by the engine's own contract, canonical scores included);
+  through one ``topk_batch`` call — its leading full cache hits through
+  one ``serve_hits`` call instead, while the bridge is idle
+  (byte-identical to per-request serving by the engine's own contract,
+  canonical scores included);
 * **single flight** — a read whose ``(weights, k)`` exactly duplicates
   one already being computed awaits that computation instead of
   re-entering the engine, and takes the leader's answer (or error) as is;
@@ -29,9 +31,11 @@ thread-owned. This package puts an asyncio tier in front of
   operation in commit order, replayable against a fresh engine to prove
   the tier byte-identical to sequential per-request serving.
 
-All engine calls are routed through a one-thread executor bridge (the
-engine stays single-owner, satisfying the runtime sanitizer's ownership
-tokens); the event loop itself never blocks — enforced statically by the
+Engine calls are routed through a one-thread executor bridge, except
+that bounded ``serve_hits`` call, which the dispatcher makes on the loop
+only while no read batch is on the bridge; either way one thread at a
+time is in the engine, satisfying the runtime sanitizer's ownership
+tokens. The event loop never blocks — enforced statically by the
 ``async-safety`` rule of :mod:`repro.analysis`.
 """
 

@@ -7,7 +7,9 @@ Every knob trades latency against engine work:
   queue wait grow without bound;
 * ``batch_window_ms`` / ``batch_max`` shape the micro-batcher: how long
   the dispatcher lingers collecting compatible reads, and how many it
-  stacks into one ``topk_batch`` call;
+  stacks into one engine read call (a ``serve_hits`` on the loop for the
+  batch's hit prefix while the bridge is idle, bounding that call, and a
+  ``topk_batch`` on the bridge for the rest);
 * ``max_inflight_batches`` caps engine batches in flight at once, so a
   slow engine backs pressure up into the queue (and from there into
   sheds) instead of into an unbounded set of outstanding futures.
@@ -31,7 +33,7 @@ class ServeConfig:
     max_pending: int = 256
     #: How long the micro-batcher lingers for companions, in milliseconds.
     batch_window_ms: float = 2.0
-    #: Max reads stacked into one ``topk_batch`` call.
+    #: Max reads stacked into one engine read call.
     batch_max: int = 32
     #: Max engine batches outstanding before the dispatcher stalls.
     max_inflight_batches: int = 4

@@ -3,19 +3,27 @@
 One :class:`ServeFront` wraps one engine (a
 :class:`~repro.engine.GIREngine` or a
 :class:`~repro.cluster.ShardedGIREngine` — anything with the engine
-serving surface: ``topk_batch`` / ``insert`` / ``delete`` / ``d`` /
-``n_live``). The engine stays strictly
-single-owner: every engine call runs on the front door's one-thread
-executor (the *executor bridge*), which is exactly the ownership shape
-the runtime sanitizer's tokens accept, and the event loop itself only
-ever does queue plumbing.
+serving surface: ``topk_batch`` / ``serve_hits`` / ``insert`` /
+``delete`` / ``d`` / ``n_live``). The engine stays strictly
+single-owner: one thread at a time is inside it, which is exactly the
+ownership shape the runtime sanitizer's tokens accept. Engine work runs
+on the front door's one-thread executor (the *executor bridge*), with
+one exception: while no read batch is outstanding on the bridge, the
+dispatcher serves the leading full cache hits of a batch itself
+(``serve_hits``: at most ``batch_max`` hits, never a pipeline run or a
+page read), so a hit does not pay for two thread hops; misses still
+leave the loop. Writes run only after the fence drained every read
+batch, so that inline call never overlaps one either.
 
 Data path for a read::
 
-    admission (validate, bound, shed)          — caller's task
+    admission (validate, copy, bound, shed)    — caller's task
       → ingress queue
       → dispatcher: micro-batch + single flight — one dispatcher task
-      → executor bridge: one topk_batch call   — the engine thread
+      → hit prefix, if the bridge is idle: one serve_hits call
+                                                — the dispatcher task
+      → executor bridge: one topk_batch call for the rest
+                                                — the engine thread
       → resolution: each leader, then its followers — a finisher task
 
 The micro-batcher drains whatever is already queued without yielding
@@ -25,7 +33,7 @@ backlog becomes one batch in one loop turn.
 Responses carry the engine's scores as they are: every engine's
 response contract is that ``EngineResponse.scores`` equals
 :func:`~repro.serve.replay.canonical_scores` of the answer's rows, bit
-for bit, so the bridge does no scoring of its own.
+for bit, so the front door does no scoring of its own.
 
 Single flight is by exact key: a read whose ``(weights bytes, k)``
 equals an in-flight read's attaches to it as a follower and takes the
@@ -123,13 +131,12 @@ class ServeUpdate:
 
 
 class _ReadOp:
-    __slots__ = ("weights", "k", "future", "t_arrive", "trace")
+    __slots__ = ("request", "future", "t_arrive", "trace")
 
-    def __init__(
-        self, weights: np.ndarray, k: int, future: asyncio.Future
-    ) -> None:
-        self.weights = weights
-        self.k = k
+    def __init__(self, request: Request, future: asyncio.Future) -> None:
+        #: The engine request, built once at admission: its frozen
+        #: weights are the read's one copy of the caller's vector.
+        self.request = request
         self.future = future
         self.t_arrive = time.perf_counter()
         #: The admitting request's trace context; retro spans (queue
@@ -263,14 +270,16 @@ class ServeFront:
                 self.stats.rejected += 1
                 raise Rejected("front door is closed")
             try:
-                w = validate_weights(
-                    np.asarray(weights, dtype=np.float64), self._d
+                # The engine request copies and freezes the caller's
+                # vector; the response and the log entry share that copy.
+                request = Request(
+                    weights=validate_weights(weights, self._d),
+                    k=validate_k_type(k),
                 )
-                k = validate_k_type(k)
             except ValueError as exc:
                 self.stats.rejected += 1
                 raise Rejected(str(exc)) from exc
-            op = _ReadOp(w, k, self._new_future())
+            op = _ReadOp(request, self._new_future())
             self._admit(op)
             resp = await op.future
             if obs.tracing_enabled():
@@ -286,9 +295,7 @@ class ServeFront:
                 self.stats.rejected += 1
                 raise Rejected("front door is closed")
             try:
-                p = validate_point(
-                    np.asarray(point, dtype=np.float64), self._d
-                )
+                p = frozen_array(validate_point(point, self._d), "point")
             except ValueError as exc:
                 self.stats.rejected += 1
                 raise Rejected(str(exc)) from exc
@@ -377,8 +384,9 @@ class ServeFront:
         return batch
 
     def _launch_reads(self, batch: list) -> None:
-        """Attach exact duplicates to their in-flight flights, then submit
-        the leaders as one engine batch on the bridge."""
+        """Attach exact duplicates to their in-flight flights; then, if the
+        bridge is idle, serve the leaders' full-hit prefix here, and
+        submit the remaining leaders as one engine batch on the bridge."""
         t_dispatch = time.perf_counter()
         if obs.tracing_enabled():
             for op in batch:
@@ -388,7 +396,7 @@ class ServeFront:
                 )
         flights: list[_Flight] = []
         for op in batch:
-            key = (op.weights.tobytes(), op.k)
+            key = (op.request.weights.tobytes(), op.request.k)
             flight = self._inflight.get(key)
             if flight is not None:
                 flight.followers.append(op)
@@ -398,20 +406,50 @@ class ServeFront:
                 flights.append(flight)
         if not flights:
             return
+        self.stats.engine_batch_calls += 1
+        if all(t.done() for t in self._jobs):
+            flights = self._serve_hits_inline(flights, t_dispatch)
+            if not flights:
+                return
         loop = asyncio.get_running_loop()
-        reqs = [(f.leader.weights, f.leader.k) for f in flights]
         job = loop.run_in_executor(
-            self._pool, self._serve_batch_sync, reqs, flights[0].leader.trace
+            self._pool,
+            self._serve_batch_sync,
+            [f.leader.request for f in flights],
+            flights[0].leader.trace,
+            self.engine.topk_batch,
         )
         task = loop.create_task(
             self._finish_batch(flights, job, t_dispatch)
         )
         self._jobs.append(task)
-        self.stats.engine_batch_calls += 1
         live = sum(not t.done() for t in self._jobs)
         self.stats.inflight_batches_peak = max(
             self.stats.inflight_batches_peak, live
         )
+
+    def _serve_hits_inline(self, flights: list, t_dispatch: float) -> list:
+        """Serve the flights' leading full cache hits on the event loop and
+        resolve them with their followers; return the flights left for
+        the bridge.
+
+        Called only while every read batch's task is done — its engine
+        call returned — and writes run only behind a fence that drained
+        them all, so the loop is the one thread in the engine. The call
+        is bounded: at most ``batch_max`` hits, and it stops before the
+        first leader that is not one (``serve_hits``). An engine error
+        fails this batch's reads alone."""
+        try:
+            results = self._serve_batch_sync(
+                [f.leader.request for f in flights],
+                flights[0].leader.trace,
+                self.engine.serve_hits,
+            )
+        except Exception as exc:
+            results = [exc] * len(flights)
+        served = len(results)
+        self._resolve_flights(flights[:served], results, t_dispatch)
+        return flights[served:]
 
     async def _throttle_jobs(self) -> None:
         """Bound outstanding engine batches; excess pressure stays in the
@@ -426,15 +464,16 @@ class ServeFront:
             task = self._jobs.pop(0)
             await task
 
-    # -- the executor bridge (engine-thread code) ------------------------------
+    # -- engine calls (the bridge's thread, or the idle bridge's loop) ---------
 
-    def _serve_batch_sync(self, reqs: list, trace_ctx=None) -> list:
-        """Engine-thread half of a read batch: one ``topk_batch`` call.
-        Each response's scores are already canonical (the engine's
+    def _serve_batch_sync(self, reqs: list, trace_ctx, serve) -> list:
+        """One engine read call over a batch's leaders: ``topk_batch`` on
+        the bridge, or ``serve_hits`` on the loop while the bridge is
+        idle. Each response's scores are already canonical (the engine's
         response contract), so nothing is rescored here.
 
         ``trace_ctx`` is the first leader's trace context — contextvars
-        do not cross ``run_in_executor``, so the bridge re-adopts it
+        do not cross ``run_in_executor``, so the call re-adopts it
         explicitly and the engine-side spans stitch under that request
         (the other leaders share the batch; their spans nest here too).
         """
@@ -442,28 +481,38 @@ class ServeFront:
             with obs.use_trace(trace_ctx), obs.span(
                 "serve.engine_batch", n=len(reqs)
             ):
-                return self._serve_batch_inner(reqs)
-        return self._serve_batch_inner(reqs)
+                return self._serve_batch_inner(reqs, serve)
+        return self._serve_batch_inner(reqs, serve)
 
-    def _serve_batch_inner(self, reqs: list) -> list:
-        """One result per request: its :class:`EngineResponse`, or the
-        :class:`Rejected` error of a request whose ``k`` exceeds the live
-        record count. That bound moves with every write, so it can only
-        be judged here, on the engine thread; the offender is set aside
-        so it cannot fail the reads it happens to share a batch with."""
+    def _serve_batch_inner(self, reqs: list, serve) -> list:
+        """One result per request the call reached, in order: its
+        :class:`EngineResponse`, or the :class:`Rejected` error of a
+        request whose ``k`` exceeds the live record count. That bound
+        moves with every write, so it can only be judged here, inside the
+        engine's ownership; the offender is set aside so it cannot fail
+        the reads it happens to share a batch with. ``topk_batch``
+        reaches every request; ``serve_hits`` stops at its first non-hit,
+        and the list ends there."""
         n_live = self.engine.n_live
         out: list = []
         requests = []
-        for w, k in reqs:
+        for req in reqs:
             try:
-                validate_k(k, n_live)
+                validate_k(req.k, n_live)
             except ValueError as exc:
-                out.append(Rejected(str(exc), k=k, n_live=n_live))
+                out.append(Rejected(str(exc), k=req.k, n_live=n_live))
             else:
                 out.append(None)
-                requests.append(Request(weights=w, k=k))
-        responses = iter(self.engine.topk_batch(requests))
-        return [next(responses) if slot is None else slot for slot in out]
+                requests.append(req)
+        responses = iter(serve(requests))
+        results: list = []
+        for slot in out:
+            if slot is None:
+                slot = next(responses, None)
+                if slot is None:
+                    break
+            results.append(slot)
+        return results
 
     def _apply_write_sync(self, op: _WriteOp, trace_ctx=None) -> UpdateResponse:
         if trace_ctx is not None and obs.tracing_enabled():
@@ -487,6 +536,13 @@ class ServeFront:
             results = await job
         except Exception as exc:
             results = [exc] * len(flights)
+        self._resolve_flights(flights, results, t_dispatch)
+
+    def _resolve_flights(
+        self, flights: list, results: list, t_dispatch: float
+    ) -> None:
+        """Resolve each flight — its leader, then its followers — with its
+        engine result: a response, or the error every one of them gets."""
         service_ms = (time.perf_counter() - t_dispatch) * 1e3
         # Unregister the whole batch first: a read arriving after this
         # point must not attach to an already-resolved computation. The
@@ -513,11 +569,12 @@ class ServeFront:
         a follower with its leader's ids and scores verbatim."""
         via = "engine" if leader else "coalesced"
         wait_ms = (t_dispatch - op.t_arrive) * 1e3
+        request = op.request
         response = ServeResponse(
             ids=tuple(resp.ids),
             scores=resp.scores,
-            weights=op.weights,
-            k=op.k,
+            weights=request.weights,
+            k=request.k,
             via=via,
             source=resp.source if leader else f"coalesced:{resp.source}",
             pages_read=resp.pages_read if leader else 0,
@@ -526,8 +583,8 @@ class ServeFront:
         )
         self.log.append(
             ReadLog(
-                weights=op.weights,
-                k=op.k,
+                weights=request.weights,
+                k=request.k,
                 ids=response.ids,
                 scores=resp.scores,
                 via=via,

@@ -46,7 +46,10 @@ class ServeStats:
     writes_applied: int = 0
     #: Admitted operations that failed inside the engine.
     errors: int = 0
-    #: ``topk_batch`` calls issued to the engine.
+    #: Dispatched micro-batches with at least one leader: one each,
+    #: whether the batch was served by a ``serve_hits`` call on the loop,
+    #: a ``topk_batch`` call on the bridge, or its hit prefix by the one
+    #: and the rest by the other.
     engine_batch_calls: int = 0
     #: Reads answered by a request inside those calls (the coalescing
     #: denominator); charged when the answer resolves, so a request the

@@ -370,6 +370,35 @@ class TestAsyncSafety:
         assert len(found) == 1
         assert "executor bridge" in found[0].message
 
+    def test_serve_hits_in_a_coroutine_passes(self, tmp_path):
+        # serve_hits serves a batch of full cache hits at most and stops
+        # before the first non-hit: the one engine call the loop may make.
+        project = project_from(
+            tmp_path,
+            {
+                "pkg/serve/front.py": (
+                    "async def handler(engine, reqs):\n"
+                    "    return engine.serve_hits(reqs)\n"
+                )
+            },
+        )
+        assert findings_of(project, AsyncSafetyRule()) == []
+
+    def test_topk_batch_beside_serve_hits_is_still_flagged(self, tmp_path):
+        project = project_from(
+            tmp_path,
+            {
+                "pkg/serve/front.py": (
+                    "async def handler(engine, reqs):\n"
+                    "    hits = engine.serve_hits(reqs)\n"
+                    "    return hits + engine.topk_batch(reqs[len(hits):])\n"
+                )
+            },
+        )
+        found = findings_of(project, AsyncSafetyRule())
+        assert [f.line for f in found] == [3]
+        assert ".topk_batch()" in found[0].message
+
     def test_awaited_counterparts_and_bridge_pass(self, tmp_path):
         # The front door's own shape: awaited async methods named like
         # the engine surface, an awaited asyncio lock acquire, and the

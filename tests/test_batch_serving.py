@@ -18,6 +18,7 @@ both batch sizes on twin engines and compare everything observable.
 import numpy as np
 import pytest
 
+from repro.cluster import ShardedGIREngine
 from repro.data.synthetic import independent
 from repro.engine import (
     GIREngine,
@@ -124,6 +125,7 @@ class TestBatchEquivalence:
     def test_empty_batch(self, batch_setup):
         engine = GIREngine(batch_setup, bulk_load_str(batch_setup))
         assert engine.topk_batch([]) == []
+        assert engine.serve_hits([]) == []
 
 
 def lru_order(engine) -> list[int]:
@@ -261,3 +263,84 @@ class TestPrescreenReporting:
         upd = engine.insert(np.array([0.9, 0.9, 0.9]))
         assert upd.prescreen_screened == 0 and upd.prescreen_lps == 0
         assert engine.stats()["prescreen_screened"] == 0
+
+
+def hit_only_engine(kind: str, data):
+    """A 3-entry cache in front of ``data``: a :class:`GIREngine`, or a
+    two-shard in-process :class:`ShardedGIREngine` whose cluster cache is
+    the one ``serve_hits`` reads."""
+    if kind == "single":
+        return GIREngine(data, bulk_load_str(data), cache_capacity=3)
+    return ShardedGIREngine(data, shards=2, cluster_cache_capacity=3)
+
+
+@pytest.mark.parametrize("kind", ["single", "inproc"])
+class TestServeHits:
+    """``serve_hits`` is ``topk_batch``'s hit prefix and nothing more: it
+    serves the leading full hits exactly as ``topk_batch`` would and
+    leaves the first non-hit untouched, so ``serve_hits(batch)`` then
+    ``topk_batch(rest)`` is indistinguishable from ``topk_batch(batch)``."""
+
+    def test_prefix_then_rest_matches_whole_batch(self, batch_setup, kind):
+        rng = np.random.default_rng(5)
+        pool = [random_query(rng, 3) for _ in range(6)]
+        batches = [
+            [
+                Request(weights=pool[rng.integers(6)], k=int(rng.choice([3, 5, 8])))
+                for _ in range(rng.integers(1, 13))
+            ]
+            for _ in range(14)
+        ]
+        split = hit_only_engine(kind, batch_setup)
+        whole = hit_only_engine(kind, batch_setup)
+        prefixes = []
+        for reqs in batches:
+            served = split.serve_hits(reqs)
+            prefixes.append(len(served))
+            ours = served + split.topk_batch(reqs[len(served):])
+            theirs = whole.topk_batch(reqs)
+            for a, b in zip(ours, theirs, strict=True):
+                assert (a.ids, a.scores, a.source, a.pages_read) == (
+                    b.ids, b.scores, b.source, b.pages_read,
+                )
+            assert all(r.source == "cache" for r in served)
+            assert split.cache.stats() == whole.cache.stats()
+            assert lru_order(split) == lru_order(whole)
+        assert split.stats() == whole.stats()
+        # The stream exercises all three shapes: nothing served, a strict
+        # prefix, and the whole batch.
+        sizes = [len(reqs) for reqs in batches]
+        assert 0 in prefixes
+        assert any(0 < p < n for p, n in zip(prefixes, sizes))
+        assert any(p == n for p, n in zip(prefixes, sizes))
+
+    def test_first_non_hit_is_not_counted(self, batch_setup, kind):
+        rng = np.random.default_rng(9)
+        engine = hit_only_engine(kind, batch_setup)
+        q, cold = random_query(rng, 3), random_query(rng, 3)
+        # A cold cache serves nothing and counts nothing.
+        before = engine.stats()
+        assert engine.serve_hits([Request(weights=q, k=5)]) == []
+        assert engine.stats() == before
+        engine.topk(q, 5)
+        while any(gir.contains(cold) for _, gir in engine.cache.items()):
+            cold = random_query(rng, 3)
+        before = engine.stats()
+        batch = [
+            Request(weights=q, k=5),
+            Request(weights=q, k=8),  # deeper than the cached k: a miss
+            Request(weights=q, k=3),  # a hit, but behind the miss
+            Request(weights=cold, k=5),
+        ]
+        served = engine.serve_hits(batch)
+        assert [r.source for r in served] == ["cache"]
+        assert served[0].pages_read == 0
+        after = engine.stats()
+        hits_key = "full_hits" if kind == "single" else "cluster_full_hits"
+        misses_key = "misses" if kind == "single" else "cluster_misses"
+        assert after[hits_key] == before[hits_key] + 1
+        assert after[misses_key] == before[misses_key]
+        assert after["requests_served"] == before["requests_served"] + 1
+        before.pop(hits_key), after.pop(hits_key)
+        before.pop("requests_served"), after.pop("requests_served")
+        assert after == before  # no page read, no fan-out, no admission

@@ -293,6 +293,53 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=message):
             validate_weight_rows([*good, np.array(bad)], 3)
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([0.5, np.nan, 0.5], "finite"),
+            ([np.nan, 0.5, 0.5], "finite"),
+            ([0.5, 0.5, np.nan], "finite"),
+            ([0.5, np.inf, 0.5], "finite"),
+            ([0.5, -np.inf, 0.5], "finite"),
+            ([np.inf, -np.inf, 1.0], "finite"),
+            ([-0.0, 0.5, 0.5], None),
+            ([-0.0, 0.0, -0.0], "positive entry"),
+            ([0.0, 0.0, 0.0], "positive entry"),
+            ([0.5, -0.1, 0.5], "non-negative"),
+            ([-1e-300, 0.5, 0.5], "non-negative"),
+            ([0.5, 0.5], r"shape \(3,\)"),
+            ([[0.5, 0.5, 0.5]], r"shape \(3,\)"),
+            (np.array([1, 2, 3]), None),
+            (np.array([0, 0, 0]), "positive entry"),
+            (np.array([0, -1, 2]), "non-negative"),
+            ([1e308, 1e308, 1e308], None),
+            ([1e308, 1e308, -1.0], "non-negative"),
+            ([5e-324, 0.0, 0.0], None),
+        ],
+        ids=lambda v: repr(v) if isinstance(v, (str, type(None))) else None,
+    )
+    def test_weights_accept_reject_table(self, weights, message):
+        """One cheap test accepts a well-formed vector; the full checks
+        only choose the message. The accept set is exactly the full
+        checks': right shape, finite, no negative entry (``-0.0`` is not
+        one), at least one positive entry — a numpy int vector included,
+        and finite entries whose sum overflows too."""
+        arr = np.asarray(weights, dtype=np.float64)
+        reference = (
+            arr.shape == (3,)
+            and bool(np.isfinite(arr).all())
+            and not (arr < 0).any()
+            and bool((arr > 0).any())
+        )
+        assert reference == (message is None)
+        if message is None:
+            out = validate_weights(weights, 3)
+            assert out.dtype == np.float64 and out.shape == (3,)
+            assert np.array_equal(out, arr)
+        else:
+            with pytest.raises(ValueError, match=message):
+                validate_weights(weights, 3)
+
     def test_batch_validates_before_serving_anything(self, engine):
         """A malformed request anywhere in the batch fails the whole call
         up front — no prefix is served, no counters move (a mid-batch

@@ -25,6 +25,7 @@ from repro.data.synthetic import make_synthetic
 from repro.engine import (
     GIREngine,
     InsertOp,
+    Request,
     WorkloadReport,
     flash_crowd_workload,
 )
@@ -360,6 +361,36 @@ class TestServeTracing:
         ]
         # every engine-bridged trace carries the request root
         assert stitched, sorted({r.name for r in spans})
+
+    def test_inline_hits_keep_the_engine_batch_span_and_stitch(self, data):
+        """Full hits served on the loop (the bridge idle) record the same
+        ``serve.engine_batch`` span as a bridged batch, under the first
+        leader's request, with the engine's spans nested beneath it."""
+        hot = np.random.default_rng(4).random((6, D)) * 0.8 + 0.1
+        engine = fresh_engine(data)
+        engine.topk_batch([Request(w, 5) for w in hot])
+        obs.reset_collector()
+        obs.enable()
+        try:
+
+            async def go():
+                async with ServeFront(engine) as front:
+                    return await asyncio.gather(*(front.topk(w, 5) for w in hot))
+
+            responses = asyncio.run(go())
+        finally:
+            obs.disable()
+        spans = obs.drain()
+        assert [r.source for r in responses] == ["cache"] * 6
+        (batch,) = [r for r in spans if r.name == "serve.engine_batch"]
+        assert batch.attrs["n"] == 6
+        trace = obs.spans_by_trace(spans)[batch.trace_id]
+        (root,) = [r for r in trace if r.name == "serve.request"]
+        assert batch.parent_id == root.span_id
+        (hits,) = [r for r in trace if r.name == "engine.serve_hits"]
+        assert hits.parent_id == batch.span_id
+        served = [r for r in trace if r.name == "engine.serve"]
+        assert [r.attrs["source"] for r in served] == ["cache"] * 6
 
 
 class TestClusterTracing:

@@ -11,6 +11,7 @@ cluster behind the front door.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import numpy as np
@@ -411,6 +412,48 @@ class TestAdmission:
         with pytest.raises(Rejected):
             self.run_front(data, lambda f: f.delete(-3))
 
+    def test_read_keeps_its_vector_when_the_caller_reuses_the_buffer(self, data):
+        """Admission copies the caller's vector once: a client that reuses
+        its buffer after ``topk()`` admitted the read is still served the
+        vector it sent, and the engine request, the response and the log
+        entry share that one frozen copy."""
+        a, b = np.array([0.9, 0.05, 0.05]), np.array([0.05, 0.05, 0.9])
+        direct = fresh_engine(data)
+        want = direct.topk(a, 5).ids
+        assert want != direct.topk(b, 5).ids
+
+        async def go():
+            async with ServeFront(fresh_engine(data)) as front:
+                buf = a.copy()
+                read = asyncio.ensure_future(front.topk(buf, 5))
+                await asyncio.sleep(0)  # admitted, not yet dispatched
+                assert front.stats.admitted == 1
+                buf[:] = b
+                return front, await read
+
+        front, resp = asyncio.run(go())
+        assert resp.ids == want
+        assert np.array_equal(resp.weights, a)
+        assert resp.weights is front.log[0].weights
+        assert not resp.weights.flags.writeable
+
+    def test_insert_keeps_its_point_when_the_caller_reuses_the_buffer(self, data):
+        p, q = np.array([0.3, 0.2, 0.4]), np.array([0.7, 0.8, 0.6])
+        engine = fresh_engine(data)
+
+        async def go():
+            async with ServeFront(engine) as front:
+                buf = p.copy()
+                write = asyncio.ensure_future(front.insert(buf))
+                await asyncio.sleep(0)  # admitted, not yet applied
+                assert front.stats.admitted == 1
+                buf[:] = q
+                return front, await write
+
+        front, served = asyncio.run(go())
+        assert np.array_equal(engine.points[served.update.rid], p)
+        assert np.array_equal(front.log[0].point, p)
+
     def test_rejections_are_counted_not_served(self, data):
         async def go(front):
             try:
@@ -549,6 +592,153 @@ class TestAdmission:
                 await front.topk(np.full(D, 1.0 / D), k=5)
 
         asyncio.run(go())
+
+
+def warm_engine(data, vectors, k=5) -> GIREngine:
+    """A fresh engine whose cache already holds each vector's region
+    (vectors inside the unit box, where cached regions live)."""
+    engine = fresh_engine(data)
+    engine.topk_batch([Request(w, k) for w in vectors])
+    return engine
+
+
+def outside_cache(engine, rng) -> np.ndarray:
+    """A vector no cached region contains: a read of it is a miss."""
+    while True:
+        w = rng.random(D) + 0.05
+        if not any(gir.contains(w) for _, gir in engine.cache.items()):
+            return w
+
+
+async def until(condition, timeout_s=10.0) -> None:
+    """Poll ``condition`` on the loop until it holds; fail after the
+    timeout instead of hanging."""
+    deadline = time.perf_counter() + timeout_s
+    while not condition():
+        assert time.perf_counter() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
+
+
+class TestInlineHits:
+    """While no read batch is on the bridge, the dispatcher serves a
+    batch's leading full cache hits itself (``serve_hits``) and sends
+    only the rest across the bridge."""
+
+    def test_hit_only_batch_never_reaches_the_executor(self, data, monkeypatch):
+        hot = np.random.default_rng(21).random((8, D)) * 0.8 + 0.1
+        engine = warm_engine(data, hot)
+        threads = []
+        serve_hits = engine.serve_hits
+
+        def recording(requests):
+            threads.append(threading.get_ident())
+            return serve_hits(requests)
+
+        monkeypatch.setattr(engine, "serve_hits", recording)
+        submitted = []
+
+        async def go():
+            async with ServeFront(engine) as front:
+                submit = front._pool.submit
+
+                def counting(fn, *args, **kwargs):
+                    submitted.append(fn)
+                    return submit(fn, *args, **kwargs)
+
+                monkeypatch.setattr(front._pool, "submit", counting)
+                responses = await asyncio.gather(
+                    *(front.topk(w, 5) for w in (*hot, *hot))
+                )
+            return front, responses
+
+        front, responses = asyncio.run(go())
+        assert submitted == []
+        assert threads == [threading.get_ident()]  # the loop's own thread
+        leaders = [r for r in responses if r.via == "engine"]
+        assert [r.source for r in leaders] == ["cache"] * 8
+        assert all(r.pages_read == 0 for r in leaders)
+        stats = front.stats
+        assert (stats.engine_batch_calls, stats.engine_requests) == (1, 8)
+        assert stats.coalesced_served == 8
+        assert stats.inflight_batches_peak == 0
+        assert stats.accounting_ok()
+        verdict = replay_serial_check(front.log, fresh_engine(data))
+        assert verdict["all_match"], verdict["examples"]
+
+    def test_hits_behind_a_miss_on_the_bridge_go_to_the_bridge(
+        self, data, monkeypatch
+    ):
+        rng = np.random.default_rng(22)
+        hot = rng.random((4, D)) * 0.8 + 0.1
+        engine = warm_engine(data, hot)
+        cold = outside_cache(engine, rng)
+        entered, release = threading.Event(), threading.Event()
+        bridged, inline = [], []
+        topk_batch, serve_hits = engine.topk_batch, engine.serve_hits
+
+        def blocking(requests):
+            bridged.append(len(requests))
+            entered.set()
+            release.wait(10)
+            return topk_batch(requests)
+
+        def recording(requests):
+            inline.append(len(requests))
+            return serve_hits(requests)
+
+        monkeypatch.setattr(engine, "topk_batch", blocking)
+        monkeypatch.setattr(engine, "serve_hits", recording)
+
+        async def go():
+            async with ServeFront(engine) as front:
+                miss = asyncio.ensure_future(front.topk(cold, 5))
+                await until(entered.is_set)
+                hits = [asyncio.ensure_future(front.topk(w, 5)) for w in hot]
+                await until(lambda: front.stats.engine_batch_calls == 2)
+                release.set()
+                return front, await miss, await asyncio.gather(*hits)
+
+        front, miss, hits = asyncio.run(go())
+        # Only the miss's batch met an idle bridge; it served nothing.
+        assert inline == [1]
+        assert bridged == [1, 4]
+        assert miss.source == "computed"
+        assert [r.source for r in hits] == ["cache"] * 4
+        assert front.stats.accounting_ok()
+        verdict = replay_serial_check(front.log, fresh_engine(data))
+        assert verdict["all_match"], verdict["examples"]
+
+    def test_inline_engine_error_fails_its_batch_alone(self, data, monkeypatch):
+        hot = np.random.default_rng(23).random((4, D)) * 0.8 + 0.1
+        engine = warm_engine(data, hot)
+        calls = []
+        serve_hits = engine.serve_hits
+
+        def failing_once(requests):
+            calls.append(len(requests))
+            if len(calls) == 1:
+                raise RuntimeError("hit path fell over")
+            return serve_hits(requests)
+
+        monkeypatch.setattr(engine, "serve_hits", failing_once)
+
+        async def go():
+            async with ServeFront(engine) as front:
+                failed = await asyncio.gather(
+                    *(front.topk(w, 5) for w in hot), return_exceptions=True
+                )
+                assert front.stats.accounting_ok()
+                after = await asyncio.gather(*(front.topk(w, 5) for w in hot))
+            return front, failed, after
+
+        front, failed, after = asyncio.run(go())
+        assert calls == [4, 4]
+        assert all(isinstance(r, RuntimeError) for r in failed)
+        assert [r.source for r in after] == ["cache"] * 4
+        stats = front.stats
+        assert (stats.errors, stats.engine_requests, stats.reads_served) == (4, 4, 4)
+        assert stats.engine_batch_calls == 2
+        assert stats.accounting_ok()
 
 
 class TestReportAndStats:
