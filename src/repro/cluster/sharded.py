@@ -81,10 +81,10 @@ from repro.engine.engine import (
     EngineResponse,
     GIREngine,
     INVALIDATION_POLICIES,
-    SOURCE_CACHE,
     UpdateResponse,
     WorkloadReport,
     run_workload,
+    serve_full_hits,
     validate_point,
     validate_requests,
     validate_rid_type,
@@ -372,12 +372,18 @@ class ShardedGIREngine:
             )
 
             responses: list[EngineResponse | None] = [None] * len(reqs)
-            pending = []
-            for i, hit in enumerate(hits):
-                if hit is not None:
-                    responses[i] = self._serve_cluster_hit(vectors[i], ks[i], hit)
-                else:
-                    pending.append(i)
+            served = {i: hit.entry_key for i, hit in enumerate(hits) if hit is not None}
+            if served:
+                rows = list(served)
+                answers = self._serve_hits(
+                    list(served.values()),
+                    W[rows],
+                    [vectors[i] for i in rows],
+                    [ks[i] for i in rows],
+                )
+                for i, response in zip(rows, answers):
+                    responses[i] = response
+            pending = [i for i, hit in enumerate(hits) if hit is None]
             if pending:
                 per_shard = self._fan_out(
                     [W[i] for i in pending], [ks[i] for i in pending]
@@ -391,7 +397,7 @@ class ShardedGIREngine:
                     self._cache_merged(merged)
                     self.requests_served += 1
                     ids = merged.gir.topk.ids
-                    responses[i] = EngineResponse(
+                    responses[i] = EngineResponse._frozen(
                         ids=ids,
                         # The pooled per-shard scores can differ from the
                         # canonical product by an ulp: rescore the answer.
@@ -414,12 +420,16 @@ class ShardedGIREngine:
         answers in full — a bounded, hit-only read with no fan-out.
 
         Each served request gets exactly what :meth:`topk_batch` would
-        give it. The first request the cluster cache does not answer in
-        full is not touched (no miss counted, no shard called), and
-        neither is any after it, so ``serve_hits(reqs)`` followed by
-        ``topk_batch`` of the rest serves and accounts exactly what
-        ``topk_batch(reqs)`` does. Without a cluster cache it serves
-        nothing. Validation is :meth:`topk_batch`'s.
+        give it, through the same hit path
+        (:func:`~repro.engine.engine.serve_full_hits`). The first request
+        the cluster cache does not answer in full is not touched (no miss
+        counted, no shard called), and neither is any after it, so
+        ``serve_hits(reqs)`` followed by ``topk_batch`` of the rest serves
+        and accounts exactly what ``topk_batch(reqs)`` does. The first
+        request's membership is decided alone before the rest are
+        stacked, so a batch led by a miss costs one row of membership.
+        Without a cluster cache it serves nothing. Validation is
+        :meth:`topk_batch`'s, up front.
         """
         with obs.span("cluster.serve_hits", n=len(requests)), self._serve_lock:
             self._ensure_serving()
@@ -429,11 +439,9 @@ class ShardedGIREngine:
             W, ks, vectors = validate_requests(reqs, self.d, self.n_live)
             if self.cache is None:
                 return []
-            hits = self.cache.resolve_hits(self.cache.lookup_window(W, ks))
-            return [
-                self._serve_cluster_hit(vectors[i], ks[i], hit)
-                for i, hit in enumerate(hits)
-            ]
+            keys = self.cache.resolve_hits(self.cache.lookup_window(W, ks))
+            m = len(keys)
+            return self._serve_hits(keys, W[:m], vectors[:m], ks[:m])
 
     def _ensure_serving(self) -> None:
         if self._broken is not None:
@@ -448,24 +456,18 @@ class ShardedGIREngine:
             f"shard {shard} diverged while applying a routed {kind} ({exc})"
         )
 
-    def _serve_cluster_hit(
-        self, weights: np.ndarray, k: int, hit: Any
-    ) -> EngineResponse:
-        """Serve from a cluster-cache entry: zero fan-out, zero pages;
-        scores recomputed for the request's own weights."""
+    def _serve_hits(
+        self, keys: list[int], W: np.ndarray, vectors: list[np.ndarray], ks: list[int]
+    ) -> list[EngineResponse]:
+        """Answer resolved cluster-cache hits: zero fan-out, zero pages,
+        scores canonical for each request's own weights
+        (:func:`~repro.engine.engine.serve_full_hits`)."""
         assert self.cache is not None  # hits only come from the cache
-        ids = hit.ids
-        self.requests_served += 1
-        return EngineResponse(
-            ids=ids,
-            scores=self._canonical_scores(ids, weights),
-            weights=weights,
-            k=k,
-            source=SOURCE_CACHE,
-            pages_read=0,
-            gir_stats=None,
-            region=self.cache.entry(hit.entry_key).polytope,
+        responses = serve_full_hits(
+            self.cache, self.points, self.scorer, keys, W, vectors, ks
         )
+        self.requests_served += len(responses)
+        return responses
 
     def _canonical_scores(
         self, ids: Sequence[int], weights: np.ndarray

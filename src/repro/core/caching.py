@@ -32,11 +32,18 @@ admission it patches the window's one matrix (the departed entries'
 columns dropped, the admitted entry evaluated for the unresolved rows
 only) rather than recomputing it. :meth:`GIRCache.resolve_hits` is its
 hit-prefix step alone: it stops *before* the first non-hit and leaves it
-uncounted, for a caller that serves full hits only. The first insert
-fixes the cache's dimensionality: a region or a vector of another ``d``
-is a ``ValueError``. :meth:`GIRCache.lookup_scan` preserves the entry-by-entry
+uncounted, for a caller that serves full hits only; it decides the first
+pending row alone before it evaluates the rows behind it, so a window
+led by a miss costs a one-row membership. The first insert fixes the
+cache's dimensionality: a region or a vector of another ``d`` is a
+``ValueError``. :meth:`GIRCache.lookup_scan` preserves the entry-by-entry
 reference path — same answers, same accounting — for the equivalence
 tests.
+
+Top-k is scale-invariant and cached regions are clipped to the unit
+box, so a vector with a coordinate above 1 is looked up as
+``w / max(w)``, the point of its ray inside the box; a vector inside
+the box is looked up unchanged.
 
 Dynamic datasets
 ----------------
@@ -222,19 +229,21 @@ class LookupWindow:
     """Pending lookups and the membership matrix :meth:`GIRCache.resolve`
     keeps current for them.
 
-    ``W`` / ``ks`` are the window's vectors and ``k`` values; the first
-    ``resolved`` of them are served. ``member`` holds the rows ``base:``
-    of ``W`` against the entries ``keys`` (index order) as of index
-    ``version`` — no entries until the first :meth:`GIRCache.resolve`.
+    ``W`` / ``ks`` are the window's lookup vectors (scaled into the unit
+    box, see :meth:`GIRCache.lookup_window`) and ``k`` values; the first
+    ``resolved`` of them are served. ``member`` holds the rows
+    ``base : base + len(member)`` of ``W`` against the entries ``keys``
+    (index order) as of index ``version`` — no rows until the first
+    :meth:`GIRCache.resolve_hits`.
     """
 
     __slots__ = ("W", "ks", "resolved", "member", "keys", "base", "version")
 
-    def __init__(self, W: np.ndarray, ks: list[int]) -> None:
+    def __init__(self, W: np.ndarray, ks: np.ndarray) -> None:
         self.W = W
         self.ks = ks
         self.resolved = 0
-        self.member = np.zeros((len(ks), 0), dtype=bool)
+        self.member = np.zeros((0, 0), dtype=bool)
         self.keys: list[int] = []
         self.base = 0
         self.version: int | None = None
@@ -321,7 +330,14 @@ class GIRCache:
         # misshapen ``kth_g`` before anything is written, so a rejected
         # insert leaves no entry and evicts none. An accepted one splices
         # out the LRU entry in the same pass over the stacks.
-        index.add(key, gir.polytope, kth_g=kth_g, interior=gir.weights, evict=oldest)
+        index.add(
+            key,
+            gir.polytope,
+            kth_g=kth_g,
+            interior=gir.weights,
+            evict=oldest,
+            depth=len(gir.topk.ids),
+        )
         self._index = index
         self._next_key += 1
         if oldest is not None:
@@ -357,6 +373,9 @@ class GIRCache:
         accounting are identical to :meth:`lookup`.
         """
         weights = np.asarray(weights, dtype=np.float64)
+        peak = weights.max()
+        if peak > 1.0:
+            weights = weights / peak
         # OrderedDict supports reversed iteration natively; no key-list
         # materialisation. The in-loop _touch is safe because the scan
         # returns immediately after it.
@@ -376,7 +395,9 @@ class GIRCache:
     def lookup_batch(
         self, weights_batch: np.ndarray, ks: int | Sequence[int]
     ) -> list[CacheHit | None]:
-        """Serve a whole batch of lookups from one membership matmul.
+        """Serve a whole batch of lookups from one membership matmul over
+        the rows behind the first (:meth:`resolve_hits` decides the first
+        alone).
 
         ``weights_batch`` is ``(q, d)``; ``ks`` a scalar or per-query
         sequence. Results, recency refreshes and hit/miss accounting are
@@ -397,68 +418,129 @@ class GIRCache:
     ) -> LookupWindow:
         """A :class:`LookupWindow` over ``(q, d)`` vectors and their ``k``
         (a scalar or per-query sequence), for :meth:`resolve`; nothing is
-        evaluated yet."""
+        evaluated yet.
+
+        A row with a coordinate above 1 is looked up as ``w / max(w)``:
+        top-k is scale-invariant and the cached regions are clipped to
+        the unit box, so that is where its ray meets them. Rows inside
+        the box are looked up unchanged."""
         W = np.asarray(weights_batch, dtype=np.float64)
         if W.ndim != 2:
             raise ValueError("weights_batch must have shape (q, d)")
         q = W.shape[0]
-        return LookupWindow(W, np.broadcast_to(np.asarray(ks, dtype=np.int64), (q,)).tolist())
+        if q and W.max() > 1.0:
+            W = W / np.maximum(W.max(axis=1), 1.0)[:, None]
+        ks = np.asarray(ks, dtype=np.int64)
+        return LookupWindow(W, ks if ks.shape == (q,) else np.broadcast_to(ks, (q,)))
 
     @sanitize.mutates
-    def resolve_hits(self, window: LookupWindow) -> list[CacheHit]:
+    def resolve_hits(self, window: LookupWindow) -> list[int]:
         """Resolve a window's pending lookups in order while the cache
         answers them in full, exactly as sequential :meth:`lookup` calls
         would, and stop *before* the first one it does not: that lookup
         stays pending and uncounted, and nothing behind it is looked at.
+        Returns the key of the entry serving each resolved lookup, in
+        order.
 
-        The window's membership matrix is computed on the first call and
-        patched on a later one if the region index changed since
-        (:attr:`RegionIndex.version`): the columns of departed entries are
-        dropped and the new entries are evaluated for the unresolved rows
-        only. Entry keys are never reused and the index appends, so the
-        surviving columns are the index's first ones.
+        A fresh window decides its first row alone — one row of
+        membership — and evaluates the rows behind it only when that row
+        is a hit, so a window led by a miss costs one row. Each row takes its
+        serving entry from one pass over the window's matrix: a row that
+        exactly one entry cached for at least its ``k`` contains takes
+        that entry (same-``k`` regions of different answers have disjoint
+        interiors, so this is the usual case), and a row with two or more
+        falls back to :meth:`_serving_key` under the live recency stamps,
+        so recency and counters stay exactly sequential.
+
+        The window's membership matrix is patched on a later call if the
+        region index changed since (:attr:`RegionIndex.version`): the
+        columns of departed entries are dropped and the new entries are
+        evaluated for the unresolved rows only. Entry keys are never
+        reused and the index appends, so the surviving columns are the
+        index's first ones.
         """
         index = self._index
         start = window.resolved
-        if index is not None and index.version != window.version:
-            keys = index.keys()
+        q = len(window.ks)
+        if index is None or start == q:
+            return []
+        if index.version != window.version or window.base + len(window.member) <= start:
+            self._patch(window, index)
+        ks, depths = window.ks, index.depths
+        covered = window.base + len(window.member)
+        serving = window.member[start - window.base :] & (
+            depths >= ks[start:covered, None]
+        )
+        if not serving[0].any():
+            return []
+        if covered < q:
+            rest = index.membership_batch(window.W[covered:])
+            window.member = np.concatenate([window.member[start - window.base :], rest])
+            window.base = start
+            serving = np.concatenate([serving, rest & (depths >= ks[covered:, None])])
+        counts = serving.sum(axis=1)
+        served = len(counts) if counts.all() else int(counts.argmin())
+        picks = serving[:served].argmax(axis=1).tolist()
+        keys = window.keys
+        hits: list[int] = []
+        for i, (count, pick) in enumerate(zip(counts[:served].tolist(), picks)):
+            if count == 1:
+                key = keys[pick]
+            else:
+                members = [keys[j] for j in np.flatnonzero(serving[i]).tolist()]
+                key = self._serving_key(members, int(ks[start + i]))
+            self._touch(key)
+            hits.append(key)
+        self.full_hits += served
+        window.resolved += served
+        return hits
+
+    def _patch(self, window: LookupWindow, index: RegionIndex) -> None:
+        """Bring the window's matrix to the index's current version for
+        the rows it covers from the first pending one on. A window that
+        covers none of them evaluates them all — or, before its first
+        evaluation, its first row alone."""
+        start = window.resolved
+        keys = index.keys()
+        covered = window.base + len(window.member)
+        if covered <= start:
+            stop = start + 1 if window.version is None else len(window.ks)
+            member = index.membership_batch(window.W[start:stop])
+        else:
             keep: list[int] = []
             if window.keys:
                 live = set(keys)
                 keep = [j for j, key in enumerate(window.keys) if key in live]
-            member = index.membership_batch(window.W[start:], first=len(keep))
+            member = index.membership_batch(window.W[start:covered], first=len(keep))
             if keep:
                 old = window.member[start - window.base :]
                 if len(keep) < len(window.keys):
                     old = old[:, keep]
                 member = np.concatenate([old, member], axis=1)
-            window.member, window.keys, window.base = member, keys, start
-            window.version = index.version
-        member, keys, ks = window.member, window.keys, window.ks
-        base = window.base
-        hits: list[CacheHit] = []
-        for i in range(start, len(ks)):
-            key = self._serving_key(
-                [keys[j] for j in np.nonzero(member[i - base])[0]], ks[i]
-            )
-            if key is None:
-                break
-            self._touch(key)
-            self.full_hits += 1
-            hits.append(CacheHit(ids=self._entries[key].topk.ids[: ks[i]], entry_key=key))
-        window.resolved += len(hits)
-        return hits
+        window.member, window.keys, window.base = member, keys, start
+        window.version = index.version
+
+    @sanitize.mutates
+    def resolve_miss(self, window: LookupWindow) -> None:
+        """The miss step: account the window's first pending lookup — one
+        :meth:`resolve_hits` stopped before — as a miss and move past it.
+        The caller admits the miss's region before resolving the rest."""
+        self.misses += 1
+        window.resolved += 1
 
     @sanitize.mutates
     def resolve(self, window: LookupWindow) -> list[CacheHit | None]:
         """Resolve a window's pending lookups in order, up to and including
-        the first miss: :meth:`resolve_hits`, then the miss step, which
-        accounts the first non-hit as a miss (``None``). The caller admits
-        the miss's region before resolving the rest."""
-        hits: list[CacheHit | None] = list(self.resolve_hits(window))
+        the first miss: :meth:`resolve_hits`, then :meth:`resolve_miss`
+        for the first non-hit (``None``)."""
+        ks = window.ks
+        start = window.resolved
+        hits: list[CacheHit | None] = [
+            CacheHit(ids=self._entries[key].topk.ids[: int(ks[i])], entry_key=key)
+            for i, key in enumerate(self.resolve_hits(window), start)
+        ]
         if window.pending:
-            self.misses += 1
-            window.resolved += 1
+            self.resolve_miss(window)
             hits.append(None)
         return hits
 

@@ -152,6 +152,12 @@ class RegionIndex:
         """Entry keys in segment (insertion) order."""
         return list(self._keys)
 
+    @property
+    def depths(self) -> np.ndarray:
+        """Each entry's depth (``add(..., depth=)``, the cache's answer
+        length), aligned with :meth:`keys`; spliced with the stacks."""
+        return self._depths
+
     @sanitize.mutates
     def add(
         self,
@@ -160,8 +166,12 @@ class RegionIndex:
         kth_g: np.ndarray | None = None,
         interior: np.ndarray | None = None,
         evict: int | None = None,
+        depth: int = 0,
     ) -> None:
         """Index a region under ``key``.
+
+        ``depth`` is the number of ranked records the entry's answer
+        holds (:attr:`depths`).
 
         ``kth_g`` (the g-image of the entry's k-th result record) and
         ``interior`` (the entry's query vector, the interior point of the
@@ -195,7 +205,9 @@ class RegionIndex:
             rdots = np.zeros(1)
         else:
             rdots = R @ kth_g
-        self._restack(pos, polytope.normalized_halfspaces(), (R, rdots), kth_g[None])
+        self._restack(
+            pos, polytope.normalized_halfspaces(), (R, rdots), kth_g[None], depth
+        )
         self._keys.append(key)
 
     def _position(self, key: int) -> int:
@@ -212,10 +224,12 @@ class RegionIndex:
         rows: tuple | None = None,
         rays: tuple | None = None,
         kth: np.ndarray | None = None,
+        depth: int | None = None,
     ) -> None:
         """Drop the entries at sorted positions ``pos`` from every stack
-        and append one entry's ``(A, b)`` rows, ``(R, R @ g(p_k))`` rays
-        and ``(1, d)`` k-th g-image, if given: one concatenate per stack."""
+        and append one entry's ``(A, b)`` rows, ``(R, R @ g(p_k))`` rays,
+        ``(1, d)`` k-th g-image and depth, if given: one concatenate per
+        stack."""
         keep = _kept(len(self._keys), pos)
         self._offsets, self._A, self._b = _splice(
             self._offsets, keep, (self._A, self._b), rows
@@ -223,10 +237,15 @@ class RegionIndex:
         self._ray_offsets, self._R, self._rdots = _splice(
             self._ray_offsets, keep, (self._R, self._rdots), rays
         )
-        # One k-th row per entry: the entry runs are its row runs.
-        tail = [] if kth is None else [kth]
-        self._kth = np.concatenate(
-            [self._kth[a:z] for a, z in keep] + tail or [self._kth[:0]]
+
+        def per_entry(stack: np.ndarray, added: np.ndarray | None) -> np.ndarray:
+            # One row per entry: the entry runs are its row runs.
+            tail = [] if added is None else [added]
+            return np.concatenate([stack[a:z] for a, z in keep] + tail or [stack[:0]])
+
+        self._kth = per_entry(self._kth, kth)
+        self._depths = per_entry(
+            self._depths, None if depth is None else np.array([depth], dtype=np.int64)
         )
         for i in reversed(pos):
             del self._keys[i]
@@ -261,6 +280,7 @@ class RegionIndex:
         self._rdots = np.empty(0, dtype=np.float64)
         self._ray_offsets = np.zeros(1, dtype=np.int64)
         self._kth = np.empty((0, d), dtype=np.float64)
+        self._depths = np.empty(0, dtype=np.int64)
 
     # -- membership -----------------------------------------------------------
 

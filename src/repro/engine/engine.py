@@ -70,6 +70,7 @@ from repro.scoring import LinearScoring, ScoringFunction
 
 __all__ = [
     "EngineResponse",
+    "serve_full_hits",
     "UpdateResponse",
     "WorkloadReport",
     "GIREngine",
@@ -229,7 +230,10 @@ class EngineResponse:
     """One served request, with its full cost accounting.
 
     ``weights`` is a read-only copy — a caller mutating its query vector
-    in place cannot corrupt the recorded accounting.
+    in place cannot corrupt the recorded accounting. The public
+    constructor copies and freezes it (:func:`frozen_array`); the engines
+    build their responses from a request's already-frozen vector through
+    :meth:`_frozen`, which skips that re-check.
     """
 
     ids: tuple[int, ...]
@@ -254,6 +258,85 @@ class EngineResponse:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", frozen_array(self.weights, "weights"))
+
+    @classmethod
+    def _frozen(
+        cls,
+        ids: tuple[int, ...],
+        scores: tuple[float, ...],
+        weights: np.ndarray,
+        k: int,
+        source: str,
+        pages_read: int,
+        gir_stats: GIRStats | None = None,
+        region: "Polytope | None" = None,
+    ) -> "EngineResponse":
+        """A response over ``weights`` that is already what
+        :func:`frozen_array` returns (a request's frozen copy), built
+        without the dataclass ``__init__`` and its re-check."""
+        self = object.__new__(cls)
+        self.__dict__.update(
+            ids=ids,
+            scores=scores,
+            weights=weights,
+            k=k,
+            source=source,
+            pages_read=pages_read,
+            gir_stats=gir_stats,
+            region=region,
+        )
+        return self
+
+
+def serve_full_hits(
+    cache: GIRCache,
+    rows: np.ndarray,
+    scorer: ScoringFunction,
+    keys: list[int],
+    W: np.ndarray,
+    vectors: list[np.ndarray],
+    ks: list[int],
+) -> list[EngineResponse]:
+    """Answer resolved full cache hits: the one hit path of both engines.
+
+    ``keys[i]`` is the entry serving request ``i``
+    (:meth:`~repro.core.caching.GIRCache.resolve_hits`), whose vector is
+    ``W[i]``, frozen copy ``vectors[i]`` and depth ``ks[i]``; ``rows``
+    holds the records by rid. Each answer is its entry's first ``k`` ids,
+    at zero page reads. Its scores come from one gather of the answers'
+    rows per distinct ``k`` and one stacked product
+    ``(m, k, d) @ (m, d, 1)``: each slice of it is the matvec
+    :func:`~repro.serve.replay.canonical_scores` runs on the same rows,
+    so the scores are canonical bit for bit.
+    """
+    m = len(keys)
+    entries = [cache.entry(key) for key in keys]
+    scores: list = [None] * m
+    distinct = set(ks)
+    for k in distinct:
+        if len(distinct) == 1:
+            group: "list[int] | range" = range(m)
+            Wg = W
+        else:
+            group = [i for i in range(m) if ks[i] == k]
+            Wg = W[group]
+        idx = np.array([entries[i].topk.rid_array[:k] for i in group])
+        G = rows[idx]
+        G = scorer.transform(G.reshape(-1, G.shape[2])).reshape(G.shape)
+        for i, row in zip(group, (G @ Wg[:, :, None]).reshape(len(group), k).tolist()):
+            scores[i] = tuple(row)
+    return [
+        EngineResponse._frozen(
+            ids=entry.topk.ids[:k],
+            scores=row_scores,
+            weights=weights,
+            k=k,
+            source=SOURCE_CACHE,
+            pages_read=0,
+            region=entry.polytope,
+        )
+        for entry, row_scores, weights, k in zip(entries, scores, vectors, ks)
+    ]
 
 
 @dataclass(frozen=True)
@@ -595,16 +678,19 @@ class GIREngine:
         span's (:mod:`repro.obs`).
 
         Answers, provenance and all cache/hit accounting are identical to
-        issuing the requests one-by-one; the cache membership work,
-        however, is batched — one matmul of the request matrix against
+        issuing the requests one-by-one; the work, however, is batched.
+        Cache membership is one matmul of the request matrix against
         every cached region's stacked half-spaces
-        (:meth:`~repro.core.caching.GIRCache.resolve`). A request that
-        triggers the pipeline (a miss) admits its region and may evict
-        the LRU entry; the requests after it are then judged against a
-        patched matrix — the evicted entry's column dropped, the new
-        entry's evaluated for them only — exactly the state a sequential
-        run would see. Lookups are stacked at most :data:`LOOKUP_WINDOW`
-        at a time, bounding the matrix every patch copies.
+        (:meth:`~repro.core.caching.GIRCache.resolve_hits`), and the hits
+        it resolves before each miss are answered together
+        (:func:`serve_full_hits`: one gather and one stacked product). A
+        request that triggers the pipeline (a miss) admits its region and
+        may evict the LRU entry; the requests after it are then judged
+        against a patched matrix — the evicted entry's column dropped,
+        the new entry's evaluated for them only — exactly the state a
+        sequential run would see. Lookups are stacked at most
+        :data:`LOOKUP_WINDOW` at a time, bounding the matrix every patch
+        copies.
 
         Malformed requests (query vector of the wrong dimension, NaN/inf,
         all-nonpositive; ``k`` not a positive int or above the live
@@ -620,15 +706,20 @@ class GIREngine:
                     W[i : i + LOOKUP_WINDOW], ks[i : i + LOOKUP_WINDOW]
                 )
                 while window.pending:
-                    start = window.resolved
+                    start = i + window.resolved
                     # The matmul, or the patch after a miss's admission,
                     # over the pending rows.
                     with obs.span("engine.cache_lookup_batch", n=window.pending):
-                        hits = self.cache.resolve(window)
-                    for offset, hit in enumerate(hits, start):
-                        responses.append(
-                            self._serve(vectors[i + offset], ks[i + offset], hit)
-                        )
+                        keys = self.cache.resolve_hits(window)
+                        missed = window.pending > 0
+                        if missed:
+                            self.cache.resolve_miss(window)
+                    stop = start + len(keys)
+                    responses += self._serve_hits(
+                        keys, W[start:stop], vectors[start:stop], ks[start:stop]
+                    )
+                    if missed:
+                        responses.append(self._serve(vectors[stop], ks[stop]))
         return responses
 
     @sanitize.mutates  # a hit touches recency and counters
@@ -637,12 +728,16 @@ class GIREngine:
         full — a bounded, hit-only read that never runs the pipeline.
 
         Every request it serves gets exactly what :meth:`topk_batch`
-        would give it: the same response, recency touch and counters. The
-        first request the cache does not answer in full is not touched —
-        no miss is counted, no pipeline runs, no page is read — and
-        neither is any after it, so ``serve_hits(reqs)`` followed by
+        would give it: the same response, recency touch and counters,
+        through the same hit path (:func:`serve_full_hits`). The first
+        request the cache does not answer in full is not touched — no
+        miss is counted, no pipeline runs, no page is read — and neither
+        is any after it, so ``serve_hits(reqs)`` followed by
         ``topk_batch`` of the rest serves and accounts exactly what
-        ``topk_batch(reqs)`` does. Validation is :meth:`topk_batch`'s.
+        ``topk_batch(reqs)`` does. The first request's membership is
+        decided alone before the rest are stacked, so a batch led by a
+        miss costs one row of membership. Validation is
+        :meth:`topk_batch`'s, up front.
         """
         reqs = list(requests)
         W, ks, vectors = validate_requests(reqs, self.d, self.n_live)
@@ -653,49 +748,59 @@ class GIREngine:
                     W[i : i + LOOKUP_WINDOW], ks[i : i + LOOKUP_WINDOW]
                 )
                 with obs.span("engine.cache_lookup_batch", n=window.pending):
-                    hits = self.cache.resolve_hits(window)
-                for offset, hit in enumerate(hits, i):
-                    responses.append(self._serve(vectors[offset], ks[offset], hit))
+                    keys = self.cache.resolve_hits(window)
+                stop = i + len(keys)
+                responses += self._serve_hits(
+                    keys, W[i:stop], vectors[i:stop], ks[i:stop]
+                )
                 if window.pending:
                     break
         return responses
 
-    def _serve(self, weights: np.ndarray, k: int, hit) -> EngineResponse:
-        """Turn a resolved cache outcome into a full response (running the
-        pipeline on a miss)."""
+    def _serve_hits(
+        self, keys: list[int], W: np.ndarray, vectors: list[np.ndarray], ks: list[int]
+    ) -> list[EngineResponse]:
+        """Answer resolved hits (:func:`serve_full_hits`); under tracing,
+        one ``engine.serve`` span per hit, each an equal share of the
+        call's time."""
+        if not keys:
+            return []
+        t0 = time.perf_counter()
+        responses = serve_full_hits(self.cache, self.points, self.scorer, keys, W, vectors, ks)
+        self.requests_served += len(responses)
+        if obs.tracing_enabled():
+            step = (time.perf_counter() - t0) / len(responses)
+            for i, k in enumerate(ks):
+                obs.record_span(
+                    "engine.serve",
+                    t0 + i * step,
+                    t0 + (i + 1) * step,
+                    source=SOURCE_CACHE,
+                    pages_read=0,
+                    k=k,
+                )
+        return responses
+
+    def _serve(self, weights: np.ndarray, k: int) -> EngineResponse:
+        """Answer a miss: run the pipeline and cache the region."""
         io_before = self.tree.store.stats.page_reads
         with obs.span("engine.serve") as sp:
-            if hit is not None:
-                ids = hit.ids
-                scores = tuple(
-                    self.scorer.score(self.points[list(ids)], weights).tolist()
-                )
-                source = SOURCE_CACHE
-                gir_stats = None
-                region = self.cache.entry(hit.entry_key).polytope
-            else:
-                gir = self._compute_and_cache(weights, k)
-                ids = gir.topk.ids
-                scores = gir.topk.scores
-                source = SOURCE_COMPUTED
-                gir_stats = gir.stats
-                region = gir.polytope
-
+            gir = self._compute_and_cache(weights, k)
             pages_read = self.tree.store.stats.page_reads - io_before
             self.requests_served += 1
             if obs.tracing_enabled():
-                sp.set("source", source)
+                sp.set("source", SOURCE_COMPUTED)
                 sp.set("pages_read", pages_read)
                 sp.set("k", k)
-            return EngineResponse(
-                ids=ids,
-                scores=scores,
+            return EngineResponse._frozen(
+                ids=gir.topk.ids,
+                scores=gir.topk.scores,
                 weights=weights,
                 k=k,
-                source=source,
+                source=SOURCE_COMPUTED,
                 pages_read=pages_read,
-                gir_stats=gir_stats,
-                region=region,
+                gir_stats=gir.stats,
+                region=gir.polytope,
             )
 
     def _compute_and_cache(self, weights: np.ndarray, k: int) -> GIRResult:

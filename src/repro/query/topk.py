@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from repro.core.tolerances import EXACT_TOL
@@ -40,6 +41,14 @@ class TopKResult:
     @property
     def k(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def rid_array(self) -> np.ndarray:
+        """``ids`` as a read-only int64 array, made once per result: a
+        cache hit gathers its answer's rows through it."""
+        arr = np.array(self.ids, dtype=np.int64)
+        arr.setflags(write=False)
+        return arr
 
     @property
     def kth_id(self) -> int:

@@ -91,7 +91,12 @@ _SENTINEL = object()
 
 @dataclass(frozen=True)
 class ServeResponse:
-    """One read served by the front door (canonical boundary scoring)."""
+    """One read served by the front door (canonical boundary scoring).
+
+    The public constructor copies and freezes ``weights``
+    (:func:`~repro.engine.workload.frozen_array`); the front door builds
+    its responses from the admitted request's already-frozen vector
+    through :meth:`_frozen`, which skips that re-check."""
 
     ids: tuple
     scores: tuple
@@ -117,6 +122,16 @@ class ServeResponse:
         object.__setattr__(
             self, "weights", frozen_array(self.weights, "weights")
         )
+
+    @classmethod
+    def _frozen(cls, **fields: object) -> "ServeResponse":
+        """A response whose ``weights`` is already what
+        :func:`~repro.engine.workload.frozen_array` returns, built without
+        the dataclass ``__init__`` and its re-check. Takes every field by
+        name."""
+        self = object.__new__(cls)
+        self.__dict__.update(fields)
+        return self
 
 
 @dataclass(frozen=True)
@@ -492,8 +507,12 @@ class ServeFront:
         engine's ownership; the offender is set aside so it cannot fail
         the reads it happens to share a batch with. ``topk_batch``
         reaches every request; ``serve_hits`` stops at its first non-hit,
-        and the list ends there."""
+        and the list ends there. The bound is checked once for the whole
+        batch; only a batch with an offender is walked request by
+        request."""
         n_live = self.engine.n_live
+        if max((req.k for req in reqs), default=0) <= n_live:
+            return serve(reqs)
         out: list = []
         requests = []
         for req in reqs:
@@ -570,7 +589,7 @@ class ServeFront:
         via = "engine" if leader else "coalesced"
         wait_ms = (t_dispatch - op.t_arrive) * 1e3
         request = op.request
-        response = ServeResponse(
+        response = ServeResponse._frozen(
             ids=tuple(resp.ids),
             scores=resp.scores,
             weights=request.weights,

@@ -29,6 +29,9 @@ from repro.engine import (
 )
 from repro.core.region_index import RegionIndex
 from repro.index.bulkload import bulk_load_str
+from repro.query.linear_scan import scan_topk
+from repro.scoring import LinearScoring
+from repro.serve.replay import canonical_scores
 from tests.conftest import random_query, run_batched
 from tests.test_region_index import random_region
 
@@ -212,6 +215,19 @@ class TestWindowPatch:
         for p in range(7):
             assert (index.membership_batch(X, first=p) == full[:, p:]).all()
 
+    def test_depths_stay_aligned_with_keys(self, rng):
+        index = RegionIndex(3)
+        depth = {}
+        for key in range(5):
+            depth[key] = int(rng.integers(1, 30))
+            index.add(key, random_region(rng, 3), depth=depth[key])
+        index.add(5, random_region(rng, 3), evict=1, depth=7)
+        depth[5] = 7
+        index.remove_many([0, 3])
+        assert index.depths.tolist() == [depth[key] for key in index.keys()]
+        index.clear()
+        assert index.depths.tolist() == []
+
     def test_version_moves_on_every_mutation(self, rng):
         index = RegionIndex(3)
         seen = [index.version]
@@ -344,3 +360,185 @@ class TestServeHits:
         before.pop(hits_key), after.pop(hits_key)
         before.pop("requests_served"), after.pop("requests_served")
         assert after == before  # no page read, no fan-out, no admission
+
+
+def twin_engines(kind: str, data, capacity: int = 8):
+    """Two identical engines: one served in batches, one request at a time."""
+    if kind == "single":
+        return (
+            GIREngine(data, bulk_load_str(data), cache_capacity=capacity),
+            GIREngine(data, bulk_load_str(data), cache_capacity=capacity),
+        )
+    return (
+        ShardedGIREngine(data, shards=2, cluster_cache_capacity=capacity),
+        ShardedGIREngine(data, shards=2, cluster_cache_capacity=capacity),
+    )
+
+
+def assert_same_answers(ours, theirs):
+    for a, b in zip(ours, theirs, strict=True):
+        assert (a.ids, a.scores, a.source, a.pages_read, a.k) == (
+            b.ids, b.scores, b.source, b.pages_read, b.k,
+        )
+
+
+def fresh_vector(rng, engine):
+    """A query vector no cached entry contains (a certain miss)."""
+    while True:
+        w = random_query(rng, 3)
+        if not any(gir.contains(w) for _, gir in engine.cache.items()):
+            return w
+
+
+@pytest.mark.parametrize("kind", ["single", "inproc"])
+class TestOneHitPath:
+    """Every full hit — in ``topk_batch`` and ``serve_hits``, of both
+    engines — is answered by ``serve_full_hits``: one gather per distinct
+    ``k`` and one stacked product. Batched, it serves and accounts
+    exactly what sequential ``topk`` calls do."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_hits_match_sequential(self, batch_setup, kind, seed):
+        """Mixed ``k`` in one batch, ``k`` below the entry's length, hits
+        ahead of a miss: ids, bit-equal scores, source, pages, cache
+        counters and LRU order all match the sequential twin."""
+        rng = np.random.default_rng(seed)
+        batched, sequential = twin_engines(kind, batch_setup)
+        pool = [random_query(rng, 3) for _ in range(5)]
+        for w in pool:
+            batched.topk(w, 10)
+            sequential.topk(w, 10)
+        for rnd in range(8):
+            reqs = [
+                Request(weights=pool[rng.integers(5)], k=int(rng.choice([3, 7, 10])))
+                for _ in range(rng.integers(2, 12))
+            ]
+            reqs.append(Request(weights=fresh_vector(rng, sequential), k=10))
+            if rnd % 2:
+                ours = batched.serve_hits(reqs)
+                assert len(ours) == len(reqs) - 1
+            else:
+                ours = batched.topk_batch(reqs)
+                assert ours[-1].source == "computed"
+            theirs = [sequential.topk(r.weights, r.k) for r in reqs[: len(ours)]]
+            assert_same_answers(ours, theirs)
+            assert all(r.source == "cache" for r in ours[: len(reqs) - 1])
+            assert batched.cache.stats() == sequential.cache.stats()
+            assert lru_order(batched) == lru_order(sequential)
+        assert batched.stats() == sequential.stats()
+
+    def test_nested_entries_take_the_most_recent(self, batch_setup, kind):
+        """The same vector cached at k = 10 and then at k = 20: both
+        entries contain it and serve k = 5, so the recency fallback picks
+        the k = 20 entry, exactly as the sequential twin does."""
+        batched, sequential = twin_engines(kind, batch_setup)
+        w = np.array([0.4, 0.7, 0.5])
+        for engine in (batched, sequential):
+            engine.topk(w, 10)
+            engine.topk(w, 20)
+        deeper = lru_order(batched)[-1]
+        assert batched.cache.entry(deeper).topk.k == 20
+        reqs = [Request(weights=w, k=5), Request(weights=w, k=10), Request(weights=w, k=5)]
+        for serve in (batched.serve_hits, batched.topk_batch):
+            ours = serve(reqs)
+            theirs = [sequential.topk(r.weights, r.k) for r in reqs]
+            assert_same_answers(ours, theirs)
+            assert all(r.region is batched.cache.entry(deeper).polytope for r in ours)
+            assert batched.cache.stats() == sequential.cache.stats()
+            assert lru_order(batched) == lru_order(sequential)
+
+    def test_miss_led_serve_hits_evaluates_one_row(self, batch_setup, kind, monkeypatch):
+        """A batch led by a miss costs one row of membership: the first
+        request is decided alone, before the rest are stacked."""
+        rng = np.random.default_rng(4)
+        engine = twin_engines(kind, batch_setup)[0]
+        q = random_query(rng, 3)
+        engine.topk(q, 8)
+        rows = []
+        evaluate = RegionIndex.membership_batch
+
+        def spy(index, X, *args, **kwargs):
+            rows.append(len(X))
+            return evaluate(index, X, *args, **kwargs)
+
+        monkeypatch.setattr(RegionIndex, "membership_batch", spy)
+        before = engine.stats()
+        cold = fresh_vector(rng, engine)
+        batch = [Request(weights=cold, k=8)] + [Request(weights=q, k=8)] * 9
+        assert engine.serve_hits(batch) == []
+        assert rows == [1]
+        assert engine.stats() == before
+        # A hit-led batch stacks the rest in one more evaluation.
+        rows.clear()
+        assert len(engine.serve_hits(batch[1:] + batch[:1])) == 9
+        assert rows == [1, 9]
+
+
+class TestScaledVectors:
+    """Top-k is scale-invariant and cached regions are clipped to the
+    unit box: a vector with a coordinate above 1 is looked up at
+    ``w / max(w)`` and served from the entry its first miss admitted."""
+
+    def test_vectors_above_one_hit_on_repeat(self):
+        data = independent(400, 3, seed=1)
+        engine = GIREngine(data, bulk_load_str(data))
+        vectors = np.random.default_rng(21).random((8, 3)) + 0.05
+        assert (vectors.max(axis=1) > 1).sum() == 4
+        requests = [Request(weights=w, k=5) for w in vectors]
+        assert {r.source for r in engine.topk_batch(requests)} == {"computed"}
+        assert len(engine.cache) == 8
+        for _ in range(2):
+            responses = engine.topk_batch(requests)
+            assert [r.source for r in responses] == ["cache"] * 8
+            for w, resp in zip(vectors, responses):
+                assert resp.ids == scan_topk(engine.points, w, 5).ids
+                assert resp.scores == canonical_scores(
+                    engine.scorer, engine.result_rows(resp.ids), w
+                )
+            assert len(engine.cache) == 8
+
+    def test_scan_applies_the_same_rule(self):
+        data = independent(400, 3, seed=1)
+        engine = GIREngine(data, bulk_load_str(data))
+        w = np.array([1.4, 0.6, 0.9])
+        engine.topk(w, 5)
+        key = lru_order(engine)[-1]
+        assert engine.cache.lookup_scan(w, 5).entry_key == key
+        assert engine.cache.lookup(w, 5).entry_key == key
+        assert engine.cache.lookup(w / 1.4, 5).entry_key == key
+
+
+class TestStackedProduct:
+    @pytest.mark.parametrize("m, k", [(32, 20), (7, 20), (1, 20), (32, 5), (32, 100)])
+    def test_stacked_product_is_the_canonical_matvec(self, m, k):
+        """One ``(m, k, d) @ (m, d, 1)`` product equals each answer's own
+        ``canonical_scores`` matvec bit for bit (d = 4)."""
+        rng = np.random.default_rng(m * 1000 + k)
+        rows = rng.random((5000, 4))
+        idx = rng.integers(0, len(rows), size=(m, k))
+        W = rng.random((m, 4)) + 0.01
+        stacked = (rows[idx] @ W[:, :, None]).reshape(m, k).tolist()
+        scorer = LinearScoring(4)
+        for i in range(m):
+            assert tuple(stacked[i]) == canonical_scores(scorer, rows[idx[i]], W[i])
+
+    def test_hot_zipf_hits_are_canonical(self, batch_setup):
+        """A 1 000-read hot-Zipf stream served in batches: every hit's
+        scores are ``canonical_scores`` of its answer bit for bit."""
+        engine = GIREngine(batch_setup, bulk_load_str(batch_setup))
+        requests = zipf_clustered_workload(
+            3, 1000, k=8, clusters=6, spread=0.0005, rng=np.random.default_rng(8)
+        ).requests
+        hits = 0
+        for i in range(0, len(requests), 32):
+            batch = requests[i : i + 32]
+            served = engine.serve_hits(batch)
+            served += engine.topk_batch(batch[len(served) :])
+            for req, resp in zip(batch, served, strict=True):
+                if resp.source != "cache":
+                    continue
+                hits += 1
+                assert resp.scores == canonical_scores(
+                    engine.scorer, engine.result_rows(resp.ids), req.weights
+                )
+        assert hits > 900
