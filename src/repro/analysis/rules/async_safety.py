@@ -24,9 +24,10 @@ module under a ``serve/`` directory:
    bridge: pass the bound method to ``run_in_executor`` and await the
    future. Awaited calls are exempt — they are the front door's own
    async counterparts, not the engine's blocking methods — and so is
-   ``serve_hits``, which is bounded (above). Whether the bridge is idle
-   when it runs, so that no two threads are in the engine, is a runtime
-   property: the sanitizer's ownership tokens check it, not this rule.
+   ``serve_hits``, which is bounded (above). The bridge is idle when it
+   runs, because the dispatcher awaits every engine call it makes; that
+   no two threads are in the engine is a runtime property, which the
+   sanitizer's ownership tokens check, not this rule.
 
 Nested ``def``\\ s inside a coroutine are skipped (they don't run on the
 loop by virtue of where they're written), and sync functions are out of

@@ -83,6 +83,7 @@ from repro.engine.engine import (
     INVALIDATION_POLICIES,
     UpdateResponse,
     WorkloadReport,
+    ranking_weights,
     run_workload,
     serve_full_hits,
     validate_point,
@@ -385,15 +386,16 @@ class ShardedGIREngine:
                     responses[i] = response
             pending = [i for i, hit in enumerate(hits) if hit is None]
             if pending:
-                per_shard = self._fan_out(
-                    [W[i] for i in pending], [ks[i] for i in pending]
-                )
+                # Shards rank, and the merge pools, at the ranking vector;
+                # the response is scored at the caller's below.
+                ranked = [ranking_weights(W[i]) for i in pending]
+                per_shard = self._fan_out(ranked, [ks[i] for i in pending])
                 for offset, i in enumerate(pending):
                     answers = [
                         self._lift(s, shard_replies[offset])
                         for s, shard_replies in per_shard
                     ]
-                    merged = merge_shard_answers(answers, W[i], ks[i])
+                    merged = merge_shard_answers(answers, ranked[offset], ks[i])
                     self._cache_merged(merged)
                     self.requests_served += 1
                     ids = merged.gir.topk.ids

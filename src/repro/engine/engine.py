@@ -76,6 +76,7 @@ __all__ = [
     "GIREngine",
     "INVALIDATION_POLICIES",
     "validate_weights",
+    "ranking_weights",
     "validate_weight_rows",
     "validate_requests",
     "validate_k",
@@ -135,6 +136,22 @@ def validate_weights(weights: np.ndarray, d: int) -> np.ndarray:
             "(an all-zero preference cannot rank records)"
         )
     return arr
+
+
+def ranking_weights(weights: np.ndarray) -> np.ndarray:
+    """The vector a miss is ranked at: ``weights`` itself, or
+    ``weights / max(weights)`` when its entries' sum overflows float64.
+
+    :func:`validate_weights` accepts finite entries whose sum overflows;
+    every record's score at such a vector can overflow to ``inf``, and
+    the ranking would fall through to the tie-break. Top-k is
+    scale-invariant, so the scaled vector has the caller's answer, and
+    the cache already looks such a vector up at the same point. The
+    response's scores stay the canonical product at the caller's
+    vector."""
+    if sum(weights.tolist()) < math.inf:
+        return weights
+    return weights / weights.max()
 
 
 def validate_weight_rows(rows: list, d: int) -> np.ndarray:
@@ -782,10 +799,17 @@ class GIREngine:
         return responses
 
     def _serve(self, weights: np.ndarray, k: int) -> EngineResponse:
-        """Answer a miss: run the pipeline and cache the region."""
+        """Answer a miss: run the pipeline at :func:`ranking_weights` and
+        cache the region."""
         io_before = self.tree.store.stats.page_reads
         with obs.span("engine.serve") as sp:
-            gir = self._compute_and_cache(weights, k)
+            ranked = ranking_weights(weights)
+            gir = self._compute_and_cache(ranked, k)
+            scores = gir.topk.scores
+            if ranked is not weights:
+                scores = tuple(
+                    self.scorer.score(self.result_rows(gir.topk.ids), weights).tolist()
+                )
             pages_read = self.tree.store.stats.page_reads - io_before
             self.requests_served += 1
             if obs.tracing_enabled():
@@ -794,7 +818,7 @@ class GIREngine:
                 sp.set("k", k)
             return EngineResponse._frozen(
                 ids=gir.topk.ids,
-                scores=gir.topk.scores,
+                scores=scores,
                 weights=weights,
                 k=k,
                 source=SOURCE_COMPUTED,

@@ -18,23 +18,25 @@ thread-owned. This package puts an asyncio tier in front of
   ``batch_max``) — the reads already queued are taken at once (the
   batcher lingers up to the window only on an empty queue) and served
   through one ``topk_batch`` call — its leading full cache hits through
-  one ``serve_hits`` call instead, while the bridge is idle
-  (byte-identical to per-request serving by the engine's own contract,
-  canonical scores included);
+  one ``serve_hits`` call instead (byte-identical to per-request serving
+  by the engine's own contract, canonical scores included); the
+  dispatcher awaits each batch before it takes the next operation;
 * **single flight** — a read whose ``(weights, k)`` exactly duplicates
-  one already being computed awaits that computation instead of
-  re-entering the engine, and takes the leader's answer (or error) as is;
-* **a write fence** — inserts/deletes drain every in-flight read batch
-  before applying, so no coalesced read is served from a pre-write
-  snapshot but serialized after the write;
+  an earlier read of its batch awaits that read's computation instead
+  of re-entering the engine, and takes the leader's answer (or error)
+  as is;
+* **a write fence** — by construction: the dispatcher reaches an
+  insert/delete only after every read admitted before it has resolved,
+  so no read is served from a pre-write snapshot but serialized after
+  the write;
 * **a serialization log** (:mod:`repro.serve.replay`) — every served
   operation in commit order, replayable against a fresh engine to prove
   the tier byte-identical to sequential per-request serving.
 
 Engine calls are routed through a one-thread executor bridge, except
-that bounded ``serve_hits`` call, which the dispatcher makes on the loop
-only while no read batch is on the bridge; either way one thread at a
-time is in the engine, satisfying the runtime sanitizer's ownership
+that bounded ``serve_hits`` call, which the dispatcher makes on the
+loop; the bridge is idle whenever the dispatcher runs, so one thread at
+a time is in the engine, satisfying the runtime sanitizer's ownership
 tokens. The event loop never blocks — enforced statically by the
 ``async-safety`` rule of :mod:`repro.analysis`.
 """

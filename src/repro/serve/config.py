@@ -8,14 +8,14 @@ Every knob trades latency against engine work:
 * ``batch_window_ms`` / ``batch_max`` shape the micro-batcher: how long
   the dispatcher lingers collecting compatible reads, and how many it
   stacks into one engine read call (a ``serve_hits`` on the loop for the
-  batch's hit prefix while the bridge is idle, bounding that call, and a
-  ``topk_batch`` on the bridge for the rest);
-* ``max_inflight_batches`` caps engine batches in flight at once, so a
-  slow engine backs pressure up into the queue (and from there into
-  sheds) instead of into an unbounded set of outstanding futures.
+  batch's hit prefix, bounding that call, and a ``topk_batch`` on the
+  bridge for the rest).
 
-Single flight has no knob: an exact duplicate of an in-flight read
-always takes that read's answer, which never costs an engine pass.
+The dispatcher awaits each engine batch before it takes the next, so a
+slow engine backs pressure up into the queue (and from there into
+sheds) without a knob. Single flight has none either: an exact duplicate
+of an earlier read of its batch always takes that read's answer, which
+never costs an engine pass.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ class ServeConfig:
     batch_window_ms: float = 2.0
     #: Max reads stacked into one engine read call.
     batch_max: int = 32
-    #: Max engine batches outstanding before the dispatcher stalls.
-    max_inflight_batches: int = 4
 
     def __post_init__(self) -> None:
         if self.max_pending <= 0:
@@ -45,5 +43,3 @@ class ServeConfig:
             raise ValueError("batch_window_ms must be non-negative")
         if self.batch_max <= 0:
             raise ValueError("batch_max must be positive")
-        if self.max_inflight_batches <= 0:
-            raise ValueError("max_inflight_batches must be positive")

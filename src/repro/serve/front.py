@@ -6,25 +6,26 @@ One :class:`ServeFront` wraps one engine (a
 serving surface: ``topk_batch`` / ``serve_hits`` / ``insert`` /
 ``delete`` / ``d`` / ``n_live``). The engine stays strictly
 single-owner: one thread at a time is inside it, which is exactly the
-ownership shape the runtime sanitizer's tokens accept. Engine work runs
-on the front door's one-thread executor (the *executor bridge*), with
-one exception: while no read batch is outstanding on the bridge, the
-dispatcher serves the leading full cache hits of a batch itself
-(``serve_hits``: at most ``batch_max`` hits, never a pipeline run or a
-page read), so a hit does not pay for two thread hops; misses still
-leave the loop. Writes run only after the fence drained every read
-batch, so that inline call never overlaps one either.
+ownership shape the runtime sanitizer's tokens accept. The dispatcher
+serves one operation at a time and awaits each engine call before it
+takes the next one from the queue, so the bridge is idle whenever the
+dispatcher runs. Engine work runs on the front door's one-thread
+executor (the *executor bridge*), with one exception: the dispatcher
+serves the leading full cache hits of a batch itself (``serve_hits``:
+at most ``batch_max`` hits, never a pipeline run or a page read), so a
+hit does not pay for two thread hops; misses still leave the loop.
+Admission keeps running while a call is on the bridge, so reads queue
+(and shed) behind it.
 
 Data path for a read::
 
     admission (validate, copy, bound, shed)    — caller's task
       → ingress queue
       → dispatcher: micro-batch + single flight — one dispatcher task
-      → hit prefix, if the bridge is idle: one serve_hits call
-                                                — the dispatcher task
+      → hit prefix: one serve_hits call         — the dispatcher task
       → executor bridge: one topk_batch call for the rest
                                                 — the engine thread
-      → resolution: each leader, then its followers — a finisher task
+      → resolution: each leader, then its followers — the dispatcher task
 
 The micro-batcher drains whatever is already queued without yielding
 and lingers (up to the batch window) only on an empty queue, so a
@@ -35,17 +36,17 @@ response contract is that ``EngineResponse.scores`` equals
 :func:`~repro.serve.replay.canonical_scores` of the answer's rows, bit
 for bit, so the front door does no scoring of its own.
 
-Single flight is by exact key: a read whose ``(weights bytes, k)``
-equals an in-flight read's attaches to it as a follower and takes the
-leader's outcome verbatim — the same ids and canonical scores, or the
-same error. That is exact because the follower is the same request, and
-the write fence below resolves it before any write runs.
+Single flight is by exact key within a batch: a read whose ``(weights
+bytes, k)`` equals an earlier read of the same batch attaches to it as
+a follower and takes the leader's outcome verbatim — the same ids and
+canonical scores, or the same error. That is exact because the follower
+is the same request, served against the same snapshot.
 
-Writes fence: the dispatcher drains every outstanding read batch (all
-followers resolve against their pre-write snapshots and are logged)
-before the write runs on the bridge, so no read is ever served from a
-half-applied update and the serialization log stays sequentially
-consistent.
+Writes are fenced by construction: the dispatcher reaches a write only
+after every read admitted before it has been resolved and logged, and
+it takes no read until the write has returned, so no read is ever
+served from a half-applied update and the serialization log stays
+sequentially consistent.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ class ServeUpdate:
     """One write applied through the fence."""
 
     update: UpdateResponse
-    #: Arrival → dispatch, the fence's drain included.
+    #: Arrival → dispatch: the queue, behind every read admitted before.
     wait_ms: float
     #: Dispatch → the write returned, on the event loop's clock.
     service_ms: float
@@ -179,12 +180,11 @@ class _WriteOp:
 
 
 class _Flight:
-    """One in-flight engine request and the identical reads awaiting it."""
+    """One engine request of a batch and the identical reads awaiting it."""
 
-    __slots__ = ("key", "leader", "followers")
+    __slots__ = ("leader", "followers")
 
-    def __init__(self, key: tuple, leader: _ReadOp) -> None:
-        self.key = key
+    def __init__(self, leader: _ReadOp) -> None:
         self.leader = leader
         self.followers: list = []
 
@@ -210,16 +210,12 @@ class ServeFront:
         #: Commit-ordered serialization log (ReadLog/InsertLog/DeleteLog).
         self.log: list = []
         self._d = int(engine.d)
-        #: Single-flight table: ``(weights bytes, k)`` → its in-flight
-        #: :class:`_Flight`.
-        self._inflight: dict[tuple, _Flight] = {}
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-engine"
         )
         self._queue: asyncio.Queue | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._dispatcher: asyncio.Task | None = None
-        self._jobs: list[asyncio.Task] = []
         self._stashed: object | None = None
         self._closed = False
 
@@ -303,7 +299,7 @@ class ServeFront:
             return resp
 
     async def insert(self, point) -> ServeUpdate:
-        """Admit one insert; applied behind the write fence."""
+        """Admit one insert; applied after every read admitted before it."""
         self.stats.arrivals += 1
         with obs.trace("serve.request", kind="insert"):
             if self._closed:
@@ -319,7 +315,7 @@ class ServeFront:
             return await op.future
 
     async def delete(self, rid: int) -> ServeUpdate:
-        """Admit one delete; applied behind the write fence."""
+        """Admit one delete; applied after every read admitted before it."""
         self.stats.arrivals += 1
         with obs.trace("serve.request", kind="delete"):
             if self._closed:
@@ -366,9 +362,7 @@ class ServeFront:
                     trace_ctx=op.trace,
                     batch=len(batch),
                 )
-            self._launch_reads(batch)
-            await self._throttle_jobs()
-        await self._drain_jobs()
+            await self._serve_reads(batch)
 
     async def _collect_batch(self, first: _ReadOp) -> list:
         """Micro-batch: take every read already queued behind ``first``,
@@ -398,10 +392,10 @@ class ServeFront:
             batch.append(nxt)
         return batch
 
-    def _launch_reads(self, batch: list) -> None:
-        """Attach exact duplicates to their in-flight flights; then, if the
-        bridge is idle, serve the leaders' full-hit prefix here, and
-        submit the remaining leaders as one engine batch on the bridge."""
+    async def _serve_reads(self, batch: list) -> None:
+        """Group the batch's exact duplicates under one leader each, serve
+        the leaders' full-hit prefix here and the rest as one engine
+        batch on the bridge, and resolve every read of the batch."""
         t_dispatch = time.perf_counter()
         if obs.tracing_enabled():
             for op in batch:
@@ -409,51 +403,41 @@ class ServeFront:
                     "serve.queue_wait", op.t_arrive, t_dispatch,
                     trace_ctx=op.trace,
                 )
-        flights: list[_Flight] = []
+        by_key: dict[tuple, _Flight] = {}
         for op in batch:
             key = (op.request.weights.tobytes(), op.request.k)
-            flight = self._inflight.get(key)
+            flight = by_key.get(key)
             if flight is not None:
                 flight.followers.append(op)
                 self.stats.coalesce_attached += 1
             else:
-                flight = self._inflight[key] = _Flight(key, op)
-                flights.append(flight)
+                by_key[key] = _Flight(op)
+        self.stats.engine_batch_calls += 1
+        flights = self._serve_hits_inline(list(by_key.values()), t_dispatch)
         if not flights:
             return
-        self.stats.engine_batch_calls += 1
-        if all(t.done() for t in self._jobs):
-            flights = self._serve_hits_inline(flights, t_dispatch)
-            if not flights:
-                return
-        loop = asyncio.get_running_loop()
-        job = loop.run_in_executor(
-            self._pool,
-            self._serve_batch_sync,
-            [f.leader.request for f in flights],
-            flights[0].leader.trace,
-            self.engine.topk_batch,
-        )
-        task = loop.create_task(
-            self._finish_batch(flights, job, t_dispatch)
-        )
-        self._jobs.append(task)
-        live = sum(not t.done() for t in self._jobs)
-        self.stats.inflight_batches_peak = max(
-            self.stats.inflight_batches_peak, live
-        )
+        try:
+            results = await asyncio.get_running_loop().run_in_executor(
+                self._pool,
+                self._serve_batch_sync,
+                [f.leader.request for f in flights],
+                flights[0].leader.trace,
+                self.engine.topk_batch,
+            )
+        except Exception as exc:
+            results = [exc] * len(flights)
+        self._resolve_flights(flights, results, t_dispatch)
 
     def _serve_hits_inline(self, flights: list, t_dispatch: float) -> list:
         """Serve the flights' leading full cache hits on the event loop and
         resolve them with their followers; return the flights left for
         the bridge.
 
-        Called only while every read batch's task is done — its engine
-        call returned — and writes run only behind a fence that drained
-        them all, so the loop is the one thread in the engine. The call
-        is bounded: at most ``batch_max`` hits, and it stops before the
-        first leader that is not one (``serve_hits``). An engine error
-        fails this batch's reads alone."""
+        The dispatcher awaits every engine call it makes, so the bridge
+        is idle here and the loop is the one thread in the engine. The
+        call is bounded: at most ``batch_max`` hits, and it stops before
+        the first leader that is not one (``serve_hits``). An engine
+        error fails this batch's reads alone."""
         try:
             results = self._serve_batch_sync(
                 [f.leader.request for f in flights],
@@ -466,26 +450,13 @@ class ServeFront:
         self._resolve_flights(flights[:served], results, t_dispatch)
         return flights[served:]
 
-    async def _throttle_jobs(self) -> None:
-        """Bound outstanding engine batches; excess pressure stays in the
-        ingress queue (and from there becomes sheds)."""
-        self._jobs = [t for t in self._jobs if not t.done()]
-        while len(self._jobs) >= self.config.max_inflight_batches:
-            await self._jobs[0]
-            self._jobs = [t for t in self._jobs if not t.done()]
-
-    async def _drain_jobs(self) -> None:
-        while self._jobs:
-            task = self._jobs.pop(0)
-            await task
-
-    # -- engine calls (the bridge's thread, or the idle bridge's loop) ---------
+    # -- engine calls (the bridge's thread, or the loop for serve_hits) -------
 
     def _serve_batch_sync(self, reqs: list, trace_ctx, serve) -> list:
         """One engine read call over a batch's leaders: ``topk_batch`` on
-        the bridge, or ``serve_hits`` on the loop while the bridge is
-        idle. Each response's scores are already canonical (the engine's
-        response contract), so nothing is rescored here.
+        the bridge, or ``serve_hits`` on the loop. Each response's scores
+        are already canonical (the engine's response contract), so
+        nothing is rescored here.
 
         ``trace_ctx`` is the first leader's trace context — contextvars
         do not cross ``run_in_executor``, so the call re-adopts it
@@ -548,28 +519,12 @@ class ServeFront:
 
     # -- resolution (event-loop code) -----------------------------------------
 
-    async def _finish_batch(
-        self, flights: list, job, t_dispatch: float
-    ) -> None:
-        try:
-            results = await job
-        except Exception as exc:
-            results = [exc] * len(flights)
-        self._resolve_flights(flights, results, t_dispatch)
-
     def _resolve_flights(
         self, flights: list, results: list, t_dispatch: float
     ) -> None:
         """Resolve each flight — its leader, then its followers — with its
         engine result: a response, or the error every one of them gets."""
         service_ms = (time.perf_counter() - t_dispatch) * 1e3
-        # Unregister the whole batch first: a read arriving after this
-        # point must not attach to an already-resolved computation. The
-        # discard is identity-guarded: after a fence clears the table, a
-        # newer flight may hold the same key.
-        for flight in flights:
-            if self._inflight.get(flight.key) is flight:
-                del self._inflight[flight.key]
         for flight, result in zip(flights, results):
             if isinstance(result, Exception):
                 for op in (flight.leader, *flight.followers):
@@ -627,23 +582,17 @@ class ServeFront:
     # -- the write fence -------------------------------------------------------
 
     async def _apply_write(self, op: _WriteOp) -> None:
-        """Fence, then apply: clear the attach table (no new followers),
-        drain every outstanding read batch (all followers resolve and
-        log against their pre-write snapshots), then run the write on
-        the bridge and log it."""
-        t_fence = time.perf_counter()
-        self._inflight.clear()
-        await self._drain_jobs()
+        """Run the write on the bridge and log it. Every read admitted
+        before it was resolved and logged by an earlier dispatch, and the
+        dispatcher takes nothing else until the write returns: that order
+        is the fence."""
+        t_dispatch = time.perf_counter()
         if obs.tracing_enabled():
-            t_now = time.perf_counter()
             obs.record_span(
-                "serve.fence_wait", t_fence, t_now, trace_ctx=op.trace
-            )
-            obs.record_span(
-                "serve.queue_wait", op.t_arrive, t_now, trace_ctx=op.trace
+                "serve.queue_wait", op.t_arrive, t_dispatch,
+                trace_ctx=op.trace,
             )
         self.stats.fences += 1
-        t_dispatch = time.perf_counter()
         loop = asyncio.get_running_loop()
         job = loop.run_in_executor(
             self._pool, self._apply_write_sync, op, op.trace

@@ -7,8 +7,8 @@ This module carries both halves of that claim:
 
 * the **log** — one entry per committed operation, in the tier's
   serialization order (leaders and their coalesced followers at batch
-  resolution, writes between the fences that drained the reads around
-  them), each read entry recording the exact answer the tier handed
+  resolution, each write after every read admitted before it), each
+  read entry recording the exact answer the tier handed
   out;
 * the **replay check** — re-serve the log's reads one at a time through
   ``engine.topk`` on a *fresh* identical engine, applying the writes at

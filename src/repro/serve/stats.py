@@ -46,25 +46,23 @@ class ServeStats:
     writes_applied: int = 0
     #: Admitted operations that failed inside the engine.
     errors: int = 0
-    #: Dispatched micro-batches with at least one leader: one each,
-    #: whether the batch was served by a ``serve_hits`` call on the loop,
-    #: a ``topk_batch`` call on the bridge, or its hit prefix by the one
-    #: and the rest by the other.
+    #: Dispatched micro-batches: one each, whether the batch was served
+    #: by a ``serve_hits`` call on the loop, a ``topk_batch`` call on the
+    #: bridge, or its hit prefix by the one and the rest by the other.
     engine_batch_calls: int = 0
     #: Reads answered by a request inside those calls (the coalescing
     #: denominator); charged when the answer resolves, so a request the
     #: engine failed lands in ``errors`` and nowhere else.
     engine_requests: int = 0
-    #: Reads that attached to an in-flight exact duplicate at dispatch.
+    #: Reads that attached to an exact duplicate earlier in their batch.
     coalesce_attached: int = 0
     #: Attached reads answered with their leader's answer.
     coalesced_served: int = 0
-    #: Write fences executed (each drains every in-flight read batch).
+    #: Writes dispatched. Each is a fence by construction: the
+    #: dispatcher reaches it only after every earlier read has resolved.
     fences: int = 0
     #: Deepest ingress queue observed at an admission.
     queue_depth_peak: int = 0
-    #: Most engine batches outstanding at once.
-    inflight_batches_peak: int = 0
     #: Arrival→dispatch queueing delay per served read, milliseconds
     #: (histogram: observe per read, ask for mean/p50/p95/p99).
     wait_ms: Histogram = field(default_factory=Histogram)
@@ -107,7 +105,6 @@ class ServeStats:
             "fan_in_ratio": self.fan_in_ratio,
             "fences": self.fences,
             "queue_depth_peak": self.queue_depth_peak,
-            "inflight_batches_peak": self.inflight_batches_peak,
             "wait_p50_ms": self.wait_ms.percentile(50),
             "wait_p95_ms": self.wait_ms.percentile(95),
             "wait_p99_ms": self.wait_ms.percentile(99),
@@ -138,9 +135,7 @@ class ServeStats:
             f"{self.service_ms.percentile(50):.2f} / "
             f"p95 {self.service_ms.percentile(95):.2f} / "
             f"p99 {self.service_ms.percentile(99):.2f} ms",
-            f"pressure          : queue depth peak "
-            f"{self.queue_depth_peak}, in-flight batches peak "
-            f"{self.inflight_batches_peak}",
+            f"pressure          : queue depth peak {self.queue_depth_peak}",
         ]
         return "\n".join(lines)
 

@@ -1,8 +1,12 @@
 """Tests for the GIREngine serving layer and workload generators."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
+from repro.cluster import ShardedGIREngine
+from repro.data.dataset import Dataset
 from repro.data.synthetic import independent
 from repro.engine import (
     GIREngine,
@@ -14,6 +18,7 @@ from repro.engine import (
 from repro.engine.engine import validate_weight_rows, validate_weights
 from repro.index.bulkload import bulk_load_str
 from repro.query.linear_scan import scan_topk
+from repro.serve import Rejected, ServeFront, canonical_scores
 from tests.conftest import random_query
 
 
@@ -399,3 +404,119 @@ class TestInputValidation:
         # Still fully serviceable after the rejection.
         resp = engine.topk(np.array([0.5, 0.4, 0.6]), 4)
         assert len(resp.ids) == 4
+
+
+def serve_through_front(engine, reads):
+    """Serve ``(weights, k)`` reads one after another through a fresh
+    front door over ``engine``; returns the responses in order."""
+
+    async def go():
+        async with ServeFront(engine) as front:
+            return [await front.topk(w, k) for w, k in reads]
+
+    return asyncio.run(go())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestOverflowingWeights:
+    """Finite weights whose sum overflows float64 are accepted; they are
+    ranked at ``w / max(w)`` (top-k is scale-invariant), and the response
+    scores are still the canonical product at the caller's ``w``."""
+
+    OVERFLOW = np.array([1e308, 1e308, 5e307])
+    FINITE = np.array([1e308, 7e307, 0.0])
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return Dataset(np.random.default_rng(1).random((500, 3)))
+
+    def expected(self, data, w):
+        return scan_topk(data.points, w / w.max(), 10).ids
+
+    @pytest.mark.parametrize("w", [OVERFLOW, FINITE], ids=["overflow", "finite"])
+    def test_engine_ranks_at_the_scaled_vector(self, data, w):
+        engine = GIREngine(data, bulk_load_str(data))
+        miss, hit = engine.topk(w, 10), engine.topk(w, 10)
+        assert (miss.source, hit.source) == ("computed", "cache")
+        for resp in (miss, hit):
+            assert resp.ids == self.expected(data, w)
+            assert resp.scores == canonical_scores(
+                engine.scorer, engine.result_rows(resp.ids), w
+            )
+
+    @pytest.mark.parametrize("w", [OVERFLOW, FINITE], ids=["overflow", "finite"])
+    def test_sharded_engine_ranks_at_the_scaled_vector(self, data, w):
+        with ShardedGIREngine(data, shards=2) as cluster:
+            responses = [cluster.topk(w, 10), cluster.topk(w, 10)]
+            for resp in responses:
+                assert resp.ids == self.expected(data, w)
+                assert resp.scores == canonical_scores(
+                    cluster.scorer, cluster.result_rows(resp.ids), w
+                )
+        assert [r.source for r in responses] == ["computed", "cache"]
+
+    def test_front_door_serves_the_scaled_ranking(self, data):
+        w = self.OVERFLOW
+        engine = GIREngine(data, bulk_load_str(data))
+        responses = serve_through_front(engine, [(w, 10), (w, 10)])
+        assert [r.source for r in responses] == ["computed", "cache"]
+        assert all(r.ids == self.expected(data, w) for r in responses)
+
+
+class TestDegenerateInputs:
+    """Degenerate inputs served like any other, on the engine and through
+    the front door, checked against ``scan_topk``: ``k`` equal to the live
+    count, a table of identical records, and weights on a facet of the
+    unit box."""
+
+    @staticmethod
+    def served_twice(data, w, k):
+        """Serve ``(w, k)`` twice on a fresh engine and twice through a
+        fresh front door: a miss, then a cache hit, each with
+        ``scan_topk``'s ids. Returns those ids."""
+        expected = scan_topk(data.points, w, k).ids
+        engine = GIREngine(data, bulk_load_str(data))
+        first, repeat = engine.topk(w, k), engine.topk(w, k)
+        assert (first.source, repeat.source) == ("computed", "cache")
+        assert first.ids == repeat.ids == expected
+        responses = serve_through_front(
+            GIREngine(data, bulk_load_str(data)), [(w, k), (w, k)]
+        )
+        assert [r.source for r in responses] == ["computed", "cache"]
+        assert all(r.ids == expected for r in responses)
+        return expected
+
+    def test_k_equal_to_the_live_count(self):
+        data = independent(40, 3, seed=5)
+        w = np.array([0.3, 0.5, 0.2])
+        expected = self.served_twice(data, w, 40)
+        # Warm engines: the cache holds the k = 40 answer when k is judged.
+        engine = GIREngine(data, bulk_load_str(data))
+        engine.topk(w, 40)
+        engine.delete(expected[-1])
+        with pytest.raises(ValueError, match="exceeds live record count 39"):
+            engine.topk(w, 40)
+
+        async def after_a_delete():
+            async with ServeFront(GIREngine(data, bulk_load_str(data))) as front:
+                await front.topk(w, 40)
+                await front.delete(expected[-1])
+                with pytest.raises(Rejected, match="exceeds live record count"):
+                    await front.topk(w, 40)
+
+        asyncio.run(after_a_delete())
+
+    @pytest.mark.parametrize("k", [5, 30])
+    def test_identical_records(self, k):
+        data = Dataset(np.tile([0.4, 0.7, 0.2], (30, 1)))
+        expected = self.served_twice(data, np.array([0.5, 0.2, 0.3]), k)
+        assert expected == tuple(range(29, 29 - k, -1))  # the rid tie-break
+
+    @pytest.mark.parametrize(
+        "w",
+        [[0, 0, 0, 1], [1, 0, 0, 0], [0, 0.5, 0.5, 0], [1, 1, 1, 1]],
+        ids=["e4", "e1", "edge", "corner"],
+    )
+    def test_weights_on_a_facet_of_the_unit_box(self, w):
+        data = independent(300, 4, seed=8)
+        self.served_twice(data, np.array(w, dtype=np.float64), 10)

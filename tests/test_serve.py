@@ -75,10 +75,11 @@ class TestServeEquivalence:
         "config",
         [
             ServeConfig(),  # batched + coalesced (the default path)
-            # direct: one read in flight at a time, so nothing can attach
-            ServeConfig(batch_max=1, max_inflight_batches=1),
+            # direct: one read a batch, so nothing can attach
+            ServeConfig(batch_max=1),
             ServeConfig(batch_window_ms=0.1, batch_max=4),  # tiny batches
-            ServeConfig(max_inflight_batches=1),  # fully serialized jobs
+            # one job a dispatch: no linger, a batch is what is queued
+            ServeConfig(batch_window_ms=0.0),
         ],
         ids=["default", "direct", "tiny-batch", "one-job"],
     )
@@ -620,9 +621,9 @@ async def until(condition, timeout_s=10.0) -> None:
 
 
 class TestInlineHits:
-    """While no read batch is on the bridge, the dispatcher serves a
-    batch's leading full cache hits itself (``serve_hits``) and sends
-    only the rest across the bridge."""
+    """The dispatcher serves a batch's leading full cache hits itself
+    (``serve_hits``) and sends only the rest across the bridge; it awaits
+    that bridge call before it takes the next operation."""
 
     def test_hit_only_batch_never_reaches_the_executor(self, data, monkeypatch):
         hot = np.random.default_rng(21).random((8, D)) * 0.8 + 0.1
@@ -660,14 +661,16 @@ class TestInlineHits:
         stats = front.stats
         assert (stats.engine_batch_calls, stats.engine_requests) == (1, 8)
         assert stats.coalesced_served == 8
-        assert stats.inflight_batches_peak == 0
         assert stats.accounting_ok()
         verdict = replay_serial_check(front.log, fresh_engine(data))
         assert verdict["all_match"], verdict["examples"]
 
-    def test_hits_behind_a_miss_on_the_bridge_go_to_the_bridge(
+    def test_reads_admitted_during_a_bridge_call_wait_then_hit_inline(
         self, data, monkeypatch
     ):
+        """Reads admitted while a miss batch is on the bridge stay queued
+        until it returns; then they are one batch, and its leading hits
+        are one ``serve_hits`` call on the loop."""
         rng = np.random.default_rng(22)
         hot = rng.random((4, D)) * 0.8 + 0.1
         engine = warm_engine(data, hot)
@@ -694,16 +697,83 @@ class TestInlineHits:
                 miss = asyncio.ensure_future(front.topk(cold, 5))
                 await until(entered.is_set)
                 hits = [asyncio.ensure_future(front.topk(w, 5)) for w in hot]
-                await until(lambda: front.stats.engine_batch_calls == 2)
+                await until(lambda: front._queue.qsize() == 4)
+                await asyncio.sleep(0.05)
+                waiting = (
+                    front._queue.qsize(),
+                    front.stats.engine_batch_calls,
+                    any(h.done() for h in hits),
+                )
                 release.set()
-                return front, await miss, await asyncio.gather(*hits)
+                return front, waiting, await miss, await asyncio.gather(*hits)
 
-        front, miss, hits = asyncio.run(go())
-        # Only the miss's batch met an idle bridge; it served nothing.
-        assert inline == [1]
-        assert bridged == [1, 4]
+        front, waiting, miss, hits = asyncio.run(go())
+        assert waiting == (4, 1, False)
+        assert bridged == [1]
+        assert inline == [1, 4]
         assert miss.source == "computed"
         assert [r.source for r in hits] == ["cache"] * 4
+        assert all(r.wait_ms > 0 for r in hits)
+        assert front.stats.engine_batch_calls == 2
+        assert front.stats.accounting_ok()
+        verdict = replay_serial_check(front.log, fresh_engine(data))
+        assert verdict["all_match"], verdict["examples"]
+
+    def test_write_admitted_during_a_read_batch_is_logged_between(
+        self, data, monkeypatch
+    ):
+        """A write admitted while a read batch is on the bridge is applied
+        and logged after every read of that batch and before any read
+        admitted after it: the dispatcher's order is the fence."""
+        rng = np.random.default_rng(24)
+        hot = rng.random((3, D)) * 0.8 + 0.1
+        engine = warm_engine(data, hot)
+        cold = outside_cache(engine, rng)
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+        topk_batch, insert = engine.topk_batch, engine.insert
+
+        def blocking(requests):
+            calls.append("topk_batch")
+            entered.set()
+            release.wait(10)
+            return topk_batch(requests)
+
+        def recording(point):
+            calls.append("insert")
+            return insert(point)
+
+        monkeypatch.setattr(engine, "topk_batch", blocking)
+        monkeypatch.setattr(engine, "insert", recording)
+
+        async def go():
+            async with ServeFront(engine) as front:
+                before = [
+                    asyncio.ensure_future(front.topk(w, 5))
+                    for w in (cold, *hot)
+                ]
+                await until(entered.is_set)
+                write = asyncio.ensure_future(front.insert(np.full(D, 0.5)))
+                await until(lambda: front.stats.admitted == 5)
+                after = [asyncio.ensure_future(front.topk(w, 5)) for w in hot]
+                await until(lambda: front.stats.admitted == 8)
+                assert calls == ["topk_batch"]
+                release.set()
+                return (
+                    front,
+                    await asyncio.gather(*before),
+                    await write,
+                    await asyncio.gather(*after),
+                )
+
+        front, before, write, after = asyncio.run(go())
+        assert calls == ["topk_batch", "insert"]
+        assert [type(e).__name__ for e in front.log] == (
+            ["ReadLog"] * 4 + ["InsertLog"] + ["ReadLog"] * 3
+        )
+        assert [r.source for r in before] == ["computed"] + ["cache"] * 3
+        assert front.log[4].rid == write.update.rid
+        assert front.stats.fences == 1
         assert front.stats.accounting_ok()
         verdict = replay_serial_check(front.log, fresh_engine(data))
         assert verdict["all_match"], verdict["examples"]
