@@ -2,9 +2,9 @@
 
 Every floating-point comparison in this codebase that is *not* an
 intentional bit-exact equality goes through a named constant defined
-here. The ``numeric-safety`` rule of :mod:`repro.analysis` enforces
-this statically: an inline literal like ``1e-9`` in a comparison or a
-default argument anywhere else in ``src/`` is a finding, so a tolerance
+here. The ``numeric-safety`` check of ``tests/test_source_invariants.py``
+enforces this: an inline literal like ``1e-9`` in a comparison or a
+default argument anywhere else in ``src/`` fails it, so a tolerance
 cannot silently fork from the rest of the system (the insert
 prescreen's margin :data:`SCREEN_SAFETY`, for instance, is only sound
 because the membership tolerance it must stay below is *this*

@@ -13,8 +13,9 @@ Primitives:
 * :func:`span` — open a child span under the ambient context (a fresh
   trace is started when there is none). **Must** be used in
   ``with``-form (or via ``ExitStack.enter_context``); the
-  ``span-discipline`` analysis rule checks every call site outside
-  :mod:`repro.obs`, so each span enter is guaranteed its exit.
+  ``span-discipline`` check of ``tests/test_source_invariants.py``
+  covers every call site outside :mod:`repro.obs`, so each span enter is
+  guaranteed its exit.
 * :func:`trace` — like :func:`span` but always a new root (fresh trace
   id), for request entry points.
 * :func:`use_trace` — adopt a remote parent context, e.g. one received

@@ -28,7 +28,6 @@ ENTRYPOINTS = (
        for w in ("miss_uniform", "hot_zipf", "flash_rw", "sharded_rw") for t in "01"]
     + [({"REPRO_SANITIZE": "1"}, [*LEDGER, "--workload", w, "--trace", "0"])
        for w in ("flash_rw", "sharded_rw")]
-    + [({}, ["-m", "repro.analysis", "src/repro", "--strict"])]
 )  # fmt: skip
 
 RECORDER = """\

@@ -41,7 +41,7 @@ from repro.engine import (
     zipf_clustered_workload,
 )
 from repro.index.bulkload import bulk_load_str
-from repro.scoring import LinearScoring
+from repro.scoring import LinearScoring, MonotoneScoring
 from tests.conftest import LEDGER_CLUSTER_KWARGS, run_batched
 
 N, D, K = 500, 3, 5
@@ -454,6 +454,25 @@ class TestProcessBackendDefaults:
             ShardedGIREngine(data, shards=3, backend=FlakyBackend)
         assert len(started) == 1
         assert started[0]._proc is None  # closed, not leaked
+
+    @pytest.mark.parametrize("kind", ["lambda", "nested_function"])
+    def test_unpicklable_scorer_fails_the_build(self, data, kind):
+        """The BUILD frame pickles the scorer, so one built from a lambda
+        or a nested function fails the process cluster's build loudly,
+        before any worker starts. The in-process backend takes it."""
+        import multiprocessing
+
+        def square(x):
+            return np.power(x, 2.0)
+
+        g = (lambda x: np.power(x, 2.0)) if kind == "lambda" else square
+        scorer = MonotoneScoring([g] * D)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="not picklable"):
+            ShardedGIREngine(data, shards=2, backend="process", scorer=scorer)
+        assert set(multiprocessing.active_children()) == before
+        with ShardedGIREngine(data, shards=2, scorer=scorer) as cluster:
+            assert cluster.scorer is scorer
 
     def test_backend_instances_are_independent(self, spec):
         """Two process backends from one spec hold independent engines:

@@ -464,47 +464,52 @@ class TestOverflowingWeights:
 
 
 class TestDegenerateInputs:
-    """Degenerate inputs served like any other, on the engine and through
-    the front door, checked against ``scan_topk``: ``k`` equal to the live
-    count, a table of identical records, and weights on a facet of the
-    unit box."""
+    """Degenerate inputs served like any other, on both tiers (one engine
+    and an in-process two-shard cluster) and through the front door,
+    checked against ``scan_topk``: ``k`` equal to the live count, a table
+    of identical records, and weights on a facet of the unit box."""
 
-    @staticmethod
-    def served_twice(data, w, k):
-        """Serve ``(w, k)`` twice on a fresh engine and twice through a
-        fresh front door: a miss, then a cache hit, each with
-        ``scan_topk``'s ids. Returns those ids."""
+    TIERS = (
+        lambda data: GIREngine(data, bulk_load_str(data)),
+        lambda data: ShardedGIREngine(data, shards=2),
+    )
+
+    @classmethod
+    def served_twice(cls, data, w, k):
+        """Serve ``(w, k)`` twice on a fresh engine of each tier and twice
+        through a fresh front door over each: a miss, then a cache hit,
+        each with ``scan_topk``'s ids. Returns those ids."""
         expected = scan_topk(data.points, w, k).ids
-        engine = GIREngine(data, bulk_load_str(data))
-        first, repeat = engine.topk(w, k), engine.topk(w, k)
-        assert (first.source, repeat.source) == ("computed", "cache")
-        assert first.ids == repeat.ids == expected
-        responses = serve_through_front(
-            GIREngine(data, bulk_load_str(data)), [(w, k), (w, k)]
-        )
-        assert [r.source for r in responses] == ["computed", "cache"]
-        assert all(r.ids == expected for r in responses)
+        for tier in cls.TIERS:
+            engine = tier(data)
+            first, repeat = engine.topk(w, k), engine.topk(w, k)
+            assert (first.source, repeat.source) == ("computed", "cache")
+            assert first.ids == repeat.ids == expected
+            responses = serve_through_front(tier(data), [(w, k), (w, k)])
+            assert [r.source for r in responses] == ["computed", "cache"]
+            assert all(r.ids == expected for r in responses)
         return expected
 
     def test_k_equal_to_the_live_count(self):
         data = independent(40, 3, seed=5)
         w = np.array([0.3, 0.5, 0.2])
         expected = self.served_twice(data, w, 40)
-        # Warm engines: the cache holds the k = 40 answer when k is judged.
-        engine = GIREngine(data, bulk_load_str(data))
-        engine.topk(w, 40)
-        engine.delete(expected[-1])
-        with pytest.raises(ValueError, match="exceeds live record count 39"):
-            engine.topk(w, 40)
 
-        async def after_a_delete():
-            async with ServeFront(GIREngine(data, bulk_load_str(data))) as front:
+        async def after_a_delete(engine):
+            async with ServeFront(engine) as front:
                 await front.topk(w, 40)
                 await front.delete(expected[-1])
                 with pytest.raises(Rejected, match="exceeds live record count"):
                     await front.topk(w, 40)
 
-        asyncio.run(after_a_delete())
+        for tier in self.TIERS:
+            # Warm engines: the cache holds the k = 40 answer when k is judged.
+            engine = tier(data)
+            engine.topk(w, 40)
+            engine.delete(expected[-1])
+            with pytest.raises(ValueError, match="exceeds live record count 39"):
+                engine.topk(w, 40)
+            asyncio.run(after_a_delete(tier(data)))
 
     @pytest.mark.parametrize("k", [5, 30])
     def test_identical_records(self, k):

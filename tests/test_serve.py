@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -59,6 +60,68 @@ def drive(engine, workload, config=None, concurrency=24):
     return asyncio.run(go())
 
 
+SERVING_MODES = pytest.mark.parametrize(
+    "config",
+    [
+        ServeConfig(),  # batched + coalesced (the default path)
+        # direct: one read a batch, so nothing can attach
+        ServeConfig(batch_max=1),
+        ServeConfig(batch_window_ms=0.1, batch_max=4),  # tiny batches
+        # one job a dispatch: no linger, a batch is what is queued
+        ServeConfig(batch_window_ms=0.0),
+    ],
+    ids=["default", "direct", "tiny-batch", "one-job"],
+)
+
+
+class LoopSpyEngine(GIREngine):
+    """A ``GIREngine`` that records, per serving call, whether it ran on
+    the event-loop thread. The front door must run the pipeline
+    (``topk_batch``, ``insert``, ``delete``) on its bridge thread and
+    only the bounded ``serve_hits`` on the loop. A source check sees the
+    call sites it can name; this sees a call made through any helper."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.on_loop: dict[str, set[bool]] = {}
+
+    def _record(self, name: str) -> None:
+        try:
+            asyncio.get_running_loop()
+            on_loop = True
+        except RuntimeError:
+            on_loop = False
+        self.on_loop.setdefault(name, set()).add(on_loop)
+
+    def serve_hits(self, requests):
+        self._record("serve_hits")
+        return super().serve_hits(requests)
+
+    def topk_batch(self, requests):
+        self._record("topk_batch")
+        return super().topk_batch(requests)
+
+    def insert(self, point):
+        self._record("insert")
+        return super().insert(point)
+
+    def delete(self, rid):
+        self._record("delete")
+        return super().delete(rid)
+
+
+class InlineExecutor(Executor):
+    """Runs each call at once on the submitting thread (the loop's)."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 class TestServeEquivalence:
     """Byte-identity of every serving path against sequential replay."""
 
@@ -71,24 +134,33 @@ class TestServeEquivalence:
         assert verdict["requests"] == front.stats.reads_served
         assert front.stats.accounting_ok()
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            ServeConfig(),  # batched + coalesced (the default path)
-            # direct: one read a batch, so nothing can attach
-            ServeConfig(batch_max=1),
-            ServeConfig(batch_window_ms=0.1, batch_max=4),  # tiny batches
-            # one job a dispatch: no linger, a batch is what is queued
-            ServeConfig(batch_window_ms=0.0),
-        ],
-        ids=["default", "direct", "tiny-batch", "one-job"],
-    )
+    @SERVING_MODES
     def test_every_serving_mode_matches_sequential(self, data, config):
         workload = flash_crowd_workload(D, 60, k=8, rng=3)
         front, report = drive(fresh_engine(data), workload, config)
         verdict = replay_serial_check(front.log, fresh_engine(data))
         assert verdict["all_match"], verdict["examples"]
         assert front.stats.accounting_ok()
+
+    @SERVING_MODES
+    def test_engine_calls_keep_their_thread(self, data, config):
+        engine = LoopSpyEngine(data, bulk_load_str(data), cache_capacity=64)
+        drive(engine, mixed_workload(D, 70, base_n=N, k=8, update_fraction=0.3, rng=0), config)
+        assert engine.on_loop == {
+            "serve_hits": {True},
+            "topk_batch": {False},
+            "insert": {False},
+            "delete": {False},
+        }
+
+    def test_spy_flags_engine_calls_moved_onto_the_loop(self, data, monkeypatch):
+        """Seeded fault: a bridge that runs each engine call on the loop."""
+        monkeypatch.setattr(
+            "repro.serve.front.ThreadPoolExecutor", lambda **_: InlineExecutor()
+        )
+        engine = LoopSpyEngine(data, bulk_load_str(data), cache_capacity=64)
+        drive(engine, mixed_workload(D, 70, base_n=N, k=8, update_fraction=0.3, rng=0))
+        assert engine.on_loop["topk_batch"] == engine.on_loop["insert"] == {True}
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_across_insert_delete_fences(self, data, seed):
