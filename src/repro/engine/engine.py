@@ -76,7 +76,6 @@ __all__ = [
     "GIREngine",
     "INVALIDATION_POLICIES",
     "validate_weights",
-    "ranking_weights",
     "validate_weight_rows",
     "validate_requests",
     "validate_k",
@@ -109,14 +108,15 @@ def validate_weights(weights: np.ndarray, d: int) -> np.ndarray:
     shape error inside BRS, or NaNs silently poisoning the geometry);
     rejecting it here gives the caller one clear :class:`ValueError`.
     Rejected: wrong dimensionality, non-finite entries (NaN/inf), negative
-    entries, and all-nonpositive vectors (a zero preference ranks every
-    record identically — degenerate for top-k).
+    entries, all-nonpositive vectors (a zero preference ranks every
+    record identically — degenerate for top-k), and finite entries whose
+    sum overflows float64 (a record's score could overflow to ``inf``;
+    top-k is scale-invariant, so the caller scales the vector down).
 
     A well-formed vector passes one test over its entries as Python
-    floats: a finite positive sum (NaN and inf propagate into it, and an
-    all-zero vector sums to 0) and a non-negative minimum. The checks
-    below it only choose the message, and accept what it turned away
-    only for finite entries whose sum overflows.
+    floats: a finite positive sum (NaN and inf propagate into it, an
+    all-zero vector sums to 0, and an overflowing sum is ``inf``) and a
+    non-negative minimum. The checks below it only choose the message.
     """
     arr = np.asarray(weights, dtype=np.float64)
     if arr.shape != (d,):
@@ -135,32 +135,21 @@ def validate_weights(weights: np.ndarray, d: int) -> np.ndarray:
             "weights must have at least one positive entry "
             "(an all-zero preference cannot rank records)"
         )
-    return arr
-
-
-def ranking_weights(weights: np.ndarray) -> np.ndarray:
-    """The vector a miss is ranked at: ``weights`` itself, or
-    ``weights / max(weights)`` when its entries' sum overflows float64.
-
-    :func:`validate_weights` accepts finite entries whose sum overflows;
-    every record's score at such a vector can overflow to ``inf``, and
-    the ranking would fall through to the tie-break. Top-k is
-    scale-invariant, so the scaled vector has the caller's answer, and
-    the cache already looks such a vector up at the same point. The
-    response's scores stay the canonical product at the caller's
-    vector."""
-    if sum(weights.tolist()) < math.inf:
-        return weights
-    return weights / weights.max()
+    raise ValueError(
+        "the sum of the weights overflows float64; scale the vector down "
+        "(top-k does not depend on its scale)"
+    )
 
 
 def validate_weight_rows(rows: list, d: int) -> np.ndarray:
     """Check a batch's query vectors; returns them stacked as ``(n, d)``.
 
     One set of reductions over the stacked batch accepts a well-formed
-    one; a batch that fails them (or does not stack) is checked row by
-    row with :func:`validate_weights`, so a bad row raises that
-    function's message.
+    one: ``d`` times its largest entry bounds every row's sum, so a
+    finite bound rules out NaN, inf and overflowing rows at once. A batch
+    that fails them (or does not stack) is checked row by row with
+    :func:`validate_weights`, so a bad row raises that function's
+    message and a row the bound was too coarse for is still accepted.
     """
     try:
         W = np.array(rows, dtype=np.float64)
@@ -169,7 +158,7 @@ def validate_weight_rows(rows: list, d: int) -> np.ndarray:
     if (
         W is None
         or W.shape != (len(rows), d)
-        or not np.isfinite(W).all()
+        or not float(W.max()) * d < math.inf
         or (W < 0).any()
         or not (W > 0).any(axis=1).all()
     ):
@@ -799,17 +788,10 @@ class GIREngine:
         return responses
 
     def _serve(self, weights: np.ndarray, k: int) -> EngineResponse:
-        """Answer a miss: run the pipeline at :func:`ranking_weights` and
-        cache the region."""
+        """Answer a miss: run the pipeline and cache the region."""
         io_before = self.tree.store.stats.page_reads
         with obs.span("engine.serve") as sp:
-            ranked = ranking_weights(weights)
-            gir = self._compute_and_cache(ranked, k)
-            scores = gir.topk.scores
-            if ranked is not weights:
-                scores = tuple(
-                    self.scorer.score(self.result_rows(gir.topk.ids), weights).tolist()
-                )
+            gir = self._compute_and_cache(weights, k)
             pages_read = self.tree.store.stats.page_reads - io_before
             self.requests_served += 1
             if obs.tracing_enabled():
@@ -818,7 +800,7 @@ class GIREngine:
                 sp.set("k", k)
             return EngineResponse._frozen(
                 ids=gir.topk.ids,
-                scores=scores,
+                scores=gir.topk.scores,
                 weights=weights,
                 k=k,
                 source=SOURCE_COMPUTED,
@@ -884,28 +866,28 @@ class GIREngine:
         :class:`ValueError` before any structure is touched — see
         :func:`validate_point`.
         """
-        t0 = time.perf_counter()
         point = validate_point(point, self.d)
-        rid = self.table.insert(point)
-        self.tree.insert(self.table.point(rid), rid)
-        point_g = self._append_g(self.table.point(rid))
-        screened = lps = 0
-        if self.invalidation == "flush":
-            evicted = self.cache.flush()
-        else:
-            evicted, screened, lps = apply_insert_invalidation(
-                self.cache,
-                point_g,
-                new_sum=float(self.points[rid].sum()),
-                new_rid=rid,
-                kth_point=lambda kid: self.points[kid],
-                kth_g=lambda kid: self._g_buf[kid],
+        with obs.span("engine.insert") as sp:
+            rid = self.table.insert(point)
+            self.tree.insert(self.table.point(rid), rid)
+            point_g = self._append_g(self.table.point(rid))
+            screened = lps = 0
+            if self.invalidation == "flush":
+                evicted = self.cache.flush()
+            else:
+                evicted, screened, lps = apply_insert_invalidation(
+                    self.cache,
+                    point_g,
+                    new_sum=float(self.points[rid].sum()),
+                    new_rid=rid,
+                    kth_point=lambda kid: self.points[kid],
+                    kth_g=lambda kid: self._g_buf[kid],
+                )
+                self.prescreen_screened += screened
+                self.prescreen_lps += lps
+            return self._finish_update(
+                sp, "insert", rid, evicted, screened=screened, lps=lps
             )
-            self.prescreen_screened += screened
-            self.prescreen_lps += lps
-        return self._finish_update(
-            "insert", rid, t0, evicted, screened=screened, lps=lps
-        )
 
     @sanitize.mutates
     def delete(self, rid: int) -> UpdateResponse:
@@ -917,16 +899,16 @@ class GIREngine:
         non-member never changes a top-k answer).
         """
         rid = validate_rid_type(rid)
-        t0 = time.perf_counter()
-        point = self.table.delete(rid)
-        removed = self.tree.delete(point, rid)
-        if not removed:  # pragma: no cover - table and tree always agree
-            raise RuntimeError(f"rid {rid} live in table but absent from tree")
-        if self.invalidation == "flush":
-            evicted = self.cache.flush()
-        else:
-            evicted = apply_delete_invalidation(self.cache, rid)
-        return self._finish_update("delete", rid, t0, evicted)
+        with obs.span("engine.delete") as sp:
+            point = self.table.delete(rid)
+            removed = self.tree.delete(point, rid)
+            if not removed:  # pragma: no cover - table and tree always agree
+                raise RuntimeError(f"rid {rid} live in table but absent from tree")
+            if self.invalidation == "flush":
+                evicted = self.cache.flush()
+            else:
+                evicted = apply_delete_invalidation(self.cache, rid)
+            return self._finish_update(sp, "delete", rid, evicted)
 
     def _append_g(self, point: np.ndarray) -> np.ndarray:
         """Maintain the g-space image for a freshly inserted row (grown with
@@ -939,23 +921,20 @@ class GIREngine:
 
     def _finish_update(
         self,
+        sp,
         kind: str,
         rid: int,
-        t0: float,
         evicted: int,
         screened: int = 0,
         lps: int = 0,
     ) -> UpdateResponse:
+        """Count the applied write, and tag its ``engine.<kind>`` span
+        ``sp`` with the rid and the evictions."""
         self.updates_applied += 1
         self.update_evictions += evicted
         if obs.tracing_enabled():
-            obs.record_span(
-                f"engine.{kind}",
-                t0,
-                time.perf_counter(),
-                rid=rid,
-                evicted=evicted,
-            )
+            sp.set("rid", rid)
+            sp.set("evicted", evicted)
         return UpdateResponse(
             kind=kind,
             rid=rid,

@@ -76,6 +76,7 @@ of Figure 15.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable
 
 import numpy as np
@@ -220,6 +221,11 @@ class FacetFan:
         of ``d − 1`` ascending positions in that index array. ``None``
         when the strictly-below candidates form no ``(d − 1)``-dimensional
         hull (see the module docstring for the construction)."""
+        # Only the direction matters: one whose squared norm would
+        # overflow is scaled into range first.
+        peak = float(np.abs(direction).max())
+        if not peak * peak * self.d < math.inf:
+            direction = direction / peak
         q = direction / max(float(np.linalg.norm(direction)), NORM_FLOOR)
         offsets = pts - self.apex
         depth = -(offsets @ q)

@@ -5,9 +5,8 @@ live in the stats objects (``ServeStats``, ``GIRCache.stats()``,
 ``GIREngine.stats()``, ``ShardedGIREngine.stats()``). Zero-overhead
 when off: :func:`enable` arms tracing, and while disabled every
 instrumentation site costs one flag check and a shared no-op handle.
-See ``trace.py`` for the span/propagation contract, ``export.py`` for
-the Chrome trace / explain views, and ``metrics.py`` for the
-fixed-bucket histogram ``ServeStats`` keeps its latencies in.
+See ``trace.py`` for the span/propagation contract and ``export.py``
+for the Chrome trace / explain views.
 """
 
 from repro.obs.export import (
@@ -16,7 +15,6 @@ from repro.obs.export import (
     spans_by_trace,
     trace_roots,
 )
-from repro.obs.metrics import LATENCY_BUCKETS_MS, Histogram
 from repro.obs.trace import (
     Span,
     SpanRecord,
@@ -38,8 +36,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "LATENCY_BUCKETS_MS",
-    "Histogram",
     "Span",
     "SpanRecord",
     "TraceCollector",

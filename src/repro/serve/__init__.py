@@ -33,6 +33,11 @@ thread-owned. This package puts an asyncio tier in front of
   operation in commit order, replayable against a fresh engine to prove
   the tier byte-identical to sequential per-request serving.
 
+:class:`ServeStats` holds the tier's counters; its time is its spans'
+(``serve.queue_wait``, ``serve.batch_linger``, ``serve.engine_batch``,
+``serve.engine_write``), and a read's :class:`ServeResponse` or a write's
+:class:`~repro.engine.UpdateResponse` carries no timing.
+
 Engine calls are routed through a one-thread executor bridge, except
 that bounded ``serve_hits`` call, which the dispatcher makes on the
 loop; the bridge is idle whenever the dispatcher runs, so one thread at
@@ -45,12 +50,7 @@ a thread lock.
 
 from repro.serve.config import ServeConfig
 from repro.serve.errors import Overloaded, Rejected, ServeError
-from repro.serve.front import (
-    ServeFront,
-    ServeResponse,
-    ServeUpdate,
-    run_serve_workload,
-)
+from repro.serve.front import ServeFront, ServeResponse, run_serve_workload
 from repro.serve.replay import canonical_scores, replay_serial_check
 from repro.serve.stats import ServeReport, ServeStats
 
@@ -61,7 +61,6 @@ __all__ = [
     "Overloaded",
     "ServeFront",
     "ServeResponse",
-    "ServeUpdate",
     "ServeReport",
     "ServeStats",
     "run_serve_workload",

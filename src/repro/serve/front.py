@@ -82,7 +82,6 @@ from repro.serve.stats import ServeReport, ServeStats
 __all__ = [
     "ServeFront",
     "ServeResponse",
-    "ServeUpdate",
     "run_serve_workload",
 ]
 
@@ -94,7 +93,10 @@ _SENTINEL = object()
 class ServeResponse:
     """One read served by the front door (canonical boundary scoring).
 
-    The public constructor copies and freezes ``weights``
+    It carries no timing: where the read's time went is its spans'
+    (``serve.queue_wait``, ``serve.engine_batch``; :mod:`repro.obs`), and
+    a caller that wants its latency without tracing times its own
+    ``await``. The public constructor copies and freezes ``weights``
     (:func:`~repro.engine.workload.frozen_array`); the front door builds
     its responses from the admitted request's already-frozen vector
     through :meth:`_frozen`, which skips that re-check."""
@@ -111,13 +113,6 @@ class ServeResponse:
     source: str
     #: Metered page reads this response cost (0 when coalesced).
     pages_read: int
-    #: Arrival → dispatch queueing delay.
-    wait_ms: float
-    #: Dispatch → the engine batch call returned, on the event loop's
-    #: clock; every leader of one batch reports the same value, a
-    #: coalesced answer 0. Per-request engine time is the
-    #: ``engine.serve`` span (:mod:`repro.obs`).
-    service_ms: float
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -135,17 +130,6 @@ class ServeResponse:
         return self
 
 
-@dataclass(frozen=True)
-class ServeUpdate:
-    """One write applied through the fence."""
-
-    update: UpdateResponse
-    #: Arrival → dispatch: the queue, behind every read admitted before.
-    wait_ms: float
-    #: Dispatch → the write returned, on the event loop's clock.
-    service_ms: float
-
-
 class _ReadOp:
     __slots__ = ("request", "future", "t_arrive", "trace")
 
@@ -154,6 +138,7 @@ class _ReadOp:
         #: weights are the read's one copy of the caller's vector.
         self.request = request
         self.future = future
+        #: Admission time, the start of the ``serve.queue_wait`` span.
         self.t_arrive = time.perf_counter()
         #: The admitting request's trace context; retro spans (queue
         #: wait, linger) and the engine bridge stitch under it because
@@ -298,8 +283,9 @@ class ServeFront:
                 root.set("source", resp.source)
             return resp
 
-    async def insert(self, point) -> ServeUpdate:
-        """Admit one insert; applied after every read admitted before it."""
+    async def insert(self, point) -> UpdateResponse:
+        """Admit one insert; applied after every read admitted before it.
+        Returns the engine's :class:`~repro.engine.UpdateResponse`."""
         self.stats.arrivals += 1
         with obs.trace("serve.request", kind="insert"):
             if self._closed:
@@ -314,8 +300,9 @@ class ServeFront:
             self._admit(op)
             return await op.future
 
-    async def delete(self, rid: int) -> ServeUpdate:
-        """Admit one delete; applied after every read admitted before it."""
+    async def delete(self, rid: int) -> UpdateResponse:
+        """Admit one delete; applied after every read admitted before it.
+        Returns the engine's :class:`~repro.engine.UpdateResponse`."""
         self.stats.arrivals += 1
         with obs.trace("serve.request", kind="delete"):
             if self._closed:
@@ -396,8 +383,8 @@ class ServeFront:
         """Group the batch's exact duplicates under one leader each, serve
         the leaders' full-hit prefix here and the rest as one engine
         batch on the bridge, and resolve every read of the batch."""
-        t_dispatch = time.perf_counter()
         if obs.tracing_enabled():
+            t_dispatch = time.perf_counter()
             for op in batch:
                 obs.record_span(
                     "serve.queue_wait", op.t_arrive, t_dispatch,
@@ -413,7 +400,7 @@ class ServeFront:
             else:
                 by_key[key] = _Flight(op)
         self.stats.engine_batch_calls += 1
-        flights = self._serve_hits_inline(list(by_key.values()), t_dispatch)
+        flights = self._serve_hits_inline(list(by_key.values()))
         if not flights:
             return
         try:
@@ -426,9 +413,9 @@ class ServeFront:
             )
         except Exception as exc:
             results = [exc] * len(flights)
-        self._resolve_flights(flights, results, t_dispatch)
+        self._resolve_flights(flights, results)
 
-    def _serve_hits_inline(self, flights: list, t_dispatch: float) -> list:
+    def _serve_hits_inline(self, flights: list) -> list:
         """Serve the flights' leading full cache hits on the event loop and
         resolve them with their followers; return the flights left for
         the bridge.
@@ -447,7 +434,7 @@ class ServeFront:
         except Exception as exc:
             results = [exc] * len(flights)
         served = len(results)
-        self._resolve_flights(flights[:served], results, t_dispatch)
+        self._resolve_flights(flights[:served], results)
         return flights[served:]
 
     # -- engine calls (the bridge's thread, or the loop for serve_hits) -------
@@ -519,30 +506,22 @@ class ServeFront:
 
     # -- resolution (event-loop code) -----------------------------------------
 
-    def _resolve_flights(
-        self, flights: list, results: list, t_dispatch: float
-    ) -> None:
+    def _resolve_flights(self, flights: list, results: list) -> None:
         """Resolve each flight — its leader, then its followers — with its
         engine result: a response, or the error every one of them gets."""
-        service_ms = (time.perf_counter() - t_dispatch) * 1e3
         for flight, result in zip(flights, results):
             if isinstance(result, Exception):
                 for op in (flight.leader, *flight.followers):
                     self._resolve_error(op, result)
                 continue
-            self._resolve_read(flight.leader, result, t_dispatch, service_ms)
-            t_done = time.perf_counter()
+            self._resolve_read(flight.leader, result)
             for op in flight.followers:
-                self._resolve_read(op, result, t_done, 0.0, leader=False)
+                self._resolve_read(op, result, leader=False)
 
-    def _resolve_read(
-        self, op: _ReadOp, resp, t_dispatch: float, service_ms: float,
-        leader: bool = True,
-    ) -> None:
+    def _resolve_read(self, op: _ReadOp, resp, leader: bool = True) -> None:
         """Serve ``op`` the flight's answer: as the engine request, or as
         a follower with its leader's ids and scores verbatim."""
         via = "engine" if leader else "coalesced"
-        wait_ms = (t_dispatch - op.t_arrive) * 1e3
         request = op.request
         response = ServeResponse._frozen(
             ids=tuple(resp.ids),
@@ -552,8 +531,6 @@ class ServeFront:
             via=via,
             source=resp.source if leader else f"coalesced:{resp.source}",
             pages_read=resp.pages_read if leader else 0,
-            wait_ms=wait_ms,
-            service_ms=service_ms,
         )
         self.log.append(
             ReadLog(
@@ -569,8 +546,6 @@ class ServeFront:
             self.stats.engine_requests += 1
         else:
             self.stats.coalesced_served += 1
-        self.stats.wait_ms.observe(wait_ms)
-        self.stats.service_ms.observe(service_ms)
         if not op.future.done():
             op.future.set_result(response)
 
@@ -586,10 +561,9 @@ class ServeFront:
         before it was resolved and logged by an earlier dispatch, and the
         dispatcher takes nothing else until the write returns: that order
         is the fence."""
-        t_dispatch = time.perf_counter()
         if obs.tracing_enabled():
             obs.record_span(
-                "serve.queue_wait", op.t_arrive, t_dispatch,
+                "serve.queue_wait", op.t_arrive, time.perf_counter(),
                 trace_ctx=op.trace,
             )
         self.stats.fences += 1
@@ -602,19 +576,13 @@ class ServeFront:
         except Exception as exc:
             self._resolve_error(op, exc)
             return
-        service_ms = (time.perf_counter() - t_dispatch) * 1e3
         if op.kind == "insert":
             self.log.append(InsertLog(point=op.point, rid=update.rid))
         else:
             self.log.append(DeleteLog(rid=update.rid))
         self.stats.writes_applied += 1
-        result = ServeUpdate(
-            update=update,
-            wait_ms=(t_dispatch - op.t_arrive) * 1e3,
-            service_ms=service_ms,
-        )
         if not op.future.done():
-            op.future.set_result(result)
+            op.future.set_result(update)
 
 
 async def run_serve_workload(

@@ -9,21 +9,15 @@ The tier's counters follow one identity, checked (not assumed) by
 
 and the headline service metric is the **coalesce fan-in ratio** —
 reads served per engine request; above 1.0 the tier is answering
-traffic the engine never saw. Latency is split into *wait* (arrival →
-dispatch, the queueing cost) and *service* (dispatch → the engine call
-returned, on the event loop's clock: one value for every leader of a
-batch, 0 for a coalesced answer), so queue pressure and engine cost
-cannot masquerade as one another; per-request engine time is the
-``engine.serve`` span. Both are fixed-bucket
-:class:`~repro.obs.metrics.Histogram` instruments — tail percentiles
-(p50/p95/p99) without retaining per-request samples.
+traffic the engine never saw. Time is not kept here: the front door's
+``serve.queue_wait`` / ``serve.batch_linger`` / ``serve.engine_batch`` /
+``serve.engine_write`` spans (:mod:`repro.obs`) are its record of where
+an operation's latency went.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.obs.metrics import Histogram
+from dataclasses import dataclass
 
 __all__ = ["ServeStats", "ServeReport"]
 
@@ -63,12 +57,6 @@ class ServeStats:
     fences: int = 0
     #: Deepest ingress queue observed at an admission.
     queue_depth_peak: int = 0
-    #: Arrival→dispatch queueing delay per served read, milliseconds
-    #: (histogram: observe per read, ask for mean/p50/p95/p99).
-    wait_ms: Histogram = field(default_factory=Histogram)
-    #: Dispatch → engine call returned per served read (its batch's
-    #: value for a leader, 0 for a coalesced answer), ms.
-    service_ms: Histogram = field(default_factory=Histogram)
 
     @property
     def fan_in_ratio(self) -> float:
@@ -105,14 +93,6 @@ class ServeStats:
             "fan_in_ratio": self.fan_in_ratio,
             "fences": self.fences,
             "queue_depth_peak": self.queue_depth_peak,
-            "wait_p50_ms": self.wait_ms.percentile(50),
-            "wait_p95_ms": self.wait_ms.percentile(95),
-            "wait_p99_ms": self.wait_ms.percentile(99),
-            "wait_mean_ms": self.wait_ms.mean,
-            "service_p50_ms": self.service_ms.percentile(50),
-            "service_p95_ms": self.service_ms.percentile(95),
-            "service_p99_ms": self.service_ms.percentile(99),
-            "service_mean_ms": self.service_ms.mean,
             "accounting_ok": self.accounting_ok(),
         }
 
@@ -129,12 +109,6 @@ class ServeStats:
             f"{self.coalesced_served} served",
             f"writes            : {self.writes_applied} applied through "
             f"{self.fences} fences ({self.errors} errors)",
-            f"latency split     : wait p50 {self.wait_ms.percentile(50):.2f}"
-            f" / p95 {self.wait_ms.percentile(95):.2f}"
-            f" / p99 {self.wait_ms.percentile(99):.2f} ms, service p50 "
-            f"{self.service_ms.percentile(50):.2f} / "
-            f"p95 {self.service_ms.percentile(95):.2f} / "
-            f"p99 {self.service_ms.percentile(99):.2f} ms",
             f"pressure          : queue depth peak {self.queue_depth_peak}",
         ]
         return "\n".join(lines)
@@ -146,7 +120,7 @@ class ServeReport:
     (the serve-tier sibling of :class:`~repro.engine.WorkloadReport`)."""
 
     #: Per-operation outcomes in workload order: a ``ServeResponse`` /
-    #: ``ServeUpdate``, or the structured ``ServeError`` for shed /
+    #: ``UpdateResponse``, or the structured ``ServeError`` for shed /
     #: rejected arrivals.
     outcomes: list
     stats: ServeStats

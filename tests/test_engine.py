@@ -1,6 +1,8 @@
 """Tests for the GIREngine serving layer and workload generators."""
 
 import asyncio
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +287,7 @@ class TestInputValidation:
             ([0.5, -np.inf, 0.5], "finite"),
             ([0.5, -0.1, 0.5], "non-negative"),
             ([0.0, 0.0, 0.0], "positive entry"),
+            ([1e308, 1e308, 5e307], "overflows float64"),
         ],
     )
     def test_batch_rows_checked_like_single_vectors(self, bad, message):
@@ -317,9 +320,10 @@ class TestInputValidation:
             (np.array([1, 2, 3]), None),
             (np.array([0, 0, 0]), "positive entry"),
             (np.array([0, -1, 2]), "non-negative"),
-            ([1e308, 1e308, 1e308], None),
+            ([1e308, 7e307, 0.0], None),
             ([1e308, 1e308, -1.0], "non-negative"),
             ([5e-324, 0.0, 0.0], None),
+            ([1e308, 1e308, 1e308], "overflows float64"),
         ],
         ids=lambda v: repr(v) if isinstance(v, (str, type(None))) else None,
     )
@@ -327,14 +331,15 @@ class TestInputValidation:
         """One cheap test accepts a well-formed vector; the full checks
         only choose the message. The accept set is exactly the full
         checks': right shape, finite, no negative entry (``-0.0`` is not
-        one), at least one positive entry — a numpy int vector included,
-        and finite entries whose sum overflows too."""
+        one), at least one positive entry — a numpy int vector included
+        — and a sum that does not overflow."""
         arr = np.asarray(weights, dtype=np.float64)
         reference = (
             arr.shape == (3,)
             and bool(np.isfinite(arr).all())
             and not (arr < 0).any()
             and bool((arr > 0).any())
+            and sum(arr.tolist()) < math.inf
         )
         assert reference == (message is None)
         if message is None:
@@ -417,48 +422,85 @@ def serve_through_front(engine, reads):
     return asyncio.run(go())
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestOverflowingWeights:
-    """Finite weights whose sum overflows float64 are accepted; they are
-    ranked at ``w / max(w)`` (top-k is scale-invariant), and the response
-    scores are still the canonical product at the caller's ``w``."""
+    """Finite weights whose sum overflows float64 are rejected at every
+    entry, with a message to scale the vector down (top-k does not depend
+    on the vector's scale). A vector just inside the range is served,
+    with finite canonical scores and no floating-point warning."""
 
     OVERFLOW = np.array([1e308, 1e308, 5e307])
     FINITE = np.array([1e308, 7e307, 0.0])
+    MESSAGE = "overflows float64; scale the vector down"
 
     @pytest.fixture(scope="class")
     def data(self):
         return Dataset(np.random.default_rng(1).random((500, 3)))
 
+    def assert_rejected_everywhere(self, engine):
+        """``topk``, ``topk_batch`` and ``serve_hits`` all reject the
+        overflowing vector, even with its direction cached and beside a
+        good request, and serve nothing."""
+        engine.topk(self.OVERFLOW / self.OVERFLOW.max(), 10)
+        served = engine.requests_served
+        good, bad = Request(self.FINITE, 10), Request(self.OVERFLOW, 10)
+        for call in (
+            lambda: engine.topk(self.OVERFLOW, 10),
+            lambda: engine.topk_batch([good, bad]),
+            lambda: engine.serve_hits([bad]),
+        ):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                call()
+        assert engine.requests_served == served
+
+    def test_engine_rejects_an_overflowing_sum(self, data):
+        self.assert_rejected_everywhere(GIREngine(data, bulk_load_str(data)))
+
+    def test_sharded_engine_rejects_an_overflowing_sum(self, data):
+        with ShardedGIREngine(data, shards=2) as cluster:
+            self.assert_rejected_everywhere(cluster)
+
+    def test_front_door_rejects_an_overflowing_sum(self, data):
+        engine = GIREngine(data, bulk_load_str(data))
+        with pytest.raises(Rejected, match=self.MESSAGE):
+            serve_through_front(engine, [(self.OVERFLOW, 10)])
+
     def expected(self, data, w):
         return scan_topk(data.points, w / w.max(), 10).ids
 
-    @pytest.mark.parametrize("w", [OVERFLOW, FINITE], ids=["overflow", "finite"])
-    def test_engine_ranks_at_the_scaled_vector(self, data, w):
-        engine = GIREngine(data, bulk_load_str(data))
-        miss, hit = engine.topk(w, 10), engine.topk(w, 10)
+    def assert_served_at_the_scaled_vector(self, data, tier, w):
+        """A miss then a hit, both ranked as ``scan_topk`` ranks ``w`` scaled
+        to a unit maximum (top-k does not depend on the scale), with finite
+        canonical scores at the caller's ``w``."""
+        miss, hit = tier.topk(w, 10), tier.topk(w, 10)
         assert (miss.source, hit.source) == ("computed", "cache")
         for resp in (miss, hit):
             assert resp.ids == self.expected(data, w)
+            assert np.isfinite(resp.scores).all()
             assert resp.scores == canonical_scores(
-                engine.scorer, engine.result_rows(resp.ids), w
+                tier.scorer, tier.result_rows(resp.ids), w
             )
 
-    @pytest.mark.parametrize("w", [OVERFLOW, FINITE], ids=["overflow", "finite"])
-    def test_sharded_engine_ranks_at_the_scaled_vector(self, data, w):
-        with ShardedGIREngine(data, shards=2) as cluster:
-            responses = [cluster.topk(w, 10), cluster.topk(w, 10)]
-            for resp in responses:
-                assert resp.ids == self.expected(data, w)
-                assert resp.scores == canonical_scores(
-                    cluster.scorer, cluster.result_rows(resp.ids), w
-                )
-        assert [r.source for r in responses] == ["computed", "cache"]
+    @pytest.mark.parametrize("w", [FINITE], ids=["finite"])
+    def test_engine_ranks_at_the_scaled_vector(self, data, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine = GIREngine(data, bulk_load_str(data))
+            self.assert_served_at_the_scaled_vector(data, engine, w)
 
-    def test_front_door_serves_the_scaled_ranking(self, data):
-        w = self.OVERFLOW
-        engine = GIREngine(data, bulk_load_str(data))
-        responses = serve_through_front(engine, [(w, 10), (w, 10)])
+    @pytest.mark.parametrize("w", [FINITE], ids=["finite"])
+    def test_sharded_engine_ranks_at_the_scaled_vector(self, data, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with ShardedGIREngine(data, shards=2) as cluster:
+                self.assert_served_at_the_scaled_vector(data, cluster, w)
+
+    def test_a_finite_sum_is_served_without_warning(self, data):
+        w = self.FINITE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            responses = serve_through_front(
+                GIREngine(data, bulk_load_str(data)), [(w, 10), (w, 10)]
+            )
         assert [r.source for r in responses] == ["computed", "cache"]
         assert all(r.ids == self.expected(data, w) for r in responses)
 

@@ -1,10 +1,10 @@
 """Tests for the observability subsystem (`repro.obs`).
 
 Covers the span/collector contract (nesting, balance, ring capacity,
-atomic records, remote-context adoption, minted span ids), the latency
-histogram's percentiles, the counter-reporting contract (every counter
-a stats or report class keeps is a key of its report), the exporters,
-the span shape of a process fan-out, and two end-to-end properties:
+atomic records, remote-context adoption, minted span ids), the
+counter-reporting contract (every counter a stats or report class keeps
+is a key of its report), the exporters, the span shape of a process
+fan-out, and two end-to-end properties:
 
 * serving is **bit-identical** with tracing on vs off (the front door
   and a process-backed cluster both), and
@@ -205,33 +205,6 @@ class TestDisabledMode:
         assert obs.collector().stats()["started"] == 0
 
 
-class TestMetrics:
-    def test_histogram_percentiles_and_summary(self):
-        h = obs.Histogram(buckets=range(10, 101, 10))
-        for v in range(1, 101):
-            h.observe(float(v))
-        assert h.count == 100 and h.mean == pytest.approx(50.5)
-        assert 25.0 <= h.percentile(50) <= 50.0
-        assert 50.0 < h.percentile(99) <= 100.0
-        assert h.percentile(0) >= 0.0
-        summary = h.to_dict()
-        assert set(summary) == {
-            "count", "total", "mean", "p50", "p95", "p99", "max",
-        }
-        assert summary["max"] == 100.0
-        assert summary["p50"] <= summary["p95"] <= summary["p99"]
-
-    def test_histogram_overflow_interpolates_to_max_seen(self):
-        h = obs.Histogram(buckets=[1.0])
-        h.observe(50.0)
-        assert h.percentile(99) <= 50.0
-        assert h.max_seen == 50.0
-
-    def test_empty_histogram_is_all_zero(self):
-        h = obs.Histogram()
-        assert h.percentile(99) == 0.0 and h.mean == 0.0
-
-
 def _zero_counters(obj) -> set[str]:
     """Public ``int``/``float`` attributes of ``obj`` that are zero."""
     names = set(getattr(obj, "__dict__", ())) | set(getattr(type(obj), "__slots__", ()))
@@ -263,17 +236,12 @@ class TestCounterReporting:
         # update_wall_ms is reported only by a run that had updates.
         updates = fresh_engine(data).run([InsertOp(np.full(D, 0.5))]).updates
         workload_report = WorkloadReport(responses=[], wall_ms=0.0, updates=updates)
-        histogram = obs.Histogram()
-        # Histogram.max_seen is reported as "max".
-        histogram_report = histogram.to_dict()
-        histogram_report["max_seen"] = histogram_report.pop("max")
         collector = obs.TraceCollector()
         serve_stats = ServeStats()
         with ShardedGIREngine(data, shards=2, backend="inproc") as sharded:
             cases = [
                 (serve_stats, serve_stats.to_dict()),
                 (collector, collector.stats()),
-                (histogram, histogram_report),
                 (engine.cache, engine.cache.stats()),
                 (engine, engine.stats()),
                 (workload_report, workload_report.to_dict()),

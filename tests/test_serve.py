@@ -18,6 +18,7 @@ from concurrent.futures import Executor, Future
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cluster import ShardedGIREngine
 from repro.data.synthetic import make_synthetic
 from repro.engine import GIREngine, flash_crowd_workload, mixed_workload
@@ -278,7 +279,6 @@ class TestCoalescing:
             assert resp.ids == leader[0].ids
             assert resp.scores == leader[0].scores
             assert resp.pages_read == 0
-            assert resp.service_ms == 0.0
             assert resp.source.startswith("coalesced:")
         assert len(served) == 1
         assert all(r.scores is served[0].scores for r in responses)
@@ -319,10 +319,12 @@ class TestCoalescing:
         assert len(waits) <= 1
 
     def test_front_door_times_service(self, data, monkeypatch):
-        """Service is the front door's own clock: every leader of one
-        engine batch reports that batch's dispatch → return time, a
-        coalesced follower 0, and wait + service never exceeds what the
-        client measured around its await; a write likewise."""
+        """The front door's time is its spans': every read and the write
+        record one ``serve.queue_wait`` under their request, the 16
+        leaders one ``serve.engine_batch`` over the engine's batch call
+        and the 16 coalesced followers no engine span, the write one
+        ``serve.engine_write``; no queue wait is longer than what the
+        client measured around its await."""
         engine = fresh_engine(data)
         batches = []
         topk_batch = engine.topk_batch
@@ -338,26 +340,48 @@ class TestCoalescing:
         async def timed(call):
             t0 = time.perf_counter()
             result = await call
-            return result, (time.perf_counter() - t0) * 1e3
+            return result, t0, time.perf_counter()
 
         async def backlog():
             async with ServeFront(engine, ServeConfig(batch_max=32)) as front:
                 reads = await asyncio.gather(
                     *(timed(front.topk(w, k=4)) for w in (*vectors, *vectors))
                 )
-                return reads, await timed(front.insert(np.full(D, 0.5)))
+                return [*reads, await timed(front.insert(np.full(D, 0.5)))]
 
-        reads, (write, write_ms) = asyncio.run(backlog())
+        obs.reset_collector()
+        obs.enable()
+        try:
+            ops = asyncio.run(backlog())
+        finally:
+            obs.disable()
+        spans = obs.drain()
+        obs.reset_collector()
         assert batches == [16]
-        leaders = [r for r, _ in reads if r.via == "engine"]
-        followers = [r for r, _ in reads if r.via == "coalesced"]
-        assert len(leaders) == 16 and len(followers) == 16
-        assert len({r.service_ms for r in leaders}) == 1
-        assert leaders[0].service_ms > 0
-        assert all(r.service_ms == 0.0 for r in followers)
-        for resp, client_ms in reads:
-            assert resp.wait_ms + resp.service_ms <= client_ms
-        assert 0 < write.service_ms <= write_ms
+        vias = [r.via for r, _, _ in ops[:-1]]
+        assert vias.count("engine") == 16 and vias.count("coalesced") == 16
+
+        def named(name):
+            return [s for s in spans if s.name == name]
+
+        # Requests in admission order: the clients' order, the write last.
+        roots = sorted(named("serve.request"), key=lambda s: s.t0_us)
+        assert [s.attrs["kind"] for s in roots] == ["read"] * 32 + ["insert"]
+        waits = {s.parent_id: s for s in named("serve.queue_wait")}
+        assert len(waits) == len(named("serve.queue_wait")) == 33
+        for root, (_, t0, t1) in zip(roots, ops):
+            wait = waits[root.span_id]
+            assert wait.t0_us >= t0 * 1e6
+            assert wait.dur_us <= (t1 - t0) * 1e6
+        (bridged,) = [
+            s for s in named("serve.engine_batch")
+            if any(c.parent_id == s.span_id for c in named("engine.topk_batch"))
+        ]
+        assert bridged.attrs["n"] == 16
+        assert len(named("engine.serve")) == 16
+        (write,) = named("serve.engine_write")
+        assert write.attrs["kind"] == "insert"
+        assert len(named("engine.insert")) == 1
 
     def test_near_duplicate_is_its_own_engine_request(self, data):
         """Single flight is by exact bytes: a vector 1e-9 away from an
@@ -471,8 +495,8 @@ class TestAdmission:
 
     def test_numpy_integer_rid_is_deleted(self, data):
         served = self.run_front(data, lambda f: f.delete(np.int64(3)))
-        assert served.update.kind == "delete"
-        assert type(served.update.rid) is int and served.update.rid == 3
+        assert served.kind == "delete"
+        assert type(served.rid) is int and served.rid == 3
 
     @pytest.mark.parametrize("rid", [True, np.bool_(True), 2.0, "3"])
     def test_rejects_bad_rid(self, data, rid):
@@ -524,7 +548,7 @@ class TestAdmission:
                 return front, await write
 
         front, served = asyncio.run(go())
-        assert np.array_equal(engine.points[served.update.rid], p)
+        assert np.array_equal(engine.points[served.rid], p)
         assert np.array_equal(front.log[0].point, p)
 
     def test_rejections_are_counted_not_served(self, data):
@@ -785,7 +809,6 @@ class TestInlineHits:
         assert inline == [1, 4]
         assert miss.source == "computed"
         assert [r.source for r in hits] == ["cache"] * 4
-        assert all(r.wait_ms > 0 for r in hits)
         assert front.stats.engine_batch_calls == 2
         assert front.stats.accounting_ok()
         verdict = replay_serial_check(front.log, fresh_engine(data))
@@ -844,7 +867,7 @@ class TestInlineHits:
             ["ReadLog"] * 4 + ["InsertLog"] + ["ReadLog"] * 3
         )
         assert [r.source for r in before] == ["computed"] + ["cache"] * 3
-        assert front.log[4].rid == write.update.rid
+        assert front.log[4].rid == write.rid
         assert front.stats.fences == 1
         assert front.stats.accounting_ok()
         verdict = replay_serial_check(front.log, fresh_engine(data))
@@ -893,9 +916,12 @@ class TestReportAndStats:
             "shed",
             "fan_in_ratio",
             "queue_depth_peak",
-            "wait_p50_ms",
-            "service_p95_ms",
+            "reads_served",
+            "engine_requests",
+            "engine_batch_calls",
+            "coalesce_attached",
             "coalesce_fallbacks",
+            "fences",
             "throughput_rps",
         ):
             assert key in payload, key
