@@ -37,11 +37,14 @@ def main(n: int = 20_000, queries: int = 200) -> None:
     print(f"workload: {len(workload)} top-{k} queries over {n} records\n")
 
     single = repro.GIREngine(data, repro.bulk_load_str(data), cache_capacity=64)
-    single_report = single.run(workload)
+    single_answers = [single.topk(req.weights, req.k) for req in workload]
+    stats = single.stats()
     print("--- single engine " + "-" * 44)
-    print(single_report.summary())
+    print(f"served from cache : {stats['full_hits']} of "
+          f"{stats['requests_served']}, {stats['misses']} computed")
+    print(f"I/O               : {sum(r.pages_read for r in single_answers)} pages")
 
-    reports = {}
+    answers = {}
     for backend in ("inproc", "process"):
         with ShardedGIREngine(
             data,
@@ -51,20 +54,21 @@ def main(n: int = 20_000, queries: int = 200) -> None:
             cache_capacity=64,
             cluster_cache_capacity=128,
         ) as cluster:
-            report = cluster.run(workload)
-            reports[backend] = report
-            print(f"\n--- 4-shard cluster ({backend} backend) " + "-" * 24)
-            print(report.summary())
+            answers[backend] = [cluster.topk(req.weights, req.k) for req in workload]
+            stats = cluster.stats()
+        print(f"\n--- 4-shard cluster ({backend} backend) " + "-" * 24)
+        print(f"cluster           : {stats['cluster_full_hits']} cluster-cache "
+              f"hits, {stats['fanouts']} fan-outs")
+        for s in stats["shard_stats"]:
+            print(f"  shard {s['shard']}         : {s['requests']} requests, "
+                  f"{s['page_reads']} pages, {s['cache_entries']} cached regions, "
+                  f"{s['live_records']} live records")
 
-    for backend in reports:
-        mismatches = sum(
-            r.ids != s.ids
-            for r, s in zip(reports[backend].responses, single_report.responses)
-        )
+    for backend, responses in answers.items():
+        mismatches = sum(r.ids != s.ids for r, s in zip(responses, single_answers))
         print(
             f"\n{backend:>8} backend vs single engine: "
-            f"{len(single_report.responses) - mismatches}/"
-            f"{len(single_report.responses)} identical"
+            f"{len(single_answers) - mismatches}/{len(single_answers)} identical"
             + (" — all exact" if mismatches == 0 else " — MISMATCH")
         )
 

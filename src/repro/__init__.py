@@ -45,7 +45,6 @@ from repro.cluster import (
 from repro.engine import (
     GIREngine,
     Workload,
-    WorkloadReport,
     mixed_workload,
     uniform_workload,
     zipf_clustered_workload,
@@ -96,7 +95,6 @@ __all__ = [
     # engine
     "GIREngine",
     "Workload",
-    "WorkloadReport",
     "uniform_workload",
     "zipf_clustered_workload",
     "mixed_workload",

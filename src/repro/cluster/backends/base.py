@@ -18,8 +18,8 @@ contract is deliberately narrow and fully serializable:
 * :meth:`ShardBackend.insert` / :meth:`ShardBackend.delete` — apply a
   routed write, returning :class:`ShardUpdate` (local rid + invalidation
   accounting);
-* :meth:`ShardBackend.stats` — the shard's counter snapshot (the
-  per-shard block of ``WorkloadReport.shard_stats``);
+* :meth:`ShardBackend.stats` — the shard's counter snapshot (one
+  block of the router's ``shard_stats()``);
 * :meth:`ShardBackend.close` — release the execution resources
   (idempotent).
 

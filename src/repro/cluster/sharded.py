@@ -82,14 +82,12 @@ from repro.engine.engine import (
     GIREngine,
     INVALIDATION_POLICIES,
     UpdateResponse,
-    WorkloadReport,
-    run_workload,
     serve_full_hits,
     validate_point,
     validate_requests,
     validate_rid_type,
 )
-from repro.engine.workload import Request, Workload
+from repro.engine.workload import Request
 from repro.scoring import LinearScoring, ScoringFunction
 
 __all__ = ["ShardedGIREngine"]
@@ -671,62 +669,6 @@ class ShardedGIREngine:
             prescreen_screened=screened,
             prescreen_lps=lps,
         )
-
-    # -- workload runner -------------------------------------------------------
-
-    #: shard_stats() keys that are monotone counters (reported as per-run
-    #: deltas by :meth:`run`); the rest are end-of-run state.
-    _SHARD_COUNTER_KEYS = (
-        "requests",
-        "page_reads",
-        "cache_full_hits",
-        "cache_misses",
-        "updates_applied",
-        "update_evictions",
-    )
-    _CLUSTER_COUNTER_KEYS = (
-        "requests_served",
-        "fanouts",
-        "updates_applied",
-        "update_evictions",
-        "cluster_full_hits",
-        "cluster_misses",
-    )
-
-    def run(self, workload: "Workload | list[Any]") -> WorkloadReport:
-        """Serve a whole workload (reads and updates) through the cluster.
-
-        The same runner as :meth:`GIREngine.run`
-        (:func:`~repro.engine.engine.run_workload`); the returned report
-        additionally carries the per-shard breakdown
-        (:attr:`WorkloadReport.shard_stats`) and the cluster-tier counters
-        (:attr:`WorkloadReport.cluster_stats`). Counter fields in both are
-        *per-run deltas* (snapshotted against the engine's lifetime meters
-        at entry), so per-shard page reads sum to the run's
-        ``pages_read_total`` even when the same cluster serves several
-        workloads; state fields (cache entries, live records) are the
-        end-of-run snapshot.
-        """
-        shard_base = self.shard_stats()
-        cluster_base = self.cluster_stats()
-        report = run_workload(self, workload)
-
-        def deltas(
-            now: dict[str, Any], before: dict[str, Any], keys: tuple[str, ...]
-        ) -> dict[str, Any]:
-            return {
-                **now,
-                **{key: now[key] - before[key] for key in keys},
-            }
-
-        report.shard_stats = [
-            deltas(now, before, self._SHARD_COUNTER_KEYS)
-            for now, before in zip(self.shard_stats(), shard_base)
-        ]
-        report.cluster_stats = deltas(
-            self.cluster_stats(), cluster_base, self._CLUSTER_COUNTER_KEYS
-        )
-        return report
 
     # -- introspection --------------------------------------------------------
 

@@ -4,9 +4,8 @@
   scorer + :class:`~repro.core.caching.GIRCache`; answers
   ``engine.topk(q, k)`` cache-first, applies ``engine.insert(point)`` /
   ``engine.delete(rid)`` updates with GIR-aware selective cache
-  invalidation (or the flush-on-write baseline), and runs batched
-  read/write workloads with per-request I/O and per-update eviction
-  accounting (time is measured by :mod:`repro.obs` spans);
+  invalidation (or the flush-on-write baseline), and keeps its counters
+  in ``engine.stats()`` (time is measured by :mod:`repro.obs` spans);
 * :mod:`repro.engine.workload` — uniform / Zipf-clustered / mixed
   read-write query-stream generators for scenario diversity.
 """
@@ -16,8 +15,6 @@ from repro.engine.engine import (
     GIREngine,
     INVALIDATION_POLICIES,
     UpdateResponse,
-    WorkloadReport,
-    run_workload,
     validate_k,
     validate_point,
     validate_weights,
@@ -38,12 +35,10 @@ __all__ = [
     "GIREngine",
     "EngineResponse",
     "UpdateResponse",
-    "WorkloadReport",
     "INVALIDATION_POLICIES",
     "validate_weights",
     "validate_k",
     "validate_point",
-    "run_workload",
     "Request",
     "InsertOp",
     "DeleteOp",

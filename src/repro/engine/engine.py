@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,13 +55,7 @@ from repro.core.caching import (
 from repro.core.gir import GIRResult, GIRStats
 from repro.core.pipeline import PHASE2_METHODS, ExecutionContext, run_pipeline
 from repro.data.dataset import Dataset, PointTable, grow_rows
-from repro.engine.workload import (
-    DeleteOp,
-    InsertOp,
-    Request,
-    Workload,
-    frozen_array,
-)
+from repro.engine.workload import Request, frozen_array
 from repro.geometry.polytope import Polytope
 from repro.index.bulkload import bulk_load_str
 from repro.index.rtree import RStarTree
@@ -72,7 +66,6 @@ __all__ = [
     "EngineResponse",
     "serve_full_hits",
     "UpdateResponse",
-    "WorkloadReport",
     "GIREngine",
     "INVALIDATION_POLICIES",
     "validate_weights",
@@ -82,7 +75,6 @@ __all__ = [
     "validate_k_type",
     "validate_rid_type",
     "validate_point",
-    "run_workload",
 ]
 
 #: Response provenance markers.
@@ -364,199 +356,6 @@ class UpdateResponse:
     prescreen_screened: int = 0
     #: Invalidation LPs actually run (the prescreen's survivors).
     prescreen_lps: int = 0
-
-
-@dataclass
-class WorkloadReport:
-    """Aggregate accounting of one batched workload run."""
-
-    responses: list[EngineResponse]
-    wall_ms: float
-    workload_kind: str = "custom"
-    updates: list[UpdateResponse] = field(default_factory=list)
-    #: Portion of ``wall_ms`` spent applying updates (0 for read-only runs);
-    #: read throughput is computed against the remainder so update cost —
-    #: which differs by invalidation policy — cannot masquerade as read
-    #: serving speed.
-    update_wall_ms: float = 0.0
-    #: Per-shard breakdown of a sharded-cluster run (one dict per shard:
-    #: requests fanned out, page reads, cache counters as
-    #: *per-run deltas*; cache entries / live records as end-of-run
-    #: state); empty for single-engine runs.
-    shard_stats: list[dict] = field(default_factory=list)
-    #: Cluster-tier counters of a sharded run (cluster-cache hits and
-    #: fan-outs as per-run deltas; backend/partitioner/entries as
-    #: state — the backend name makes saved bench reports
-    #: self-describing); empty for single-engine runs.
-    cluster_stats: dict = field(default_factory=dict)
-
-    # -- derived aggregates ---------------------------------------------------
-
-    @property
-    def total(self) -> int:
-        return len(self.responses)
-
-    @property
-    def full_hits(self) -> int:
-        return sum(r.source == SOURCE_CACHE for r in self.responses)
-
-    @property
-    def computed(self) -> int:
-        return sum(r.source == SOURCE_COMPUTED for r in self.responses)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of requests served without any pipeline run."""
-        return self.full_hits / self.total if self.total else 0.0
-
-    @property
-    def pages_read_total(self) -> int:
-        return sum(r.pages_read for r in self.responses)
-
-    @property
-    def pages_per_1k_queries(self) -> float:
-        return 1000.0 * self.pages_read_total / self.total if self.total else 0.0
-
-    @property
-    def read_wall_ms(self) -> float:
-        """Wall time spent serving reads (total minus update time)."""
-        return max(self.wall_ms - self.update_wall_ms, 0.0)
-
-    @property
-    def throughput_qps(self) -> float:
-        ms = self.read_wall_ms
-        return 1000.0 * self.total / ms if ms > 0 else 0.0
-
-    # -- update aggregates ----------------------------------------------------
-
-    @property
-    def updates_total(self) -> int:
-        return len(self.updates)
-
-    @property
-    def inserts_applied(self) -> int:
-        return sum(u.kind == "insert" for u in self.updates)
-
-    @property
-    def deletes_applied(self) -> int:
-        return sum(u.kind == "delete" for u in self.updates)
-
-    @property
-    def evictions_total(self) -> int:
-        """Cache entries invalidated by this run's updates."""
-        return sum(u.evicted for u in self.updates)
-
-    @property
-    def prescreen_screened_total(self) -> int:
-        """Cache entries cleared by the vectorized insert prescreen (no LP)."""
-        return sum(u.prescreen_screened for u in self.updates)
-
-    @property
-    def prescreen_lps_total(self) -> int:
-        """Invalidation LPs actually run across this run's updates."""
-        return sum(u.prescreen_lps for u in self.updates)
-
-    def to_dict(self) -> dict:
-        """JSON-ready summary of the run."""
-        payload = {
-            "workload_kind": self.workload_kind,
-            "queries": self.total,
-            "full_hits": self.full_hits,
-            "computed": self.computed,
-            "hit_rate": self.hit_rate,
-            "pages_read_total": self.pages_read_total,
-            "pages_per_1k_queries": self.pages_per_1k_queries,
-            "wall_ms": self.wall_ms,
-            "throughput_qps": self.throughput_qps,
-        }
-        if self.updates:
-            payload.update(
-                {
-                    "updates": self.updates_total,
-                    "inserts": self.inserts_applied,
-                    "deletes": self.deletes_applied,
-                    "evictions": self.evictions_total,
-                    "update_wall_ms": self.update_wall_ms,
-                    "prescreen_screened": self.prescreen_screened_total,
-                    "prescreen_lps": self.prescreen_lps_total,
-                }
-            )
-        if self.cluster_stats:
-            payload["cluster"] = dict(self.cluster_stats)
-        if self.shard_stats:
-            payload["shards"] = [dict(s) for s in self.shard_stats]
-        return payload
-
-    def summary(self) -> str:
-        lines = [
-            f"workload          : {self.total} queries ({self.workload_kind})",
-            f"served from cache : {self.full_hits} "
-            f"({100 * self.hit_rate:.1f}%), {self.computed} computed",
-            f"I/O               : {self.pages_read_total} pages "
-            f"({self.pages_per_1k_queries:.0f} per 1k queries)",
-            f"throughput        : {self.throughput_qps:.0f} q/s",
-        ]
-        if self.updates:
-            lines.append(
-                f"updates           : {self.updates_total} "
-                f"({self.inserts_applied} ins / {self.deletes_applied} del), "
-                f"{self.evictions_total} cache evictions"
-            )
-            lines.append(
-                f"insert prescreen  : {self.prescreen_screened_total} entries "
-                f"cleared without an LP, {self.prescreen_lps_total} LPs run"
-            )
-        if self.cluster_stats:
-            cs = self.cluster_stats
-            lines.append(
-                f"cluster           : {len(self.shard_stats)} shards "
-                f"({cs.get('backend', 'inproc')} backend), "
-                f"{cs.get('cluster_full_hits', 0)} cluster-cache hits, "
-                f"{cs.get('fanouts', 0)} fan-outs"
-            )
-        for s in self.shard_stats:
-            lines.append(
-                f"  shard {s.get('shard', '?')}         : "
-                f"{s.get('requests', 0)} requests, "
-                f"{s.get('page_reads', 0)} pages, "
-                f"{s.get('cache_entries', 0)} cached regions, "
-                f"{s.get('live_records', 0)} live records"
-            )
-        return "\n".join(lines)
-
-
-def run_workload(engine, workload: Workload | list) -> WorkloadReport:
-    """Serve an operation stream through ``engine`` one operation at a
-    time — each read a batch of one, each update at its stream position —
-    and return the aggregate accounting. The shared body of
-    :meth:`GIREngine.run` and
-    :meth:`~repro.cluster.ShardedGIREngine.run`; ``engine`` is anything
-    with ``topk`` / ``insert`` / ``delete``."""
-    kind = workload.kind if isinstance(workload, Workload) else "custom"
-    responses: list[EngineResponse] = []
-    updates: list[UpdateResponse] = []
-    update_ms = 0.0
-    t0 = time.perf_counter()
-    for op in workload:
-        if isinstance(op, Request):
-            responses.append(engine.topk(op.weights, op.k))
-        elif isinstance(op, InsertOp):
-            tu = time.perf_counter()
-            updates.append(engine.insert(op.point))
-            update_ms += (time.perf_counter() - tu) * 1e3
-        elif isinstance(op, DeleteOp):
-            tu = time.perf_counter()
-            updates.append(engine.delete(op.rid))
-            update_ms += (time.perf_counter() - tu) * 1e3
-        else:
-            raise TypeError(f"unknown workload operation {op!r}")
-    return WorkloadReport(
-        responses=responses,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        workload_kind=kind,
-        updates=updates,
-        update_wall_ms=update_ms,
-    )
 
 
 # Single-owner, no lock: one engine serves one shard, and the router's
@@ -944,13 +743,6 @@ class GIREngine:
             prescreen_screened=screened,
             prescreen_lps=lps,
         )
-
-    # -- workload runner ------------------------------------------------------
-
-    def run(self, workload: Workload | list) -> WorkloadReport:
-        """Serve a whole workload — reads and updates — and return
-        aggregate accounting (see :func:`run_workload`)."""
-        return run_workload(self, workload)
 
     # -- introspection --------------------------------------------------------
 

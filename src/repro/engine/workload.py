@@ -134,7 +134,7 @@ class Workload:
     """An ordered stream of serving operations (reads and/or updates)."""
 
     requests: list
-    #: How the stream was generated (for report provenance).
+    #: How the stream was generated (``uniform``, ``zipf_clustered``, ...).
     kind: str = "custom"
     params: dict[str, float] = field(default_factory=dict)
 

@@ -34,9 +34,11 @@ thread-owned. This package puts an asyncio tier in front of
   the tier byte-identical to sequential per-request serving.
 
 :class:`ServeStats` holds the tier's counters; its time is its spans'
-(``serve.queue_wait``, ``serve.batch_linger``, ``serve.engine_batch``,
-``serve.engine_write``), and a read's :class:`ServeResponse` or a write's
-:class:`~repro.engine.UpdateResponse` carries no timing.
+(``serve.queue_wait``, ``serve.batch_linger``, ``serve.hit_batch`` for
+the hit prefix served on the loop, ``serve.engine_batch`` for the
+bridge's call, ``serve.engine_write``), and a read's
+:class:`ServeResponse` or a write's :class:`~repro.engine.UpdateResponse`
+carries no timing.
 
 Engine calls are routed through a one-thread executor bridge, except
 that bounded ``serve_hits`` call, which the dispatcher makes on the
@@ -50,9 +52,9 @@ a thread lock.
 
 from repro.serve.config import ServeConfig
 from repro.serve.errors import Overloaded, Rejected, ServeError
-from repro.serve.front import ServeFront, ServeResponse, run_serve_workload
+from repro.serve.front import ServeFront, ServeResponse
 from repro.serve.replay import canonical_scores, replay_serial_check
-from repro.serve.stats import ServeReport, ServeStats
+from repro.serve.stats import ServeStats
 
 __all__ = [
     "ServeConfig",
@@ -61,9 +63,7 @@ __all__ = [
     "Overloaded",
     "ServeFront",
     "ServeResponse",
-    "ServeReport",
     "ServeStats",
-    "run_serve_workload",
     "replay_serial_check",
     "canonical_scores",
 ]

@@ -67,23 +67,13 @@ from repro.engine.engine import (
     validate_rid_type,
     validate_weights,
 )
-from repro.engine.workload import (
-    DeleteOp,
-    InsertOp,
-    Request,
-    Workload,
-    frozen_array,
-)
+from repro.engine.workload import Request, frozen_array
 from repro.serve.config import ServeConfig
-from repro.serve.errors import Overloaded, Rejected, ServeError
+from repro.serve.errors import Overloaded, Rejected
 from repro.serve.replay import DeleteLog, InsertLog, ReadLog
-from repro.serve.stats import ServeReport, ServeStats
+from repro.serve.stats import ServeStats
 
-__all__ = [
-    "ServeFront",
-    "ServeResponse",
-    "run_serve_workload",
-]
+__all__ = ["ServeFront", "ServeResponse"]
 
 #: Queue marker that tells the dispatcher to drain and exit.
 _SENTINEL = object()
@@ -94,12 +84,13 @@ class ServeResponse:
     """One read served by the front door (canonical boundary scoring).
 
     It carries no timing: where the read's time went is its spans'
-    (``serve.queue_wait``, ``serve.engine_batch``; :mod:`repro.obs`), and
-    a caller that wants its latency without tracing times its own
-    ``await``. The public constructor copies and freezes ``weights``
-    (:func:`~repro.engine.workload.frozen_array`); the front door builds
-    its responses from the admitted request's already-frozen vector
-    through :meth:`_frozen`, which skips that re-check."""
+    (``serve.queue_wait``, ``serve.hit_batch``, ``serve.engine_batch``;
+    :mod:`repro.obs`), and a caller that wants its latency without
+    tracing times its own ``await``. The public constructor copies and
+    freezes ``weights`` (:func:`~repro.engine.workload.frozen_array`);
+    the front door builds its responses from the admitted request's
+    already-frozen vector through :meth:`_frozen`, which skips that
+    re-check."""
 
     ids: tuple
     scores: tuple
@@ -410,6 +401,7 @@ class ServeFront:
                 [f.leader.request for f in flights],
                 flights[0].leader.trace,
                 self.engine.topk_batch,
+                "serve.engine_batch",
             )
         except Exception as exc:
             results = [exc] * len(flights)
@@ -430,6 +422,7 @@ class ServeFront:
                 [f.leader.request for f in flights],
                 flights[0].leader.trace,
                 self.engine.serve_hits,
+                "serve.hit_batch",
             )
         except Exception as exc:
             results = [exc] * len(flights)
@@ -439,11 +432,13 @@ class ServeFront:
 
     # -- engine calls (the bridge's thread, or the loop for serve_hits) -------
 
-    def _serve_batch_sync(self, reqs: list, trace_ctx, serve) -> list:
-        """One engine read call over a batch's leaders: ``topk_batch`` on
-        the bridge, or ``serve_hits`` on the loop. Each response's scores
-        are already canonical (the engine's response contract), so
-        nothing is rescored here.
+    def _serve_batch_sync(self, reqs: list, trace_ctx, serve, name: str) -> list:
+        """One engine read call over a batch's leaders, recorded as span
+        ``name``: ``topk_batch`` on the bridge (``serve.engine_batch``),
+        or ``serve_hits`` on the loop (``serve.hit_batch``), so a bridge
+        span is bridge time alone. Each response's scores are already
+        canonical (the engine's response contract), so nothing is
+        rescored here.
 
         ``trace_ctx`` is the first leader's trace context — contextvars
         do not cross ``run_in_executor``, so the call re-adopts it
@@ -451,9 +446,7 @@ class ServeFront:
         (the other leaders share the batch; their spans nest here too).
         """
         if trace_ctx is not None and obs.tracing_enabled():
-            with obs.use_trace(trace_ctx), obs.span(
-                "serve.engine_batch", n=len(reqs)
-            ):
+            with obs.use_trace(trace_ctx), obs.span(name, n=len(reqs)):
                 return self._serve_batch_inner(reqs, serve)
         return self._serve_batch_inner(reqs, serve)
 
@@ -583,47 +576,3 @@ class ServeFront:
         self.stats.writes_applied += 1
         if not op.future.done():
             op.future.set_result(update)
-
-
-async def run_serve_workload(
-    front: ServeFront,
-    workload,
-    concurrency: int = 32,
-) -> ServeReport:
-    """Fire a workload at a started front door from ``concurrency``
-    client tasks and collect per-operation outcomes.
-
-    Shed / rejected arrivals land in the report as their structured
-    :class:`~repro.serve.errors.ServeError` rather than raising — the
-    runner measures the tier, it does not crash on backpressure.
-    """
-    if concurrency <= 0:
-        raise ValueError("concurrency must be positive")
-    ops = list(workload)
-    kind = workload.kind if isinstance(workload, Workload) else "custom"
-    outcomes: list = [None] * len(ops)
-    gate = asyncio.Semaphore(concurrency)
-
-    async def client(i: int, op) -> None:
-        async with gate:
-            try:
-                if isinstance(op, Request):
-                    outcomes[i] = await front.topk(op.weights, op.k)
-                elif isinstance(op, InsertOp):
-                    outcomes[i] = await front.insert(op.point)
-                elif isinstance(op, DeleteOp):
-                    outcomes[i] = await front.delete(op.rid)
-                else:
-                    raise TypeError(f"unknown workload operation {op!r}")
-            except ServeError as exc:
-                outcomes[i] = exc
-
-    t0 = time.perf_counter()
-    await asyncio.gather(*(client(i, op) for i, op in enumerate(ops)))
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return ServeReport(
-        outcomes=outcomes,
-        stats=front.stats,
-        wall_ms=wall_ms,
-        workload_kind=kind,
-    )

@@ -10,16 +10,16 @@ The tier's counters follow one identity, checked (not assumed) by
 and the headline service metric is the **coalesce fan-in ratio** —
 reads served per engine request; above 1.0 the tier is answering
 traffic the engine never saw. Time is not kept here: the front door's
-``serve.queue_wait`` / ``serve.batch_linger`` / ``serve.engine_batch`` /
-``serve.engine_write`` spans (:mod:`repro.obs`) are its record of where
-an operation's latency went.
+``serve.queue_wait`` / ``serve.batch_linger`` / ``serve.hit_batch`` /
+``serve.engine_batch`` / ``serve.engine_write`` spans (:mod:`repro.obs`)
+are its record of where an operation's latency went.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ServeStats", "ServeReport"]
+__all__ = ["ServeStats"]
 
 
 @dataclass
@@ -95,60 +95,3 @@ class ServeStats:
             "queue_depth_peak": self.queue_depth_peak,
             "accounting_ok": self.accounting_ok(),
         }
-
-    def summary(self) -> str:
-        lines = [
-            f"admission         : {self.arrivals} arrivals = "
-            f"{self.admitted} admitted + {self.rejected} rejected + "
-            f"{self.shed} shed",
-            f"reads             : {self.reads_served} served via "
-            f"{self.engine_requests} engine requests "
-            f"({self.engine_batch_calls} batches) — fan-in "
-            f"{self.fan_in_ratio:.2f}x",
-            f"coalescing        : {self.coalesce_attached} attached, "
-            f"{self.coalesced_served} served",
-            f"writes            : {self.writes_applied} applied through "
-            f"{self.fences} fences ({self.errors} errors)",
-            f"pressure          : queue depth peak {self.queue_depth_peak}",
-        ]
-        return "\n".join(lines)
-
-
-@dataclass
-class ServeReport:
-    """Aggregate outcome of one workload run through the front door
-    (the serve-tier sibling of :class:`~repro.engine.WorkloadReport`)."""
-
-    #: Per-operation outcomes in workload order: a ``ServeResponse`` /
-    #: ``UpdateResponse``, or the structured ``ServeError`` for shed /
-    #: rejected arrivals.
-    outcomes: list
-    stats: ServeStats
-    wall_ms: float
-    workload_kind: str = "custom"
-
-    @property
-    def total(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def throughput_rps(self) -> float:
-        served = self.stats.reads_served + self.stats.writes_applied
-        return 1000.0 * served / self.wall_ms if self.wall_ms > 0 else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "workload_kind": self.workload_kind,
-            "operations": self.total,
-            "wall_ms": self.wall_ms,
-            "throughput_rps": self.throughput_rps,
-            **self.stats.to_dict(),
-        }
-
-    def summary(self) -> str:
-        head = (
-            f"workload          : {self.total} operations "
-            f"({self.workload_kind}), {self.wall_ms:.0f} ms wall, "
-            f"{self.throughput_rps:.0f} ops/s"
-        )
-        return "\n".join([head, self.stats.summary()])

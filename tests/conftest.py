@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.tolerances import CONTAINMENT_TOL
 from repro.data.synthetic import anticorrelated, correlated, independent
-from repro.engine import InsertOp, Request, WorkloadReport
+from repro.engine import InsertOp, Request
 from repro.index.bulkload import bulk_load_str
 
 #: The keyword arguments the performance ledger's ``sharded_rw`` workload
@@ -86,22 +86,37 @@ def assert_same_region_lp(a, b, msg=""):
     assert b.polytope.contains_polytope(a.polytope), f"{msg}: second ⊉ first"
 
 
-def run_batched(engine, workload) -> WorkloadReport:
+def _apply_update(engine, op):
+    if isinstance(op, InsertOp):
+        return engine.insert(op.point)
+    return engine.delete(op.rid)
+
+
+def run_serial(engine, workload) -> tuple[list, list]:
+    """Replay a workload one operation at a time: each read a batch of
+    one, each update at its stream position. Returns ``(responses,
+    updates)`` in stream order; the engine's counters are in
+    ``engine.stats()``."""
+    responses, updates = [], []
+    for op in workload:
+        if isinstance(op, Request):
+            responses.append(engine.topk(op.weights, op.k))
+        else:
+            updates.append(_apply_update(engine, op))
+    return responses, updates
+
+
+def run_batched(engine, workload) -> tuple[list, list]:
     """Replay a workload with every maximal run of consecutive reads as
     *one* ``topk_batch`` call (updates one at a time, at their stream
-    positions) — the multi-request counterpart of ``engine.run``, whose
-    reads are batches of one."""
+    positions) — the multi-request counterpart of :func:`run_serial`,
+    returning the same ``(responses, updates)`` pair."""
     responses, updates = [], []
     for is_read, ops in itertools.groupby(
         workload, key=lambda op: isinstance(op, Request)
     ):
         if is_read:
             responses.extend(engine.topk_batch(list(ops)))
-            continue
-        for op in ops:
-            updates.append(
-                engine.insert(op.point)
-                if isinstance(op, InsertOp)
-                else engine.delete(op.rid)
-            )
-    return WorkloadReport(responses=responses, wall_ms=0.0, updates=updates)
+        else:
+            updates.extend(_apply_update(engine, op) for op in ops)
+    return responses, updates

@@ -42,7 +42,7 @@ from repro.engine import (
 )
 from repro.index.bulkload import bulk_load_str
 from repro.scoring import LinearScoring, MonotoneScoring
-from tests.conftest import LEDGER_CLUSTER_KWARGS, run_batched
+from tests.conftest import LEDGER_CLUSTER_KWARGS, run_batched, run_serial
 
 N, D, K = 500, 3, 5
 REPO = Path(__file__).resolve().parents[1]
@@ -129,22 +129,23 @@ def datasets(data):
 
 
 def exact_match(report, other) -> None:
-    """Bit-exact equality of responses and update accounting — the
+    """Bit-exact equality of two ``(responses, updates)`` replays — the
     backend-equivalence bar (stricter than the cluster-vs-single-engine
     tolerance)."""
-    assert len(report.responses) == len(other.responses)
-    for r, s in zip(report.responses, other.responses):
+    (responses, updates), (other_responses, other_updates) = report, other
+    assert len(responses) == len(other_responses)
+    for r, s in zip(responses, other_responses):
         assert r.ids == s.ids
         assert r.scores == s.scores  # exact float equality
         assert (r.k, r.source, r.pages_read) == (s.k, s.source, s.pages_read)
     assert [
         (u.kind, u.rid, u.evicted, u.prescreen_screened, u.prescreen_lps,
          u.cache_entries)
-        for u in report.updates
+        for u in updates
     ] == [
         (u.kind, u.rid, u.evicted, u.prescreen_screened, u.prescreen_lps,
          u.cache_entries)
-        for u in other.updates
+        for u in other_updates
     ]
 
 
@@ -243,7 +244,7 @@ class TestProcessClusterEquivalence:
         for name, wl in workloads.items():
             data = datasets[name]
             engine = GIREngine(data, bulk_load_str(data), cache_capacity=64)
-            reports[name] = engine.run(wl)
+            reports[name] = run_serial(engine, wl)
         return reports
 
     @pytest.mark.parametrize("workload_name", ["uniform", "zipf", "mixed"])
@@ -257,15 +258,15 @@ class TestProcessClusterEquivalence:
         with ShardedGIREngine(
             data, shards=shards, partitioner=partitioner, backend="inproc"
         ) as inproc:
-            inproc_report = inproc.run(wl)
+            inproc_report = run_serial(inproc, wl)
         with ShardedGIREngine(
             data, shards=shards, partitioner=partitioner, backend="process"
         ) as proc:
-            proc_report = proc.run(wl)
+            proc_report = run_serial(proc, wl)
         exact_match(proc_report, inproc_report)
         # And both observably match the single engine (repo equivalence bar).
         reference = reference_reports[workload_name]
-        for r, s in zip(proc_report.responses, reference.responses):
+        for r, s in zip(proc_report[0], reference[0]):
             assert r.ids == s.ids
             np.testing.assert_allclose(r.scores, s.scores, rtol=0, atol=1e-12)
 
@@ -274,45 +275,51 @@ class TestProcessClusterEquivalence:
         self, datasets, workloads, reference_reports, workload_name
     ):
         """Multi-request ``topk_batch`` calls: process ≡ inproc bit for
-        bit, and both answer as the batches of one of ``run`` do."""
+        bit, and both answer as batches of one do."""
         data, wl = datasets[workload_name], workloads[workload_name]
         with ShardedGIREngine(data, shards=2, backend="inproc") as inproc:
             inproc_report = run_batched(inproc, wl)
         with ShardedGIREngine(data, shards=2, backend="process") as proc:
             proc_report = run_batched(proc, wl)
         exact_match(proc_report, inproc_report)
-        singles = reference_reports[workload_name].responses
-        assert [r.ids for r in proc_report.responses] == [
+        singles = reference_reports[workload_name][0]
+        assert [r.ids for r in proc_report[0]] == [
             r.ids for r in singles
         ]
 
     def test_shard_stats_parity_and_sums(self, data, workloads):
         """Per-shard accounting (cache counters, page reads) is identical
-        across backends and still sums to cluster totals."""
+        across backends and still sums to cluster totals: ``stats()``
+        snapshots taken before and after the same replay."""
         wl = workloads["mixed"]
-        reports = {}
+        before, after = {}, {}
         for backend in ("inproc", "process"):
             with ShardedGIREngine(
                 data, shards=4, backend=backend
             ) as engine:
-                reports[backend] = engine.run(wl)
-        for backend, report in reports.items():
-            shard_pages = sum(s["page_reads"] for s in report.shard_stats)
-            assert shard_pages == report.pages_read_total, backend
+                before[backend] = engine.stats()
+                responses, _ = run_serial(engine, wl)
+                after[backend] = engine.stats()
+            shard_pages = sum(
+                a["page_reads"] - b["page_reads"]
+                for b, a in zip(
+                    before[backend]["shard_stats"], after[backend]["shard_stats"]
+                )
+            )
+            assert shard_pages == sum(r.pages_read for r in responses), backend
+        assert before["inproc"]["shard_stats"] == before["process"]["shard_stats"]
+        assert after["inproc"]["shard_stats"] == after["process"]["shard_stats"]
         assert (
-            reports["inproc"].shard_stats == reports["process"].shard_stats
-        )
-        assert (
-            reports["inproc"].cluster_stats["cluster_full_hits"]
-            == reports["process"].cluster_stats["cluster_full_hits"]
+            after["inproc"]["cluster_full_hits"]
+            == after["process"]["cluster_full_hits"]
         )
 
     def test_cluster_stats_name_the_backend(self, data, workloads):
         with ShardedGIREngine(data, shards=2, backend="process") as engine:
-            payload = engine.run(workloads["uniform"]).to_dict()
-            summary = engine.run(workloads["uniform"]).summary()
-        assert payload["cluster"]["backend"] == "process"
-        assert "process backend" in summary
+            run_serial(engine, workloads["uniform"])
+            stats = engine.stats()
+        assert stats["backend"] == "process"
+        assert stats["requests_served"] == len(workloads["uniform"])
 
     def test_shards_property_unavailable_for_process(self, data):
         with ShardedGIREngine(data, shards=2, backend="process") as engine:

@@ -32,7 +32,7 @@ from repro.index.bulkload import bulk_load_str
 from repro.query.linear_scan import scan_topk
 from repro.scoring import LinearScoring
 from repro.serve.replay import canonical_scores
-from tests.conftest import random_query, run_batched
+from tests.conftest import random_query, run_batched, run_serial
 from tests.test_region_index import random_region
 
 
@@ -56,8 +56,8 @@ def make_workload(kind: str, seed: int):
 
 
 def assert_responses_identical(r1, r2):
-    assert len(r1.responses) == len(r2.responses)
-    for a, b in zip(r1.responses, r2.responses):
+    assert len(r1) == len(r2)
+    for a, b in zip(r1, r2):
         assert a.ids == b.ids
         assert a.scores == b.scores
         assert a.source == b.source
@@ -73,18 +73,18 @@ class TestBatchEquivalence:
         workloads, serving every maximal run of reads as one
         ``topk_batch`` call returns byte-identical responses (answers,
         provenance, page reads) and identical engine/cache counters to
-        ``run``'s batches of one."""
+        batches of one."""
         data = batch_setup
         workload = make_workload(kind, seed=101)
         sequential = GIREngine(data, bulk_load_str(data))
         batched = GIREngine(data, bulk_load_str(data))
-        r_seq = sequential.run(workload)
-        r_bat = run_batched(batched, workload)
+        r_seq, u_seq = run_serial(sequential, workload)
+        r_bat, u_bat = run_batched(batched, workload)
         assert_responses_identical(r_seq, r_bat)
         assert sequential.stats() == batched.stats()
         # Update accounting (empty lists for read-only kinds) matches too.
-        assert len(r_seq.updates) == len(r_bat.updates)
-        for ua, ub in zip(r_seq.updates, r_bat.updates):
+        assert len(u_seq) == len(u_bat)
+        for ua, ub in zip(u_seq, u_bat):
             assert (ua.kind, ua.rid, ua.evicted, ua.cache_entries) == (
                 ub.kind, ub.rid, ub.evicted, ub.cache_entries,
             )
@@ -254,23 +254,14 @@ class TestPrescreenReporting:
         data = batch_setup
         workload = make_workload("mixed", seed=202)
         engine = GIREngine(data, bulk_load_str(data))
-        report = engine.run(workload)
-        assert report.prescreen_screened_total == sum(
-            u.prescreen_screened for u in report.updates
-        )
-        assert report.prescreen_lps_total == sum(
-            u.prescreen_lps for u in report.updates
-        )
+        _, updates = run_serial(engine, workload)
+        screened = sum(u.prescreen_screened for u in updates)
         # With a warm cache and inserts in the stream, the vectorized
         # prescreen must clear entries without LPs.
-        assert report.prescreen_screened_total > 0
-        payload = report.to_dict()
-        assert payload["prescreen_screened"] == report.prescreen_screened_total
-        assert payload["prescreen_lps"] == report.prescreen_lps_total
+        assert screened > 0
         stats = engine.stats()
-        assert stats["prescreen_screened"] == report.prescreen_screened_total
-        assert stats["prescreen_lps"] == report.prescreen_lps_total
-        assert "prescreen" in report.summary()
+        assert stats["prescreen_screened"] == screened
+        assert stats["prescreen_lps"] == sum(u.prescreen_lps for u in updates)
 
     def test_flush_policy_reports_zero_prescreen(self, batch_setup):
         data = batch_setup

@@ -27,7 +27,7 @@ from repro.data.synthetic import independent
 from repro.engine import GIREngine, mixed_workload, uniform_workload, zipf_clustered_workload
 from repro.index.bulkload import bulk_load_str
 from repro.query.linear_scan import scan_topk
-from tests.conftest import run_batched
+from tests.conftest import run_batched, run_serial
 
 N, D, K = 700, 3, 6
 
@@ -50,23 +50,44 @@ def workloads():
 
 @pytest.fixture(scope="module")
 def reference_reports(data, workloads):
-    """Single-engine reports, one fresh engine per workload."""
+    """Single-engine ``(responses, updates)``, one fresh engine per
+    workload."""
     reports = {}
     for name, wl in workloads.items():
         engine = GIREngine(data, bulk_load_str(data), cache_capacity=64)
-        reports[name] = engine.run(wl)
+        reports[name] = run_serial(engine, wl)
     return reports
 
 
 def assert_equivalent(report, reference):
-    assert len(report.responses) == len(reference.responses)
-    for r, s in zip(report.responses, reference.responses):
+    (responses, updates), (ref_responses, ref_updates) = report, reference
+    assert len(responses) == len(ref_responses)
+    for r, s in zip(responses, ref_responses):
         assert r.ids == s.ids
         np.testing.assert_allclose(r.scores, s.scores, rtol=0, atol=1e-12)
         assert r.k == s.k
-    assert len(report.updates) == len(reference.updates)
-    for u, v in zip(report.updates, reference.updates):
+    assert len(updates) == len(ref_updates)
+    for u, v in zip(updates, ref_updates):
         assert (u.kind, u.rid) == (v.kind, v.rid)
+
+
+def replay_deltas(engine, workload):
+    """Replay ``workload`` on a cluster one operation at a time; return
+    its responses and the replay's counter deltas, taken from the
+    cluster's ``stats()`` before and after: requests served, fan-outs,
+    cluster-cache hits, and each shard's page reads."""
+    before = engine.stats()
+    responses, _ = run_serial(engine, workload)
+    after = engine.stats()
+    deltas = {
+        key: after[key] - before[key]
+        for key in ("requests_served", "fanouts", "cluster_full_hits")
+    }
+    deltas["shard_pages"] = [
+        a["page_reads"] - b["page_reads"]
+        for b, a in zip(before["shard_stats"], after["shard_stats"])
+    ]
+    return responses, deltas
 
 
 class TestEquivalence:
@@ -80,7 +101,7 @@ class TestEquivalence:
         with ShardedGIREngine(
             data, shards=shards, partitioner="round_robin"
         ) as engine:
-            report = engine.run(workloads[workload_name])
+            report = run_serial(engine, workloads[workload_name])
         assert_equivalent(report, reference_reports[workload_name])
 
     @pytest.mark.parametrize("workload_name", ["zipf", "mixed"])
@@ -88,7 +109,7 @@ class TestEquivalence:
         self, data, workloads, reference_reports, workload_name
     ):
         with ShardedGIREngine(data, shards=4, partitioner="kd") as engine:
-            report = engine.run(workloads[workload_name])
+            report = run_serial(engine, workloads[workload_name])
         assert_equivalent(report, reference_reports[workload_name])
 
     @pytest.mark.parametrize("workload_name", ["zipf", "mixed"])
@@ -105,7 +126,7 @@ class TestEquivalence:
         with ShardedGIREngine(
             data, shards=2, cluster_cache_capacity=0
         ) as engine:
-            report = engine.run(workloads["zipf"])
+            report = run_serial(engine, workloads["zipf"])
         assert engine.cache is None
         assert engine.fanouts == len(workloads["zipf"])
         assert_equivalent(report, reference_reports["zipf"])
@@ -119,7 +140,7 @@ class TestClusterBench:
         data = independent(400, 2, seed=0)
         workload = zipf_clustered_workload(2, 12, k=4, clusters=4, rng=1)
         reference = GIREngine(data, bulk_load_str(data), cache_capacity=16)
-        ref_ids = [r.ids for r in reference.run(workload).responses]
+        ref_ids = [r.ids for r in run_serial(reference, workload)[0]]
         grid = set()
         for shards in (1, 2):
             for backend in ("inproc", "process"):
@@ -130,12 +151,14 @@ class TestClusterBench:
                     cache_capacity=16,
                     cluster_cache_capacity=16,
                 ) as engine:
-                    report = engine.run(workload)
-                assert [r.ids for r in report.responses] == ref_ids
-                shard_pages = sum(s["page_reads"] for s in report.shard_stats)
-                assert shard_pages == report.pages_read_total
-                assert len(report.shard_stats) == shards
-                grid.add((shards, report.cluster_stats["backend"]))
+                    responses, deltas = replay_deltas(engine, workload)
+                    backend_name = engine.stats()["backend"]
+                assert [r.ids for r in responses] == ref_ids
+                assert sum(deltas["shard_pages"]) == sum(
+                    r.pages_read for r in responses
+                )
+                assert len(deltas["shard_pages"]) == shards
+                grid.add((shards, backend_name))
         assert grid == {
             (1, "inproc"),
             (1, "process"),
@@ -151,7 +174,7 @@ class TestMergedRegions:
     @pytest.mark.parametrize("workload_name", ["uniform", "zipf", "mixed"])
     def test_cached_regions_sound(self, data, workloads, workload_name, rng):
         with ShardedGIREngine(data, shards=4, partitioner="kd") as engine:
-            engine.run(workloads[workload_name])
+            run_serial(engine, workloads[workload_name])
             assert len(engine.cache) > 0
             checked = 0
             for _key, gir in engine.cache.items():
@@ -169,9 +192,9 @@ class TestMergedRegions:
         """Fan-out responses carry the merged region; perturbed weights
         inside it must reproduce the response's exact ordered answer."""
         with ShardedGIREngine(data, shards=2) as engine:
-            report = engine.run(workloads["zipf"])
+            responses, _ = run_serial(engine, workloads["zipf"])
         checked = 0
-        for resp in report.responses:
+        for resp in responses:
             if resp.source == "cache":
                 continue
             for q in resp.region.sample(2, rng):
@@ -185,37 +208,46 @@ class TestMergedRegions:
 
 class TestAccounting:
     def test_shard_pages_sum_to_cluster_total(self, data, workloads):
-        with ShardedGIREngine(data, shards=4) as engine:
-            report = engine.run(workloads["zipf"])
-        shard_pages = sum(s["page_reads"] for s in report.shard_stats)
-        assert shard_pages == report.pages_read_total
-        assert len(report.shard_stats) == 4
-        assert report.cluster_stats["shards"] == 4
-        assert report.cluster_stats["fanouts"] + report.cluster_stats[
-            "cluster_full_hits"
-        ] == len(workloads["zipf"])
+        """Per-shard page reads sum to the pages the responses cost, and
+        fan-outs plus cluster-cache hits account for every request, on
+        both backends."""
+        wl = workloads["zipf"]
+        for backend in ("inproc", "process"):
+            with ShardedGIREngine(data, shards=4, backend=backend) as engine:
+                responses, deltas = replay_deltas(engine, wl)
+                assert engine.stats()["shards"] == 4
+            pages = sum(r.pages_read for r in responses)
+            assert sum(deltas["shard_pages"]) == pages, backend
+            assert len(deltas["shard_pages"]) == 4
+            assert deltas["requests_served"] == len(wl), backend
+            assert (
+                deltas["fanouts"] + deltas["cluster_full_hits"] == len(wl)
+            ), backend
 
     def test_reused_engine_reports_per_run_deltas(self, data, workloads):
-        """A second run() on the same cluster must still satisfy the
-        per-shard-sums-to-total invariant (counters are per-run deltas,
-        not lifetime meters)."""
-        with ShardedGIREngine(data, shards=2) as engine:
-            first = engine.run(workloads["zipf"])
-            second = engine.run(workloads["uniform"])
-        for report in (first, second):
-            shard_pages = sum(s["page_reads"] for s in report.shard_stats)
-            assert shard_pages == report.pages_read_total
-            assert (
-                report.cluster_stats["requests_served"]
-                == len(report.responses)
-            )
+        """The same cluster serves two workloads in a row, and each
+        replay's deltas still satisfy the per-shard-sums-to-total
+        invariant, on both backends."""
+        for backend in ("inproc", "process"):
+            with ShardedGIREngine(data, shards=2, backend=backend) as engine:
+                runs = [
+                    replay_deltas(engine, workloads[name])
+                    for name in ("zipf", "uniform")
+                ]
+            for responses, deltas in runs:
+                assert sum(deltas["shard_pages"]) == sum(
+                    r.pages_read for r in responses
+                ), backend
+                assert deltas["requests_served"] == len(responses), backend
 
     def test_report_dict_carries_cluster_sections(self, data, workloads):
         with ShardedGIREngine(data, shards=2) as engine:
-            payload = engine.run(workloads["uniform"]).to_dict()
-        assert "cluster" in payload and "shards" in payload
-        assert len(payload["shards"]) == 2
-        assert payload["cluster"]["backend"] == "inproc"
+            run_serial(engine, workloads["uniform"])
+            stats = engine.stats()
+        assert len(stats["shard_stats"]) == 2
+        assert [s["shard"] for s in stats["shard_stats"]] == [0, 1]
+        assert stats["backend"] == "inproc"
+        assert stats["requests_served"] == len(workloads["uniform"])
 
     def test_cluster_cache_hit_is_free(self, data):
         with ShardedGIREngine(data, shards=2) as engine:
@@ -329,7 +361,7 @@ class TestRoutedWrites:
                 lambda: engine.topk(np.array([0.5, 0.5, 0.5]), K),
                 lambda: engine.insert(np.array([0.4, 0.4, 0.4])),
                 lambda: engine.delete(0),
-                lambda: engine.run(uniform_workload(D, 2, k=K, rng=1)),
+                lambda: engine.topk_batch(uniform_workload(D, 2, k=K, rng=1).requests),
             ):
                 with pytest.raises(RuntimeError, match="cluster is broken"):
                     method()
@@ -350,14 +382,14 @@ class TestRoutedWrites:
             for rid in victims:
                 engine.delete(rid)
             assert engine.stats()["shard_stats"][1]["live_records"] == 0
-            report = engine.run(wl)
+            report = run_serial(engine, wl)
             # Only the two surviving shards are fanned out to.
             assert engine.stats()["shard_stats"][1]["requests"] == 0
 
         reference = GIREngine(small, bulk_load_str(small), cache_capacity=64)
         for rid in victims:
             reference.delete(rid)
-        ref_report = reference.run(wl)
+        ref_report = run_serial(reference, wl)
         assert_equivalent(report, ref_report)
 
     def test_flush_policy_drops_everything(self, data):
@@ -422,9 +454,11 @@ class TestPartitioners:
         pts = distinct[rng.integers(0, 12, size=240)]
         wl = uniform_workload(3, 15, k=7, rng=44)
         data = Dataset(pts)
-        reference = GIREngine(data, bulk_load_str(data), cache_capacity=32).run(wl)
+        reference = run_serial(
+            GIREngine(data, bulk_load_str(data), cache_capacity=32), wl
+        )
         with ShardedGIREngine(data, shards=4, partitioner="kd") as engine:
-            report = engine.run(wl)
+            report = run_serial(engine, wl)
         assert_equivalent(report, reference)
 
     def test_registry_and_validation(self):

@@ -16,7 +16,7 @@ from repro.engine import (
 from repro.index.bulkload import bulk_load_str
 from repro.query.brs import brs_topk
 from repro.query.linear_scan import scan_topk
-from tests.conftest import random_query
+from tests.conftest import random_query, run_serial
 
 
 @pytest.fixture()
@@ -249,14 +249,15 @@ class TestSelectiveInvalidation:
             3, 80, base_n=700, k=8, update_fraction=0.25,
             rng=np.random.default_rng(61),
         )
-        reports = {}
+        stats = {}
         for policy in ("gir", "flush"):
             engine = GIREngine(
                 data, bulk_load_str(data), cache_capacity=32, invalidation=policy
             )
-            reports[policy] = engine.run(wl)
-        assert reports["gir"].evictions_total < reports["flush"].evictions_total
-        assert reports["gir"].updates_total == reports["flush"].updates_total
+            run_serial(engine, wl)
+            stats[policy] = engine.stats()
+        assert stats["gir"]["update_evictions"] < stats["flush"]["update_evictions"]
+        assert stats["gir"]["updates_applied"] == stats["flush"]["updates_applied"]
 
     def test_unknown_policy_rejected(self, dyn_setup):
         data, tree = dyn_setup
@@ -310,17 +311,19 @@ class TestMixedWorkload:
             3, 60, base_n=data.n, k=8, update_fraction=0.25,
             rng=np.random.default_rng(17),
         )
-        report = engine.run(wl)
-        assert report.total == wl.reads
-        assert report.updates_total == wl.updates
-        assert report.inserts_applied + report.deletes_applied == wl.updates
-        d = report.to_dict()
-        for key in ("updates", "inserts", "deletes", "evictions"):
-            assert key in d
-        assert "updates" in report.summary()
+        responses, updates = run_serial(engine, wl)
+        assert len(responses) == wl.reads
+        assert len(updates) == wl.updates
+        kinds = [u.kind for u in updates]
+        assert kinds == [
+            "insert" if isinstance(op, InsertOp) else "delete"
+            for op in wl
+            if not isinstance(op, Request)
+        ]
         stats = engine.stats()
+        assert stats["requests_served"] == wl.reads
         assert stats["updates_applied"] == wl.updates
-        assert stats["update_evictions"] == report.evictions_total
+        assert stats["update_evictions"] == sum(u.evicted for u in updates)
 
 
 class TestFrozenArrays:

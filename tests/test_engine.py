@@ -21,7 +21,7 @@ from repro.engine.engine import validate_weight_rows, validate_weights
 from repro.index.bulkload import bulk_load_str
 from repro.query.linear_scan import scan_topk
 from repro.serve import Rejected, ServeFront, canonical_scores
-from tests.conftest import random_query
+from tests.conftest import random_query, run_serial
 
 
 @pytest.fixture(scope="module")
@@ -112,58 +112,50 @@ class TestBatchAccounting:
         data, tree = served_setup
         engine = GIREngine(data, tree)
         workload = zipf_clustered_workload(3, 60, k=8, clusters=4, rng=rng)
-        report = engine.run(workload)
+        responses, updates = run_serial(engine, workload)
 
-        assert report.total == 60
-        assert report.full_hits + report.computed == 60
-        # Page accounting: the report total is exactly the sum of the
-        # requests' own meters, and matches the pipelines' GIRStats.
-        assert report.pages_read_total == sum(r.pages_read for r in report.responses)
-        assert report.pages_read_total == sum(
+        assert len(responses) == 60 and updates == []
+        full_hits = sum(r.source == "cache" for r in responses)
+        computed = sum(r.source == "computed" for r in responses)
+        assert full_hits + computed == 60
+        # Page accounting: the requests' own meters match the pipelines'
+        # GIRStats, and a hit reads nothing.
+        assert sum(r.pages_read for r in responses) == sum(
             r.gir_stats.io_pages_topk + r.gir_stats.io_pages_phase2
-            for r in report.responses
+            for r in responses
             if r.gir_stats is not None
         )
-        for r in report.responses:
+        for r in responses:
             if r.source == "cache":
                 assert r.pages_read == 0 and r.gir_stats is None
             else:
                 assert r.gir_stats is not None
-        # Engine/cache counters line up with the report's split.
+        # Engine/cache counters line up with the responses' split.
         stats = engine.stats()
         assert stats["requests_served"] == 60
-        assert stats["full_hits"] == report.full_hits
-        assert stats["misses"] == report.computed
-
-    def test_report_aggregates(self, served_setup, rng):
-        data, tree = served_setup
-        engine = GIREngine(data, tree)
-        report = engine.run(uniform_workload(3, 25, k=6, rng=rng))
-        d = report.to_dict()
-        for key in (
-            "hit_rate", "pages_per_1k_queries", "throughput_qps", "queries",
-        ):
-            assert key in d
-        assert 0.0 <= d["hit_rate"] <= 1.0
-        assert d["queries"] == 25
-        assert report.summary()  # renders without error
+        assert stats["full_hits"] == full_hits
+        assert stats["misses"] == computed
 
     def test_empty_workload_reports_zeros(self, served_setup):
         data, tree = served_setup
         engine = GIREngine(data, tree)
-        report = engine.run([])
-        d = report.to_dict()
-        assert d["queries"] == 0
-        assert d["hit_rate"] == 0.0
-        assert d["pages_per_1k_queries"] == 0.0
-        assert report.summary()
+        before = engine.stats()
+        assert run_serial(engine, []) == ([], [])
+        assert engine.topk_batch([]) == []
+        assert engine.stats() == before
+        assert before["requests_served"] == before["full_hits"] == 0
 
     def test_run_accepts_plain_request_list(self, served_setup, rng):
+        """A request repeated three times is one miss and two hits."""
         data, tree = served_setup
         engine = GIREngine(data, tree)
         q = random_query(rng, 3)
-        report = engine.run([Request(weights=q, k=5)] * 3)
-        assert report.total == 3 and report.full_hits == 2
+        responses, _ = run_serial(engine, [Request(weights=q, k=5)] * 3)
+        assert [r.source for r in responses] == ["computed", "cache", "cache"]
+        stats = engine.stats()
+        assert (stats["requests_served"], stats["misses"], stats["full_hits"]) == (
+            3, 1, 2,
+        )
 
 
 class TestWorkloadGenerators:

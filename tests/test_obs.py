@@ -22,15 +22,10 @@ import pytest
 from repro import obs
 from repro.cluster import ShardedGIREngine
 from repro.data.synthetic import make_synthetic
-from repro.engine import (
-    GIREngine,
-    InsertOp,
-    Request,
-    WorkloadReport,
-    flash_crowd_workload,
-)
+from repro.engine import GIREngine, Request, flash_crowd_workload
 from repro.index.bulkload import bulk_load_str
-from repro.serve import ServeFront, ServeStats, replay_serial_check, run_serve_workload
+from repro.serve import ServeFront, ServeStats, replay_serial_check
+from tests.test_serve import drive
 
 D = 3
 N = 400
@@ -233,9 +228,6 @@ class TestCounterReporting:
 
     def test_every_counter_reaches_its_report(self, data):
         engine = fresh_engine(data)
-        # update_wall_ms is reported only by a run that had updates.
-        updates = fresh_engine(data).run([InsertOp(np.full(D, 0.5))]).updates
-        workload_report = WorkloadReport(responses=[], wall_ms=0.0, updates=updates)
         collector = obs.TraceCollector()
         serve_stats = ServeStats()
         with ShardedGIREngine(data, shards=2, backend="inproc") as sharded:
@@ -244,7 +236,6 @@ class TestCounterReporting:
                 (collector, collector.stats()),
                 (engine.cache, engine.cache.stats()),
                 (engine, engine.stats()),
-                (workload_report, workload_report.to_dict()),
                 (sharded, sharded.stats()),
             ]
             for obj, report in cases:
@@ -304,14 +295,7 @@ class TestServeTracing:
         obs.reset_collector()
         obs.enable()
         try:
-
-            async def go():
-                front = ServeFront(fresh_engine(data))
-                async with front:
-                    report = await run_serve_workload(front, workload, 16)
-                return front, report
-
-            front, _report = asyncio.run(go())
+            front, _ = drive(fresh_engine(data), workload, concurrency=16)
         finally:
             obs.disable()
         collector_stats = obs.collector().stats()
@@ -330,10 +314,11 @@ class TestServeTracing:
         # every engine-bridged trace carries the request root
         assert stitched, sorted({r.name for r in spans})
 
-    def test_inline_hits_keep_the_engine_batch_span_and_stitch(self, data):
-        """Full hits served on the loop (the bridge idle) record the same
-        ``serve.engine_batch`` span as a bridged batch, under the first
-        leader's request, with the engine's spans nested beneath it."""
+    def test_inline_hits_record_the_hit_batch_span_and_stitch(self, data):
+        """Full hits served on the loop (the bridge idle) record a
+        ``serve.hit_batch`` span, not the bridge's ``serve.engine_batch``,
+        under the first leader's request, with the engine's spans nested
+        beneath it."""
         hot = np.random.default_rng(4).random((6, D)) * 0.8 + 0.1
         engine = fresh_engine(data)
         engine.topk_batch([Request(w, 5) for w in hot])
@@ -350,7 +335,8 @@ class TestServeTracing:
             obs.disable()
         spans = obs.drain()
         assert [r.source for r in responses] == ["cache"] * 6
-        (batch,) = [r for r in spans if r.name == "serve.engine_batch"]
+        assert not [r for r in spans if r.name == "serve.engine_batch"]
+        (batch,) = [r for r in spans if r.name == "serve.hit_batch"]
         assert batch.attrs["n"] == 6
         trace = obs.spans_by_trace(spans)[batch.trace_id]
         (root,) = [r for r in trace if r.name == "serve.request"]

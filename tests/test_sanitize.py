@@ -222,16 +222,23 @@ class TestProductionWiring:
         proc = run_sanitized(
             "from repro.cluster import ShardedGIREngine\n"
             "from repro.data.synthetic import independent\n"
-            "from repro.engine import mixed_workload\n"
+            "from repro.engine import InsertOp, Request, mixed_workload\n"
             "\n"
             "data = independent(300, 3, seed=9)\n"
             "wl = mixed_workload(3, 20, base_n=300, k=5,\n"
             "                    update_fraction=0.3, rng=17)\n"
             "answers = []\n"
             "for backend in ('inproc', 'process'):\n"
+            "    ids = []\n"
             "    with ShardedGIREngine(data, shards=2, backend=backend) as eng:\n"
-            "        report = eng.run(wl)\n"
-            "    answers.append([r.ids for r in report.responses])\n"
+            "        for op in wl:\n"
+            "            if isinstance(op, Request):\n"
+            "                ids.append(eng.topk(op.weights, op.k).ids)\n"
+            "            elif isinstance(op, InsertOp):\n"
+            "                eng.insert(op.point)\n"
+            "            else:\n"
+            "                eng.delete(op.rid)\n"
+            "    answers.append(ids)\n"
             "assert answers[0] == answers[1] and answers[0]\n"
             "print('CLUSTER-OK', len(answers[0]))\n"
         )

@@ -32,8 +32,8 @@ from repro.serve import (
     ServeResponse,
     ServeStats,
     canonical_scores,
+    ServeError,
     replay_serial_check,
-    run_serve_workload,
 )
 
 D = 3
@@ -50,13 +50,32 @@ def fresh_engine(data) -> GIREngine:
 
 
 def drive(engine, workload, config=None, concurrency=24):
-    """Run a workload through a fresh front door; return (front, report)."""
+    """Fire a workload at a fresh front door from ``concurrency`` client
+    tasks; return ``(front, outcomes)``, one outcome per operation in
+    workload order: its response, or the :class:`ServeError` it was shed
+    or rejected with."""
+    ops = list(workload)
+    outcomes: list = [None] * len(ops)
+
+    async def client(i, op, front, gate):
+        async with gate:
+            try:
+                if isinstance(op, Request):
+                    outcomes[i] = await front.topk(op.weights, op.k)
+                elif isinstance(op, InsertOp):
+                    outcomes[i] = await front.insert(op.point)
+                else:
+                    outcomes[i] = await front.delete(op.rid)
+            except ServeError as exc:
+                outcomes[i] = exc
 
     async def go():
-        front = ServeFront(engine, config)
-        async with front:
-            report = await run_serve_workload(front, workload, concurrency)
-        return front, report
+        gate = asyncio.Semaphore(concurrency)
+        async with ServeFront(engine, config) as front:
+            await asyncio.gather(
+                *(client(i, op, front, gate) for i, op in enumerate(ops))
+            )
+        return front, outcomes
 
     return asyncio.run(go())
 
@@ -129,7 +148,7 @@ class TestServeEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_flash_crowd_interleaving_matches_sequential(self, data, seed):
         workload = flash_crowd_workload(D, 80, k=8, rng=seed)
-        front, report = drive(fresh_engine(data), workload)
+        front, outcomes = drive(fresh_engine(data), workload)
         verdict = replay_serial_check(front.log, fresh_engine(data))
         assert verdict["all_match"], verdict["examples"]
         assert verdict["requests"] == front.stats.reads_served
@@ -138,7 +157,7 @@ class TestServeEquivalence:
     @SERVING_MODES
     def test_every_serving_mode_matches_sequential(self, data, config):
         workload = flash_crowd_workload(D, 60, k=8, rng=3)
-        front, report = drive(fresh_engine(data), workload, config)
+        front, outcomes = drive(fresh_engine(data), workload, config)
         verdict = replay_serial_check(front.log, fresh_engine(data))
         assert verdict["all_match"], verdict["examples"]
         assert front.stats.accounting_ok()
@@ -168,7 +187,7 @@ class TestServeEquivalence:
         workload = mixed_workload(
             D, 70, base_n=N, k=8, update_fraction=0.3, rng=seed
         )
-        front, report = drive(fresh_engine(data), workload)
+        front, outcomes = drive(fresh_engine(data), workload)
         assert front.stats.writes_applied > 0
         assert front.stats.fences == front.stats.writes_applied
         verdict = replay_serial_check(front.log, fresh_engine(data))
@@ -180,7 +199,7 @@ class TestServeEquivalence:
             D, 50, base_n=N, k=8, update_fraction=0.2, rng=4
         )
         with ShardedGIREngine(data, shards=2) as cluster:
-            front, report = drive(cluster, workload)
+            front, outcomes = drive(cluster, workload)
             verdict = replay_serial_check(front.log, fresh_engine(data))
         assert verdict["all_match"], verdict["examples"]
 
@@ -233,7 +252,7 @@ class TestCoalescing:
         workload = flash_crowd_workload(
             D, 96, k=8, hot=2, duplicate_fraction=0.9, rng=5
         )
-        front, report = drive(fresh_engine(data), workload, concurrency=48)
+        front, outcomes = drive(fresh_engine(data), workload, concurrency=48)
         stats = front.stats
         assert stats.coalesced_served > 0
         assert stats.engine_requests < stats.reads_served
@@ -321,10 +340,11 @@ class TestCoalescing:
     def test_front_door_times_service(self, data, monkeypatch):
         """The front door's time is its spans': every read and the write
         record one ``serve.queue_wait`` under their request, the 16
-        leaders one ``serve.engine_batch`` over the engine's batch call
-        and the 16 coalesced followers no engine span, the write one
-        ``serve.engine_write``; no queue wait is longer than what the
-        client measured around its await."""
+        leaders one ``serve.hit_batch`` over the loop's hit-prefix call
+        (which serves none of these misses) and one ``serve.engine_batch``
+        over the bridge's batch call, the 16 coalesced followers no
+        engine span, the write one ``serve.engine_write``; no queue wait
+        is longer than what the client measured around its await."""
         engine = fresh_engine(data)
         batches = []
         topk_batch = engine.topk_batch
@@ -373,11 +393,12 @@ class TestCoalescing:
             wait = waits[root.span_id]
             assert wait.t0_us >= t0 * 1e6
             assert wait.dur_us <= (t1 - t0) * 1e6
-        (bridged,) = [
-            s for s in named("serve.engine_batch")
-            if any(c.parent_id == s.span_id for c in named("engine.topk_batch"))
-        ]
+        (on_loop,) = named("serve.hit_batch")
+        assert on_loop.attrs["n"] == 16
+        (bridged,) = named("serve.engine_batch")
         assert bridged.attrs["n"] == 16
+        (topk_batch,) = named("engine.topk_batch")
+        assert topk_batch.parent_id == bridged.span_id
         assert len(named("engine.serve")) == 16
         (write,) = named("serve.engine_write")
         assert write.attrs["kind"] == "insert"
@@ -408,9 +429,9 @@ class TestCoalescing:
         """Every coalesced response must byte-match what the same request
         served directly (no batching, no coalescing) returns."""
         workload = flash_crowd_workload(D, 60, k=8, rng=6)
-        front, report = drive(fresh_engine(data), workload)
+        front, outcomes = drive(fresh_engine(data), workload)
         direct = fresh_engine(data)
-        for resp in report.outcomes:
+        for resp in outcomes:
             assert isinstance(resp, ServeResponse)
 
             async def one(weights=resp.weights, k=resp.k):
@@ -425,7 +446,7 @@ class TestCoalescing:
 class TestBackpressure:
     def test_overload_sheds_with_exact_accounting(self, data):
         workload = flash_crowd_workload(D, 80, k=8, rng=7)
-        front, report = drive(
+        front, outcomes = drive(
             fresh_engine(data),
             workload,
             ServeConfig(max_pending=4),
@@ -436,7 +457,7 @@ class TestBackpressure:
         assert stats.arrivals == len(list(workload))
         assert stats.arrivals == stats.admitted + stats.rejected + stats.shed
         assert stats.accounting_ok()
-        sheds = [o for o in report.outcomes if isinstance(o, Overloaded)]
+        sheds = [o for o in outcomes if isinstance(o, Overloaded)]
         assert len(sheds) == stats.shed
         err = sheds[0].to_dict()
         assert err["error"] == "overloaded"
@@ -446,13 +467,13 @@ class TestBackpressure:
 
     def test_admitted_work_still_completes_under_shedding(self, data):
         workload = flash_crowd_workload(D, 40, k=8, rng=8)
-        front, report = drive(
+        front, outcomes = drive(
             fresh_engine(data),
             workload,
             ServeConfig(max_pending=2),
             concurrency=40,
         )
-        served = [o for o in report.outcomes if isinstance(o, ServeResponse)]
+        served = [o for o in outcomes if isinstance(o, ServeResponse)]
         assert len(served) == front.stats.reads_served
         assert all(len(r.ids) == 8 for r in served)
 
@@ -908,9 +929,11 @@ class TestInlineHits:
 
 class TestReportAndStats:
     def test_report_dict_carries_service_stats(self, data):
+        """``ServeStats.to_dict()`` carries every counter the perf ledger
+        reads (``benchmarks/ledger/driver.py`` and ``layers.py``)."""
         workload = flash_crowd_workload(D, 48, k=8, rng=9)
-        front, report = drive(fresh_engine(data), workload)
-        payload = report.to_dict()
+        front, _ = drive(fresh_engine(data), workload)
+        payload = front.stats.to_dict()
         for key in (
             "arrivals",
             "shed",
@@ -922,14 +945,12 @@ class TestReportAndStats:
             "coalesce_attached",
             "coalesce_fallbacks",
             "fences",
-            "throughput_rps",
         ):
             assert key in payload, key
         # Nothing falls back; the key stays for the perf ledger
         # (benchmarks/ledger/layers.py), which reads it.
         assert payload["coalesce_fallbacks"] == 0
-        assert payload["workload_kind"] == "flash_crowd"
-        assert payload["reads_served"] == front.stats.reads_served
+        assert payload["reads_served"] == front.stats.reads_served == 48
 
     @pytest.mark.parametrize(
         "identity, field",
@@ -993,14 +1014,6 @@ class TestFlashCrowdWorkload:
 
 
 class TestRunnerValidation:
-    def test_rejects_nonpositive_concurrency(self, data):
-        async def go():
-            async with ServeFront(fresh_engine(data)) as front:
-                await run_serve_workload(front, [], concurrency=0)
-
-        with pytest.raises(ValueError):
-            asyncio.run(go())
-
     def test_handles_explicit_op_lists(self, data):
         ops = [
             Request(weights=np.full(D, 1.0 / D), k=5),
@@ -1008,8 +1021,10 @@ class TestRunnerValidation:
             DeleteOp(rid=0),
             Request(weights=np.full(D, 1.0 / D), k=5),
         ]
-        front, report = drive(fresh_engine(data), ops, concurrency=1)
-        assert report.workload_kind == "custom"
+        front, outcomes = drive(fresh_engine(data), ops, concurrency=1)
+        assert [type(o).__name__ for o in outcomes] == [
+            "ServeResponse", "UpdateResponse", "UpdateResponse", "ServeResponse",
+        ]
         assert front.stats.writes_applied == 2
         verdict = replay_serial_check(front.log, fresh_engine(data))
         assert verdict["all_match"], verdict["examples"]
