@@ -23,8 +23,8 @@ contract is deliberately narrow and fully serializable:
 * :meth:`ShardBackend.close` — release the execution resources
   (idempotent).
 
-Everything a reply carries is plain data — ints, float64 arrays, one
-H-representation polytope — so the same contract serves an in-process
+Everything a reply carries is plain data — ints, float64 arrays, at most
+one H-representation polytope — so the same contract serves an in-process
 engine (:class:`~repro.cluster.backends.inproc.InProcBackend`), a worker
 process speaking :mod:`repro.cluster.wire`
 (:class:`~repro.cluster.backends.process.ProcessBackend`), and, later, a
@@ -178,8 +178,12 @@ class ShardReply:
     tie_sums: tuple[float, ...]
     #: ``(len(ids), d)`` g-space images of the ranked records.
     points_g: npt.NDArray[np.float64]
-    #: The region the shard served this exact ordered list under.
-    region: "Polytope"
+    #: The region the shard served this exact ordered list under;
+    #: ``None`` when the shard computed none (a full shard cache answers
+    #: a first sighting from BRS alone, see
+    #: :meth:`repro.engine.GIREngine._admits`). The wire sends it as an
+    #: empty region payload.
+    region: "Polytope | None"
     #: ``"cache"`` / ``"computed"``.
     source: str
     #: Metered page reads charged for this answer.
@@ -339,6 +343,7 @@ def engine_shard_stats(engine: GIREngine) -> dict[str, Any]:
         "cache_entries": len(cache),
         "cache_full_hits": cache.full_hits,
         "cache_misses": cache.misses,
+        "regions_deferred": engine.regions_deferred,
         "updates_applied": engine.updates_applied,
         "update_evictions": engine.update_evictions,
     }

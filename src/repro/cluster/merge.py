@@ -3,7 +3,10 @@
 The fan-out serving path of :class:`~repro.cluster.ShardedGIREngine` asks
 every shard for its local top-k; this module turns the per-shard answers
 into (a) the global ordered top-k and (b) a region of query space in which
-that exact ordered answer is provably stable.
+that exact ordered answer is provably stable. A merged region needs every
+shard's region: a shard whose full cache answered from BRS alone (a first
+sighting, see :meth:`repro.engine.GIREngine._admits`) sends none, and then
+only the ordered answer is built.
 
 Result merging (classical distributed top-k)
 --------------------------------------------
@@ -77,8 +80,9 @@ class ShardAnswer:
     tie_sums: tuple[float, ...]
     #: ``(len(ids), d)`` g-space images of the ranked records.
     points_g: np.ndarray
-    #: The region the shard served this exact list under.
-    region: Polytope
+    #: The region the shard served this exact list under; ``None`` when
+    #: the shard computed none (its full cache deferred the region).
+    region: Polytope | None
     #: Provenance of the shard response (``cache``/``computed``).
     source: str
     #: Metered page reads the shard charged for this answer.
@@ -89,10 +93,13 @@ class ShardAnswer:
 class MergedAnswer:
     """The assembled global answer of one fan-out."""
 
-    #: Global ordered top-k with the merged stability region as its
+    #: The global ordered top-k.
+    topk: TopKResult
+    #: The global ordered top-k with the merged stability region as its
     #: polytope and the merge-order half-spaces as its halfspace list
-    #: (``_hs_row_offset`` marks where they start among the rows).
-    gir: GIRResult
+    #: (``_hs_row_offset`` marks where they start among the rows);
+    #: ``None`` when some shard's answer carries no region.
+    gir: GIRResult | None
     #: Cluster-level provenance: ``"cache"`` when every shard answered
     #: from its cache (no pipeline ran anywhere), else ``"computed"``.
     source: str
@@ -143,6 +150,8 @@ def merge_shard_answers(
 
     ``answers`` must cover every non-empty shard and pool at least ``k``
     candidates in total (the cluster validates its live count first).
+    When any answer's region is ``None`` only the ordered answer is
+    built: the merged region needs every shard's.
     """
     if not answers:
         raise ValueError("cannot merge an empty answer set")
@@ -170,6 +179,37 @@ def merge_shard_answers(
     for _, _, _, ai, pos in selected:
         assert pos < selected_counts[ai], "selected candidates must be a prefix"
 
+    topk = TopKResult(
+        ids=tuple(entry[2] for entry in selected),
+        scores=tuple(entry[0] for entry in selected),
+        weights=weights,
+    )
+    regions = [a.region for a in answers if a.region is not None]
+    kth = selected[-1]
+    return MergedAnswer(
+        topk=topk,
+        gir=(
+            _merged_gir(answers, regions, selected, selected_counts, topk)
+            if len(regions) == len(answers)
+            else None
+        ),
+        source=_merged_source(answers),
+        pages_read=sum(a.pages_read for a in answers),
+        kth_g=np.array(answers[kth[3]].points_g[kth[4]], dtype=np.float64, copy=True),
+        selected_per_shard=tuple(selected_counts),
+    )
+
+
+def _merged_gir(
+    answers: list[ShardAnswer],
+    regions: list[Polytope],
+    selected: list[tuple[float, float, int, int, int]],
+    selected_counts: list[int],
+    topk: TopKResult,
+) -> GIRResult:
+    """The merged answer's stability region: the shard ``regions``
+    (one per answer) intersected with the merge-order half-spaces of the
+    ``selected`` pool entries (see the module docstring)."""
     # Merge-order half-spaces (normals in g-space; `normal · q >= 0`).
     halfspaces: list[Halfspace] = []
     g_of = lambda entry: answers[entry[3]].points_g[entry[4]]  # noqa: E731
@@ -195,29 +235,16 @@ def merge_shard_answers(
         halfspaces = [hs for hs, flag in zip(halfspaces, keep) if flag]
         normals = normals[keep]
 
-    base = _stack_regions([a.region for a in answers])
+    base = _stack_regions(regions)
     polytope = (
         base.with_constraints(normals) if len(normals) else base
     )
-
-    topk = TopKResult(
-        ids=tuple(entry[2] for entry in selected),
-        scores=tuple(entry[0] for entry in selected),
-        weights=weights,
-    )
-    gir = GIRResult(
-        weights=weights,
+    return GIRResult(
+        weights=topk.weights,
         topk=topk,
         halfspaces=halfspaces,
         polytope=polytope,
         method="cluster",
         stats=GIRStats(),
         _hs_row_offset=base.m,
-    )
-    return MergedAnswer(
-        gir=gir,
-        source=_merged_source(answers),
-        pages_read=sum(a.pages_read for a in answers),
-        kth_g=np.array(g_of(m_k), dtype=np.float64, copy=True),
-        selected_per_shard=tuple(selected_counts),
     )

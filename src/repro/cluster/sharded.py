@@ -30,7 +30,9 @@ serves the *global* top-k on top:
 * **a cluster-level GIR cache** holds those merged regions, so repeat
   traffic in a hot region is served with *zero* fan-out and zero page
   reads. As at a shard, a request deeper than every containing entry's
-  ``k`` is a miss and fans out;
+  ``k`` is a miss and fans out. A shard whose full cache answers a first
+  sighting from BRS alone sends no region; the merge then builds only
+  the ordered answer, and the cluster cache admits nothing for it;
 * **writes route** to the single owning shard (the partitioner decides),
   reuse the shard's selective ``invalidated_by_insert`` /
   ``invalidated_by_delete`` machinery unchanged, and apply the same
@@ -349,7 +351,10 @@ class ShardedGIREngine:
         :class:`GIREngine` over the unpartitioned data, and its scores
         are the canonical product over the answer's rows (rescored after
         the merge), as the engine response contract requires; ``region``
-        carries the merged stability region the answer is valid in.
+        carries the merged stability region the answer is valid in, or
+        ``None`` when a shard's full cache answered without a region (a
+        first sighting, see :meth:`repro.engine.GIREngine._admits`) —
+        such an answer is not admitted into the cluster cache.
         Answers are identical to issuing the requests through
         :meth:`topk` one-by-one; cluster-cache *hit accounting* may
         differ (a request in this batch does not see merged entries
@@ -394,7 +399,7 @@ class ShardedGIREngine:
                     merged = merge_shard_answers(answers, W[i], ks[i])
                     self._cache_merged(merged)
                     self.requests_served += 1
-                    ids = merged.gir.topk.ids
+                    ids = merged.topk.ids
                     responses[i] = EngineResponse._frozen(
                         ids=ids,
                         # The pooled per-shard scores can differ from the
@@ -405,7 +410,9 @@ class ShardedGIREngine:
                         source=merged.source,
                         pages_read=merged.pages_read,
                         gir_stats=None,
-                        region=merged.gir.polytope,
+                        region=(
+                            merged.gir.polytope if merged.gir is not None else None
+                        ),
                     )
             # Every slot is filled by now; the comprehension (rather than a
             # cast) keeps the narrowing visible to the type checker.
@@ -517,7 +524,9 @@ class ShardedGIREngine:
         )
 
     def _cache_merged(self, merged: MergedAnswer) -> None:
-        if self.cache is not None:
+        """Admit a merged entry into the cluster cache: only one with a
+        merged region, which needs every shard's reply to carry one."""
+        if self.cache is not None and merged.gir is not None:
             self.cache.insert(merged.gir, kth_g=merged.kth_g)
 
     # -- updates --------------------------------------------------------------
@@ -737,5 +746,12 @@ class ShardedGIREngine:
         return stats
 
     def stats(self) -> dict[str, Any]:
-        """Cluster counters plus the per-shard breakdown."""
-        return {**self.cluster_stats(), "shard_stats": self.shard_stats()}
+        """Cluster counters plus the per-shard breakdown;
+        ``regions_deferred`` sums the shards' (misses a full shard cache
+        answered without a region)."""
+        shard_stats = self.shard_stats()
+        return {
+            **self.cluster_stats(),
+            "regions_deferred": sum(s["regions_deferred"] for s in shard_stats),
+            "shard_stats": shard_stats,
+        }

@@ -24,8 +24,10 @@ so that worker-side spans stitch under the router's trace
 (:mod:`repro.obs`). Tracing is observability, not semantics: a frame
 with and without the trace block decodes to byte-identical payloads.
 
-This is version 4: reply and update frames carry answers and their
+This is version 5: reply and update frames carry answers and their
 accounting (page reads, cache entries, eviction counts), and no latency.
+A reply's region may be absent (a shard whose full cache answered a first
+sighting without computing one); it crosses as an empty region payload.
 Time is measured by :mod:`repro.obs` spans, whose worker-side records
 cross as ``MSG_REPLY_TRACE``.
 
@@ -56,7 +58,8 @@ Message catalogue (requests flow router → worker, replies worker → router):
 Stats and build-config payloads are JSON (they are small, heterogeneous
 dicts and self-describing beats a hand-rolled layout there); every array —
 the hot path — is raw little-endian binary. Region polytopes cross as
-:meth:`~repro.geometry.polytope.Polytope.to_bytes` payloads, which makes
+:meth:`~repro.geometry.polytope.Polytope.to_bytes` payloads (an absent
+region as an empty one; a present one is never empty), which makes
 that layout part of this format: changing it requires a
 ``WIRE_VERSION`` bump. The scorer crosses the wire
 pickled: scoring functions are code, not data, and the build frame is sent
@@ -125,7 +128,7 @@ __all__ = [
 ]
 
 MAGIC = b"GIRW"
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 _FRAME = struct.Struct("<4sHHH")  # magic, version, msg_type, flags
 
 #: Frame flag: a trace-context block precedes the payload.
@@ -458,7 +461,7 @@ def _put_reply(out: bytearray, reply: "ShardReply") -> None:
     _put_array(out, np.asarray(reply.scores, dtype=np.float64))
     _put_array(out, np.asarray(reply.tie_sums, dtype=np.float64))
     _put_array(out, reply.points_g)
-    _put_bytes(out, reply.region.to_bytes())
+    _put_bytes(out, reply.region.to_bytes() if reply.region is not None else b"")
     _put_bytes(out, reply.source.encode("utf-8"))
     out += struct.pack("<qq", reply.pages_read, reply.cache_entries)
 
@@ -470,7 +473,8 @@ def _get_reply(reader: Reader) -> "ShardReply":
     scores = _get_array(reader)
     tie_sums = _get_array(reader)
     points_g = _get_array(reader)
-    region = Polytope.from_bytes(_get_bytes(reader))
+    payload = _get_bytes(reader)
+    region = Polytope.from_bytes(payload) if payload else None
     source = _get_bytes(reader).decode("utf-8")
     pages_read, cache_entries = reader.unpack("<qq")
     return ShardReply(

@@ -13,7 +13,17 @@ Serving discipline:
 * **full hit** — the request's vector lies in a cached GIR with
   ``k ≤ cached k``: served entirely from memory, zero page reads (scores
   are recomputed for the request's own weights from the in-memory points).
-* **miss** — full pipeline run; the GIR is cached for future traffic.
+* **miss** — BRS retrieves the answer. While the cache has room the
+  pipeline runs on that same retrieval and the GIR is cached for future
+  traffic. Once the cache is full, a region is computed and admitted only
+  for an answer seen before (the doorkeeper of TinyLFU, Einziger et al.,
+  ACM TOS 2017): the first sighting of an answer key ``(k, sorted ids)``
+  is remembered in a table of the last :data:`SIGHTING_SPAN` ``×
+  capacity`` keys and served without a region, and its repeat pays for
+  the region and evicts the LRU entry. Where answers rarely repeat, most
+  misses then pay for BRS alone. The table only decides whether to
+  compute; every answer comes from BRS or from a region computed as
+  before, and writes never touch it.
   A vector inside a GIR cached only for a *smaller* ``k`` is a miss too:
   the engine keeps no per-entry search state to complete the cached
   prefix from. Resuming a retained BRS run would save page reads, but
@@ -52,7 +62,7 @@ from repro.core.caching import (
     apply_delete_invalidation,
     apply_insert_invalidation,
 )
-from repro.core.gir import GIRResult, GIRStats
+from repro.core.gir import GIRStats
 from repro.core.pipeline import PHASE2_METHODS, ExecutionContext, run_pipeline
 from repro.data.dataset import Dataset, PointTable, grow_rows
 from repro.engine.workload import Request, frozen_array
@@ -60,6 +70,7 @@ from repro.geometry.polytope import Polytope
 from repro.index.bulkload import bulk_load_str
 from repro.index.rtree import RStarTree
 from repro.query.brs import brs_topk
+from repro.query.topk import TopKResult
 from repro.scoring import LinearScoring, ScoringFunction
 
 __all__ = [
@@ -83,6 +94,11 @@ SOURCE_COMPUTED = "computed"
 
 #: Cache-invalidation policies for updates.
 INVALIDATION_POLICIES = ("gir", "flush")
+
+#: A full cache remembers the answer keys of the last
+#: ``SIGHTING_SPAN × capacity`` misses it served without a region; an
+#: answer found there is computed and admitted (see :meth:`GIREngine._admits`).
+SIGHTING_SPAN = 4
 
 #: Max requests stacked into one batched cache lookup. A pipeline-running
 #: request (a miss) changes the cache under the requests behind it, and
@@ -246,12 +262,17 @@ class EngineResponse:
     #: ``"cache"`` (full hit) or ``"computed"`` (miss).
     source: str
     pages_read: int
-    #: Pipeline cost breakdown; ``None`` for pure cache hits (no pipeline ran).
+    #: Pipeline cost breakdown; ``None`` for pure cache hits (no pipeline
+    #: ran). A miss answered without a region carries only its retrieval
+    #: pages (``io_pages_topk``).
     gir_stats: GIRStats | None = None
     #: The region of query space in which this exact (ordered) answer is
-    #: served: the cached entry's GIR on a hit, the freshly computed GIR
-    #: otherwise. A shared reference, not a copy — the sharded cluster
-    #: tier reads it to assemble the cross-shard merged region.
+    #: served, if one was computed: the cached entry's GIR on a hit, the
+    #: freshly computed GIR on a miss that admitted it, and ``None`` on a
+    #: miss a full cache answered from BRS alone (the first sighting of
+    #: its answer, see :meth:`GIREngine._admits`). A shared reference,
+    #: not a copy — the sharded cluster tier reads it to assemble the
+    #: cross-shard merged region.
     region: "Polytope | None" = None
 
     def __post_init__(self) -> None:
@@ -424,6 +445,11 @@ class GIREngine:
         self._g_buf = self.scorer.transform(self.table.rows).copy()
         self._g_n = self.table.n_allocated
         self.cache = GIRCache(capacity=cache_capacity)
+        #: Answer keys a full cache served without a region, oldest first
+        #: (see :meth:`_admits`).
+        self._sightings: dict[tuple[int, tuple[int, ...]], bool] = {}
+        #: Misses answered without a region (first sightings).
+        self.regions_deferred = 0
         self.requests_served = 0
         self.updates_applied = 0
         self.update_evictions = 0
@@ -489,11 +515,14 @@ class GIREngine:
         (:meth:`~repro.core.caching.GIRCache.resolve_hits`), and the hits
         it resolves before each miss are answered together
         (:func:`serve_full_hits`: one gather and one stacked product). A
-        request that triggers the pipeline (a miss) admits its region and
-        may evict the LRU entry; the requests after it are then judged
-        against a patched matrix — the evicted entry's column dropped,
-        the new entry's evaluated for them only — exactly the state a
-        sequential run would see. Lookups are stacked at most
+        miss runs BRS (:meth:`_serve`). While the cache has room it also
+        computes and admits the answer's region; a full cache does so
+        only for an answer seen before, evicting the LRU entry, and
+        answers a first sighting without a region, leaving the cache as
+        it was. After an admission the requests behind the miss are
+        judged against a patched matrix — the evicted entry's column
+        dropped, the new entry's evaluated for them only — exactly the
+        state a sequential run would see. Lookups are stacked at most
         :data:`LOOKUP_WINDOW` at a time, bounding the matrix every patch
         copies.
 
@@ -587,10 +616,14 @@ class GIREngine:
         return responses
 
     def _serve(self, weights: np.ndarray, k: int) -> EngineResponse:
-        """Answer a miss: run the pipeline and cache the region."""
+        """Answer a miss from one BRS run (:meth:`_answer_miss`): with
+        its region when one was computed and admitted, without one (and
+        with only the retrieval pages in ``gir_stats``) when a full cache
+        deferred it. Either way the answer is BRS's, and its source is
+        ``"computed"``."""
         io_before = self.tree.store.stats.page_reads
         with obs.span("engine.serve") as sp:
-            gir = self._compute_and_cache(weights, k)
+            topk, gir_stats, region = self._answer_miss(weights, k)
             pages_read = self.tree.store.stats.page_reads - io_before
             self.requests_served += 1
             if obs.tracing_enabled():
@@ -598,28 +631,24 @@ class GIREngine:
                 sp.set("pages_read", pages_read)
                 sp.set("k", k)
             return EngineResponse._frozen(
-                ids=gir.topk.ids,
-                scores=gir.topk.scores,
+                ids=topk.ids,
+                scores=topk.scores,
                 weights=weights,
                 k=k,
                 source=SOURCE_COMPUTED,
                 pages_read=pages_read,
-                gir_stats=gir.stats,
-                region=gir.polytope,
+                gir_stats=gir_stats,
+                region=region,
             )
 
-    def _compute_and_cache(self, weights: np.ndarray, k: int) -> GIRResult:
-        """Run the staged pipeline and cache the resulting GIR."""
+    def _answer_miss(
+        self, weights: np.ndarray, k: int
+    ) -> tuple[TopKResult, GIRStats, Polytope | None]:
+        """Retrieve a miss's answer with BRS, then compute and cache its
+        GIR from that same run if :meth:`_admits` keeps it. Returns the
+        answer, its cost breakdown and the admitted region (``None`` when
+        deferred)."""
         points = self.points
-        ctx = ExecutionContext(
-            tree=self.tree,
-            points=points,
-            points_g=self.points_g,
-            weights=np.asarray(weights, dtype=np.float64),
-            k=k,
-            scorer=self.scorer,
-            method=self.method,
-        )
         io_before = self.tree.store.stats.page_reads
         with obs.span("engine.brs") as bsp:
             run = brs_topk(self.tree, points, weights, k, scorer=self.scorer)
@@ -629,7 +658,19 @@ class GIREngine:
                     self.tree.store.stats.page_reads - io_before,
                 )
         retrieve_pages = self.tree.store.stats.page_reads - io_before
+        if not self._admits(run.result.ids, k):
+            self.regions_deferred += 1
+            return run.result, GIRStats(io_pages_topk=retrieve_pages), None
 
+        ctx = ExecutionContext(
+            tree=self.tree,
+            points=points,
+            points_g=self.points_g,
+            weights=np.asarray(weights, dtype=np.float64),
+            k=k,
+            scorer=self.scorer,
+            method=self.method,
+        )
         with obs.span("engine.pipeline"):
             gir = run_pipeline(ctx, run)
         # stage_retrieve adopted our run and charged nothing; attribute the
@@ -640,7 +681,26 @@ class GIREngine:
         # prescreen for this entry (copied: the g-buffer may be
         # reallocated by later growth).
         self.cache.insert(gir, kth_g=self._g_buf[gir.topk.kth_id].copy())
-        return gir
+        return gir.topk, gir.stats, gir.polytope
+
+    def _admits(self, ids: tuple[int, ...], k: int) -> bool:
+        """Whether a miss's region is worth computing and caching.
+
+        Always while the cache has room: admitting evicts nothing. A full
+        cache admits an answer only on its second sighting: the first
+        records its key ``(k, sorted ids)`` in :attr:`_sightings`, which
+        keeps the last ``SIGHTING_SPAN × capacity`` keys (the oldest
+        dropped first), and the repeat takes it out and admits.
+        """
+        if len(self.cache) < self.cache.capacity:
+            return True
+        key = (k, tuple(sorted(ids)))
+        if self._sightings.pop(key, False):
+            return True
+        self._sightings[key] = True
+        if len(self._sightings) > SIGHTING_SPAN * self.cache.capacity:
+            del self._sightings[next(iter(self._sightings))]
+        return False
 
     # -- updates --------------------------------------------------------------
 
@@ -754,6 +814,7 @@ class GIREngine:
             "update_evictions": self.update_evictions,
             "prescreen_screened": self.prescreen_screened,
             "prescreen_lps": self.prescreen_lps,
+            "regions_deferred": self.regions_deferred,
             "live_records": self.n_live,
             **self.cache.stats(),
         }

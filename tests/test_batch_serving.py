@@ -5,8 +5,8 @@ per-request" is no longer two code paths — but `topk_batch(N requests)`
 ≡ `N` singleton calls is still a real property: a multi-request batch
 resolves its cache membership from one stacked matrix per lookup window
 (`GIRCache.lookup_window` / `GIRCache.resolve`), and every request that
-runs the pipeline changes the cache under the requests behind it — it
-admits a region and, at capacity, evicts the LRU entry. The window's
+admits a region changes the cache under the requests behind it — and
+at capacity it evicts the LRU entry. The window's
 matrix must then be *patched* (`RegionIndex.version` moved: the evicted
 entry's column dropped, the new entry's evaluated for the unresolved
 rows), or later requests would be judged against a stale cache.
@@ -157,9 +157,10 @@ def assert_batch_matches_sequential(data, batches) -> tuple:
 
 
 class TestWindowUnderChurn:
-    """A lookup window outlives the misses inside it: each miss admits a
-    region and, at capacity, evicts the LRU entry, and the requests after
-    it are judged against the patched matrix."""
+    """A lookup window outlives the misses inside it: a miss admits a
+    region while the cache has room, and a full cache admits one only on
+    its answer's second sighting, evicting the LRU entry; the requests
+    after it are judged against the patched matrix."""
 
     def test_admitted_evicted_and_deeper_k_in_one_batch(self, batch_setup):
         data = batch_setup
@@ -171,19 +172,28 @@ class TestWindowUnderChurn:
             Request(weights=q2, k=5),  # miss: admit E2
             Request(weights=q3, k=5),  # miss: admit E3, cache full
             Request(weights=q1, k=5),  # hits E1, admitted by this batch
-            Request(weights=q4, k=5),  # miss: admit E4, evict E2
+            Request(weights=q4, k=5),  # miss, first sighting: no region
+            Request(weights=q4, k=5),  # miss, repeat: admit E4, evict E2
             Request(weights=q2, k=5),  # misses E2, evicted by this batch
             Request(weights=q1, k=8),  # deeper k inside E1's region: miss
+            Request(weights=q1, k=8),  # its repeat: admit E1', evict E3
             Request(weights=q4, k=3),  # shallower k: hits E4
         ]
         served, cache = assert_batch_matches_sequential(data, [batch])
         assert [r.source for r in served] == [
-            "computed", "computed", "computed", "cache",
-            "computed", "computed", "computed", "cache",
+            "computed", "computed", "computed", "cache", "computed",
+            "computed", "computed", "computed", "computed", "cache",
         ]
-        assert cache.stats()["capacity_evictions"] == 3
+        assert [r.region is None for r in served] == [
+            False, False, False, False, True,
+            False, True, True, False, False,
+        ]
+        assert cache.stats()["capacity_evictions"] == 2
         assert served[3].ids == served[0].ids
-        assert served[7].ids == served[4].ids[:3]
+        assert served[5].ids == served[4].ids
+        assert served[8].ids == served[7].ids
+        assert served[9].ids == served[5].ids[:3]
+        assert served[9].region is served[5].region
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_random_stream(self, batch_setup, seed):

@@ -12,8 +12,10 @@ from repro.data.dataset import Dataset
 from repro.data.synthetic import independent
 from repro.engine import (
     GIREngine,
+    InsertOp,
     Request,
     Workload,
+    mixed_workload,
     uniform_workload,
     zipf_clustered_workload,
 )
@@ -22,6 +24,7 @@ from repro.index.bulkload import bulk_load_str
 from repro.query.linear_scan import scan_topk
 from repro.serve import Rejected, ServeFront, canonical_scores
 from tests.conftest import random_query, run_serial
+from tests.test_batch_serving import lru_order
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +159,222 @@ class TestBatchAccounting:
         assert (stats["requests_served"], stats["misses"], stats["full_hits"]) == (
             3, 1, 2,
         )
+
+
+class TestSecondSightingAdmission:
+    """A miss always runs BRS. While the cache has room it also computes
+    and admits the region, as before. A full cache admits an answer only
+    on its second sighting: the first is answered from BRS alone (no
+    region, nothing evicted) and its key ``(k, sorted ids)`` is kept in a
+    table of the last ``4 × capacity`` such keys."""
+
+    FAR = (np.array([0.9, 0.1, 0.1]), np.array([0.1, 0.9, 0.1]))
+    Q = np.array([0.1, 0.1, 0.9])
+
+    def full_engine(self, data, capacity=2):
+        """An engine whose cache was filled by far-away, deep answers."""
+        engine = GIREngine(data, bulk_load_str(data), cache_capacity=capacity)
+        for i in range(capacity):
+            engine.topk(self.FAR[i % 2] + 0.01 * i, 40)
+        assert len(engine.cache) == capacity
+        return engine
+
+    def test_with_room_a_first_sighting_admits(self, served_setup):
+        data, _ = served_setup
+        engine = GIREngine(data, bulk_load_str(data), cache_capacity=2)
+        first = engine.topk(self.Q, 5)
+        assert first.source == "computed" and first.region is not None
+        assert first.region is engine.cache.entry(lru_order(engine)[0]).polytope
+        assert first.gir_stats.io_pages_phase2 > 0
+        assert len(engine.cache) == 1 and engine._sightings == {}
+        assert engine.topk(self.Q, 5).source == "cache"
+        assert engine.stats()["regions_deferred"] == 0
+
+    def test_full_cache_defers_then_admits_on_the_repeat(self, served_setup):
+        data, _ = served_setup
+        engine = self.full_engine(data)
+        order = lru_order(engine)
+        entries = [engine.cache.entry(key) for key in order]
+        version = engine.cache._index.version
+        before = engine.cache.stats()
+
+        first = engine.topk(self.Q, 5)
+        assert first.source == "computed" and first.region is None
+        assert first.ids == scan_topk(data.points, self.Q, 5).ids
+        assert first.scores == canonical_scores(
+            engine.scorer, engine.result_rows(first.ids), self.Q
+        )
+        # Only the retrieval's pages: no phase 2 ran.
+        assert first.gir_stats.io_pages_topk == first.pages_read > 0
+        assert first.gir_stats.io_pages_phase2 == 0
+        assert first.gir_stats.phase2_candidates == 0
+        # The cache is exactly as it was: entries, LRU order, length.
+        assert lru_order(engine) == order
+        assert [engine.cache.entry(key) for key in order] == entries
+        assert engine.cache._index.version == version
+        after = engine.cache.stats()
+        assert after["misses"] == before["misses"] + 1
+        assert {k: v for k, v in after.items() if k != "misses"} == {
+            k: v for k, v in before.items() if k != "misses"
+        }
+        assert list(engine._sightings) == [(5, tuple(sorted(first.ids)))]
+        assert engine.stats()["regions_deferred"] == 1
+
+        repeat = engine.topk(self.Q, 5)
+        assert repeat.source == "computed" and repeat.region is not None
+        assert repeat.ids == first.ids and repeat.scores == first.scores
+        assert repeat.gir_stats.io_pages_phase2 > 0
+        assert engine._sightings == {}
+        assert lru_order(engine)[0] == order[1]  # the LRU entry went
+        assert engine.cache.stats()["capacity_evictions"] == 1
+
+        third = engine.topk(self.Q, 5)
+        assert third.source == "cache" and third.pages_read == 0
+        assert third.region is repeat.region
+        stats = engine.stats()
+        assert (stats["regions_deferred"], stats["misses"], stats["full_hits"]) == (1, 4, 1)
+
+    def test_brs_runs_once_per_miss(self, served_setup, monkeypatch):
+        import repro.core.pipeline as pipeline
+        import repro.engine.engine as engine_module
+
+        calls = {"brs": 0, "pipeline": 0, "nested": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(engine_module, "brs_topk", counted("brs", engine_module.brs_topk))
+        monkeypatch.setattr(
+            engine_module, "run_pipeline", counted("pipeline", engine_module.run_pipeline)
+        )
+        # The pipeline's own retrieval must never run: it adopts the run.
+        monkeypatch.setattr(pipeline, "brs_topk", counted("nested", pipeline.brs_topk))
+        data, _ = served_setup
+        engine = GIREngine(data, bulk_load_str(data), cache_capacity=2)
+        for w, k in [
+            (self.FAR[0], 8), (self.FAR[1], 8),  # room: admitted
+            (self.Q, 5), (self.Q, 5), (self.Q, 5),  # deferred, admitted, hit
+            (self.Q, 7),  # deferred
+        ]:
+            engine.topk(w, k)
+        stats = engine.stats()
+        assert (stats["misses"], stats["regions_deferred"]) == (5, 2)
+        assert calls == {"brs": 5, "pipeline": 3, "nested": 0}
+
+    def test_the_table_keeps_the_last_four_capacities_of_keys(self, served_setup):
+        data, _ = served_setup
+        engine = self.full_engine(data, capacity=2)
+        keys = []
+        for k in range(3, 31):  # 28 distinct answer keys, each a miss
+            resp = engine.topk(self.Q, k)
+            assert resp.region is None
+            keys.append((k, tuple(sorted(resp.ids))))
+            assert len(engine._sightings) == min(len(keys), 8)
+        assert list(engine._sightings) == keys[-8:]
+        assert engine.stats()["regions_deferred"] == 28
+        assert len(engine.cache) == 2
+        # The oldest key still held is a repeat.
+        assert engine.topk(self.Q, 23).region is not None
+        assert list(engine._sightings) == keys[-7:]
+
+    def test_writes_never_touch_the_table(self, served_setup):
+        data, _ = served_setup
+        engine = self.full_engine(data)
+        for k in (4, 5, 6):
+            engine.topk(self.Q, k)
+        table = dict(engine._sightings)
+        assert len(table) == 3
+        answer = engine.topk(self.FAR[0], 40).ids
+        rid = engine.insert(np.array([0.99, 0.98, 0.99])).rid
+        engine.delete(answer[0])
+        engine.delete(rid)
+        engine.insert(np.array([0.5, 0.5, 0.5]))
+        assert engine.stats()["update_evictions"] > 0
+        assert engine._sightings == table
+
+    @pytest.fixture(scope="class")
+    def churn(self):
+        data = independent(600, 3, seed=43)
+        workload = mixed_workload(
+            3, 240, base_n=600, k=6, update_fraction=0.15, clusters=10,
+            spread=0.02, rng=np.random.default_rng(5),
+        )
+        return data, workload
+
+    def assert_exact(self, tier, workload):
+        """Each read of the replay matches ``scan_topk`` over the live
+        records, with canonical scores bit for bit."""
+        responses, updates = [], []
+        for op in workload:
+            if isinstance(op, Request):
+                resp = tier.topk(op.weights, op.k)
+                want = scan_topk(
+                    tier.points, op.weights, op.k, scorer=tier.scorer,
+                    live=tier.table.live_mask,
+                )
+                assert resp.ids == want.ids
+                assert resp.scores == canonical_scores(
+                    tier.scorer, tier.result_rows(want.ids), op.weights
+                )
+                responses.append(resp)
+            else:
+                updates.append(
+                    tier.insert(op.point) if isinstance(op, InsertOp) else tier.delete(op.rid)
+                )
+        assert updates and {u.kind for u in updates} == {"insert", "delete"}
+        sources = [r.source for r in responses]
+        assert "cache" in sources
+        assert any(r.region is None for r in responses)
+        assert any(r.region is not None and r.source == "computed" for r in responses)
+        return responses
+
+    def test_mixed_stream_is_exact_on_the_engine(self, churn):
+        data, workload = churn
+        engine = GIREngine(data, bulk_load_str(data), cache_capacity=4)
+        responses = self.assert_exact(engine, workload)
+        stats = engine.stats()
+        assert stats["regions_deferred"] == sum(r.region is None for r in responses)
+        assert stats["capacity_evictions"] > 0 and len(engine._sightings) <= 16
+
+    @pytest.mark.parametrize("backend", ["inproc", "process"])
+    def test_mixed_stream_is_exact_on_the_sharded_engine(self, churn, backend):
+        data, workload = churn
+        with ShardedGIREngine(
+            data, shards=2, backend=backend, cache_capacity=4, cluster_cache_capacity=8
+        ) as cluster:
+            responses = self.assert_exact(cluster, workload)
+            stats = cluster.stats()
+            assert stats["regions_deferred"] == sum(
+                s["regions_deferred"] for s in stats["shard_stats"]
+            ) > 0
+            # Only a merged answer with every shard's region is admitted.
+            assert stats["cluster_entries"] <= sum(
+                r.region is not None and r.source == "computed" for r in responses
+            )
+
+    @pytest.mark.parametrize("backend", ["inproc", "process"])
+    def test_sharded_first_sighting_is_not_cluster_cached(self, served_setup, backend):
+        data, _ = served_setup
+        with ShardedGIREngine(
+            data, shards=2, backend=backend, cache_capacity=1, cluster_cache_capacity=8
+        ) as cluster:
+            cluster.topk(self.FAR[0], 5)  # every shard has room
+            assert cluster.stats()["cluster_entries"] == 1
+            first = cluster.topk(self.Q, 5)
+            stats = cluster.stats()
+            assert first.region is None and first.source == "computed"
+            assert first.ids == scan_topk(data.points, self.Q, 5).ids
+            assert (stats["cluster_entries"], stats["regions_deferred"]) == (1, 2)
+            repeat = cluster.topk(self.Q, 5)
+            assert repeat.region is not None and repeat.ids == first.ids
+            assert cluster.stats()["cluster_entries"] == 2
+            fanouts = cluster.fanouts
+            third = cluster.topk(self.Q, 5)
+            assert third.source == "cache" and cluster.fanouts == fanouts
+            assert third.region is repeat.region
 
 
 class TestWorkloadGenerators:

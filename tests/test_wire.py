@@ -63,6 +63,14 @@ class TestFraming:
         with pytest.raises(wire.WireError, match="version"):
             wire.decode_frame(bytes(frame))
 
+    def test_previous_version_rejected(self):
+        """A version-4 peer (whose reply always carried a region) is
+        rejected like any other wrong version."""
+        frame = bytearray(wire.encode_frame(wire.MSG_READY))
+        struct.pack_into("<H", frame, 4, 4)
+        with pytest.raises(wire.WireError, match="unsupported wire version 4"):
+            wire.decode_frame(bytes(frame))
+
     def test_unknown_message_type_rejected(self):
         frame = bytearray(wire.encode_frame(wire.MSG_READY))
         struct.pack_into("<H", frame, 6, 999)
@@ -103,6 +111,39 @@ class TestPayloads:
         assert out.region.A.tobytes() == reply.region.A.tobytes()
         assert (out.source, out.pages_read) == ("computed", 17)
         assert out.cache_entries == 6
+
+    def test_reply_without_region_round_trip(self):
+        """An absent region (a shard whose full cache deferred it)
+        crosses as an empty region payload and comes back ``None``, next
+        to a reply that carries one."""
+        rng = np.random.default_rng(9)
+        replies = [
+            ShardReply(
+                ids=(2, 5),
+                scores=(0.5, 0.25),
+                tie_sums=(1.0, 0.5),
+                points_g=rng.random((2, 3)),
+                region=r,
+                source="computed",
+                pages_read=4,
+                cache_entries=16,
+            )
+            for r in (None, region())
+        ]
+        payload = wire.encode_batch_reply(replies)
+        first = wire.encode_batch_reply(replies[:1])
+        # count, three arrays, then the region's 4-byte length: zero.
+        assert b"\x00\x00\x00\x00\x08\x00\x00\x00computed" in first
+        out = wire.decode_batch_reply(
+            wire.decode_frame(wire.encode_frame(wire.MSG_REPLY_BATCH, payload))[1]
+        )
+        assert out[0].region is None
+        assert out[1].region.A.tobytes() == replies[1].region.A.tobytes()
+        assert out[1].region.b.tobytes() == replies[1].region.b.tobytes()
+        for got, want in zip(out, replies):
+            assert (got.ids, got.scores, got.tie_sums) == (want.ids, want.scores, want.tie_sums)
+            assert got.points_g.tobytes() == want.points_g.tobytes()
+            assert (got.source, got.pages_read, got.cache_entries) == ("computed", 4, 16)
 
     def test_batch_reply_round_trip(self):
         rng = np.random.default_rng(8)
@@ -297,7 +338,7 @@ class TestFrameIdentity:
     exact binary fractions, so no float rounding enters the bytes.
     """
 
-    GOLDEN = (4, "433ed8284e1e042476ea3357d64e7804cb9f1ba985c2a19d5932aee5c3049bc9")
+    GOLDEN = (5, "786c00cd27670f73bdcecffa0bed0c22b3bf33b1c9d325870af7976696172641")
 
     def frames(self) -> dict[int, bytes]:
         rows = np.arange(12, dtype=np.float64).reshape(4, 3) / 8.0
@@ -312,6 +353,11 @@ class TestFrameIdentity:
             ids=(3, 1), scores=(0.75, 0.5), tie_sums=(1.5, 1.25),
             points_g=rows[:2, :2], region=region, source="computed",
             pages_read=5, cache_entries=2,
+        )
+        deferred = ShardReply(
+            ids=(2,), scores=(0.25,), tie_sums=(0.75,),
+            points_g=rows[2:3, :2], region=None, source="computed",
+            pages_read=3, cache_entries=16,
         )
         update = ShardUpdate(
             rid=4, evicted=2, screened=3, lps=1, cache_entries=6,
@@ -333,7 +379,7 @@ class TestFrameIdentity:
             wire.MSG_INSERT: wire.encode_frame(wire.MSG_INSERT, wire.encode_insert(rows[2])),
             wire.MSG_DELETE: wire.encode_frame(wire.MSG_DELETE, wire.encode_delete(7)),
             wire.MSG_REPLY_BATCH: wire.encode_frame(
-                wire.MSG_REPLY_BATCH, wire.encode_batch_reply([reply, reply])
+                wire.MSG_REPLY_BATCH, wire.encode_batch_reply([reply, deferred])
             ),
             wire.MSG_REPLY_UPDATE: wire.encode_frame(
                 wire.MSG_REPLY_UPDATE, wire.encode_update(update)
