@@ -53,7 +53,8 @@ they consult can never interleave with a half-applied write. The router
 starts no threads, and the serve lock is the tier's only lock: the
 backends are router-owned, so every backend call — a fan-out, a write,
 a stats or span round trip, ``close`` — runs under it, and a process
-shard's request holds it from its send to its reply.
+shard's request holds it from its send to its reply. Its witness is the
+ownership-spied race of ``tests/test_cluster_stress.py``.
 """
 
 from __future__ import annotations

@@ -79,7 +79,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro import sanitize
 from repro.core.gir import GIRResult
 from repro.core.region_index import (
     RegionIndex,
@@ -305,7 +304,6 @@ class GIRCache:
 
     # -- writes ---------------------------------------------------------------
 
-    @sanitize.mutates
     def insert(self, gir: GIRResult, kth_g: np.ndarray | None = None) -> int:
         """Cache a computed GIR; returns its entry key.
 
@@ -349,7 +347,6 @@ class GIRCache:
 
     # -- lookups --------------------------------------------------------------
 
-    @sanitize.mutates  # a hit touches recency; every path bumps counters
     def lookup(self, weights: np.ndarray, k: int) -> CacheHit | None:
         """Serve a query from cache if its vector lies in some cached GIR
         whose entry was cached for ``k`` or more records: a
@@ -363,7 +360,6 @@ class GIRCache:
         """
         return self.lookup_batch(np.asarray(weights, dtype=np.float64)[None], [k])[0]
 
-    @sanitize.mutates
     def lookup_scan(self, weights: np.ndarray, k: int) -> CacheHit | None:
         """Entry-by-entry reference implementation of :meth:`lookup`.
 
@@ -391,7 +387,6 @@ class GIRCache:
         self.misses += 1
         return None
 
-    @sanitize.mutates
     def lookup_batch(
         self, weights_batch: np.ndarray, ks: int | Sequence[int]
     ) -> list[CacheHit | None]:
@@ -433,7 +428,6 @@ class GIRCache:
         ks = np.asarray(ks, dtype=np.int64)
         return LookupWindow(W, ks if ks.shape == (q,) else np.broadcast_to(ks, (q,)))
 
-    @sanitize.mutates
     def resolve_hits(self, window: LookupWindow) -> list[int]:
         """Resolve a window's pending lookups in order while the cache
         answers them in full, exactly as sequential :meth:`lookup` calls
@@ -520,7 +514,6 @@ class GIRCache:
         window.member, window.keys, window.base = member, keys, start
         window.version = index.version
 
-    @sanitize.mutates
     def resolve_miss(self, window: LookupWindow) -> None:
         """The miss step: account the window's first pending lookup — one
         :meth:`resolve_hits` stopped before — as a miss and move past it.
@@ -528,7 +521,6 @@ class GIRCache:
         self.misses += 1
         window.resolved += 1
 
-    @sanitize.mutates
     def resolve(self, window: LookupWindow) -> list[CacheHit | None]:
         """Resolve a window's pending lookups in order, up to and including
         the first miss: :meth:`resolve_hits`, then :meth:`resolve_miss`
@@ -559,7 +551,6 @@ class GIRCache:
 
     # -- update-driven eviction ------------------------------------------------
 
-    @sanitize.reads
     def prescreen_insert(
         self, point_g: np.ndarray, tol: float = MEMBERSHIP_TOL
     ) -> InsertPrescreen:
@@ -589,7 +580,6 @@ class GIRCache:
             candidates=coded(SCREEN_LP),
         )
 
-    @sanitize.mutates
     def evict(self, keys: Iterable[int]) -> int:
         """Drop the given entries (update invalidation); returns the number
         actually removed. Unknown keys are ignored. The region index is
@@ -602,7 +592,6 @@ class GIRCache:
         self.invalidation_evictions += len(removed)
         return len(removed)
 
-    @sanitize.mutates
     def flush(self) -> int:
         """Drop every entry (the flush-on-write baseline); returns the count."""
         removed = len(self._entries)

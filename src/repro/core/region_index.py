@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import sanitize
 from repro.core import kernels
 from repro.geometry.polytope import Polytope
 from repro.core.tolerances import MEMBERSHIP_TOL, SCREEN_SAFETY
@@ -158,7 +157,6 @@ class RegionIndex:
         length), aligned with :meth:`keys`; spliced with the stacks."""
         return self._depths
 
-    @sanitize.mutates
     def add(
         self,
         key: int,
@@ -251,7 +249,6 @@ class RegionIndex:
             del self._keys[i]
         self.version += 1
 
-    @sanitize.mutates
     def remove_many(self, keys) -> int:
         """Drop several entries in one compaction pass over the stacks
         (an update can invalidate many entries at once; splicing them out
@@ -264,7 +261,6 @@ class RegionIndex:
         self._restack(sorted(self._position(key) for key in drop))
         return len(drop)
 
-    @sanitize.mutates
     def clear(self) -> None:
         d = self.d
         self.version += 1
@@ -308,7 +304,6 @@ class RegionIndex:
 
     # -- insert-invalidation prescreen ----------------------------------------
 
-    @sanitize.reads
     def prescreen_insert(
         self,
         point_g: np.ndarray,

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs, sanitize
+from repro import obs
 from repro.core.caching import (
     GIRCache,
     apply_delete_invalidation,
@@ -477,7 +477,6 @@ class GIREngine:
     def n_live(self) -> int:
         return self.table.n_live
 
-    @sanitize.reads
     def result_rows(self, ids) -> np.ndarray:
         """Snapshot copy of the rows behind an answer, in answer order.
 
@@ -490,14 +489,12 @@ class GIREngine:
 
     # -- serving --------------------------------------------------------------
 
-    @sanitize.mutates  # cache-first serving touches recency and counters
     def topk(self, weights: np.ndarray, k: int) -> EngineResponse:
         """Answer one top-k request, cache-first: a batch of one through
         :meth:`topk_batch`, which documents the serving and validation
         rules."""
         return self.topk_batch([Request(weights=weights, k=k)])[0]
 
-    @sanitize.mutates
     def topk_batch(self, requests: list) -> list[EngineResponse]:
         """Serve a batch of :class:`~repro.engine.workload.Request`\\ s,
         cache-first — the engine's one read path.
@@ -556,7 +553,6 @@ class GIREngine:
                         responses.append(self._serve(vectors[stop], ks[stop]))
         return responses
 
-    @sanitize.mutates  # a hit touches recency and counters
     def serve_hits(self, requests: list) -> list[EngineResponse]:
         """Serve the longest prefix of ``requests`` the cache answers in
         full — a bounded, hit-only read that never runs the pipeline.
@@ -704,7 +700,6 @@ class GIREngine:
 
     # -- updates --------------------------------------------------------------
 
-    @sanitize.mutates
     def insert(self, point: np.ndarray) -> UpdateResponse:
         """Insert a new record; returns its rid and eviction accounting.
 
@@ -748,7 +743,6 @@ class GIREngine:
                 sp, "insert", rid, evicted, screened=screened, lps=lps
             )
 
-    @sanitize.mutates
     def delete(self, rid: int) -> UpdateResponse:
         """Delete a live record; returns eviction accounting.
 

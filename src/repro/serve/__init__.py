@@ -43,9 +43,9 @@ carries no timing.
 Engine calls are routed through a one-thread executor bridge, except
 that bounded ``serve_hits`` call, which the dispatcher makes on the
 loop; the bridge is idle whenever the dispatcher runs, so one thread at
-a time is in the engine, satisfying the runtime sanitizer's ownership
-tokens. The event loop never blocks: the spy engine of
-``tests/test_serve.py`` checks that each engine call runs on its thread,
+a time is in the engine. The event loop never blocks: the ownership spy
+of ``tests/test_serve.py`` checks that each engine call runs on its
+thread and that no two threads are ever inside the engine at once,
 and ``tests/test_source_invariants.py`` that no coroutine sleeps or takes
 a thread lock.
 """

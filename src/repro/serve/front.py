@@ -5,8 +5,8 @@ One :class:`ServeFront` wraps one engine (a
 :class:`~repro.cluster.ShardedGIREngine` — anything with the engine
 serving surface: ``topk_batch`` / ``serve_hits`` / ``insert`` /
 ``delete`` / ``d`` / ``n_live``). The engine stays strictly
-single-owner: one thread at a time is inside it, which is exactly the
-ownership shape the runtime sanitizer's tokens accept. The dispatcher
+single-owner: one thread at a time is inside it (the ownership spy of
+``tests/test_serve.py`` holds every serving mode to that). The dispatcher
 serves one operation at a time and awaits each engine call before it
 takes the next one from the queue, so the bridge is idle whenever the
 dispatcher runs. Engine work runs on the front door's one-thread

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +28,55 @@ LEDGER_CLUSTER_KWARGS = {
     "cluster_cache_capacity": 256,
     "page_sleep_ms": 0.0,
 }
+
+
+#: The serving surface every engine shares, and the entry points of its
+#: GIR cache: what :func:`spy_ownership` watches on each.
+ENGINE_METHODS = ("topk_batch", "serve_hits", "insert", "delete")
+CACHE_METHODS = (
+    "entry", "items", "insert", "lookup", "lookup_scan", "lookup_batch",
+    "lookup_window", "resolve_hits", "resolve_miss", "resolve",
+    "prescreen_insert", "evict", "flush",
+)  # fmt: skip
+
+
+class Overlap(AssertionError):
+    """A second thread entered a single-owner structure while another
+    thread was still inside it."""
+
+
+def spy_ownership(obj, names) -> dict[str, set[int]]:
+    """Wrap the methods ``names`` of the instance ``obj`` (its class is
+    untouched) with an ownership check: a call raises :class:`Overlap`
+    when another thread is inside any of them; the thread inside may
+    nest its own calls. Reads and writes are not told apart: every
+    structure it watches is fully serialized. Returns the record it
+    fills, ``{name: idents of the threads that called it}``."""
+    guard = threading.Lock()
+    owner, depth = None, 0
+    threads: dict[str, set[int]] = {name: set() for name in names}
+
+    def wrap(name, method):
+        @functools.wraps(method)
+        def spied(*args, **kwargs):
+            nonlocal owner, depth
+            me = threading.get_ident()
+            with guard:
+                if depth and owner != me:
+                    raise Overlap(f"{type(obj).__name__}.{name} entered by two threads")
+                owner, depth = me, depth + 1
+                threads[name].add(me)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                with guard:
+                    depth -= 1
+
+        return spied
+
+    for name in names:
+        setattr(obj, name, wrap(name, getattr(obj, name)))
+    return threads
 
 
 @pytest.fixture(scope="session")

@@ -22,12 +22,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 LEDGER = ["benchmarks/ledger/run.py", "--seed", "7", "--seconds", "1", "--scale", "smoke"]
 ENTRYPOINTS = (
-    [({}, ["examples/" + p.name, "3000"]) for p in sorted((ROOT / "examples").glob("*.py"))]
-    + [({}, ["-m", "repro.bench", "--figure", "all", "--scale", "smoke"])]
-    + [({}, [*LEDGER, "--workload", w, "--trace", t])
+    [["examples/" + p.name, "3000"] for p in sorted((ROOT / "examples").glob("*.py"))]
+    + [["-m", "repro.bench", "--figure", "all", "--scale", "smoke"]]
+    + [[*LEDGER, "--workload", w, "--trace", t]
        for w in ("miss_uniform", "hot_zipf", "flash_rw", "sharded_rw") for t in "01"]
-    + [({"REPRO_SANITIZE": "1"}, [*LEDGER, "--workload", w, "--trace", "0"])
-       for w in ("flash_rw", "sharded_rw")]
 )  # fmt: skip
 
 RECORDER = """\
@@ -79,8 +77,8 @@ def main() -> None:
         out.mkdir()
         Path(tmp, "sitecustomize.py").write_text(f"OUT = {str(out)!r}\n" + RECORDER)
         path = os.pathsep.join([tmp, str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-        for extra, argv in ENTRYPOINTS:
-            env = dict(os.environ, PYTHONPATH=path, **extra)
+        env = dict(os.environ, PYTHONPATH=path)
+        for argv in ENTRYPOINTS:
             print("running", " ".join(argv), file=sys.stderr)
             subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, check=True,
                            stdout=subprocess.DEVNULL)  # fmt: skip

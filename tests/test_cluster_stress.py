@@ -18,6 +18,13 @@ Epoch tagging uses the started/done counter pair: the writer bumps
 ``done == a`` before and ``started == b`` after is untorn iff ``a == b``
 (no write overlapped it), and then it observed exactly ``a`` writes.
 Torn reads are discarded — their ordering is genuinely ambiguous.
+
+The race also witnesses the serve lock itself: the router's cluster
+cache, and with in-process shards each shard engine and its cache, carry
+an ownership spy (``tests/conftest.py``), so a router path that let a
+second thread in while another was inside fails the race with
+:class:`~tests.conftest.Overlap` — correct answers alone would not show
+a missing lock.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import pytest
 from repro.cluster import ShardedGIREngine
 from repro.data.synthetic import independent
 from repro.engine.workload import Request
+from tests.conftest import CACHE_METHODS, ENGINE_METHODS, Overlap, spy_ownership
 
 N, D, K = 400, 3, 5
 SHARDS = 2
@@ -83,6 +91,11 @@ class TestRacingReadsVsRoutedWrites:
         with ShardedGIREngine(
             data, shards=SHARDS, partitioner="round_robin", backend=backend
         ) as engine:
+            spy_ownership(engine.cache, CACHE_METHODS)
+            if backend == "inproc":
+                for shard in engine.shards:
+                    spy_ownership(shard, ENGINE_METHODS)
+                    spy_ownership(shard.cache, CACHE_METHODS)
             # Warm the cluster cache so racing reads are mostly fast
             # cache hits — slow cold GIR computations would overlap
             # every write and leave no untorn observation.
@@ -191,3 +204,53 @@ class TestRacingReadsVsRoutedWrites:
             f"reads never interleaved with writes (epochs seen: "
             f"{sorted(epochs)}); the stress test is vacuous"
         )
+
+
+class TestOwnershipSpy:
+    """The spy the race relies on, checked without a race: threads that
+    take turns pass, a thread nests its own calls, and a second thread
+    entering while the first is inside raises."""
+
+    class Box:
+        def poke(self, inside=None, release=None):
+            if inside is not None:
+                inside.set()
+                release.wait(5)
+            return self.peek()
+
+        def peek(self):
+            return 1
+
+    def spied_box(self):
+        box = self.Box()
+        return box, spy_ownership(box, ("poke", "peek"))
+
+    def test_threads_taking_turns_pass(self):
+        box, threads = self.spied_box()
+        for _ in range(3):
+            t = threading.Thread(target=box.poke)
+            t.start()
+            t.join(5)
+            assert not t.is_alive()
+        assert box.poke() == 1
+        assert len(threads["poke"]) >= 2  # the main thread and a worker
+
+    def test_a_thread_may_nest_its_own_calls(self):
+        box, threads = self.spied_box()
+        assert box.poke() == 1  # poke calls the spied peek
+        assert threads["peek"] == {threading.get_ident()}
+
+    def test_a_second_thread_inside_raises(self):
+        box, _ = self.spied_box()
+        inside, release = threading.Event(), threading.Event()
+        t = threading.Thread(target=box.poke, args=(inside, release))
+        t.start()
+        assert inside.wait(5)
+        try:
+            with pytest.raises(Overlap, match=r"Box\.peek entered by two threads"):
+                box.peek()
+        finally:
+            release.set()
+            t.join(5)
+        assert not t.is_alive()
+        assert box.poke() == 1  # the owner left: the next caller is let in

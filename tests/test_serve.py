@@ -35,6 +35,7 @@ from repro.serve import (
     ServeError,
     replay_serial_check,
 )
+from tests.conftest import CACHE_METHODS, ENGINE_METHODS, spy_ownership
 
 D = 3
 N = 400
@@ -94,40 +95,33 @@ SERVING_MODES = pytest.mark.parametrize(
 )
 
 
-class LoopSpyEngine(GIREngine):
-    """A ``GIREngine`` that records, per serving call, whether it ran on
-    the event-loop thread. The front door must run the pipeline
-    (``topk_batch``, ``insert``, ``delete``) on its bridge thread and
-    only the bounded ``serve_hits`` on the loop. A source check sees the
-    call sites it can name; this sees a call made through any helper."""
+def serve_spied(engine, config=None) -> dict[str, set[bool]]:
+    """Serve a flash crowd, then a mixed read/write stream, through a
+    front door over ``engine``, with the engine's serving surface and its
+    cache under the ownership spy (``tests/conftest.py``): a second thread
+    inside either fails the run, since the spy's
+    :class:`~tests.conftest.Overlap` reaches the caller of the read or
+    write it broke. The crowd's hits arrive while bridge calls run, so a
+    dispatcher that served them then would overlap. Returns, per engine
+    entry point, whether its calls ran on the event loop (the loop is
+    this thread)."""
+    spy_ownership(engine.cache, CACHE_METHODS)
+    threads = spy_ownership(engine, ENGINE_METHODS)
+    crowd = flash_crowd_workload(D, 60, k=8, rng=3)
+    mixed = mixed_workload(D, 70, base_n=N, k=8, update_fraction=0.3, rng=0)
+    drive(engine, [*crowd, *mixed], config)
+    loop = threading.get_ident()
+    return {name: {t == loop for t in idents} for name, idents in threads.items()}
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.on_loop: dict[str, set[bool]] = {}
 
-    def _record(self, name: str) -> None:
-        try:
-            asyncio.get_running_loop()
-            on_loop = True
-        except RuntimeError:
-            on_loop = False
-        self.on_loop.setdefault(name, set()).add(on_loop)
-
-    def serve_hits(self, requests):
-        self._record("serve_hits")
-        return super().serve_hits(requests)
-
-    def topk_batch(self, requests):
-        self._record("topk_batch")
-        return super().topk_batch(requests)
-
-    def insert(self, point):
-        self._record("insert")
-        return super().insert(point)
-
-    def delete(self, rid):
-        self._record("delete")
-        return super().delete(rid)
+#: Only the bounded ``serve_hits`` runs on the loop; the pipeline runs on
+#: the bridge. Both threads enter the engine, never at once.
+KEPT_THREADS = {
+    "topk_batch": {False},
+    "serve_hits": {True},
+    "insert": {False},
+    "delete": {False},
+}
 
 
 class InlineExecutor(Executor):
@@ -164,23 +158,22 @@ class TestServeEquivalence:
 
     @SERVING_MODES
     def test_engine_calls_keep_their_thread(self, data, config):
-        engine = LoopSpyEngine(data, bulk_load_str(data), cache_capacity=64)
-        drive(engine, mixed_workload(D, 70, base_n=N, k=8, update_fraction=0.3, rng=0), config)
-        assert engine.on_loop == {
-            "serve_hits": {True},
-            "topk_batch": {False},
-            "insert": {False},
-            "delete": {False},
-        }
+        assert serve_spied(fresh_engine(data), config) == KEPT_THREADS
+
+    @SERVING_MODES
+    def test_cluster_calls_keep_their_thread(self, data, config):
+        """The router and its cluster cache hold one owner at a time, as
+        one engine does: the front door never relies on the router lock."""
+        with ShardedGIREngine(data, shards=2) as cluster:
+            assert serve_spied(cluster, config) == KEPT_THREADS
 
     def test_spy_flags_engine_calls_moved_onto_the_loop(self, data, monkeypatch):
         """Seeded fault: a bridge that runs each engine call on the loop."""
         monkeypatch.setattr(
             "repro.serve.front.ThreadPoolExecutor", lambda **_: InlineExecutor()
         )
-        engine = LoopSpyEngine(data, bulk_load_str(data), cache_capacity=64)
-        drive(engine, mixed_workload(D, 70, base_n=N, k=8, update_fraction=0.3, rng=0))
-        assert engine.on_loop["topk_batch"] == engine.on_loop["insert"] == {True}
+        on_loop = serve_spied(fresh_engine(data))
+        assert on_loop["topk_batch"] == on_loop["insert"] == {True}
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_across_insert_delete_fences(self, data, seed):

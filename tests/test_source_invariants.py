@@ -14,7 +14,12 @@ and reports ``path:line: [rule] message``. The checks:
   ``serve/`` coroutine (which engine calls run on the loop is checked at
   run time, by the spy engine of ``tests/test_serve.py``);
 * ``span-discipline``: every ``span``/``trace``/``use_trace`` of
-  :mod:`repro.obs` is a ``with`` item or an ``enter_context`` argument.
+  :mod:`repro.obs` is a ``with`` item or an ``enter_context`` argument;
+* ``lock-sites``: a ``Lock``/``RLock``/``Semaphore``/``Condition`` is
+  built only in ``obs/trace.py`` (the trace collector's guard) and
+  ``cluster/sharded.py`` (the router's serve lock); every other structure
+  is single-owner (the ownership spy of ``tests/conftest.py`` watches
+  that at run time).
 
 ``# repro: allow[rule] -- why`` on a finding's line, or in a comment
 block directly above it, allows it. The justification is required, and a
@@ -123,7 +128,8 @@ FORK_SCOPE = (
 )  # fmt: skip
 MUTABLE = (ast.Dict, ast.DictComp, ast.List, ast.ListComp, ast.Set, ast.SetComp)
 MUTABLE_CALLS = frozenset({"dict", "list", "set", "defaultdict", "deque"})
-RESOURCE_CALLS = frozenset({"Lock", "RLock", "Semaphore", "Condition", "open"})
+LOCK_CALLS = frozenset({"Lock", "RLock", "Semaphore", "Condition"})
+RESOURCE_CALLS = LOCK_CALLS | {"open"}
 
 
 def fork_safety(mod: Module):
@@ -212,11 +218,26 @@ def span_discipline(mod: Module):
             yield node.lineno, f"{name}() is not a with item or enter_context argument"
 
 
+# -- lock-sites -----------------------------------------------------------------
+
+LOCK_SITES = ("repro/obs/trace.py", "repro/cluster/sharded.py")
+
+
+def lock_sites(mod: Module):
+    if mod.path in LOCK_SITES:
+        return
+    for node in ast.walk(mod.tree):
+        name = call_name(node)
+        if name in LOCK_CALLS:
+            yield node.lineno, f"{name}() outside {' and '.join(LOCK_SITES)}"
+
+
 CHECKS = {
     "numeric-safety": numeric_safety,
     "fork-safety": fork_safety,
     "async-safety": async_safety,
     "span-discipline": span_discipline,
+    "lock-sites": lock_sites,
 }
 
 
@@ -290,7 +311,7 @@ def test_a_file_that_does_not_parse_fails_loudly():
 
 
 ZERO_CHECK = "def f(x):\n    return x == 0.0"
-NUM, FORK, ASYNC, SPAN = CHECKS
+NUM, FORK, ASYNC, SPAN, LOCK = CHECKS
 #: name -> (rule, path, source, the "line:message fragment" of each finding)
 SEEDS = {
     "float_literal_equality": (NUM, "m.py", "def f(x):\n    return x == 1.5\n", ["2:bare"]),
@@ -341,6 +362,11 @@ SEEDS = {
                            "from repro.obs.trace import span\ndef f():\n    return span('w')\n", []),
     "span_of_another_library": (SPAN, "pkg/mod.py",
                                 "from other import span\ndef f():\n    return span('w')\n", []),
+    "lock_in_a_cache_method": (LOCK, "repro/core/caching.py", "import threading\nclass GIRCache:\n"
+                               "    def insert(self):\n        self._lock = threading.Lock()\n",
+                               ["4:Lock() outside"]),
+    "the_two_lock_sites": (LOCK, "repro/cluster/sharded.py", "import threading\nclass R:\n"
+                           "    def __init__(self):\n        self._serve_lock = threading.RLock()\n", []),
 }  # fmt: skip
 
 
