@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 import threading
+import traceback
 
 import numpy as np
 import pytest
@@ -48,10 +50,11 @@ class Overlap(AssertionError):
 def spy_ownership(obj, names) -> dict[str, set[int]]:
     """Wrap the methods ``names`` of the instance ``obj`` (its class is
     untouched) with an ownership check: a call raises :class:`Overlap`
-    when another thread is inside any of them; the thread inside may
-    nest its own calls. Reads and writes are not told apart: every
-    structure it watches is fully serialized. Returns the record it
-    fills, ``{name: idents of the threads that called it}``."""
+    when another thread is inside any of them, with the stacks of both
+    threads; the thread inside may nest its own calls. Reads and writes
+    are not told apart: every structure it watches is fully serialized.
+    Returns the record it fills, ``{name: idents of the threads that
+    called it}``."""
     guard = threading.Lock()
     owner, depth = None, 0
     threads: dict[str, set[int]] = {name: set() for name in names}
@@ -63,7 +66,12 @@ def spy_ownership(obj, names) -> dict[str, set[int]]:
             me = threading.get_ident()
             with guard:
                 if depth and owner != me:
-                    raise Overlap(f"{type(obj).__name__}.{name} entered by two threads")
+                    other = sys._current_frames()[owner]
+                    raise Overlap(
+                        f"{type(obj).__name__}.{name} entered by two threads\n"
+                        f"--- this thread\n{''.join(traceback.format_stack())}"
+                        f"--- other thread\n{''.join(traceback.format_stack(other))}"
+                    )
                 owner, depth = me, depth + 1
                 threads[name].add(me)
             try:

@@ -38,7 +38,7 @@ import pytest
 from repro.cluster import ShardedGIREngine
 from repro.data.synthetic import independent
 from repro.engine.workload import Request
-from tests.conftest import CACHE_METHODS, ENGINE_METHODS, Overlap, spy_ownership
+from tests.conftest import CACHE_METHODS, ENGINE_METHODS, spy_ownership
 
 N, D, K = 400, 3, 5
 SHARDS = 2
@@ -205,52 +205,3 @@ class TestRacingReadsVsRoutedWrites:
             f"{sorted(epochs)}); the stress test is vacuous"
         )
 
-
-class TestOwnershipSpy:
-    """The spy the race relies on, checked without a race: threads that
-    take turns pass, a thread nests its own calls, and a second thread
-    entering while the first is inside raises."""
-
-    class Box:
-        def poke(self, inside=None, release=None):
-            if inside is not None:
-                inside.set()
-                release.wait(5)
-            return self.peek()
-
-        def peek(self):
-            return 1
-
-    def spied_box(self):
-        box = self.Box()
-        return box, spy_ownership(box, ("poke", "peek"))
-
-    def test_threads_taking_turns_pass(self):
-        box, threads = self.spied_box()
-        for _ in range(3):
-            t = threading.Thread(target=box.poke)
-            t.start()
-            t.join(5)
-            assert not t.is_alive()
-        assert box.poke() == 1
-        assert len(threads["poke"]) >= 2  # the main thread and a worker
-
-    def test_a_thread_may_nest_its_own_calls(self):
-        box, threads = self.spied_box()
-        assert box.poke() == 1  # poke calls the spied peek
-        assert threads["peek"] == {threading.get_ident()}
-
-    def test_a_second_thread_inside_raises(self):
-        box, _ = self.spied_box()
-        inside, release = threading.Event(), threading.Event()
-        t = threading.Thread(target=box.poke, args=(inside, release))
-        t.start()
-        assert inside.wait(5)
-        try:
-            with pytest.raises(Overlap, match=r"Box\.peek entered by two threads"):
-                box.peek()
-        finally:
-            release.set()
-            t.join(5)
-        assert not t.is_alive()
-        assert box.poke() == 1  # the owner left: the next caller is let in

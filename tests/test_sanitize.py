@@ -1,246 +1,153 @@
-"""Tests for the runtime concurrency sanitizer (`repro.sanitize`).
+"""Tests for the ownership spy (``tests/conftest.py::spy_ownership``).
 
-The ownership token is exercised directly in-process — it works
-regardless of ``REPRO_SANITIZE``. The production wiring (decorators
-arming, a seeded race actually detected, the sharded tier running
-clean) needs the flag frozen at import, so those cases run in
-subprocesses with ``REPRO_SANITIZE=1``.
+``GIREngine``, ``GIRCache`` and ``RegionIndex`` are single-owner: one
+thread at a time, the router's serve lock being the program's one lock.
+The spy is the check of that contract which the concurrency tests
+(``test_cluster_stress.py``, ``test_serve.py``) rely on, so here it is
+checked on its own, without a race to find: on a toy structure
+(``TestAccessToken``) and on the engine's real ones
+(``TestProductionWiring``).
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import threading
-from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.sanitize import AccessToken, OwnershipViolation
+from repro.core.caching import GIRCache
+from repro.data.synthetic import independent
+from repro.engine.engine import GIREngine
+from tests.conftest import CACHE_METHODS, ENGINE_METHODS, Overlap, spy_ownership
 
-REPO = Path(__file__).resolve().parents[1]
+
+class Box:
+    """A toy structure whose methods can hold their caller inside."""
+
+    def mutate(self, inside=None, release=None):
+        if inside is not None:
+            inside.set()
+            release.wait(5)
+        return self.read()
+
+    def read(self, inside=None, release=None):
+        if inside is not None:
+            inside.set()
+            release.wait(5)
+        return 1
 
 
-def run_sanitized(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a fresh interpreter with the sanitizer armed."""
-    env = dict(os.environ)
-    env["REPRO_SANITIZE"] = "1"
-    env["PYTHONPATH"] = str(REPO / "src")
-    return subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        cwd=REPO,
-        env=env,
-        timeout=180,
-    )
+def spied_box():
+    box = Box()
+    return box, spy_ownership(box, ("mutate", "read"))
 
 
 class TestAccessToken:
     def test_serialized_cross_thread_accesses_pass(self):
-        token = AccessToken("t")
-        done = []
-
-        def use():
-            with token.access("mutate"):
-                done.append(1)
-
+        box, threads = spied_box()
         for _ in range(3):
-            t = threading.Thread(target=use)
+            t = threading.Thread(target=box.mutate)
             t.start()
-            t.join()
-        with token.access("mutate"):
-            done.append(1)
-        assert len(done) == 4
-
-    def test_concurrent_reads_pass(self):
-        token = AccessToken("t")
-        inside = threading.Event()
-        release = threading.Event()
-        errors: list[BaseException] = []
-
-        def reader():
-            try:
-                with token.access("read"):
-                    inside.set()
-                    release.wait(5)
-            except BaseException as exc:  # pragma: no cover - fail path
-                errors.append(exc)
-                inside.set()
-
-        t = threading.Thread(target=reader)
-        t.start()
-        assert inside.wait(5)
-        with token.access("read"):
-            pass
-        release.set()
-        t.join()
-        assert errors == []
+            t.join(5)
+            assert not t.is_alive()
+        assert box.mutate() == 1
+        assert len(threads["mutate"]) >= 2  # the main thread and a worker
 
     @pytest.mark.parametrize("mine,other", [
         ("mutate", "mutate"),
         ("mutate", "read"),
         ("read", "mutate"),
-    ])
-    def test_overlap_with_a_mutation_raises_with_both_stacks(
-        self, mine, other
-    ):
-        token = AccessToken("cache#1")
-        inside = threading.Event()
-        release = threading.Event()
-
-        def holder():
-            with token.access(other):
-                inside.set()
-                release.wait(5)
-
-        t = threading.Thread(target=holder)
+    ])  # fmt: skip
+    def test_overlap_with_a_mutation_raises_with_both_stacks(self, mine, other):
+        box, _ = spied_box()
+        inside, release = threading.Event(), threading.Event()
+        t = threading.Thread(target=getattr(box, other), args=(inside, release))
         t.start()
         assert inside.wait(5)
         try:
-            with pytest.raises(OwnershipViolation) as err:
-                with token.access(mine):
-                    pass
+            with pytest.raises(Overlap, match=rf"Box\.{mine} entered by two threads") as err:
+                getattr(box, mine)()
         finally:
             release.set()
-            t.join()
+            t.join(5)
+        assert not t.is_alive()
         message = str(err.value)
-        assert "cache#1" in message
         assert "--- this thread" in message
         assert "--- other thread" in message
-        # Both stacks are real tracebacks pointing at this test module.
+        # Both stacks are real tracebacks through this test module.
         assert message.count("test_sanitize.py") >= 2
+        assert box.mutate() == 1  # the owner left: the next caller is let in
 
     def test_same_thread_nesting_is_reentrant(self):
-        token = AccessToken("t")
-        with token.access("mutate"):
-            with token.access("read"):
-                with token.access("mutate"):
-                    pass
+        box, threads = spied_box()
+        assert box.mutate() == 1  # mutate calls the spied read
+        assert threads["read"] == {threading.get_ident()}
 
 
 class TestProductionWiring:
-    def test_decorators_are_identity_when_disabled(self):
-        # Run in a subprocess with the flag cleared: this test must hold
-        # even when the suite itself runs under REPRO_SANITIZE=1.
-        env = dict(os.environ)
-        env.pop("REPRO_SANITIZE", None)
-        env["PYTHONPATH"] = str(REPO / "src")
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro import sanitize\n"
-                "assert not sanitize.ENABLED\n"
-                "def method(self):\n"
-                "    return 7\n"
-                "assert sanitize.mutates(method) is method\n"
-                "assert sanitize.reads(method) is method\n"
-                "print('IDENTITY-OK')\n",
-            ],
-            capture_output=True,
-            text=True,
-            cwd=REPO,
-            env=env,
-            timeout=180,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "IDENTITY-OK" in proc.stdout
-
-    def test_armed_interpreter_instruments_methods(self):
-        proc = run_sanitized(
-            "from repro import sanitize\n"
-            "from repro.core.caching import GIRCache\n"
-            "from repro.engine.engine import GIREngine\n"
-            "assert sanitize.ENABLED\n"
-            "assert hasattr(GIRCache.insert, '__wrapped__')\n"
-            "assert hasattr(GIRCache.lookup, '__wrapped__')\n"
-            "assert hasattr(GIREngine.topk, '__wrapped__')\n"
-            "print('ARMED-OK')\n"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "ARMED-OK" in proc.stdout
-
     def test_seeded_race_is_detected(self):
-        # Two threads inside one instrumented structure at once, one of
-        # them mutating: the sanitizer must fail fast with both stacks.
-        proc = run_sanitized(
-            "import threading\n"
-            "from repro import sanitize\n"
-            "\n"
-            "class Box:\n"
-            "    @sanitize.mutates\n"
-            "    def poke(self, entered, release):\n"
-            "        entered.set()\n"
-            "        release.wait(5)\n"
-            "\n"
-            "box = Box()\n"
-            "entered, release = threading.Event(), threading.Event()\n"
-            "t = threading.Thread(target=box.poke, args=(entered, release))\n"
-            "t.start()\n"
-            "assert entered.wait(5)\n"
-            "try:\n"
-            "    box.poke(threading.Event(), threading.Event())\n"
-            "    print('RACE-MISSED')\n"
-            "except sanitize.OwnershipViolation as exc:\n"
-            "    assert '--- other thread' in str(exc)\n"
-            "    print('RACE-DETECTED')\n"
-            "finally:\n"
-            "    release.set()\n"
-            "    t.join()\n"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "RACE-DETECTED" in proc.stdout
-        assert "RACE-MISSED" not in proc.stdout
+        # A worker held inside the cache's lookup while the main thread
+        # flushes: two threads inside one real GIRCache at once.
+        cache = GIRCache(capacity=4)
+        inside, release = threading.Event(), threading.Event()
+        lookup = cache.lookup
+
+        def held_lookup(weights, k):
+            inside.set()
+            release.wait(5)
+            return lookup(weights, k)
+
+        cache.lookup = held_lookup
+        spy_ownership(cache, CACHE_METHODS)
+        t = threading.Thread(target=cache.lookup, args=(np.full(3, 0.5), 3))
+        t.start()
+        assert inside.wait(5)
+        try:
+            with pytest.raises(Overlap, match=r"GIRCache\.flush entered by two threads") as err:
+                cache.flush()
+        finally:
+            release.set()
+            t.join(5)
+        assert not t.is_alive()
+        assert "held_lookup" in str(err.value).split("--- other thread")[1]
+        assert cache.flush() == 0  # the owner left: the next caller is let in
 
     def test_serialized_use_of_instrumented_structure_passes(self):
-        proc = run_sanitized(
-            "import threading\n"
-            "from repro import sanitize\n"
-            "\n"
-            "class Box:\n"
-            "    @sanitize.mutates\n"
-            "    def poke(self):\n"
-            "        return 1\n"
-            "\n"
-            "box = Box()\n"
-            "for _ in range(3):\n"
-            "    t = threading.Thread(target=box.poke)\n"
-            "    t.start()\n"
-            "    t.join()\n"
-            "box.poke()\n"
-            "print('SERIAL-OK')\n"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "SERIAL-OK" in proc.stdout
+        # Reads and writes on one spied GIREngine from threads taking
+        # turns: no overlap, and the answers of a serial engine.
+        data = independent(300, 3, seed=9)
+        rng = np.random.default_rng(17)
+        q0, q1, p = rng.random(3) + 0.05, rng.random(3) + 0.05, rng.random(3)
+        ops = [
+            ("topk", q0), ("topk", q0), ("insert", p), ("topk", q1),
+            ("delete", 5), ("topk", q0), ("topk", q1),
+        ]  # fmt: skip
 
-    def test_sharded_tier_runs_clean_under_the_sanitizer(self):
-        # The serve lock serializes the router and every backend call
-        # under it: a mixed workload on either backend must produce zero
-        # ownership violations — and the same answers on both.
-        proc = run_sanitized(
-            "from repro.cluster import ShardedGIREngine\n"
-            "from repro.data.synthetic import independent\n"
-            "from repro.engine import InsertOp, Request, mixed_workload\n"
-            "\n"
-            "data = independent(300, 3, seed=9)\n"
-            "wl = mixed_workload(3, 20, base_n=300, k=5,\n"
-            "                    update_fraction=0.3, rng=17)\n"
-            "answers = []\n"
-            "for backend in ('inproc', 'process'):\n"
-            "    ids = []\n"
-            "    with ShardedGIREngine(data, shards=2, backend=backend) as eng:\n"
-            "        for op in wl:\n"
-            "            if isinstance(op, Request):\n"
-            "                ids.append(eng.topk(op.weights, op.k).ids)\n"
-            "            elif isinstance(op, InsertOp):\n"
-            "                eng.insert(op.point)\n"
-            "            else:\n"
-            "                eng.delete(op.rid)\n"
-            "    answers.append(ids)\n"
-            "assert answers[0] == answers[1] and answers[0]\n"
-            "print('CLUSTER-OK', len(answers[0]))\n"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "CLUSTER-OK" in proc.stdout
+        def apply(engine, op, out):
+            kind, arg = op
+            if kind == "topk":
+                out.append(engine.topk(arg, 5).ids)
+            elif kind == "insert":
+                engine.insert(arg)
+            else:
+                engine.delete(arg)
+
+        engine = GIREngine(data, cache_capacity=8)
+        spy_ownership(engine.cache, CACHE_METHODS)
+        threads = spy_ownership(engine, ENGINE_METHODS)
+        answers: list = []
+        for op in ops:
+            t = threading.Thread(target=apply, args=(engine, op, answers))
+            t.start()
+            t.join(30)
+            assert not t.is_alive()
+        apply(engine, ("topk", q1), answers)
+
+        serial = GIREngine(data, cache_capacity=8)
+        expected: list = []
+        for op in [*ops, ("topk", q1)]:
+            apply(serial, op, expected)
+        assert answers == expected
+        assert len(threads["topk_batch"]) >= 2  # the main thread and a worker
+        assert engine.stats()["full_hits"] >= 1
