@@ -4,18 +4,20 @@ The paper's Section 1 scenario assumes a static database, but real
 catalogues churn: products appear and disappear between queries. The GIR
 is exactly the tool that decides *which* cached results an update can
 disturb — a new record invalidates a cached entry only if its score can
-exceed the entry's k-th score somewhere inside the entry's region (one
-halfspace-intersection LP), and a deleted record only matters if the entry
-served it (or its retained search state saw it).
+exceed the entry's k-th score somewhere inside the entry's region (the
+cache brackets that by each region's cone rays, and evicts when the
+bracket cannot rule it out), and a deleted record only matters if the
+entry served it.
 
 This example runs the same mixed read/write stream through two engines:
 
-* ``invalidation="gir"``   — the selective, region-aware policy;
-* ``invalidation="flush"`` — the classic flush-on-write baseline.
+* ``gir``   — the engine as it is: GIR-aware, selective eviction;
+* ``flush`` — the classic flush-on-write baseline: the same engine, with
+  ``engine.cache.flush()`` called after every write.
 
 Both stay exactly correct (verified against a linear scan of the live
-records after every update); the difference is how much of the cache — and
-therefore how much of the hit rate — survives the churn.
+records); the difference is how much of the cache — and therefore how
+much of the hit rate — survives the churn.
 
 Run with:  python examples/dynamic_engine.py
 """
@@ -46,37 +48,35 @@ def main(n: int = 20_000, ops: int = 300) -> None:
         f"{workload.updates} updates over {n} records\n"
     )
 
-    # Per policy: (evictions, hit rate, pages per 1k reads).
+    # Per engine: (evictions, hit rate, pages per 1k reads).
     results = {}
     engines = {}
-    for policy in ("gir", "flush"):
-        engine = repro.GIREngine(
-            data, repro.bulk_load_str(data),
-            cache_capacity=64, invalidation=policy,
-        )
-        pages = 0
+    for name in ("gir", "flush"):
+        engine = repro.GIREngine(data, repro.bulk_load_str(data), cache_capacity=64)
+        pages = evictions = 0
         for op in workload:
             if isinstance(op, Request):
                 pages += engine.topk(op.weights, op.k).pages_read
-            elif isinstance(op, InsertOp):
-                engine.insert(op.point)
+                continue
+            if isinstance(op, InsertOp):
+                evictions += engine.insert(op.point).evicted
             else:
-                engine.delete(op.rid)
+                evictions += engine.delete(op.rid).evicted
+            if name == "flush":
+                evictions += engine.cache.flush()
         stats = engine.stats()
-        results[policy] = (
-            stats["update_evictions"],
+        results[name] = (
+            evictions,
             stats["full_hits"] / stats["requests_served"],
             1000 * pages / stats["requests_served"],
         )
-        engines[policy] = engine
-        print(f"--- invalidation = {policy!r} " + "-" * 40)
+        engines[name] = engine
+        print(f"--- {name} " + "-" * 40)
         print(f"served from cache : {stats['full_hits']} of "
               f"{stats['requests_served']} reads, {stats['misses']} computed")
         print(f"I/O               : {pages} pages")
         print(f"updates           : {stats['updates_applied']}, "
-              f"{stats['update_evictions']} cache evictions")
-        print(f"insert prescreen  : {stats['prescreen_screened']} entries "
-              f"cleared without an LP, {stats['prescreen_lps']} LPs run")
+              f"{evictions} cache evictions")
         print()
 
     (gir_ev, gir_hits, gir_pages), (fl_ev, fl_hits, fl_pages) = results.values()

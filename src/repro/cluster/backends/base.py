@@ -78,7 +78,7 @@ class ShardWriteError(RuntimeError):
 
     Raised by :func:`guarded_engine_write` only for the dangerous failure
     class: the row was already stored / tombstoned when the exception hit
-    (e.g. an invalidation LP or a tree split raised mid-flight), so the
+    (e.g. the insert screen or a tree split raised mid-flight), so the
     shard's state can no longer be trusted to match the router's maps or
     its own cache. The only sound response is fail-stop — the worker
     refuses further work and the router marks the cluster broken rather
@@ -155,7 +155,6 @@ class ShardSpec:
     points: npt.NDArray[np.float64]
     method: str
     cache_capacity: int
-    invalidation: str
     page_sleep_ms: float
     scorer: "ScoringFunction"
 
@@ -204,10 +203,8 @@ class ShardUpdate:
     rid: int
     #: Shard-cache entries the write invalidated.
     evicted: int
-    #: Entries the insert prescreen cleared without an LP.
+    #: Shard-cache entries the insert screen decided.
     screened: int
-    #: Invalidation LPs actually run.
-    lps: int
     #: Shard-cache entries remaining after the update (see
     #: :attr:`ShardReply.cache_entries`).
     cache_entries: int
@@ -285,7 +282,6 @@ def build_shard_engine(spec: ShardSpec) -> GIREngine:
         method=spec.method,
         scorer=spec.scorer,
         cache_capacity=spec.cache_capacity,
-        invalidation=spec.invalidation,
     )
 
 
@@ -324,7 +320,6 @@ def update_from_response(sub: UpdateResponse) -> ShardUpdate:
         rid=sub.rid,
         evicted=sub.evicted,
         screened=sub.prescreen_screened,
-        lps=sub.prescreen_lps,
         cache_entries=sub.cache_entries,
     )
 

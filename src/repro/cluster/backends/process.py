@@ -1,8 +1,8 @@
 """`ProcessBackend` — one long-lived worker process per shard.
 
 Python threads cannot overlap the CPU-bound parts of GIR serving (phase-2
-half-space computation, merge preparation, LP-based invalidation all hold
-the GIL); a worker *process* can. Each backend forks/spawns one worker
+half-space computation, region ray enumeration, merge preparation all
+hold the GIL); a worker *process* can. Each backend forks/spawns one worker
 that owns the full shard engine — R*-tree, page store, point table,
 GIRCache — for the cluster's lifetime, so every cached
 region and warm structure survives across requests exactly as in-process

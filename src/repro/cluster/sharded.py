@@ -34,9 +34,11 @@ serves the *global* top-k on top:
   sighting from BRS alone sends no region; the merge then builds only
   the ordered answer, and the cluster cache admits nothing for it;
 * **writes route** to the single owning shard (the partitioner decides),
-  reuse the shard's selective ``invalidated_by_insert`` /
-  ``invalidated_by_delete`` machinery unchanged, and apply the same
-  selective test to the cluster-level cache under the global rids.
+  which evicts from its own cache exactly as a standalone engine does
+  (:func:`~repro.core.caching.apply_insert_invalidation` /
+  :func:`~repro.core.caching.apply_delete_invalidation`); the router
+  applies the same two rules to the cluster-level cache under the
+  global rids.
 
 Global rids are the cluster's public record identity: the ``i``-th insert
 lands at rid ``base_n + i`` exactly as in the single engine, so workload
@@ -83,7 +85,6 @@ from repro.data.dataset import Dataset, PointTable, grow_rows
 from repro.engine.engine import (
     EngineResponse,
     GIREngine,
-    INVALIDATION_POLICIES,
     UpdateResponse,
     serve_full_hits,
     validate_point,
@@ -136,7 +137,7 @@ class ShardedGIREngine:
         Real per-page read latency of each shard's simulated store
         (see :class:`~repro.index.storage.PageStore`); ``0`` keeps page
         reads accounting-only.
-    method / scorer / invalidation:
+    method / scorer:
         Forwarded to every shard engine (one shared scorer instance keeps
         g-space identical across shards; the process backend pickles it
         into each worker).
@@ -155,7 +156,6 @@ class ShardedGIREngine:
         cache_capacity: int = 128,
         cache_policy: str = "lru",
         cluster_cache_capacity: int = 256,
-        invalidation: str = "gir",
         page_sleep_ms: float = 0.0,
     ) -> None:
         if not isinstance(data, Dataset):
@@ -166,17 +166,11 @@ class ShardedGIREngine:
             raise ValueError(
                 f"need at least one record per shard: n={data.n} < shards={shards}"
             )
-        if invalidation not in INVALIDATION_POLICIES:
-            raise ValueError(
-                f"unknown invalidation policy {invalidation!r}; "
-                f"expected one of {INVALIDATION_POLICIES}"
-            )
         if cache_policy != "lru":
             raise ValueError(f"unknown cache policy {cache_policy!r}; expected 'lru'")
         self.n_shards = int(shards)
         self.scorer = scorer or LinearScoring(data.d)
         self.method = method
-        self.invalidation = invalidation
         self.partitioner = make_partitioner(partitioner, self.n_shards)
         self.backend_name: str = (
             backend if isinstance(backend, str) else getattr(backend, "name", "custom")
@@ -192,9 +186,9 @@ class ShardedGIREngine:
         #: the data (the shards own theirs).
         self.table = PointTable.from_dataset(data)
         #: g-space image of the global table, maintained in lockstep
-        #: (the cluster-cache invalidation LPs need the g-image of any
-        #: global rid without asking the owning shard — which may live in
-        #: another process).
+        #: (routing and the cluster cache's insert screen need the g-image
+        #: of any global rid without asking the owning shard — which may
+        #: live in another process).
         self._g_buf = self.scorer.transform(self.table.rows).copy()
         self._g_n: int = int(self.table.n_allocated)
 
@@ -223,7 +217,6 @@ class ShardedGIREngine:
                     points=data.points[gids],
                     method=method,
                     cache_capacity=cache_capacity,
-                    invalidation=invalidation,
                     page_sleep_ms=page_sleep_ms,
                     scorer=self.scorer,
                 )
@@ -533,9 +526,9 @@ class ShardedGIREngine:
     # -- updates --------------------------------------------------------------
 
     def insert(self, point: np.ndarray) -> UpdateResponse:
-        """Insert a record: route to the owning shard only, then apply the
-        selective (or flush) invalidation to that shard's cache *and* to
-        the cluster-level cache under the global rids."""
+        """Insert a record: route to the owning shard only, whose cache
+        applies the insert rule, then apply it to the cluster-level cache
+        under the global rids."""
         with obs.span("cluster.insert"), self._serve_lock:
             self._ensure_serving()
             point = validate_point(point, self.d)
@@ -570,15 +563,12 @@ class ShardedGIREngine:
             self._rid_map.append((shard, local))
             self._shard_live[shard] += 1
             self._shard_cache_entries[shard] = sub.cache_entries
-            evicted, screened, lps = self._cluster_invalidate_insert(
-                point_g, gid
-            )
+            evicted, screened = self._cluster_invalidate_insert(point_g, gid)
             return self._finish_update(
                 "insert",
                 gid,
                 evicted=sub.evicted + evicted,
                 screened=sub.screened + screened,
-                lps=sub.lps + lps,
             )
 
     def delete(self, rid: int) -> UpdateResponse:
@@ -604,18 +594,14 @@ class ShardedGIREngine:
             self.table.delete(rid)
             self._shard_live[shard] -= 1
             self._shard_cache_entries[shard] = sub.cache_entries
-            if self.cache is None:
-                evicted = 0
-            elif self.invalidation == "flush":
-                evicted = self.cache.flush()
-            else:
+            evicted = 0
+            if self.cache is not None:
                 evicted = apply_delete_invalidation(self.cache, rid)
             return self._finish_update(
                 "delete",
                 rid,
                 evicted=sub.evicted + evicted,
                 screened=sub.screened,
-                lps=sub.lps,
             )
 
     def _append_g(self, stored: np.ndarray) -> np.ndarray:
@@ -629,33 +615,25 @@ class ShardedGIREngine:
 
     def _cluster_invalidate_insert(
         self, point_g: np.ndarray, gid: int
-    ) -> tuple[int, int, int]:
-        """Apply the insert-invalidation policy to the cluster cache;
-        returns (evicted, prescreen_screened, lps_run). The same
-        ray prescreen (safe / tie / certain eviction) → tie-break → LP on
-        the undecided rest sequence as :meth:`GIREngine.insert`
+    ) -> tuple[int, int]:
+        """Apply the insert rule to the cluster cache; returns (evicted,
+        prescreen_screened). The same ray prescreen (safe / tie /
+        certain eviction / undecided) → tie-break → eviction sequence as
+        :meth:`GIREngine.insert`
         (:func:`~repro.core.caching.apply_insert_invalidation`), keyed by
         global rids; merged entries carry their request weights as the
         rays' interior point."""
         if self.cache is None:
-            return 0, 0, 0
-        if self.invalidation == "flush":
-            return int(self.cache.flush()), 0, 0
+            return 0, 0
         rows = self.points
-        evicted, screened, lps = apply_insert_invalidation(
+        evicted, screened, _ = apply_insert_invalidation(
             self.cache,
             point_g,
             new_sum=float(rows[gid].sum()),
             new_rid=gid,
             kth_point=lambda rid: rows[rid],
-            kth_g=self._g_of,
         )
-        return int(evicted), int(screened), int(lps)
-
-    def _g_of(self, rid: int) -> np.ndarray:
-        """g-space image of a global rid (router-maintained buffer — the
-        owning shard may live in another process)."""
-        return self._g_buf[rid]
+        return int(evicted), int(screened)
 
     def _finish_update(
         self,
@@ -663,7 +641,6 @@ class ShardedGIREngine:
         rid: int,
         evicted: int,
         screened: int,
-        lps: int,
     ) -> UpdateResponse:
         self.updates_applied += 1
         self.update_evictions += evicted
@@ -675,9 +652,7 @@ class ShardedGIREngine:
             rid=rid,
             evicted=evicted,
             cache_entries=entries,
-            policy=self.invalidation,
             prescreen_screened=screened,
-            prescreen_lps=lps,
         )
 
     # -- introspection --------------------------------------------------------

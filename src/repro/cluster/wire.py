@@ -24,8 +24,9 @@ so that worker-side spans stitch under the router's trace
 (:mod:`repro.obs`). Tracing is observability, not semantics: a frame
 with and without the trace block decodes to byte-identical payloads.
 
-This is version 5: reply and update frames carry answers and their
-accounting (page reads, cache entries, eviction counts), and no latency.
+This is version 6: reply and update frames carry answers and their
+accounting (page reads, cache entries, eviction and insert-screen
+counts), and no latency.
 A reply's region may be absent (a shard whose full cache answered a first
 sighting without computing one); it crosses as an empty region payload.
 Time is measured by :mod:`repro.obs` spans, whose worker-side records
@@ -128,7 +129,7 @@ __all__ = [
 ]
 
 MAGIC = b"GIRW"
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 _FRAME = struct.Struct("<4sHHH")  # magic, version, msg_type, flags
 
 #: Frame flag: a trace-context block precedes the payload.
@@ -366,7 +367,6 @@ def encode_build(spec: "ShardSpec") -> bytes:
             "name": spec.name,
             "method": spec.method,
             "cache_capacity": spec.cache_capacity,
-            "invalidation": spec.invalidation,
             "page_sleep_ms": spec.page_sleep_ms,
         },
     )
@@ -396,7 +396,6 @@ def decode_build(reader: Reader) -> "ShardSpec":
         points=points,
         method=str(config["method"]),
         cache_capacity=int(config["cache_capacity"]),
-        invalidation=str(config["invalidation"]),
         page_sleep_ms=float(config["page_sleep_ms"]),
         scorer=scorer,
     )
@@ -506,11 +505,10 @@ def decode_batch_reply(reader: Reader) -> list["ShardReply"]:
 
 def encode_update(update: "ShardUpdate") -> bytes:
     return struct.pack(
-        "<qqqqq",
+        "<qqqq",
         update.rid,
         update.evicted,
         update.screened,
-        update.lps,
         update.cache_entries,
     )
 
@@ -518,13 +516,12 @@ def encode_update(update: "ShardUpdate") -> bytes:
 def decode_update(reader: Reader) -> "ShardUpdate":
     from repro.cluster.backends.base import ShardUpdate
 
-    rid, evicted, screened, lps, cache_entries = reader.unpack("<qqqqq")
+    rid, evicted, screened, cache_entries = reader.unpack("<qqqq")
     reader.done()
     return ShardUpdate(
         rid=int(rid),
         evicted=int(evicted),
         screened=int(screened),
-        lps=int(lps),
         cache_entries=int(cache_entries),
     )
 

@@ -51,24 +51,23 @@ Dynamic datasets
 When the database changes under the cache, the GIR is precisely the tool
 that decides *which* cached entries an update can disturb:
 
-* an **insert** invalidates entry E only if the new record's score can
-  exceed E's k-th score somewhere inside E's region — the
-  halfspace-intersection test :func:`invalidated_by_insert` (one LP via
-  :meth:`~repro.core.gir.GIRResult.admits_above_kth`).
-  :meth:`GIRCache.prescreen_insert` decides it for the whole cache in one
-  vectorized pass over each region's cone rays, enumerated once when the
-  entry is admitted (see
+* an **insert** disturbs entry E only if the new record's score can
+  exceed E's k-th score somewhere inside E's region.
+  :meth:`GIRCache.prescreen_insert` brackets that maximum for the whole
+  cache in one vectorized pass over each region's cone rays, enumerated
+  once when the entry is admitted (see
   :meth:`~repro.core.region_index.RegionIndex.prescreen_insert`): every
   entry is safe, an exact tie (the tie-break decides), a certain
-  eviction, or — only where ray enumeration failed or the bracket is too
-  loose — left to the LP;
+  eviction, or undecided — where ray enumeration failed or the bracket
+  straddles the tolerance. :func:`apply_insert_invalidation` evicts the
+  undecided entries with the certain ones: evicting a valid entry never
+  changes an answer, it only costs a later hit;
 * a **delete** invalidates E only if the deleted rid appears in E's
   result — :func:`invalidated_by_delete`. Deleting any other record
   leaves the cached ordered top-k valid everywhere in the region.
 
 The eviction mechanics live on :meth:`GIRCache.evict` /
-:meth:`GIRCache.flush`; the *policy* (selective GIR test vs flush-on-write
-baseline) is chosen by :class:`repro.engine.GIREngine`.
+:meth:`GIRCache.flush`; both serving engines apply the rules above.
 """
 
 from __future__ import annotations
@@ -83,9 +82,9 @@ from repro.core.gir import GIRResult
 from repro.core.region_index import (
     RegionIndex,
     SCREEN_EVICT,
-    SCREEN_LP,
     SCREEN_SAFE,
     SCREEN_TIE,
+    SCREEN_UNDECIDED,
 )
 from repro.core.tolerances import MEMBERSHIP_TOL
 
@@ -94,30 +93,10 @@ __all__ = [
     "InsertPrescreen",
     "LookupWindow",
     "GIRCache",
-    "invalidated_by_insert",
     "invalidated_by_delete",
     "apply_insert_invalidation",
     "apply_delete_invalidation",
 ]
-
-
-def invalidated_by_insert(
-    gir: GIRResult,
-    point_g: np.ndarray,
-    kth_g: np.ndarray,
-    tol: float = MEMBERSHIP_TOL,
-    tie_wins: bool = False,
-) -> bool:
-    """Does inserting a record with g-image ``point_g`` disturb ``gir``?
-
-    True iff the new record can rank above the entry's k-th result record
-    somewhere in the region (it would then enter the cached top-k for the
-    queries that land there). ``kth_g`` is the g-image of the entry's k-th
-    result record; ``tie_wins`` says whether the new record beats it on
-    the ``(coord-sum, rid)`` tie-break when their scores tie exactly (an
-    inserted duplicate always does — its rid is fresher).
-    """
-    return gir.admits_above_kth(point_g, kth_g, tol=tol, tie_wins=tie_wins)
 
 
 def invalidated_by_delete(gir: GIRResult, rid: int) -> bool:
@@ -138,16 +117,15 @@ def apply_insert_invalidation(
     new_sum: float,
     new_rid: int,
     kth_point,
-    kth_g,
 ) -> tuple[int, int, int]:
-    """Run the selective insert-invalidation policy over a whole cache.
+    """Run the insert rule over a whole cache.
 
     The one sequence both serving tiers share: vectorized prescreen
     (safe / exact tie / certain eviction / undecided) → tie-break
-    resolution of exact-tie entries → invalidation LP on the undecided
-    entries only → eviction of the ties that win, the certain evictions
-    and the LP's positives. Returns ``(evicted, prescreen_screened,
-    lps_run)``; certain evictions count as screened.
+    resolution of exact-tie entries → eviction of the ties that win, the
+    certain evictions and the undecided entries. Returns ``(evicted,
+    prescreen_screened, undecided)``; certain evictions count as
+    screened, undecided ones do not.
 
     Parameters
     ----------
@@ -159,34 +137,27 @@ def apply_insert_invalidation(
         shard's cache, global rids for the cluster-level cache). The sum
         must come from the *stored* row (unit-cube clipped), so shard and
         cluster tiers resolve exact ties identically.
-    kth_point / kth_g:
-        Accessors ``rid -> data-space row`` / ``rid -> g-image`` for an
-        entry's k-th result record — how rows are fetched is the only
-        thing that differs between the tiers.
+    kth_point:
+        Accessor ``rid -> data-space row`` for an entry's k-th result
+        record — how rows are fetched is the only thing that differs
+        between the tiers.
     """
     prescreen = cache.prescreen_insert(point_g)
 
-    def tie_wins(gir: GIRResult) -> bool:
+    def tie_wins(key: int) -> bool:
         # Exact score ties resolve by (coord-sum, rid) descending; the
         # freshly inserted rid is always the highest.
-        kth = gir.topk.kth_id
+        kth = cache.entry(key).topk.kth_id
         return (new_sum, new_rid) > (float(kth_point(kth).sum()), kth)
 
-    stale = [key for key in prescreen.ties if tie_wins(cache.entry(key))]
+    stale = [key for key in prescreen.ties if tie_wins(key)]
     stale.extend(prescreen.evict)
-    lps = 0
-    for key in prescreen.candidates:
-        gir = cache.entry(key)
-        lps += 1
-        if invalidated_by_insert(
-            gir, point_g, kth_g(gir.topk.kth_id), tie_wins=tie_wins(gir)
-        ):
-            stale.append(key)
-    return cache.evict(stale), prescreen.screened, lps
+    stale.extend(prescreen.undecided)
+    return cache.evict(stale), prescreen.screened, len(prescreen.undecided)
 
 
 def apply_delete_invalidation(cache: "GIRCache", rid: int) -> int:
-    """Run the selective delete-invalidation policy over a whole cache.
+    """Run the delete rule over a whole cache.
 
     Evicts every entry :func:`invalidated_by_delete` flags — the rid is
     in the entry's cached result — and returns the eviction count.
@@ -208,19 +179,19 @@ class CacheHit:
 class InsertPrescreen:
     """Vectorized classification of the whole cache against one insert."""
 
-    #: Entries the insert provably cannot disturb — no LP needed.
+    #: Entries the insert provably cannot disturb.
     safe: tuple[int, ...]
     #: Entries whose k-th record the insert ties at *every* query vector
-    #: (identical g-image); the caller's tie-break rule decides, no LP.
+    #: (identical g-image); the caller's tie-break rule decides.
     ties: tuple[int, ...]
-    #: Entries the insert provably disturbs — evict, no LP needed.
+    #: Entries the insert provably disturbs.
     evict: tuple[int, ...]
-    #: Entries the screen could not decide — run the exact LP test.
-    candidates: tuple[int, ...]
+    #: Entries the screen could not decide; the insert rule evicts them.
+    undecided: tuple[int, ...]
 
     @property
     def screened(self) -> int:
-        """Entries resolved without an LP."""
+        """Entries the screen decided."""
         return len(self.safe) + len(self.ties) + len(self.evict)
 
 
@@ -313,10 +284,10 @@ class GIRCache:
         their own requests, and LRU retires whichever stops serving.
 
         ``kth_g`` — the g-image of the entry's k-th result record, shape
-        ``(d,)`` — enables the vectorized insert-invalidation prescreen for
-        this entry (see :meth:`prescreen_insert`). An insert given it pays
-        one ray enumeration of the entry's cone, here; one given none pays
-        nothing, and its entry is always left to the LP.
+        ``(d,)`` — lets the insert screen decide this entry (see
+        :meth:`prescreen_insert`). An insert given it pays one ray
+        enumeration of the entry's cone, here; one given none pays
+        nothing, and its entry is undecided on every insert screen.
         """
         index = self._index
         if index is None:
@@ -559,14 +530,14 @@ class GIRCache:
         One vectorized pass over the region index (see
         :meth:`~repro.core.region_index.RegionIndex.prescreen_insert`)
         partitions the entries into provably-undisturbed / exact-tie /
-        provably-disturbed / LP-candidate sets; the caller runs
-        :func:`invalidated_by_insert`'s LP only on the candidates. A pure
-        read: every entry's rays were enumerated when it was admitted. A
+        provably-disturbed / undecided sets
+        (:func:`apply_insert_invalidation` evicts the undecided ones). A
+        pure read: every entry's rays were enumerated when it was admitted. A
         ``point_g`` of another dimensionality than the cached regions' is
         a ``ValueError``.
         """
         if self._index is None:
-            return InsertPrescreen(safe=(), ties=(), evict=(), candidates=())
+            return InsertPrescreen(safe=(), ties=(), evict=(), undecided=())
         keys = np.asarray(self._index.keys(), dtype=np.int64)
         codes = self._index.prescreen_insert(point_g, tol=tol)
 
@@ -577,7 +548,7 @@ class GIRCache:
             safe=coded(SCREEN_SAFE),
             ties=coded(SCREEN_TIE),
             evict=coded(SCREEN_EVICT),
-            candidates=coded(SCREEN_LP),
+            undecided=coded(SCREEN_UNDECIDED),
         )
 
     def evict(self, keys: Iterable[int]) -> int:
@@ -593,7 +564,7 @@ class GIRCache:
         return len(removed)
 
     def flush(self) -> int:
-        """Drop every entry (the flush-on-write baseline); returns the count."""
+        """Drop every entry; returns the count."""
         removed = len(self._entries)
         self._entries.clear()
         self._stamps.clear()

@@ -27,13 +27,6 @@ the g-space image of the data unchanged — SP's separation half-spaces,
 and equally CP's hull and FP's facet fan, whose arguments use nothing but
 that scores are dot products with ``q'`` — and since each ``g_i`` is
 non-decreasing, dominance and MBB corners carry over to g-space as well.
-
-For serving under a *changing* database, :class:`GIRResult` also exposes a
-region k-th-score bound — :meth:`GIRResult.kth_score_margin` /
-:meth:`GIRResult.admits_above_kth` — the halfspace-intersection test that
-decides whether a newly inserted record can enter the cached top-k
-anywhere inside the region. The dynamic engine's selective cache
-invalidation (:mod:`repro.core.caching`) is built on it.
 """
 
 from __future__ import annotations

@@ -122,57 +122,6 @@ class GIRResult:
         equals the volume."""
         return self.volume()
 
-    def kth_score_margin(self, challenger_g: np.ndarray, kth_g: np.ndarray) -> float:
-        """Region-wide k-th-score bound: the largest score gap
-        ``S(challenger, q) − S(p_k, q)`` over all ``q`` in the region.
-
-        Both points are given in g-space (for linear scoring, data space).
-        Inside the GIR the ordered result — hence the identity of the k-th
-        record — is fixed, so the gap is the linear objective
-        ``(g(challenger) − g(p_k)) · q`` and its maximum over the polytope
-        is one LP (:meth:`~repro.geometry.polytope.Polytope.maximize`).
-        A non-positive margin certifies the challenger can *nowhere* in the
-        region enter the cached top-k.
-        """
-        return self.polytope.maximize(
-            np.asarray(challenger_g, dtype=np.float64)
-            - np.asarray(kth_g, dtype=np.float64)
-        )
-
-    def admits_above_kth(
-        self,
-        challenger_g: np.ndarray,
-        kth_g: np.ndarray,
-        tol: float = MEMBERSHIP_TOL,
-        tie_wins: bool = False,
-    ) -> bool:
-        """Can a record at ``challenger_g`` rank above the k-th result
-        record somewhere in the region? (The insert-invalidation test.)
-
-        ``tie_wins`` declares how exact score ties resolve: the serving
-        stack ranks by ``(score, coord-sum, rid)`` descending, so a
-        challenger that *ties* the k-th score still enters the top-k when
-        its tie-break key is higher (e.g. an inserted duplicate of the
-        k-th record — same point, fresh higher rid). With identical
-        g-images the scores tie at *every* query vector, so the verdict is
-        ``tie_wins`` outright. For distinct g-images, score ties at
-        strictly positive query vectors require ``delta`` to have both
-        signs — and then the strict-margin LP already flags the entry —
-        so the margin test is decisive.
-
-        Fast paths need no LP: with non-negative query weights a
-        challenger dominated component-wise by ``p_k`` can never
-        out-score it.
-        """
-        delta = np.asarray(challenger_g, dtype=np.float64) - np.asarray(
-            kth_g, dtype=np.float64
-        )
-        if not delta.any():  # identical g-image: a tie everywhere
-            return tie_wins
-        if (delta <= 0).all():
-            return False
-        return self.kth_score_margin(challenger_g, kth_g) > tol
-
     def boundary_perturbations(self, tol: float = MEMBERSHIP_TOL):
         """Result changes at each bounding facet — see
         :func:`repro.core.perturbation.boundary_perturbations`."""

@@ -16,19 +16,21 @@ Write-path prescreen
 
 On an insert, the dynamic engine must decide for every cached entry
 whether the new record can enter its top-k somewhere in its region: is
-``max δ · w > tol`` over the region, with ``δ = g(p_new) − g(p_k)``
-(:func:`~repro.core.caching.invalidated_by_insert`, one LP)? The index
-decides it without the LP. A GIR is a polyhedral cone cut by the unit
-box, so every member is ``w = Σ λ_j r_j`` over the cone's unit-sum
-extreme rays ``r_j`` with ``λ_j ≥ 0`` and ``Σ λ_j = Σ w ≤ d``; and each
-ray scaled to ``r_j / max(r_j)`` is itself a member. With
-``m = max δ · r_j`` and ``s = max δ · r_j / max(r_j)`` the LP optimum
-therefore lies in ``[s, d · max(m, 0)]``:
+``max δ · w > tol`` over the region, with ``δ = g(p_new) − g(p_k)``?
+The index brackets that maximum without solving for it. A GIR is a
+polyhedral cone cut by the unit box, so every member is
+``w = Σ λ_j r_j`` over the cone's unit-sum extreme rays ``r_j`` with
+``λ_j ≥ 0`` and ``Σ λ_j = Σ w ≤ d``; and each ray scaled to
+``r_j / max(r_j)`` is itself a member. With ``m = max δ · r_j`` and
+``s = max δ · r_j / max(r_j)`` the maximum therefore lies in
+``[s, d · max(m, 0)]``:
 
 * ``d · m ≤ tol − SCREEN_SAFETY`` (or ``δ`` dominated) — the insert
   provably cannot disturb the entry;
-* ``s > tol + SCREEN_SAFETY`` — it provably does: evict, no LP;
-* in between — run the LP.
+* ``s > tol + SCREEN_SAFETY`` — it provably does;
+* in between — undecided. The cache evicts an undecided entry with the
+  certain ones (:func:`~repro.core.caching.apply_insert_invalidation`):
+  evicting a valid entry never changes an answer.
 
 The index keeps the rays ``R`` (:meth:`Polytope.cone_rays`, with the
 entry's query vector as the interior point) and the dot products
@@ -36,7 +38,7 @@ entry's query vector as the interior point) and the dot products
 screening every entry against a new ``g(p_new)`` is one stacked matvec
 plus two segment maxima. An entry whose ray enumeration failed (a query
 vector on a facet, a flat region, rows that are not a cone) is always
-left to the LP.
+undecided.
 
 Rays are enumerated once, when the entry is admitted (:meth:`add`), so
 the screen is a pure read and a write never pays for another entry's
@@ -62,16 +64,16 @@ __all__ = [
     "RegionIndex",
     "SCREEN_SAFE",
     "SCREEN_TIE",
-    "SCREEN_LP",
+    "SCREEN_UNDECIDED",
     "SCREEN_EVICT",
 ]
 
 #: Prescreen verdicts (per entry): the insert provably cannot disturb the
 #: entry / ties its k-th record exactly everywhere (caller's tie-break
-#: decides) / needs the LP to decide / provably disturbs it.
+#: decides) / the bracket cannot decide / provably disturbs it.
 SCREEN_SAFE = 0
 SCREEN_TIE = 1
-SCREEN_LP = 2
+SCREEN_UNDECIDED = 2
 SCREEN_EVICT = 3
 
 
@@ -173,9 +175,9 @@ class RegionIndex:
 
         ``kth_g`` (the g-image of the entry's k-th result record) and
         ``interior`` (the entry's query vector, the interior point of the
-        ray enumeration) enable the insert-invalidation prescreen for this
-        entry, at the cost of one ray enumeration here; without both the
-        entry is always classified :data:`SCREEN_LP`. ``evict`` names an
+        ray enumeration) let the insert prescreen decide this entry, at
+        the cost of one ray enumeration here; without both the entry is
+        always :data:`SCREEN_UNDECIDED`. ``evict`` names an
         indexed entry to drop in the same pass (the cache's LRU entry on
         capacity overflow): each stack is then copied once, not once to
         append and once to splice. A ``kth_g`` that is not of shape
@@ -198,7 +200,7 @@ class RegionIndex:
             R = polytope.cone_rays(np.asarray(interior, dtype=np.float64))
         if R is None:
             # Unit-sum like a real ray, so the max(r) divisor stays positive;
-            # the NaN k-th row marks the entry as always LP.
+            # the NaN k-th row marks the entry as always undecided.
             R, kth_g = np.full((1, self.d), 1.0 / self.d), np.full(self.d, np.nan)
             rdots = np.zeros(1)
         else:
@@ -271,7 +273,7 @@ class RegionIndex:
         self._offsets = np.zeros(1, dtype=np.int64)
         # Screen rays and their ``R @ g(p_k)``, segmented the same way by
         # ``ray_offsets``, and per entry its k-th g-image: a NaN row for an
-        # entry the screen leaves to the LP.
+        # entry the screen never decides.
         self._R = np.empty((0, d), dtype=np.float64)
         self._rdots = np.empty(0, dtype=np.float64)
         self._ray_offsets = np.zeros(1, dtype=np.int64)
@@ -314,9 +316,9 @@ class RegionIndex:
 
         Returns an int8 array aligned with :meth:`keys`. With
         ``δ = g(p_new) − g(p_k)`` and the entry's unit-sum rays ``r``,
-        ``m = max δ · r`` and ``s = max δ · r / max(r)`` bracket the LP
-        optimum over the region as ``[s, d · max(m, 0)]`` (see the module
-        docstring):
+        ``m = max δ · r`` and ``s = max δ · r / max(r)`` bracket the
+        maximum of ``δ · w`` over the region as ``[s, d · max(m, 0)]``
+        (see the module docstring):
 
         * :data:`SCREEN_SAFE` — the record provably cannot out-score the
           entry's k-th record anywhere in its region: ``δ`` is dominated
@@ -325,22 +327,23 @@ class RegionIndex:
           at *every* query vector; the caller's tie-break rule decides);
         * :data:`SCREEN_EVICT` — it provably does, somewhere in the region:
           ``s > tol + safety``;
-        * :data:`SCREEN_LP` — undecided, run the exact LP test.
+        * :data:`SCREEN_UNDECIDED` — the bracket straddles the tolerance;
+          the cache evicts the entry.
 
         ``safety`` absorbs ray rounding (un-joggled qhull intersections
-        are reliable to ~1e-12), so both decisions are the LP's own
-        verdict. It must stay *below* ``tol``: GIR regions contain the
+        are reliable to ~1e-12), so both decisions agree with the exact
+        maximum. It must stay *below* ``tol``: GIR regions contain the
         origin (the cone apex), so every undisturbable entry's exact
         maximum is 0 — a ``safety ≥ tol`` would reject the very bound the
         screen exists to accept. Entries added without ``kth_g`` or
         ``interior``, or whose ray enumeration failed, are always
-        :data:`SCREEN_LP`.
+        :data:`SCREEN_UNDECIDED`.
         """
         point_g = np.asarray(point_g, dtype=np.float64)
         if point_g.shape != (self.d,):
             raise ValueError(f"point_g must have shape ({self.d},)")
         n = len(self._keys)
-        codes = np.full(n, SCREEN_LP, dtype=np.int8)
+        codes = np.full(n, SCREEN_UNDECIDED, dtype=np.int8)
         if n == 0:
             return codes
         eligible = ~np.isnan(self._kth).any(axis=1)
@@ -352,7 +355,7 @@ class RegionIndex:
             # repro: allow[numeric-safety] -- exact g-image ties only: a row
             # whose kth g-vector is bit-identical to the query point must be
             # screened as a tie, and any tolerance here would misclassify
-            # near-ties that the LP path handles correctly
+            # near-ties that the ray bracket decides
             tie = eligible & (delta == 0.0).all(axis=1)
             dominated = eligible & ~tie & (delta <= 0.0).all(axis=1)
         bounded = eligible & ~tie

@@ -49,7 +49,7 @@ __all__ = [
 #: Global half-space membership tolerance: ``A_n @ x <= b_n + tol`` over
 #: *unit-norm* rows. Shared by ``Polytope.contains``/``contains_batch``,
 #: the stacked :class:`~repro.core.region_index.RegionIndex` kernels, GIR
-#: containment, cache invalidation LPs and the unit-box bounds checks —
+#: containment, the insert screen's bracket and the unit-box bounds checks —
 #: one value, so the vectorized and scalar membership paths agree
 #: bit-for-bit in form.
 MEMBERSHIP_TOL = 1e-9
@@ -95,7 +95,7 @@ PREDICATE_EPS = 1e-10
 STRICT_BELOW_TOL = 1e-6
 
 #: Margin of the insert prescreen's two decisions on the cone-ray bracket
-#: ``[s, d · m]`` of the invalidation LP's optimum: an entry is
+#: ``[s, d · m]`` of an insert's best score gain over a region: an entry is
 #: undisturbable only if ``d · m ≤ tol − SCREEN_SAFETY`` and certainly
 #: evicted only if ``s > tol + SCREEN_SAFETY`` (un-joggled qhull rays are
 #: reliable to ~1e-12; this dominates it comfortably). Must stay below

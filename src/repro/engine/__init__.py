@@ -4,7 +4,7 @@
   scorer + :class:`~repro.core.caching.GIRCache`; answers
   ``engine.topk(q, k)`` cache-first, applies ``engine.insert(point)`` /
   ``engine.delete(rid)`` updates with GIR-aware selective cache
-  invalidation (or the flush-on-write baseline), and keeps its counters
+  invalidation, and keeps its counters
   in ``engine.stats()`` (time is measured by :mod:`repro.obs` spans);
 * :mod:`repro.engine.workload` — uniform / Zipf-clustered / mixed
   read-write query-stream generators for scenario diversity.
@@ -13,7 +13,6 @@
 from repro.engine.engine import (
     EngineResponse,
     GIREngine,
-    INVALIDATION_POLICIES,
     UpdateResponse,
     validate_k,
     validate_point,
@@ -35,7 +34,6 @@ __all__ = [
     "GIREngine",
     "EngineResponse",
     "UpdateResponse",
-    "INVALIDATION_POLICIES",
     "validate_weights",
     "validate_k",
     "validate_point",

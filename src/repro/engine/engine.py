@@ -37,15 +37,14 @@ The dataset is *mutable*: :meth:`GIREngine.insert` / :meth:`GIREngine.delete`
 route through :meth:`~repro.index.rtree.RStarTree.insert` /
 :meth:`~repro.index.rtree.RStarTree.delete`, maintain the
 :class:`~repro.data.dataset.PointTable` and its cached g-space image, and
-invalidate cached GIRs per the engine's ``invalidation`` policy:
+evict only the cached GIRs the update can disturb:
 
-* ``"gir"`` (default) — *selective*: an insert evicts entry E only if the
-  new record's score can exceed E's k-th score somewhere in E's region
-  (one LP, :func:`~repro.core.caching.invalidated_by_insert`); a delete
-  only if the rid is in E's result
+* an insert evicts entry E when the cache's ray screen
+  (:func:`~repro.core.caching.apply_insert_invalidation`) shows the new
+  record out-scoring E's k-th result record somewhere in E's region, or
+  cannot rule it out: evicting a valid entry never changes an answer;
+* a delete evicts E only if the rid is in E's result
   (:func:`~repro.core.caching.invalidated_by_delete`).
-* ``"flush"`` — flush-on-write: every update empties the whole cache (the
-  comparison baseline).
 """
 
 from __future__ import annotations
@@ -78,7 +77,6 @@ __all__ = [
     "serve_full_hits",
     "UpdateResponse",
     "GIREngine",
-    "INVALIDATION_POLICIES",
     "validate_weights",
     "validate_weight_rows",
     "validate_requests",
@@ -91,9 +89,6 @@ __all__ = [
 #: Response provenance markers.
 SOURCE_CACHE = "cache"
 SOURCE_COMPUTED = "computed"
-
-#: Cache-invalidation policies for updates.
-INVALIDATION_POLICIES = ("gir", "flush")
 
 #: A full cache remembers the answer keys of the last
 #: ``SIGHTING_SPAN × capacity`` misses it served without a region; an
@@ -366,17 +361,12 @@ class UpdateResponse:
     kind: str
     #: Rid of the inserted / deleted record.
     rid: int
-    #: Cache entries this update invalidated (under the engine's policy).
+    #: Cache entries this update invalidated.
     evicted: int
     #: Cache entries remaining after the update.
     cache_entries: int
-    #: The policy that made the eviction decision (``"gir"`` / ``"flush"``).
-    policy: str
-    #: Cache entries the vectorized prescreen resolved without an LP
-    #: (inserts under the ``"gir"`` policy; 0 otherwise).
+    #: Cache entries the insert screen decided (inserts; 0 for deletes).
     prescreen_screened: int = 0
-    #: Invalidation LPs actually run (the prescreen's survivors).
-    prescreen_lps: int = 0
 
 
 # Single-owner, no lock: one engine serves one shard, and the router's
@@ -405,9 +395,6 @@ class GIREngine:
         raises ``ValueError``. The keyword is accepted only so that
         callers written against the former choice of policies keep
         working; it is neither stored nor forwarded.
-    invalidation:
-        Cache policy on updates: ``"gir"`` (selective, default) or
-        ``"flush"`` (drop everything — the baseline).
     """
 
     def __init__(
@@ -419,16 +406,10 @@ class GIREngine:
         scorer: ScoringFunction | None = None,
         cache_capacity: int = 128,
         cache_policy: str = "lru",
-        invalidation: str = "gir",
     ) -> None:
         if method not in PHASE2_METHODS:
             raise ValueError(
                 f"unknown method {method!r}; expected one of {sorted(PHASE2_METHODS)}"
-            )
-        if invalidation not in INVALIDATION_POLICIES:
-            raise ValueError(
-                f"unknown invalidation policy {invalidation!r}; "
-                f"expected one of {INVALIDATION_POLICIES}"
             )
         if cache_policy != "lru":
             raise ValueError(f"unknown cache policy {cache_policy!r}; expected 'lru'")
@@ -439,7 +420,6 @@ class GIREngine:
         self.tree = tree if tree is not None else bulk_load_str(data)
         self.scorer = scorer or LinearScoring(self.tree.d)
         self.method = method
-        self.invalidation = invalidation
         #: g-space image of the table, maintained incrementally alongside it
         #: (capacity-doubling buffer mirroring the table's rows).
         self._g_buf = self.scorer.transform(self.table.rows).copy()
@@ -454,7 +434,6 @@ class GIREngine:
         self.updates_applied = 0
         self.update_evictions = 0
         self.prescreen_screened = 0
-        self.prescreen_lps = 0
 
     @property
     def d(self) -> int:
@@ -673,9 +652,8 @@ class GIREngine:
         # engine-side retrieval's pages (its time is the engine.brs span).
         gir.stats.io_pages_topk = retrieve_pages
 
-        # kth_g enables the cache's vectorized insert-invalidation
-        # prescreen for this entry (copied: the g-buffer may be
-        # reallocated by later growth).
+        # kth_g lets the cache's insert screen decide this entry (copied:
+        # the g-buffer may be reallocated by later growth).
         self.cache.insert(gir, kth_g=self._g_buf[gir.topk.kth_id].copy())
         return gir.topk, gir.stats, gir.polytope
 
@@ -704,17 +682,13 @@ class GIREngine:
         """Insert a new record; returns its rid and eviction accounting.
 
         The point joins the table (fresh rid), the R*-tree and the cached
-        g-space image; then the cache is invalidated per the engine's
-        policy — under ``"gir"``, entry E is evicted only if the new
-        record can out-score E's k-th result record somewhere in E's
-        region (the halfspace-intersection LP of
-        :meth:`~repro.core.gir.GIRResult.admits_above_kth`). The cache's
-        vectorized prescreen
-        (:meth:`~repro.core.caching.GIRCache.prescreen_insert`) brackets
-        that LP's optimum by each region's cone rays and so decides
-        nearly every entry — undisturbable or certainly evicted — without
-        it; the LP runs only where ray enumeration failed or the bracket
-        straddles the tolerance.
+        g-space image; then the cache's vectorized screen
+        (:meth:`~repro.core.caching.GIRCache.prescreen_insert`) brackets,
+        by each region's cone rays, how far the new record can out-score
+        the entry's k-th result record inside its region. An entry it
+        provably cannot disturb stays; a certain eviction, a lost exact
+        tie and an entry the bracket leaves undecided (ray enumeration
+        failed, or the bracket straddles the tolerance) are evicted.
 
         Malformed points (wrong dimension, NaN/inf) are rejected with a
         :class:`ValueError` before any structure is touched — see
@@ -725,29 +699,20 @@ class GIREngine:
             rid = self.table.insert(point)
             self.tree.insert(self.table.point(rid), rid)
             point_g = self._append_g(self.table.point(rid))
-            screened = lps = 0
-            if self.invalidation == "flush":
-                evicted = self.cache.flush()
-            else:
-                evicted, screened, lps = apply_insert_invalidation(
-                    self.cache,
-                    point_g,
-                    new_sum=float(self.points[rid].sum()),
-                    new_rid=rid,
-                    kth_point=lambda kid: self.points[kid],
-                    kth_g=lambda kid: self._g_buf[kid],
-                )
-                self.prescreen_screened += screened
-                self.prescreen_lps += lps
-            return self._finish_update(
-                sp, "insert", rid, evicted, screened=screened, lps=lps
+            evicted, screened, _ = apply_insert_invalidation(
+                self.cache,
+                point_g,
+                new_sum=float(self.points[rid].sum()),
+                new_rid=rid,
+                kth_point=lambda kid: self.points[kid],
             )
+            self.prescreen_screened += screened
+            return self._finish_update(sp, "insert", rid, evicted, screened=screened)
 
     def delete(self, rid: int) -> UpdateResponse:
         """Delete a live record; returns eviction accounting.
 
-        Under the ``"gir"`` policy an entry is evicted only if ``rid``
-        appears in its result; deleting any other record leaves the cached
+        An entry is evicted only if ``rid`` appears in its result; deleting any other record leaves the cached
         ordered top-k valid everywhere in its region (removing a
         non-member never changes a top-k answer).
         """
@@ -757,10 +722,7 @@ class GIREngine:
             removed = self.tree.delete(point, rid)
             if not removed:  # pragma: no cover - table and tree always agree
                 raise RuntimeError(f"rid {rid} live in table but absent from tree")
-            if self.invalidation == "flush":
-                evicted = self.cache.flush()
-            else:
-                evicted = apply_delete_invalidation(self.cache, rid)
+            evicted = apply_delete_invalidation(self.cache, rid)
             return self._finish_update(sp, "delete", rid, evicted)
 
     def _append_g(self, point: np.ndarray) -> np.ndarray:
@@ -779,7 +741,6 @@ class GIREngine:
         rid: int,
         evicted: int,
         screened: int = 0,
-        lps: int = 0,
     ) -> UpdateResponse:
         """Count the applied write, and tag its ``engine.<kind>`` span
         ``sp`` with the rid and the evictions."""
@@ -793,9 +754,7 @@ class GIREngine:
             rid=rid,
             evicted=evicted,
             cache_entries=len(self.cache),
-            policy=self.invalidation,
             prescreen_screened=screened,
-            prescreen_lps=lps,
         )
 
     # -- introspection --------------------------------------------------------
@@ -807,7 +766,6 @@ class GIREngine:
             "updates_applied": self.updates_applied,
             "update_evictions": self.update_evictions,
             "prescreen_screened": self.prescreen_screened,
-            "prescreen_lps": self.prescreen_lps,
             "regions_deferred": self.regions_deferred,
             "live_records": self.n_live,
             **self.cache.stats(),

@@ -22,7 +22,7 @@ Four stream shapes cover the interesting ends of the caching spectrum:
   stream (inserts of fresh records, deletes of live ones) blended in, in
   bursts. This is the scenario where caching strategies are really
   stress-tested (cf. the LDBC mixed read/write analyses): every update
-  *may* disturb cached results, and the engine's invalidation policy
+  *may* disturb cached results, and the engine's GIR-aware eviction
   decides how much of the cache survives.
 
 Update streams rely on the engine's rid contract: record ids are

@@ -380,11 +380,11 @@ class Polytope:
         """Maximum of the linear objective ``c · x`` over the region.
 
         Returns ``-inf`` for an infeasible (empty) region and ``+inf``
-        when the objective is unbounded over it. This is the primitive
-        behind the dynamic engine's halfspace-intersection invalidation
-        test: an inserted record threatens a cached GIR iff the score gap
-        to the k-th result record is positive somewhere in the region,
-        i.e. iff ``maximize(g(p_new) − g(p_k)) > 0``.
+        when the objective is unbounded over it. With ``c = g(p_new) −
+        g(p_k)`` it is the exact answer to the question the insert screen
+        brackets (:meth:`~repro.core.region_index.RegionIndex.prescreen_insert`):
+        can an inserted record out-score a cached GIR's k-th result record
+        somewhere in the region? The screen's tests use it as their oracle.
         """
         c = np.asarray(c, dtype=np.float64)
         if c.shape != (self.d,):

@@ -20,6 +20,7 @@ never costs an engine pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["ServeConfig"]
@@ -39,7 +40,9 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_pending <= 0:
             raise ValueError("max_pending must be positive")
-        if self.batch_window_ms < 0.0:
-            raise ValueError("batch_window_ms must be non-negative")
+        # A NaN window compares false both ways, and an infinite one
+        # lingers forever: a lone read would never be served.
+        if not math.isfinite(self.batch_window_ms) or self.batch_window_ms < 0.0:
+            raise ValueError("batch_window_ms must be finite and non-negative")
         if self.batch_max <= 0:
             raise ValueError("batch_max must be positive")

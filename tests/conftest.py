@@ -11,7 +11,7 @@ import traceback
 import numpy as np
 import pytest
 
-from repro.core.tolerances import CONTAINMENT_TOL
+from repro.core.tolerances import CONTAINMENT_TOL, MEMBERSHIP_TOL
 from repro.data.synthetic import anticorrelated, correlated, independent
 from repro.engine import InsertOp, Request
 from repro.index.bulkload import bulk_load_str
@@ -120,6 +120,26 @@ def small_cor_3d():
 def random_query(rng: np.random.Generator, d: int) -> np.ndarray:
     """A strictly positive query vector away from the space boundary."""
     return rng.random(d) * 0.8 + 0.1
+
+
+def lp_evicts(
+    region, point_g, kth_g, tie_wins: bool = False, tol: float = MEMBERSHIP_TOL
+) -> bool:
+    """The exact insert test, the insert screen's oracle: can a record at
+    ``point_g`` rank above the k-th result record (g-image ``kth_g``)
+    somewhere in ``region`` (a :class:`Polytope`)? One LP,
+    :meth:`Polytope.maximize` of ``δ = point_g − kth_g``.
+
+    The serving stack ranks by ``(score, coord-sum, rid)`` descending, so
+    with identical g-images (a tie at every query vector) the verdict is
+    ``tie_wins``, the caller's tie-break. A ``δ`` dominated component-wise
+    never out-scores the k-th record under non-negative weights."""
+    delta = np.asarray(point_g, dtype=np.float64) - np.asarray(kth_g, dtype=np.float64)
+    if not delta.any():
+        return tie_wins
+    if (delta <= 0.0).all():
+        return False
+    return region.maximize(delta) > tol
 
 
 def assert_same_region(a, b, msg=""):

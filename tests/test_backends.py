@@ -103,7 +103,6 @@ def spec(data):
         points=np.asarray(data.points),
         method="fp",
         cache_capacity=16,
-        invalidation="gir",
         page_sleep_ms=0.0,
         scorer=LinearScoring(D),
     )
@@ -139,12 +138,10 @@ def exact_match(report, other) -> None:
         assert r.scores == s.scores  # exact float equality
         assert (r.k, r.source, r.pages_read) == (s.k, s.source, s.pages_read)
     assert [
-        (u.kind, u.rid, u.evicted, u.prescreen_screened, u.prescreen_lps,
-         u.cache_entries)
+        (u.kind, u.rid, u.evicted, u.prescreen_screened, u.cache_entries)
         for u in updates
     ] == [
-        (u.kind, u.rid, u.evicted, u.prescreen_screened, u.prescreen_lps,
-         u.cache_entries)
+        (u.kind, u.rid, u.evicted, u.prescreen_screened, u.cache_entries)
         for u in other_updates
     ]
 
@@ -208,7 +205,7 @@ class TestBackendContract:
         operations (the router fail-stops on its side)."""
 
         def boom(*args, **kwargs):
-            raise RuntimeError("LP solver fell over")
+            raise RuntimeError("insert screen fell over")
 
         # Patch before the fork so the worker inherits the broken step.
         monkeypatch.setattr(

@@ -85,11 +85,10 @@ class TestBatchEquivalence:
         # Update accounting (empty lists for read-only kinds) matches too.
         assert len(u_seq) == len(u_bat)
         for ua, ub in zip(u_seq, u_bat):
-            assert (ua.kind, ua.rid, ua.evicted, ua.cache_entries) == (
-                ub.kind, ub.rid, ub.evicted, ub.cache_entries,
-            )
-            assert (ua.prescreen_screened, ua.prescreen_lps) == (
-                ub.prescreen_screened, ub.prescreen_lps,
+            assert (
+                ua.kind, ua.rid, ua.evicted, ua.cache_entries, ua.prescreen_screened
+            ) == (
+                ub.kind, ub.rid, ub.evicted, ub.cache_entries, ub.prescreen_screened
             )
 
     def test_topk_batch_matches_individual_topk(self, batch_setup, rng):
@@ -267,19 +266,10 @@ class TestPrescreenReporting:
         _, updates = run_serial(engine, workload)
         screened = sum(u.prescreen_screened for u in updates)
         # With a warm cache and inserts in the stream, the vectorized
-        # prescreen must clear entries without LPs.
+        # prescreen must decide entries; a delete screens nothing.
         assert screened > 0
-        stats = engine.stats()
-        assert stats["prescreen_screened"] == screened
-        assert stats["prescreen_lps"] == sum(u.prescreen_lps for u in updates)
-
-    def test_flush_policy_reports_zero_prescreen(self, batch_setup):
-        data = batch_setup
-        engine = GIREngine(data, bulk_load_str(data), invalidation="flush")
-        engine.topk(np.array([0.5, 0.6, 0.7]), 5)
-        upd = engine.insert(np.array([0.9, 0.9, 0.9]))
-        assert upd.prescreen_screened == 0 and upd.prescreen_lps == 0
-        assert engine.stats()["prescreen_screened"] == 0
+        assert all(u.prescreen_screened == 0 for u in updates if u.kind == "delete")
+        assert engine.stats()["prescreen_screened"] == screened
 
 
 def hit_only_engine(kind: str, data):

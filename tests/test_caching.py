@@ -12,7 +12,7 @@ from repro.geometry.polytope import Polytope
 from repro.index.bulkload import bulk_load_str
 from repro.query.brs import brs_topk
 from repro.query.linear_scan import scan_topk
-from tests.conftest import LEDGER_CLUSTER_KWARGS, random_query
+from tests.conftest import LEDGER_CLUSTER_KWARGS, lp_evicts, random_query
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ class TestLookup:
     def test_dimension_mismatch_raises(self, cached_setup, rng):
         """The first insert fixes the cache's d. A region of another d is
         rejected before anything is written; a lookup or an insert screen
-        of another d raises instead of missing or reaching the LP."""
+        of another d raises instead of missing or evicting."""
         data, tree = cached_setup
         gir = compute_gir(tree, data, random_query(rng, 3), 5)
         cache = GIRCache()
@@ -100,8 +100,7 @@ class TestLookup:
             cache.lookup_batch(np.full((2, 4), 0.5), 5)
         with pytest.raises(ValueError, match=r"\(3,\)"):
             apply_insert_invalidation(
-                cache, np.full(4, 0.5), 2.0, 10**6, data4.points.__getitem__,
-                data4.points.__getitem__,
+                cache, np.full(4, 0.5), 2.0, 10**6, data4.points.__getitem__
             )
         assert cache.stats() == before
         assert cache.lookup(gir.weights, 5).ids == gir.topk.ids
@@ -121,7 +120,7 @@ class TestLookup:
                 cache.insert(other, kth_g=bad)
             assert len(cache) == 1 and cache.stats() == before
         pre = cache.prescreen_insert(rng.random(3))
-        assert pre.screened + len(pre.candidates) == 1
+        assert pre.screened + len(pre.undecided) == 1
         # A rejected first insert does not fix the cache's d either.
         fresh = GIRCache()
         with pytest.raises(ValueError):
@@ -332,43 +331,45 @@ class TestUpdateInvalidation:
         assert cache.stats()["invalidation_evictions"] == 3
 
     def test_insert_invalidation_halfspace_test(self, cached_setup, rng):
-        """A challenger dominating the k-th record invalidates the entry; a
-        point dominated by it never does."""
-        from repro.core.caching import invalidated_by_insert
-
+        """A challenger dominating the k-th record evicts the entry; a
+        point dominated by it never does. The LP oracle agrees."""
         data, tree = cached_setup
         q = random_query(rng, 3)
         gir = compute_gir(tree, data, q, 10)
         kth = data.points[gir.topk.kth_id]
         above = np.clip(kth + 0.05, 0, 1)  # dominates p_k strictly
         below = np.clip(kth - 0.05, 0, 1)  # dominated by p_k
-        assert invalidated_by_insert(gir, above, kth)
-        assert not invalidated_by_insert(gir, below, kth)
+        for p, stale in ((above, True), (below, False)):
+            cache = GIRCache()
+            cache.insert(gir, kth_g=kth)
+            evicted, _, _ = apply_insert_invalidation(
+                cache, p, float(p.sum()), data.n, data.points.__getitem__
+            )
+            assert evicted == int(stale) == int(lp_evicts(gir.polytope, p, kth))
 
     def test_insert_invalidation_matches_ground_truth(self, cached_setup, rng):
-        """The LP verdict agrees with sampling: a non-invalidating insert
-        leaves the cached top-k intact at sampled interior vectors."""
-        from repro.core.caching import invalidated_by_insert
-
+        """The insert rule evicts every entry the exact LP would, and an
+        insert that leaves the entry cached leaves its top-k intact at
+        sampled vectors of its region."""
         data, tree = cached_setup
         q = random_query(rng, 3)
         gir = compute_gir(tree, data, q, 10)
         kth = data.points[gir.topk.kth_id]
         for _ in range(10):
             p_new = rng.random(3)
-            verdict = invalidated_by_insert(gir, p_new, kth)
+            cache = GIRCache()
+            cache.insert(gir, kth_g=kth)
+            evicted, _, _ = apply_insert_invalidation(
+                cache, p_new, float(p_new.sum()), data.n, data.points.__getitem__
+            )
+            assert evicted or not lp_evicts(gir.polytope, p_new, kth)
+            if evicted:
+                continue
             extended = np.vstack([data.points, p_new])
-            disturbed = False
             for probe in gir.polytope.sample(8, rng):
                 if (probe <= 1e-9).all():
                     continue
-                new_ids = scan_topk(extended, probe, 10).ids
-                if new_ids != gir.topk.ids:
-                    disturbed = True
-                    break
-            # The LP test is exact for the region, so sampling can never
-            # observe a disturbance the LP missed.
-            assert verdict or not disturbed
+                assert scan_topk(extended, probe, 10).ids == gir.topk.ids
 
     def test_delete_invalidation_result_and_tset(self, cached_setup, rng):
         from repro.core.caching import invalidated_by_delete
@@ -392,16 +393,21 @@ class TestUpdateInvalidation:
 
     def test_insert_invalidation_score_tie_uses_tie_break(self, cached_setup, rng):
         """A challenger with the k-th record's exact g-image ties everywhere;
-        whether it disturbs the entry is decided by the caller's tie-break
-        verdict (an inserted duplicate always wins on its fresher rid)."""
-        from repro.core.caching import invalidated_by_insert
-
+        whether it evicts the entry is decided by the ``(coord-sum, rid)``
+        tie-break (an inserted duplicate always wins on its fresher rid)."""
         data, tree = cached_setup
         q = random_query(rng, 3)
         gir = compute_gir(tree, data, q, 10)
-        kth = data.points[gir.topk.kth_id]
-        assert not invalidated_by_insert(gir, kth, kth)  # tie loses: harmless
-        assert invalidated_by_insert(gir, kth, kth, tie_wins=True)
+        kth_id = gir.topk.kth_id
+        kth = data.points[kth_id]
+        for new_rid, wins in ((kth_id - 1, False), (data.n, True)):
+            cache = GIRCache()
+            cache.insert(gir, kth_g=kth)
+            evicted, screened, undecided = apply_insert_invalidation(
+                cache, kth, float(kth.sum()), new_rid, data.points.__getitem__
+            )
+            assert (evicted, screened, undecided) == (int(wins), 1, 0)
+            assert wins == lp_evicts(gir.polytope, kth, kth, tie_wins=wins)
 
 
 class TestCapacityEviction:
@@ -462,9 +468,7 @@ class TestPrescreenMemoization:
         """``cone_rays`` runs once per entry at insert and never on a
         prescreen, and deciding a non-degenerate cache (the prescreen plus
         the evictions it decides) never enumerates vertices, solves a
-        Chebyshev LP or runs the invalidation LP."""
-        from repro.core.caching import apply_insert_invalidation
-
+        Chebyshev LP or maximizes over a region."""
         data, tree = cached_setup
         girs = [compute_gir(tree, data, random_query(rng, 3), 5) for _ in range(6)]
         names = ("cone_rays", "vertices", "chebyshev_center", "maximize")
@@ -480,28 +484,27 @@ class TestPrescreenMemoization:
         for _ in range(5):
             cache.prescreen_insert(rng.random(3))
         # screened already includes the ties and the decided evictions.
-        assert first.screened + len(first.candidates) == entries
+        assert first.screened + len(first.undecided) == entries
         assert first.screened == (
             len(first.safe) + len(first.ties) + len(first.evict)
         )
         high = np.full(3, 0.99)
-        evicted, screened, lps = apply_insert_invalidation(
+        evicted, screened, undecided = apply_insert_invalidation(
             cache,
             high,
             new_sum=float(high.sum()),
             new_rid=data.n,
             kth_point=lambda rid: data.points[rid],
-            kth_g=lambda rid: data.points[rid],
         )
-        assert evicted > 0 and lps == 0 and screened == entries
+        assert evicted > 0 and undecided == 0 and screened == entries
         assert calls["cone_rays"] == 0
         assert calls["vertices"] == calls["chebyshev_center"] == 0
         assert calls["maximize"] == 0
 
     def test_rayless_entry_memoized_as_lp(self, cached_setup, rng, monkeypatch):
         """An entry whose ray enumeration fails at admission keeps its
-        placeholder (no retry on later prescreens) and is always left to
-        the LP."""
+        placeholder (no retry on later prescreens), is always undecided,
+        and so is evicted by every insert, however harmless."""
         data, tree = cached_setup
         girs = [compute_gir(tree, data, random_query(rng, 3), 5) for _ in range(4)]
         failing = girs[0].polytope
@@ -514,10 +517,22 @@ class TestPrescreenMemoization:
                 None if self is failing else real(self, *args)
             ),
         )
-        cache = GIRCache()
-        for gir in girs:
-            cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
-        for _ in range(4):
-            pre = cache.prescreen_insert(rng.random(3))
-            assert next(cache.items())[0] in pre.candidates
-        assert calls["cone_rays"] == len(cache)
+        inserts = [rng.random(3) for _ in range(3)] + [np.full(3, 1e-3)]
+
+        def filled() -> GIRCache:
+            cache = GIRCache()
+            for gir in girs:
+                cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
+            return cache
+
+        cache = filled()
+        rayless = next(cache.items())[0]
+        for p in inserts:
+            assert rayless in cache.prescreen_insert(p).undecided
+        assert calls["cone_rays"] == len(girs)
+        for p in inserts:
+            cache = filled()
+            apply_insert_invalidation(
+                cache, p, float(p.sum()), data.n, data.points.__getitem__
+            )
+            assert rayless not in dict(cache.items())

@@ -341,14 +341,14 @@ class TestRoutedWrites:
 
     def test_dirty_insert_failure_fail_stops_the_cluster(self, data, monkeypatch):
         """A write that fails *after* the shard engine mutated (here: the
-        invalidation step raising, with the row already stored) must not
+        insert screen raising, with the row already stored) must not
         be rolled back — the shard's state no longer matches the router's
         maps, so the cluster fail-stops instead of serving from it."""
         from repro.cluster import ShardWriteError
 
         with ShardedGIREngine(data, shards=2) as engine:
             def boom(*args, **kwargs):
-                raise RuntimeError("LP solver fell over")
+                raise RuntimeError("insert screen fell over")
 
             monkeypatch.setattr(
                 "repro.engine.engine.apply_insert_invalidation", boom
@@ -391,15 +391,6 @@ class TestRoutedWrites:
             reference.delete(rid)
         ref_report = run_serial(reference, wl)
         assert_equivalent(report, ref_report)
-
-    def test_flush_policy_drops_everything(self, data):
-        with ShardedGIREngine(
-            data, shards=2, invalidation="flush"
-        ) as engine:
-            engine.topk(np.array([0.6, 0.5, 0.7]), K)
-            assert len(engine.cache) == 1
-            engine.insert(np.array([0.01, 0.01, 0.01]))
-            assert len(engine.cache) == 0
 
 
 class TestPartitioners:

@@ -3,7 +3,10 @@ mixed workloads."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import ShardedGIREngine
 from repro.data.dataset import PointTable
 from repro.data.synthetic import independent, make_synthetic
 from repro.engine import (
@@ -16,7 +19,7 @@ from repro.engine import (
 from repro.index.bulkload import bulk_load_str
 from repro.query.brs import brs_topk
 from repro.query.linear_scan import scan_topk
-from tests.conftest import random_query, run_serial
+from tests.conftest import lp_evicts, random_query, run_serial
 
 
 @pytest.fixture()
@@ -73,20 +76,17 @@ class TestPointTable:
 
 
 class TestDynamicCorrectness:
-    @pytest.mark.parametrize(
-        "family,invalidation", [("IND", "gir"), ("COR", "gir"), ("COR", "flush")]
-    )
-    def test_interleaved_updates_match_live_scan(self, family, invalidation):
+    # The ids name the engine's one eviction rule, "gir".
+    @pytest.mark.parametrize("family", ["IND", "COR"], ids=["IND-gir", "COR-gir"])
+    def test_interleaved_updates_match_live_scan(self, family):
         """After every update, served answers equal exhaustive linear-scan
         ground truth over the live records — whether they came from cache
-        or a fresh pipeline — under either invalidation policy and on
-        correlated data as well as independent. Each step draws its own
-        k and often repeats an earlier vector, so deeper-k requests land
-        inside shallower cached regions (and must be served as misses)."""
+        or a fresh pipeline — on correlated data as well as independent.
+        Each step draws its own k and often repeats an earlier vector, so
+        deeper-k requests land inside shallower cached regions (and must
+        be served as misses)."""
         data = make_synthetic(family, 900, 3, seed=51)
-        engine = GIREngine(
-            data, bulk_load_str(data), cache_capacity=24, invalidation=invalidation
-        )
+        engine = GIREngine(data, bulk_load_str(data), cache_capacity=24)
         rng = np.random.default_rng(8)
         asked = []
         for step in range(50):
@@ -228,41 +228,118 @@ class TestSelectiveInvalidation:
         assert resp.source == "cache"
         assert resp.ids == live_truth(engine, q, 10).ids
 
-    def test_flush_policy_evicts_everything(self, dyn_setup):
-        data, tree = dyn_setup
-        engine = GIREngine(data, tree, invalidation="flush")
-        rng = np.random.default_rng(10)
-        for _ in range(3):
-            engine.topk(random_query(rng, 3), 8)
-        entries_before = len(engine.cache)
-        assert entries_before >= 1
-        upd = engine.insert(np.array([0.001, 0.001, 0.001]))
-        assert upd.evicted == entries_before  # even a harmless insert flushes
-        assert len(engine.cache) == 0
-        assert upd.policy == "flush"
-
     def test_gir_evicts_fewer_than_flush_on_zipf(self):
         """The acceptance bar: on the Zipf-clustered mixed workload the
-        selective policy evicts strictly fewer entries than flush-on-write."""
+        selective rule evicts strictly fewer entries than flush-on-write
+        (a second engine whose cache is flushed after every write)."""
         data = independent(700, 3, seed=60)
         wl = mixed_workload(
             3, 80, base_n=700, k=8, update_fraction=0.25,
             rng=np.random.default_rng(61),
         )
-        stats = {}
-        for policy in ("gir", "flush"):
-            engine = GIREngine(
-                data, bulk_load_str(data), cache_capacity=32, invalidation=policy
-            )
-            run_serial(engine, wl)
-            stats[policy] = engine.stats()
-        assert stats["gir"]["update_evictions"] < stats["flush"]["update_evictions"]
-        assert stats["gir"]["updates_applied"] == stats["flush"]["updates_applied"]
+        evictions = {}
+        for flush in (False, True):
+            engine = GIREngine(data, bulk_load_str(data), cache_capacity=32)
+            evicted = 0
+            for op in wl:
+                if isinstance(op, Request):
+                    engine.topk(op.weights, op.k)
+                    continue
+                if isinstance(op, InsertOp):
+                    evicted += engine.insert(op.point).evicted
+                else:
+                    evicted += engine.delete(op.rid).evicted
+                if flush:
+                    evicted += engine.cache.flush()
+            assert engine.stats()["updates_applied"] == wl.updates
+            evictions[flush] = evicted
+        assert evictions[False] < evictions[True]
 
     def test_unknown_policy_rejected(self, dyn_setup):
+        """There is one eviction rule: neither engine takes an
+        ``invalidation`` keyword."""
         data, tree = dyn_setup
-        with pytest.raises(ValueError, match="invalidation"):
-            GIREngine(data, tree, invalidation="lazy")
+        with pytest.raises(TypeError, match="invalidation"):
+            GIREngine(data, tree, invalidation="flush")
+        with pytest.raises(TypeError, match="invalidation"):
+            ShardedGIREngine(data, shards=2, invalidation="flush")
+
+
+@st.composite
+def doubtful_inserts(draw):
+    """A small IND or ANTI dataset in d = 2..4, the query vectors and
+    ``k`` that fill an engine's cache, and the kind of insert to aim at
+    one cached entry: a duplicate of its k-th record, a point just inside
+    or just outside its region's bound, or a uniform one."""
+    d = draw(st.integers(2, 4))
+    family = draw(st.sampled_from(["IND", "ANTI"]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    kind = draw(st.sampled_from(["duplicate", "inside", "outside", "uniform"]))
+    return d, family, seed, kind
+
+
+def _aimed_insert(kind, region, kth, rng):
+    """An insert point aimed at an entry whose region is ``region`` and
+    whose k-th record is ``kth``.
+
+    A cone row ``a · w ≤ 0`` of the region (a half-space through the
+    origin with a positive component) is a score gain ``δ = a`` that
+    reaches 0, and no more, over the region. ``kth + s·a ∓ ε·1`` is
+    then just inside (the gain stays ≤ 0) or just outside (it reaches
+    about ``ε · max Σw``) the entry's bound."""
+    if kind == "duplicate":
+        return kth.copy()
+    if kind == "uniform":
+        return rng.random(len(kth))
+    rows = region.A[(region.b == 0.0) & (region.A > 0.0).any(axis=1)]
+    if not len(rows):
+        return rng.random(len(kth))
+    a = rows[rng.integers(len(rows))]
+    eps = float(rng.choice([5e-10, 1e-9, 2e-9, 1e-7, 1e-4]))
+    shift = 0.05 * a / np.abs(a).max() + (eps if kind == "outside" else -eps)
+    return np.clip(kth + shift, 0.0, 1.0)
+
+
+class TestEvictOnDoubt:
+    """An insert evicts every entry the exact LP would, and every entry
+    it keeps still answers exactly."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(doubtful_inserts())
+    def test_evicts_lp_positives_and_survivors_stay_exact(self, case):
+        d, family, seed, kind = case
+        rng = np.random.default_rng(seed)
+        data = make_synthetic(family, 300, d, seed=seed % 1000)
+        engine = GIREngine(data, bulk_load_str(data), cache_capacity=32)
+        for _ in range(6):
+            engine.topk(random_query(rng, d), int(rng.integers(1, 9)))
+        before = dict(engine.cache.items())
+        target = before[list(before)[rng.integers(len(before))]]
+        kth = engine.points[target.topk.kth_id]
+        upd = engine.insert(_aimed_insert(kind, target.polytope, kth, rng))
+
+        # The oracle, on the stored row: ties resolve by (coord-sum, rid).
+        new_g, new_key = engine.points_g[upd.rid], (engine.points[upd.rid].sum(), upd.rid)
+        after = dict(engine.cache.items())
+        assert upd.evicted == len(before) - len(after)
+        for key, gir in before.items():
+            kid = gir.topk.kth_id
+            wins = new_key > (engine.points[kid].sum(), kid)
+            if lp_evicts(gir.polytope, new_g, engine.points_g[kid], tie_wins=wins):
+                assert key not in after, f"{kind}: kept an entry the LP evicts"
+        for gir in after.values():
+            k = len(gir.topk.ids)
+            for probe in gir.polytope.sample(6, rng):
+                if (probe <= 1e-9).all():
+                    continue
+                truth = scan_topk(
+                    engine.points, probe, k, live=engine.table.live_mask
+                )
+                assert truth.ids == gir.topk.ids, f"{kind}: a kept entry went stale"
 
 
 class TestMixedWorkload:

@@ -32,9 +32,9 @@ class TestMaximize:
     @pytest.mark.parametrize("eps", [1.0, 1e-6, 1e-9, 1e-12])
     def test_optimum_is_scale_free(self, eps):
         """The optimum scales with the objective, however small: the
-        insert-invalidation LP compares it against a 1e-9 tolerance, and
-        an objective below the solver's dual tolerance must not stop at
-        the first vertex it meets."""
+        insert screen's LP oracle compares it against a 1e-9 tolerance,
+        and an objective below the solver's dual tolerance must not stop
+        at the first vertex it meets."""
         # The cone 1/3 ≤ w1/w0 ≤ 3 cut by the box: vertices (0, 0),
         # (1, 1/3), (1, 1), (1/3, 1); -w0 + 2 w1 peaks at (1/3, 1).
         cone = Polytope.from_unit_box(2).with_constraints(

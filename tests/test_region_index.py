@@ -1,24 +1,26 @@
 """Tests for the vectorized region-membership index."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.caching import GIRCache, invalidated_by_insert
+from repro.core.caching import GIRCache, apply_insert_invalidation
 from repro.core.gir import compute_gir
 from repro.core.region_index import (
     RegionIndex,
     SCREEN_EVICT,
-    SCREEN_LP,
     SCREEN_SAFE,
     SCREEN_TIE,
+    SCREEN_UNDECIDED,
 )
 from repro.core.tolerances import MEMBERSHIP_TOL
 from repro.data.synthetic import independent
 from repro.geometry.polytope import Polytope
 from repro.index.bulkload import bulk_load_str
-from tests.conftest import random_query
+from tests.conftest import lp_evicts, random_query
 
 
 def random_region(rng, d: int, cuts: int = 3) -> Polytope:
@@ -106,18 +108,36 @@ def add_gir(index: RegionIndex, key: int, gir, data) -> None:
     )
 
 
+def rule_evicts(region: Polytope, interior, kth_g, p) -> bool:
+    """Whether the cache's insert rule evicts the entry of a one-entry
+    cache holding ``region`` (query vector ``interior``, k-th record
+    ``kth_g`` under rid 0) when a record ``p`` is inserted under rid 1
+    (so it wins an exact tie)."""
+    entry = SimpleNamespace(
+        weights=np.asarray(interior, dtype=np.float64),
+        polytope=region,
+        topk=SimpleNamespace(ids=(0,), kth_id=0),
+    )
+    cache = GIRCache()
+    cache.insert(entry, kth_g=kth_g)
+    evicted, _, _ = apply_insert_invalidation(
+        cache, p, float(np.sum(p)), 1, lambda rid: np.asarray(kth_g)
+    )
+    return evicted == 1
+
+
 def assert_decided_verdicts_match_lp(codes, entries, p) -> tuple[int, int]:
-    """Every SAFE / EVICT verdict equals the invalidation LP's; TIE means
+    """Every SAFE / EVICT verdict equals the exact LP's; TIE means
     a bit-identical g-image. ``entries`` is ``[(gir, kth_g)]`` aligned with
     ``codes``. Returns the (safe, evict) counts."""
     safe = evict = 0
     for code, (gir, kth_g) in zip(codes, entries):
         if code == SCREEN_SAFE:
             safe += 1
-            assert not invalidated_by_insert(gir, p, kth_g)
+            assert not lp_evicts(gir.polytope, p, kth_g)
         elif code == SCREEN_EVICT:
             evict += 1
-            assert invalidated_by_insert(gir, p, kth_g)
+            assert lp_evicts(gir.polytope, p, kth_g)
         elif code == SCREEN_TIE:
             assert (p == kth_g).all()
     return safe, evict
@@ -166,19 +186,21 @@ class TestPrescreen:
         above = np.clip(kth_g + 0.05, 0, 1)
         codes = index.prescreen_insert(above)
         assert codes[0] == SCREEN_EVICT
-        assert invalidated_by_insert(gir, above, kth_g)
+        assert lp_evicts(gir.polytope, above, kth_g)
 
     def test_entries_without_kth_g_always_lp(self, rng):
+        """Without a k-th g-image or an interior point the screen cannot
+        decide an entry: it is always undecided (and so evicted)."""
         index = RegionIndex(3)
         index.add(0, random_region(rng, 3))
         index.add(1, random_region(rng, 3), kth_g=np.zeros(3))  # no interior
         codes = index.prescreen_insert(rng.random(3))
-        assert (codes == SCREEN_LP).all()
+        assert (codes == SCREEN_UNDECIDED).all()
 
     def test_degenerate_region_falls_back_without_false_safe(self, rng):
         """An entry whose region has no interior (so no interior point for
-        the ray enumeration) must go to the LP, never silently SAFE against
-        a dominating insert."""
+        the ray enumeration) is undecided, never silently SAFE against a
+        dominating insert."""
         # x1 <= 0 and x1 >= 0 inside the box: a 2-d face, no interior.
         flat = Polytope.from_unit_box(3).with_constraints(
             np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
@@ -188,7 +210,7 @@ class TestPrescreen:
             0, flat, kth_g=np.array([0.2, 0.2, 0.2]), interior=np.array([0.0, 0.5, 0.5])
         )
         codes = index.prescreen_insert(np.array([0.9, 0.9, 0.9]))
-        assert codes[0] == SCREEN_LP
+        assert codes[0] == SCREEN_UNDECIDED
 
     def test_screen_survives_add_remove_cycles(self, indexed_setup, rng):
         data, tree = indexed_setup
@@ -268,7 +290,7 @@ class TestPrescreen:
                 codes = index.prescreen_insert(p)
                 assert (codes == fresh.prescreen_insert(p)).all()
                 decided.update(codes.tolist())
-        assert {SCREEN_SAFE, SCREEN_LP, SCREEN_EVICT} <= decided
+        assert {SCREEN_SAFE, SCREEN_UNDECIDED, SCREEN_EVICT} <= decided
         assert evictions >= 5
 
     def test_rejected_insert_at_capacity_evicts_nothing(self, indexed_setup, rng):
@@ -317,7 +339,7 @@ def _assert_cache_screen_matches_lp(cache: GIRCache, g_of, inserts) -> None:
 
 
 class TestScreenDifferential:
-    """SAFE / EVICT verdicts equal the invalidation LP's on the regions
+    """SAFE / EVICT verdicts equal the exact LP's on the regions
     the serving engines actually cache, for high and uniform inserts."""
 
     @staticmethod
@@ -344,7 +366,9 @@ class TestScreenDifferential:
             for _ in range(24):
                 engine.topk(random_query(rng, 3), 10)
             inserts = self._inserts(rng, 3)
-            _assert_cache_screen_matches_lp(engine.cache, engine._g_of, inserts)
+            _assert_cache_screen_matches_lp(
+                engine.cache, lambda rid: engine.points_g[rid], inserts
+            )
             for backend in engine.backends:
                 shard = backend.engine
                 _assert_cache_screen_matches_lp(
@@ -389,21 +413,28 @@ class TestScreenBand:
         index.add(0, cone, kth_g=np.zeros(d), interior=interior)
 
         def verdict_at(c):
-            return int(index.prescreen_insert(np.full(d, c))[0])
+            # Undecided entries are evicted with the certain ones.
+            p = np.full(d, c)
+            code = int(index.prescreen_insert(p)[0])
+            assert rule_evicts(cone, interior, np.zeros(d), p) == (code != SCREEN_SAFE)
+            return code
 
         nudge = 1e-3 * safety  # far above rounding, far below the band
-        # Upper edge d·m = tol − safety: inside is SAFE, just past it LP.
+        # Upper edge d·m = tol − safety: inside is SAFE, just past it
+        # undecided (and evicted).
         assert verdict_at((tol - safety - nudge) / d) == SCREEN_SAFE
-        assert verdict_at((tol - safety + nudge) / d) == SCREEN_LP
-        assert verdict_at((tol - safety / 2) / d) == SCREEN_LP
-        # Lower edge s = tol + safety: just short of it LP, past it EVICT.
-        assert verdict_at((tol + safety - nudge) * rmax) == SCREEN_LP
+        assert verdict_at((tol - safety + nudge) / d) == SCREEN_UNDECIDED
+        assert verdict_at((tol - safety / 2) / d) == SCREEN_UNDECIDED
+        # Lower edge s = tol + safety: just short of it undecided (and
+        # evicted), past it EVICT.
+        assert verdict_at((tol + safety - nudge) * rmax) == SCREEN_UNDECIDED
         assert verdict_at((tol + safety + nudge) * rmax) == SCREEN_EVICT
         assert verdict_at((tol + 2 * safety) * rmax) == SCREEN_EVICT
 
 
 #: Cone shapes for the screen property: ``degenerate`` kinds must make
-#: ``cone_rays`` give up (the entry is LP); the rest must screen soundly.
+#: ``cone_rays`` give up (the entry is undecided); the rest must screen
+#: soundly.
 _DEGENERATE_KINDS = ("zero_weight", "tie_at_query", "flat", "inhomogeneous")
 _CONE_KINDS = ("plain", "duplicate_points") + _DEGENERATE_KINDS
 
@@ -449,7 +480,8 @@ class TestScreenProperty:
         """On plain and degenerate cones the screen never returns a wrong
         SAFE or EVICT; where the rays cannot be enumerated soundly (query
         vector on a facet, a score tie at it, a flat region, a row that is
-        not a cone's) the entry is always LP."""
+        not a cone's) the entry is always undecided. The insert rule
+        evicts on every verdict but SAFE (the insert wins exact ties)."""
         kind, region, w, kth, inserts = case
         degenerate = kind in _DEGENERATE_KINDS
         if degenerate:
@@ -459,8 +491,9 @@ class TestScreenProperty:
         for p in inserts:
             code = index.prescreen_insert(p)[0]
             delta = p - kth
+            assert rule_evicts(region, w, kth, p) == (code != SCREEN_SAFE)
             if degenerate:
-                assert code == SCREEN_LP
+                assert code == SCREEN_UNDECIDED
             elif code == SCREEN_TIE:
                 assert not delta.any()
             elif code in (SCREEN_SAFE, SCREEN_EVICT):
@@ -477,10 +510,10 @@ class TestCachePrescreenIntegration:
             cache.insert(gir, kth_g=data.points[gir.topk.kth_id])
         for p in (rng.random(3), np.full(3, 0.95)):
             pre = cache.prescreen_insert(p)
-            combined = sorted(pre.safe + pre.ties + pre.evict + pre.candidates)
+            combined = sorted(pre.safe + pre.ties + pre.evict + pre.undecided)
             assert combined == sorted(key for key, _ in cache.items())
             assert pre.screened == len(pre.safe) + len(pre.ties) + len(pre.evict)
-        assert pre.evict  # the high insert is decided without an LP
+        assert pre.evict  # the high insert is decided
 
     def test_entries_inserted_without_kth_g_are_candidates(
         self, indexed_setup, rng
@@ -491,7 +524,7 @@ class TestCachePrescreenIntegration:
         cache.insert(gir)  # no kth_g: prescreen cannot clear it
         pre = cache.prescreen_insert(rng.random(3))
         assert pre.safe == () and pre.ties == ()
-        assert len(pre.candidates) == 1
+        assert len(pre.undecided) == 1
 
 
 class TestLookupAgreement:

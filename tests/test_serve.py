@@ -965,8 +965,9 @@ class TestReportAndStats:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServeConfig(max_pending=0)
-        with pytest.raises(ValueError):
-            ServeConfig(batch_window_ms=-1.0)
+        for window in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="batch_window_ms"):
+                ServeConfig(batch_window_ms=window)
 
 
 class TestFlashCrowdWorkload:

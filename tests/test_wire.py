@@ -64,11 +64,14 @@ class TestFraming:
             wire.decode_frame(bytes(frame))
 
     def test_previous_version_rejected(self):
-        """A version-4 peer (whose reply always carried a region) is
-        rejected like any other wrong version."""
-        frame = bytearray(wire.encode_frame(wire.MSG_READY))
-        struct.pack_into("<H", frame, 4, 4)
-        with pytest.raises(wire.WireError, match="unsupported wire version 4"):
+        """A version-5 peer (whose update frame carried a fifth field, an
+        LP count, and whose build config named an invalidation policy) is
+        rejected like any other wrong version, before its payload is
+        read."""
+        v5_update = struct.pack("<qqqqq", 12, 3, 9, 2, 4)
+        frame = bytearray(wire.encode_frame(wire.MSG_REPLY_UPDATE, v5_update))
+        struct.pack_into("<H", frame, 4, 5)
+        with pytest.raises(wire.WireError, match="unsupported wire version 5"):
             wire.decode_frame(bytes(frame))
 
     def test_unknown_message_type_rejected(self):
@@ -186,8 +189,10 @@ class TestPayloads:
 
     def test_update_and_stats_round_trip(self):
         update = ShardUpdate(
-            rid=12, evicted=3, screened=9, lps=2, cache_entries=4,
+            rid=12, evicted=3, screened=9, cache_entries=4,
         )
+        # v6: four int64 fields, no LP count.
+        assert len(wire.encode_update(update)) == 4 * 8
         out = wire.decode_update(
             wire.decode_frame(
                 wire.encode_frame(
@@ -216,7 +221,6 @@ class TestPayloads:
             points=rng.random((20, 4)),
             method="fp",
             cache_capacity=32,
-            invalidation="flush",
             page_sleep_ms=0.25,
             scorer=LinearScoring(4),
         )
@@ -226,7 +230,7 @@ class TestPayloads:
             )[1]
         )
         assert (out.shard, out.name, out.method) == (2, "data[shard2]", "fp")
-        assert (out.cache_capacity, out.invalidation) == (32, "flush")
+        assert out.cache_capacity == 32
         assert out.page_sleep_ms == 0.25
         assert out.points.tobytes() == spec.points.tobytes()
         assert isinstance(out.scorer, LinearScoring) and out.scorer.d == 4
@@ -239,7 +243,6 @@ class TestPayloads:
             points=np.zeros((2, 2)),
             method="fp",
             cache_capacity=4,
-            invalidation="gir",
             page_sleep_ms=0.0,
             scorer=polynomial_scoring((2.0, 1.0)),
         )
@@ -338,7 +341,7 @@ class TestFrameIdentity:
     exact binary fractions, so no float rounding enters the bytes.
     """
 
-    GOLDEN = (5, "786c00cd27670f73bdcecffa0bed0c22b3bf33b1c9d325870af7976696172641")
+    GOLDEN = (6, "2315afc23c6581cc393b476b6ae37c7151668117c4aa7dec716300e183aef9c0")
 
     def frames(self) -> dict[int, bytes]:
         rows = np.arange(12, dtype=np.float64).reshape(4, 3) / 8.0
@@ -346,7 +349,7 @@ class TestFrameIdentity:
         region = Polytope(np.vstack([box.A, [[-0.5, 0.25]]]), np.append(box.b, 0.0))
         spec = ShardSpec(
             shard=1, name="fixed[shard1]", points=rows, method="fp",
-            cache_capacity=16, invalidation="gir", page_sleep_ms=0.5,
+            cache_capacity=16, page_sleep_ms=0.5,
             scorer=LinearScoring(3),
         )
         reply = ShardReply(
@@ -360,7 +363,7 @@ class TestFrameIdentity:
             pages_read=3, cache_entries=16,
         )
         update = ShardUpdate(
-            rid=4, evicted=2, screened=3, lps=1, cache_entries=6,
+            rid=4, evicted=2, screened=3, cache_entries=6,
         )
         span = obs.SpanRecord("t-1", "s-2", "s-1", "shard.topk_batch", 16.0, 2.5, 7, 9, {"k": 3})
         # The scorer crosses as pickle's bytes, not this format's: they
